@@ -37,16 +37,19 @@ class DramChannel {
  public:
   DramChannel(const GpuSimConfig& cfg, SimStats& stats);
 
-  void push_read(const DramRequest& r) { reads_.push_back(r); }
-  void push_write(const DramRequest& r) { writes_.push_back(r); }
+  void push_read(const DramRequest& r) { push(reads_, r); }
+  void push_write(const DramRequest& r) { push(writes_, r); }
 
-  /// Advances scheduling up to `cycle`; completed requests appear in
-  /// completions(). Returns true if any work remains queued or in flight.
+  /// Schedules at `cycle`: issues at most one read, plus one write when no
+  /// read issued or the write queue is past the drain watermark. Issued
+  /// requests appear in completions() with the cycle their data phase ends.
   void tick(uint64_t cycle);
 
-  bool busy() const { return !reads_.empty() || !writes_.empty() || !completions_.empty(); }
-  size_t read_queue_depth() const { return reads_.size(); }
-  size_t write_queue_depth() const { return writes_.size(); }
+  bool busy() const {
+    return !reads_.pending.empty() || !writes_.pending.empty() || !completions_.empty();
+  }
+  size_t read_queue_depth() const { return reads_.pending.size(); }
+  size_t write_queue_depth() const { return writes_.pending.size(); }
 
   std::deque<DramCompletion>& completions() { return completions_; }
   const std::deque<DramCompletion>& completions() const { return completions_; }
@@ -63,18 +66,42 @@ class DramChannel {
     uint64_t act_cycle = 0;    ///< when the open row was activated (tRAS)
   };
 
+  /// A queued request with its bank and row decoded once, at push.
+  struct Pending {
+    uint64_t row = 0;
+    uint64_t tag = 0;
+    uint32_t bank = 0;
+    uint32_t bursts = 1;
+    bool write = false;
+    bool metadata = false;
+  };
+
+  /// One request queue, oldest first. Its FR-FCFS window is the oldest
+  /// `scheduler_window` entries: window_per_bank[b] counts the window's
+  /// entries on bank b, and `wake` is the earliest ready_cycle among the
+  /// banks with a nonzero count (UINT64_MAX for an empty window), so "can
+  /// anything in the window issue?" is one compare instead of a scan. A push
+  /// can only lower `wake`; an issue changes the window and a bank's ready
+  /// cycle, so it recomputes both queues' `wake` from the counts.
+  struct Queue {
+    std::deque<Pending> pending;
+    std::vector<uint32_t> window_per_bank;
+    uint64_t wake = UINT64_MAX;
+  };
+
   const GpuSimConfig& cfg_;
   SimStats& stats_;
   std::vector<Bank> banks_;
   uint64_t bus_free_cycle_ = 0;
-  std::deque<DramRequest> reads_;
-  std::deque<DramRequest> writes_;
+  Queue reads_;
+  Queue writes_;
   std::deque<DramCompletion> completions_;
 
-  void locate(uint64_t addr, size_t* bank, uint64_t* row) const;
+  void push(Queue& q, const DramRequest& r);
+  void update_wake(Queue& q);
   /// Issues one request if a bank + the bus can take it; returns true if
   /// something was scheduled.
-  bool try_issue(std::deque<DramRequest>& q, uint64_t cycle);
+  bool try_issue(Queue& q, uint64_t cycle);
 };
 
 }  // namespace slc

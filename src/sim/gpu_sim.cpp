@@ -11,16 +11,14 @@ GpuSim::McState::McState(const GpuSimConfig& cfg)
       dram(cfg, stats) {}
 
 uint64_t GpuSim::McState::alloc_tag(const InFlight& f) {
-  for (size_t t = 0; t < tag_free.size(); ++t) {
-    if (tag_free[t]) {
-      tag_free[t] = false;
-      inflight_reads[t] = f;
-      return t;
-    }
+  if (free_tags.empty()) {
+    inflight_reads.push_back(f);
+    return inflight_reads.size() - 1;
   }
-  tag_free.push_back(false);
-  inflight_reads.push_back(f);
-  return inflight_reads.size() - 1;
+  const uint64_t t = free_tags.back();
+  free_tags.pop_back();
+  inflight_reads[t] = f;
+  return t;
 }
 
 GpuSim::GpuSim(GpuSimConfig cfg) : cfg_(cfg) {
@@ -159,7 +157,7 @@ void GpuSim::mc_process(size_t mc_id) {
     comps.pop_front();
     if (c.write || c.metadata || c.tag == UINT64_MAX) continue;
     InFlight f = mc.inflight_reads[c.tag];
-    mc.tag_free[c.tag] = true;
+    mc.free_tags.push_back(c.tag);
     auto ev = mc.l2.fill(f.access.addr, /*dirty=*/false, f.access.bursts);
     if (ev) {
       ++mc.stats.l2_writebacks;
@@ -318,7 +316,7 @@ void GpuSim::begin_run() {
   for (auto& mcp : mcs_) {
     mcp->stats = SimStats{};
     mcp->inflight_reads.clear();
-    mcp->tag_free.clear();
+    mcp->free_tags.clear();
   }
   start_workers();
 }

@@ -97,7 +97,7 @@ class GpuSim {
     InFlightQueue staged;     ///< writebacks waiting out the compress latency
     InFlightQueue responses;  ///< read data returning to SMs via this MC
     std::vector<InFlight> inflight_reads;  ///< indexed by DRAM tag
-    std::vector<bool> tag_free;            ///< channel-local tag pool
+    std::vector<uint64_t> free_tags;       ///< released tags, reused last-in first-out
     explicit McState(const GpuSimConfig& cfg);
     uint64_t alloc_tag(const InFlight& f);
   };
