@@ -185,18 +185,6 @@ ServerTicket CodecServer::submit(StreamId s, const Request& request) {
   return submit_request(s, request, std::move(blocks));
 }
 
-ServerTicket CodecServer::submit(StreamId s, std::span<const uint8_t> data) {
-  Request r;
-  r.bytes = data;
-  return submit(s, r);
-}
-
-ServerTicket CodecServer::submit(StreamId s, std::span<const Block> blocks) {
-  Request r;
-  r.blocks = blocks;
-  return submit(s, r);
-}
-
 ServerTicket CodecServer::submit_request(StreamId s, const Request& r,
                                          std::vector<Block>&& blocks) {
   auto req = std::make_shared<detail::ServerRequest>();

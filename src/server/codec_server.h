@@ -301,13 +301,6 @@ class CodecServer {
   /// completes immediately. See Request/Response for the contract.
   ServerTicket submit(StreamId s, const Request& request);
 
-  /// Legacy byte-stream analyze request.
-  [[deprecated("use submit(StreamId, const Request&)")]]
-  ServerTicket submit(StreamId s, std::span<const uint8_t> data);
-  /// Legacy block-stream analyze request.
-  [[deprecated("use submit(StreamId, const Request&)")]]
-  ServerTicket submit(StreamId s, std::span<const Block> blocks);
-
   /// Dispatches `s`'s partially-filled batch now (no-op when empty).
   void flush_stream(StreamId s);
   /// Barrier: dispatches every partial batch and blocks until all in-flight

@@ -2,10 +2,11 @@
 
 #include <algorithm>
 #include <cassert>
+#include <memory>
 
 namespace slc {
 
-GpuSim::McState::McState(const GpuSimConfig& cfg)
+GpuSim::McState::McState(const GpuSimConfig& cfg, SimStats& stats)
     : l2(cfg.l2_bytes / cfg.num_mcs, cfg.l2_ways, cfg.line_bytes),
       mdc(cfg.mdc_lines * 64, 4, 64),
       dram(cfg, stats) {}
@@ -19,14 +20,6 @@ uint64_t GpuSim::McState::alloc_tag(const InFlight& f) {
   free_tags.pop_back();
   inflight_reads[t] = f;
   return t;
-}
-
-GpuSim::GpuSim(GpuSimConfig cfg) : cfg_(cfg) {
-  sms_.resize(cfg_.num_sms);
-  for (unsigned i = 0; i < cfg_.num_sms; ++i)
-    l1_.emplace_back(cfg_.l1_bytes, cfg_.l1_ways, cfg_.line_bytes);
-  mcs_.reserve(cfg_.num_mcs);
-  for (unsigned i = 0; i < cfg_.num_mcs; ++i) mcs_.push_back(std::make_unique<McState>(cfg_));
 }
 
 size_t GpuSim::mc_index(uint64_t addr) const {
@@ -55,7 +48,7 @@ void GpuSim::sm_issue(uint16_t sm_id, double compute_scale) {
     // approximated by a write_hit update when present.
     l1_[sm_id].write_hit(a.addr, a.bursts);
     InFlight f{a, sm_id, cycle_ + cfg_.icnt_latency};
-    mcs_[mc_index(a.addr)]->arrivals.push(f);
+    mcs_[mc_index(a.addr)].arrivals.push(f);
     return;
   }
 
@@ -67,17 +60,12 @@ void GpuSim::sm_issue(uint16_t sm_id, double compute_scale) {
   ++stats_.l1_misses;
   ++sm.outstanding;
   InFlight f{a, sm_id, cycle_ + cfg_.icnt_latency};
-  mcs_[mc_index(a.addr)]->arrivals.push(f);
+  mcs_[mc_index(a.addr)].arrivals.push(f);
 }
 
-// Runs on whichever shard owns mc_id during the parallel phase: touches only
-// this McState (its caches, channel, queues, tag pool and private stats) plus
-// driver-written-between-barriers cycle_/cfg_, so shards never race and the
-// channel's evolution is a pure function of its own request sequence —
-// identical for any worker count.
-void GpuSim::mc_process(size_t mc_id) {
-  McState& mc = *mcs_[mc_id];
-
+// One channel's share of an event step: interconnect arrivals, finished
+// writeback compressions, one DRAM scheduling tick, then completed fetches.
+void GpuSim::mc_process(McState& mc) {
   // Requests arriving from the interconnect.
   while (!mc.arrivals.empty() && mc.arrivals.top().ready <= cycle_) {
     InFlight f = mc.arrivals.top();
@@ -88,8 +76,8 @@ void GpuSim::mc_process(size_t mc_id) {
       if (!mc.l2.write_hit(a.addr, a.bursts)) {
         auto ev = mc.l2.fill(a.addr, /*dirty=*/true, a.bursts);
         if (ev) {
-          ++mc.stats.l2_writebacks;
-          ++mc.stats.compressions;
+          ++stats_.l2_writebacks;
+          ++stats_.compressions;
           TraceAccess wb;
           wb.addr = ev->addr;
           wb.bursts = ev->bursts;
@@ -101,20 +89,20 @@ void GpuSim::mc_process(size_t mc_id) {
     }
     // Read path.
     if (mc.l2.lookup(a.addr)) {
-      ++mc.stats.l2_hits;
+      ++stats_.l2_hits;
       InFlight resp = f;
       resp.ready = cycle_ + cfg_.l2_latency + cfg_.icnt_latency;
       mc.responses.push(resp);
       continue;
     }
-    ++mc.stats.l2_misses;
+    ++stats_.l2_misses;
     // Metadata cache: the 2-bit burst count must be known before the fetch.
     const uint64_t meta_line = a.addr / (cfg_.line_bytes * cfg_.mdc_line_coverage_blocks);
     uint64_t extra_delay = 0;
     if (mc.mdc.lookup(meta_line * 64)) {
-      ++mc.stats.mdc_hits;
+      ++stats_.mdc_hits;
     } else {
-      ++mc.stats.mdc_misses;
+      ++stats_.mdc_misses;
       mc.mdc.fill(meta_line * 64, /*dirty=*/false, 1);
       // Charge a one-burst metadata fetch (bandwidth) and serialize the data
       // fetch behind its approximate service time.
@@ -160,8 +148,8 @@ void GpuSim::mc_process(size_t mc_id) {
     mc.free_tags.push_back(c.tag);
     auto ev = mc.l2.fill(f.access.addr, /*dirty=*/false, f.access.bursts);
     if (ev) {
-      ++mc.stats.l2_writebacks;
-      ++mc.stats.compressions;
+      ++stats_.l2_writebacks;
+      ++stats_.compressions;
       TraceAccess wb;
       wb.addr = ev->addr;
       wb.bursts = ev->bursts;
@@ -170,7 +158,7 @@ void GpuSim::mc_process(size_t mc_id) {
     }
     uint64_t lat = cfg_.icnt_latency;
     if (f.access.bursts < cfg_.max_bursts()) {
-      ++mc.stats.decompressions;
+      ++stats_.decompressions;
       lat += cfg_.decompress_latency;
     }
     f.ready = cycle_ + lat;
@@ -178,42 +166,11 @@ void GpuSim::mc_process(size_t mc_id) {
   }
 }
 
-// Body of one extra shard thread. The epoch/done handshake is the only
-// cross-thread communication: an acquire-load of epoch_ sees every
-// driver-side write made before the matching release-increment (SM pushes
-// into arrivals, the cycle_ advance), and the driver's acquire-spin on done_
-// sees every MC mutation made before the worker's release-increment.
-void GpuSim::worker_loop(unsigned shard, unsigned num_shards) {
-  uint64_t seen = 0;
-  for (;;) {
-    while (epoch_.load(std::memory_order_acquire) == seen) {
-      if (stop_.load(std::memory_order_acquire)) return;
-      std::this_thread::yield();
-    }
-    ++seen;
-    for (size_t m = shard; m < mcs_.size(); m += num_shards) mc_process(m);
-    done_.fetch_add(1, std::memory_order_release);
-  }
-}
-
-void GpuSim::mc_phase() {
-  if (workers_.empty()) {
-    for (size_t m = 0; m < mcs_.size(); ++m) mc_process(m);
-    return;
-  }
-  const unsigned num_shards = active_workers_ + 1;  // driver is shard 0
-  const uint64_t step = epoch_.fetch_add(1, std::memory_order_release) + 1;
-  for (size_t m = 0; m < mcs_.size(); m += num_shards) mc_process(m);
-  const uint64_t target = step * active_workers_;
-  while (done_.load(std::memory_order_acquire) < target) std::this_thread::yield();
-}
-
 void GpuSim::deliver_responses() {
   // Fixed channel order: which MC's response fills L1 first on a shared
-  // cycle is part of the deterministic schedule, not a thread-timing
-  // artifact.
-  for (auto& mcp : mcs_) {
-    InFlightQueue& responses = mcp->responses;
+  // cycle is part of the schedule.
+  for (McState& mc : mcs_) {
+    InFlightQueue& responses = mc.responses;
     while (!responses.empty() && responses.top().ready <= cycle_) {
       const InFlight f = responses.top();
       responses.pop();
@@ -228,8 +185,7 @@ void GpuSim::deliver_responses() {
 bool GpuSim::drained() const {
   for (const SmState& sm : sms_)
     if (sm.next < sm.queue.size() || sm.outstanding > 0) return false;
-  for (const auto& mcp : mcs_) {
-    const McState& mc = *mcp;
+  for (const McState& mc : mcs_) {
     if (!mc.arrivals.empty() || !mc.staged.empty() || !mc.responses.empty() || mc.dram.busy())
       return false;
   }
@@ -249,8 +205,7 @@ uint64_t GpuSim::next_event_cycle() const {
       // ...or blocked on a response (covered by the MC responses below).
     }
   }
-  for (const auto& mcp : mcs_) {
-    const McState& mc = *mcp;
+  for (const McState& mc : mcs_) {
     if (!mc.arrivals.empty()) consider(mc.arrivals.top().ready);
     if (!mc.staged.empty()) consider(mc.staged.top().ready);
     if (!mc.responses.empty()) consider(mc.responses.top().ready);
@@ -279,7 +234,7 @@ void GpuSim::run_kernel(const KernelTrace& kernel) {
   const double compute_scale = kernel.compute_per_access * cfg_.sm_cycle_scale();
   while (!drained()) {
     for (uint16_t s = 0; s < cfg_.num_sms; ++s) sm_issue(s, compute_scale);
-    mc_phase();
+    for (McState& mc : mcs_) mc_process(mc);
     deliver_responses();
 
     const uint64_t nxt = next_event_cycle();
@@ -289,60 +244,22 @@ void GpuSim::run_kernel(const KernelTrace& kernel) {
   }
 }
 
-void GpuSim::start_workers() {
-  unsigned shards = cfg_.sim_workers != 0 ? cfg_.sim_workers : std::thread::hardware_concurrency();
-  shards = std::clamp<unsigned>(shards, 1, cfg_.num_mcs);
-  active_workers_ = shards - 1;
-  if (active_workers_ == 0) return;
-  stop_.store(false, std::memory_order_relaxed);
-  epoch_.store(0, std::memory_order_relaxed);
-  done_.store(0, std::memory_order_relaxed);
-  workers_.reserve(active_workers_);
-  for (unsigned i = 0; i < active_workers_; ++i)
-    workers_.emplace_back([this, i, shards] { worker_loop(i + 1, shards); });
-}
-
-void GpuSim::stop_workers() {
-  if (workers_.empty()) return;
-  stop_.store(true, std::memory_order_release);
-  for (std::thread& t : workers_) t.join();
-  workers_.clear();
-  active_workers_ = 0;
-}
-
-void GpuSim::begin_run() {
+SimStats GpuSim::run(TraceStream& stream) {
+  // Cold machine: a run never inherits cache contents, bank or bus timing,
+  // counters or the clock from an earlier run.
   stats_ = SimStats{};
   cycle_ = 0;
-  for (auto& mcp : mcs_) {
-    mcp->stats = SimStats{};
-    mcp->inflight_reads.clear();
-    mcp->free_tags.clear();
-  }
-  start_workers();
-}
+  sms_.assign(cfg_.num_sms, SmState{});
+  l1_.assign(cfg_.num_sms, Cache(cfg_.l1_bytes, cfg_.l1_ways, cfg_.line_bytes));
+  mcs_.clear();
+  mcs_.reserve(cfg_.num_mcs);
+  for (unsigned i = 0; i < cfg_.num_mcs; ++i) mcs_.emplace_back(cfg_, stats_);
 
-SimStats GpuSim::end_run() {
-  stop_workers();
-  stats_.cycles = cycle_;
-  // Drain-barrier reconciliation: per-channel accumulators fold into the
-  // driver's stats in fixed channel order. merge() is associative with
-  // identity, so the totals cannot depend on the worker count.
-  for (const auto& mcp : mcs_) stats_.merge(mcp->stats);
-  return stats_;
-}
-
-SimStats GpuSim::run(TraceStream& stream) {
-  struct WorkerGuard {  // exception safety: never leak spinning shard threads
-    GpuSim& sim;
-    ~WorkerGuard() { sim.stop_workers(); }
-  };
-  begin_run();
-  WorkerGuard guard{*this};
   while (std::shared_ptr<const KernelTrace> chunk = stream.pop()) run_kernel(*chunk);
-  SimStats out = end_run();
-  out.stream_chunk_hwm = stream.chunk_high_water();
-  out.stream_access_hwm = stream.access_high_water();
-  return out;
+  stats_.cycles = cycle_;
+  stats_.stream_chunk_hwm = stream.chunk_high_water();
+  stats_.stream_access_hwm = stream.access_high_water();
+  return stats_;
 }
 
 SimStats GpuSim::run(const std::vector<KernelTrace>& trace) {

@@ -8,26 +8,17 @@
 // same codec decisions that generated the functional approximation), so
 // timing and error derive from identical compression outcomes.
 //
-// Streaming + sharding (see docs/ARCHITECTURE.md "Streaming simulation"):
+// Streaming (see docs/ARCHITECTURE.md "Streaming simulation"):
 // run(TraceStream&) replays kernels as a producer publishes them, so the
 // materialized trace never has to exist; run(const vector&) is a thin
 // adapter wrapping the vector in a pre-closed stream of borrowed chunks.
-// Within a run, the per-step memory-controller phase is sharded across
-// cfg.sim_workers threads — each worker owns a fixed, disjoint set of MCs
-// (mc_index already partitions addresses by channel), every piece of
-// mutable MC state (L2/MDC slice, DRAM channel, queues, read-tag pool, and
-// a private SimStats accumulator) lives inside that MC, and SM issue /
-// response delivery stay on the driver thread between two atomic barriers.
-// Per-MC stats reconcile via SimStats::merge() at the end of the run, in
-// fixed channel order — so 1-worker and N-worker runs are bit-identical,
-// the same thread-count-invariance discipline the engine enforces.
+// Replay runs on the calling thread, and every run() starts from a cold
+// machine: SMs, caches, DRAM channels, counters and clock are rebuilt, so
+// a reused GpuSim reports exactly what a fresh one would.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
 #include <queue>
-#include <thread>
 #include <vector>
 
 #include "sim/cache.h"
@@ -40,7 +31,10 @@ namespace slc {
 
 class GpuSim {
  public:
-  explicit GpuSim(GpuSimConfig cfg);
+  explicit GpuSim(GpuSimConfig cfg) : cfg_(cfg) {}
+  // The DRAM channels hold references to cfg_ and stats_.
+  GpuSim(const GpuSim&) = delete;
+  GpuSim& operator=(const GpuSim&) = delete;
 
   /// Runs all kernels of a materialized trace; returns the accumulated
   /// counters. Thin adapter over the stream path: the vector is wrapped in
@@ -82,14 +76,9 @@ class GpuSim {
   };
   using InFlightQueue = std::priority_queue<InFlight, std::vector<InFlight>, ReadyOrder>;
 
-  /// One memory partition: everything a worker touches while processing the
-  /// channel lives here — no MC shares mutable state with another MC or
-  /// with the driver during the parallel phase, which is the whole
-  /// determinism argument. `stats` is declared first: DramChannel holds a
-  /// reference to it, so it must outlive (construct before) `dram`; McState
-  /// is heap-pinned (unique_ptr in mcs_) so the reference never moves.
+  /// One memory partition: its L2/MDC slice, DRAM channel, queues and
+  /// read-tag pool. The channel counts into GpuSim::stats_.
   struct McState {
-    SimStats stats;           ///< this channel's private counters
     Cache l2;
     Cache mdc;
     DramChannel dram;
@@ -98,29 +87,16 @@ class GpuSim {
     InFlightQueue responses;  ///< read data returning to SMs via this MC
     std::vector<InFlight> inflight_reads;  ///< indexed by DRAM tag
     std::vector<uint64_t> free_tags;       ///< released tags, reused last-in first-out
-    explicit McState(const GpuSimConfig& cfg);
+    McState(const GpuSimConfig& cfg, SimStats& stats);
     uint64_t alloc_tag(const InFlight& f);
   };
 
   GpuSimConfig cfg_;
-  SimStats stats_;  ///< driver-side counters (SM issue path) + merge target
+  SimStats stats_;
   std::vector<SmState> sms_;
   std::vector<Cache> l1_;
-  std::vector<std::unique_ptr<McState>> mcs_;
+  std::vector<McState> mcs_;
   uint64_t cycle_ = 0;
-
-  // MC-phase shard pool, alive for the duration of one run(). The driver is
-  // shard 0; `active_workers_` extra threads take shards 1..N-1. Each step:
-  // the driver bumps `epoch_` (release) after the serial SM-issue phase,
-  // every thread processes its fixed stride of MCs, workers bump `done_`
-  // (release) and the driver spins (acquire) until all are in — a two-sided
-  // barrier whose release/acquire pairs carry the cross-thread visibility,
-  // so the phase needs no locks and stays TSan-clean.
-  std::vector<std::thread> workers_;
-  std::atomic<uint64_t> epoch_{0};
-  std::atomic<uint64_t> done_{0};
-  std::atomic<bool> stop_{false};
-  unsigned active_workers_ = 0;  ///< extra threads (total shards - 1)
 
   size_t mc_index(uint64_t addr) const;
   /// Channel-local address: strips the channel-interleave bits so row/bank
@@ -128,19 +104,11 @@ class GpuSim {
   /// consecutive line accesses per 2 KB row instead of 4).
   uint64_t channel_local(uint64_t addr) const;
   void sm_issue(uint16_t sm_id, double compute_scale);
-  void mc_process(size_t mc_id);
-  /// One barrier-bracketed pass of mc_process over every channel —
-  /// sharded when workers are up, a plain loop otherwise.
-  void mc_phase();
-  void worker_loop(unsigned shard, unsigned num_shards);
+  void mc_process(McState& mc);
   void deliver_responses();
   bool drained() const;
   uint64_t next_event_cycle() const;
   void run_kernel(const KernelTrace& kernel);
-  void begin_run();
-  SimStats end_run();
-  void start_workers();
-  void stop_workers();  ///< idempotent
 };
 
 }  // namespace slc

@@ -64,11 +64,8 @@ struct GpuSimConfig {
   size_t scheduler_window = 64;
 
   // Streaming replay (sim/trace_stream.h).
-  /// Threads sharding the memory-controller phase of each simulation step
-  /// (each owns a fixed disjoint set of DRAM channels; results are
-  /// bit-identical for any value). 1 = serial; 0 = hardware concurrency.
-  /// Clamped to num_mcs — more shards than channels would idle.
-  unsigned sim_workers = 1;
+  /// Replay is single-threaded: GpuSim runs on the calling thread.
+  static constexpr unsigned sim_workers = 1;
   /// Bound on queued kernel chunks between trace capture and replay
   /// (TraceStream budget); 0 = unbounded. The convention every harness that
   /// builds a stream from this config follows — the simulator itself never
@@ -111,13 +108,13 @@ struct SimStats {
   uint64_t stream_chunk_hwm = 0;
   uint64_t stream_access_hwm = 0;
 
-  /// All-field equality (the thread-count-invariance checks compare whole
-  /// stat blocks so a new counter can never silently escape them).
+  /// All-field equality (the equivalence checks compare whole stat blocks
+  /// so a new counter can never silently escape them).
   bool operator==(const SimStats&) const = default;
 
   /// Every timing/traffic counter equal, stream watermarks ignored — the
   /// equality a streaming replay is guaranteed to share with a materialized
-  /// (or differently-sharded) replay of the same trace.
+  /// replay of the same trace.
   bool same_counters(const SimStats& o) const {
     SimStats a = *this, b = o;
     a.stream_chunk_hwm = b.stream_chunk_hwm = 0;
@@ -127,9 +124,8 @@ struct SimStats {
 
   /// Folds another accumulator into this one. Event counters add and
   /// watermarks (cycles, stream hwm) take the max, so merging is associative
-  /// and commutative and a default-constructed SimStats is the identity —
-  /// the contract that makes per-shard stats reconcile to the same totals
-  /// in any merge order (1 worker == N workers).
+  /// and commutative and a default-constructed SimStats is the identity:
+  /// totals over several runs do not depend on the merge order.
   void merge(const SimStats& o) {
     cycles = std::max(cycles, o.cycles);
     kernels += o.kernels;

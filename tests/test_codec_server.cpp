@@ -772,20 +772,5 @@ TEST(CodecServer, CacheModePrivateIsolatesSharedDedups) {
   EXPECT_EQ(run(CacheMode::kPrivate), 0u) << "private caches must not leak across streams";
 }
 
-// The deprecated submit(span) wrappers still serve through the typed path.
-TEST(CodecServer, LegacySubmitWrappersStillServe) {
-  const auto training = quantized_walk(31, 256);
-  CodecServer server;
-  const StreamId s = server.open_stream(e2mc_stream("legacy", training));
-  const auto data = quantized_walk(59, 3);
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  auto ticket = server.submit(s, std::span<const uint8_t>(data));
-#pragma GCC diagnostic pop
-  const Response res = ticket.wait();
-  EXPECT_TRUE(res.ok());
-  EXPECT_EQ(res.analysis.blocks.size(), 3u);
-}
-
 }  // namespace
 }  // namespace slc

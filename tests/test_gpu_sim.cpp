@@ -249,34 +249,29 @@ TEST(GpuSim, StreamingMatchesMaterializedRun) {
   GpuSim ref(GpuSimConfig{});
   const SimStats want = ref.run(trace);
 
-  for (const unsigned workers : {1u, 4u}) {
-    GpuSimConfig cfg;
-    cfg.sim_workers = workers;
-    GpuSim sim(cfg);
-    TraceStream stream(2);
-    SimStats got;
-    std::thread consumer([&] { got = sim.run(stream); });
-    for (const auto& k : trace) ASSERT_TRUE(stream.push(k));
-    stream.close();
-    consumer.join();
-    EXPECT_TRUE(want.same_counters(got)) << "workers=" << workers;
-    EXPECT_EQ(got.kernels, 3u);
-  }
+  GpuSim sim(GpuSimConfig{});
+  TraceStream stream(2);
+  SimStats got;
+  std::thread consumer([&] { got = sim.run(stream); });
+  for (const auto& k : trace) ASSERT_TRUE(stream.push(k));
+  stream.close();
+  consumer.join();
+  EXPECT_TRUE(want.same_counters(got));
+  EXPECT_EQ(got.kernels, 3u);
 }
 
-TEST(GpuSim, ShardedRunMatchesSingleWorkerBitExactly) {
+// Every run starts from a cold machine: a second run on the same sim must
+// not inherit L2/MDC contents, DRAM bank or bus timing from the first.
+TEST(GpuSim, SecondRunMatchesFreshSim) {
   std::vector<KernelTrace> trace;
   trace.push_back(streaming_kernel(3000, 4, 0.5, 0x1000'0000, true));
   trace.push_back(streaming_kernel(900, 2, 2.0, 0x5000'0000));
 
-  GpuSimConfig one;
-  one.sim_workers = 1;
-  GpuSimConfig many;
-  many.sim_workers = 0;  // 0 = hardware concurrency, clamped to num_mcs
-  GpuSim a(one), b(many);
-  const SimStats sa = a.run(trace);
-  const SimStats sb = b.run(trace);
-  EXPECT_EQ(sa, sb);  // full equality, high-water marks included
+  GpuSim fresh(GpuSimConfig{});
+  const SimStats want = fresh.run(trace);
+  GpuSim reused(GpuSimConfig{});
+  EXPECT_EQ(reused.run(trace), want);
+  EXPECT_EQ(reused.run(trace), want);  // full equality, high-water marks included
 }
 
 TEST(GpuSim, StreamHighWaterMarkBoundedByBudget) {

@@ -1,8 +1,7 @@
 // Streaming-vs-materialized equivalence: for every Table III workload the
 // TraceStream pipeline (ApproxMemory publishing kernels into a bounded
 // stream while GpuSim consumes them) must produce bit-identical timing
-// counters to the materialize-then-replay path, at one sim worker and at
-// many. This is the determinism contract the sharded simulator rests on.
+// counters to the materialize-then-replay path.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -28,8 +27,9 @@ std::vector<KernelTrace> materialized_trace(const std::string& name) {
 }
 
 // Runs `name` with its trace flowing through a bounded TraceStream into a
-// concurrently-draining GpuSim with `workers` shards.
-SimStats streamed_run(const std::string& name, const GpuSimConfig& cfg) {
+// concurrently-draining GpuSim.
+SimStats streamed_run(const std::string& name) {
+  const GpuSimConfig cfg;
   GpuSim sim(cfg);
   auto stream = std::make_shared<TraceStream>(cfg.stream_chunk_budget);
   SimStats got;
@@ -49,38 +49,23 @@ SimStats streamed_run(const std::string& name, const GpuSimConfig& cfg) {
 
 class StreamingSimTest : public ::testing::TestWithParam<std::string> {};
 
+// The name predates single-threaded replay; it is kept so the test IDs of
+// the nine instances stay stable.
 TEST_P(StreamingSimTest, StreamingMatchesMaterializedAtOneAndManyWorkers) {
   const std::vector<KernelTrace> trace = materialized_trace(GetParam());
   ASSERT_FALSE(trace.empty());
   GpuSim ref(GpuSimConfig{});
   const SimStats want = ref.run(trace);
 
-  for (const unsigned workers : {1u, 4u}) {
-    GpuSimConfig cfg;
-    cfg.sim_workers = workers;
-    const SimStats got = streamed_run(GetParam(), cfg);
-    EXPECT_TRUE(want.same_counters(got))
-        << GetParam() << " at sim_workers=" << workers
-        << ": streaming replay diverged from the materialized replay";
-    EXPECT_EQ(got.kernels, trace.size());
-    // Backpressure contract: the bounded stream never held more than its
-    // chunk budget.
-    ASSERT_GT(cfg.stream_chunk_budget, 0u);
-    EXPECT_LE(got.stream_chunk_hwm, cfg.stream_chunk_budget);
-  }
-}
-
-TEST_P(StreamingSimTest, WorkerCountInvariant) {
-  // Two streaming runs of the same workload differing only in shard count
-  // must agree on every timing/traffic counter. (Stream watermarks are
-  // excluded: peak queue depth depends on producer/consumer scheduling.)
-  GpuSimConfig one;
-  one.sim_workers = 1;
-  GpuSimConfig many;
-  many.sim_workers = 4;
-  const SimStats a = streamed_run(GetParam(), one);
-  const SimStats b = streamed_run(GetParam(), many);
-  EXPECT_TRUE(a.same_counters(b)) << GetParam();
+  const GpuSimConfig cfg;
+  const SimStats got = streamed_run(GetParam());
+  EXPECT_TRUE(want.same_counters(got))
+      << GetParam() << ": streaming replay diverged from the materialized replay";
+  EXPECT_EQ(got.kernels, trace.size());
+  // Backpressure contract: the bounded stream never held more than its
+  // chunk budget.
+  ASSERT_GT(cfg.stream_chunk_budget, 0u);
+  EXPECT_LE(got.stream_chunk_hwm, cfg.stream_chunk_budget);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllBenchmarks, StreamingSimTest,
