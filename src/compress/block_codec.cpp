@@ -20,7 +20,6 @@ BlockCodecResult raw_result(BlockView block, size_t mag_bytes) {
   r.lossless_bits = block.size() * 8;
   r.final_bits = block.size() * 8;
   r.stored_uncompressed = true;
-  r.decoded = Block(block.bytes());
   return r;
 }
 
@@ -47,7 +46,6 @@ BlockCodecResult lossless_result(const BlockAnalysis& a, BlockView block, size_t
   r.final_bits = a.bit_size;
   r.stored_uncompressed = !a.is_compressed || a.bit_size >= block.size() * 8;
   r.bursts = bursts_for_bits(a.bit_size, mag, block.size());
-  r.decoded = Block(block.bytes());
   return r;
 }
 

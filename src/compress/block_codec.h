@@ -7,11 +7,12 @@
 // CodecRegistry::create_block_codec().
 //   RawBlockCodec      — no compression (every block costs all bursts)
 //   LosslessBlockCodec — any lossless Compressor (E2MC baseline, BDI, ...)
-// process() returns the burst count (timing) and the block contents as the
-// GPU will later observe them (functional); only lossy codecs mutate.
+// process() returns the burst count (timing) and, for the blocks a lossy
+// codec approximated, the contents the GPU will later observe (functional).
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <span>
 
 #include "compress/compressor.h"
@@ -26,7 +27,9 @@ struct BlockCodecResult {
   bool lossy = false;         ///< true if symbols were approximated
   bool stored_uncompressed = false;
   size_t truncated_symbols = 0;
-  Block decoded;              ///< block as later reads will observe it
+  /// The block as later reads will observe it. Set exactly when `lossy`:
+  /// every other block reads back as its own input, so no copy is made.
+  std::optional<Block> decoded;
 
   // Fingerprint-memo outcome (see BlockAnalysis): hit-rate accounting only;
   // every decision field above is cache-invariant.
@@ -40,10 +43,12 @@ class BlockCodec {
  public:
   virtual ~BlockCodec() = default;
 
-  /// Compresses + decompresses one block. `safe_to_approx` and
-  /// `threshold_bytes` come from the region's extended-cudaMalloc annotation;
-  /// codecs without a lossy mode ignore them. Must be safe to call
-  /// concurrently from CodecEngine workers (all bundled policies are).
+  /// Sizes one block and, when the policy approximates it, returns the
+  /// approximated contents in `decoded` (left empty otherwise).
+  /// `safe_to_approx` and `threshold_bytes` come from the region's
+  /// extended-cudaMalloc annotation; codecs without a lossy mode ignore them.
+  /// Must be safe to call concurrently from CodecEngine workers (all bundled
+  /// policies are).
   virtual BlockCodecResult process(BlockView block, bool safe_to_approx,
                                    size_t threshold_bytes) const = 0;
 

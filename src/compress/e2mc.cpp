@@ -1,9 +1,11 @@
 #include "compress/e2mc.h"
 
+#include <algorithm>
 #include <atomic>
 #include <cassert>
-
 #include <cstring>
+#include <stdexcept>
+#include <string>
 
 #include "common/bitstream.h"
 #include "compress/batch_writer.h"
@@ -27,7 +29,8 @@ E2mcCompressor::E2mcCompressor(HuffmanCode code, E2mcConfig cfg)
     : code_(std::move(code)),
       cfg_(cfg),
       model_id_(g_next_model_id.fetch_add(1, std::memory_order_relaxed)) {
-  assert(cfg_.num_ways >= 1 && cfg_.num_ways <= 8);
+  if (cfg_.num_ways < 1 || cfg_.num_ways > 8)
+    throw std::invalid_argument("E2MC: num_ways must be in [1, 8]");
 }
 
 std::shared_ptr<E2mcCompressor> E2mcCompressor::train(std::span<const uint8_t> sample,
@@ -77,19 +80,30 @@ void E2mcCompressor::code_lengths_batch(std::span<const BlockView> blocks,
   }
 }
 
+size_t E2mcCompressor::symbols_per_way(size_t num_symbols) const {
+  if (num_symbols == 0 || num_symbols % cfg_.num_ways != 0)
+    throw std::invalid_argument("E2MC: " + std::to_string(num_symbols) +
+                                " symbols do not split into " +
+                                std::to_string(cfg_.num_ways) + " ways");
+  return num_symbols / cfg_.num_ways;
+}
+
 WayLayout E2mcCompressor::layout(std::span<const uint16_t> code_lens, size_t header_bits,
                                  size_t skip_start, size_t skip_count) const {
   WayLayout lo;
   lo.header_bits = header_bits;
-  const size_t n = code_lens.size();
-  const size_t per_way = n / cfg_.num_ways;
-  for (size_t i = 0; i < n; ++i) {
-    if (i >= skip_start && i < skip_start + skip_count) continue;
-    lo.way_bits[i / per_way] += code_lens[i];
-  }
+  const size_t per_way = symbols_per_way(code_lens.size());
+  const size_t skip_end = skip_start + skip_count;
   size_t total = (header_bits + 7) / 8;  // header byte-padded
   for (unsigned w = 0; w < cfg_.num_ways; ++w) {
-    lo.way_bytes[w] = (lo.way_bits[w] + 7) / 8;
+    // The way's sum, minus the part of the skip window that falls inside it.
+    const size_t begin = w * per_way, end = begin + per_way;
+    size_t bits = 0;
+    for (size_t i = begin; i < end; ++i) bits += code_lens[i];
+    for (size_t i = std::max(begin, skip_start); i < std::min(end, skip_end); ++i)
+      bits -= code_lens[i];
+    lo.way_bits[w] = bits;
+    lo.way_bytes[w] = (bits + 7) / 8;
     total += lo.way_bytes[w];
   }
   lo.total_bits = total * 8;
@@ -110,7 +124,7 @@ BlockAnalysis E2mcCompressor::analyze(BlockView block) const {
 template <class Writer>
 void E2mcCompressor::emit_ways(BlockView block, const WayLayout& lo, Writer& w) const {
   const unsigned pdp = pdp_bits(block.size());
-  const size_t per_way = block.num_symbols() / cfg_.num_ways;
+  const size_t per_way = symbols_per_way(block.num_symbols());
   // Header: pdp_i = byte offset of way i (i = 1..num_ways-1) within payload.
   const size_t header_bytes = (header_bits(block.size()) + 7) / 8;
   size_t off = header_bytes;
@@ -166,22 +180,19 @@ CompressedBlock E2mcCompressor::compress(BlockView block) const {
 
 void E2mcCompressor::analyze_batch(std::span<const BlockView> blocks, BlockAnalysis* out) const {
   const bool use_avx2 = simd::active_level() == simd::Level::kAvx2;
+  const uint32_t* enc = code_.encoded_bits_table();
   for (size_t b = 0; b < blocks.size(); ++b) {
     const BlockView blk = blocks[b];
     const size_t n = blk.num_symbols();
-    const size_t per_way = n / cfg_.num_ways;
-    if (per_way == 0 || n % cfg_.num_ways != 0) {
-      out[b] = analyze(blk);  // degenerate geometry: scalar reference path
-      continue;
-    }
+    const size_t per_way = symbols_per_way(n);
     // layout() without the per-block lengths vector: sum encoded bits per
-    // way directly off the code-length table (8-lane gathers when AVX2 is
-    // active; identical values either way).
+    // way directly off the flattened code-length table, escape cost folded
+    // in (8-lane gathers when AVX2 is active; identical values either way).
     const uint8_t* p = blk.bytes().data();
     size_t total = (header_bits(blk.size()) + 7) / 8;
     if (use_avx2 && n <= kMaxStagedSymbols) {
       uint16_t lens[kMaxStagedSymbols];
-      simd::e2mc_code_lengths_avx2(p, n, code_.encoded_bits_table(), lens);
+      simd::e2mc_code_lengths_avx2(p, n, enc, lens);
       for (unsigned way = 0; way < cfg_.num_ways; ++way) {
         size_t way_bits = 0;
         for (size_t s = way * per_way; s < (way + 1) * per_way; ++s) way_bits += lens[s];
@@ -191,8 +202,7 @@ void E2mcCompressor::analyze_batch(std::span<const BlockView> blocks, BlockAnaly
       size_t s = 0;
       for (unsigned way = 0; way < cfg_.num_ways; ++way) {
         size_t way_bits = 0;
-        for (size_t e = s + per_way; s < e; ++s)
-          way_bits += code_.encoded_bits(detail::load_le16(p + 2 * s));
+        for (size_t e = s + per_way; s < e; ++s) way_bits += enc[detail::load_le16(p + 2 * s)];
         total += (way_bits + 7) / 8;
       }
     }
@@ -217,14 +227,11 @@ void E2mcCompressor::compress_batch(std::span<const BlockView> blocks,
   std::vector<uint16_t> lens;  // scratch, reused across the batch
   std::vector<WayLayout> layouts(n_blocks);
   std::vector<size_t> sizes(n_blocks, 0), offsets(n_blocks, 0);
-  std::vector<uint8_t> direct(n_blocks, 0);
   const bool use_avx2 = simd::active_level() == simd::Level::kAvx2;
 
   for (size_t b = 0; b < n_blocks; ++b) {
     const BlockView blk = blocks[b];
     const size_t n = blk.num_symbols();
-    if (n == 0 || n % cfg_.num_ways != 0) continue;  // stage-2 scalar fallback
-    direct[b] = 1;
     lens.resize(n);
     const uint8_t* p = blk.bytes().data();
     if (use_avx2) {
@@ -244,10 +251,6 @@ void E2mcCompressor::compress_batch(std::span<const BlockView> blocks,
 
   for (size_t b = 0; b < n_blocks; ++b) {
     const BlockView blk = blocks[b];
-    if (!direct[b]) {
-      out[b] = compress(blk);  // degenerate geometry: scalar reference path
-      continue;
-    }
     if (layouts[b].total_bits >= blk.size() * 8) {  // stored raw
       std::memcpy(arena.data() + offsets[b], blk.bytes().data(), blk.size());
       continue;
@@ -261,7 +264,6 @@ void E2mcCompressor::compress_batch(std::span<const BlockView> blocks,
   }
 
   for (size_t b = 0; b < n_blocks; ++b) {
-    if (!direct[b]) continue;
     const BlockView blk = blocks[b];
     CompressedBlock cb;
     const uint8_t* slice = arena.data() + offsets[b];
@@ -277,8 +279,7 @@ Block E2mcCompressor::decompress(const CompressedBlock& cb, size_t block_bytes) 
     return Block(std::span<const uint8_t>(cb.payload.data(), block_bytes));
   }
   const unsigned pdp = pdp_bits(block_bytes);
-  const size_t n_sym = block_bytes * 8 / kSymbolBits;
-  const size_t per_way = n_sym / cfg_.num_ways;
+  const size_t per_way = symbols_per_way(block_bytes * 8 / kSymbolBits);
   const size_t header_bytes = (header_bits(block_bytes) + 7) / 8;
 
   BitReader hdr(cb.payload);

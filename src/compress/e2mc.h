@@ -36,6 +36,7 @@ struct WayLayout {
 
 class E2mcCompressor : public Compressor {
  public:
+  /// Throws std::invalid_argument unless 1 <= cfg.num_ways <= 8.
   E2mcCompressor(HuffmanCode code, E2mcConfig cfg = {});
 
   /// Trains the frequency table on `sample` (prefix `cfg.sample_fraction` of
@@ -72,9 +73,16 @@ class E2mcCompressor : public Compressor {
 
   /// Layout (way bit/byte sizes, header, total) for a block, optionally with
   /// symbols [skip_start, skip_start+skip_count) removed from their way —
-  /// used by the SLC codec to size a truncated block.
+  /// used by the SLC codec to size a truncated block. Sums way by way and
+  /// subtracts the part of the skip window inside each way: no per-symbol
+  /// division or branch. Throws like symbols_per_way(code_lens.size()).
   WayLayout layout(std::span<const uint16_t> code_lens, size_t header_bits,
                    size_t skip_start = 0, size_t skip_count = 0) const;
+
+  /// Symbols per decoding way for a block of `num_symbols` symbols. Throws
+  /// std::invalid_argument unless the count is a positive multiple of
+  /// num_ways: every path that sizes, emits or decodes ways checks it here.
+  size_t symbols_per_way(size_t num_symbols) const;
 
   const HuffmanCode& code() const { return code_; }
   const E2mcConfig& config() const { return cfg_; }

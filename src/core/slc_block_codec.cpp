@@ -6,10 +6,13 @@ namespace slc {
 
 namespace {
 
-/// Copies the mode-decision bookkeeping into the policy result (everything
-/// except `decoded`, which depends on whether the block went lossy).
-void fill_result(BlockCodecResult& r, const SlcEncodeInfo& info,
-                 const SlcCodec::CacheOutcome& oc) {
+/// Maps one mode decision onto the policy result. Only lossy blocks change,
+/// and their contents come straight from the decision (window re-fill), so
+/// no payload is built either way.
+BlockCodecResult make_result(const SlcCodec& codec, BlockView block, const SlcCodec::Decision& d,
+                             const SlcCodec::CacheOutcome& oc) {
+  const SlcEncodeInfo& info = d.info;
+  BlockCodecResult r;
   r.bursts = info.bursts;
   r.lossless_bits = info.lossless_bits;
   r.final_bits = info.final_bits;
@@ -20,6 +23,8 @@ void fill_result(BlockCodecResult& r, const SlcEncodeInfo& info,
   r.cache_hit = oc.hit;
   r.cache_evicted = oc.evicted;
   r.cache_collision = oc.collision;
+  if (info.lossy) r.decoded = codec.approx_decode(block, d);
+  return r;
 }
 
 }  // namespace
@@ -53,15 +58,10 @@ BlockCodecResult SlcBlockCodec::process(BlockView block, bool safe_to_approx,
                                         size_t threshold_bytes) const {
   const SlcCodec& codec = codec_for(safe_to_approx, threshold_bytes);
   // Run the Fig. 4 decision size-only — served from the fingerprint memo on
-  // repeat content; only the decision is needed either way, because the
-  // decoded contents come straight from it (window re-fill), the same
-  // payload-free decode the batch path runs.
-  BlockCodecResult r;
+  // repeat content; the same payload-free result the batch path builds.
   SlcCodec::CacheOutcome oc;
   const SlcCodec::Decision d = codec.decide_cached(block, oc);
-  fill_result(r, d.info, oc);
-  r.decoded = codec.approx_decode(block, d);
-  return r;
+  return make_result(codec, block, d, oc);
 }
 
 void SlcBlockCodec::process_batch(std::span<const BlockView> blocks, bool safe_to_approx,
@@ -71,15 +71,8 @@ void SlcBlockCodec::process_batch(std::span<const BlockView> blocks, bool safe_t
   std::vector<SlcCodec::Decision> decisions(blocks.size());
   std::vector<SlcCodec::CacheOutcome> outcomes(blocks.size());
   codec.decide_batch_cached(blocks, scratch, decisions.data(), outcomes.data());
-  for (size_t i = 0; i < blocks.size(); ++i) {
-    const SlcCodec::Decision& d = decisions[i];
-    BlockCodecResult& r = out[i];
-    r = BlockCodecResult{};
-    fill_result(r, d.info, outcomes[i]);
-    // Only lossy blocks mutate, and their decoded contents come straight
-    // from the decision (window re-fill) — no payload is built either way.
-    r.decoded = codec.approx_decode(blocks[i], d);
-  }
+  for (size_t i = 0; i < blocks.size(); ++i)
+    out[i] = make_result(codec, blocks[i], decisions[i], outcomes[i]);
 }
 
 }  // namespace slc

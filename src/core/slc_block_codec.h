@@ -20,8 +20,9 @@ class SlcBlockCodec final : public BlockCodec {
   BlockCodecResult process(BlockView block, bool safe_to_approx,
                            size_t threshold_bytes) const override;
   /// Batched commit kernel: one SlcCodec::decide_batch pass for the whole
-  /// span (staged E2MC length probe + per-block Fig. 4 decision), then
-  /// payload materialization only for the blocks decided lossy.
+  /// span (staged E2MC length probe + per-block Fig. 4 decision), then the
+  /// approximated contents (SlcCodec::approx_decode) only for the blocks
+  /// decided lossy.
   void process_batch(std::span<const BlockView> blocks, bool safe_to_approx,
                      size_t threshold_bytes, BlockCodecResult* out) const override;
   size_t mag_bytes() const override { return cfg_.mag_bytes; }

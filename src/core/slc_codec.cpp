@@ -70,7 +70,7 @@ size_t SlcCodec::encode_into(BlockView block, const SlcHeader& hdr,
                              size_t skip_count, Writer& w) const {
   const unsigned num_ways = lossless_->config().num_ways;
   const size_t n_sym = block.num_symbols();
-  const size_t per_way = n_sym / num_ways;
+  const size_t per_way = lossless_->symbols_per_way(n_sym);
   const WayLayout lo =
       lossless_->layout(lens, header_bits(block.size()), skip_start, skip_count);
 
@@ -404,7 +404,7 @@ Block SlcCodec::decompress(const SlcCompressedBlock& cb, size_t block_bytes) con
   }
   const unsigned num_ways = lossless_->config().num_ways;
   const size_t n_sym = block_bytes * 8 / kSymbolBits;
-  const size_t per_way = n_sym / num_ways;
+  const size_t per_way = lossless_->symbols_per_way(n_sym);
   const HuffmanCode& code = lossless_->code();
 
   BitReader hdr_reader(cb.data.payload);

@@ -64,6 +64,9 @@ struct SlcCompressedBlock {
 
 class SlcCodec {
  public:
+  /// Every entry point that sizes, encodes or decodes a block throws
+  /// std::invalid_argument when the block's symbols do not split into the
+  /// E2MC ways (E2mcCompressor::symbols_per_way).
   SlcCodec(std::shared_ptr<const E2mcCompressor> lossless, SlcConfig cfg);
 
   /// Compresses one block per the Fig. 4 decision flow.

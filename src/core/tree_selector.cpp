@@ -1,7 +1,6 @@
 #include "core/tree_selector.h"
 
 #include <array>
-#include <cassert>
 #include <numeric>
 
 namespace slc {
@@ -28,11 +27,17 @@ constexpr std::array<WindowClass, 7> kClasses = {{
     {12, 16, true},
     {16, 16, false},
 }};
+static_assert(kClasses.back().size <= kMaxApproxSymbols);
 
-size_t window_sum(std::span<const uint16_t> lens, size_t start, size_t count) {
-  size_t s = 0;
-  for (size_t i = start; i < start + count; ++i) s += lens[i];
-  return s;
+// Blocks up to this many symbols (512 B) keep select()'s prefix sum on the
+// stack.
+constexpr size_t kStackSymbols = 256;
+
+/// prefix[i] = lens[0] + ... + lens[i-1], so window [s, s+c) sums to
+/// prefix[s+c] - prefix[s]. `prefix` holds lens.size() + 1 entries.
+void prefix_sum(std::span<const uint16_t> lens, size_t* prefix) {
+  prefix[0] = 0;
+  for (size_t i = 0; i < lens.size(); ++i) prefix[i + 1] = prefix[i] + lens[i];
 }
 
 }  // namespace
@@ -45,14 +50,19 @@ std::optional<TreeCandidate> TreeSlcSelector::select(std::span<const uint16_t> c
                                                      size_t extra_bits) const {
   const size_t n = code_lens.size();
   if (extra_bits == 0) return std::nullopt;
+  size_t stack_prefix[kStackSymbols + 1];
+  std::vector<size_t> heap_prefix;
+  size_t* prefix = stack_prefix;
+  if (n > kStackSymbols) {
+    heap_prefix.resize(n + 1);
+    prefix = heap_prefix.data();
+  }
+  prefix_sum(code_lens, prefix);
   for (const WindowClass& wc : kClasses) {
     if (wc.opt_only && !extra_nodes_) continue;
-    if (wc.size > kMaxApproxSymbols) break;
     for (size_t start = 0; start + wc.size <= n; start += wc.stride) {
-      const size_t sum = window_sum(code_lens, start, wc.size);
-      if (sum >= extra_bits) {
-        return TreeCandidate{start, wc.size, sum};
-      }
+      const size_t sum = prefix[start + wc.size] - prefix[start];
+      if (sum >= extra_bits) return TreeCandidate{start, wc.size, sum};
     }
   }
   return std::nullopt;
@@ -61,12 +71,12 @@ std::optional<TreeCandidate> TreeSlcSelector::select(std::span<const uint16_t> c
 std::vector<TreeCandidate> TreeSlcSelector::windows(std::span<const uint16_t> code_lens) const {
   std::vector<TreeCandidate> out;
   const size_t n = code_lens.size();
+  std::vector<size_t> prefix(n + 1);
+  prefix_sum(code_lens, prefix.data());
   for (const WindowClass& wc : kClasses) {
     if (wc.opt_only && !extra_nodes_) continue;
-    if (wc.size > kMaxApproxSymbols) break;
-    for (size_t start = 0; start + wc.size <= n; start += wc.stride) {
-      out.push_back(TreeCandidate{start, wc.size, window_sum(code_lens, start, wc.size)});
-    }
+    for (size_t start = 0; start + wc.size <= n; start += wc.stride)
+      out.push_back(TreeCandidate{start, wc.size, prefix[start + wc.size] - prefix[start]});
   }
   return out;
 }

@@ -49,7 +49,8 @@ class TreeSlcSelector {
   /// Hardware-faithful policy: windows are examined in increasing size
   /// (1, 2, 4, [6], 8, [12], 16 symbols; bracketed sizes only with
   /// extra_nodes); within a size, the first window in symbol order wins
-  /// (priority encoder).
+  /// (priority encoder). Like the tree adder, the block's lengths are summed
+  /// once: each window is the difference of two prefix-sum entries.
   std::optional<TreeCandidate> select(std::span<const uint16_t> code_lens,
                                       size_t extra_bits) const;
 

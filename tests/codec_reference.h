@@ -1,0 +1,75 @@
+// Reference codec kernels: the per-symbol loops that E2mcCompressor::layout
+// and TreeSlcSelector::select replaced. ref_layout() adds every symbol
+// outside the skip window to way i / per_way; ref_select() re-sums each
+// window it tries, in the Fig. 5 first-fit order (sizes 1, 2, 4, [6], 8,
+// [12], 16; symbol order within a size). Both are slow but obviously
+// faithful. The differential tests in test_codec_differential.cpp drive them
+// beside the production kernels, which sum each way once and read windows
+// off one prefix sum.
+#pragma once
+
+#include <array>
+#include <cstddef>
+#include <cstdint>
+#include <optional>
+#include <span>
+
+#include "compress/e2mc.h"
+#include "core/tree_selector.h"
+
+namespace slc::test {
+
+/// E2MC way layout with symbols [skip_start, skip_start + skip_count)
+/// removed. `code_lens.size()` must be a positive multiple of `num_ways`.
+inline WayLayout ref_layout(std::span<const uint16_t> code_lens, unsigned num_ways,
+                            size_t header_bits, size_t skip_start = 0, size_t skip_count = 0) {
+  WayLayout lo;
+  lo.header_bits = header_bits;
+  const size_t n = code_lens.size();
+  const size_t per_way = n / num_ways;
+  for (size_t i = 0; i < n; ++i) {
+    if (i >= skip_start && i < skip_start + skip_count) continue;
+    lo.way_bits[i / per_way] += code_lens[i];
+  }
+  size_t total = (header_bits + 7) / 8;  // header byte-padded
+  for (unsigned w = 0; w < num_ways; ++w) {
+    lo.way_bytes[w] = (lo.way_bits[w] + 7) / 8;
+    total += lo.way_bytes[w];
+  }
+  lo.total_bits = total * 8;
+  return lo;
+}
+
+/// TSLC window selection: the first window, smallest size first, whose
+/// code-length sum covers `extra_bits`; nullopt when none does or when
+/// `extra_bits` is 0. The 6- and 12-symbol classes need `extra_nodes`.
+inline std::optional<TreeCandidate> ref_select(std::span<const uint16_t> code_lens,
+                                               size_t extra_bits, bool extra_nodes) {
+  struct WindowClass {
+    size_t size;
+    size_t stride;
+    bool opt_only;
+  };
+  constexpr std::array<WindowClass, 7> kClasses = {{
+      {1, 1, false},
+      {2, 2, false},
+      {4, 4, false},
+      {6, 8, true},
+      {8, 8, false},
+      {12, 16, true},
+      {16, 16, false},
+  }};
+  if (extra_bits == 0) return std::nullopt;
+  const size_t n = code_lens.size();
+  for (const WindowClass& wc : kClasses) {
+    if (wc.opt_only && !extra_nodes) continue;
+    for (size_t start = 0; start + wc.size <= n; start += wc.stride) {
+      size_t sum = 0;
+      for (size_t i = start; i < start + wc.size; ++i) sum += code_lens[i];
+      if (sum >= extra_bits) return TreeCandidate{start, wc.size, sum};
+    }
+  }
+  return std::nullopt;
+}
+
+}  // namespace slc::test

@@ -342,7 +342,6 @@ TEST(ApproxMemory, BurstCountsAbove255SurviveCommitAndTrace) {
       r.lossless_bits = block.size() * 8;
       r.final_bits = block.size() * 8;
       r.stored_uncompressed = true;
-      r.decoded = Block(block.bytes());
       return r;
     }
     size_t mag_bytes() const override { return kDefaultMagBytes; }

@@ -4,8 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 
 #include "common/rng.h"
+#include "compress/block_codec.h"
+#include "compress/codec_registry.h"
 #include "core/slc_codec.h"
 
 namespace slc {
@@ -88,6 +91,73 @@ TEST_P(SlcGeometryTest, InvariantsAcrossBlockGeometry) {
 INSTANTIATE_TEST_SUITE_P(BlocksAndWays, SlcGeometryTest,
                          ::testing::Values(Geometry{128, 2}, Geometry{128, 4},
                                            Geometry{256, 4}));
+
+// Blocks whose symbol count is zero or not a multiple of num_ways are
+// rejected with std::invalid_argument on every path that sizes, emits or
+// decodes ways. Under 3 ways, symbol 63 of a 128 B block used to land in no
+// way: compress() reported the block compressed and decompress() returned
+// that symbol as 0. A 4-byte block under 4 ways has zero symbols per way,
+// and analyze() used to die with SIGFPE.
+class WayGeometryTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    data_ = quantized_floats(5, 64 * kBlockBytes);
+    four_.training_data = data_;
+    four_.e2mc.sample_fraction = 0.5;
+    three_ = four_;
+    three_.e2mc.num_ways = 3;
+  }
+
+  // Every Compressor and BlockCodec entry point of `scheme` must throw for
+  // `block`; decompress() is fed a payload claiming that geometry.
+  static void expect_rejected(const std::string& scheme, const CodecOptions& opts,
+                              BlockView block) {
+    const auto& reg = CodecRegistry::instance();
+    const auto comp = reg.create(scheme, opts);
+    const auto policy = reg.create_block_codec(scheme, opts);
+    const std::vector<BlockView> views{block};
+    std::vector<BlockAnalysis> analyses(1);
+    std::vector<CompressedBlock> payloads(1);
+    std::vector<BlockCodecResult> results(1);
+    EXPECT_THROW(comp->compress(block), std::invalid_argument) << scheme;
+    EXPECT_THROW(comp->analyze(block), std::invalid_argument) << scheme;
+    EXPECT_THROW(comp->analyze_batch(views, analyses.data()), std::invalid_argument) << scheme;
+    EXPECT_THROW(comp->compress_batch(views, payloads.data()), std::invalid_argument) << scheme;
+    CompressedBlock forged;
+    forged.is_compressed = true;
+    forged.bit_size = block.size() * 8;
+    forged.payload.assign(block.bytes().begin(), block.bytes().end());
+    EXPECT_THROW(comp->decompress(forged, block.size()), std::invalid_argument) << scheme;
+    EXPECT_THROW(policy->process(block, true, 16), std::invalid_argument) << scheme;
+    EXPECT_THROW(policy->process_batch(views, true, 16, results.data()), std::invalid_argument)
+        << scheme;
+  }
+
+  BlockView full() const { return BlockView(std::span<const uint8_t>(data_).first(kBlockBytes)); }
+  BlockView tiny() const { return BlockView(std::span<const uint8_t>(data_).first(4)); }
+
+  std::vector<uint8_t> data_;
+  CodecOptions four_;   // default 4 ways
+  CodecOptions three_;  // 3 ways: 64 symbols do not split
+};
+
+TEST_F(WayGeometryTest, E2mcRejectsBlocksThatDoNotSplitIntoWays) {
+  expect_rejected("E2MC", three_, full());
+  expect_rejected("E2MC", four_, tiny());
+}
+
+TEST_F(WayGeometryTest, TslcOptRejectsBlocksThatDoNotSplitIntoWays) {
+  expect_rejected("TSLC-OPT", three_, full());
+  expect_rejected("TSLC-OPT", four_, tiny());
+}
+
+TEST(WayGeometry, E2mcRejectsWayCountsOutsideOneToEight) {
+  E2mcConfig cfg;
+  cfg.num_ways = 0;
+  EXPECT_THROW(E2mcCompressor(HuffmanCode{}, cfg), std::invalid_argument);
+  cfg.num_ways = 9;
+  EXPECT_THROW(E2mcCompressor(HuffmanCode{}, cfg), std::invalid_argument);
+}
 
 // analyze() must agree with compress() everywhere — the simulator's fast
 // path cannot drift from the functional path.
