@@ -7,6 +7,7 @@
 #include <cstring>
 #include <mutex>
 #include <sstream>
+#include <thread>
 
 #include "common/block.h"
 #include "compress/simd_dispatch.h"
@@ -91,11 +92,27 @@ FullRunResult full_run(const std::string& benchmark, const std::string& scheme,
 
 // --- throughput measurements -------------------------------------------------
 
+namespace {
+const char* compiler_name() {
+#if defined(__clang__)
+  return "clang " __clang_version__;
+#elif defined(__GNUC__)
+  return "gcc " __VERSION__;
+#else
+  return "unknown";
+#endif
+}
+}  // namespace
+
 BenchReport::BenchReport(std::string bench_name) : name_(std::move(bench_name)) {
   meta_["simd_compiled"] = simd::avx2_compiled() ? "avx2" : "none";
   meta_["cpu_avx2"] = simd::avx2_supported() ? "yes" : "no";
   meta_["simd_active"] = simd::active_level_name();
   meta_["force_scalar_env"] = simd::force_scalar_env() ? "1" : "0";
+  meta_["hardware_concurrency"] = std::to_string(std::thread::hardware_concurrency());
+  meta_["compiler"] = compiler_name();
+  meta_["build_type"] = SLC_BENCH_BUILD_TYPE;
+  meta_["git_sha"] = SLC_BENCH_GIT_SHA;
 }
 
 Measurement& BenchReport::add(Measurement m) {

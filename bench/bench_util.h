@@ -89,10 +89,13 @@ struct Measurement {
 /// Collects Measurements and renders them both ways.
 class BenchReport {
  public:
-  /// The report is stamped with host/dispatch metadata (simd_compiled,
-  /// cpu_avx2, simd_active, force_scalar_env — from slc::simd) at
-  /// construction, so BENCH_*.json records which kernel variant produced the
-  /// numbers and perf-gate diffs across hosts are interpretable.
+  /// The report is stamped with host/dispatch metadata at construction:
+  /// simd_compiled, cpu_avx2, simd_active and force_scalar_env (from
+  /// slc::simd), hardware_concurrency, compiler (name and version),
+  /// build_type and git_sha (the commit recorded at configure time). So
+  /// BENCH_*.json records which host and kernel variant produced the numbers,
+  /// and tools/bench_compare.py can warn when a baseline came from another
+  /// host class.
   explicit BenchReport(std::string bench_name);
 
   Measurement& add(Measurement m);

@@ -11,11 +11,12 @@
 //   defaults: SRAD2 16384; bare --json writes BENCH_dedup.json. The cached
 //   95%-dup row's speedup is gated in CI against
 //   bench/baselines/BENCH_dedup.json. The other rows' baseline speedups are
-//   0 = report-only: a memo miss (fingerprint probe + LRU insert) costs more
-//   than the uncached decision it stands in for, so the cached pass reads
-//   about 0.3x at dup=0% and 0.7-1.0x at 50%. Every cached pass is
-//   differentially checked against the uncached decisions before anything
-//   is reported.
+//   0 = report-only: a memo miss (fingerprint, set probe, insert) still
+//   costs more than the uncached decision it stands in for, so over 30 runs
+//   on a 4-vCPU Xeon VM (gcc 12.2, Release) the cached pass read 0.45-0.71x
+//   at dup=0% and 0.82-1.44x at 50%; dup=0% is too noisy to gate. Every
+//   cached pass is differentially checked against the uncached decisions
+//   before anything is reported.
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -140,9 +141,9 @@ int main(int argc, char** argv) try {
   std::printf("\n%s\n", report.table().to_string().c_str());
   std::printf("Cached decisions were %s with the uncached oracle on every stream.\n",
               all_identical ? "identical" : "DIVERGENT");
-  std::printf("Expect ~0.3x at dup=0%% and 0.7-1.0x at dup=50%% (a miss pays a probe + insert\n");
-  std::printf("that costs more than the decision), rising to >= 2x at dup=95%% — a hit skips\n");
-  std::printf("the E2MC length probe and the Fig. 4 decision entirely.\n");
+  std::printf("Expect ~0.5-0.7x at dup=0%% and ~0.8-1.4x at dup=50%% (a miss pays a fingerprint,\n");
+  std::printf("a set probe and an insert on top of the decision), rising to ~2.8x at dup=95%%\n");
+  std::printf("— a hit skips the E2MC length probe and the Fig. 4 decision entirely.\n");
   if (!all_identical) {
     std::printf("FATAL: cached decisions diverged from the uncached oracle\n");
     return 1;

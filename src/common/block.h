@@ -26,6 +26,7 @@ inline constexpr size_t kDefaultMagBytes = 32;
 /// A fixed 128-byte block view with symbol accessors.
 class BlockView {
  public:
+  BlockView() = default;  ///< empty; lets batch kernels stage views in fixed arrays
   explicit BlockView(std::span<const uint8_t> bytes) : bytes_(bytes) {}
 
   size_t size() const { return bytes_.size(); }

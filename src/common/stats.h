@@ -50,7 +50,7 @@ double geometric_mean(std::span<const double> xs, double floor = 1e-300);
 struct CacheCounters {
   uint64_t hits = 0;        ///< decision served from the memo (probe skipped)
   uint64_t misses = 0;      ///< decision computed (and inserted)
-  uint64_t evictions = 0;   ///< LRU entries displaced by inserts
+  uint64_t evictions = 0;   ///< least recent ways of full sets replaced by inserts
   uint64_t collisions = 0;  ///< verify-on-hit content mismatches (fingerprint collision)
 
   /// Folds one block's probe outcome in (the shape BlockAnalysis /

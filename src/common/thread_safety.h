@@ -2,7 +2,7 @@
 // annotated wrappers over the std synchronization primitives.
 //
 // Every lock-protected member in the concurrent stack (engine job queue,
-// server coalescing state, fingerprint-cache shards, per-threshold codec
+// server coalescing state, fingerprint-cache lock stripes, per-threshold codec
 // cache) is declared SLC_GUARDED_BY its mutex, and every *_locked() helper
 // SLC_REQUIRES it, so a clang build with -Wthread-safety (CMake:
 // -DSLC_THREAD_SAFETY_ANALYSIS=ON, CI job `thread-safety`) proves at compile

@@ -1,7 +1,9 @@
 #include "core/fingerprint_cache.h"
 
 #include <algorithm>
+#include <array>
 #include <bit>
+#include <cassert>
 #include <cstdlib>
 #include <cstring>
 
@@ -14,6 +16,11 @@ constexpr uint64_t kPrime2 = 0xC2B2AE3D27D4EB4Full;
 constexpr uint64_t kPrime3 = 0x165667B19E3779F9ull;
 constexpr uint64_t kPrime4 = 0x85EBCA77C2B2AE63ull;
 constexpr uint64_t kPrime5 = 0x27D4EB2F165667C5ull;
+
+// Way::flags bits.
+constexpr uint8_t kValid = 1;
+constexpr uint8_t kLossy = 2;
+constexpr uint8_t kStoredUncompressed = 4;
 
 uint64_t load64(const uint8_t* p) {
   uint64_t v;
@@ -97,112 +104,233 @@ uint64_t block_fingerprint(std::span<const uint8_t> bytes) {
   return avalanche(h);
 }
 
-size_t FingerprintCache::KeyHash::operator()(const Key& k) const {
-  // fp is already avalanched; folding the codec key through one more mix
-  // keeps per-codec streams from sharing bucket patterns.
-  return static_cast<size_t>(avalanche(k.fp ^ (k.codec_key * kPrime2)));
-}
-
 FingerprintCache::FingerprintCache(Config cfg) : cfg_(cfg) {
-  num_shards_ = std::bit_ceil(std::max<size_t>(1, cfg_.shards));
-  per_shard_ = std::max<size_t>(1, std::max<size_t>(1, cfg_.capacity) / num_shards_);
-  shards_ = std::make_unique<Shard[]>(num_shards_);
+  num_sets_ = std::bit_ceil(std::max<size_t>(1, (cfg_.capacity + kWays - 1) / kWays));
+  num_stripes_ = std::min(kMaxStripes, num_sets_);
+  stripe_shift_ = static_cast<unsigned>(std::countr_zero(num_sets_ / num_stripes_));
+  sets_ = std::make_unique<Set[]>(num_sets_);  // value-initialized: every way empty
+  stripes_ = std::make_unique<Stripe[]>(num_stripes_);
+  // Slots are written before they are read (a way's content_bytes says how
+  // much of its slot is live), so the arena needs no zero fill.
+  if (cfg_.verify_on_hit)
+    arena_ = std::make_unique_for_overwrite<uint8_t[]>(capacity() * kSlotBytes);
 }
 
-size_t FingerprintCache::shard_index(uint64_t codec_key, uint64_t fp) const {
-  // The low fingerprint bits also pick hash buckets inside the shard; shard
-  // selection uses a re-mix of both halves of the key so the two splits stay
-  // independent.
-  return static_cast<size_t>(avalanche(fp + codec_key * kPrime3)) & (num_shards_ - 1);
+size_t FingerprintCache::set_index(uint64_t codec_key, uint64_t fp) const {
+  // fp is already avalanched; folding the codec key through one more mix
+  // keeps per-codec streams from sharing set patterns.
+  return static_cast<size_t>(avalanche(fp ^ (codec_key * kPrime2))) & (num_sets_ - 1);
 }
 
-FingerprintCache::Shard& FingerprintCache::shard_for(uint64_t codec_key, uint64_t fp) const {
-  return shards_[shard_index(codec_key, fp)];
+void FingerprintCache::prefetch(uint64_t codec_key, uint64_t fp) const {
+  // Both cache lines of the set, for writing: a hit or insert updates ages.
+  const char* set = reinterpret_cast<const char*>(&sets_[set_index(codec_key, fp)]);
+  __builtin_prefetch(set, /*rw=*/1, /*locality=*/3);
+  __builtin_prefetch(set + 64, 1, 3);
+}
+
+bool FingerprintCache::pack(uint64_t codec_key, uint64_t fp, const SlcCodec::Decision& d,
+                            std::span<const uint8_t> block, Way& w) const {
+  const SlcEncodeInfo& i = d.info;
+  constexpr size_t k16 = UINT16_MAX, k8 = UINT8_MAX;
+  if (i.lossless_bits > k16 || i.final_bits > k16 || i.truncated_bits > k16 ||
+      i.extra_bits > k16 || i.bursts > k8 || i.truncated_symbols > k8 || d.skip_start > k8 ||
+      d.skip_count > k8 || (cfg_.verify_on_hit && block.size() > kSlotBytes))
+    return false;
+  w.codec_key = codec_key;
+  w.fp = fp;
+  if (cfg_.verify_on_hit) w.content_bytes = static_cast<uint16_t>(block.size());
+  w.lossless_bits = static_cast<uint16_t>(i.lossless_bits);
+  w.final_bits = static_cast<uint16_t>(i.final_bits);
+  w.truncated_bits = static_cast<uint16_t>(i.truncated_bits);
+  w.extra_bits = static_cast<uint16_t>(i.extra_bits);
+  w.bursts = static_cast<uint8_t>(i.bursts);
+  w.truncated_symbols = static_cast<uint8_t>(i.truncated_symbols);
+  w.skip_start = static_cast<uint8_t>(d.skip_start);
+  w.skip_count = static_cast<uint8_t>(d.skip_count);
+  w.flags = static_cast<uint8_t>(kValid | (i.lossy ? kLossy : 0) |
+                                 (i.stored_uncompressed ? kStoredUncompressed : 0));
+  return true;
+}
+
+SlcCodec::Decision FingerprintCache::unpack(const Way& w) {
+  SlcCodec::Decision d;
+  d.info.lossy = (w.flags & kLossy) != 0;
+  d.info.stored_uncompressed = (w.flags & kStoredUncompressed) != 0;
+  d.info.lossless_bits = w.lossless_bits;
+  d.info.final_bits = w.final_bits;
+  d.info.bursts = w.bursts;
+  d.info.truncated_symbols = w.truncated_symbols;
+  d.info.truncated_bits = w.truncated_bits;
+  d.info.extra_bits = w.extra_bits;
+  d.skip_start = w.skip_start;
+  d.skip_count = w.skip_count;
+  return d;
+}
+
+size_t FingerprintCache::find(const Set& set, uint64_t codec_key, uint64_t fp) {
+  for (size_t w = 0; w < kWays; ++w) {
+    const Way& way = set.ways[w];
+    if ((way.flags & kValid) != 0 && way.fp == fp && way.codec_key == codec_key) return w;
+  }
+  return kWays;
+}
+
+void FingerprintCache::promote(Set& set, size_t w, unsigned rank) {
+  // The valid ways' ages are always a permutation of 0..valid-1, so the
+  // least recent way of a full set is the one aged kWays-1.
+  for (size_t v = 0; v < kWays; ++v) {
+    Way& way = set.ways[v];
+    if (v != w && (way.flags & kValid) != 0 && way.age < rank) ++way.age;
+  }
+  set.ways[w].age = 0;
+}
+
+FingerprintCache::Lookup FingerprintCache::lookup_locked(Stripe& st, size_t s,
+                                                         uint64_t codec_key, uint64_t fp,
+                                                         std::span<const uint8_t> block,
+                                                         SlcCodec::Decision& out) {
+  Set& set = sets_[s];
+  const size_t w = find(set, codec_key, fp);
+  if (w == kWays) {
+    st.counters.record(/*probed=*/true, /*hit=*/false, false, false);
+    return Lookup::kMiss;
+  }
+  const Way& way = set.ways[w];
+  if (cfg_.verify_on_hit &&
+      (way.content_bytes != block.size() ||
+       !std::equal(block.begin(), block.end(), slot(s, w)))) {
+    st.counters.record(/*probed=*/true, /*hit=*/false, false, /*collision=*/true);
+    return Lookup::kCollision;
+  }
+  promote(set, w, way.age);
+  out = unpack(way);
+  st.counters.record(/*probed=*/true, /*hit=*/true, false, false);
+  return Lookup::kHit;
 }
 
 FingerprintCache::Lookup FingerprintCache::lookup(uint64_t codec_key, uint64_t fp,
                                                   std::span<const uint8_t> block,
                                                   SlcCodec::Decision& out) {
-  const Key key{codec_key, fp};
-  Shard& sh = shard_for(codec_key, fp);
-  MutexLock lk(sh.m);
-  auto it = sh.index.find(key);
-  if (it == sh.index.end()) {
-    sh.counters.record(/*probed=*/true, /*hit=*/false, false, false);
-    return Lookup::kMiss;
-  }
-  if (cfg_.verify_on_hit) {
-    const std::vector<uint8_t>& stored = it->second->content;
-    if (stored.size() != block.size() ||
-        !std::equal(stored.begin(), stored.end(), block.begin())) {
-      sh.counters.record(/*probed=*/true, /*hit=*/false, false, /*collision=*/true);
-      return Lookup::kCollision;
+  const size_t s = set_index(codec_key, fp);
+  Stripe& st = stripe_for(s);
+  MutexLock lk(st.m);
+  return lookup_locked(st, s, codec_key, fp, block, out);
+}
+
+bool FingerprintCache::insert_locked(Stripe& st, size_t s, const Way& packed,
+                                     std::span<const uint8_t> block) {
+  Set& set = sets_[s];
+  // A concurrent worker inserted the same content first, or a collision
+  // under verify-on-hit re-decided the key: refresh that way in place (last
+  // writer wins, no eviction). Otherwise take an empty way, or replace the
+  // least recent one.
+  size_t w = find(set, packed.codec_key, packed.fp);
+  bool evicted = false;
+  if (w == kWays) {
+    w = 0;
+    for (size_t v = 0; v < kWays; ++v) {
+      const Way& way = set.ways[v];
+      if ((way.flags & kValid) == 0) {
+        w = v;
+        break;
+      }
+      if (way.age > set.ways[w].age) w = v;
     }
+    evicted = (set.ways[w].flags & kValid) != 0;
+    if (evicted) st.counters.record(/*probed=*/false, false, /*evicted=*/true, false);
   }
-  sh.lru.splice(sh.lru.begin(), sh.lru, it->second);
-  out = it->second->decision;
-  sh.counters.record(/*probed=*/true, /*hit=*/true, false, false);
-  return Lookup::kHit;
+  const unsigned rank =
+      (set.ways[w].flags & kValid) != 0 ? set.ways[w].age : static_cast<unsigned>(kWays);
+  set.ways[w] = packed;
+  promote(set, w, rank);
+  if (cfg_.verify_on_hit) std::copy(block.begin(), block.end(), slot(s, w));
+  return evicted;
 }
 
 bool FingerprintCache::insert(uint64_t codec_key, uint64_t fp,
                               std::span<const uint8_t> block,
                               const SlcCodec::Decision& d) {
-  const Key key{codec_key, fp};
-  Shard& sh = shard_for(codec_key, fp);
-  MutexLock lk(sh.m);
-  auto it = sh.index.find(key);
-  if (it != sh.index.end()) {
-    // Refresh (a concurrent worker inserted the same content first, or a
-    // collision under verify-on-hit re-decided the slot): last writer wins,
-    // no eviction.
-    it->second->decision = d;
-    if (cfg_.verify_on_hit) it->second->content.assign(block.begin(), block.end());
-    sh.lru.splice(sh.lru.begin(), sh.lru, it->second);
-    return false;
+  Way packed{};
+  if (!pack(codec_key, fp, d, block, packed)) return false;
+  const size_t s = set_index(codec_key, fp);
+  Stripe& st = stripe_for(s);
+  MutexLock lk(st.m);
+  return insert_locked(st, s, packed, block);
+}
+
+void FingerprintCache::lookup_batch(uint64_t codec_key, std::span<const uint64_t> fps,
+                                    std::span<const BlockView> blocks, SlcCodec::Decision* out,
+                                    Lookup* result) {
+  assert(fps.size() <= kMaxBatch);
+  std::array<size_t, kMaxBatch> sets{};
+  std::array<uint64_t, kMaxStripes> members{};  // bit i: key i lives in this stripe
+  for (size_t i = 0; i < fps.size(); ++i) {
+    sets[i] = set_index(codec_key, fps[i]);
+    members[sets[i] >> stripe_shift_] |= uint64_t{1} << i;
   }
-  Entry e;
-  e.key = key;
-  e.decision = d;
-  if (cfg_.verify_on_hit) e.content.assign(block.begin(), block.end());
-  sh.lru.push_front(std::move(e));
-  sh.index.emplace(key, sh.lru.begin());
-  bool evicted = false;
-  if (sh.lru.size() > per_shard_) {
-    sh.index.erase(sh.lru.back().key);
-    sh.lru.pop_back();
-    evicted = true;
-    sh.counters.record(/*probed=*/false, false, /*evicted=*/true, false);
+  for (size_t t = 0; t < num_stripes_; ++t) {
+    if (members[t] == 0) continue;
+    Stripe& st = stripes_[t];
+    MutexLock lk(st.m);
+    for (uint64_t m = members[t]; m != 0; m &= m - 1) {
+      const size_t i = static_cast<size_t>(std::countr_zero(m));
+      result[i] = lookup_locked(st, sets[i], codec_key, fps[i], blocks[i].bytes(), out[i]);
+    }
   }
-  return evicted;
+}
+
+void FingerprintCache::insert_batch(uint64_t codec_key, std::span<const uint64_t> fps,
+                                    std::span<const BlockView> blocks,
+                                    const SlcCodec::Decision* ds, bool* evicted) {
+  assert(fps.size() <= kMaxBatch);
+  std::array<size_t, kMaxBatch> sets{};
+  std::array<Way, kMaxBatch> packed{};
+  std::array<uint64_t, kMaxStripes> members{};  // bit i: key i fits and lives here
+  for (size_t i = 0; i < fps.size(); ++i) {
+    evicted[i] = false;
+    if (!pack(codec_key, fps[i], ds[i], blocks[i].bytes(), packed[i])) continue;
+    sets[i] = set_index(codec_key, fps[i]);
+    members[sets[i] >> stripe_shift_] |= uint64_t{1} << i;
+  }
+  for (size_t t = 0; t < num_stripes_; ++t) {
+    if (members[t] == 0) continue;
+    Stripe& st = stripes_[t];
+    MutexLock lk(st.m);
+    for (uint64_t m = members[t]; m != 0; m &= m - 1) {
+      const size_t i = static_cast<size_t>(std::countr_zero(m));
+      evicted[i] = insert_locked(st, sets[i], packed[i], blocks[i].bytes());
+    }
+  }
 }
 
 size_t FingerprintCache::size() const {
+  const size_t per_stripe = size_t{1} << stripe_shift_;
   size_t n = 0;
-  for (size_t s = 0; s < num_shards_; ++s) {
-    Shard& sh = shards_[s];
-    MutexLock lk(sh.m);
-    n += sh.lru.size();
+  for (size_t s = 0; s < num_sets_; s += per_stripe) {
+    MutexLock lk(stripe_for(s).m);
+    for (size_t t = s; t < s + per_stripe; ++t)
+      for (const Way& way : sets_[t].ways) n += (way.flags & kValid) != 0 ? 1 : 0;
   }
   return n;
 }
 
 CacheCounters FingerprintCache::counters() const {
   CacheCounters total;
-  for (size_t s = 0; s < num_shards_; ++s) {
-    Shard& sh = shards_[s];
-    MutexLock lk(sh.m);
-    total.merge(sh.counters);
+  const size_t per_stripe = size_t{1} << stripe_shift_;
+  for (size_t s = 0; s < num_sets_; s += per_stripe) {
+    Stripe& st = stripe_for(s);
+    MutexLock lk(st.m);
+    total.merge(st.counters);
   }
   return total;
 }
 
 void FingerprintCache::clear() {
-  for (size_t s = 0; s < num_shards_; ++s) {
-    Shard& sh = shards_[s];
-    MutexLock lk(sh.m);
-    sh.lru.clear();
-    sh.index.clear();
+  const size_t per_stripe = size_t{1} << stripe_shift_;
+  for (size_t s = 0; s < num_sets_; s += per_stripe) {
+    MutexLock lk(stripe_for(s).m);
+    std::fill_n(&sets_[s], per_stripe, Set{});
   }
 }
 

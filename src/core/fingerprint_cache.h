@@ -6,29 +6,39 @@
 // (trained model id, MAG, threshold, variant), so a repeat block's Decision
 // is served without touching the code-length table.
 //
-// Structure: a bounded LRU split into power-of-two shards, each with its own
-// mutex, list and hash map — concurrent engine workers only contend when
-// their blocks land in the same shard. Capacity is enforced per shard
-// (capacity / shards entries each), so eviction needs no cross-shard
-// coordination.
+// Structure: one flat, set-associative table allocated at construction and
+// never resized. The capacity rounds up to a power-of-two number of 4-way
+// sets; a set is 128 B (two cache lines) of 32 B ways, and each way holds
+// the full (codec key, fingerprint) pair plus the Decision packed into 16 B.
+// A (key, fingerprint) pair maps to exactly one set. Within a set the ways
+// keep an LRU order: a hit or insert makes its way the most recent, and an
+// insert into a full set replaces the least recent way. Sets are guarded by
+// at most 16 lock stripes (contiguous set ranges, one Mutex each), so
+// concurrent engine workers only contend when their blocks land in the same
+// stripe, and the batch probe takes each stripe once per chunk. Nothing is
+// allocated after construction.
+//
+// What is not stored: a Decision with a field wider than its packed width
+// (bit counts above 65535, burst or symbol counts above 255 — blocks far
+// larger than 128 B), and, in verify-on-hit mode, a block longer than an
+// arena slot (kBlockBytes). The miss path still returns such a decision;
+// insert() just stores nothing, so the next probe of it misses again.
 //
 // Correctness contract: a hit returns exactly the Decision the miss path
 // computes for that content, so cached and uncached runs produce identical
 // decisions and byte-identical outputs. The only hole is a 64-bit
 // fingerprint collision between two live blocks under the same codec key —
 // astronomically unlikely, and `verify_on_hit` closes it entirely by
-// storing each entry's content and comparing all 128 bytes on every hit
+// keeping each way's content in a side arena (one kBlockBytes slot per way,
+// allocated at construction) and comparing size, then bytes, on every hit
 // (a mismatch counts as a collision + miss, never a wrong decision).
 // Hit/miss/eviction *counters* are not thread-count invariant (which block
 // of a concurrent pair misses first is a race); the decisions are.
 #pragma once
 
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <span>
-#include <unordered_map>
-#include <vector>
 
 #include "common/stats.h"
 #include "common/thread_safety.h"
@@ -44,10 +54,10 @@ uint64_t block_fingerprint(std::span<const uint8_t> bytes);
 class FingerprintCache {
  public:
   struct Config {
-    size_t capacity = size_t{1} << 15;  ///< total entries across all shards
-    size_t shards = 16;                 ///< rounded up to a power of two
-    /// Paranoia mode: store each entry's content and require byte equality
-    /// on every hit. Costs one 128 B copy per insert and one compare per
+    /// Entries; rounded up to a power-of-two number of kWays-way sets.
+    size_t capacity = size_t{1} << 15;
+    /// Paranoia mode: keep each entry's content and require byte equality
+    /// on every hit. Costs one block copy per insert and one compare per
     /// hit; turns any fingerprint collision into a detected miss.
     bool verify_on_hit = false;
   };
@@ -58,30 +68,55 @@ class FingerprintCache {
     kCollision,  ///< entry found but verify-on-hit content differs
   };
 
+  static constexpr size_t kWays = 4;          ///< ways per set
+  static constexpr size_t kMaxStripes = 16;   ///< lock stripes (fewer when sets are fewer)
+  static constexpr size_t kSlotBytes = kBlockBytes;  ///< verify-on-hit arena slot
+
   FingerprintCache() : FingerprintCache(Config{}) {}
   explicit FingerprintCache(Config cfg);
 
-  /// Probes (codec_key, fp). On kHit fills `out` and refreshes the entry's
-  /// LRU position. `block` is only read in verify-on-hit mode.
+  /// Probes (codec_key, fp). On kHit fills `out` and makes the entry its
+  /// set's most recent way. `block` is only read in verify-on-hit mode.
   Lookup lookup(uint64_t codec_key, uint64_t fp, std::span<const uint8_t> block,
                 SlcCodec::Decision& out);
 
-  /// Stores (or refreshes) the decision for (codec_key, fp). Returns true
-  /// when a least-recently-used entry was displaced to make room. `block`
-  /// is only copied in verify-on-hit mode.
+  /// Stores (or refreshes) the decision for (codec_key, fp) as its set's
+  /// most recent way. Returns true when the set was full and its least
+  /// recent way was replaced. Stores nothing (and returns false) for an
+  /// entry that does not fit a way — see the header comment. `block` is
+  /// only copied in verify-on-hit mode.
   bool insert(uint64_t codec_key, uint64_t fp, std::span<const uint8_t> block,
               const SlcCodec::Decision& d);
 
-  size_t size() const;  ///< current entries across all shards
-  size_t capacity() const { return per_shard_ * num_shards_; }
-  size_t num_shards() const { return num_shards_; }
+  /// Starts pulling (codec_key, fp)'s set into the cache hierarchy. A pure
+  /// hint: the batch probe issues it for a whole chunk before the first
+  /// lookup, so the table misses overlap instead of serializing.
+  void prefetch(uint64_t codec_key, uint64_t fp) const;
+
+  /// Batch forms for at most kMaxBatch keys, one per block: result[i] is
+  /// lookup(codec_key, fps[i], blocks[i].bytes(), out[i]) and evicted[i] is
+  /// insert(codec_key, fps[i], blocks[i].bytes(), ds[i]). Keys are applied
+  /// in index order within each stripe, so a batch leaves the table as the
+  /// same calls one by one would, but each lock stripe is taken once per
+  /// batch instead of once per key.
+  static constexpr size_t kMaxBatch = 64;
+  void lookup_batch(uint64_t codec_key, std::span<const uint64_t> fps,
+                    std::span<const BlockView> blocks, SlcCodec::Decision* out,
+                    Lookup* result);
+  void insert_batch(uint64_t codec_key, std::span<const uint64_t> fps,
+                    std::span<const BlockView> blocks, const SlcCodec::Decision* ds,
+                    bool* evicted);
+
+  size_t size() const;  ///< current entries across all sets
+  size_t capacity() const { return num_sets_ * kWays; }
+  size_t num_sets() const { return num_sets_; }
   bool verify_on_hit() const { return cfg_.verify_on_hit; }
 
-  /// Which shard (codec_key, fp) maps to — exposed so the adversarial tests
-  /// can construct forced same-shard streams.
-  size_t shard_index(uint64_t codec_key, uint64_t fp) const;
+  /// Which set (codec_key, fp) maps to — exposed so the adversarial tests
+  /// can construct forced same-set streams.
+  size_t set_index(uint64_t codec_key, uint64_t fp) const;
 
-  /// Lifetime hit/miss/eviction/collision totals across all shards.
+  /// Lifetime hit/miss/eviction/collision totals across all stripes.
   CacheCounters counters() const;
 
   /// Drops every entry (counters keep their totals).
@@ -93,36 +128,70 @@ class FingerprintCache {
   static bool runtime_enabled();
 
  private:
-  struct Key {
-    uint64_t codec_key = 0;
-    uint64_t fp = 0;
-    bool operator==(const Key&) const = default;
+  /// One way: the full key and the Decision packed into 16 B. All-zero
+  /// bytes are an empty way.
+  struct Way {
+    uint64_t codec_key;
+    uint64_t fp;
+    uint16_t lossless_bits;
+    uint16_t final_bits;
+    uint16_t truncated_bits;
+    uint16_t extra_bits;
+    uint16_t content_bytes;  ///< verify-on-hit: length of the arena copy
+    uint8_t bursts;
+    uint8_t truncated_symbols;
+    uint8_t skip_start;
+    uint8_t skip_count;
+    uint8_t flags;  ///< kValid | kLossy | kStoredUncompressed
+    uint8_t age;    ///< LRU rank within the set: 0 = most recent
   };
-  struct KeyHash {
-    size_t operator()(const Key& k) const;
+  static_assert(sizeof(Way) == 32);
+  struct alignas(64) Set {
+    Way ways[kWays];
   };
-  struct Entry {
-    Key key;
-    SlcCodec::Decision decision;
-    std::vector<uint8_t> content;  ///< populated only in verify-on-hit mode
-  };
-  /// One shard: its own lock, recency list (front = most recent) and index.
-  /// Shards are neither movable nor copyable (Mutex), hence the
-  /// unique_ptr<Shard[]> storage. Shard mutexes are leaf locks: lookup and
-  /// insert touch exactly one shard and acquire nothing under it.
-  struct Shard {
+  static_assert(sizeof(Set) == 128);
+
+  /// One lock stripe: guards the sets [i << stripe_shift_, (i + 1) <<
+  /// stripe_shift_) — by convention the analysis cannot spell — and its own
+  /// counters. Stripe mutexes are leaf locks: lookups and inserts hold one
+  /// stripe at a time and acquire nothing under it.
+  struct alignas(64) Stripe {
     mutable Mutex m;
-    std::list<Entry> lru SLC_GUARDED_BY(m);
-    std::unordered_map<Key, std::list<Entry>::iterator, KeyHash> index SLC_GUARDED_BY(m);
     CacheCounters counters SLC_GUARDED_BY(m);
   };
 
-  Shard& shard_for(uint64_t codec_key, uint64_t fp) const;
+  /// Packs the entry for (codec_key, fp) into `w`; false when it does not
+  /// fit a way (a decision field wider than its packed width, or verify-on-
+  /// hit content longer than a slot).
+  bool pack(uint64_t codec_key, uint64_t fp, const SlcCodec::Decision& d,
+            std::span<const uint8_t> block, Way& w) const;
+  static SlcCodec::Decision unpack(const Way& w);
+
+  /// lookup() and insert() on set `s`, whose stripe `st` the caller holds.
+  Lookup lookup_locked(Stripe& st, size_t s, uint64_t codec_key, uint64_t fp,
+                       std::span<const uint8_t> block, SlcCodec::Decision& out)
+      SLC_REQUIRES(st.m);
+  bool insert_locked(Stripe& st, size_t s, const Way& packed, std::span<const uint8_t> block)
+      SLC_REQUIRES(st.m);
+
+  /// The way holding (codec_key, fp) in `set`, or kWays.
+  static size_t find(const Set& set, uint64_t codec_key, uint64_t fp);
+  /// Makes way `w` (previous LRU rank `rank`; kWays for a new entry) the
+  /// set's most recent: every valid way more recent than it ages by one.
+  static void promote(Set& set, size_t w, unsigned rank);
+
+  Stripe& stripe_for(size_t set) const { return stripes_[set >> stripe_shift_]; }
+  uint8_t* slot(size_t set, size_t way) const {
+    return arena_.get() + (set * kWays + way) * kSlotBytes;
+  }
 
   Config cfg_;
-  size_t num_shards_ = 1;  ///< power of two
-  size_t per_shard_ = 1;   ///< max entries per shard
-  std::unique_ptr<Shard[]> shards_;
+  size_t num_sets_ = 1;        ///< power of two
+  size_t num_stripes_ = 1;     ///< min(kMaxStripes, num_sets_)
+  unsigned stripe_shift_ = 0;  ///< set index >> stripe_shift_ = stripe index
+  std::unique_ptr<Set[]> sets_;
+  std::unique_ptr<Stripe[]> stripes_;
+  std::unique_ptr<uint8_t[]> arena_;  ///< verify-on-hit content, one slot per way
 };
 
 }  // namespace slc

@@ -1,9 +1,9 @@
 #include "core/slc_codec.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cstring>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -240,28 +240,52 @@ void SlcCodec::decide_batch(std::span<const BlockView> blocks, LengthScratch& sc
 
 void SlcCodec::decide_batch_cached(std::span<const BlockView> blocks, LengthScratch& scratch,
                                    Decision* out, CacheOutcome* oc) const {
-  const size_t n = blocks.size();
   FingerprintCache* c = active_cache();
   if (c == nullptr) {
     decide_batch(blocks, scratch, out);
-    for (size_t i = 0; i < n; ++i) oc[i] = CacheOutcome{};
+    std::fill_n(oc, blocks.size(), CacheOutcome{});
     return;
   }
+  for (size_t base = 0; base < blocks.size(); base += kProbeChunk) {
+    const size_t n = std::min(kProbeChunk, blocks.size() - base);
+    decide_chunk_cached(*c, blocks.subspan(base, n), scratch, out + base, oc + base);
+  }
+}
 
-  // Pass 1: probe the memo, and dedup within the span — a batch of 95%
-  // duplicates then pays one probe for each distinct content even on a cold
-  // cache. `first_miss` maps a missing fingerprint to the first block that
-  // will compute it; later twins copy its decision after the batch probe.
-  std::vector<uint64_t> fps(n);
-  std::vector<size_t> miss;                       // indices that need the probe
-  std::vector<std::pair<size_t, size_t>> twins;   // (dup index, representative)
-  std::unordered_map<uint64_t, size_t> first_miss;
-  miss.reserve(n);
+void SlcCodec::decide_chunk_cached(FingerprintCache& c, std::span<const BlockView> blocks,
+                                   LengthScratch& scratch, Decision* out,
+                                   CacheOutcome* oc) const {
+  const size_t n = blocks.size();
+  assert(n <= kProbeChunk);
+
+  // 1. Fingerprint the chunk and prefetch every block's set, so the table
+  // misses of the whole chunk overlap before the first probe.
+  std::array<uint64_t, kProbeChunk> fps{};
+  for (size_t i = 0; i < n; ++i) {
+    fps[i] = block_fingerprint(blocks[i].bytes());
+    c.prefetch(cache_key_, fps[i]);
+  }
+
+  // 2. Probe the chunk, taking each lock stripe once.
+  static_assert(kProbeChunk <= FingerprintCache::kMaxBatch);
+  std::array<FingerprintCache::Lookup, kProbeChunk> probed{};
+  c.lookup_batch(cache_key_, std::span<const uint64_t>(fps.data(), n), blocks, out,
+                 probed.data());
+
+  // 3. Dedup the misses within the chunk — a chunk of 95% duplicates then
+  // pays one decision per distinct content even on a cold memo.
+  // `first_miss` is an open-addressed set of the chunk's distinct missing
+  // fingerprints (slot value: 1 + the index of the block that will compute
+  // it; 0 = empty); later twins copy that block's decision.
+  constexpr size_t kSlots = 2 * kProbeChunk;
+  std::array<uint8_t, kSlots> first_miss{};
+  std::array<uint8_t, kProbeChunk> miss{};         // blocks that need the decision
+  std::array<uint8_t, kProbeChunk> twin{}, rep{};  // twin[k] copies rep[k]'s decision
+  size_t n_miss = 0, n_twin = 0;
   for (size_t i = 0; i < n; ++i) {
     oc[i] = CacheOutcome{};
     oc[i].probed = true;
-    fps[i] = block_fingerprint(blocks[i].bytes());
-    switch (c->lookup(cache_key_, fps[i], blocks[i].bytes(), out[i])) {
+    switch (probed[i]) {
       case FingerprintCache::Lookup::kHit:
         oc[i].hit = true;
         continue;
@@ -271,52 +295,72 @@ void SlcCodec::decide_batch_cached(std::span<const BlockView> blocks, LengthScra
       case FingerprintCache::Lookup::kMiss:
         break;
     }
-    const auto it = first_miss.find(fps[i]);
-    if (it != first_miss.end()) {
-      // Same fingerprint as an earlier miss of this span. In verify-on-hit
-      // mode trust it only on byte equality (an in-span collision falls
-      // through to its own probe); otherwise the fingerprint is the
-      // identity, exactly like a cache hit.
-      const BlockView rep = blocks[it->second];
-      if (!c->verify_on_hit() ||
-          std::equal(rep.bytes().begin(), rep.bytes().end(), blocks[i].bytes().begin())) {
+    size_t slot = fps[i] & (kSlots - 1);
+    while (first_miss[slot] != 0 && fps[first_miss[slot] - 1] != fps[i])
+      slot = (slot + 1) & (kSlots - 1);
+    if (first_miss[slot] != 0) {
+      // Same fingerprint as an earlier miss of this chunk. In verify-on-hit
+      // mode trust it only on equal size and bytes (an in-chunk collision
+      // gets its own decision); otherwise the fingerprint is the identity,
+      // exactly like a memo hit.
+      const size_t j = first_miss[slot] - 1u;
+      const auto a = blocks[j].bytes(), b = blocks[i].bytes();
+      if (!c.verify_on_hit() ||
+          (a.size() == b.size() && std::equal(a.begin(), a.end(), b.begin()))) {
         oc[i].hit = true;
-        twins.emplace_back(i, it->second);
+        twin[n_twin] = static_cast<uint8_t>(i);
+        rep[n_twin++] = static_cast<uint8_t>(j);
         continue;
       }
     } else {
-      first_miss.emplace(fps[i], i);
+      first_miss[slot] = static_cast<uint8_t>(i + 1);
     }
-    miss.push_back(i);
+    miss[n_miss++] = static_cast<uint8_t>(i);
   }
 
-  // Pass 2: one staged decide_batch over the distinct misses.
-  if (!miss.empty()) {
-    std::vector<BlockView> miss_views;
-    miss_views.reserve(miss.size());
-    for (const size_t i : miss) miss_views.push_back(blocks[i]);
-    std::vector<Decision> miss_out(miss.size());
-    decide_batch(miss_views, scratch, miss_out.data());
-    for (size_t j = 0; j < miss.size(); ++j) {
-      const size_t i = miss[j];
-      out[i] = miss_out[j];
-      oc[i].evicted = c->insert(cache_key_, fps[i], blocks[i].bytes(), out[i]);
+  // 4. One staged decide_batch over the distinct misses, then insert them,
+  // again one lock per stripe.
+  if (n_miss != 0) {
+    std::array<BlockView, kProbeChunk> views;
+    std::array<uint64_t, kProbeChunk> miss_fps{};
+    std::array<Decision, kProbeChunk> decided;
+    std::array<bool, kProbeChunk> evicted{};
+    for (size_t k = 0; k < n_miss; ++k) {
+      views[k] = blocks[miss[k]];
+      miss_fps[k] = fps[miss[k]];
+    }
+    const std::span<const BlockView> miss_views(views.data(), n_miss);
+    decide_batch(miss_views, scratch, decided.data());
+    c.insert_batch(cache_key_, std::span<const uint64_t>(miss_fps.data(), n_miss), miss_views,
+                   decided.data(), evicted.data());
+    for (size_t k = 0; k < n_miss; ++k) {
+      out[miss[k]] = decided[k];
+      oc[miss[k]].evicted = evicted[k];
     }
   }
-  for (const auto& [i, rep] : twins) out[i] = out[rep];
+  for (size_t k = 0; k < n_twin; ++k) out[twin[k]] = out[rep[k]];
 }
 
 void SlcCodec::analyze_batch(std::span<const BlockView> blocks, SlcEncodeInfo* out) const {
-  std::vector<CacheOutcome> ocs(blocks.size());
-  analyze_batch(blocks, out, ocs.data());
+  LengthScratch scratch;
+  std::array<Decision, kProbeChunk> ds;
+  std::array<CacheOutcome, kProbeChunk> ocs;
+  for (size_t base = 0; base < blocks.size(); base += kProbeChunk) {
+    const size_t n = std::min(kProbeChunk, blocks.size() - base);
+    decide_batch_cached(blocks.subspan(base, n), scratch, ds.data(), ocs.data());
+    for (size_t i = 0; i < n; ++i) out[base + i] = ds[i].info;
+  }
 }
 
 void SlcCodec::analyze_batch(std::span<const BlockView> blocks, SlcEncodeInfo* out,
                              CacheOutcome* oc) const {
   LengthScratch scratch;
-  std::vector<Decision> decisions(blocks.size());
-  decide_batch_cached(blocks, scratch, decisions.data(), oc);
-  for (size_t i = 0; i < blocks.size(); ++i) out[i] = decisions[i].info;
+  std::array<Decision, kProbeChunk> ds;
+  for (size_t base = 0; base < blocks.size(); base += kProbeChunk) {
+    const size_t n = std::min(kProbeChunk, blocks.size() - base);
+    decide_batch_cached(blocks.subspan(base, n), scratch, ds.data(), oc + base);
+    for (size_t i = 0; i < n; ++i) out[base + i] = ds[i].info;
+  }
 }
 
 SlcCompressedBlock SlcCodec::compress(BlockView block) const {

@@ -122,29 +122,39 @@ class SlcCodec {
   // it), the entry points below first consult the content-addressed memo:
   // a hit returns the stored Decision — exactly what the miss path computes
   // for that content — and skips the E2MC length probe entirely; a miss
-  // computes the decision through the regular path and inserts it. Without a
-  // cache they are the plain decide()/decide_batch() paths. The outcome
+  // computes the decision through the regular path and inserts it (a
+  // decision too wide for a packed memo way is returned but not stored).
+  // Without a cache they are the plain decide()/decide_batch() paths. The outcome
   // flags feed CacheCounters only and are the single thing that is NOT
   // thread-count invariant about a cached run.
 
   /// Per-block cache bookkeeping for one decision.
   struct CacheOutcome {
     bool probed = false;     ///< a configured, enabled cache was consulted
-    bool hit = false;        ///< decision served from the memo
-    bool evicted = false;    ///< the insert displaced an LRU entry
+    bool hit = false;        ///< decision served from the memo (or an in-chunk twin)
+    bool evicted = false;    ///< the insert replaced the least recent way of a full set
     bool collision = false;  ///< verify-on-hit content mismatch (fp collision)
   };
 
   /// One-block memoized decision (the scalar process()/analyze() path).
   Decision decide_cached(BlockView block, CacheOutcome& oc) const;
 
-  /// Batched memoized decision: hits and in-batch duplicates skip the probe;
-  /// the remaining distinct misses run through one decide_batch() over
-  /// `scratch`. out[i] is identical to decide_batch()'s out[i] for every
-  /// block (modulo undetected 64-bit fingerprint collisions, which
-  /// verify-on-hit eliminates); oc[i] carries block i's cache outcome.
+  /// Batched memoized decision, in chunks of at most kProbeChunk blocks and
+  /// with no heap allocation of its own. Per chunk: fingerprint every block
+  /// and prefetch its memo set, probe (one lock per memo stripe), dedup the
+  /// misses within the chunk (twins copy the first one's decision; under
+  /// verify-on-hit only on equal size and bytes), then run one
+  /// decide_batch() over the distinct misses in `scratch` and insert them. out[i] is identical to decide_batch()'s
+  /// out[i] for every block (modulo undetected 64-bit fingerprint
+  /// collisions, which verify-on-hit eliminates), including decisions the
+  /// memo cannot store; oc[i] carries block i's cache outcome.
   void decide_batch_cached(std::span<const BlockView> blocks, LengthScratch& scratch,
                            Decision* out, CacheOutcome* oc) const;
+
+  /// decide_batch_cached() works through its span in chunks of at most this
+  /// many blocks, with all per-chunk bookkeeping in fixed arrays; callers
+  /// that stage per-chunk results on the stack use the same size.
+  static constexpr size_t kProbeChunk = 64;
 
   /// analyze()/analyze_batch() with the per-block cache outcome surfaced.
   SlcEncodeInfo analyze(BlockView block, CacheOutcome& oc) const;
@@ -213,6 +223,10 @@ class SlcCodec {
   /// The memo the cached entry points consult: cfg_.cache unless the
   /// SLC_FINGERPRINT_CACHE env knob force-disables caching process-wide.
   FingerprintCache* active_cache() const;
+
+  /// One chunk of decide_batch_cached() (blocks.size() <= kProbeChunk).
+  void decide_chunk_cached(FingerprintCache& c, std::span<const BlockView> blocks,
+                           LengthScratch& scratch, Decision* out, CacheOutcome* oc) const;
 
   /// The Fig. 4 mode decision, shared by compress()/analyze()/decide_batch().
   Decision decide(std::span<const uint16_t> lens, size_t block_bytes) const;

@@ -1,5 +1,8 @@
 #include "core/slc_compressor.h"
 
+#include <algorithm>
+#include <array>
+
 #include "compress/codec_registry.h"
 #include "core/slc_block_codec.h"
 
@@ -30,10 +33,16 @@ BlockAnalysis SlcCompressor::analyze(BlockView block) const {
 }
 
 void SlcCompressor::analyze_batch(std::span<const BlockView> blocks, BlockAnalysis* out) const {
-  std::vector<SlcEncodeInfo> infos(blocks.size());
-  std::vector<SlcCodec::CacheOutcome> ocs(blocks.size());
-  codec_.analyze_batch(blocks, infos.data(), ocs.data());
-  for (size_t i = 0; i < blocks.size(); ++i) out[i] = to_analysis(infos[i], ocs[i]);
+  // One probe chunk at a time, so the staged results live on the stack.
+  constexpr size_t kChunk = SlcCodec::kProbeChunk;
+  SlcCodec::LengthScratch scratch;
+  std::array<SlcCodec::Decision, kChunk> ds;
+  std::array<SlcCodec::CacheOutcome, kChunk> ocs;
+  for (size_t base = 0; base < blocks.size(); base += kChunk) {
+    const size_t n = std::min(kChunk, blocks.size() - base);
+    codec_.decide_batch_cached(blocks.subspan(base, n), scratch, ds.data(), ocs.data());
+    for (size_t i = 0; i < n; ++i) out[base + i] = to_analysis(ds[i].info, ocs[i]);
+  }
 }
 
 void SlcCompressor::compress_batch(std::span<const BlockView> blocks,

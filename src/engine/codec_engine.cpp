@@ -120,6 +120,11 @@ void CodecEngine::shutdown() {
   }
 }
 
+bool CodecEngine::stopping() const {
+  MutexLock lk(mutex_);
+  return stop_;
+}
+
 std::shared_ptr<CodecEngine> CodecEngine::shared_default() {
   static std::shared_ptr<CodecEngine> engine = std::make_shared<CodecEngine>();
   return engine;

@@ -188,6 +188,11 @@ class CodecEngine {
   /// Jobs whose shards were all claimed before the stop drain normally.
   void shutdown();
 
+  /// True once shutdown() has begun (reads the stop flag under the queue
+  /// lock). From then on no worker claims a new shard, so a caller can order
+  /// work against the stop without sleeping.
+  bool stopping() const;
+
   /// Process-wide default engine (hardware concurrency), shared so consumers
   /// do not each spin up a pool. ApproxMemory uses this unless given one.
   static std::shared_ptr<CodecEngine> shared_default();
@@ -196,8 +201,8 @@ class CodecEngine {
   // One shared decision memo for everything this engine serves: codecs built
   // with `options.fingerprint_cache = engine->fingerprint_cache()` dedup
   // repeat blocks across jobs, streams and commits that route through the
-  // same pool. The cache is sharded (per-shard mutexes), so concurrent
-  // workers only contend on same-shard blocks; entries are keyed on the
+  // same pool. The cache's sets sit behind lock stripes, so concurrent
+  // workers only contend on same-stripe blocks; entries are keyed on the
   // deciding codec's identity, so codecs never see each other's decisions.
 
   /// The engine-owned cache, built on first use (default FingerprintCache

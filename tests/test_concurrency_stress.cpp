@@ -149,8 +149,10 @@ TEST(ConcurrencyStress, EngineShutdownFailsEnqueuedServerBatch) {
   auto ticket = server.submit(s, Request{.bytes = data});
 
   std::thread stopper([&engine] { engine->shutdown(); });
-  std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  release = true;  // worker finishes the blocker, sees stop_, never claims the batch
+  // Release the blocker only once the stop is visible: the worker then
+  // finishes the blocker, sees stop_ and never claims the batch.
+  while (!engine->stopping()) std::this_thread::yield();
+  release = true;
   const Response res = ticket.wait();
   EXPECT_EQ(res.status, ResponseStatus::kError);
   EXPECT_THROW(res.throw_if_failed(), std::runtime_error);

@@ -123,13 +123,14 @@ void expect_result_eq(const BlockCodecResult& a, const BlockCodecResult& b,
   // bookkeeping, never part of the determinism contract.
 }
 
+/// A decision that fits a packed way, distinct for tags below 60000.
 SlcCodec::Decision arbitrary_decision(size_t tag) {
   SlcCodec::Decision d;
-  d.info.final_bits = 100 + tag;
+  d.info.final_bits = 100 + tag % 60000;
   d.info.bursts = 1 + tag % 4;
   d.info.lossy = (tag % 2) != 0;
-  d.skip_start = tag;
-  d.skip_count = tag * 2;
+  d.skip_start = tag % 64;
+  d.skip_count = 1 + tag % 16;
   return d;
 }
 
@@ -180,8 +181,9 @@ TEST(FingerprintCache, InsertThenLookupRoundTripsTheDecision) {
 }
 
 TEST(FingerprintCache, LruEvictsTheColdestEntry) {
-  FingerprintCache cache({.capacity = 4, .shards = 1, .verify_on_hit = false});
+  FingerprintCache cache({.capacity = 4, .verify_on_hit = false});  // one 4-way set
   ASSERT_EQ(cache.capacity(), 4u);
+  ASSERT_EQ(cache.num_sets(), 1u);
   const Block b;
   for (uint64_t fp = 0; fp < 4; ++fp)
     EXPECT_FALSE(cache.insert(1, fp, b.bytes(), arbitrary_decision(fp)));
@@ -195,8 +197,160 @@ TEST(FingerprintCache, LruEvictsTheColdestEntry) {
   EXPECT_EQ(cache.counters().evictions, 1u);
 }
 
+TEST(FingerprintCache, FullSetEvictsItsLeastRecentWay) {
+  // Many sets; every key below is forced into set 0 through set_index, so
+  // the set overflows while the rest of the table stays almost empty.
+  FingerprintCache cache({.capacity = 64, .verify_on_hit = false});
+  ASSERT_EQ(cache.num_sets(), 16u);
+  constexpr uint64_t kKey = 3;
+  std::vector<uint64_t> fps;
+  for (uint64_t fp = 0; fps.size() < FingerprintCache::kWays + 2; ++fp)
+    if (cache.set_index(kKey, fp) == 0) fps.push_back(fp);
+  uint64_t elsewhere = 0;
+  while (cache.set_index(kKey, elsewhere) == 0) ++elsewhere;
+
+  const Block b;
+  EXPECT_FALSE(cache.insert(kKey, elsewhere, b.bytes(), arbitrary_decision(50)));
+  for (size_t i = 0; i < FingerprintCache::kWays; ++i)
+    EXPECT_FALSE(cache.insert(kKey, fps[i], b.bytes(), arbitrary_decision(i))) << i;
+  // Recency, most recent first: 3 2 1 0. Touch 0, 2, 3: now 3 2 0 1.
+  SlcCodec::Decision d;
+  for (const size_t i : {0u, 2u, 3u})
+    EXPECT_EQ(cache.lookup(kKey, fps[i], b.bytes(), d), FingerprintCache::Lookup::kHit) << i;
+  EXPECT_TRUE(cache.insert(kKey, fps[4], b.bytes(), arbitrary_decision(4)));  // evicts 1
+  EXPECT_EQ(cache.lookup(kKey, fps[1], b.bytes(), d), FingerprintCache::Lookup::kMiss);
+  // A miss does not reorder the set: 4 3 2 0, so the next victim is 0.
+  EXPECT_TRUE(cache.insert(kKey, fps[5], b.bytes(), arbitrary_decision(5)));
+  EXPECT_EQ(cache.lookup(kKey, fps[0], b.bytes(), d), FingerprintCache::Lookup::kMiss);
+  for (const size_t i : {2u, 3u, 4u, 5u}) {
+    ASSERT_EQ(cache.lookup(kKey, fps[i], b.bytes(), d), FingerprintCache::Lookup::kHit) << i;
+    EXPECT_EQ(d.skip_start, arbitrary_decision(i).skip_start) << i;
+  }
+  EXPECT_EQ(cache.lookup(kKey, elsewhere, b.bytes(), d), FingerprintCache::Lookup::kHit);
+  EXPECT_EQ(cache.size(), FingerprintCache::kWays + 1);
+  EXPECT_EQ(cache.counters().evictions, 2u);
+}
+
+TEST(FingerprintCache, DecisionTooWideForAWayIsNotStored) {
+  FingerprintCache cache({.capacity = 64, .verify_on_hit = false});
+  const Block b;
+  SlcCodec::Decision d;
+  // The widest decision a way holds round-trips exactly...
+  SlcCodec::Decision widest;
+  widest.info = {.lossy = true, .stored_uncompressed = true, .lossless_bits = 65535,
+                 .final_bits = 65535, .bursts = 255, .truncated_symbols = 255,
+                 .truncated_bits = 65535, .extra_bits = 65535};
+  widest.skip_start = 255;
+  widest.skip_count = 255;
+  EXPECT_FALSE(cache.insert(1, 1, b.bytes(), widest));
+  ASSERT_EQ(cache.lookup(1, 1, b.bytes(), d), FingerprintCache::Lookup::kHit);
+  expect_info_eq(d.info, widest.info, "widest");
+  EXPECT_EQ(d.skip_start, 255u);
+  EXPECT_EQ(d.skip_count, 255u);
+  // ...and one past it in any field is not stored at all.
+  std::vector<SlcCodec::Decision> too_wide(8, widest);
+  too_wide[0].info.lossless_bits = 65536;
+  too_wide[1].info.final_bits = 65536;
+  too_wide[2].info.truncated_bits = 65536;
+  too_wide[3].info.extra_bits = 65536;
+  too_wide[4].info.bursts = 256;
+  too_wide[5].info.truncated_symbols = 256;
+  too_wide[6].skip_start = 256;
+  too_wide[7].skip_count = 256;
+  for (size_t i = 0; i < too_wide.size(); ++i) {
+    EXPECT_FALSE(cache.insert(1, 100 + i, b.bytes(), too_wide[i])) << i;
+    EXPECT_EQ(cache.lookup(1, 100 + i, b.bytes(), d), FingerprintCache::Lookup::kMiss) << i;
+  }
+  EXPECT_EQ(cache.size(), 1u);
+
+  // Verify-on-hit keeps content in kSlotBytes slots: a longer block is not
+  // stored, a shorter one is, and only a probe of its own length verifies.
+  FingerprintCache paranoid({.capacity = 64, .verify_on_hit = true});
+  const Block big(2 * FingerprintCache::kSlotBytes);
+  EXPECT_FALSE(paranoid.insert(1, 1, big.bytes(), arbitrary_decision(1)));
+  EXPECT_EQ(paranoid.lookup(1, 1, big.bytes(), d), FingerprintCache::Lookup::kMiss);
+  const Block full = test::dedup_corpus({.blocks = 1, .seed = 22})[0];
+  const Block half(full.bytes().first(FingerprintCache::kSlotBytes / 2));
+  EXPECT_FALSE(paranoid.insert(1, 2, full.bytes(), arbitrary_decision(2)));
+  // The refresh leaves the slot's tail holding the rest of `full`, so only
+  // the length check tells the two apart.
+  EXPECT_FALSE(paranoid.insert(1, 2, half.bytes(), arbitrary_decision(3)));
+  EXPECT_EQ(paranoid.lookup(1, 2, half.bytes(), d), FingerprintCache::Lookup::kHit);
+  EXPECT_EQ(paranoid.lookup(1, 2, full.bytes(), d), FingerprintCache::Lookup::kCollision);
+  EXPECT_EQ(paranoid.size(), 1u);
+}
+
+TEST(FingerprintCache, BatchProbeMatchesOneByOne) {
+  // lookup_batch/insert_batch take each stripe once but must leave the
+  // table, the counters and every result exactly as the same calls one by
+  // one: keys forced into one set (so LRU order within the set matters),
+  // repeats inside a batch, a too-wide decision, a verify-on-hit collision.
+  const FingerprintCache::Config cfg{.capacity = 64, .verify_on_hit = true};
+  FingerprintCache single(cfg), batched(cfg);
+  constexpr uint64_t kKey = 5;
+  std::vector<uint64_t> fps;
+  for (uint64_t fp = 0; fps.size() < 8; ++fp)
+    if (single.set_index(kKey, fp) == 0) fps.push_back(fp);  // overflows set 0
+  for (uint64_t fp = 500; fps.size() < 40; fp += 7) fps.push_back(fp);
+  fps.push_back(fps[3]);  // a repeat inside the batch
+  std::vector<Block> blocks;
+  for (const uint64_t fp : fps) {
+    Block b;
+    auto bytes = b.mutable_bytes();
+    for (size_t i = 0; i < bytes.size(); ++i) bytes[i] = static_cast<uint8_t>(fp * 31 + i);
+    blocks.push_back(std::move(b));
+  }
+  std::vector<SlcCodec::Decision> ds;
+  for (const uint64_t fp : fps) ds.push_back(arbitrary_decision(fp));
+  ds[10].skip_start = 300;  // does not fit a way
+  const auto views = views_of(blocks);
+  ASSERT_LE(fps.size(), FingerprintCache::kMaxBatch);
+
+  std::vector<uint8_t> evicted_single(fps.size());
+  bool evicted_batched[FingerprintCache::kMaxBatch] = {};
+  for (size_t i = 0; i < fps.size(); ++i)
+    evicted_single[i] = single.insert(kKey, fps[i], blocks[i].bytes(), ds[i]);
+  batched.insert_batch(kKey, fps, views, ds.data(), evicted_batched);
+  for (size_t i = 0; i < fps.size(); ++i)
+    EXPECT_EQ(evicted_batched[i], evicted_single[i] != 0) << "insert " << i;
+
+  // Probe everything, plus a collision (set-0 key with other content).
+  std::vector<uint64_t> probe_fps = fps;
+  std::vector<BlockView> probe_views = views;
+  probe_fps.push_back(fps[7]);
+  probe_views.push_back(blocks[0].view());
+  std::vector<SlcCodec::Decision> got_single(probe_fps.size()), got_batched(probe_fps.size());
+  FingerprintCache::Lookup res_batched[FingerprintCache::kMaxBatch];
+  batched.lookup_batch(kKey, probe_fps, probe_views, got_batched.data(), res_batched);
+  size_t hits = 0;
+  for (size_t i = 0; i < probe_fps.size(); ++i) {
+    const auto r = single.lookup(kKey, probe_fps[i], probe_views[i].bytes(), got_single[i]);
+    ASSERT_EQ(res_batched[i], r) << "lookup " << i;
+    if (r != FingerprintCache::Lookup::kHit) continue;
+    ++hits;
+    expect_info_eq(got_batched[i].info, got_single[i].info, "lookup " + std::to_string(i));
+    EXPECT_EQ(got_batched[i].skip_start, got_single[i].skip_start) << i;
+  }
+  EXPECT_GT(hits, 0u);
+  EXPECT_EQ(res_batched[probe_fps.size() - 1], FingerprintCache::Lookup::kCollision);
+  EXPECT_EQ(batched.counters(), single.counters());
+  EXPECT_EQ(batched.size(), single.size());
+  // Same LRU state: one more key into set 0 evicts the same victim.
+  uint64_t next = fps[7] + 1;
+  while (single.set_index(kKey, next) != 0) ++next;
+  const Block extra;
+  EXPECT_EQ(single.insert(kKey, next, extra.bytes(), arbitrary_decision(1)),
+            batched.insert(kKey, next, extra.bytes(), arbitrary_decision(1)));
+  for (size_t i = 0; i < fps.size(); ++i) {
+    SlcCodec::Decision a, b;
+    EXPECT_EQ(single.lookup(kKey, fps[i], blocks[i].bytes(), a),
+              batched.lookup(kKey, fps[i], blocks[i].bytes(), b))
+        << "after eviction " << i;
+  }
+}
+
 TEST(FingerprintCache, ReinsertRefreshesWithoutEvicting) {
-  FingerprintCache cache({.capacity = 2, .shards = 1, .verify_on_hit = false});
+  FingerprintCache cache({.capacity = 2, .verify_on_hit = false});
   const Block b;
   EXPECT_FALSE(cache.insert(1, 7, b.bytes(), arbitrary_decision(1)));
   EXPECT_FALSE(cache.insert(1, 7, b.bytes(), arbitrary_decision(2)));  // refresh, no growth
@@ -208,7 +362,7 @@ TEST(FingerprintCache, ReinsertRefreshesWithoutEvicting) {
 }
 
 TEST(FingerprintCache, VerifyOnHitCatchesCollision) {
-  FingerprintCache cache({.capacity = 8, .shards = 1, .verify_on_hit = true});
+  FingerprintCache cache({.capacity = 8, .verify_on_hit = true});
   ASSERT_TRUE(cache.verify_on_hit());
   const auto corpus = test::dedup_corpus({.blocks = 2, .seed = 21});
   cache.insert(1, 5, corpus[0].bytes(), arbitrary_decision(0));
@@ -220,22 +374,35 @@ TEST(FingerprintCache, VerifyOnHitCatchesCollision) {
   EXPECT_EQ(cache.lookup(1, 5, corpus[0].bytes(), d), FingerprintCache::Lookup::kHit);
 }
 
-TEST(FingerprintCache, ShardIndexStaysInRangeAndSingleShardPinsToZero) {
-  FingerprintCache sharded({.capacity = 64, .shards = 8, .verify_on_hit = false});
-  EXPECT_EQ(sharded.num_shards(), 8u);
-  FingerprintCache single({.capacity = 64, .shards = 1, .verify_on_hit = false});
+TEST(FingerprintCache, SetIndexStaysInRangeAndSingleSetPinsToZero) {
+  FingerprintCache many({.capacity = 64, .verify_on_hit = false});
+  EXPECT_EQ(many.num_sets(), 16u);
+  FingerprintCache single({.capacity = FingerprintCache::kWays, .verify_on_hit = false});
+  EXPECT_EQ(single.num_sets(), 1u);
   Rng rng(31);
+  std::set<size_t> seen;
   for (int i = 0; i < 256; ++i) {
     const uint64_t key = rng.next(), fp = rng.next();
-    EXPECT_LT(sharded.shard_index(key, fp), sharded.num_shards());
-    EXPECT_EQ(single.shard_index(key, fp), 0u);
+    EXPECT_LT(many.set_index(key, fp), many.num_sets());
+    EXPECT_EQ(single.set_index(key, fp), 0u);
+    seen.insert(many.set_index(key, fp));
   }
+  EXPECT_EQ(seen.size(), many.num_sets());  // 256 random keys reach all 16 sets
 }
 
-TEST(FingerprintCache, ShardCountRoundsUpToPowerOfTwo) {
-  FingerprintCache cache({.capacity = 60, .shards = 6, .verify_on_hit = false});
-  EXPECT_EQ(cache.num_shards(), 8u);
-  EXPECT_EQ(cache.capacity(), 8u * (60 / 8));
+TEST(FingerprintCache, CapacityRoundsUpToPowerOfTwoSets) {
+  constexpr size_t kWays = FingerprintCache::kWays;
+  const struct {
+    size_t requested, sets;
+  } cases[] = {{0, 1}, {1, 1}, {kWays, 1}, {kWays + 1, 2}, {60, 16}, {64, 16}, {65, 32},
+               {size_t{1} << 15, size_t{1} << 13}};
+  for (const auto& [requested, sets] : cases) {
+    FingerprintCache cache({.capacity = requested, .verify_on_hit = false});
+    EXPECT_EQ(cache.num_sets(), sets) << requested;
+    EXPECT_EQ(cache.capacity(), sets * kWays) << requested;
+    EXPECT_EQ(cache.size(), 0u) << requested;
+  }
+  EXPECT_EQ(FingerprintCache().capacity(), size_t{1} << 15);  // the default
 }
 
 TEST(FingerprintCache, ClearDropsEntriesKeepsCounters) {
@@ -250,17 +417,19 @@ TEST(FingerprintCache, ClearDropsEntriesKeepsCounters) {
   EXPECT_EQ(cache.counters().hits, 1u);  // totals survive clear()
 }
 
-// Shard selection and eviction under concurrent mixed hit/miss traffic with
-// verify-on-hit enabled (the ASan and TSan CI tiers both run this). Shard
-// pinning via shard_index makes the assertions deterministic even under
-// racing LRU churn: hot keys live alone in shard 0 (fewer keys than the
-// shard holds, so they are never evicted and every post-populate probe must
-// hit), while per-thread disjoint cold sets oversubscribe the other shards
-// to force insert/evict churn.
+// Set selection and eviction under concurrent mixed hit/miss traffic with
+// verify-on-hit enabled, then the same traffic racing clear() (the ASan and
+// TSan CI tiers both run this). Set pinning via set_index makes the first
+// phase's assertions deterministic even under racing LRU churn: the hot
+// keys fill set 0 alone (no other key maps there, so none is ever evicted
+// and every post-populate probe must hit), while per-thread disjoint cold
+// sets oversubscribe the other sets to force insert/evict churn. In the
+// second phase a clearing thread empties the table while the workers probe
+// and re-insert: hot keys may then miss, but no probe may ever return a
+// decision other than the one stored for its content.
 TEST(FingerprintCache, ConcurrentMixedHitMissTrafficWithVerifyOnHit) {
-  FingerprintCache cache({.capacity = 64, .shards = 4, .verify_on_hit = true});
-  ASSERT_EQ(cache.num_shards(), 4u);
-  const size_t per_shard = cache.capacity() / cache.num_shards();
+  FingerprintCache cache({.capacity = 64, .verify_on_hit = true});
+  ASSERT_EQ(cache.num_sets(), 16u);
 
   // Deterministic content and decision per fingerprint, so a verified hit
   // can be checked against exactly what the inserter stored, and honest
@@ -275,52 +444,82 @@ TEST(FingerprintCache, ConcurrentMixedHitMissTrafficWithVerifyOnHit) {
 
   constexpr uint64_t kKey = 7;
   std::vector<uint64_t> hot;
-  for (uint64_t fp = 0; hot.size() < per_shard / 2; ++fp)
-    if (cache.shard_index(kKey, fp) == 0) hot.push_back(fp);
+  for (uint64_t fp = 0; hot.size() < FingerprintCache::kWays; ++fp)
+    if (cache.set_index(kKey, fp) == 0) hot.push_back(fp);
   constexpr unsigned kThreads = 4;
   std::vector<std::vector<uint64_t>> cold(kThreads);
   uint64_t next_fp = 1'000'000;
   for (unsigned t = 0; t < kThreads; ++t)
-    while (cold[t].size() < 4 * per_shard)
-      if (cache.shard_index(kKey, ++next_fp) != 0) cold[t].push_back(next_fp);
+    while (cold[t].size() < 4 * cache.capacity())
+      if (cache.set_index(kKey, ++next_fp) != 0) cold[t].push_back(next_fp);
 
   for (const uint64_t fp : hot)
     EXPECT_FALSE(cache.insert(kKey, fp, block_for(fp).bytes(), arbitrary_decision(fp)));
 
   std::atomic<size_t> bad_decisions{0}, missed_hot{0};
-  std::vector<std::thread> workers;
-  workers.reserve(kThreads);
-  for (unsigned t = 0; t < kThreads; ++t)
-    workers.emplace_back([&, t] {
-      for (int iter = 0; iter < 40; ++iter) {
-        for (const uint64_t fp : cold[t]) {
-          SlcCodec::Decision d;
-          const auto r = cache.lookup(kKey, fp, block_for(fp).bytes(), d);
-          if (r == FingerprintCache::Lookup::kHit &&
-              d.info.final_bits != arbitrary_decision(fp).info.final_bits)
-            bad_decisions.fetch_add(1);
-          if (r == FingerprintCache::Lookup::kMiss)
-            cache.insert(kKey, fp, block_for(fp).bytes(), arbitrary_decision(fp));
-        }
-        for (const uint64_t fp : hot) {
-          SlcCodec::Decision d;
-          if (cache.lookup(kKey, fp, block_for(fp).bytes(), d) != FingerprintCache::Lookup::kHit)
-            missed_hot.fetch_add(1);
-          else if (d.skip_start != arbitrary_decision(fp).skip_start ||
-                   d.info.final_bits != arbitrary_decision(fp).info.final_bits)
-            bad_decisions.fetch_add(1);
-        }
-      }
-    });
-  for (auto& w : workers) w.join();
+  const auto probe = [&](uint64_t fp, bool reinsert_hot) {
+    SlcCodec::Decision d;
+    const auto r = cache.lookup(kKey, fp, block_for(fp).bytes(), d);
+    if (r == FingerprintCache::Lookup::kHit) {
+      if (d.skip_start != arbitrary_decision(fp).skip_start ||
+          d.info.final_bits != arbitrary_decision(fp).info.final_bits)
+        bad_decisions.fetch_add(1);
+      return true;
+    }
+    if (reinsert_hot) cache.insert(kKey, fp, block_for(fp).bytes(), arbitrary_decision(fp));
+    return false;
+  };
+  const auto traffic = [&](unsigned t, bool clearing) {
+    for (int iter = 0; iter < 40; ++iter) {
+      for (const uint64_t fp : cold[t])
+        if (!probe(fp, false))
+          cache.insert(kKey, fp, block_for(fp).bytes(), arbitrary_decision(fp));
+      for (const uint64_t fp : hot)
+        if (!probe(fp, clearing) && !clearing) missed_hot.fetch_add(1);
+    }
+  };
 
+  {
+    std::vector<std::thread> workers;
+    workers.reserve(kThreads);
+    for (unsigned t = 0; t < kThreads; ++t) workers.emplace_back(traffic, t, false);
+    for (auto& w : workers) w.join();
+  }
   EXPECT_EQ(bad_decisions.load(), 0u);
   EXPECT_EQ(missed_hot.load(), 0u);
   EXPECT_LE(cache.size(), cache.capacity());
-  const CacheCounters c = cache.counters();
+  CacheCounters c = cache.counters();
   EXPECT_EQ(c.collisions, 0u);  // content always matches its fingerprint here
-  EXPECT_GT(c.evictions, 0u);   // the cold sets oversubscribe their shards
+  EXPECT_GT(c.evictions, 0u);   // the cold sets oversubscribe their ways
   EXPECT_EQ(c.probes(), c.hits + c.misses);
+
+  // Phase 2: the same traffic with clear() racing it.
+  std::atomic<bool> done{false};
+  std::atomic<size_t> clears{0};
+  {
+    std::thread clearer([&] {
+      do {
+        cache.clear();
+        clears.fetch_add(1);
+        std::this_thread::yield();
+      } while (!done.load());
+    });
+    std::vector<std::thread> workers;
+    workers.reserve(kThreads);
+    for (unsigned t = 0; t < kThreads; ++t) workers.emplace_back(traffic, t, true);
+    for (auto& w : workers) w.join();
+    done = true;
+    clearer.join();
+  }
+  EXPECT_GT(clears.load(), 0u);
+  EXPECT_EQ(bad_decisions.load(), 0u);
+  EXPECT_LE(cache.size(), cache.capacity());
+  c = cache.counters();
+  EXPECT_EQ(c.collisions, 0u);
+  EXPECT_EQ(c.probes(), c.hits + c.misses);
+  cache.clear();
+  EXPECT_EQ(cache.size(), 0u);
+  for (const uint64_t fp : hot) EXPECT_FALSE(probe(fp, false));
 }
 
 TEST(FingerprintCache, RuntimeEnabledMatchesEnvironment) {
@@ -361,33 +560,119 @@ TEST(CachedDecision, CodecKeysIsolateConfigurationsAndModels) {
   EXPECT_FALSE(oc.hit);  // different trained model: separate entry
 }
 
+/// `blocks` re-cut to `block_bytes` per block: each 128 B block is truncated
+/// or tiled, so duplicates, near-duplicates and zero pages keep their shape
+/// at every geometry.
+std::vector<Block> reshaped(const std::vector<Block>& blocks, size_t block_bytes) {
+  std::vector<Block> out;
+  out.reserve(blocks.size());
+  for (const Block& b : blocks) {
+    Block r(block_bytes);
+    auto dst = r.mutable_bytes();
+    for (size_t i = 0; i < block_bytes; ++i) dst[i] = b.bytes()[i % b.size()];
+    out.push_back(std::move(r));
+  }
+  return out;
+}
+
+std::shared_ptr<const E2mcCompressor> model_with_ways(unsigned ways) {
+  if (ways == E2mcConfig{}.num_ways) return shared_model();
+  E2mcConfig cfg;
+  cfg.num_ways = ways;
+  return E2mcCompressor::train(shared_training(), cfg);
+}
+
 TEST(CachedDecision, AnalyzeMatchesUncachedForEveryVariantAndStream) {
-  for (const auto& [cname, blocks] : fuzz_corpora()) {
-    const auto views = views_of(blocks);
-    for (const SlcVariant variant : {SlcVariant::kSimp, SlcVariant::kPred, SlcVariant::kOpt}) {
-      for (const size_t threshold : {size_t{16}, size_t{4}}) {
-        const SlcCodec uncached = make_slc(nullptr, threshold, variant);
-        const SlcCodec cached = make_slc(std::make_shared<FingerprintCache>(), threshold, variant);
-        std::vector<SlcEncodeInfo> expected(views.size());
-        uncached.analyze_batch(views, expected.data());
-        // Two passes: pass 0 populates (misses + in-span twins), pass 1 is
-        // served from the memo; both must reproduce the oracle exactly.
-        for (int pass = 0; pass < 2; ++pass) {
-          std::vector<SlcEncodeInfo> got(views.size());
-          cached.analyze_batch(views, got.data());
-          for (size_t i = 0; i < views.size(); ++i)
-            expect_info_eq(got[i], expected[i],
-                           std::string(cname) + " variant " + to_string(variant) + " thr " +
-                               std::to_string(threshold) + " pass " + std::to_string(pass) +
-                               " block " + std::to_string(i));
-        }
-        if (FingerprintCache::runtime_enabled()) {
-          EXPECT_GE(cached.cache()->counters().hits, views.size())
-              << cname << " second pass should be all hits";
+  // The default 128 B / 4-way geometry plus the non-default ones of
+  // test_geometry_sweep.cpp, and 8 KiB blocks whose raw decisions (65536
+  // final bits, 256 bursts at MAG 32) do not fit a packed way. Verify-on-hit
+  // arena slots are kSlotBytes long, so in that mode nothing past 128 B is
+  // stored either. Every block must still decide exactly as uncached.
+  struct Geometry {
+    size_t block_bytes;
+    unsigned ways;
+  };
+  const Geometry geometries[] = {{128, 4}, {64, 2}, {64, 4}, {256, 4}, {8192, 4}};
+  for (const auto& [block_bytes, ways] : geometries) {
+    const auto model = model_with_ways(ways);
+    for (const auto& [cname, corpus] : fuzz_corpora()) {
+      // The 8 KiB geometry replays a slice of each corpus to stay quick.
+      const size_t keep = block_bytes > 256 ? 48 : corpus.size();
+      const auto blocks = reshaped({corpus.begin(), corpus.begin() + keep}, block_bytes);
+      const auto views = views_of(blocks);
+      for (const SlcVariant variant : {SlcVariant::kSimp, SlcVariant::kPred, SlcVariant::kOpt}) {
+        for (const size_t threshold : {size_t{16}, size_t{4}}) {
+          SlcConfig cfg;
+          cfg.mag_bytes = 32;
+          cfg.threshold_bytes = threshold;
+          cfg.variant = variant;
+          const SlcCodec uncached(model, cfg);
+          std::vector<SlcEncodeInfo> expected(views.size());
+          uncached.analyze_batch(views, expected.data());
+          for (const bool verify : {false, true}) {
+            cfg.cache = std::make_shared<FingerprintCache>(
+                FingerprintCache::Config{.verify_on_hit = verify});
+            const SlcCodec cached(model, cfg);
+            const std::string what = std::string(cname) + " " + std::to_string(block_bytes) +
+                                     " B/" + std::to_string(ways) + " ways variant " +
+                                     to_string(variant) + " thr " + std::to_string(threshold) +
+                                     (verify ? " verify" : "");
+            // Two passes: pass 0 populates (misses + in-chunk twins), pass 1
+            // is served from the memo; both must reproduce the oracle.
+            uint64_t hits_before_pass1 = 0;
+            for (int pass = 0; pass < 2; ++pass) {
+              if (pass == 1) hits_before_pass1 = cfg.cache->counters().hits;
+              std::vector<SlcEncodeInfo> got(views.size());
+              cached.analyze_batch(views, got.data());
+              for (size_t i = 0; i < views.size(); ++i)
+                expect_info_eq(got[i], expected[i],
+                               what + " pass " + std::to_string(pass) + " block " +
+                                   std::to_string(i));
+            }
+            if (!FingerprintCache::runtime_enabled()) continue;
+            const uint64_t pass1_hits = cfg.cache->counters().hits - hits_before_pass1;
+            const bool all_fit = verify ? block_bytes <= FingerprintCache::kSlotBytes
+                                        : block_bytes <= 256;
+            if (all_fit) {
+              EXPECT_EQ(pass1_hits, views.size()) << what << ": second pass should be all hits";
+            } else {
+              EXPECT_LT(pass1_hits, views.size()) << what << ": some decisions must not be stored";
+            }
+          }
         }
       }
     }
   }
+}
+
+TEST(CachedDecision, OversizeDecisionIsReturnedButNotStored) {
+  // An incompressible 8 KiB block is stored raw: 65536 final bits and 256
+  // bursts at MAG 32, one past what a packed way holds. The memo must hand
+  // back the exact decision and keep nothing, so a repeat misses again.
+  Block block(8192);
+  Rng rng(90);
+  for (uint8_t& byte : block.mutable_bytes()) byte = static_cast<uint8_t>(rng.next());
+  const std::vector<BlockView> views{block.view()};
+  auto cache = std::make_shared<FingerprintCache>();
+  const SlcCodec uncached = make_slc(nullptr);
+  const SlcCodec cached = make_slc(cache);
+  SlcCodec::LengthScratch scratch;
+  SlcCodec::Decision expected;
+  uncached.decide_batch(views, scratch, &expected);
+  ASSERT_TRUE(expected.info.stored_uncompressed);
+  ASSERT_EQ(expected.info.bursts, 256u);
+  for (int pass = 0; pass < 2; ++pass) {
+    SlcCodec::CacheOutcome oc;
+    const SlcCodec::Decision scalar = cached.decide_cached(block.view(), oc);
+    expect_info_eq(scalar.info, expected.info, "decide_cached pass " + std::to_string(pass));
+    EXPECT_FALSE(oc.hit);
+    EXPECT_FALSE(oc.evicted);
+    SlcCodec::Decision batch;
+    cached.decide_batch_cached(views, scratch, &batch, &oc);
+    expect_info_eq(batch.info, expected.info, "decide_batch_cached pass " + std::to_string(pass));
+    EXPECT_FALSE(oc.hit);
+  }
+  EXPECT_EQ(cache->size(), 0u);
 }
 
 TEST(CachedDecision, DecideCachedMatchesBatchOracleIncludingSkipWindow) {
@@ -420,7 +705,7 @@ TEST(CachedDecision, EvictionChurnNeverChangesDecisions) {
   const auto views = views_of(blocks);
   const SlcCodec uncached = make_slc(nullptr);
   auto tiny = std::make_shared<FingerprintCache>(
-      FingerprintCache::Config{.capacity = 8, .shards = 1, .verify_on_hit = false});
+      FingerprintCache::Config{.capacity = 8, .verify_on_hit = false});
   const SlcCodec cached = make_slc(tiny);
   std::vector<SlcEncodeInfo> expected(views.size()), got(views.size());
   uncached.analyze_batch(views, expected.data());
@@ -438,15 +723,25 @@ TEST(CachedDecision, VerifyOnHitModeStaysIdenticalOnNearDuplicates) {
   const auto views = views_of(blocks);
   const SlcCodec uncached = make_slc(nullptr);
   auto paranoid = std::make_shared<FingerprintCache>(
-      FingerprintCache::Config{.capacity = 1024, .shards = 1, .verify_on_hit = true});
+      FingerprintCache::Config{.capacity = 1024, .verify_on_hit = true});
   const SlcCodec cached = make_slc(paranoid);
   std::vector<SlcEncodeInfo> expected(views.size()), got(views.size());
+  std::vector<SlcCodec::CacheOutcome> ocs(views.size());
   uncached.analyze_batch(views, expected.data());
-  cached.analyze_batch(views, got.data());
+  cached.analyze_batch(views, got.data(), ocs.data());
   for (size_t i = 0; i < views.size(); ++i)
     expect_info_eq(got[i], expected[i], "block " + std::to_string(i));
   // One-byte neighbours must never verify as each other's content.
   EXPECT_EQ(paranoid->counters().collisions, 0u);
+  if (FingerprintCache::runtime_enabled()) {
+    // Every verbatim repeat is served without a decision: a memo hit when
+    // its first copy sat in an earlier chunk, an in-chunk twin otherwise.
+    for (size_t i = 0; i < blocks.size(); ++i) {
+      const bool repeat = std::find(blocks.begin(), blocks.begin() + static_cast<ptrdiff_t>(i),
+                                    blocks[i]) != blocks.begin() + static_cast<ptrdiff_t>(i);
+      EXPECT_EQ(ocs[i].hit, repeat) << "block " << i;
+    }
+  }
 }
 
 // --- BlockCodec-level differential (satellite: registry-wide sweep) ---------

@@ -33,6 +33,14 @@ the comparison, so adding bench rows never breaks the gate; pass
 a failure. The same applies to a metric field present in only one side of a
 joined row: reported, skipped, never a spurious 100% regression.
 
+Host stamp: bench drivers stamp each file's "meta" with the host and build
+that produced it (hardware_concurrency, compiler, build_type, plus git_sha).
+When the baseline's hardware_concurrency, compiler or build_type differs
+from the current file's, or only one side carries them, the tool prints a
+warning naming each differing field. The warning never changes the verdict:
+gating is the same either way. git_sha is printed but not compared, since a
+baseline is meant to come from another commit.
+
 Notes for CI: absolute rates are machine-dependent, so gating a committed
 baseline from a different machine on blocks_per_sec is noise — gate on
 --metric speedup (batch kernel vs scalar loop on the *same* machine/run),
@@ -45,6 +53,8 @@ import json
 import sys
 
 LATENCY_METRICS = {"p50_ms", "p99_ms"}
+# meta fields that name the host class; git_sha is deliberately not one.
+HOST_STAMP_KEYS = ("hardware_concurrency", "compiler", "build_type")
 METRICS = ("blocks_per_sec", "gbps", "speedup", "p50_ms", "p99_ms")
 
 
@@ -86,6 +96,18 @@ def fmt_meta(meta):
     return ", ".join(f"{k}={v}" for k, v in sorted(meta.items()))
 
 
+def stamp_differences(base_meta, cur_meta):
+    """Host-stamp fields on which the two files disagree, as readable
+    'field: baseline vs current' strings (a missing field reads 'unstamped')."""
+    out = []
+    for key in HOST_STAMP_KEYS:
+        b, c = base_meta.get(key), cur_meta.get(key)
+        if b != c:
+            show = lambda v: "unstamped" if v is None else repr(v)
+            out.append(f"{key}: {show(b)} vs {show(c)}")
+    return out
+
+
 def self_test():
     """Exercises the gate end-to-end in subprocesses: the pass/fail verdicts
     and every malformed-input error path (exit code + file named in the
@@ -102,6 +124,12 @@ def self_test():
     def row(bps=100.0, speedup=2.0):
         return {"scheme": "S", "kernel": "k", "path": "p",
                 "blocks_per_sec": bps, "speedup": speedup}
+
+    def stamped(meta):
+        return json.dumps({"bench": "t", "meta": meta, "measurements": [row()]})
+
+    host = {"hardware_concurrency": "4", "compiler": "gcc 12.2.0",
+            "build_type": "Release", "git_sha": "aaaaaaaaaaaa"}
 
     failures = 0
     with tempfile.TemporaryDirectory() as td:
@@ -144,16 +172,29 @@ def self_test():
              [good, write("dup.json", json.dumps({"bench": "t",
                                                   "measurements": [row(), row()]}))],
              "nonzero", "duplicate"),
+            ("host stamp differing only in git_sha does not warn",
+             [write("host_a.json", stamped(host)),
+              write("host_a2.json", stamped(dict(host, git_sha="bbbbbbbbbbbb")))],
+             0, "OK: no", "warning: host stamp"),
+            ("host stamp difference warns but still passes",
+             [write("host_b.json", stamped(host)),
+              write("host_c.json", stamped(dict(host, hardware_concurrency="1",
+                                                build_type="Debug")))],
+             0, "hardware_concurrency: '4' vs '1'"),
+            ("unstamped baseline warns but still passes",
+             [good, write("host_d.json", stamped(host))],
+             0, "compiler: unstamped vs 'gcc 12.2.0'"),
         ]
-        for desc, argv, want_code, want_text in cases:
+        for desc, argv, want_code, want_text, *absent in cases:
             code, out = run(argv)
             code_ok = (code != 0) if want_code == "nonzero" else (code == want_code)
-            if code_ok and want_text in out:
+            unwanted = [t for t in absent if t in out]
+            if code_ok and want_text in out and not unwanted:
                 print(f"PASS  {desc}")
             else:
                 failures += 1
                 print(f"FAIL  {desc}: exit={code} (wanted {want_code}), "
-                      f"output missing {want_text!r}:\n{out}")
+                      f"output missing {want_text!r} or containing {unwanted!r}:\n{out}")
     if failures:
         print(f"\nself-test FAILED: {failures} case(s)")
         return 1
@@ -197,6 +238,10 @@ def main():
         print(f"baseline meta: {fmt_meta(base_meta)}")
     if cur_meta:
         print(f"current  meta: {fmt_meta(cur_meta)}")
+    stamp_diff = stamp_differences(base_meta, cur_meta)
+    if stamp_diff:
+        print(f"warning: host stamp differs ({'; '.join(stamp_diff)}): the baseline "
+              f"may come from another host class; gating is unchanged")
     print(f"{'measurement':<{width}}  {'baseline':>12}  {'current':>12}  {'delta':>8}")
     for key in sorted(base):
         name = "/".join(key)
