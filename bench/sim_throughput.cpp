@@ -12,7 +12,7 @@
 // contract and transfers across hosts, unlike the streaming wall-time
 // ratio, which is reported in the artifact with a zeroed baseline. On a
 // 4-vCPU Intel Xeon VM (gcc 12.2, Release) the defaults replay in
-// 188-247 ms on either path (five runs).
+// 119-160 ms on either path (six runs).
 //
 // The binary self-checks the replay contract before reporting: the
 // streaming replay must agree with the materialized one on every

@@ -7,6 +7,7 @@
 // caller owns all latency accounting.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -15,16 +16,14 @@ namespace slc {
 
 class Cache {
  public:
-  /// `line_bytes` must be a power of two.
+  /// Throws std::invalid_argument unless `line_bytes` is a power of two of
+  /// at least 2 B, `ways` is nonzero and `total_bytes` holds at least one
+  /// full set (see sets_for()).
   Cache(size_t total_bytes, unsigned ways, size_t line_bytes);
 
-  struct LineInfo {
-    uint64_t tag = 0;
-    bool valid = false;
-    bool dirty = false;
-    uint32_t bursts = 0;  ///< compressed burst count carried for writebacks
-    uint64_t lru = 0;
-  };
+  /// Number of sets in a cache of this geometry; throws std::invalid_argument
+  /// for a geometry the constructor would reject.
+  static size_t sets_for(size_t total_bytes, unsigned ways, size_t line_bytes);
 
   /// Read lookup; updates LRU on hit.
   bool lookup(uint64_t addr);
@@ -36,7 +35,8 @@ class Cache {
   };
 
   /// Fills a line (read response or store allocate). Returns the dirty line
-  /// it displaced, if any.
+  /// it displaced, if any. The victim is the first empty way of the set, or
+  /// else its least recently used way.
   std::optional<Eviction> fill(uint64_t addr, bool dirty, uint32_t bursts);
 
   /// Store hit path: marks the line dirty and refreshes its burst count.
@@ -50,17 +50,30 @@ class Cache {
   unsigned ways() const { return ways_; }
 
  private:
+  /// Tag of an empty way. A line tag is an address shifted right by at
+  /// least one bit, so it never reaches this value.
+  static constexpr uint64_t kEmpty = UINT64_MAX;
+
   size_t sets_;
   unsigned ways_;
-  size_t line_bytes_;
   unsigned line_shift_;
-  std::vector<LineInfo> lines_;  // sets_ x ways_
+  bool sets_pow2_;
+  // One entry per way, set-major (sets_ x ways_). An empty way has tag
+  // kEmpty and age 0; a filled way's age is the tick of its last use, so
+  // ages of filled ways are distinct and nonzero.
+  std::vector<uint64_t> tags_;
+  std::vector<uint64_t> lru_;
+  std::vector<uint32_t> bursts_;
+  std::vector<uint8_t> dirty_;
   uint64_t tick_ = 0;
 
-  size_t set_index(uint64_t addr) const { return (addr >> line_shift_) % sets_; }
   uint64_t tag_of(uint64_t addr) const { return addr >> line_shift_; }
-  LineInfo* find(uint64_t addr);
-  LineInfo* victim(uint64_t addr);
+  /// Index of the set's first way.
+  size_t set_base(uint64_t tag) const {
+    return (sets_pow2_ ? (tag & (sets_ - 1)) : (tag % sets_)) * ways_;
+  }
+  /// Index of the way holding `tag`, or SIZE_MAX.
+  size_t find(uint64_t tag) const;
 };
 
 }  // namespace slc

@@ -8,8 +8,8 @@ namespace slc {
 
 DramChannel::DramChannel(const GpuSimConfig& cfg, SimStats& stats) : cfg_(cfg), stats_(stats) {
   banks_.assign(cfg_.banks_per_mc, Bank{});
-  reads_.window_per_bank.assign(cfg_.banks_per_mc, 0);
-  writes_.window_per_bank.assign(cfg_.banks_per_mc, 0);
+  reads_.banks.assign(cfg_.banks_per_mc, BankList{});
+  writes_.banks.assign(cfg_.banks_per_mc, BankList{});
 }
 
 void DramChannel::push(Queue& q, const DramRequest& r) {
@@ -22,47 +22,108 @@ void DramChannel::push(Queue& q, const DramRequest& r) {
   p.bank = static_cast<uint32_t>(chunk % cfg_.banks_per_mc);
   p.row = chunk / cfg_.banks_per_mc;
   p.tag = r.tag;
+  p.seq = q.next_seq++;
   p.bursts = r.bursts;
   p.write = r.write;
   p.metadata = r.metadata;
-  q.pending.push_back(p);
-  if (q.pending.size() <= cfg_.scheduler_window) {
-    ++q.window_per_bank[p.bank];
+  if (q.in_window < cfg_.scheduler_window) {
+    enter_window(q, p);
     q.wake = std::min(q.wake, banks_[p.bank].ready_cycle);
+  } else {
+    q.overflow.push_back(p);
   }
+}
+
+void DramChannel::enter_window(Queue& q, const Pending& p) {
+  // Slots are recycled; the pool only grows while the window is deeper than
+  // it has ever been, so a large scheduler_window costs nothing up front.
+  uint32_t s;
+  if (q.free_slots.empty()) {
+    s = static_cast<uint32_t>(q.slots.size());
+    q.slots.emplace_back();
+  } else {
+    s = q.free_slots.back();
+    q.free_slots.pop_back();
+  }
+  BankList& bl = q.banks[p.bank];
+  q.slots[s] = Slot{p, bl.tail, kNil};
+  if (bl.tail == kNil) {
+    bl.head = s;
+    bl.active_pos = static_cast<uint32_t>(q.active.size());
+    q.active.push_back(p.bank);
+  } else {
+    q.slots[bl.tail].next = s;
+  }
+  bl.tail = s;
+  ++q.in_window;
+}
+
+void DramChannel::leave_window(Queue& q, uint32_t s) {
+  const Slot& slot = q.slots[s];
+  BankList& bl = q.banks[slot.p.bank];
+  if (slot.prev == kNil) {
+    bl.head = slot.next;
+  } else {
+    q.slots[slot.prev].next = slot.next;
+  }
+  if (slot.next == kNil) {
+    bl.tail = slot.prev;
+  } else {
+    q.slots[slot.next].prev = slot.prev;
+  }
+  if (bl.head == kNil) {
+    // Swap-remove the bank from the active list.
+    const uint32_t last = q.active.back();
+    q.active[bl.active_pos] = last;
+    q.banks[last].active_pos = bl.active_pos;
+    q.active.pop_back();
+    bl.active_pos = kNil;
+  }
+  q.free_slots.push_back(s);
+  --q.in_window;
 }
 
 void DramChannel::update_wake(Queue& q) {
   q.wake = UINT64_MAX;
-  for (size_t b = 0; b < banks_.size(); ++b)
-    if (q.window_per_bank[b] != 0) q.wake = std::min(q.wake, banks_[b].ready_cycle);
+  for (const uint32_t b : q.active) q.wake = std::min(q.wake, banks_[b].ready_cycle);
 }
 
 bool DramChannel::try_issue(Queue& q, uint64_t cycle) {
   // Nothing in the window can issue until a bank it targets is ready; once
-  // one is, the scan below is sure to find a candidate (pick < window).
+  // one is, that bank's head is a candidate.
   if (q.wake > cycle) return false;
 
-  // FR-FCFS over the scheduler window in one pass: the oldest row hit on a
-  // ready bank, else the oldest request whose bank is ready.
-  const size_t window = std::min(q.pending.size(), cfg_.scheduler_window);
-  size_t pick = window;
-  for (size_t i = 0; i < window; ++i) {
-    const Pending& p = q.pending[i];
-    const Bank& bank = banks_[p.bank];
+  // FR-FCFS over the window: the oldest row hit on a ready bank, else the
+  // oldest request whose bank is ready. A bank's oldest request is its list
+  // head and its oldest row hit the first list entry on the open row, so
+  // only those two per ready bank compete, by arrival sequence.
+  uint32_t hit = kNil, head = kNil;
+  uint64_t hit_seq = UINT64_MAX, head_seq = UINT64_MAX;
+  for (const uint32_t b : q.active) {
+    const Bank& bank = banks_[b];
     if (bank.ready_cycle > cycle) continue;
-    if (bank.row_open && bank.open_row == p.row) {
-      pick = i;
-      break;
+    const uint32_t h = q.banks[b].head;
+    const uint64_t seq = q.slots[h].p.seq;
+    const bool older = seq < head_seq;
+    head = older ? h : head;
+    head_seq = older ? seq : head_seq;
+    if (!bank.row_open) continue;
+    for (uint32_t s = h; s != kNil && q.slots[s].p.seq < hit_seq; s = q.slots[s].next) {
+      if (q.slots[s].p.row == bank.open_row) {
+        hit = s;
+        hit_seq = q.slots[s].p.seq;
+        break;
+      }
     }
-    if (pick == window) pick = i;
   }
-  const Pending p = q.pending[pick];
-  // Dequeue; the oldest request beyond the window (if any) slides into it.
-  --q.window_per_bank[p.bank];
-  q.pending.erase(q.pending.begin() + static_cast<std::ptrdiff_t>(pick));
-  if (q.pending.size() >= cfg_.scheduler_window)
-    ++q.window_per_bank[q.pending[cfg_.scheduler_window - 1].bank];
+  const uint32_t pick = hit != kNil ? hit : head;
+  const Pending p = q.slots[pick].p;
+  leave_window(q, pick);
+  // The oldest request beyond the window (if any) slides into it.
+  if (!q.overflow.empty()) {
+    enter_window(q, q.overflow.front());
+    q.overflow.pop_front();
+  }
 
   Bank& bank = banks_[p.bank];
 
@@ -96,6 +157,7 @@ bool DramChannel::try_issue(Queue& q, uint64_t cycle) {
   const uint64_t finish = start + xfer_cycles;
   bus_free_cycle_ = finish;
   // The bank is busy until its data phase ends.
+  const uint64_t was_ready = bank.ready_cycle;
   bank.ready_cycle = finish;
 
   if (p.metadata) {
@@ -107,9 +169,11 @@ bool DramChannel::try_issue(Queue& q, uint64_t cycle) {
   }
 
   completions_.push_back(DramCompletion{p.tag, p.write, p.metadata, finish});
-  // The window and this bank's ready cycle changed.
-  update_wake(reads_);
-  update_wake(writes_);
+  // This queue's window changed. The bank's ready cycle only rose, so the
+  // other queue's wake moves only if this bank is in its window and set it.
+  update_wake(q);
+  Queue& other = &q == &reads_ ? writes_ : reads_;
+  if (other.banks[p.bank].head != kNil && other.wake == was_ready) update_wake(other);
   return true;
 }
 
@@ -117,13 +181,13 @@ void DramChannel::tick(uint64_t cycle) {
   // Reads have priority; writes drain when no read can issue or the write
   // queue is past the watermark.
   bool issued = try_issue(reads_, cycle);
-  if (!issued || writes_.pending.size() > cfg_.write_drain_watermark) {
+  if (!issued || writes_.size() > cfg_.write_drain_watermark) {
     try_issue(writes_, cycle);
   }
 }
 
 uint64_t DramChannel::next_event_cycle(uint64_t now) const {
-  if (reads_.pending.empty() && writes_.pending.empty()) return UINT64_MAX;
+  if (reads_.size() == 0 && writes_.size() == 0) return UINT64_MAX;
   // Earliest cycle at which try_issue could schedule something: the first
   // ready cycle among the banks *targeted* by queued requests (within the
   // FR-FCFS window — banks no queued request addresses cannot unblock the

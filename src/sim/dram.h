@@ -45,11 +45,9 @@ class DramChannel {
   /// requests appear in completions() with the cycle their data phase ends.
   void tick(uint64_t cycle);
 
-  bool busy() const {
-    return !reads_.pending.empty() || !writes_.pending.empty() || !completions_.empty();
-  }
-  size_t read_queue_depth() const { return reads_.pending.size(); }
-  size_t write_queue_depth() const { return writes_.pending.size(); }
+  bool busy() const { return reads_.size() != 0 || writes_.size() != 0 || !completions_.empty(); }
+  size_t read_queue_depth() const { return reads_.size(); }
+  size_t write_queue_depth() const { return writes_.size(); }
 
   std::deque<DramCompletion>& completions() { return completions_; }
   const std::deque<DramCompletion>& completions() const { return completions_; }
@@ -59,6 +57,8 @@ class DramChannel {
   uint64_t next_event_cycle(uint64_t now) const;
 
  private:
+  static constexpr uint32_t kNil = UINT32_MAX;
+
   struct Bank {
     bool row_open = false;
     uint64_t open_row = 0;
@@ -66,27 +66,51 @@ class DramChannel {
     uint64_t act_cycle = 0;    ///< when the open row was activated (tRAS)
   };
 
-  /// A queued request with its bank and row decoded once, at push.
+  /// A queued request with its bank and row decoded once, at push, and its
+  /// arrival order within its queue.
   struct Pending {
     uint64_t row = 0;
     uint64_t tag = 0;
+    uint64_t seq = 0;
     uint32_t bank = 0;
     uint32_t bursts = 1;
     bool write = false;
     bool metadata = false;
   };
 
-  /// One request queue, oldest first. Its FR-FCFS window is the oldest
-  /// `scheduler_window` entries: window_per_bank[b] counts the window's
-  /// entries on bank b, and `wake` is the earliest ready_cycle among the
-  /// banks with a nonzero count (UINT64_MAX for an empty window), so "can
-  /// anything in the window issue?" is one compare instead of a scan. A push
-  /// can only lower `wake`; an issue changes the window and a bank's ready
-  /// cycle, so it recomputes both queues' `wake` from the counts.
+  /// A window entry: a request linked into its bank's oldest-first list.
+  struct Slot {
+    Pending p;
+    uint32_t prev = kNil;
+    uint32_t next = kNil;
+  };
+
+  /// One bank's window entries, oldest first, and its place in `active`.
+  struct BankList {
+    uint32_t head = kNil;
+    uint32_t tail = kNil;
+    uint32_t active_pos = kNil;
+  };
+
+  /// One request queue. Its FR-FCFS window (the oldest `scheduler_window`
+  /// requests) lives in `slots`, threaded into one oldest-first list per
+  /// bank; `active` holds the banks whose list is non-empty, in no
+  /// particular order. Younger requests wait in `overflow`, and the oldest
+  /// of them slides into the window whenever an issue frees a slot, so the
+  /// overflow is empty unless the window is full. `wake` is the earliest
+  /// ready_cycle among the active banks (UINT64_MAX for an empty window):
+  /// a push can only lower it, and an issue recomputes it for its own queue
+  /// and, when the issued bank held the other queue's wake, for that one.
   struct Queue {
-    std::deque<Pending> pending;
-    std::vector<uint32_t> window_per_bank;
+    std::vector<Slot> slots;
+    std::vector<uint32_t> free_slots;
+    std::vector<BankList> banks;
+    std::vector<uint32_t> active;
+    std::deque<Pending> overflow;
+    size_t in_window = 0;
+    uint64_t next_seq = 0;
     uint64_t wake = UINT64_MAX;
+    size_t size() const { return in_window + overflow.size(); }
   };
 
   const GpuSimConfig& cfg_;
@@ -98,6 +122,10 @@ class DramChannel {
   std::deque<DramCompletion> completions_;
 
   void push(Queue& q, const DramRequest& r);
+  /// Appends `p` at the tail of its bank's window list.
+  void enter_window(Queue& q, const Pending& p);
+  /// Unlinks window slot `s` from its bank's list and frees the slot.
+  void leave_window(Queue& q, uint32_t s);
   void update_wake(Queue& q);
   /// Issues one request if a bank + the bus can take it; returns true if
   /// something was scheduled.

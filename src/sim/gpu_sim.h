@@ -31,7 +31,11 @@ namespace slc {
 
 class GpuSim {
  public:
-  explicit GpuSim(GpuSimConfig cfg) : cfg_(cfg) {}
+  /// Throws std::invalid_argument for a geometry the simulator cannot
+  /// model: a zero count, size or rate it divides by, more SMs than an SM
+  /// id holds, a cache smaller than one set, a line size that is not a
+  /// power of two, or a non-positive clock.
+  explicit GpuSim(GpuSimConfig cfg);
   // The DRAM channels hold references to cfg_ and stats_.
   GpuSim(const GpuSim&) = delete;
   GpuSim& operator=(const GpuSim&) = delete;
@@ -45,8 +49,10 @@ class GpuSim {
 
   /// Streaming replay: pops kernel chunks until the stream closes and
   /// drains. An empty closed stream returns zeroed stats. The producer owns
-  /// close(); this consumer never cancels — callers tearing down early
-  /// cancel the stream themselves.
+  /// close(); this consumer cancels only when it meets a kernel it cannot
+  /// replay (negative, non-finite or over 2^32 scaled compute cycles per
+  /// access), and then throws std::invalid_argument. Callers tearing down
+  /// early cancel the stream themselves.
   SimStats run(TraceStream& stream);
 
   /// Replays the trace captured in `mem`, flushing its pending async region
@@ -58,11 +64,14 @@ class GpuSim {
   const GpuSimConfig& config() const { return cfg_; }
 
  private:
+  /// One SM's cursor into the kernel being replayed. SM s replays CTAs
+  /// s, s + num_sms, s + 2 * num_sms, ... in order, straight out of the
+  /// KernelTrace, which the caller keeps alive until run_kernel returns.
   struct SmState {
-    std::vector<TraceAccess> queue;
-    size_t next = 0;
-    double credit = 0.0;     ///< compute cycles owed before the next issue
-    unsigned outstanding = 0;///< in-flight read misses
+    const TraceAccess* next = nullptr;     ///< next access; null once done
+    const TraceAccess* cta_end = nullptr;  ///< end of the current CTA
+    size_t cta = 0;                        ///< current CTA index
+    unsigned outstanding = 0;              ///< in-flight read misses
   };
 
   /// A request travelling between components, keyed by arrival cycle.
@@ -87,6 +96,11 @@ class GpuSim {
     InFlightQueue responses;  ///< read data returning to SMs via this MC
     std::vector<InFlight> inflight_reads;  ///< indexed by DRAM tag
     std::vector<uint64_t> free_tags;       ///< released tags, reused last-in first-out
+    /// Earliest cycle at which mc_process can act: the arrival and staged
+    /// heads, the first DRAM completion and the DRAM's next issue cycle
+    /// (UINT64_MAX when all are empty). mc_process recomputes it; an SM
+    /// push lowers it.
+    uint64_t wake = UINT64_MAX;
     McState(const GpuSimConfig& cfg, SimStats& stats);
     uint64_t alloc_tag(const InFlight& f);
   };
@@ -94,19 +108,32 @@ class GpuSim {
   GpuSimConfig cfg_;
   SimStats stats_;
   std::vector<SmState> sms_;
+  /// Why an SM cannot issue whatever its credit: every MSHR is busy and
+  /// its next access is a read, or it has no access left.
+  enum class Stall : uint8_t { kNone, kMshrFull, kDone };
+  /// Per-SM compute cycles owed before the next issue, and per-SM stall,
+  /// apart from SmState so the per-step scans read two flat arrays.
+  std::vector<double> credit_;
+  std::vector<Stall> stall_;
   std::vector<Cache> l1_;
   std::vector<McState> mcs_;
   uint64_t cycle_ = 0;
+  const KernelTrace* kernel_ = nullptr;  ///< kernel being replayed
+  size_t per_cta_ = 1;                   ///< its accesses per CTA
 
   size_t mc_index(uint64_t addr) const;
   /// Channel-local address: strips the channel-interleave bits so row/bank
   /// decoding sees the contiguous space this channel actually owns (16
   /// consecutive line accesses per 2 KB row instead of 4).
   uint64_t channel_local(uint64_t addr) const;
+  /// Points `sm` at the first access of CTA sm.cta, or marks it done.
+  void start_cta(SmState& sm) const;
+  Stall stall_of(const SmState& sm) const;
   void sm_issue(uint16_t sm_id, double compute_scale);
   void mc_process(McState& mc);
   void deliver_responses();
-  bool drained() const;
+  /// Earliest cycle any component can act, before the cycle_ + 1 floor;
+  /// UINT64_MAX exactly when the machine has drained.
   uint64_t next_event_cycle() const;
   void run_kernel(const KernelTrace& kernel);
 };

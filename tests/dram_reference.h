@@ -5,7 +5,8 @@
 // read issued or the write queue is past the drain watermark; within a
 // queue the oldest row hit on a ready bank, else the oldest request whose
 // bank is ready, among the oldest `scheduler_window` requests. The
-// differential test in test_dram.cpp drives it beside DramChannel.
+// differential test in test_dram.cpp drives it beside DramChannel, and
+// tests/sim_reference.h's RefGpuSim runs on it.
 #pragma once
 
 #include <algorithm>
@@ -31,7 +32,10 @@ class RefDramChannel {
     if (!issued || writes_.size() > cfg_.write_drain_watermark) try_issue(writes_, cycle);
   }
 
+  bool busy() const { return !reads_.empty() || !writes_.empty() || !completions_.empty(); }
+
   std::deque<DramCompletion>& completions() { return completions_; }
+  const std::deque<DramCompletion>& completions() const { return completions_; }
 
   uint64_t next_event_cycle(uint64_t now) const {
     if (reads_.empty() && writes_.empty()) return UINT64_MAX;

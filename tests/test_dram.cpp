@@ -309,6 +309,7 @@ TEST(DramDifferential, MatchesScanReferenceCycleByCycle) {
       {7, 1536, 13, 5},
       {12, 1000, 24, 40},
       {3, 4096, 1, 2},
+      {80, 2048, 96, 32},  // more banks than a 64-bit word holds
   };
   uint64_t seed = 1;
   for (const DiffGeometry& g : geometries) {

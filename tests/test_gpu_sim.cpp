@@ -2,12 +2,17 @@
 // bandwidth behaviours the paper's speedups rest on.
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <limits>
 #include <memory>
+#include <stdexcept>
 #include <thread>
 
+#include "common/rng.h"
 #include "compress/block_codec.h"
 #include "sim/gpu_sim.h"
 #include "sim/trace_stream.h"
+#include "sim_reference.h"
 
 namespace slc {
 namespace {
@@ -289,6 +294,180 @@ TEST(GpuSim, StreamHighWaterMarkBoundedByBudget) {
   EXPECT_GT(got.stream_chunk_hwm, 0u);
   EXPECT_LE(got.stream_chunk_hwm, cfg.stream_chunk_budget);
   EXPECT_GT(got.stream_access_hwm, 0u);
+}
+
+// ---- Input validation -----------------------------------------------------
+
+TEST(GpuSim, RejectsGeometriesItCannotModel) {
+  struct Case {
+    const char* what;
+    std::function<void(GpuSimConfig&)> edit;
+  };
+  const Case bad[] = {
+      {"num_mcs = 0", [](GpuSimConfig& c) { c.num_mcs = 0; }},
+      {"banks_per_mc = 0", [](GpuSimConfig& c) { c.banks_per_mc = 0; }},
+      {"beats_per_cycle = 0", [](GpuSimConfig& c) { c.beats_per_cycle = 0; }},
+      {"mag_bytes = 0", [](GpuSimConfig& c) { c.mag_bytes = 0; }},
+      {"L2 slice smaller than one set", [](GpuSimConfig& c) { c.l2_bytes = 1024; }},
+      {"line_bytes = 96", [](GpuSimConfig& c) { c.line_bytes = 96; }},
+      {"num_sms = 65536", [](GpuSimConfig& c) { c.num_sms = 65536; }},
+      {"num_sms = 0", [](GpuSimConfig& c) { c.num_sms = 0; }},
+      {"row_bytes = 0", [](GpuSimConfig& c) { c.row_bytes = 0; }},
+      {"scheduler_window = 0", [](GpuSimConfig& c) { c.scheduler_window = 0; }},
+      {"max_outstanding_per_sm = 0", [](GpuSimConfig& c) { c.max_outstanding_per_sm = 0; }},
+      {"mdc_line_coverage_blocks = 0", [](GpuSimConfig& c) { c.mdc_line_coverage_blocks = 0; }},
+      {"l1_ways = 0", [](GpuSimConfig& c) { c.l1_ways = 0; }},
+      {"metadata cache smaller than one set", [](GpuSimConfig& c) { c.mdc_lines = 2; }},
+      {"sm_clock_ghz = 0", [](GpuSimConfig& c) { c.sm_clock_ghz = 0.0; }},
+  };
+  for (const Case& c : bad) {
+    GpuSimConfig cfg;
+    c.edit(cfg);
+    EXPECT_THROW({ GpuSim sim(cfg); }, std::invalid_argument) << c.what;
+  }
+
+  // A valid geometry with no power-of-two set, channel, bank or SM count.
+  GpuSimConfig odd;
+  odd.num_sms = 7;
+  odd.num_mcs = 5;
+  odd.banks_per_mc = 12;
+  odd.l1_bytes = 24 * 4 * 128;        // 24 sets
+  odd.l2_bytes = 5 * 48 * 16 * 128;   // 48 sets per slice
+  GpuSim sim(odd);
+  const SimStats s = sim.run({streaming_kernel(1000, 4, 1.0, 0x1000'0000, true)});
+  EXPECT_EQ(s.accesses, 1000u);
+  EXPECT_GT(s.cycles, 0u);
+
+  // Kernels whose credit cannot be counted in cycles are rejected by run().
+  for (const double compute : {std::numeric_limits<double>::infinity(),
+                               std::numeric_limits<double>::quiet_NaN(), -1.0, 1e30}) {
+    GpuSim k(GpuSimConfig{});
+    EXPECT_THROW(k.run({streaming_kernel(10, 4, compute)}), std::invalid_argument)
+        << "compute_per_access " << compute;
+  }
+}
+
+// A kernel the simulator rejects cancels the stream, so a producer parked on
+// backpressure unwinds instead of deadlocking.
+TEST(GpuSim, RejectedKernelCancelsTheStream) {
+  TraceStream stream(1);
+  std::thread producer([&] {
+    stream.push(streaming_kernel(10, 4, std::numeric_limits<double>::infinity()));
+    for (int i = 0; i < 4 && stream.push(streaming_kernel(10, 4)); ++i) {
+    }
+    stream.close();
+  });
+  GpuSim sim(GpuSimConfig{});
+  EXPECT_THROW(sim.run(stream), std::invalid_argument);
+  producer.join();
+  EXPECT_TRUE(stream.cancelled());
+}
+
+// ---- Differential: GpuSim against the reference event loop -----------------
+
+// A random kernel: streaming runs (row hits, metadata-cache hits), a small
+// hot set (L1/L2 hits and refills) and scattered lines (L2 misses, bank
+// conflicts), with burst counts from 0 to the line's full count.
+KernelTrace random_kernel(Rng& rng, const GpuSimConfig& cfg, size_t n, double compute,
+                          double write_frac, uint32_t per_cta) {
+  KernelTrace k;
+  k.name = "random";
+  k.compute_per_access = compute;
+  k.accesses_per_cta = per_cta;
+  const uint64_t line = cfg.line_bytes;
+  std::vector<uint64_t> hot;
+  for (int i = 0; i < 48; ++i) hot.push_back(0x4000'0000 + rng.next_below(8192) * line);
+  uint64_t cursor = 0x1000'0000 + rng.next_below(1 << 16) * line;
+  for (size_t i = 0; i < n; ++i) {
+    TraceAccess a;
+    const uint64_t kind = rng.next_below(10);
+    if (kind < 4) {
+      a.addr = cursor;
+      cursor += line;
+    } else if (kind < 7) {
+      a.addr = hot[rng.next_below(hot.size())];
+    } else {
+      a.addr = 0x2000'0000 + rng.next_below(1 << 21) * line;
+    }
+    a.bursts = static_cast<uint32_t>(rng.next_below(cfg.max_bursts() + 1));
+    a.write = rng.chance(write_frac);
+    k.accesses.push_back(a);
+  }
+  return k;
+}
+
+TEST(GpuSimDifferential, MatchesReferenceOnRandomTraces) {
+  struct Geometry {
+    const char* what;
+    std::function<void(GpuSimConfig&)> edit;
+  };
+  const Geometry geometries[] = {
+      {"Table II defaults", [](GpuSimConfig&) {}},
+      {"non-power-of-two SMs, channels, banks and sets",
+       [](GpuSimConfig& c) {
+         c.num_sms = 7;
+         c.num_mcs = 5;
+         c.banks_per_mc = 12;
+         c.l1_bytes = 24 * 4 * 128;       // 24 sets
+         c.l2_bytes = 5 * 48 * 16 * 128;  // 48 sets per slice
+         c.compress_latency = 6;
+         c.decompress_latency = 10;
+       }},
+      {"zero interconnect latency",
+       [](GpuSimConfig& c) {
+         c.icnt_latency = 0;
+         c.compress_latency = 3;
+         c.decompress_latency = 20;
+       }},
+      {"scheduler window below the bank count",
+       [](GpuSimConfig& c) {
+         c.scheduler_window = 5;
+         c.write_drain_watermark = 3;
+         c.mag_bytes = 16;
+       }},
+      {"equal clocks, so integral compute gives whole-cycle credits",
+       [](GpuSimConfig& c) { c.sm_clock_ghz = c.mem_clock_ghz; }},
+      {"more SMs than a 64-bit word, few MSHRs",
+       [](GpuSimConfig& c) {
+         c.num_sms = 80;
+         c.l1_bytes = 4 * 1024;
+         c.max_outstanding_per_sm = 3;
+         c.mag_bytes = 64;
+       }},
+  };
+  uint64_t seed = 1;
+  for (const Geometry& g : geometries) {
+    SCOPED_TRACE(g.what);
+    GpuSimConfig cfg;
+    g.edit(cfg);
+    Rng rng(seed++);
+    // Memory-bound and compute-bound kernels, read- and write-heavy mixes,
+    // sizes that are not a multiple of accesses_per_cta, an empty kernel,
+    // integral compute, and a kernel re-reading an earlier footprint.
+    // accesses_per_cta = 0 replays as one access per CTA.
+    std::vector<KernelTrace> trace;
+    trace.push_back(random_kernel(rng, cfg, 3000, 0.25, 0.1, 8));
+    trace.push_back(random_kernel(rng, cfg, 503, 40.0, 0.2, 5));
+    trace.push_back(KernelTrace{});
+    trace.push_back(random_kernel(rng, cfg, 2501, 1.7, 0.7, 7));
+    trace.push_back(random_kernel(rng, cfg, 777, 3.3, 0.0, 0));
+    trace.push_back(random_kernel(rng, cfg, 1200, 2.0, 0.3, 8));
+    trace.push_back(trace[0]);
+
+    GpuSim sim(cfg);
+    test::RefGpuSim ref(cfg);
+    const SimStats got = sim.run(trace);
+    const SimStats want = ref.run(trace);
+    EXPECT_TRUE(got == want) << "cycles " << got.cycles << " vs " << want.cycles
+                             << ", row hits " << got.row_hits << " vs " << want.row_hits;
+    // The mix must reach the paths it is meant to cover.
+    EXPECT_GT(want.l1_hits, 0u);
+    EXPECT_GT(want.l2_hits, 0u);
+    EXPECT_GT(want.l2_writebacks, 0u);
+    EXPECT_GT(want.mdc_misses, 0u);
+    EXPECT_GT(want.row_hits, 0u);
+    EXPECT_GT(want.decompressions, 0u);
+  }
 }
 
 }  // namespace
