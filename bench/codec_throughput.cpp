@@ -5,15 +5,16 @@
 // (tools/bench_compare.py), so a kernel regression fails the build.
 //
 // For every scheme three paths are timed: "scalar" is the per-block
-// virtual-dispatch loop (exactly what Compressor's default batch
-// implementation does), "batch" is the scheme's
-// analyze_batch/compress_batch kernel pinned to the scalar sub-kernels
-// (simd::force_scalar), and "batch+simd" is the same kernel with the
-// runtime-dispatched SIMD variants enabled (identical to "batch" on hosts
-// without AVX2 — the JSON "meta" object records which variant actually
-// ran). All batch paths must agree with the scalar loop byte for byte —
-// this driver exits non-zero if they diverge, independent of the
-// equivalence unit test.
+// virtual-dispatch loop over analyze()/compress() with the scalar
+// sub-kernels pinned (simd::force_scalar) — the lossless schemes' scalar
+// members, and for TSLC-OPT its one batch kernel run over spans of 1 (the
+// SLC codec has no other per-block path); "batch" is the scheme's
+// analyze_batch/compress_batch kernel, also pinned scalar; and "batch+simd"
+// is the same kernel with the runtime-dispatched SIMD variants enabled
+// (identical to "batch" on hosts without AVX2 — the JSON "meta" object
+// records which variant actually ran). All batch paths must agree with the
+// per-block loop byte for byte — this driver exits non-zero if they
+// diverge, independent of the equivalence unit test.
 //
 // Usage: codec_throughput [benchmark] [--blocks N] [--json[=path]]
 //   defaults: SRAD2, 4096 blocks, JSON off (bare --json writes
@@ -106,9 +107,9 @@ int main(int argc, char** argv) try {
     const auto batch_analyze = [&] { comp->analyze_batch(views, batch_a.data()); };
     const auto simd_analyze = [&] { comp->analyze_batch(views, simd_a.data()); };
 
+    simd::force_scalar(true);
     size_t reps = reps_for_target(seconds_of(scalar_analyze), kTargetSeconds);
     Measurement sa = measure_kernel(scheme, "analyze", "scalar", blocks.size(), reps, scalar_analyze);
-    simd::force_scalar(true);
     Measurement ba = measure_kernel(scheme, "analyze", "batch", blocks.size(), reps, batch_analyze);
     simd::force_scalar(false);
     Measurement va =
@@ -137,10 +138,10 @@ int main(int argc, char** argv) try {
     const auto batch_compress = [&] { comp->compress_batch(views, batch_c.data()); };
     const auto simd_compress = [&] { comp->compress_batch(views, simd_c.data()); };
 
+    simd::force_scalar(true);
     reps = reps_for_target(seconds_of(scalar_compress), kTargetSeconds);
     Measurement sc =
         measure_kernel(scheme, "compress", "scalar", blocks.size(), reps, scalar_compress);
-    simd::force_scalar(true);
     Measurement bc =
         measure_kernel(scheme, "compress", "batch", blocks.size(), reps, batch_compress);
     simd::force_scalar(false);
@@ -175,8 +176,8 @@ int main(int argc, char** argv) try {
 
   std::printf("%s\n", report.table().to_string().c_str());
   std::printf("Speedups are vs the per-block scalar loop of the same scheme, single-\n");
-  std::printf("threaded on this host. \"batch\" pins the batch kernel to its scalar\n");
-  std::printf("sub-kernels; \"batch+simd\" lets runtime dispatch pick (this run: %s).\n",
+  std::printf("threaded on this host. \"scalar\" and \"batch\" pin the scalar sub-kernels;\n");
+  std::printf("\"batch+simd\" lets runtime dispatch pick (this run: %s).\n",
               simd::active_level_name());
   std::printf("Both batch paths are verified byte-identical to the scalar loop before\n");
   std::printf("the table is printed.\n");

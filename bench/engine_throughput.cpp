@@ -12,11 +12,13 @@
 //   BENCH_engine.json — the same Measurement rows the tables print, for the
 //   CI perf artifacts.
 //
-// Also measures the TSLC-OPT region-commit kernel scalar vs batch: the same
-// ApproxMemory commits once through the per-block BlockCodec::process() loop
-// and once through process_batch (the staged SLC mode decision), inline (no
-// engine) so the row isolates the kernel, not thread scaling. The batch row's
-// speedup is gated in CI against bench/baselines/BENCH_engine.json.
+// Also measures the TSLC-OPT region-commit kernel per block vs batch: the
+// same ApproxMemory commits once through process_batch a block at a time
+// (spans of 1, SIMD pinned off with simd::force_scalar — the per-block,
+// non-vectorized work of a scalar decision loop; the "scalar" row) and once
+// through process_batch over whole shards (the "batch" row), inline (no
+// engine) so the rows isolate the kernel, not thread scaling. The batch
+// row's speedup is gated in CI against bench/baselines/BENCH_engine.json.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -25,6 +27,7 @@
 
 #include "bench_util.h"
 #include "compress/block_codec.h"
+#include "compress/simd_dispatch.h"
 
 using namespace slc;
 using namespace slc::bench;
@@ -102,11 +105,25 @@ CommitRunResult run_commit_loop(bool pipelined, const CommitLoopConfig& cfg,
   return out;
 }
 
-// --- region-commit kernel: scalar vs batch ----------------------------------
+// --- region-commit kernel: per block vs batch -------------------------------
 // Both paths run the identical commit sequence through ApproxMemory with no
 // engine (inline, single-threaded), so the only difference is whether the
-// commit kernel hands each block to BlockCodec::process() or the whole range
-// to process_batch().
+// policy's kernel sees one block per call or the whole range.
+
+/// Runs the inner policy's kernel one block at a time (spans of 1).
+class PerBlockCodec final : public BlockCodec {
+ public:
+  explicit PerBlockCodec(std::shared_ptr<const BlockCodec> inner) : inner_(std::move(inner)) {}
+  void process_batch(std::span<const BlockView> blocks, bool safe, size_t threshold,
+                     BlockCodecResult* out) const override {
+    for (size_t i = 0; i < blocks.size(); ++i) out[i] = inner_->process(blocks[i], safe, threshold);
+  }
+  size_t mag_bytes() const override { return inner_->mag_bytes(); }
+  std::string name() const override { return inner_->name(); }
+
+ private:
+  std::shared_ptr<const BlockCodec> inner_;
+};
 
 struct RegionCommitResult {
   Measurement m;
@@ -190,8 +207,8 @@ int main(int argc, char** argv) try {
   // 1-thread reference: every other configuration must reproduce these
   // decisions bit for bit.
   CodecEngine reference_engine(1);
-  const auto reference = reference_engine.analyze_stream(*comp, blocks, kDefaultMagBytes);
-  const auto reference_payloads = reference_engine.compress_stream(*comp, blocks);
+  const auto reference = reference_engine.submit_analyze(*comp, blocks, kDefaultMagBytes).wait();
+  const auto reference_payloads = reference_engine.submit_compress(*comp, blocks).wait();
 
   // Every row — human table and BENCH_engine.json alike — comes out of the
   // same Measurement structs, so the two cannot drift.
@@ -206,9 +223,10 @@ int main(int argc, char** argv) try {
     std::vector<CompressedBlock> payloads;
     Measurement ma = measure_kernel(
         scheme, "analyze", path, blocks.size(), kScalingReps,
-        [&] { analysis = engine.analyze_stream(*comp, blocks, kDefaultMagBytes); });
-    Measurement mc = measure_kernel(scheme, "compress", path, blocks.size(), kScalingReps,
-                                    [&] { payloads = engine.compress_stream(*comp, blocks); });
+        [&] { analysis = engine.submit_analyze(*comp, blocks, kDefaultMagBytes).wait(); });
+    Measurement mc =
+        measure_kernel(scheme, "compress", path, blocks.size(), kScalingReps,
+                       [&] { payloads = engine.submit_compress(*comp, blocks).wait(); });
 
     bool identical = analysis.ratios.raw_ratio() == reference.ratios.raw_ratio() &&
                      analysis.ratios.effective_ratio() == reference.ratios.effective_ratio() &&
@@ -284,15 +302,17 @@ int main(int argc, char** argv) try {
     return 1;
   }
 
-  // --- region-commit kernel: scalar process() loop vs process_batch --------
+  // --- region-commit kernel: per block (scalar) vs whole range (batch) -----
   constexpr size_t kRcRegions = 4, kRcBlocks = 512, kRcReps = 10;
-  std::printf("\nRegion-commit kernel — per-block BlockCodec::process() vs process_batch\n");
+  std::printf("\nRegion-commit kernel — process_batch per block (SIMD off) vs per range\n");
   std::printf("(batched SLC mode decision), TSLC-OPT, threshold 16 B, inline commits,\n");
   std::printf("%zu regions x %zu blocks, %zu repetitions\n\n", kRcRegions, kRcBlocks, kRcReps);
 
+  simd::force_scalar(true);
   const auto scalar_rc =
-      run_region_commits("scalar", std::make_shared<ScalarOnlyBlockCodec>(codec),
+      run_region_commits("scalar", std::make_shared<PerBlockCodec>(codec),
                          workload_image_cached(benchmark), kRcRegions, kRcBlocks, kRcReps);
+  simd::force_scalar(false);
   const auto batch_rc = run_region_commits("batch", codec, workload_image_cached(benchmark),
                                            kRcRegions, kRcBlocks, kRcReps);
   const bool rc_identical =
@@ -308,7 +328,7 @@ int main(int argc, char** argv) try {
   std::printf("%s\n", rc_report.table().to_string().c_str());
   std::printf("Commit results were %s across the two kernels.\n",
               rc_identical ? "byte-identical" : "DIVERGENT");
-  std::printf("The batch kernel stages the E2MC length probe for the whole range and\n");
+  std::printf("The batch kernel stages the E2MC length probe for a chunk of blocks and\n");
   std::printf("materializes payloads only for lossy blocks; expect >= 1.3x on any host\n");
   std::printf("(single-threaded both ways, so the gain transfers across machines).\n");
   if (!rc_identical) {

@@ -58,7 +58,7 @@ int main() {
 
   // 1. Two analyze jobs in flight at once. submit_analyze returns a
   //    CodecFuture immediately; the streams shard across the same pool and
-  //    each job's result is byte-identical to a solo analyze_stream run.
+  //    each job's result is byte-identical to the same job run alone.
   const auto blocks_a = to_blocks(make_stream(2, 96));
   const auto blocks_b = to_blocks(make_stream(3, 96));
   auto fut_a = engine->submit_analyze(*e2mc, blocks_a, 32);

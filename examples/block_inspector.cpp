@@ -50,11 +50,18 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Size histogram at 8 B resolution plus SLC outcomes (the Fig. 2 view).
+  // Size histogram at 8 B resolution plus SLC outcomes (the Fig. 2 view),
+  // from one batched Fig. 4 decision over the whole image.
+  const std::vector<BlockView> views = to_views(blocks);
+  SlcCodec::LengthScratch scratch;
+  std::vector<SlcCodec::Decision> decisions(views.size());
+  std::vector<SlcCodec::CacheOutcome> outcomes(views.size());
+  codec.decide_batch(views, scratch, decisions.data(), outcomes.data());
   Histogram size_hist;
   uint64_t lossy = 0, raw = 0, bursts_e2mc = 0, bursts_slc = 0, truncated = 0;
-  for (const Block& b : blocks) {
-    const auto info = codec.analyze(b.view());
+  for (size_t i = 0; i < blocks.size(); ++i) {
+    const Block& b = blocks[i];
+    const SlcEncodeInfo& info = decisions[i].info;
     size_hist.add(static_cast<int64_t>((info.lossless_bits / 8) / 8 * 8));
     lossy += info.lossy ? 1 : 0;
     raw += info.stored_uncompressed ? 1 : 0;

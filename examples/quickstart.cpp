@@ -52,7 +52,9 @@ int main() {
   const auto slc_comp = std::dynamic_pointer_cast<const SlcCompressor>(
       CodecRegistry::instance().create("TSLC-OPT", opts));
   const SlcCodec& codec = slc_comp->codec();
-  const SlcCompressedBlock sc = codec.compress(block.view());
+  const BlockView view = block.view();
+  SlcCompressedBlock sc;
+  codec.compress_batch(std::span<const BlockView>(&view, 1), &sc);  // a span of 1
 
   std::printf("\nSLC (%s, threshold %zu B):\n", slc_comp->name().c_str(),
               codec.config().threshold_bytes);

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
+#include <string>
 
 namespace slc {
 
@@ -18,6 +20,19 @@ size_t bursts_for_bits(size_t bits, size_t mag_bytes, size_t block_bytes) {
   bursts = std::max<size_t>(bursts, 1);
   const size_t max_bursts = block_bytes / mag_bytes;
   return std::min(bursts, max_bursts);
+}
+
+void check_mag_bytes(size_t mag_bytes, const char* who) {
+  if (mag_bytes == 0 || kBlockBytes % mag_bytes != 0)
+    throw std::invalid_argument(std::string(who) + ": MAG of " + std::to_string(mag_bytes) +
+                                " B must be positive and divide " +
+                                std::to_string(kBlockBytes) + " B");
+}
+
+void throw_bad_block_bytes(size_t block_bytes, size_t word_bytes, const char* who) {
+  throw std::invalid_argument(std::string(who) + ": a " + std::to_string(block_bytes) +
+                              " B block is not a positive multiple of its " +
+                              std::to_string(word_bytes) + " B word");
 }
 
 size_t bytes_above_mag(size_t size_bytes, size_t mag_bytes) {

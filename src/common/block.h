@@ -100,6 +100,21 @@ size_t round_up_to_mag_bits(size_t bits, size_t mag_bytes);
 /// (minimum one burst; capped at block_bytes / mag).
 size_t bursts_for_bits(size_t bits, size_t mag_bytes, size_t block_bytes = kBlockBytes);
 
+/// Throw std::invalid_argument, the message prefixed with `who`, unless
+/// `mag_bytes` is positive and divides kBlockBytes (codec constructors,
+/// CodecServer::open_stream), or unless `block_bytes` is a positive multiple
+/// of the scheme's `word_bytes` (every entry point that sizes, encodes or
+/// decodes a block: a partial word cannot be encoded). The block check runs
+/// once per block in the batch kernels, so it is inline — with the word
+/// size a constant the test is a mask, not a 64-bit division — and only
+/// its throw is out of line.
+void check_mag_bytes(size_t mag_bytes, const char* who);
+[[noreturn]] void throw_bad_block_bytes(size_t block_bytes, size_t word_bytes, const char* who);
+inline void check_block_bytes(size_t block_bytes, size_t word_bytes, const char* who) {
+  if (block_bytes == 0 || block_bytes % word_bytes != 0)
+    throw_bad_block_bytes(block_bytes, word_bytes, who);
+}
+
 /// Bytes above the highest multiple of MAG <= size (the paper's Fig. 2
 /// x-axis). A size that is an exact multiple returns 0.
 size_t bytes_above_mag(size_t size_bytes, size_t mag_bytes);

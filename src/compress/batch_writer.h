@@ -37,7 +37,7 @@ inline uint32_t load_le32(const uint8_t* p) {
 inline constexpr size_t kMaxStagedWords = 128;  // covers blocks up to 512 B
 
 inline bool word_staging_applicable(size_t block_bytes) {
-  return block_bytes % 4 == 0 && block_bytes <= kMaxStagedWords * 4;
+  return block_bytes <= kMaxStagedWords * 4;
 }
 
 inline uint64_t load_le64(const uint8_t* p) {

@@ -78,9 +78,8 @@ bool encodable(BlockView block, BdiEncoding enc, uint64_t* base_out) {
 // lanes, and probe each candidate once — the winning base is kept so compress
 // never walks the block a second time. The scalar members above stay the
 // reference implementation the batch kernels are tested against byte for
-// byte.
-
-bool direct_applicable(BlockView b) { return b.size() % 8 == 0; }
+// byte. Every entry point first checks the block is whole 8 B words: the
+// repeat and base-8 probes cannot encode a partial word.
 
 // Word `i` of width `base_bytes`, identical to load_word() on the raw bytes.
 uint64_t word_at(const uint8_t* p, size_t i, size_t base_bytes) {
@@ -180,6 +179,7 @@ size_t BdiCompressor::encoding_bits(BdiEncoding enc, size_t block_bytes) {
 }
 
 BdiEncoding BdiCompressor::best_encoding(BlockView block) {
+  check_block_bytes(block.size(), 8, "BDI");
   // All-zero?
   bool all_zero = true;
   for (uint8_t b : block.bytes())
@@ -255,6 +255,7 @@ CompressedBlock BdiCompressor::compress(BlockView block) const {
 }
 
 Block BdiCompressor::decompress(const CompressedBlock& cb, size_t block_bytes) const {
+  check_block_bytes(block_bytes, 8, "BDI");
   if (!cb.is_compressed) {
     return Block(std::span<const uint8_t>(cb.payload.data(), block_bytes));
   }
@@ -308,10 +309,7 @@ void BdiCompressor::analyze_batch(std::span<const BlockView> blocks, BlockAnalys
   const bool use_avx2 = simd::active_level() == simd::Level::kAvx2;
   for (size_t b = 0; b < blocks.size(); ++b) {
     const BlockView blk = blocks[b];
-    if (!direct_applicable(blk)) {
-      out[b] = analyze(blk);
-      continue;
-    }
+    check_block_bytes(blk.size(), 8, "BDI");
     BdiEncoding enc;
     if (use_avx2 && simd::bdi_avx2_applicable(blk.size())) {
       enc = simd::bdi_probe_avx2(blk.bytes().data(), blk.size()).enc;
@@ -338,7 +336,6 @@ void BdiCompressor::compress_batch(std::span<const BlockView> blocks, Compressed
     uint64_t base = 0;
     uint64_t mask = 0;       // per-word base-select bits (AVX2 probe only)
     bool have_mask = false;
-    bool direct = false;     // false => scalar compress() fallback
   };
   const size_t n = blocks.size();
   std::vector<Probe> probes(n);
@@ -348,11 +345,7 @@ void BdiCompressor::compress_batch(std::span<const BlockView> blocks, Compressed
   for (size_t b = 0; b < n; ++b) {
     const BlockView blk = blocks[b];
     Probe& pr = probes[b];
-    if (!direct_applicable(blk)) {
-      sizes[b] = 0;  // handled by the scalar fallback in stage 2
-      continue;
-    }
-    pr.direct = true;
+    check_block_bytes(blk.size(), 8, "BDI");
     const uint8_t* p = blk.bytes().data();
     if (use_avx2 && simd::bdi_avx2_applicable(blk.size())) {
       const simd::BdiProbe sp = simd::bdi_probe_avx2(p, blk.size());
@@ -375,10 +368,6 @@ void BdiCompressor::compress_batch(std::span<const BlockView> blocks, Compressed
   for (size_t b = 0; b < n; ++b) {
     const BlockView blk = blocks[b];
     const Probe& pr = probes[b];
-    if (!pr.direct) {
-      out[b] = compress(blk);
-      continue;
-    }
     const uint8_t* p = blk.bytes().data();
     if (pr.enc == BdiEncoding::kUncompressed) {
       std::memcpy(arena.data() + offsets[b], p, blk.size());
@@ -425,7 +414,6 @@ void BdiCompressor::compress_batch(std::span<const BlockView> blocks, Compressed
   }
 
   for (size_t b = 0; b < n; ++b) {
-    if (!probes[b].direct) continue;  // already filled by the fallback
     CompressedBlock cb;
     const uint8_t* slice = arena.data() + offsets[b];
     cb.is_compressed = probes[b].enc != BdiEncoding::kUncompressed;

@@ -1,45 +1,42 @@
 #include "compress/block_codec.h"
 
+#include <algorithm>
+#include <array>
+
 #include "compress/codec_registry.h"
 
 namespace slc {
 
-void BlockCodec::process_batch(std::span<const BlockView> blocks, bool safe_to_approx,
-                               size_t threshold_bytes, BlockCodecResult* out) const {
-  for (size_t i = 0; i < blocks.size(); ++i)
-    out[i] = process(blocks[i], safe_to_approx, threshold_bytes);
-}
-
-namespace {
-
-/// The one fixed-cost RAW result, shared by the scalar and batch paths so
-/// the two cannot drift.
-BlockCodecResult raw_result(BlockView block, size_t mag_bytes) {
+BlockCodecResult BlockCodec::process(BlockView block, bool safe_to_approx,
+                                     size_t threshold_bytes) const {
   BlockCodecResult r;
-  r.bursts = block.size() / mag_bytes;
-  r.lossless_bits = block.size() * 8;
-  r.final_bits = block.size() * 8;
-  r.stored_uncompressed = true;
+  process_batch(std::span<const BlockView>(&block, 1), safe_to_approx, threshold_bytes, &r);
   return r;
 }
 
-}  // namespace
-
-BlockCodecResult RawBlockCodec::process(BlockView block, bool, size_t) const {
-  return raw_result(block, mag_bytes());
+RawBlockCodec::RawBlockCodec(size_t mag_bytes) : mag_(mag_bytes) {
+  check_mag_bytes(mag_, "RawBlockCodec");
 }
 
 void RawBlockCodec::process_batch(std::span<const BlockView> blocks, bool, size_t,
                                   BlockCodecResult* out) const {
-  // No per-block decision to make: fill the fixed-cost results without the
-  // virtual dispatch per block.
-  for (size_t i = 0; i < blocks.size(); ++i) out[i] = raw_result(blocks[i], mag_bytes());
+  // No per-block decision to make: every block costs all its bursts.
+  for (size_t i = 0; i < blocks.size(); ++i) {
+    out[i] = BlockCodecResult{};
+    out[i].bursts = blocks[i].size() / mag_;
+    out[i].lossless_bits = out[i].final_bits = blocks[i].size() * 8;
+    out[i].stored_uncompressed = true;
+  }
+}
+
+LosslessBlockCodec::LosslessBlockCodec(std::shared_ptr<const Compressor> comp, size_t mag_bytes)
+    : comp_(std::move(comp)), mag_(mag_bytes) {
+  check_mag_bytes(mag_, "LosslessBlockCodec");
 }
 
 namespace {
 
-/// Maps one lossless size analysis onto the policy result (shared by the
-/// scalar and batch paths so the two cannot drift).
+/// Maps one lossless size analysis onto the policy result.
 BlockCodecResult lossless_result(const BlockAnalysis& a, BlockView block, size_t mag) {
   BlockCodecResult r;
   r.lossless_bits = a.bit_size;
@@ -51,19 +48,18 @@ BlockCodecResult lossless_result(const BlockAnalysis& a, BlockView block, size_t
 
 }  // namespace
 
-BlockCodecResult LosslessBlockCodec::process(BlockView block, bool, size_t) const {
-  // Size-only path: no payload is needed for a lossless codec (the roundtrip
-  // identity is enforced separately by the unit tests).
-  return lossless_result(comp_->analyze(block), block, mag_);
-}
-
 void LosslessBlockCodec::process_batch(std::span<const BlockView> blocks, bool, size_t,
                                        BlockCodecResult* out) const {
-  // One batched size probe for the whole span, then the per-block mapping.
-  std::vector<BlockAnalysis> analyses(blocks.size());
-  comp_->analyze_batch(blocks, analyses.data());
-  for (size_t i = 0; i < blocks.size(); ++i)
-    out[i] = lossless_result(analyses[i], blocks[i], mag_);
+  // Size-only (a lossless codec needs no payload): one batched size probe
+  // per chunk of SlcCodec::kProbeChunk blocks, the analyses on the stack.
+  constexpr size_t kChunk = 64;
+  std::array<BlockAnalysis, kChunk> analyses;
+  for (size_t base = 0; base < blocks.size(); base += kChunk) {
+    const size_t n = std::min(kChunk, blocks.size() - base);
+    comp_->analyze_batch(blocks.subspan(base, n), analyses.data());
+    for (size_t i = 0; i < n; ++i)
+      out[base + i] = lossless_result(analyses[i], blocks[base + i], mag_);
+  }
 }
 
 namespace {

@@ -7,8 +7,10 @@
 // CodecRegistry::create_block_codec().
 //   RawBlockCodec      — no compression (every block costs all bursts)
 //   LosslessBlockCodec — any lossless Compressor (E2MC baseline, BDI, ...)
-// process() returns the burst count (timing) and, for the blocks a lossy
-// codec approximated, the contents the GPU will later observe (functional).
+// process_batch() returns the burst counts (timing) and, for the blocks a
+// lossy codec approximated, the contents the GPU will later observe
+// (functional). It is the one kernel each policy implements; process() is a
+// span of 1 through it.
 #pragma once
 
 #include <memory>
@@ -43,28 +45,22 @@ class BlockCodec {
  public:
   virtual ~BlockCodec() = default;
 
-  /// Sizes one block and, when the policy approximates it, returns the
-  /// approximated contents in `decoded` (left empty otherwise).
-  /// `safe_to_approx` and `threshold_bytes` come from the region's
-  /// extended-cudaMalloc annotation; codecs without a lossy mode ignore them.
-  /// Must be safe to call concurrently from CodecEngine workers (all bundled
-  /// policies are).
-  virtual BlockCodecResult process(BlockView block, bool safe_to_approx,
-                                   size_t threshold_bytes) const = 0;
-
-  /// Batched form of process(): fills out[0..blocks.size()) with exactly the
-  /// results the per-block scalar loop would produce (out[i] belongs to
-  /// blocks[i]). `safe_to_approx`/`threshold_bytes` apply to the whole span —
-  /// the region-commit shape, where every block shares the region's
-  /// annotation. The base implementation *is* the scalar loop (the tested
-  /// oracle, like Compressor's batch entry points); policies override it with
-  /// kernels that hoist per-block setup out of the loop. Overrides must be
-  /// byte-identical to the scalar loop for any input and any sub-range split
-  /// (pinned by tests/test_batch_kernels.cpp) and must keep scratch in the
-  /// call frame: a BlockCodec stays immutable after construction, so
+  /// Sizes every block of the span and, for each block the policy
+  /// approximates, returns the approximated contents in `decoded` (left
+  /// empty otherwise); out[i] belongs to blocks[i]. `safe_to_approx` and
+  /// `threshold_bytes` come from the region's extended-cudaMalloc annotation
+  /// and apply to the whole span — the region-commit shape, where every
+  /// block shares the region's annotation; codecs without a lossy mode
+  /// ignore them. Results must not depend on how a stream is split into
+  /// spans (pinned by tests/test_batch_kernels.cpp), and scratch must stay
+  /// in the call frame: a BlockCodec stays immutable after construction, so
   /// concurrent CodecEngine shards may run the kernel on disjoint ranges.
   virtual void process_batch(std::span<const BlockView> blocks, bool safe_to_approx,
-                             size_t threshold_bytes, BlockCodecResult* out) const;
+                             size_t threshold_bytes, BlockCodecResult* out) const = 0;
+
+  /// One block: process_batch() over a span of 1.
+  virtual BlockCodecResult process(BlockView block, bool safe_to_approx,
+                                   size_t threshold_bytes) const;
 
   virtual size_t mag_bytes() const = 0;
   virtual std::string name() const = 0;
@@ -76,10 +72,11 @@ class BlockCodec {
 };
 
 /// Uncompressed baseline: every block costs max bursts, contents unchanged.
+/// Both policies throw std::invalid_argument unless `mag_bytes` is positive
+/// and divides kBlockBytes.
 class RawBlockCodec final : public BlockCodec {
  public:
-  explicit RawBlockCodec(size_t mag_bytes = kDefaultMagBytes) : mag_(mag_bytes) {}
-  BlockCodecResult process(BlockView block, bool, size_t) const override;
+  explicit RawBlockCodec(size_t mag_bytes = kDefaultMagBytes);
   void process_batch(std::span<const BlockView> blocks, bool safe_to_approx,
                      size_t threshold_bytes, BlockCodecResult* out) const override;
   size_t mag_bytes() const override { return mag_; }
@@ -93,12 +90,10 @@ class RawBlockCodec final : public BlockCodec {
 class LosslessBlockCodec final : public BlockCodec {
  public:
   LosslessBlockCodec(std::shared_ptr<const Compressor> comp,
-                     size_t mag_bytes = kDefaultMagBytes)
-      : comp_(std::move(comp)), mag_(mag_bytes) {}
-  BlockCodecResult process(BlockView block, bool, size_t) const override;
-  /// Delegates the size pass to the compressor's analyze_batch kernel, so a
-  /// scheme with a vectorized override (BDI/FPC/C-PACK/E2MC) serves region
-  /// commits at batch speed.
+                     size_t mag_bytes = kDefaultMagBytes);
+  /// Delegates the size pass to the compressor's analyze_batch kernel, one
+  /// chunk of blocks at a time, so a scheme with a vectorized override
+  /// (BDI/FPC/C-PACK/E2MC) serves region commits at batch speed.
   void process_batch(std::span<const BlockView> blocks, bool safe_to_approx,
                      size_t threshold_bytes, BlockCodecResult* out) const override;
   size_t mag_bytes() const override { return mag_; }
@@ -107,26 +102,6 @@ class LosslessBlockCodec final : public BlockCodec {
  private:
   std::shared_ptr<const Compressor> comp_;
   size_t mag_;
-};
-
-/// Wraps any policy and forces the per-block scalar loop: process() forwards
-/// to the inner policy while process_batch stays the inherited base-class
-/// default. This is the oracle the batch-vs-scalar equivalence tests compare
-/// against and the "scalar" row of bench/engine_throughput's region-commit
-/// measurement — one definition so the two cannot drift.
-class ScalarOnlyBlockCodec final : public BlockCodec {
- public:
-  explicit ScalarOnlyBlockCodec(std::shared_ptr<const BlockCodec> inner)
-      : inner_(std::move(inner)) {}
-  BlockCodecResult process(BlockView block, bool safe_to_approx,
-                           size_t threshold_bytes) const override {
-    return inner_->process(block, safe_to_approx, threshold_bytes);
-  }
-  size_t mag_bytes() const override { return inner_->mag_bytes(); }
-  std::string name() const override { return inner_->name(); }
-
- private:
-  std::shared_ptr<const BlockCodec> inner_;
 };
 
 }  // namespace slc

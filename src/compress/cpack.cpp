@@ -128,6 +128,7 @@ unsigned CpackCompressor::code_bits(CpackCode c) const {
 }
 
 CompressedBlock CpackCompressor::compress(BlockView block) const {
+  check_block_bytes(block.size(), 4, "C-PACK");
   const size_t n_words = block.size() / 4;
   FifoDict dict(dict_entries_);
   BitWriter w;
@@ -183,6 +184,7 @@ CompressedBlock CpackCompressor::compress(BlockView block) const {
 }
 
 Block CpackCompressor::decompress(const CompressedBlock& cb, size_t block_bytes) const {
+  check_block_bytes(block_bytes, 4, "C-PACK");
   if (!cb.is_compressed) {
     return Block(std::span<const uint8_t>(cb.payload.data(), block_bytes));
   }
@@ -235,6 +237,7 @@ Block CpackCompressor::decompress(const CompressedBlock& cb, size_t block_bytes)
 BlockAnalysis CpackCompressor::analyze(BlockView block) const {
   // Mirror of compress(): same dictionary walk (the FIFO must see the same
   // push sequence), summing code sizes instead of emitting bits.
+  check_block_bytes(block.size(), 4, "C-PACK");
   const size_t n_words = block.size() / 4;
   FifoDict dict(dict_entries_);
   size_t bits = 0;
@@ -270,6 +273,7 @@ void CpackCompressor::analyze_batch(std::span<const BlockView> blocks, BlockAnal
   uint32_t words[detail::kMaxStagedWords];
   for (size_t b = 0; b < blocks.size(); ++b) {
     const BlockView blk = blocks[b];
+    check_block_bytes(blk.size(), 4, "C-PACK");
     if (!ring_dict_applicable(blk.size(), dict_entries_)) {
       out[b] = analyze(blk);
       continue;
@@ -311,6 +315,7 @@ void CpackCompressor::compress_batch(std::span<const BlockView> blocks,
   detail::BatchBitWriter w;  // reused across the batch
   for (size_t b = 0; b < blocks.size(); ++b) {
     const BlockView blk = blocks[b];
+    check_block_bytes(blk.size(), 4, "C-PACK");
     if (!ring_dict_applicable(blk.size(), dict_entries_)) {
       out[b] = compress(blk);
       continue;

@@ -48,6 +48,7 @@ unsigned E2mcCompressor::pdp_bits(size_t block_bytes) {
 }
 
 std::vector<uint16_t> E2mcCompressor::code_lengths(BlockView block) const {
+  check_block_bytes(block.size(), kSymbolBits / 8, "E2MC");
   const size_t n = block.num_symbols();
   std::vector<uint16_t> lens(n);
   for (size_t i = 0; i < n; ++i)
@@ -61,6 +62,7 @@ void E2mcCompressor::code_lengths_batch(std::span<const BlockView> blocks,
   size_t total = 0;
   offsets.resize(blocks.size() + 1);
   for (size_t b = 0; b < blocks.size(); ++b) {
+    check_block_bytes(blocks[b].size(), kSymbolBits / 8, "E2MC");
     offsets[b] = total;
     total += blocks[b].num_symbols();
   }
@@ -183,6 +185,7 @@ void E2mcCompressor::analyze_batch(std::span<const BlockView> blocks, BlockAnaly
   const uint32_t* enc = code_.encoded_bits_table();
   for (size_t b = 0; b < blocks.size(); ++b) {
     const BlockView blk = blocks[b];
+    check_block_bytes(blk.size(), kSymbolBits / 8, "E2MC");
     const size_t n = blk.num_symbols();
     const size_t per_way = symbols_per_way(n);
     // layout() without the per-block lengths vector: sum encoded bits per
@@ -231,6 +234,7 @@ void E2mcCompressor::compress_batch(std::span<const BlockView> blocks,
 
   for (size_t b = 0; b < n_blocks; ++b) {
     const BlockView blk = blocks[b];
+    check_block_bytes(blk.size(), kSymbolBits / 8, "E2MC");
     const size_t n = blk.num_symbols();
     lens.resize(n);
     const uint8_t* p = blk.bytes().data();
@@ -275,6 +279,7 @@ void E2mcCompressor::compress_batch(std::span<const BlockView> blocks,
 }
 
 Block E2mcCompressor::decompress(const CompressedBlock& cb, size_t block_bytes) const {
+  check_block_bytes(block_bytes, kSymbolBits / 8, "E2MC");
   if (!cb.is_compressed) {
     return Block(std::span<const uint8_t>(cb.payload.data(), block_bytes));
   }

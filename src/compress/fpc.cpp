@@ -134,6 +134,7 @@ unsigned FpcCompressor::payload_bits(FpcPattern p) {
 }
 
 CompressedBlock FpcCompressor::compress(BlockView block) const {
+  check_block_bytes(block.size(), 4, "FPC");
   const size_t n_words = block.size() / 4;
   BitWriter w;
   size_t i = 0;
@@ -179,6 +180,7 @@ CompressedBlock FpcCompressor::compress(BlockView block) const {
 }
 
 Block FpcCompressor::decompress(const CompressedBlock& cb, size_t block_bytes) const {
+  check_block_bytes(block_bytes, 4, "FPC");
   if (!cb.is_compressed) {
     return Block(std::span<const uint8_t>(cb.payload.data(), block_bytes));
   }
@@ -238,6 +240,7 @@ Block FpcCompressor::decompress(const CompressedBlock& cb, size_t block_bytes) c
 BlockAnalysis FpcCompressor::analyze(BlockView block) const {
   // Mirror of compress(): the same word walk, summing sizes instead of
   // emitting bits.
+  check_block_bytes(block.size(), 4, "FPC");
   const size_t n_words = block.size() / 4;
   size_t bits = 0;
   size_t i = 0;
@@ -266,6 +269,7 @@ void FpcCompressor::analyze_batch(std::span<const BlockView> blocks, BlockAnalys
   const bool use_avx2 = simd::active_level() == simd::Level::kAvx2;
   for (size_t b = 0; b < blocks.size(); ++b) {
     const BlockView blk = blocks[b];
+    check_block_bytes(blk.size(), 4, "FPC");
     if (!detail::word_staging_applicable(blk.size())) {
       out[b] = analyze(blk);
       continue;
@@ -293,11 +297,13 @@ void FpcCompressor::compress_batch(std::span<const BlockView> blocks, Compressed
   const bool use_avx2 = simd::active_level() == simd::Level::kAvx2;
 
   size_t total_words = 0;
-  for (size_t b = 0; b < n; ++b)
+  for (size_t b = 0; b < n; ++b) {
+    check_block_bytes(blocks[b].size(), 4, "FPC");
     if (detail::word_staging_applicable(blocks[b].size())) {
       cls_off[b] = total_words;
       total_words += blocks[b].size() / 4;
     }
+  }
   cls_all.resize(total_words);
 
   for (size_t b = 0; b < n; ++b) {

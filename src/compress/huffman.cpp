@@ -205,6 +205,7 @@ std::shared_ptr<HuffmanCompressor> HuffmanCompressor::train(std::span<const uint
 }
 
 BlockAnalysis HuffmanCompressor::analyze(BlockView block) const {
+  check_block_bytes(block.size(), kSymbolBits / 8, "Huffman");
   const size_t n = block.num_symbols();
   size_t bits = 0;
   for (size_t i = 0; i < n; ++i) bits += code_.encoded_bits(block.symbol(i));
@@ -245,6 +246,7 @@ CompressedBlock HuffmanCompressor::compress(BlockView block) const {
 }
 
 Block HuffmanCompressor::decompress(const CompressedBlock& cb, size_t block_bytes) const {
+  check_block_bytes(block_bytes, kSymbolBits / 8, "Huffman");
   if (!cb.is_compressed) {
     return Block(std::span<const uint8_t>(cb.payload.data(), block_bytes));
   }

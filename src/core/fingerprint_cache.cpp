@@ -209,15 +209,6 @@ FingerprintCache::Lookup FingerprintCache::lookup_locked(Stripe& st, size_t s,
   return Lookup::kHit;
 }
 
-FingerprintCache::Lookup FingerprintCache::lookup(uint64_t codec_key, uint64_t fp,
-                                                  std::span<const uint8_t> block,
-                                                  SlcCodec::Decision& out) {
-  const size_t s = set_index(codec_key, fp);
-  Stripe& st = stripe_for(s);
-  MutexLock lk(st.m);
-  return lookup_locked(st, s, codec_key, fp, block, out);
-}
-
 bool FingerprintCache::insert_locked(Stripe& st, size_t s, const Way& packed,
                                      std::span<const uint8_t> block) {
   Set& set = sets_[s];
@@ -246,17 +237,6 @@ bool FingerprintCache::insert_locked(Stripe& st, size_t s, const Way& packed,
   promote(set, w, rank);
   if (cfg_.verify_on_hit) std::copy(block.begin(), block.end(), slot(s, w));
   return evicted;
-}
-
-bool FingerprintCache::insert(uint64_t codec_key, uint64_t fp,
-                              std::span<const uint8_t> block,
-                              const SlcCodec::Decision& d) {
-  Way packed{};
-  if (!pack(codec_key, fp, d, block, packed)) return false;
-  const size_t s = set_index(codec_key, fp);
-  Stripe& st = stripe_for(s);
-  MutexLock lk(st.m);
-  return insert_locked(st, s, packed, block);
 }
 
 void FingerprintCache::lookup_batch(uint64_t codec_key, std::span<const uint64_t> fps,

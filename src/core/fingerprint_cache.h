@@ -22,7 +22,11 @@
 // (bit counts above 65535, burst or symbol counts above 255 — blocks far
 // larger than 128 B), and, in verify-on-hit mode, a block longer than an
 // arena slot (kBlockBytes). The miss path still returns such a decision;
-// insert() just stores nothing, so the next probe of it misses again.
+// insert_batch() just stores nothing, so the next probe of it misses again.
+//
+// The memo is a stage of SlcCodec::decide_batch, which probes and inserts a
+// chunk of blocks at a time; the batch forms below are its only probe and
+// store entry points.
 //
 // Correctness contract: a hit returns exactly the Decision the miss path
 // computes for that content, so cached and uncached runs produce identical
@@ -75,34 +79,29 @@ class FingerprintCache {
   FingerprintCache() : FingerprintCache(Config{}) {}
   explicit FingerprintCache(Config cfg);
 
-  /// Probes (codec_key, fp). On kHit fills `out` and makes the entry its
-  /// set's most recent way. `block` is only read in verify-on-hit mode.
-  Lookup lookup(uint64_t codec_key, uint64_t fp, std::span<const uint8_t> block,
-                SlcCodec::Decision& out);
-
-  /// Stores (or refreshes) the decision for (codec_key, fp) as its set's
-  /// most recent way. Returns true when the set was full and its least
-  /// recent way was replaced. Stores nothing (and returns false) for an
-  /// entry that does not fit a way — see the header comment. `block` is
-  /// only copied in verify-on-hit mode.
-  bool insert(uint64_t codec_key, uint64_t fp, std::span<const uint8_t> block,
-              const SlcCodec::Decision& d);
-
   /// Starts pulling (codec_key, fp)'s set into the cache hierarchy. A pure
   /// hint: the batch probe issues it for a whole chunk before the first
   /// lookup, so the table misses overlap instead of serializing.
   void prefetch(uint64_t codec_key, uint64_t fp) const;
 
-  /// Batch forms for at most kMaxBatch keys, one per block: result[i] is
-  /// lookup(codec_key, fps[i], blocks[i].bytes(), out[i]) and evicted[i] is
-  /// insert(codec_key, fps[i], blocks[i].bytes(), ds[i]). Keys are applied
-  /// in index order within each stripe, so a batch leaves the table as the
-  /// same calls one by one would, but each lock stripe is taken once per
-  /// batch instead of once per key.
+  /// Probe and store for at most kMaxBatch keys: key i is (codec_key,
+  /// fps[i]) with content blocks[i], which only verify-on-hit mode reads.
+  /// Keys apply in index order within each stripe, so a batch leaves the
+  /// table as the same keys in batches of 1 would, but each lock stripe is
+  /// taken once per batch instead of once per key.
   static constexpr size_t kMaxBatch = 64;
+
+  /// result[i] is kHit when key i is stored (under verify-on-hit, with the
+  /// same size and bytes): out[i] gets its decision and the entry becomes
+  /// its set's most recent way. Otherwise kCollision (stored, content
+  /// differs) or kMiss; neither touches out[i] or the set's order.
   void lookup_batch(uint64_t codec_key, std::span<const uint64_t> fps,
                     std::span<const BlockView> blocks, SlcCodec::Decision* out,
                     Lookup* result);
+  /// Stores ds[i] as its set's most recent way; evicted[i] is true when the
+  /// set was full and its least recent way was replaced. A stored key is
+  /// refreshed in place (last writer wins, no eviction); an entry too wide
+  /// for a way (see the header comment) is not stored.
   void insert_batch(uint64_t codec_key, std::span<const uint64_t> fps,
                     std::span<const BlockView> blocks, const SlcCodec::Decision* ds,
                     bool* evicted);
@@ -167,7 +166,8 @@ class FingerprintCache {
             std::span<const uint8_t> block, Way& w) const;
   static SlcCodec::Decision unpack(const Way& w);
 
-  /// lookup() and insert() on set `s`, whose stripe `st` the caller holds.
+  /// One key of lookup_batch() / insert_batch() on set `s`, whose stripe
+  /// `st` the caller holds.
   Lookup lookup_locked(Stripe& st, size_t s, uint64_t codec_key, uint64_t fp,
                        std::span<const uint8_t> block, SlcCodec::Decision& out)
       SLC_REQUIRES(st.m);

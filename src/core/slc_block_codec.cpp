@@ -1,6 +1,7 @@
 #include "core/slc_block_codec.h"
 
-#include <vector>
+#include <algorithm>
+#include <array>
 
 namespace slc {
 
@@ -54,25 +55,20 @@ const SlcCodec& SlcBlockCodec::codec_for(bool safe_to_approx, size_t threshold_b
   return *slot;
 }
 
-BlockCodecResult SlcBlockCodec::process(BlockView block, bool safe_to_approx,
-                                        size_t threshold_bytes) const {
-  const SlcCodec& codec = codec_for(safe_to_approx, threshold_bytes);
-  // Run the Fig. 4 decision size-only — served from the fingerprint memo on
-  // repeat content; the same payload-free result the batch path builds.
-  SlcCodec::CacheOutcome oc;
-  const SlcCodec::Decision d = codec.decide_cached(block, oc);
-  return make_result(codec, block, d, oc);
-}
-
 void SlcBlockCodec::process_batch(std::span<const BlockView> blocks, bool safe_to_approx,
                                   size_t threshold_bytes, BlockCodecResult* out) const {
   const SlcCodec& codec = codec_for(safe_to_approx, threshold_bytes);
+  // One probe chunk at a time, so the staged decisions live on the stack.
+  constexpr size_t kChunk = SlcCodec::kProbeChunk;
   SlcCodec::LengthScratch scratch;
-  std::vector<SlcCodec::Decision> decisions(blocks.size());
-  std::vector<SlcCodec::CacheOutcome> outcomes(blocks.size());
-  codec.decide_batch_cached(blocks, scratch, decisions.data(), outcomes.data());
-  for (size_t i = 0; i < blocks.size(); ++i)
-    out[i] = make_result(codec, blocks[i], decisions[i], outcomes[i]);
+  std::array<SlcCodec::Decision, kChunk> ds;
+  std::array<SlcCodec::CacheOutcome, kChunk> ocs;
+  for (size_t base = 0; base < blocks.size(); base += kChunk) {
+    const size_t n = std::min(kChunk, blocks.size() - base);
+    codec.decide_batch(blocks.subspan(base, n), scratch, ds.data(), ocs.data());
+    for (size_t i = 0; i < n; ++i)
+      out[base + i] = make_result(codec, blocks[base + i], ds[i], ocs[i]);
+  }
 }
 
 }  // namespace slc

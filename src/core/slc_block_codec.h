@@ -16,13 +16,12 @@ namespace slc {
 
 class SlcBlockCodec final : public BlockCodec {
  public:
+  /// Throws std::invalid_argument for a MAG SlcCodec rejects.
   SlcBlockCodec(std::shared_ptr<const E2mcCompressor> lossless, SlcConfig cfg);
-  BlockCodecResult process(BlockView block, bool safe_to_approx,
-                           size_t threshold_bytes) const override;
-  /// Batched commit kernel: one SlcCodec::decide_batch pass for the whole
-  /// span (staged E2MC length probe + per-block Fig. 4 decision), then the
-  /// approximated contents (SlcCodec::approx_decode) only for the blocks
-  /// decided lossy.
+  /// Commit kernel, one SlcCodec::kProbeChunk chunk at a time: one
+  /// SlcCodec::decide_batch per chunk (memo stage, staged E2MC length probe,
+  /// per-block Fig. 4 decision), then the approximated contents
+  /// (SlcCodec::approx_decode) only for the blocks decided lossy.
   void process_batch(std::span<const BlockView> blocks, bool safe_to_approx,
                      size_t threshold_bytes, BlockCodecResult* out) const override;
   size_t mag_bytes() const override { return cfg_.mag_bytes; }

@@ -42,7 +42,7 @@ SlcCodec::SlcCodec(std::shared_ptr<const E2mcCompressor> lossless, SlcConfig cfg
       cfg_(std::move(cfg)),
       selector_(cfg_.variant == SlcVariant::kOpt) {
   assert(lossless_ != nullptr);
-  assert(cfg_.mag_bytes > 0 && kBlockBytes % cfg_.mag_bytes == 0);
+  check_mag_bytes(cfg_.mag_bytes, "SlcCodec");
   // Everything the Fig. 4 decision depends on beyond the block content: the
   // trained model (its process-unique id — never reused, unlike a pointer),
   // geometry and variant. Two codecs agreeing on this key always agree on
@@ -64,18 +64,20 @@ size_t SlcCodec::header_bits(size_t block_bytes) const {
   return SlcHeader::bits(block_bytes, lossless_->config().num_ways, n_sym);
 }
 
-template <class Writer>
-size_t SlcCodec::encode_into(BlockView block, const SlcHeader& hdr,
-                             std::span<const uint16_t> lens, size_t skip_start,
-                             size_t skip_count, Writer& w) const {
+size_t SlcCodec::encode_into(BlockView block, const Decision& d,
+                             std::span<const uint16_t> lens, detail::SpanBitWriter& w) const {
   const unsigned num_ways = lossless_->config().num_ways;
   const size_t n_sym = block.num_symbols();
   const size_t per_way = lossless_->symbols_per_way(n_sym);
+  const size_t skip_start = d.skip_start, skip_count = d.skip_count;
   const WayLayout lo =
       lossless_->layout(lens, header_bits(block.size()), skip_start, skip_count);
 
-  // Fill pdp way offsets into a copy of the header.
-  SlcHeader h = hdr;
+  // The Fig. 6 header, with the pdp way offsets filled in.
+  SlcHeader h;
+  h.lossy = d.info.lossy;
+  h.start_symbol = static_cast<uint8_t>(skip_start);
+  h.approx_count = static_cast<uint8_t>(d.info.lossy ? skip_count : 0);
   size_t off = SlcHeader::padded_bytes(block.size(), num_ways, n_sym);
   for (unsigned i = 1; i < num_ways; ++i) {
     off += lo.way_bytes[i - 1];
@@ -103,18 +105,6 @@ size_t SlcCodec::encode_into(BlockView block, const SlcHeader& hdr,
   }
   assert(w.bit_size() == lo.total_bits);
   return lo.total_bits;
-}
-
-CompressedBlock SlcCodec::encode(BlockView block, const SlcHeader& hdr,
-                                 std::span<const uint16_t> lens, size_t skip_start,
-                                 size_t skip_count) const {
-  BitWriter w;
-  const size_t total_bits = encode_into(block, hdr, lens, skip_start, skip_count, w);
-  CompressedBlock out;
-  out.is_compressed = true;
-  out.bit_size = total_bits;
-  out.payload = w.bytes();
-  return out;
 }
 
 SlcCodec::Decision SlcCodec::decide(std::span<const uint16_t> lens,
@@ -194,43 +184,8 @@ SlcCodec::Decision SlcCodec::decide(std::span<const uint16_t> lens,
   return d;
 }
 
-SlcEncodeInfo SlcCodec::analyze(BlockView block) const {
-  CacheOutcome oc;
-  return analyze(block, oc);
-}
-
-SlcEncodeInfo SlcCodec::analyze(BlockView block, CacheOutcome& oc) const {
-  return decide_cached(block, oc).info;
-}
-
-SlcCodec::Decision SlcCodec::decide_cached(BlockView block, CacheOutcome& oc) const {
-  oc = CacheOutcome{};
-  FingerprintCache* c = active_cache();
-  if (c == nullptr) {
-    const auto lens = lossless_->code_lengths(block);
-    return decide(lens, block.size());
-  }
-  oc.probed = true;
-  const uint64_t fp = block_fingerprint(block.bytes());
-  Decision d;
-  switch (c->lookup(cache_key_, fp, block.bytes(), d)) {
-    case FingerprintCache::Lookup::kHit:
-      oc.hit = true;
-      return d;
-    case FingerprintCache::Lookup::kCollision:
-      oc.collision = true;
-      break;
-    case FingerprintCache::Lookup::kMiss:
-      break;
-  }
-  const auto lens = lossless_->code_lengths(block);
-  d = decide(lens, block.size());
-  oc.evicted = c->insert(cache_key_, fp, block.bytes(), d);
-  return d;
-}
-
-void SlcCodec::decide_batch(std::span<const BlockView> blocks, LengthScratch& scratch,
-                            Decision* out) const {
+void SlcCodec::probe_batch(std::span<const BlockView> blocks, LengthScratch& scratch,
+                           Decision* out) const {
   // One staged probe for the whole span (the E2MC batched sizing pass), then
   // the budget/threshold/tree decision per block over the staged lengths.
   lossless_->code_lengths_batch(blocks, scratch.lens, scratch.offsets);
@@ -238,11 +193,11 @@ void SlcCodec::decide_batch(std::span<const BlockView> blocks, LengthScratch& sc
     out[i] = decide(scratch.block_lens(i), blocks[i].size());
 }
 
-void SlcCodec::decide_batch_cached(std::span<const BlockView> blocks, LengthScratch& scratch,
-                                   Decision* out, CacheOutcome* oc) const {
+void SlcCodec::decide_batch(std::span<const BlockView> blocks, LengthScratch& scratch,
+                            Decision* out, CacheOutcome* oc) const {
   FingerprintCache* c = active_cache();
   if (c == nullptr) {
-    decide_batch(blocks, scratch, out);
+    probe_batch(blocks, scratch, out);
     std::fill_n(oc, blocks.size(), CacheOutcome{});
     return;
   }
@@ -318,8 +273,8 @@ void SlcCodec::decide_chunk_cached(FingerprintCache& c, std::span<const BlockVie
     miss[n_miss++] = static_cast<uint8_t>(i);
   }
 
-  // 4. One staged decide_batch over the distinct misses, then insert them,
-  // again one lock per stripe.
+  // 4. One staged probe over the distinct misses, then insert them, again
+  // one lock per stripe.
   if (n_miss != 0) {
     std::array<BlockView, kProbeChunk> views;
     std::array<uint64_t, kProbeChunk> miss_fps{};
@@ -330,7 +285,7 @@ void SlcCodec::decide_chunk_cached(FingerprintCache& c, std::span<const BlockVie
       miss_fps[k] = fps[miss[k]];
     }
     const std::span<const BlockView> miss_views(views.data(), n_miss);
-    decide_batch(miss_views, scratch, decided.data());
+    probe_batch(miss_views, scratch, decided.data());
     c.insert_batch(cache_key_, std::span<const uint64_t>(miss_fps.data(), n_miss), miss_views,
                    decided.data(), evicted.data());
     for (size_t k = 0; k < n_miss; ++k) {
@@ -341,56 +296,8 @@ void SlcCodec::decide_chunk_cached(FingerprintCache& c, std::span<const BlockVie
   for (size_t k = 0; k < n_twin; ++k) out[twin[k]] = out[rep[k]];
 }
 
-void SlcCodec::analyze_batch(std::span<const BlockView> blocks, SlcEncodeInfo* out) const {
-  LengthScratch scratch;
-  std::array<Decision, kProbeChunk> ds;
-  std::array<CacheOutcome, kProbeChunk> ocs;
-  for (size_t base = 0; base < blocks.size(); base += kProbeChunk) {
-    const size_t n = std::min(kProbeChunk, blocks.size() - base);
-    decide_batch_cached(blocks.subspan(base, n), scratch, ds.data(), ocs.data());
-    for (size_t i = 0; i < n; ++i) out[base + i] = ds[i].info;
-  }
-}
-
-void SlcCodec::analyze_batch(std::span<const BlockView> blocks, SlcEncodeInfo* out,
-                             CacheOutcome* oc) const {
-  LengthScratch scratch;
-  std::array<Decision, kProbeChunk> ds;
-  for (size_t base = 0; base < blocks.size(); base += kProbeChunk) {
-    const size_t n = std::min(kProbeChunk, blocks.size() - base);
-    decide_batch_cached(blocks.subspan(base, n), scratch, ds.data(), oc + base);
-    for (size_t i = 0; i < n; ++i) out[base + i] = ds[i].info;
-  }
-}
-
-SlcCompressedBlock SlcCodec::compress(BlockView block) const {
-  const auto lens = lossless_->code_lengths(block);
-  return compress_decided(block, decide(lens, block.size()), lens);
-}
-
-SlcCompressedBlock SlcCodec::compress_decided(BlockView block, const Decision& d,
-                                              std::span<const uint16_t> lens) const {
-  SlcCompressedBlock out;
-  out.info = d.info;
-  if (d.info.stored_uncompressed) {
-    out.data.is_compressed = false;
-    out.data.bit_size = block.size() * 8;
-    out.data.payload.assign(block.bytes().begin(), block.bytes().end());
-    return out;
-  }
-  SlcHeader hdr;
-  hdr.lossy = d.info.lossy;
-  hdr.start_symbol = static_cast<uint8_t>(d.skip_start);
-  hdr.approx_count = static_cast<uint8_t>(d.info.lossy ? d.skip_count : 0);
-  out.data = encode(block, hdr, lens, d.skip_start, d.skip_count);
-  assert(out.data.bit_size == d.info.final_bits);
-  assert(!d.info.lossy ||
-         out.data.bit_size <= d.info.bursts * cfg_.mag_bytes * 8);
-  return out;
-}
-
 void SlcCodec::compress_batch(std::span<const BlockView> blocks, SlcCompressedBlock* out) const {
-  // Prefix-sum payload scatter over the batched Fig. 4 decision: decide_batch
+  // Prefix-sum payload scatter over the batched Fig. 4 decision: the probe
   // already yields every block's exact final size (final_bits is always a
   // whole number of bytes — the ways are byte-aligned and raw blocks are
   // byte-sized), so the payloads scatter into one arena at independent
@@ -398,7 +305,7 @@ void SlcCodec::compress_batch(std::span<const BlockView> blocks, SlcCompressedBl
   const size_t n = blocks.size();
   LengthScratch scratch;
   std::vector<Decision> ds(n);
-  decide_batch(blocks, scratch, ds.data());
+  probe_batch(blocks, scratch, ds.data());
 
   std::vector<size_t> sizes(n), offsets(n);
   for (size_t b = 0; b < n; ++b) {
@@ -416,14 +323,10 @@ void SlcCodec::compress_batch(std::span<const BlockView> blocks, SlcCompressedBl
       std::memcpy(arena.data() + offsets[b], blk.bytes().data(), blk.size());
       continue;
     }
-    SlcHeader hdr;
-    hdr.lossy = d.info.lossy;
-    hdr.start_symbol = static_cast<uint8_t>(d.skip_start);
-    hdr.approx_count = static_cast<uint8_t>(d.info.lossy ? d.skip_count : 0);
     w.reset(arena.data() + offsets[b]);
-    const size_t bits =
-        encode_into(blk, hdr, scratch.block_lens(b), d.skip_start, d.skip_count, w);
+    const size_t bits = encode_into(blk, d, scratch.block_lens(b), w);
     assert(bits == d.info.final_bits);
+    assert(!d.info.lossy || bits <= d.info.bursts * cfg_.mag_bytes * 8);
     (void)bits;
     const size_t written = w.finish();
     assert(written == sizes[b]);
@@ -443,6 +346,7 @@ void SlcCodec::compress_batch(std::span<const BlockView> blocks, SlcCompressedBl
 }
 
 Block SlcCodec::decompress(const SlcCompressedBlock& cb, size_t block_bytes) const {
+  check_block_bytes(block_bytes, kSymbolBits / 8, "SlcCodec");
   if (!cb.data.is_compressed) {
     return Block(std::span<const uint8_t>(cb.data.payload.data(), block_bytes));
   }

@@ -26,6 +26,9 @@
 namespace slc {
 
 class FingerprintCache;
+namespace detail {
+class SpanBitWriter;
+}
 
 enum class SlcVariant : uint8_t { kSimp, kPred, kOpt };
 
@@ -36,12 +39,11 @@ struct SlcConfig {
   size_t threshold_bytes = 16;          ///< lossy threshold (paper default 16 B)
   SlcVariant variant = SlcVariant::kOpt;
   /// Optional content-addressed memo for the Fig. 4 decision
-  /// (core/fingerprint_cache.h). Null (the default) keeps every path
-  /// uncached; when set, analyze()/analyze_batch() and the cached decide
-  /// entry points serve repeat blocks without the E2MC length probe. The
-  /// codec derives its cache key from (E2MC model id, MAG, threshold,
-  /// variant), so one cache may safely back any number of codecs — entries
-  /// never cross a configuration or a trained model.
+  /// (core/fingerprint_cache.h). Null (the default) keeps the decision
+  /// uncached; when set, decide_batch() serves repeat blocks without the
+  /// E2MC length probe. The codec derives its cache key from (E2MC model id,
+  /// MAG, threshold, variant), so one cache may safely back any number of
+  /// codecs — entries never cross a configuration or a trained model.
   std::shared_ptr<FingerprintCache> cache{};
 };
 
@@ -64,27 +66,15 @@ struct SlcCompressedBlock {
 
 class SlcCodec {
  public:
-  /// Every entry point that sizes, encodes or decodes a block throws
-  /// std::invalid_argument when the block's symbols do not split into the
-  /// E2MC ways (E2mcCompressor::symbols_per_way).
+  /// Throws std::invalid_argument unless cfg.mag_bytes is positive and
+  /// divides kBlockBytes. Every entry point that sizes, encodes or decodes a
+  /// block throws std::invalid_argument when the block's symbols do not
+  /// split into the E2MC ways (E2mcCompressor::symbols_per_way).
   SlcCodec(std::shared_ptr<const E2mcCompressor> lossless, SlcConfig cfg);
 
-  /// Compresses one block per the Fig. 4 decision flow.
-  SlcCompressedBlock compress(BlockView block) const;
-
-  /// Size-only fast path: the full Fig. 4 decision (budget, threshold, tree
-  /// selection) without building the bit stream. Exactly the sizes/bursts
-  /// compress() would report — the simulator's common case, since only lossy
-  /// blocks need their payload materialized. Served from the fingerprint
-  /// memo when cfg.cache is set (see below).
-  SlcEncodeInfo analyze(BlockView block) const;
-
-  // --- batched mode decision -------------------------------------------------
-  // The decision layer's batch kernel, feeding BlockCodec::process_batch and
-  // SlcCompressor::analyze_batch: one staged E2MC length probe for the whole
-  // span, then the Fig. 4 decide() pass per block over the staged lengths.
-  // Results are byte-identical to analyze()/compress() per block; all scratch
-  // lives in the caller's frame, so concurrent engine shards need no locks.
+  // --- block operations ------------------------------------------------------
+  // Four, each a span kernel; one block is a span of 1. All scratch lives in
+  // the caller's frame, so concurrent engine shards need no locks.
 
   /// Outcome of the Fig. 4 mode decision for one block: the bookkeeping plus
   /// the selected truncation window (meaningful only when info.lossy).
@@ -96,7 +86,7 @@ class SlcCodec {
 
   /// Staged per-symbol code lengths for a span of blocks (block i's lengths
   /// at lens[offsets[i] .. offsets[i+1])). Reuse across calls to amortize
-  /// the allocation; the commit path feeds it back into compress_decided().
+  /// the allocation.
   struct LengthScratch {
     std::vector<uint16_t> lens;
     std::vector<size_t> offsets;
@@ -106,29 +96,9 @@ class SlcCodec {
     }
   };
 
-  /// Batched decision: fills out[0..blocks.size()) with exactly the Decision
-  /// compress()/analyze() derive per block, probing code lengths once for
-  /// the whole span into `scratch`. Never consults the fingerprint memo —
-  /// the staged lengths it produces feed compress_decided()/compress_batch(),
-  /// which a cache hit (decision only, no lens) cannot serve.
-  void decide_batch(std::span<const BlockView> blocks, LengthScratch& scratch,
-                    Decision* out) const;
-
-  /// Batched analyze(): out[i] == analyze(blocks[i]).
-  void analyze_batch(std::span<const BlockView> blocks, SlcEncodeInfo* out) const;
-
-  // --- fingerprint-memoized decision ----------------------------------------
-  // When cfg.cache is set (and SLC_FINGERPRINT_CACHE is not force-disabling
-  // it), the entry points below first consult the content-addressed memo:
-  // a hit returns the stored Decision — exactly what the miss path computes
-  // for that content — and skips the E2MC length probe entirely; a miss
-  // computes the decision through the regular path and inserts it (a
-  // decision too wide for a packed memo way is returned but not stored).
-  // Without a cache they are the plain decide()/decide_batch() paths. The outcome
-  // flags feed CacheCounters only and are the single thing that is NOT
-  // thread-count invariant about a cached run.
-
-  /// Per-block cache bookkeeping for one decision.
+  /// Per-block memo bookkeeping for one decision. Feeds CacheCounters only
+  /// and is the single thing that is NOT thread-count invariant about a
+  /// cached run.
   struct CacheOutcome {
     bool probed = false;     ///< a configured, enabled cache was consulted
     bool hit = false;        ///< decision served from the memo (or an in-chunk twin)
@@ -136,49 +106,32 @@ class SlcCodec {
     bool collision = false;  ///< verify-on-hit content mismatch (fp collision)
   };
 
-  /// One-block memoized decision (the scalar process()/analyze() path).
-  Decision decide_cached(BlockView block, CacheOutcome& oc) const;
-
-  /// Batched memoized decision, in chunks of at most kProbeChunk blocks and
-  /// with no heap allocation of its own. Per chunk: fingerprint every block
-  /// and prefetch its memo set, probe (one lock per memo stripe), dedup the
-  /// misses within the chunk (twins copy the first one's decision; under
-  /// verify-on-hit only on equal size and bytes), then run one
-  /// decide_batch() over the distinct misses in `scratch` and insert them. out[i] is identical to decide_batch()'s
-  /// out[i] for every block (modulo undetected 64-bit fingerprint
-  /// collisions, which verify-on-hit eliminates), including decisions the
-  /// memo cannot store; oc[i] carries block i's cache outcome.
-  void decide_batch_cached(std::span<const BlockView> blocks, LengthScratch& scratch,
-                           Decision* out, CacheOutcome* oc) const;
-
-  /// decide_batch_cached() works through its span in chunks of at most this
-  /// many blocks, with all per-chunk bookkeeping in fixed arrays; callers
-  /// that stage per-chunk results on the stack use the same size.
+  /// The memo stage works through its span in chunks of at most this many
+  /// blocks, with all per-chunk bookkeeping in fixed arrays; callers that
+  /// stage per-chunk results on the stack use the same size.
   static constexpr size_t kProbeChunk = 64;
 
-  /// analyze()/analyze_batch() with the per-block cache outcome surfaced.
-  SlcEncodeInfo analyze(BlockView block, CacheOutcome& oc) const;
-  void analyze_batch(std::span<const BlockView> blocks, SlcEncodeInfo* out,
-                     CacheOutcome* oc) const;
+  /// The Fig. 4 mode decision for every block of the span: out[i] is block
+  /// i's Decision, oc[i] its memo outcome. Without an active memo (cfg.cache
+  /// null, or SLC_FINGERPRINT_CACHE force-disabling it) this is one staged
+  /// E2MC length probe for the whole span into `scratch`, then the budget/
+  /// threshold/tree decision per block. With one, the memo is a stage in
+  /// front of that probe, run per chunk of kProbeChunk blocks: fingerprint
+  /// every block and prefetch its memo set, probe (one lock per memo
+  /// stripe), dedup the misses within the chunk (twins copy the first one's
+  /// decision; under verify-on-hit only on equal size and bytes), then probe
+  /// and decide the distinct misses and insert them. A hit returns exactly
+  /// the Decision the probe computes for that content (modulo undetected
+  /// 64-bit fingerprint collisions, which verify-on-hit eliminates),
+  /// including decisions too wide for the memo to store.
+  void decide_batch(std::span<const BlockView> blocks, LengthScratch& scratch, Decision* out,
+                    CacheOutcome* oc) const;
 
-  /// The (model, MAG, threshold, variant) key this codec's entries live
-  /// under; distinct for every distinct decision function.
-  uint64_t cache_key() const { return cache_key_; }
-  /// The configured memo (null when uncached).
-  const std::shared_ptr<FingerprintCache>& cache() const { return cfg_.cache; }
-
-  /// compress() with the mode decision and staged lengths already computed —
-  /// payload materialization without re-running the probe or the tree
-  /// selection. `d` and `lens` must come from decide_batch()/code_lengths()
-  /// of `block`.
-  SlcCompressedBlock compress_decided(BlockView block, const Decision& d,
-                                      std::span<const uint16_t> lens) const;
-
-  /// Batched compress(): one decide_batch() probe for the whole span, then
-  /// payload emission through the prefix-sum scatter (each block's exact
-  /// final size is known from its Decision, so every payload is written at
-  /// an independent offset of one reused arena). out[i] is byte-identical
-  /// to compress(blocks[i]).
+  /// Compresses the span per the Fig. 4 decision: one staged length probe
+  /// (never the memo: emission needs the lengths a hit does not carry),
+  /// then payload emission through the prefix-sum scatter — each block's
+  /// exact final size is known from its Decision, so every payload is
+  /// written at an independent offset of one reused arena.
   void compress_batch(std::span<const BlockView> blocks, SlcCompressedBlock* out) const;
 
   /// The block as reads will observe it after a store+load round trip of
@@ -186,23 +139,21 @@ class SlcCodec {
   /// symbol round-trips exactly through the entropy code, so the result is
   /// the original block with the selected window re-filled per the variant
   /// (zeros for TSLC-SIMP, parity-matched prediction otherwise — the same
-  /// fill routine decompress() runs). Byte-identical to
-  /// decompress(compress_decided(block, d, lens)); the batched commit path's
-  /// way to mutate lossy blocks at decision cost.
+  /// fill routine decompress() runs). Byte-identical to decompressing the
+  /// compress_batch() payload; the commit path's way to mutate lossy blocks
+  /// at decision cost.
   Block approx_decode(BlockView block, const Decision& d) const;
 
   /// Decompresses (exact for lossless blocks; approximated symbols filled
   /// per the configured variant for lossy blocks).
   Block decompress(const SlcCompressedBlock& cb, size_t block_bytes = kBlockBytes) const;
 
-  /// Convenience: compress + decompress. For lossless blocks this is the
-  /// identity; for lossy blocks it returns the approximated block the GPU
-  /// would observe.
-  Block roundtrip(BlockView block) const { return decompress(compress(block), block.size()); }
+  /// The (model, MAG, threshold, variant) key this codec's entries live
+  /// under; distinct for every distinct decision function.
+  uint64_t cache_key() const { return cache_key_; }
 
   const SlcConfig& config() const { return cfg_; }
   const E2mcCompressor& lossless() const { return *lossless_; }
-  const TreeSlcSelector& selector() const { return selector_; }
 
   /// SLC header size in bits for this geometry (Fig. 6: 32 bits for the
   /// default 128 B / 4-way configuration).
@@ -220,15 +171,21 @@ class SlcCodec {
   TreeSlcSelector selector_;
   uint64_t cache_key_ = 0;
 
-  /// The memo the cached entry points consult: cfg_.cache unless the
+  /// The memo decide_batch() consults: cfg_.cache unless the
   /// SLC_FINGERPRINT_CACHE env knob force-disables caching process-wide.
   FingerprintCache* active_cache() const;
 
-  /// One chunk of decide_batch_cached() (blocks.size() <= kProbeChunk).
+  /// The memo-free staged probe: one E2MC length probe for the whole span
+  /// into `scratch`, then decide() per block. decide_batch() without a memo,
+  /// the memo's miss path and compress_batch() all run it.
+  void probe_batch(std::span<const BlockView> blocks, LengthScratch& scratch,
+                   Decision* out) const;
+
+  /// One chunk of the memo stage (blocks.size() <= kProbeChunk).
   void decide_chunk_cached(FingerprintCache& c, std::span<const BlockView> blocks,
                            LengthScratch& scratch, Decision* out, CacheOutcome* oc) const;
 
-  /// The Fig. 4 mode decision, shared by compress()/analyze()/decide_batch().
+  /// The Fig. 4 mode decision over one block's staged code lengths.
   Decision decide(std::span<const uint16_t> lens, size_t block_bytes) const;
 
   /// Re-fills the truncated window of `out` per the configured variant. All
@@ -238,17 +195,10 @@ class SlcCodec {
   /// drift apart.
   void fill_approximated(Block& out, size_t skip_start, size_t skip_count) const;
 
-  /// Encodes the block with symbols [start, start+count) removed.
-  CompressedBlock encode(BlockView block, const SlcHeader& hdr,
-                         std::span<const uint16_t> lens, size_t skip_start,
-                         size_t skip_count) const;
-
-  /// encode()'s emission into a caller-provided writer (BitWriter or
-  /// detail::SpanBitWriter, which must be empty); returns the total bits
-  /// written. Defined in slc_codec.cpp; all instantiations live there.
-  template <class Writer>
-  size_t encode_into(BlockView block, const SlcHeader& hdr, std::span<const uint16_t> lens,
-                     size_t skip_start, size_t skip_count, Writer& w) const;
+  /// Emits the block per decision `d` (symbols of the truncation window
+  /// removed) into `w`, which must be empty; returns the total bits written.
+  size_t encode_into(BlockView block, const Decision& d, std::span<const uint16_t> lens,
+                     detail::SpanBitWriter& w) const;
 };
 
 }  // namespace slc

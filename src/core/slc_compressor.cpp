@@ -27,9 +27,15 @@ BlockAnalysis to_analysis(const SlcEncodeInfo& info, const SlcCodec::CacheOutcom
 }  // namespace
 
 BlockAnalysis SlcCompressor::analyze(BlockView block) const {
-  SlcCodec::CacheOutcome oc;
-  const SlcEncodeInfo info = codec_.analyze(block, oc);
-  return to_analysis(info, oc);
+  BlockAnalysis a;
+  SlcCompressor::analyze_batch(std::span<const BlockView>(&block, 1), &a);
+  return a;
+}
+
+CompressedBlock SlcCompressor::compress(BlockView block) const {
+  CompressedBlock cb;
+  SlcCompressor::compress_batch(std::span<const BlockView>(&block, 1), &cb);
+  return cb;
 }
 
 void SlcCompressor::analyze_batch(std::span<const BlockView> blocks, BlockAnalysis* out) const {
@@ -40,7 +46,7 @@ void SlcCompressor::analyze_batch(std::span<const BlockView> blocks, BlockAnalys
   std::array<SlcCodec::CacheOutcome, kChunk> ocs;
   for (size_t base = 0; base < blocks.size(); base += kChunk) {
     const size_t n = std::min(kChunk, blocks.size() - base);
-    codec_.decide_batch_cached(blocks.subspan(base, n), scratch, ds.data(), ocs.data());
+    codec_.decide_batch(blocks.subspan(base, n), scratch, ds.data(), ocs.data());
     for (size_t i = 0; i < n; ++i) out[base + i] = to_analysis(ds[i].info, ocs[i]);
   }
 }

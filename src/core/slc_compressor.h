@@ -10,6 +10,9 @@
 // Note the SLC variants are *lossy*: decompress(compress(b)) may differ from
 // b for blocks the Fig. 4 decision truncates. analyze() exposes that through
 // BlockAnalysis::lossy/truncated_symbols.
+//
+// The batch kernels are the only SLC paths: analyze() and compress() run
+// them over a span of 1.
 #pragma once
 
 #include <memory>
@@ -24,9 +27,7 @@ class SlcCompressor : public Compressor {
       : codec_(std::move(lossless), cfg) {}
 
   std::string name() const override { return to_string(codec_.config().variant); }
-  CompressedBlock compress(BlockView block) const override {
-    return codec_.compress(block).data;
-  }
+  CompressedBlock compress(BlockView block) const override;
   Block decompress(const CompressedBlock& cb, size_t block_bytes) const override {
     SlcCompressedBlock scb;
     scb.data = cb;
@@ -34,12 +35,11 @@ class SlcCompressor : public Compressor {
   }
   BlockAnalysis analyze(BlockView block) const override;
 
-  /// Batched kernels: SlcCodec stages the E2MC length probe once for the
-  /// whole span and (for compress) scatters the payloads through the
-  /// prefix-sum arena, so CodecEngine shards and CodecServer coalesced
-  /// batches run the Fig. 4 decision and the payload emission at batch
-  /// speed. Byte-identical to the scalar loop (pinned by
-  /// tests/test_batch_kernels.cpp).
+  /// Batch kernels: analyze_batch runs SlcCodec::decide_batch (memo stage
+  /// included) one kProbeChunk chunk at a time, compress_batch runs
+  /// SlcCodec::compress_batch (staged length probe + prefix-sum payload
+  /// scatter), so CodecEngine shards and CodecServer coalesced batches run
+  /// the Fig. 4 decision and the payload emission at batch speed.
   using Compressor::analyze_batch;
   using Compressor::compress_batch;
   void analyze_batch(std::span<const BlockView> blocks, BlockAnalysis* out) const override;

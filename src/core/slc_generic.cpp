@@ -1,7 +1,6 @@
 #include "core/slc_generic.h"
 
 #include <algorithm>
-#include <cassert>
 #include <numeric>
 
 namespace slc {
@@ -13,7 +12,7 @@ constexpr size_t kGenericHeaderBits = 1 + 5 + 4;
 
 SlcFpcCodec::SlcFpcCodec(GenericSlcConfig cfg)
     : cfg_(cfg), selector_(/*extra_nodes=*/true) {
-  assert(cfg_.mag_bytes > 0 && kBlockBytes % cfg_.mag_bytes == 0);
+  check_mag_bytes(cfg_.mag_bytes, "SlcFpcCodec");
 }
 
 std::vector<uint16_t> SlcFpcCodec::word_costs(BlockView block) const {

@@ -45,6 +45,8 @@ struct GenericSlcInfo {
 /// models the selective truncation).
 class SlcFpcCodec {
  public:
+  /// Throws std::invalid_argument unless cfg.mag_bytes is positive and
+  /// divides kBlockBytes.
   explicit SlcFpcCodec(GenericSlcConfig cfg = {});
 
   /// Analyzes one block: mode decision + truncation selection.

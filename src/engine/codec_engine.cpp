@@ -225,16 +225,6 @@ CodecFuture<void> CodecEngine::submit(size_t count,
   return submit_job<void>(count, std::move(body), {}, priority, deadline);
 }
 
-void CodecEngine::parallel_for(size_t count,
-                               const std::function<void(size_t, size_t, unsigned)>& body) {
-  if (count == 0) return;
-  // Reference the caller's body instead of copying it: the job cannot
-  // outlive this frame because wait() blocks until it drained.
-  const auto job =
-      enqueue(count, [&body](size_t b, size_t e, unsigned w) { body(b, e, w); }, 0);
-  job->wait();
-}
-
 CodecFuture<CodecEngine::StreamAnalysis> CodecEngine::submit_analyze_indexed(
     size_t n_blocks, size_t mag_bytes,
     std::function<void(size_t, size_t, BlockAnalysis*)> produce,
@@ -314,12 +304,6 @@ CodecFuture<std::vector<CompressedBlock>> CodecEngine::submit_compress(
       [out]() { return std::move(*out); }, priority);
 }
 
-CodecEngine::StreamAnalysis CodecEngine::analyze_stream(const Compressor& comp,
-                                                        std::span<const Block> blocks,
-                                                        size_t mag_bytes) {
-  return submit_analyze(comp, blocks, mag_bytes).wait();
-}
-
 CodecEngine::StreamAnalysis CodecEngine::analyze_bytes(const Compressor& comp,
                                                        std::span<const uint8_t> data,
                                                        size_t mag_bytes, size_t block_bytes) {
@@ -349,11 +333,6 @@ CodecEngine::StreamAnalysis CodecEngine::analyze_bytes(const Compressor& comp,
              },
              [block_bytes](size_t) { return block_bytes * 8; }, 0)
       .wait();
-}
-
-std::vector<CompressedBlock> CodecEngine::compress_stream(const Compressor& comp,
-                                                          std::span<const Block> blocks) {
-  return submit_compress(comp, blocks).wait();
 }
 
 }  // namespace slc

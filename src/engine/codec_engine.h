@@ -1,7 +1,7 @@
 // CodecEngine: batched multi-threaded driver for the codec stack.
 //
 // A persistent std::thread worker pool pulls fixed-size shards off a
-// *priority job queue*: every submit()/parallel_for call enqueues one
+// *priority job queue*: every submit*() call enqueues one
 // independent job (its own [0, count) range, completion state and error
 // slot), and workers drain whichever jobs are pending — so multiple
 // analyze/compress/commit jobs can be in flight at once and the pool never
@@ -21,14 +21,14 @@
 // never anything inside a job's result.
 //
 // Two modes, matching the consumers:
-//   * full-payload  — compress_stream()/submit_compress(): every block's bit
-//                     stream (the functional path / roundtrip studies)
-//   * size-only     — analyze_stream()/analyze_bytes()/submit_analyze():
-//                     sizes + ratios only (the simulator's and the ratio
-//                     benches' common case)
-// The synchronous entry points are thin wrappers: submit + wait. The generic
-// submit()/submit_job() underlie ApproxMemory::commit_async() and the
-// CodecServer's batch dispatch (src/server/).
+//   * full-payload  — submit_compress(): every block's bit stream (the
+//                     functional path / roundtrip studies)
+//   * size-only     — submit_analyze()/analyze_bytes(): sizes + ratios only
+//                     (the simulator's and the ratio benches' common case)
+// Every entry point but analyze_bytes() returns a CodecFuture; a caller that
+// wants the result now waits on it. The generic submit()/submit_job()
+// underlie ApproxMemory::commit_async() and the CodecServer's batch dispatch
+// (src/server/).
 #pragma once
 
 #include <chrono>
@@ -262,24 +262,12 @@ class CodecEngine {
                                                             std::span<const Block> blocks,
                                                             int priority = 0);
 
-  // --- synchronous wrappers (submit + wait) --------------------------------
-
-  /// Runs body over [0, count) and blocks until every shard completed. An
-  /// exception thrown by `body` is rethrown here once the job drained.
-  void parallel_for(size_t count,
-                    const std::function<void(size_t begin, size_t end, unsigned worker_id)>& body);
-
-  StreamAnalysis analyze_stream(const Compressor& comp, std::span<const Block> blocks,
-                                size_t mag_bytes = kDefaultMagBytes);
-  /// Same, over a flat buffer sliced into 128 B views without copying (a
-  /// short tail is zero-padded into a final full block, like to_blocks).
+  /// Synchronous size-only sweep over a flat buffer sliced into
+  /// `block_bytes` views without copying (a short tail is zero-padded into a
+  /// final full block, like to_blocks); blocks until the job drained.
   StreamAnalysis analyze_bytes(const Compressor& comp, std::span<const uint8_t> data,
                                size_t mag_bytes = kDefaultMagBytes,
                                size_t block_bytes = kBlockBytes);
-
-  /// Full-payload sweep: every block compressed, results index-aligned.
-  std::vector<CompressedBlock> compress_stream(const Compressor& comp,
-                                               std::span<const Block> blocks);
 
  private:
   void worker_loop(unsigned id);

@@ -5,8 +5,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "core/fingerprint_cache.h"
-
 namespace slc {
 
 namespace {
@@ -121,39 +119,18 @@ CodecServer::~CodecServer() {
   drain();
 }
 
-std::shared_ptr<FingerprintCache> CodecServer::shared_verify_cache() {
-  MutexLock lk(lock_);
-  if (!shared_verify_cache_) {
-    FingerprintCache::Config cache_cfg;
-    cache_cfg.verify_on_hit = true;
-    shared_verify_cache_ = std::make_shared<FingerprintCache>(cache_cfg);
-  }
-  return shared_verify_cache_;
-}
-
 StreamId CodecServer::open_stream(StreamConfig cfg) {
+  // A bad MAG would divide by zero in the batch completion on an engine
+  // worker, and a preset memo would silently bypass cache_mode: both must
+  // fail open_stream, not a request.
+  check_mag_bytes(cfg.options.mag_bytes, "CodecServer::open_stream");
+  if (cfg.options.fingerprint_cache)
+    throw std::invalid_argument(
+        "CodecServer::open_stream: options.fingerprint_cache must be unset; wire the memo "
+        "with cache_mode");
   auto stream = std::make_unique<Stream>();
-  // Cache wiring precedence: an explicitly pre-set options.fingerprint_cache
-  // always wins; cache_mode is only consulted when it is null.
-  if (!cfg.options.fingerprint_cache) {
-    switch (cfg.cache_mode) {
-      case CacheMode::kOff:
-        break;
-      case CacheMode::kShared:
-        cfg.options.fingerprint_cache = engine_->fingerprint_cache();
-        break;
-      case CacheMode::kSharedVerify:
-        cfg.options.fingerprint_cache = shared_verify_cache();
-        break;
-      case CacheMode::kPrivate:
-      case CacheMode::kPrivateVerify: {
-        FingerprintCache::Config cache_cfg;
-        cache_cfg.verify_on_hit = cfg.cache_mode == CacheMode::kPrivateVerify;
-        cfg.options.fingerprint_cache = std::make_shared<FingerprintCache>(cache_cfg);
-        break;
-      }
-    }
-  }
+  if (cfg.cache_mode == CacheMode::kShared)
+    cfg.options.fingerprint_cache = engine_->fingerprint_cache();
   // Registry lookup first: an unknown codec or missing training data must
   // fail open_stream, not the first request.
   stream->codec = CodecRegistry::instance().create(cfg.codec, cfg.options);

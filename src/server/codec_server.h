@@ -91,20 +91,14 @@ enum class AdmissionPolicy : uint8_t {
 };
 
 /// Fingerprint decision-memo wiring for a stream (lossy TSLC-* streams only
-/// — the lossless schemes have no decision to memoize and ignore it).
-/// Precedence rule: a non-null `StreamConfig::options.fingerprint_cache`
-/// always wins — the mode is only consulted when the caller did not pre-set
-/// a cache.
+/// — the lossless schemes have no decision to memoize and ignore it). The
+/// mode is the only way to wire a memo: open_stream() rejects a config whose
+/// `options.fingerprint_cache` is already set.
 enum class CacheMode : uint8_t {
-  kOff,            ///< no memo (default)
-  kShared,         ///< the engine's shared cache (cross-stream dedup; its
-                   ///< verify mode is configured on the engine via
-                   ///< CodecEngine::set_fingerprint_cache before streams open)
-  kPrivate,        ///< stream-private cache (isolation: one tenant's traffic
-                   ///< cannot evict another's entries)
-  kSharedVerify,   ///< a server-owned verify-on-hit cache shared by this
-                   ///< server's kSharedVerify streams (paranoia + dedup)
-  kPrivateVerify,  ///< stream-private verify-on-hit cache
+  kOff,     ///< no memo (default)
+  kShared,  ///< the engine's shared cache (cross-stream dedup; its capacity
+            ///< and verify-on-hit mode are configured on the engine via
+            ///< CodecEngine::set_fingerprint_cache before streams open)
 };
 
 /// Everything needed to open a stream. `options.threshold_bytes` is the
@@ -289,8 +283,10 @@ class CodecServer {
   /// Opens a stream: resolves `cfg.codec` in the registry (throws
   /// std::out_of_range on an unknown name, std::invalid_argument when the
   /// scheme needs training data the options lack), wires the fingerprint
-  /// cache per `cfg.cache_mode` (unless `cfg.options.fingerprint_cache` is
-  /// already set — the explicit cache wins) and constructs its codec.
+  /// cache per `cfg.cache_mode` and constructs its codec. Also throws
+  /// std::invalid_argument when `cfg.options.fingerprint_cache` is already
+  /// set (cache_mode is the one way in) or `cfg.options.mag_bytes` is not a
+  /// positive divisor of kBlockBytes.
   StreamId open_stream(StreamConfig cfg);
 
   size_t num_streams() const;
@@ -363,8 +359,6 @@ class CodecServer {
   /// Body of the flush-timer thread: force-dispatches batches whose
   /// flush_by elapsed, sleeps until the next one (or until notified).
   void timer_loop() SLC_EXCLUDES(lock_);
-  /// Lazily builds the server-owned CacheMode::kSharedVerify cache.
-  std::shared_ptr<FingerprintCache> shared_verify_cache() SLC_EXCLUDES(lock_);
 
   Config cfg_;
   std::shared_ptr<CodecEngine> engine_;
@@ -384,7 +378,6 @@ class CodecServer {
   uint64_t admit_head_ SLC_GUARDED_BY(lock_) = 0;  ///< turnstile: next turn to admit
   uint64_t admit_tail_ SLC_GUARDED_BY(lock_) = 0;  ///< next turn to hand out
   bool stopping_ SLC_GUARDED_BY(lock_) = false;    ///< ~CodecServer: timer must exit
-  std::shared_ptr<FingerprintCache> shared_verify_cache_ SLC_GUARDED_BY(lock_);
   std::thread timer_;  ///< flush-timer thread; started in ctor, joined in dtor
 };
 

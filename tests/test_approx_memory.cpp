@@ -279,11 +279,27 @@ TEST(ApproxMemory, CommitAllPipelinesAndRecommitSerializes) {
   EXPECT_EQ(mem.stats().blocks, 144u);  // 3 commits x 48 blocks
 }
 
+/// Forwards every span to the inner policy one block at a time (spans of 1):
+/// the per-block reference a whole-span commit must match.
+class PerBlockCodec final : public BlockCodec {
+ public:
+  explicit PerBlockCodec(std::shared_ptr<const BlockCodec> inner) : inner_(std::move(inner)) {}
+  void process_batch(std::span<const BlockView> blocks, bool safe, size_t threshold,
+                     BlockCodecResult* out) const override {
+    for (size_t i = 0; i < blocks.size(); ++i) out[i] = inner_->process(blocks[i], safe, threshold);
+  }
+  size_t mag_bytes() const override { return inner_->mag_bytes(); }
+  std::string name() const override { return inner_->name(); }
+
+ private:
+  std::shared_ptr<const BlockCodec> inner_;
+};
+
 // Region commits through the batched policy kernel must be byte-identical to
-// the scalar per-block loop: same mutated contents, same stats, same burst
-// counts — across lossy/threshold-varied regions (tighter and looser than
-// the codec config, unsafe, zero-threshold) and across engine batch splits
-// (inline, 1-thread, 4-thread shard sizes all differ).
+// the same kernel run a block at a time: same mutated contents, same stats,
+// same burst counts — across lossy/threshold-varied regions (tighter and
+// looser than the codec config, unsafe, zero-threshold) and across engine
+// batch splits (inline, 1-thread, 4-thread shard sizes all differ).
 TEST(ApproxMemory, BatchCommitMatchesScalarAcrossThresholds) {
   auto run = [](std::shared_ptr<const BlockCodec> codec, std::shared_ptr<CodecEngine> engine) {
     ApproxMemory mem;
@@ -315,9 +331,7 @@ TEST(ApproxMemory, BatchCommitMatchesScalarAcrossThresholds) {
     return std::make_tuple(contents, bursts, mem.stats());
   };
 
-  // ScalarOnlyBlockCodec (compress/block_codec.h) forces the per-block
-  // process() loop: a commit through it is the oracle the batch must match.
-  const auto scalar = run(std::make_shared<ScalarOnlyBlockCodec>(tiny_slc()), nullptr);
+  const auto scalar = run(std::make_shared<PerBlockCodec>(tiny_slc()), nullptr);
   size_t lossy_total = 0;
   for (const auto engine_threads : {0u, 1u, 4u}) {
     const auto engine = engine_threads == 0 ? nullptr : std::make_shared<CodecEngine>(engine_threads);
@@ -336,13 +350,15 @@ TEST(ApproxMemory, BatchCommitMatchesScalarAcrossThresholds) {
 TEST(ApproxMemory, BurstCountsAbove255SurviveCommitAndTrace) {
   class WideBurstCodec final : public BlockCodec {
    public:
-    BlockCodecResult process(BlockView block, bool, size_t) const override {
-      BlockCodecResult r;
-      r.bursts = 300;  // > uint8_t: e.g. block_bytes / mag_bytes = 300
-      r.lossless_bits = block.size() * 8;
-      r.final_bits = block.size() * 8;
-      r.stored_uncompressed = true;
-      return r;
+    void process_batch(std::span<const BlockView> blocks, bool, size_t,
+                       BlockCodecResult* out) const override {
+      for (size_t i = 0; i < blocks.size(); ++i) {
+        out[i] = BlockCodecResult{};
+        out[i].bursts = 300;  // > uint8_t: e.g. block_bytes / mag_bytes = 300
+        out[i].lossless_bits = blocks[i].size() * 8;
+        out[i].final_bits = blocks[i].size() * 8;
+        out[i].stored_uncompressed = true;
+      }
     }
     size_t mag_bytes() const override { return kDefaultMagBytes; }
     std::string name() const override { return "WIDE"; }

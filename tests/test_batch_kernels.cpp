@@ -4,7 +4,11 @@
 // and repeat/delta data, for any batch split. This is the contract that lets
 // the CodecEngine and CodecServer route every shard through the batch entry
 // points without a correctness fallback; it runs under the ASan+UBSan CI job
-// like the rest of this binary.
+// like the rest of this binary. The SLC codec and the BlockCodec policies
+// have no per-block path of their own (one block is a span of 1), so for
+// them these tests pin split invariance, and
+// CodecDifferential.DecideMatchesReference checks the SLC decision against
+// an independent per-block oracle.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -179,7 +183,7 @@ void check_block_codec(const BlockCodec& codec, const std::vector<Block>& blocks
                        bool safe, size_t threshold, const std::string& label) {
   const std::vector<BlockView> views = to_views(blocks);
 
-  // The scalar oracle: exactly the loop BlockCodec's default runs.
+  // The per-block reference: process(), a span of 1 through the kernel.
   std::vector<BlockCodecResult> scalar(blocks.size());
   for (size_t i = 0; i < blocks.size(); ++i) scalar[i] = codec.process(views[i], safe, threshold);
 

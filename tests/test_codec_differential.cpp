@@ -1,7 +1,8 @@
 // Differential tests: E2mcCompressor::layout and TreeSlcSelector::select
 // against the per-symbol reference loops in codec_reference.h, over seeded
-// random code lengths of 1-32 bits. Every WayLayout and TreeCandidate must
-// match field by field.
+// random code lengths of 1-32 bits, and SlcCodec's batch decision against
+// the per-block ref_decide over seeded block streams. Every WayLayout,
+// TreeCandidate and Decision must match field by field.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,6 +12,8 @@
 
 #include "codec_reference.h"
 #include "common/rng.h"
+#include "core/fingerprint_cache.h"
+#include "test_util.h"
 
 namespace slc {
 namespace {
@@ -104,6 +107,132 @@ TEST(CodecDifferential, SelectMatchesWindowSumReference) {
       }
     }
   }
+}
+
+void expect_decision_eq(const SlcCodec::Decision& ref, const SlcCodec::Decision& got,
+                        const std::string& what) {
+  EXPECT_EQ(ref.info.lossy, got.info.lossy) << what;
+  EXPECT_EQ(ref.info.stored_uncompressed, got.info.stored_uncompressed) << what;
+  EXPECT_EQ(ref.info.lossless_bits, got.info.lossless_bits) << what;
+  EXPECT_EQ(ref.info.final_bits, got.info.final_bits) << what;
+  EXPECT_EQ(ref.info.bursts, got.info.bursts) << what;
+  EXPECT_EQ(ref.info.truncated_symbols, got.info.truncated_symbols) << what;
+  EXPECT_EQ(ref.info.truncated_bits, got.info.truncated_bits) << what;
+  EXPECT_EQ(ref.info.extra_bits, got.info.extra_bits) << what;
+  EXPECT_EQ(ref.skip_start, got.skip_start) << what;
+  EXPECT_EQ(ref.skip_count, got.skip_count) << what;
+}
+
+// SlcCodec::decide_batch with the memo off, on, and on with verify-on-hit,
+// and compress_batch's bookkeeping and payload sizes, against ref_decide:
+// every variant, MAG and threshold, 64-256 B blocks at 4 and 8 ways, and
+// random, value-similar, duplicate-heavy (the memo serves the repeats) and
+// code-mix streams (symbols drawn across the model's whole code table and
+// escapes). Way padding can push a cut block back over budget, so that the
+// decision escalates to a larger window, only when the window starts inside
+// one way and ends in another: 96 B blocks (12 or 6 symbols per way) are
+// the geometries here where that happens.
+TEST(CodecDifferential, DecideMatchesReference) {
+  constexpr size_t kBlocks = 48;
+  const auto training = test::quantized_walk(0xDEC1DE, 64);
+  size_t lossy = 0, raw = 0, decided = 0;
+  for (const unsigned ways : {4u, 8u}) {
+    E2mcConfig ecfg;
+    ecfg.num_ways = ways;
+    const auto e2mc = E2mcCompressor::train(training, ecfg);
+    std::vector<uint16_t> coded;  // every symbol with a codeword
+    for (uint32_t sym = 0; sym <= UINT16_MAX; ++sym)
+      if (e2mc->code().in_table(static_cast<uint16_t>(sym)))
+        coded.push_back(static_cast<uint16_t>(sym));
+
+    for (const size_t block_bytes : {size_t{64}, size_t{96}, size_t{128}, size_t{256}}) {
+      // The streams as flat buffers: uniform random bytes; a value-similar
+      // walk like the training data; blocks drawn from 6 of that walk's; and
+      // symbols drawn from the code table (every code length) or, one in 8,
+      // uniformly (mostly escapes).
+      Rng rng(block_bytes);
+      std::vector<uint8_t> random(kBlocks * block_bytes);
+      for (uint8_t& b : random) b = static_cast<uint8_t>(rng.next());
+      const std::vector<uint8_t> similar =
+          test::quantized_walk(block_bytes + 1, kBlocks * block_bytes / kBlockBytes);
+      std::vector<uint8_t> dups;
+      for (size_t i = 0; i < kBlocks; ++i) {
+        const auto src = similar.begin() + static_cast<ptrdiff_t>(rng.next_below(6) * block_bytes);
+        dups.insert(dups.end(), src, src + static_cast<ptrdiff_t>(block_bytes));
+      }
+      std::vector<uint8_t> code_mix(kBlocks * block_bytes);
+      for (size_t i = 0; i < code_mix.size(); i += 2) {
+        const uint16_t sym = rng.chance(0.125) ? static_cast<uint16_t>(rng.next())
+                                               : coded[rng.next_below(coded.size())];
+        code_mix[i] = static_cast<uint8_t>(sym);
+        code_mix[i + 1] = static_cast<uint8_t>(sym >> 8);
+      }
+      const struct {
+        const char* name;
+        const std::vector<uint8_t>& bytes;
+      } streams[] = {{"random", random},
+                     {"value-similar", similar},
+                     {"dup-heavy", dups},
+                     {"code-mix", code_mix}};
+
+      for (const auto& [sname, bytes] : streams) {
+        const std::vector<Block> blocks = to_blocks(bytes, block_bytes);
+        const std::vector<BlockView> views = to_views(blocks);
+        for (const SlcVariant variant : {SlcVariant::kSimp, SlcVariant::kPred, SlcVariant::kOpt}) {
+          for (const size_t mag : {size_t{16}, size_t{32}, size_t{64}}) {
+            for (const size_t threshold : {size_t{0}, size_t{8}, size_t{16}, size_t{32}}) {
+              SlcConfig cfg;
+              cfg.mag_bytes = mag;
+              cfg.threshold_bytes = threshold;
+              cfg.variant = variant;
+              std::vector<SlcCodec::Decision> want;
+              for (const BlockView& v : views) want.push_back(test::ref_decide(*e2mc, cfg, v));
+              const std::string tag = std::string(sname) + " " + std::to_string(block_bytes) +
+                                      " B " + std::to_string(ways) + " ways " +
+                                      to_string(variant) + " MAG " + std::to_string(mag) +
+                                      " thr " + std::to_string(threshold);
+
+              for (const int memo : {0, 1, 2}) {  // off, on, verify-on-hit
+                cfg.cache = memo == 0 ? nullptr
+                                      : std::make_shared<FingerprintCache>(FingerprintCache::Config{
+                                            .verify_on_hit = memo == 2});
+                const SlcCodec codec(e2mc, cfg);
+                // Twice, so the second pass is served from the memo.
+                for (int pass = 0; pass < 2; ++pass) {
+                  const auto got = test::decide_all(codec, views);
+                  for (size_t i = 0; i < views.size(); ++i)
+                    expect_decision_eq(want[i], got[i],
+                                       tag + " memo " + std::to_string(memo) + " pass " +
+                                           std::to_string(pass) + " block " + std::to_string(i));
+                }
+              }
+
+              cfg.cache = nullptr;
+              const SlcCodec codec(e2mc, cfg);
+              std::vector<SlcCompressedBlock> cbs(views.size());
+              codec.compress_batch(views, cbs.data());
+              for (size_t i = 0; i < views.size(); ++i) {
+                const std::string what = tag + " compress block " + std::to_string(i);
+                expect_decision_eq(want[i], SlcCodec::Decision{cbs[i].info, want[i].skip_start,
+                                                               want[i].skip_count},
+                                   what);
+                EXPECT_EQ(cbs[i].data.is_compressed, !want[i].info.stored_uncompressed) << what;
+                EXPECT_EQ(cbs[i].data.bit_size, want[i].info.final_bits) << what;
+                EXPECT_EQ(cbs[i].data.payload.size() * 8, want[i].info.final_bits) << what;
+                lossy += want[i].info.lossy ? 1 : 0;
+                raw += want[i].info.stored_uncompressed ? 1 : 0;
+                ++decided;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  // The sweep must reach the lossy, lossless and raw branches.
+  EXPECT_GT(lossy, 0u);
+  EXPECT_GT(raw, 0u);
+  EXPECT_GT(decided - lossy - raw, 0u);
 }
 
 }  // namespace

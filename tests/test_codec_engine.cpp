@@ -29,26 +29,28 @@ TEST(CodecEngine, ParallelForCoversEveryIndexExactlyOnce) {
   EXPECT_EQ(engine.num_threads(), 4u);
   for (const size_t count : {0u, 1u, 7u, 64u, 1000u}) {
     std::vector<std::atomic<int>> hits(count);
-    engine.parallel_for(count, [&](size_t begin, size_t end, unsigned worker) {
+    engine.submit(count, [&](size_t begin, size_t end, unsigned worker) {
       EXPECT_LT(worker, engine.num_threads());
       EXPECT_LE(begin, end);
       EXPECT_LE(end, count);
       for (size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
-    });
+    }).wait();
     for (size_t i = 0; i < count; ++i) EXPECT_EQ(hits[i].load(), 1) << "index " << i;
   }
 }
 
 TEST(CodecEngine, ParallelForRethrowsBodyExceptions) {
   CodecEngine engine(2);
-  EXPECT_THROW(engine.parallel_for(100,
-                                   [&](size_t begin, size_t, unsigned) {
-                                     if (begin == 0) throw std::runtime_error("boom");
-                                   }),
+  EXPECT_THROW(engine
+                   .submit(100,
+                           [&](size_t begin, size_t, unsigned) {
+                             if (begin == 0) throw std::runtime_error("boom");
+                           })
+                   .wait(),
                std::runtime_error);
   // The pool must stay usable afterwards.
   std::atomic<size_t> total{0};
-  engine.parallel_for(10, [&](size_t begin, size_t end, unsigned) { total += end - begin; });
+  engine.submit(10, [&](size_t begin, size_t end, unsigned) { total += end - begin; }).wait();
   EXPECT_EQ(total.load(), 10u);
 }
 
@@ -63,8 +65,8 @@ TEST(CodecEngine, ThreadCountInvariantResults) {
     CodecEngine one(1);
     CodecEngine four(4);
 
-    const auto a1 = one.analyze_stream(*comp, blocks, 32);
-    const auto a4 = four.analyze_stream(*comp, blocks, 32);
+    const auto a1 = one.submit_analyze(*comp, blocks, 32).wait();
+    const auto a4 = four.submit_analyze(*comp, blocks, 32).wait();
     ASSERT_EQ(a1.blocks.size(), a4.blocks.size());
     for (size_t i = 0; i < a1.blocks.size(); ++i) {
       EXPECT_EQ(a1.blocks[i].bit_size, a4.blocks[i].bit_size) << scheme << " block " << i;
@@ -76,8 +78,8 @@ TEST(CodecEngine, ThreadCountInvariantResults) {
     EXPECT_EQ(a1.lossy_blocks, a4.lossy_blocks) << scheme;
     EXPECT_EQ(a1.truncated_symbols, a4.truncated_symbols) << scheme;
 
-    const auto c1 = one.compress_stream(*comp, blocks);
-    const auto c4 = four.compress_stream(*comp, blocks);
+    const auto c1 = one.submit_compress(*comp, blocks).wait();
+    const auto c4 = four.submit_compress(*comp, blocks).wait();
     ASSERT_EQ(c1.size(), c4.size());
     for (size_t i = 0; i < c1.size(); ++i) {
       EXPECT_EQ(c1[i].bit_size, c4[i].bit_size) << scheme << " block " << i;
@@ -93,7 +95,7 @@ TEST(CodecEngine, AnalyzeBytesMatchesAnalyzeStream) {
   const auto comp = CodecRegistry::instance().create("E2MC", test_options(training));
 
   CodecEngine engine(2);
-  const auto from_blocks = engine.analyze_stream(*comp, blocks, 32);
+  const auto from_blocks = engine.submit_analyze(*comp, blocks, 32).wait();
   const auto from_bytes = engine.analyze_bytes(*comp, data, 32);
   ASSERT_EQ(from_bytes.blocks.size(), from_blocks.blocks.size());
   for (size_t i = 0; i < from_bytes.blocks.size(); ++i)
@@ -102,7 +104,7 @@ TEST(CodecEngine, AnalyzeBytesMatchesAnalyzeStream) {
 }
 
 // Satellite regression: analyze_bytes' zero-padded tail must be
-// byte-identical to to_blocks(pad_tail = true) + analyze_stream for every
+// byte-identical to to_blocks(pad_tail = true) + submit_analyze for every
 // ragged size, including empty input.
 TEST(CodecEngine, AnalyzeBytesTailPaddingMatchesToBlocks) {
   const auto training = quantized_walk(31, 256);
@@ -118,7 +120,7 @@ TEST(CodecEngine, AnalyzeBytesTailPaddingMatchesToBlocks) {
     const auto blocks = to_blocks(data, kBlockBytes, /*pad_tail=*/true);
 
     const auto from_bytes = engine.analyze_bytes(*comp, data, 32);
-    const auto from_blocks = engine.analyze_stream(*comp, blocks, 32);
+    const auto from_blocks = engine.submit_analyze(*comp, blocks, 32).wait();
 
     ASSERT_EQ(from_bytes.blocks.size(), from_blocks.blocks.size()) << bytes << " bytes";
     for (size_t i = 0; i < from_bytes.blocks.size(); ++i) {
@@ -194,7 +196,7 @@ TEST(CodecEngine, ConcurrentSubmitsMatchSequentialAnalyze) {
   CodecEngine reference(1);
   for (size_t s = 0; s < streams.size(); ++s) {
     const auto got = analyses[s].wait();
-    const auto want = reference.analyze_stream(*comp, streams[s], 32);
+    const auto want = reference.submit_analyze(*comp, streams[s], 32).wait();
     ASSERT_EQ(got.blocks.size(), want.blocks.size());
     for (size_t i = 0; i < got.blocks.size(); ++i)
       EXPECT_EQ(got.blocks[i].bit_size, want.blocks[i].bit_size) << "stream " << s << " block " << i;
@@ -204,7 +206,7 @@ TEST(CodecEngine, ConcurrentSubmitsMatchSequentialAnalyze) {
     EXPECT_EQ(got.truncated_symbols, want.truncated_symbols);
 
     const auto got_payloads = payloads[s].wait();
-    const auto want_payloads = reference.compress_stream(*comp, streams[s]);
+    const auto want_payloads = reference.submit_compress(*comp, streams[s]).wait();
     ASSERT_EQ(got_payloads.size(), want_payloads.size());
     for (size_t i = 0; i < got_payloads.size(); ++i)
       EXPECT_EQ(got_payloads[i].payload, want_payloads[i].payload) << "stream " << s;
@@ -228,7 +230,7 @@ TEST(CodecEngine, ExceptionInOneJobDoesNotPoisonOthers) {
 
   // The pool must stay usable afterwards.
   std::atomic<size_t> total{0};
-  engine.parallel_for(10, [&](size_t begin, size_t end, unsigned) { total += end - begin; });
+  engine.submit(10, [&](size_t begin, size_t end, unsigned) { total += end - begin; }).wait();
   EXPECT_EQ(total.load(), 10u);
 }
 

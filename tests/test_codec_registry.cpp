@@ -153,9 +153,14 @@ TEST(CodecRegistry, SlcAdapterExposesEncodeInfo) {
       reg.create("TSLC-OPT", test_options(training)));
   ASSERT_NE(comp, nullptr);
   const auto blocks = reference_blocks();
-  for (const Block& b : blocks) {
-    const SlcEncodeInfo info = comp->codec().analyze(b.view());
-    const BlockAnalysis a = comp->analyze(b.view());
+  const auto views = to_views(blocks);
+  SlcCodec::LengthScratch scratch;
+  std::vector<SlcCodec::Decision> ds(views.size());
+  std::vector<SlcCodec::CacheOutcome> ocs(views.size());
+  comp->codec().decide_batch(views, scratch, ds.data(), ocs.data());
+  for (size_t i = 0; i < blocks.size(); ++i) {
+    const SlcEncodeInfo& info = ds[i].info;
+    const BlockAnalysis a = comp->analyze(views[i]);
     EXPECT_EQ(a.bit_size, info.final_bits);
     EXPECT_EQ(a.lossy, info.lossy);
     EXPECT_EQ(a.lossless_bits, info.lossless_bits);

@@ -702,23 +702,29 @@ TEST(CodecServer, StreamStatsMergeAddsNewCounters) {
   EXPECT_EQ(a.deadline_misses, 5u);
 }
 
-// CacheMode precedence: an explicitly pre-set options.fingerprint_cache
-// always wins over the mode; kOff streams generate no cache traffic.
-TEST(CodecServer, CacheModeExplicitCacheWinsAndOffStaysCold) {
-  if (!FingerprintCache::runtime_enabled()) GTEST_SKIP() << "cache force-disabled";
+// CacheMode is the one way to wire a memo: a pre-set
+// options.fingerprint_cache fails open_stream; kShared traffic lands in the
+// engine's cache while kOff streams generate no cache traffic.
+TEST(CodecServer, CacheModeRejectsPresetCacheAndOffStaysCold) {
   const auto training = quantized_walk(31, 256);
-  auto explicit_cache = std::make_shared<FingerprintCache>();
 
   CodecServer::Config cfg;
   cfg.engine = std::make_shared<CodecEngine>(2);
   CodecServer server(cfg);
-  StreamConfig sc;
-  sc.name = "explicit";
-  sc.codec = "TSLC-OPT";
-  sc.options = test_options(training);
-  sc.options.fingerprint_cache = explicit_cache;
-  sc.cache_mode = CacheMode::kShared;  // must lose to the explicit cache
-  const StreamId s = server.open_stream(sc);
+  StreamConfig preset;
+  preset.name = "preset";
+  preset.codec = "TSLC-OPT";
+  preset.options = test_options(training);
+  preset.options.fingerprint_cache = std::make_shared<FingerprintCache>();
+  preset.cache_mode = CacheMode::kShared;
+  EXPECT_THROW(server.open_stream(preset), std::invalid_argument);
+  EXPECT_EQ(server.num_streams(), 0u);
+  if (!FingerprintCache::runtime_enabled()) GTEST_SKIP() << "cache force-disabled";
+
+  StreamConfig shared = preset;
+  shared.name = "shared";
+  shared.options.fingerprint_cache = nullptr;
+  const StreamId s = server.open_stream(shared);
 
   StreamConfig off;
   off.name = "off";
@@ -731,45 +737,28 @@ TEST(CodecServer, CacheModeExplicitCacheWinsAndOffStaysCold) {
   const Response cold_res = server.submit(so, Request{.bytes = data}).wait();
   ASSERT_TRUE(cached_res.ok());
   ASSERT_TRUE(cold_res.ok());
-  EXPECT_GT(explicit_cache->size(), 0u) << "traffic must land in the explicit cache";
   EXPECT_GT(cached_res.analysis.cache.probes(), 0u);
+  EXPECT_GT(server.engine().fingerprint_cache()->size(), 0u)
+      << "kShared traffic must land in the engine's cache";
   EXPECT_EQ(cold_res.analysis.cache.probes(), 0u) << "CacheMode::kOff generates no probes";
-  EXPECT_EQ(server.engine().fingerprint_cache()->size(), 0u)
-      << "the shared engine cache must not have been wired in";
 }
 
-// CacheMode::kPrivate isolation: two private streams do not share entries,
-// while two kShared streams hit each other's.
-TEST(CodecServer, CacheModePrivateIsolatesSharedDedups) {
-  if (!FingerprintCache::runtime_enabled()) GTEST_SKIP() << "cache force-disabled";
+// A MAG of 0 (or one that does not divide the block) must fail open_stream,
+// not kill the process on the engine worker that completes the first batch.
+TEST(CodecServer, OpenStreamRejectsBadMag) {
   const auto training = quantized_walk(31, 256);
-  const auto data = quantized_walk(58, 8);
-  // One trained model for both streams: the cache keys on codec identity
-  // (trained-model id, MAG, threshold), so per-stream training would make
-  // the entries invisible across streams and hide the sharing under test.
-  CodecOptions opts = test_options(training);
-  opts.trained_e2mc = E2mcCompressor::train(training, opts.e2mc);
-
-  auto run = [&](CacheMode mode) {
-    CodecServer::Config cfg;
-    cfg.engine = std::make_shared<CodecEngine>(2);
-    CodecServer server(cfg);
-    StreamConfig a;
-    a.name = "a";
-    a.codec = "TSLC-OPT";
-    a.options = opts;
-    a.cache_mode = mode;
-    StreamConfig b = a;
-    b.name = "b";
-    const StreamId sa = server.open_stream(a);
-    const StreamId sb = server.open_stream(b);
-    server.submit(sa, Request{.bytes = data}).wait();
-    const Response second = server.submit(sb, Request{.bytes = data}).wait();
-    return second.analysis.cache.hits;
-  };
-
-  EXPECT_GT(run(CacheMode::kShared), 0u) << "shared mode dedups across streams";
-  EXPECT_EQ(run(CacheMode::kPrivate), 0u) << "private caches must not leak across streams";
+  CodecServer server;
+  for (const char* codec : {"E2MC", "BDI", "TSLC-OPT"}) {
+    for (const size_t mag : {size_t{0}, size_t{48}}) {
+      StreamConfig sc;
+      sc.name = "bad-mag";
+      sc.codec = codec;
+      sc.options = test_options(training);
+      sc.options.mag_bytes = mag;
+      EXPECT_THROW(server.open_stream(sc), std::invalid_argument) << codec << " MAG " << mag;
+    }
+  }
+  EXPECT_EQ(server.num_streams(), 0u);
 }
 
 }  // namespace

@@ -215,7 +215,7 @@ TEST(ConcurrencyStress, SharedCacheConcurrentAnalyzeJobs) {
   const auto cached = CodecRegistry::instance().create("TSLC-OPT", cached_opts);
   const auto uncached = CodecRegistry::instance().create("TSLC-OPT", test_options(training()));
   CodecEngine reference(1);
-  const auto want = reference.analyze_stream(*uncached, blocks, 32);
+  const auto want = reference.submit_analyze(*uncached, blocks, 32).wait();
 
   constexpr size_t kClients = 3, kIters = 4;
   std::atomic<size_t> mismatches{0};
@@ -224,7 +224,7 @@ TEST(ConcurrencyStress, SharedCacheConcurrentAnalyzeJobs) {
   for (size_t c = 0; c < kClients; ++c)
     clients.emplace_back([&engine, &cached, &blocks, &want, &mismatches] {
       for (size_t i = 0; i < kIters; ++i) {
-        const auto got = engine->analyze_stream(*cached, blocks, 32);
+        const auto got = engine->submit_analyze(*cached, blocks, 32).wait();
         if (got.blocks.size() != want.blocks.size()) {
           mismatches.fetch_add(1);
           continue;

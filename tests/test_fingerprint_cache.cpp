@@ -123,6 +123,25 @@ void expect_result_eq(const BlockCodecResult& a, const BlockCodecResult& b,
   // bookkeeping, never part of the determinism contract.
 }
 
+/// The memo's probe and store for one key: the batch forms over a span of 1.
+FingerprintCache::Lookup lookup_one(FingerprintCache& cache, uint64_t key, uint64_t fp,
+                                    std::span<const uint8_t> block, SlcCodec::Decision& out) {
+  const BlockView view(block);
+  FingerprintCache::Lookup result;
+  cache.lookup_batch(key, std::span<const uint64_t>(&fp, 1), std::span<const BlockView>(&view, 1),
+                     &out, &result);
+  return result;
+}
+
+bool insert_one(FingerprintCache& cache, uint64_t key, uint64_t fp,
+                std::span<const uint8_t> block, const SlcCodec::Decision& d) {
+  const BlockView view(block);
+  bool evicted = false;
+  cache.insert_batch(key, std::span<const uint64_t>(&fp, 1), std::span<const BlockView>(&view, 1),
+                     &d, &evicted);
+  return evicted;
+}
+
 /// A decision that fits a packed way, distinct for tags below 60000.
 SlcCodec::Decision arbitrary_decision(size_t tag) {
   SlcCodec::Decision d;
@@ -170,9 +189,9 @@ TEST(FingerprintCache, InsertThenLookupRoundTripsTheDecision) {
   FingerprintCache cache;
   const SlcCodec::Decision in = arbitrary_decision(9);
   const Block b = test::dedup_corpus({.blocks = 1, .seed = 8})[0];
-  EXPECT_FALSE(cache.insert(1, 42, b.bytes(), in));
+  EXPECT_FALSE(insert_one(cache, 1, 42, b.bytes(), in));
   SlcCodec::Decision out;
-  EXPECT_EQ(cache.lookup(1, 42, b.bytes(), out), FingerprintCache::Lookup::kHit);
+  EXPECT_EQ(lookup_one(cache, 1, 42, b.bytes(), out), FingerprintCache::Lookup::kHit);
   expect_info_eq(out.info, in.info, "roundtrip");
   EXPECT_EQ(out.skip_start, in.skip_start);
   EXPECT_EQ(out.skip_count, in.skip_count);
@@ -186,14 +205,14 @@ TEST(FingerprintCache, LruEvictsTheColdestEntry) {
   ASSERT_EQ(cache.num_sets(), 1u);
   const Block b;
   for (uint64_t fp = 0; fp < 4; ++fp)
-    EXPECT_FALSE(cache.insert(1, fp, b.bytes(), arbitrary_decision(fp)));
+    EXPECT_FALSE(insert_one(cache, 1, fp, b.bytes(), arbitrary_decision(fp)));
   // Touch fp=0 so fp=1 becomes the LRU victim.
   SlcCodec::Decision d;
-  EXPECT_EQ(cache.lookup(1, 0, b.bytes(), d), FingerprintCache::Lookup::kHit);
-  EXPECT_TRUE(cache.insert(1, 99, b.bytes(), arbitrary_decision(99)));
+  EXPECT_EQ(lookup_one(cache, 1, 0, b.bytes(), d), FingerprintCache::Lookup::kHit);
+  EXPECT_TRUE(insert_one(cache, 1, 99, b.bytes(), arbitrary_decision(99)));
   EXPECT_EQ(cache.size(), 4u);
-  EXPECT_EQ(cache.lookup(1, 1, b.bytes(), d), FingerprintCache::Lookup::kMiss);
-  EXPECT_EQ(cache.lookup(1, 0, b.bytes(), d), FingerprintCache::Lookup::kHit);
+  EXPECT_EQ(lookup_one(cache, 1, 1, b.bytes(), d), FingerprintCache::Lookup::kMiss);
+  EXPECT_EQ(lookup_one(cache, 1, 0, b.bytes(), d), FingerprintCache::Lookup::kHit);
   EXPECT_EQ(cache.counters().evictions, 1u);
 }
 
@@ -210,23 +229,23 @@ TEST(FingerprintCache, FullSetEvictsItsLeastRecentWay) {
   while (cache.set_index(kKey, elsewhere) == 0) ++elsewhere;
 
   const Block b;
-  EXPECT_FALSE(cache.insert(kKey, elsewhere, b.bytes(), arbitrary_decision(50)));
+  EXPECT_FALSE(insert_one(cache, kKey, elsewhere, b.bytes(), arbitrary_decision(50)));
   for (size_t i = 0; i < FingerprintCache::kWays; ++i)
-    EXPECT_FALSE(cache.insert(kKey, fps[i], b.bytes(), arbitrary_decision(i))) << i;
+    EXPECT_FALSE(insert_one(cache, kKey, fps[i], b.bytes(), arbitrary_decision(i))) << i;
   // Recency, most recent first: 3 2 1 0. Touch 0, 2, 3: now 3 2 0 1.
   SlcCodec::Decision d;
   for (const size_t i : {0u, 2u, 3u})
-    EXPECT_EQ(cache.lookup(kKey, fps[i], b.bytes(), d), FingerprintCache::Lookup::kHit) << i;
-  EXPECT_TRUE(cache.insert(kKey, fps[4], b.bytes(), arbitrary_decision(4)));  // evicts 1
-  EXPECT_EQ(cache.lookup(kKey, fps[1], b.bytes(), d), FingerprintCache::Lookup::kMiss);
+    EXPECT_EQ(lookup_one(cache, kKey, fps[i], b.bytes(), d), FingerprintCache::Lookup::kHit) << i;
+  EXPECT_TRUE(insert_one(cache, kKey, fps[4], b.bytes(), arbitrary_decision(4)));  // evicts 1
+  EXPECT_EQ(lookup_one(cache, kKey, fps[1], b.bytes(), d), FingerprintCache::Lookup::kMiss);
   // A miss does not reorder the set: 4 3 2 0, so the next victim is 0.
-  EXPECT_TRUE(cache.insert(kKey, fps[5], b.bytes(), arbitrary_decision(5)));
-  EXPECT_EQ(cache.lookup(kKey, fps[0], b.bytes(), d), FingerprintCache::Lookup::kMiss);
+  EXPECT_TRUE(insert_one(cache, kKey, fps[5], b.bytes(), arbitrary_decision(5)));
+  EXPECT_EQ(lookup_one(cache, kKey, fps[0], b.bytes(), d), FingerprintCache::Lookup::kMiss);
   for (const size_t i : {2u, 3u, 4u, 5u}) {
-    ASSERT_EQ(cache.lookup(kKey, fps[i], b.bytes(), d), FingerprintCache::Lookup::kHit) << i;
+    ASSERT_EQ(lookup_one(cache, kKey, fps[i], b.bytes(), d), FingerprintCache::Lookup::kHit) << i;
     EXPECT_EQ(d.skip_start, arbitrary_decision(i).skip_start) << i;
   }
-  EXPECT_EQ(cache.lookup(kKey, elsewhere, b.bytes(), d), FingerprintCache::Lookup::kHit);
+  EXPECT_EQ(lookup_one(cache, kKey, elsewhere, b.bytes(), d), FingerprintCache::Lookup::kHit);
   EXPECT_EQ(cache.size(), FingerprintCache::kWays + 1);
   EXPECT_EQ(cache.counters().evictions, 2u);
 }
@@ -242,8 +261,8 @@ TEST(FingerprintCache, DecisionTooWideForAWayIsNotStored) {
                  .truncated_bits = 65535, .extra_bits = 65535};
   widest.skip_start = 255;
   widest.skip_count = 255;
-  EXPECT_FALSE(cache.insert(1, 1, b.bytes(), widest));
-  ASSERT_EQ(cache.lookup(1, 1, b.bytes(), d), FingerprintCache::Lookup::kHit);
+  EXPECT_FALSE(insert_one(cache, 1, 1, b.bytes(), widest));
+  ASSERT_EQ(lookup_one(cache, 1, 1, b.bytes(), d), FingerprintCache::Lookup::kHit);
   expect_info_eq(d.info, widest.info, "widest");
   EXPECT_EQ(d.skip_start, 255u);
   EXPECT_EQ(d.skip_count, 255u);
@@ -258,8 +277,8 @@ TEST(FingerprintCache, DecisionTooWideForAWayIsNotStored) {
   too_wide[6].skip_start = 256;
   too_wide[7].skip_count = 256;
   for (size_t i = 0; i < too_wide.size(); ++i) {
-    EXPECT_FALSE(cache.insert(1, 100 + i, b.bytes(), too_wide[i])) << i;
-    EXPECT_EQ(cache.lookup(1, 100 + i, b.bytes(), d), FingerprintCache::Lookup::kMiss) << i;
+    EXPECT_FALSE(insert_one(cache, 1, 100 + i, b.bytes(), too_wide[i])) << i;
+    EXPECT_EQ(lookup_one(cache, 1, 100 + i, b.bytes(), d), FingerprintCache::Lookup::kMiss) << i;
   }
   EXPECT_EQ(cache.size(), 1u);
 
@@ -267,16 +286,16 @@ TEST(FingerprintCache, DecisionTooWideForAWayIsNotStored) {
   // stored, a shorter one is, and only a probe of its own length verifies.
   FingerprintCache paranoid({.capacity = 64, .verify_on_hit = true});
   const Block big(2 * FingerprintCache::kSlotBytes);
-  EXPECT_FALSE(paranoid.insert(1, 1, big.bytes(), arbitrary_decision(1)));
-  EXPECT_EQ(paranoid.lookup(1, 1, big.bytes(), d), FingerprintCache::Lookup::kMiss);
+  EXPECT_FALSE(insert_one(paranoid, 1, 1, big.bytes(), arbitrary_decision(1)));
+  EXPECT_EQ(lookup_one(paranoid, 1, 1, big.bytes(), d), FingerprintCache::Lookup::kMiss);
   const Block full = test::dedup_corpus({.blocks = 1, .seed = 22})[0];
   const Block half(full.bytes().first(FingerprintCache::kSlotBytes / 2));
-  EXPECT_FALSE(paranoid.insert(1, 2, full.bytes(), arbitrary_decision(2)));
+  EXPECT_FALSE(insert_one(paranoid, 1, 2, full.bytes(), arbitrary_decision(2)));
   // The refresh leaves the slot's tail holding the rest of `full`, so only
   // the length check tells the two apart.
-  EXPECT_FALSE(paranoid.insert(1, 2, half.bytes(), arbitrary_decision(3)));
-  EXPECT_EQ(paranoid.lookup(1, 2, half.bytes(), d), FingerprintCache::Lookup::kHit);
-  EXPECT_EQ(paranoid.lookup(1, 2, full.bytes(), d), FingerprintCache::Lookup::kCollision);
+  EXPECT_FALSE(insert_one(paranoid, 1, 2, half.bytes(), arbitrary_decision(3)));
+  EXPECT_EQ(lookup_one(paranoid, 1, 2, half.bytes(), d), FingerprintCache::Lookup::kHit);
+  EXPECT_EQ(lookup_one(paranoid, 1, 2, full.bytes(), d), FingerprintCache::Lookup::kCollision);
   EXPECT_EQ(paranoid.size(), 1u);
 }
 
@@ -309,7 +328,7 @@ TEST(FingerprintCache, BatchProbeMatchesOneByOne) {
   std::vector<uint8_t> evicted_single(fps.size());
   bool evicted_batched[FingerprintCache::kMaxBatch] = {};
   for (size_t i = 0; i < fps.size(); ++i)
-    evicted_single[i] = single.insert(kKey, fps[i], blocks[i].bytes(), ds[i]);
+    evicted_single[i] = insert_one(single, kKey, fps[i], blocks[i].bytes(), ds[i]);
   batched.insert_batch(kKey, fps, views, ds.data(), evicted_batched);
   for (size_t i = 0; i < fps.size(); ++i)
     EXPECT_EQ(evicted_batched[i], evicted_single[i] != 0) << "insert " << i;
@@ -324,7 +343,7 @@ TEST(FingerprintCache, BatchProbeMatchesOneByOne) {
   batched.lookup_batch(kKey, probe_fps, probe_views, got_batched.data(), res_batched);
   size_t hits = 0;
   for (size_t i = 0; i < probe_fps.size(); ++i) {
-    const auto r = single.lookup(kKey, probe_fps[i], probe_views[i].bytes(), got_single[i]);
+    const auto r = lookup_one(single, kKey, probe_fps[i], probe_views[i].bytes(), got_single[i]);
     ASSERT_EQ(res_batched[i], r) << "lookup " << i;
     if (r != FingerprintCache::Lookup::kHit) continue;
     ++hits;
@@ -339,12 +358,12 @@ TEST(FingerprintCache, BatchProbeMatchesOneByOne) {
   uint64_t next = fps[7] + 1;
   while (single.set_index(kKey, next) != 0) ++next;
   const Block extra;
-  EXPECT_EQ(single.insert(kKey, next, extra.bytes(), arbitrary_decision(1)),
-            batched.insert(kKey, next, extra.bytes(), arbitrary_decision(1)));
+  EXPECT_EQ(insert_one(single, kKey, next, extra.bytes(), arbitrary_decision(1)),
+            insert_one(batched, kKey, next, extra.bytes(), arbitrary_decision(1)));
   for (size_t i = 0; i < fps.size(); ++i) {
     SlcCodec::Decision a, b;
-    EXPECT_EQ(single.lookup(kKey, fps[i], blocks[i].bytes(), a),
-              batched.lookup(kKey, fps[i], blocks[i].bytes(), b))
+    EXPECT_EQ(lookup_one(single, kKey, fps[i], blocks[i].bytes(), a),
+              lookup_one(batched, kKey, fps[i], blocks[i].bytes(), b))
         << "after eviction " << i;
   }
 }
@@ -352,12 +371,12 @@ TEST(FingerprintCache, BatchProbeMatchesOneByOne) {
 TEST(FingerprintCache, ReinsertRefreshesWithoutEvicting) {
   FingerprintCache cache({.capacity = 2, .verify_on_hit = false});
   const Block b;
-  EXPECT_FALSE(cache.insert(1, 7, b.bytes(), arbitrary_decision(1)));
-  EXPECT_FALSE(cache.insert(1, 7, b.bytes(), arbitrary_decision(2)));  // refresh, no growth
+  EXPECT_FALSE(insert_one(cache, 1, 7, b.bytes(), arbitrary_decision(1)));
+  EXPECT_FALSE(insert_one(cache, 1, 7, b.bytes(), arbitrary_decision(2)));  // refresh, no growth
   EXPECT_EQ(cache.size(), 1u);
   EXPECT_EQ(cache.counters().evictions, 0u);
   SlcCodec::Decision d;
-  EXPECT_EQ(cache.lookup(1, 7, b.bytes(), d), FingerprintCache::Lookup::kHit);
+  EXPECT_EQ(lookup_one(cache, 1, 7, b.bytes(), d), FingerprintCache::Lookup::kHit);
   EXPECT_EQ(d.info.final_bits, arbitrary_decision(2).info.final_bits);  // last writer wins
 }
 
@@ -365,13 +384,13 @@ TEST(FingerprintCache, VerifyOnHitCatchesCollision) {
   FingerprintCache cache({.capacity = 8, .verify_on_hit = true});
   ASSERT_TRUE(cache.verify_on_hit());
   const auto corpus = test::dedup_corpus({.blocks = 2, .seed = 21});
-  cache.insert(1, 5, corpus[0].bytes(), arbitrary_decision(0));
+  insert_one(cache, 1, 5, corpus[0].bytes(), arbitrary_decision(0));
   SlcCodec::Decision d;
   // Same (key, fp), different content: a forced 64-bit collision. Must be
   // reported, never served.
-  EXPECT_EQ(cache.lookup(1, 5, corpus[1].bytes(), d), FingerprintCache::Lookup::kCollision);
+  EXPECT_EQ(lookup_one(cache, 1, 5, corpus[1].bytes(), d), FingerprintCache::Lookup::kCollision);
   EXPECT_EQ(cache.counters().collisions, 1u);
-  EXPECT_EQ(cache.lookup(1, 5, corpus[0].bytes(), d), FingerprintCache::Lookup::kHit);
+  EXPECT_EQ(lookup_one(cache, 1, 5, corpus[0].bytes(), d), FingerprintCache::Lookup::kHit);
 }
 
 TEST(FingerprintCache, SetIndexStaysInRangeAndSingleSetPinsToZero) {
@@ -408,12 +427,12 @@ TEST(FingerprintCache, CapacityRoundsUpToPowerOfTwoSets) {
 TEST(FingerprintCache, ClearDropsEntriesKeepsCounters) {
   FingerprintCache cache;
   const Block b;
-  cache.insert(1, 3, b.bytes(), arbitrary_decision(3));
+  insert_one(cache, 1, 3, b.bytes(), arbitrary_decision(3));
   SlcCodec::Decision d;
-  cache.lookup(1, 3, b.bytes(), d);
+  lookup_one(cache, 1, 3, b.bytes(), d);
   cache.clear();
   EXPECT_EQ(cache.size(), 0u);
-  EXPECT_EQ(cache.lookup(1, 3, b.bytes(), d), FingerprintCache::Lookup::kMiss);
+  EXPECT_EQ(lookup_one(cache, 1, 3, b.bytes(), d), FingerprintCache::Lookup::kMiss);
   EXPECT_EQ(cache.counters().hits, 1u);  // totals survive clear()
 }
 
@@ -454,26 +473,26 @@ TEST(FingerprintCache, ConcurrentMixedHitMissTrafficWithVerifyOnHit) {
       if (cache.set_index(kKey, ++next_fp) != 0) cold[t].push_back(next_fp);
 
   for (const uint64_t fp : hot)
-    EXPECT_FALSE(cache.insert(kKey, fp, block_for(fp).bytes(), arbitrary_decision(fp)));
+    EXPECT_FALSE(insert_one(cache, kKey, fp, block_for(fp).bytes(), arbitrary_decision(fp)));
 
   std::atomic<size_t> bad_decisions{0}, missed_hot{0};
   const auto probe = [&](uint64_t fp, bool reinsert_hot) {
     SlcCodec::Decision d;
-    const auto r = cache.lookup(kKey, fp, block_for(fp).bytes(), d);
+    const auto r = lookup_one(cache, kKey, fp, block_for(fp).bytes(), d);
     if (r == FingerprintCache::Lookup::kHit) {
       if (d.skip_start != arbitrary_decision(fp).skip_start ||
           d.info.final_bits != arbitrary_decision(fp).info.final_bits)
         bad_decisions.fetch_add(1);
       return true;
     }
-    if (reinsert_hot) cache.insert(kKey, fp, block_for(fp).bytes(), arbitrary_decision(fp));
+    if (reinsert_hot) insert_one(cache, kKey, fp, block_for(fp).bytes(), arbitrary_decision(fp));
     return false;
   };
   const auto traffic = [&](unsigned t, bool clearing) {
     for (int iter = 0; iter < 40; ++iter) {
       for (const uint64_t fp : cold[t])
         if (!probe(fp, false))
-          cache.insert(kKey, fp, block_for(fp).bytes(), arbitrary_decision(fp));
+          insert_one(cache, kKey, fp, block_for(fp).bytes(), arbitrary_decision(fp));
       for (const uint64_t fp : hot)
         if (!probe(fp, clearing) && !clearing) missed_hot.fetch_add(1);
     }
@@ -549,14 +568,14 @@ TEST(CachedDecision, CodecKeysIsolateConfigurationsAndModels) {
 
   const Block block = test::dedup_corpus({.blocks = 1, .seed = 40})[0];
   SlcCodec::CacheOutcome oc;
-  a.analyze(block.view(), oc);
+  test::decide_one(a, block.view(), &oc);
   EXPECT_TRUE(oc.probed);
   EXPECT_FALSE(oc.hit);
-  a.analyze(block.view(), oc);
+  test::decide_one(a, block.view(), &oc);
   EXPECT_TRUE(oc.hit);  // repeat through the same codec hits
-  b.analyze(block.view(), oc);
+  test::decide_one(b, block.view(), &oc);
   EXPECT_FALSE(oc.hit);  // different threshold: separate entry
-  c.analyze(block.view(), oc);
+  test::decide_one(c, block.view(), &oc);
   EXPECT_FALSE(oc.hit);  // different trained model: separate entry
 }
 
@@ -607,8 +626,7 @@ TEST(CachedDecision, AnalyzeMatchesUncachedForEveryVariantAndStream) {
           cfg.threshold_bytes = threshold;
           cfg.variant = variant;
           const SlcCodec uncached(model, cfg);
-          std::vector<SlcEncodeInfo> expected(views.size());
-          uncached.analyze_batch(views, expected.data());
+          const auto expected = test::decide_all(uncached, views);
           for (const bool verify : {false, true}) {
             cfg.cache = std::make_shared<FingerprintCache>(
                 FingerprintCache::Config{.verify_on_hit = verify});
@@ -622,10 +640,9 @@ TEST(CachedDecision, AnalyzeMatchesUncachedForEveryVariantAndStream) {
             uint64_t hits_before_pass1 = 0;
             for (int pass = 0; pass < 2; ++pass) {
               if (pass == 1) hits_before_pass1 = cfg.cache->counters().hits;
-              std::vector<SlcEncodeInfo> got(views.size());
-              cached.analyze_batch(views, got.data());
+              const auto got = test::decide_all(cached, views);
               for (size_t i = 0; i < views.size(); ++i)
-                expect_info_eq(got[i], expected[i],
+                expect_info_eq(got[i].info, expected[i].info,
                                what + " pass " + std::to_string(pass) + " block " +
                                    std::to_string(i));
             }
@@ -656,38 +673,32 @@ TEST(CachedDecision, OversizeDecisionIsReturnedButNotStored) {
   auto cache = std::make_shared<FingerprintCache>();
   const SlcCodec uncached = make_slc(nullptr);
   const SlcCodec cached = make_slc(cache);
-  SlcCodec::LengthScratch scratch;
-  SlcCodec::Decision expected;
-  uncached.decide_batch(views, scratch, &expected);
+  const SlcCodec::Decision expected = test::decide_all(uncached, views)[0];
   ASSERT_TRUE(expected.info.stored_uncompressed);
   ASSERT_EQ(expected.info.bursts, 256u);
   for (int pass = 0; pass < 2; ++pass) {
     SlcCodec::CacheOutcome oc;
-    const SlcCodec::Decision scalar = cached.decide_cached(block.view(), oc);
-    expect_info_eq(scalar.info, expected.info, "decide_cached pass " + std::to_string(pass));
+    const SlcCodec::Decision got = test::decide_one(cached, block.view(), &oc);
+    expect_info_eq(got.info, expected.info, "pass " + std::to_string(pass));
     EXPECT_FALSE(oc.hit);
     EXPECT_FALSE(oc.evicted);
-    SlcCodec::Decision batch;
-    cached.decide_batch_cached(views, scratch, &batch, &oc);
-    expect_info_eq(batch.info, expected.info, "decide_batch_cached pass " + std::to_string(pass));
-    EXPECT_FALSE(oc.hit);
   }
   EXPECT_EQ(cache->size(), 0u);
 }
 
-TEST(CachedDecision, DecideCachedMatchesBatchOracleIncludingSkipWindow) {
+TEST(CachedDecision, SpanOfOneMatchesBatchOracleIncludingSkipWindow) {
+  // One block at a time through the memo (the per-block commit and analyze
+  // shape) against one uncached span over the whole stream.
   const auto blocks = test::dedup_corpus(
       {.blocks = 160, .dup_fraction = 0.4, .flip_fraction = 0.3, .zero_fraction = 0.1, .seed = 51});
   const auto views = views_of(blocks);
   const SlcCodec uncached = make_slc(nullptr, /*threshold=*/16);
   const SlcCodec cached = make_slc(std::make_shared<FingerprintCache>(), /*threshold=*/16);
-  SlcCodec::LengthScratch scratch;
-  std::vector<SlcCodec::Decision> expected(views.size());
-  uncached.decide_batch(views, scratch, expected.data());
+  const auto expected = test::decide_all(uncached, views);
   for (int pass = 0; pass < 2; ++pass) {
     for (size_t i = 0; i < views.size(); ++i) {
       SlcCodec::CacheOutcome oc;
-      const SlcCodec::Decision got = cached.decide_cached(views[i], oc);
+      const SlcCodec::Decision got = test::decide_one(cached, views[i], &oc);
       const std::string what = "pass " + std::to_string(pass) + " block " + std::to_string(i);
       expect_info_eq(got.info, expected[i].info, what);
       EXPECT_EQ(got.skip_start, expected[i].skip_start) << what;
@@ -707,11 +718,10 @@ TEST(CachedDecision, EvictionChurnNeverChangesDecisions) {
   auto tiny = std::make_shared<FingerprintCache>(
       FingerprintCache::Config{.capacity = 8, .verify_on_hit = false});
   const SlcCodec cached = make_slc(tiny);
-  std::vector<SlcEncodeInfo> expected(views.size()), got(views.size());
-  uncached.analyze_batch(views, expected.data());
-  cached.analyze_batch(views, got.data());
+  const auto expected = test::decide_all(uncached, views);
+  const auto got = test::decide_all(cached, views);
   for (size_t i = 0; i < views.size(); ++i)
-    expect_info_eq(got[i], expected[i], "block " + std::to_string(i));
+    expect_info_eq(got[i].info, expected[i].info, "block " + std::to_string(i));
   if (FingerprintCache::runtime_enabled()) {
     EXPECT_GT(tiny->counters().evictions, 0u) << "stream was sized to churn the cache";
   }
@@ -725,12 +735,11 @@ TEST(CachedDecision, VerifyOnHitModeStaysIdenticalOnNearDuplicates) {
   auto paranoid = std::make_shared<FingerprintCache>(
       FingerprintCache::Config{.capacity = 1024, .verify_on_hit = true});
   const SlcCodec cached = make_slc(paranoid);
-  std::vector<SlcEncodeInfo> expected(views.size()), got(views.size());
-  std::vector<SlcCodec::CacheOutcome> ocs(views.size());
-  uncached.analyze_batch(views, expected.data());
-  cached.analyze_batch(views, got.data(), ocs.data());
+  std::vector<SlcCodec::CacheOutcome> ocs;
+  const auto expected = test::decide_all(uncached, views);
+  const auto got = test::decide_all(cached, views, &ocs);
   for (size_t i = 0; i < views.size(); ++i)
-    expect_info_eq(got[i], expected[i], "block " + std::to_string(i));
+    expect_info_eq(got[i].info, expected[i].info, "block " + std::to_string(i));
   // One-byte neighbours must never verify as each other's content.
   EXPECT_EQ(paranoid->counters().collisions, 0u);
   if (FingerprintCache::runtime_enabled()) {
@@ -882,9 +891,9 @@ TEST(EngineCache, AnalyzeStreamFoldsCacheCounters) {
   const auto cached = CodecRegistry::instance().create("TSLC-OPT", cached_options(cache));
   const auto uncached = CodecRegistry::instance().create("TSLC-OPT", cached_options(nullptr));
   CodecEngine engine(2);
-  const auto expected = engine.analyze_stream(*uncached, blocks);
-  const auto first = engine.analyze_stream(*cached, blocks);
-  const auto second = engine.analyze_stream(*cached, blocks);
+  const auto expected = engine.submit_analyze(*uncached, blocks).wait();
+  const auto first = engine.submit_analyze(*cached, blocks).wait();
+  const auto second = engine.submit_analyze(*cached, blocks).wait();
   ASSERT_EQ(first.blocks.size(), expected.blocks.size());
   for (size_t i = 0; i < expected.blocks.size(); ++i) {
     for (const auto* a : {&first, &second}) {
@@ -1030,40 +1039,6 @@ TEST(ServerCache, SharedCacheDedupsAcrossStreams) {
   // zero decision probes' worth of misses.
   EXPECT_EQ(sb.cache.hits, sb.blocks);
   EXPECT_TRUE(sa.same_decisions(sb));
-}
-
-TEST(ServerCache, PrivateCachesIsolateStreams) {
-  if (!FingerprintCache::runtime_enabled()) GTEST_SKIP() << "cache force-disabled";
-  const auto bytes =
-      test::corpus_bytes(test::dedup_corpus({.blocks = 256, .seed = 83}));  // all-fresh stream
-  CodecServer::Config scfg;
-  scfg.engine = std::make_shared<CodecEngine>(2);
-  CodecServer server(scfg);
-  // Private caches run in paranoia mode: per-stream, verify-on-hit.
-  const StreamId a = server.open_stream(tslc_stream("iso-a", CacheMode::kPrivateVerify));
-  const StreamId b = server.open_stream(tslc_stream("iso-b", CacheMode::kPrivateVerify));
-  auto ta = server.submit(a, Request{.bytes = bytes});
-  const Response ra = ta.wait();
-  // wait() between the two b submits so the warm pass provably runs after
-  // the cold pass finished inserting (concurrent batches would race the
-  // hit/miss tallies this test pins down).
-  auto tb1 = server.submit(b, Request{.bytes = bytes});  // same traffic, cold cache
-  const Response rb1 = tb1.wait();
-  auto tb2 = server.submit(b, Request{.bytes = bytes});  // warm now
-  const Response rb2 = tb2.wait();
-  server.drain();
-  const CommitStats sa = server.stream_stats(a).commit;
-  const CommitStats sb = server.stream_stats(b).commit;
-  EXPECT_EQ(sa.cache.hits, 0u);  // nothing repeats within an all-fresh stream
-  // b's first pass missed everything (no cross-stream sharing); the second
-  // pass hit everything, all under verify-on-hit.
-  EXPECT_EQ(sb.cache.misses, sb.blocks / 2);
-  EXPECT_EQ(sb.cache.hits, sb.blocks / 2);
-  ASSERT_EQ(rb1.analysis.blocks.size(), rb2.analysis.blocks.size());
-  for (size_t i = 0; i < rb1.analysis.blocks.size(); ++i) {
-    EXPECT_EQ(rb2.analysis.blocks[i].bit_size, rb1.analysis.blocks[i].bit_size) << i;
-    EXPECT_EQ(rb2.analysis.blocks[i].bit_size, ra.analysis.blocks[i].bit_size) << i;
-  }
 }
 
 }  // namespace

@@ -3,13 +3,19 @@
 // configuration space a downstream user can reach through the public API.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <map>
 #include <stdexcept>
+#include <string>
 
 #include "common/rng.h"
 #include "compress/block_codec.h"
 #include "compress/codec_registry.h"
+#include "compress/fpc.h"
 #include "core/slc_codec.h"
+#include "core/slc_generic.h"
+#include "test_util.h"
 
 namespace slc {
 namespace {
@@ -73,7 +79,7 @@ TEST_P(SlcGeometryTest, InvariantsAcrossBlockGeometry) {
 
   for (size_t i = 0; i < 256; ++i) {
     const Block b(std::span<const uint8_t>(data).subspan(i * block_bytes, block_bytes));
-    const auto cb = codec.compress(b.view());
+    const auto cb = test::compress_one(codec, b.view());
     const Block out = codec.decompress(cb, block_bytes);
     if (!cb.info.lossy) {
       EXPECT_EQ(out, b);
@@ -159,6 +165,119 @@ TEST(WayGeometry, E2mcRejectsWayCountsOutsideOneToEight) {
   EXPECT_THROW(E2mcCompressor(HuffmanCode{}, cfg), std::invalid_argument);
 }
 
+// The word-oriented schemes cannot encode a partial word: BDI reads 8 B
+// words (its repeat and base-8 probes), FPC and C-PACK 4 B words, E2MC,
+// Huffman and the SLC codec over E2MC 2 B symbols. They used to drop the
+// bytes after the last whole word and still report the block compressed
+// (a 130 B block of zeros ending in AB CD came back as 130 zeros). Every
+// entry point that sizes, encodes or decodes a block now rejects a size
+// that is not a positive multiple of the word; 64 B and 256 B blocks still
+// round-trip.
+TEST(LosslessSchemes, RejectBlockSizesTheyCannotEncode) {
+  const std::map<std::string, size_t> word_bytes = {
+      {"BDI", 8},     {"FPC", 4},       {"C-PACK", 4},    {"E2MC", 2},
+      {"Huffman", 2}, {"TSLC-SIMP", 2}, {"TSLC-PRED", 2}, {"TSLC-OPT", 2}};
+  const auto training = quantized_floats(11, 64 * kBlockBytes);
+  CodecOptions opts;
+  opts.training_data = training;
+  opts.threshold_bytes = 0;  // the TSLC variants stay lossless, so round trips are exact
+  opts.e2mc.num_ways = 2;    // 101 B = 50 symbols splits into 2 ways: only the tail check bites
+  const auto& reg = CodecRegistry::instance();
+  size_t schemes = 0;
+  for (const CodecInfo* info : reg.entries()) {
+    if (!info->make) continue;  // RAW has no Compressor form
+    ASSERT_EQ(word_bytes.count(info->name), 1u) << info->name << ": word size unknown";
+    const size_t word = word_bytes.at(info->name);
+    const auto comp = reg.create(info->name, opts);
+    ++schemes;
+    for (const size_t bytes : {size_t{0}, size_t{100}, size_t{101}, size_t{130}}) {
+      if (bytes != 0 && bytes % word == 0) continue;
+      Block block(bytes);
+      if (bytes >= 2) {
+        block.mutable_bytes()[bytes - 2] = 0xAB;
+        block.mutable_bytes()[bytes - 1] = 0xCD;
+      }
+      const std::vector<BlockView> views{block.view()};
+      std::vector<BlockAnalysis> analyses(1);
+      std::vector<CompressedBlock> payloads(1);
+      const std::string what = info->name + " " + std::to_string(bytes) + " B";
+      EXPECT_THROW(comp->analyze(block.view()), std::invalid_argument) << what;
+      EXPECT_THROW(comp->analyze_batch(views, analyses.data()), std::invalid_argument) << what;
+      EXPECT_THROW(comp->compress(block.view()), std::invalid_argument) << what;
+      EXPECT_THROW(comp->compress_batch(views, payloads.data()), std::invalid_argument) << what;
+      CompressedBlock forged;
+      forged.is_compressed = true;
+      forged.bit_size = 8;
+      forged.payload.assign(std::max<size_t>(bytes, 1), 0);
+      EXPECT_THROW(comp->decompress(forged, bytes), std::invalid_argument) << what;
+    }
+    for (const size_t bytes : {size_t{64}, size_t{256}}) {
+      const Block block(std::span<const uint8_t>(training).first(bytes));
+      const CompressedBlock cb = comp->compress(block.view());
+      EXPECT_EQ(comp->decompress(cb, bytes), block) << info->name << " " << bytes << " B";
+    }
+  }
+  EXPECT_EQ(schemes, word_bytes.size());
+}
+
+// A MAG of 0, or one that does not divide the block, is rejected when the
+// codec is built: Release builds compile asserts out, and a MAG of 0 used
+// to die with SIGFPE on the first block (a MAG of 48 charged a raw 128 B
+// block 2 bursts, 96 B). CodecServer.OpenStreamRejectsBadMag covers the
+// server stream.
+constexpr size_t kBadMags[] = {0, 48};
+
+TEST(MagGeometry, SlcCodecRejectsBadMag) {
+  const auto training = quantized_floats(12, 64 * kBlockBytes);
+  const auto e2mc = E2mcCompressor::train(training, E2mcConfig{});
+  CodecOptions opts;
+  opts.trained_e2mc = e2mc;
+  for (const size_t mag : kBadMags) {
+    SlcConfig cfg;
+    cfg.mag_bytes = mag;
+    EXPECT_THROW((SlcCodec{e2mc, cfg}), std::invalid_argument) << mag;
+    opts.mag_bytes = mag;
+    EXPECT_THROW(CodecRegistry::instance().create("TSLC-OPT", opts), std::invalid_argument)
+        << mag;
+    EXPECT_THROW(CodecRegistry::instance().create_block_codec("TSLC-OPT", opts),
+                 std::invalid_argument)
+        << mag;
+  }
+}
+
+TEST(MagGeometry, SlcFpcCodecRejectsBadMag) {
+  for (const size_t mag : kBadMags) {
+    GenericSlcConfig cfg;
+    cfg.mag_bytes = mag;
+    EXPECT_THROW(SlcFpcCodec{cfg}, std::invalid_argument) << mag;
+  }
+}
+
+TEST(MagGeometry, RawBlockCodecRejectsBadMag) {
+  CodecOptions opts;
+  for (const size_t mag : kBadMags) {
+    EXPECT_THROW(RawBlockCodec{mag}, std::invalid_argument) << mag;
+    opts.mag_bytes = mag;
+    EXPECT_THROW(CodecRegistry::instance().create_block_codec("RAW", opts), std::invalid_argument)
+        << mag;
+  }
+}
+
+TEST(MagGeometry, LosslessBlockCodecRejectsBadMag) {
+  const auto training = quantized_floats(13, 64 * kBlockBytes);
+  CodecOptions opts;
+  opts.training_data = training;
+  for (const size_t mag : kBadMags) {
+    EXPECT_THROW((LosslessBlockCodec{std::make_shared<FpcCompressor>(), mag}),
+                 std::invalid_argument)
+        << mag;
+    opts.mag_bytes = mag;
+    EXPECT_THROW(CodecRegistry::instance().create_block_codec("E2MC", opts),
+                 std::invalid_argument)
+        << mag;
+  }
+}
+
 // analyze() must agree with compress() everywhere — the simulator's fast
 // path cannot drift from the functional path.
 class AnalyzeConsistencyTest : public ::testing::TestWithParam<int> {};
@@ -174,8 +293,8 @@ TEST_P(AnalyzeConsistencyTest, AnalyzeMatchesCompress) {
   const SlcCodec codec(e2mc, cfg);
   for (size_t i = 0; i < 256; ++i) {
     const Block b(std::span<const uint8_t>(data).subspan(i * kBlockBytes, kBlockBytes));
-    const SlcEncodeInfo a = codec.analyze(b.view());
-    const auto cb = codec.compress(b.view());
+    const SlcEncodeInfo a = test::decide_one(codec, b.view()).info;
+    const auto cb = test::compress_one(codec, b.view());
     EXPECT_EQ(a.lossy, cb.info.lossy);
     EXPECT_EQ(a.final_bits, cb.info.final_bits);
     EXPECT_EQ(a.bursts, cb.info.bursts);

@@ -1,6 +1,6 @@
 // Shared fixtures for the registry/engine tests: deterministic
-// value-similar test data, the fingerprint-cache fuzz corpus generator, and
-// default codec options.
+// value-similar test data, the fingerprint-cache fuzz corpus generator,
+// default codec options, and SlcCodec spans of 1.
 #pragma once
 
 #include <cmath>
@@ -10,6 +10,7 @@
 #include "common/block.h"
 #include "common/rng.h"
 #include "compress/codec_registry.h"
+#include "core/slc_codec.h"
 
 namespace slc::test {
 
@@ -102,6 +103,39 @@ inline CodecOptions test_options(std::span<const uint8_t> training) {
   opts.threshold_bytes = 16;
   opts.training_data = training;
   return opts;
+}
+
+// --- SlcCodec spans ---------------------------------------------------------
+
+/// SlcCodec::decide_batch over the whole span; `oc`, when given, receives
+/// the memo outcomes.
+inline std::vector<SlcCodec::Decision> decide_all(
+    const SlcCodec& codec, std::span<const BlockView> views,
+    std::vector<SlcCodec::CacheOutcome>* oc = nullptr) {
+  SlcCodec::LengthScratch scratch;
+  std::vector<SlcCodec::Decision> out(views.size());
+  std::vector<SlcCodec::CacheOutcome> ocs(views.size());
+  codec.decide_batch(views, scratch, out.data(), ocs.data());
+  if (oc != nullptr) *oc = std::move(ocs);
+  return out;
+}
+
+/// SlcCodec::decide_batch over a span of 1.
+inline SlcCodec::Decision decide_one(const SlcCodec& codec, BlockView view,
+                                     SlcCodec::CacheOutcome* oc = nullptr) {
+  SlcCodec::LengthScratch scratch;
+  SlcCodec::Decision d;
+  SlcCodec::CacheOutcome outcome;
+  codec.decide_batch(std::span<const BlockView>(&view, 1), scratch, &d, &outcome);
+  if (oc != nullptr) *oc = outcome;
+  return d;
+}
+
+/// SlcCodec::compress_batch over a span of 1.
+inline SlcCompressedBlock compress_one(const SlcCodec& codec, BlockView view) {
+  SlcCompressedBlock out;
+  codec.compress_batch(std::span<const BlockView>(&view, 1), &out);
+  return out;
 }
 
 }  // namespace slc::test
