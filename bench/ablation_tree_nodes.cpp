@@ -7,6 +7,7 @@
 // bits beyond the required extra_bits it removes (the "unneeded
 // approximation"), and at which window size selections land.
 #include <cstdio>
+#include <span>
 #include <vector>
 
 #include "bench_util.h"
@@ -39,11 +40,17 @@ int main() {
     const TreeSlcSelector base_sel(/*extra_nodes=*/false);
     const TreeSlcSelector opt_sel(/*extra_nodes=*/true);
 
+    std::vector<uint16_t> all_lens;
+    std::vector<size_t> offsets;
+    e2mc.code_lengths_batch(to_views(blocks), all_lens, offsets);
+
     uint64_t lossy = 0, total = 0;
     uint64_t sym_base = 0, sym_opt = 0, waste_base = 0, waste_opt = 0, selections = 0;
-    for (const Block& b : blocks) {
+    for (size_t i = 0; i < blocks.size(); ++i) {
+      const Block& b = blocks[i];
       ++total;
-      const auto lens = e2mc.code_lengths(b.view());
+      const std::span<const uint16_t> lens(all_lens.data() + offsets[i],
+                                           offsets[i + 1] - offsets[i]);
       const auto lo = e2mc.layout(lens, codec.header_bits(b.size()));
       const size_t comp = lo.total_bits;
       if (comp >= b.size() * 8) continue;

@@ -1,20 +1,20 @@
-// Software codec throughput: batched kernels vs the per-block scalar loop,
+// Software codec throughput: batched kernels vs a per-block scalar loop,
 // per scheme, on benchmark data. Not a paper figure — the paper's codecs are
 // hardware — but this is the repo's perf trajectory for the batch kernels:
 // CI runs it with --json and diffs the result against a committed baseline
 // (tools/bench_compare.py), so a kernel regression fails the build.
 //
-// For every scheme three paths are timed: "scalar" is the per-block
-// virtual-dispatch loop over analyze()/compress() with the scalar
-// sub-kernels pinned (simd::force_scalar) — the lossless schemes' scalar
-// members, and for TSLC-OPT its one batch kernel run over spans of 1 (the
-// SLC codec has no other per-block path); "batch" is the scheme's
+// For every scheme three paths are timed: "scalar" is a per-block loop with
+// the scalar sub-kernels pinned (simd::force_scalar) — for BDI, FPC, C-PACK
+// and E2MC the reference encoders of tests/codec_reference.h, one indirect
+// call per block, and for TSLC-OPT, which has no reference encoder, its one
+// batch kernel over spans of 1; "batch" is the scheme's
 // analyze_batch/compress_batch kernel, also pinned scalar; and "batch+simd"
 // is the same kernel with the runtime-dispatched SIMD variants enabled
 // (identical to "batch" on hosts without AVX2 — the JSON "meta" object
-// records which variant actually ran). All batch paths must agree with the
-// per-block loop byte for byte — this driver exits non-zero if they
-// diverge, independent of the equivalence unit test.
+// records which variant actually ran). Both batch paths must agree with the
+// scalar loop byte for byte — this driver exits non-zero if they diverge,
+// and ctest runs it as bench_codec_throughput_smoke for that check.
 //
 // Usage: codec_throughput [benchmark] [--blocks N] [--json[=path]]
 //   defaults: SRAD2, 4096 blocks, JSON off (bare --json writes
@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "codec_reference.h"
 #include "compress/simd_dispatch.h"
 
 using namespace slc;
@@ -71,7 +72,7 @@ int main(int argc, char** argv) try {
     }
   }
 
-  print_banner("Codec throughput — batched kernels vs the scalar per-block loop",
+  print_banner("Codec throughput — batched kernels vs a scalar per-block loop",
                "batch-kernel perf trajectory (no paper figure)");
 
   // Tile the benchmark image to the requested stream length so every scheme
@@ -97,12 +98,20 @@ int main(int argc, char** argv) try {
     const auto comp = CodecRegistry::instance().create(
         scheme, codec_options_for(benchmark, kDefaultMagBytes, 16));
 
+    // The reference encoders; null for TSLC-OPT, whose scalar rows run
+    // spans of 1 through its kernels.
+    const test::RefCodec ref = test::ref_codec(*comp);
+
     // --- analyze -------------------------------------------------------------
     std::vector<BlockAnalysis> scalar_a(blocks.size());
     std::vector<BlockAnalysis> batch_a(blocks.size());
     std::vector<BlockAnalysis> simd_a(blocks.size());
     const auto scalar_analyze = [&] {
-      for (size_t i = 0; i < views.size(); ++i) scalar_a[i] = comp->analyze(views[i]);
+      if (ref.analyze) {
+        for (size_t i = 0; i < views.size(); ++i) scalar_a[i] = ref.analyze(*comp, views[i]);
+      } else {
+        for (size_t i = 0; i < views.size(); ++i) scalar_a[i] = comp->analyze(views[i]);
+      }
     };
     const auto batch_analyze = [&] { comp->analyze_batch(views, batch_a.data()); };
     const auto simd_analyze = [&] { comp->analyze_batch(views, simd_a.data()); };
@@ -133,7 +142,11 @@ int main(int argc, char** argv) try {
     std::vector<CompressedBlock> batch_c(blocks.size());
     std::vector<CompressedBlock> simd_c(blocks.size());
     const auto scalar_compress = [&] {
-      for (size_t i = 0; i < views.size(); ++i) scalar_c[i] = comp->compress(views[i]);
+      if (ref.compress) {
+        for (size_t i = 0; i < views.size(); ++i) scalar_c[i] = ref.compress(*comp, views[i]);
+      } else {
+        for (size_t i = 0; i < views.size(); ++i) scalar_c[i] = comp->compress(views[i]);
+      }
     };
     const auto batch_compress = [&] { comp->compress_batch(views, batch_c.data()); };
     const auto simd_compress = [&] { comp->compress_batch(views, simd_c.data()); };
@@ -176,7 +189,8 @@ int main(int argc, char** argv) try {
 
   std::printf("%s\n", report.table().to_string().c_str());
   std::printf("Speedups are vs the per-block scalar loop of the same scheme, single-\n");
-  std::printf("threaded on this host. \"scalar\" and \"batch\" pin the scalar sub-kernels;\n");
+  std::printf("threaded on this host: the reference encoders for the lossless schemes,\n");
+  std::printf("spans of 1 for TSLC-OPT. \"scalar\" and \"batch\" pin the scalar sub-kernels;\n");
   std::printf("\"batch+simd\" lets runtime dispatch pick (this run: %s).\n",
               simd::active_level_name());
   std::printf("Both batch paths are verified byte-identical to the scalar loop before\n");

@@ -41,6 +41,7 @@ size_t bytes_above_mag(size_t size_bytes, size_t mag_bytes) {
 }
 
 std::vector<Block> to_blocks(std::span<const uint8_t> data, size_t block_bytes, bool pad_tail) {
+  if (block_bytes == 0) throw std::invalid_argument("to_blocks: block_bytes must be positive");
   std::vector<Block> blocks;
   const size_t n_full = data.size() / block_bytes;
   blocks.reserve(n_full + 1);

@@ -120,7 +120,8 @@ inline void check_block_bytes(size_t block_bytes, size_t word_bytes, const char*
 size_t bytes_above_mag(size_t size_bytes, size_t mag_bytes);
 
 /// Slices a flat buffer into consecutive 128 B blocks (the tail is
-/// zero-padded into a final full block when `pad_tail` is true).
+/// zero-padded into a final full block when `pad_tail` is true). Throws
+/// std::invalid_argument if `block_bytes` is 0.
 std::vector<Block> to_blocks(std::span<const uint8_t> data, size_t block_bytes = kBlockBytes,
                              bool pad_tail = true);
 

@@ -1,12 +1,13 @@
-// Internal helpers for the schemes' batched kernels (bdi/fpc/cpack/e2mc):
-// little-endian word loads and a word-at-a-time bit writer.
+// Internal helpers for the schemes' batched kernels (bdi/fpc/cpack/e2mc/
+// huffman): little-endian word loads and word-at-a-time bit writers.
 //
-// BatchBitWriter produces a byte stream identical to BitWriter's (MSB-first,
-// final partial byte zero-padded) but accumulates into a 64-bit register and
-// emits whole bytes, instead of BitWriter's per-byte masking loop — the
-// difference between the batch compress kernels and the scalar loop is
-// measured by bench/codec_throughput, and equality of the two streams is
-// pinned by tests/test_batch_kernels.cpp. Not part of the public codec API.
+// BatchBitWriter and SpanBitWriter produce a byte stream identical to
+// BitWriter's (MSB-first, final partial byte zero-padded) but accumulate into
+// a 64-bit register and emit whole bytes, instead of BitWriter's per-byte
+// masking loop. Equality of the streams is pinned by
+// tests/test_codec_differential.cpp, which compares every lossless kernel's
+// payloads against the BitWriter reference loops in tests/codec_reference.h.
+// Not part of the public codec API.
 #pragma once
 
 #include <bit>
@@ -32,14 +33,6 @@ inline uint32_t load_le32(const uint8_t* p) {
   return v;
 }
 
-/// Word staging shared by the kernels that walk a block 32-bit-word-wise
-/// (FPC, C-PACK): one bulk little-endian load per block into a stack array.
-inline constexpr size_t kMaxStagedWords = 128;  // covers blocks up to 512 B
-
-inline bool word_staging_applicable(size_t block_bytes) {
-  return block_bytes <= kMaxStagedWords * 4;
-}
-
 inline uint64_t load_le64(const uint8_t* p) {
   uint64_t v;
   std::memcpy(&v, p, 8);
@@ -49,14 +42,6 @@ inline uint64_t load_le64(const uint8_t* p) {
     v = s;
   }
   return v;
-}
-
-/// Stages every 32-bit word of the block into `words` (little-endian);
-/// returns the word count. `words` must hold block_bytes / 4 entries.
-inline size_t load_words_le32(const uint8_t* p, size_t block_bytes, uint32_t* words) {
-  const size_t n = block_bytes / 4;
-  for (size_t i = 0; i < n; ++i) words[i] = load_le32(p + i * 4);
-  return n;
 }
 
 /// Append-only MSB-first bit writer for the batch kernels. Reuse across a

@@ -37,51 +37,15 @@ bool fits_signed(int64_t v, size_t bytes) {
   return v >= -lim && v < lim;
 }
 
-uint64_t load_word(BlockView b, size_t i, size_t base_bytes) {
-  switch (base_bytes) {
-    case 2: return b.symbol(i);
-    case 4: return b.word32(i);
-    case 8: return b.word64(i);
-    default: assert(false); return 0;
-  }
-}
-
 const std::array<BdiEncoding, 6>& kOrder = BdiCompressor::candidate_order();
 
-// Checks whether `block` is encodable with `enc`; fills base if so.
-bool encodable(BlockView block, BdiEncoding enc, uint64_t* base_out) {
-  const Geometry g = geometry(enc);
-  const size_t n = block.size() / g.base_bytes;
-  // Base = first word that does not fit as a zero-based delta (original BDI
-  // uses the first non-immediate-representable value as the explicit base).
-  bool have_base = false;
-  uint64_t base = 0;
-  for (size_t i = 0; i < n; ++i) {
-    const uint64_t w = load_word(block, i, g.base_bytes);
-    const int64_t as_imm = sext(w, g.base_bytes);
-    if (fits_signed(as_imm, g.delta_bytes)) continue;  // zero-base delta ok
-    if (!have_base) {
-      have_base = true;
-      base = w;
-      continue;
-    }
-    const int64_t delta = sext(w - base, g.base_bytes);
-    if (!fits_signed(delta, g.delta_bytes)) return false;
-  }
-  if (base_out) *base_out = have_base ? base : 0;
-  return true;
-}
+// The kernels read words straight off the block bytes with single
+// little-endian loads, run the zero scan on 64-bit lanes, and probe each
+// candidate once — the winning base is kept so compress never walks the
+// block a second time. Every entry point first checks the block is whole
+// 8 B words: the repeat and base-8 probes cannot encode a partial word.
 
-// --- batched-kernel direct word loads --------------------------------------
-// The batch kernels read words straight off the block bytes with single
-// little-endian loads (no per-byte re-assembly), run the zero scan on 64-bit
-// lanes, and probe each candidate once — the winning base is kept so compress
-// never walks the block a second time. The scalar members above stay the
-// reference implementation the batch kernels are tested against byte for
-// byte. Every entry point first checks the block is whole 8 B words: the
-// repeat and base-8 probes cannot encode a partial word.
-
-// Word `i` of width `base_bytes`, identical to load_word() on the raw bytes.
+// Word `i` of width `base_bytes`, little-endian.
 uint64_t word_at(const uint8_t* p, size_t i, size_t base_bytes) {
   switch (base_bytes) {
     case 8: return detail::load_le64(p + i * 8);
@@ -110,8 +74,8 @@ bool encodable_direct(const uint8_t* p, size_t block_bytes, BdiEncoding enc,
   return true;
 }
 
-// best_encoding() on direct loads; additionally returns the winning base so
-// the compress kernel does not probe a second time.
+// The scalar probe: the all-zero and repeated-64-bit special cases, then the
+// smallest encodable base+delta candidate. Also returns the winning base.
 BdiEncoding probe_direct(const uint8_t* p, size_t block_bytes, uint64_t* base_out) {
   *base_out = 0;
   const size_t n64 = block_bytes / 8;
@@ -178,82 +142,6 @@ size_t BdiCompressor::encoding_bits(BdiEncoding enc, size_t block_bytes) {
   return kTagBits + g.base_bytes * 8 + n + n * g.delta_bytes * 8;
 }
 
-BdiEncoding BdiCompressor::best_encoding(BlockView block) {
-  check_block_bytes(block.size(), 8, "BDI");
-  // All-zero?
-  bool all_zero = true;
-  for (uint8_t b : block.bytes())
-    if (b != 0) { all_zero = false; break; }
-  if (all_zero) return BdiEncoding::kZeros;
-
-  // Repeated 64-bit value?
-  bool repeated = true;
-  const uint64_t first = block.word64(0);
-  for (size_t i = 1; i < block.size() / 8; ++i)
-    if (block.word64(i) != first) { repeated = false; break; }
-  if (repeated) return BdiEncoding::kRepeat64;
-
-  BdiEncoding best = BdiEncoding::kUncompressed;
-  size_t best_bits = block.size() * 8;
-  for (BdiEncoding enc : kOrder) {
-    const size_t bits = encoding_bits(enc, block.size());
-    if (bits >= best_bits) continue;
-    if (encodable(block, enc, nullptr)) {
-      best = enc;
-      best_bits = bits;
-    }
-  }
-  return best;
-}
-
-CompressedBlock BdiCompressor::compress(BlockView block) const {
-  const BdiEncoding enc = best_encoding(block);
-  CompressedBlock out;
-  BitWriter w;
-  w.put(static_cast<uint64_t>(enc), kTagBits);
-
-  switch (enc) {
-    case BdiEncoding::kUncompressed: {
-      out.is_compressed = false;
-      out.bit_size = block.size() * 8;
-      out.payload.assign(block.bytes().begin(), block.bytes().end());
-      return out;
-    }
-    case BdiEncoding::kZeros:
-      break;  // tag only
-    case BdiEncoding::kRepeat64:
-      w.put(block.word64(0), 64);
-      break;
-    default: {
-      const Geometry g = geometry(enc);
-      uint64_t base = 0;
-      const bool ok = encodable(block, enc, &base);
-      assert(ok);
-      (void)ok;
-      const size_t n = block.size() / g.base_bytes;
-      w.put(base, static_cast<unsigned>(g.base_bytes * 8));
-      // Mask: bit i set => word i uses the explicit base; clear => zero base.
-      for (size_t i = 0; i < n; ++i) {
-        const uint64_t v = load_word(block, i, g.base_bytes);
-        const bool use_zero = fits_signed(sext(v, g.base_bytes), g.delta_bytes);
-        w.put_bit(!use_zero);
-      }
-      for (size_t i = 0; i < n; ++i) {
-        const uint64_t v = load_word(block, i, g.base_bytes);
-        const bool use_zero = fits_signed(sext(v, g.base_bytes), g.delta_bytes);
-        const uint64_t delta = use_zero ? v : v - base;
-        w.put(delta, static_cast<unsigned>(g.delta_bytes * 8));
-      }
-      break;
-    }
-  }
-  out.is_compressed = true;
-  out.bit_size = w.bit_size();
-  out.payload = w.bytes();
-  assert(out.bit_size == encoding_bits(enc, block.size()));
-  return out;
-}
-
 Block BdiCompressor::decompress(const CompressedBlock& cb, size_t block_bytes) const {
   check_block_bytes(block_bytes, 8, "BDI");
   if (!cb.is_compressed) {
@@ -294,15 +182,6 @@ Block BdiCompressor::decompress(const CompressedBlock& cb, size_t block_bytes) c
       return out;
     }
   }
-}
-
-BlockAnalysis BdiCompressor::analyze(BlockView block) const {
-  const BdiEncoding enc = best_encoding(block);
-  BlockAnalysis a;
-  a.is_compressed = enc != BdiEncoding::kUncompressed;
-  a.bit_size = encoding_bits(enc, block.size());
-  a.lossless_bits = a.bit_size;
-  return a;
 }
 
 void BdiCompressor::analyze_batch(std::span<const BlockView> blocks, BlockAnalysis* out) const {

@@ -30,22 +30,15 @@ enum class BdiEncoding : uint8_t {
 class BdiCompressor : public Compressor {
  public:
   std::string name() const override { return "BDI"; }
-  CompressedBlock compress(BlockView block) const override;
   Block decompress(const CompressedBlock& cb, size_t block_bytes) const override;
-  /// Size-only: picks the winning encoding without emitting the bit stream.
-  BlockAnalysis analyze(BlockView block) const override;
 
-  /// Batched kernels: stage each block's bytes into 64-bit lanes once and
-  /// probe every encoding from registers — no per-block byte re-assembly, no
-  /// per-block allocation (the bit writer is reused across the batch).
-  /// Byte-identical to the scalar loop.
+  /// Probe every encoding off direct 64-bit loads (AVX2 for blocks up to
+  /// 128 B) and keep the winner's base, so compress emits without a second
+  /// probe. Blocks must be whole 8 B words.
   using Compressor::analyze_batch;
   using Compressor::compress_batch;
   void analyze_batch(std::span<const BlockView> blocks, BlockAnalysis* out) const override;
   void compress_batch(std::span<const BlockView> blocks, CompressedBlock* out) const override;
-
-  /// Exposes the winning encoding for a block (used by tests and ablations).
-  static BdiEncoding best_encoding(BlockView block);
 
   /// Compressed size in bits of a given encoding for `block_bytes` blocks
   /// (independent of contents; kUncompressed returns block bits).
@@ -59,7 +52,7 @@ class BdiCompressor : public Compressor {
   static Geometry geometry(BdiEncoding enc);
 
   /// Candidate base+delta encodings in probe order (ascending compressed
-  /// size for a 128 B block). Shared by the scalar probes and the AVX2
+  /// size for a 128 B block). Shared by the scalar probe and the AVX2
   /// kernel so the two cannot rank candidates differently.
   static const std::array<BdiEncoding, 6>& candidate_order();
 };

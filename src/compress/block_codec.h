@@ -91,9 +91,9 @@ class LosslessBlockCodec final : public BlockCodec {
  public:
   LosslessBlockCodec(std::shared_ptr<const Compressor> comp,
                      size_t mag_bytes = kDefaultMagBytes);
-  /// Delegates the size pass to the compressor's analyze_batch kernel, one
-  /// chunk of blocks at a time, so a scheme with a vectorized override
-  /// (BDI/FPC/C-PACK/E2MC) serves region commits at batch speed.
+  /// Delegates the size pass to the compressor's analyze_batch kernel (the
+  /// scheme's only size path), one chunk of blocks at a time, so region
+  /// commits run at batch speed.
   void process_batch(std::span<const BlockView> blocks, bool safe_to_approx,
                      size_t threshold_bytes, BlockCodecResult* out) const override;
   size_t mag_bytes() const override { return mag_; }

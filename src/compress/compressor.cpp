@@ -6,20 +6,15 @@
 namespace slc {
 
 BlockAnalysis Compressor::analyze(BlockView block) const {
-  const CompressedBlock cb = compress(block);
   BlockAnalysis a;
-  a.bit_size = cb.bit_size;
-  a.is_compressed = cb.is_compressed;
-  a.lossless_bits = cb.bit_size;
+  analyze_batch(std::span<const BlockView>(&block, 1), &a);
   return a;
 }
 
-void Compressor::analyze_batch(std::span<const BlockView> blocks, BlockAnalysis* out) const {
-  for (size_t i = 0; i < blocks.size(); ++i) out[i] = analyze(blocks[i]);
-}
-
-void Compressor::compress_batch(std::span<const BlockView> blocks, CompressedBlock* out) const {
-  for (size_t i = 0; i < blocks.size(); ++i) out[i] = compress(blocks[i]);
+CompressedBlock Compressor::compress(BlockView block) const {
+  CompressedBlock cb;
+  compress_batch(std::span<const BlockView>(&block, 1), &cb);
+  return cb;
 }
 
 std::vector<CompressedBlock> Compressor::compress_batch(std::span<const Block> blocks) const {

@@ -51,7 +51,9 @@ struct BlockAnalysis {
   bool cache_collision = false;  ///< verify-on-hit caught a fingerprint collision
 };
 
-/// Abstract block compressor.
+/// Abstract block compressor. A scheme implements the two batch kernels and
+/// decompress(); analyze() and compress() are a span of 1 through the
+/// kernels, so each scheme has exactly one encode path and one size path.
 class Compressor {
  public:
   virtual ~Compressor() = default;
@@ -59,38 +61,33 @@ class Compressor {
   /// Short identifier used in bench tables ("BDI", "FPC", ...).
   virtual std::string name() const = 0;
 
-  /// Compresses one block. If the scheme cannot beat the uncompressed size it
-  /// must return an uncompressed result (is_compressed = false,
-  /// bit_size = block bits).
-  virtual CompressedBlock compress(BlockView block) const = 0;
+  /// One block: compress_batch() over a span of 1. If the scheme cannot beat
+  /// the uncompressed size the result is uncompressed (is_compressed = false,
+  /// bit_size = block bits, payload = the block's bytes).
+  virtual CompressedBlock compress(BlockView block) const;
 
   /// Exact inverse of compress(). `block_bytes` is the original block size.
   virtual Block decompress(const CompressedBlock& cb, size_t block_bytes) const = 0;
 
-  /// Size-only fast path: must report exactly the sizes compress() would,
-  /// without building the bit stream. The default derives the answer from a
-  /// full compress(); every bundled scheme overrides it with a counting pass.
+  /// One block: analyze_batch() over a span of 1 — exactly the sizes
+  /// compress() reports, without building the bit stream.
   virtual BlockAnalysis analyze(BlockView block) const;
 
-  /// Convenience wrapper over analyze() — the ratio studies' common call.
-  size_t compressed_bits(BlockView block) const { return analyze(block).bit_size; }
-
   // --- batch kernels ---------------------------------------------------------
-  // The CodecEngine's shards and the CodecServer's coalesced batches call the
-  // view-based virtuals below; results go into index-aligned caller slots
-  // (`out[i]` belongs to `blocks[i]`). The base implementations are the
-  // per-block scalar loop; the bundled schemes override them with batched
-  // kernels that hoist per-block setup out of the loop and reuse scratch
-  // buffers across the batch. Overrides must be byte-identical to the scalar
-  // loop for any input and any sub-range split (pinned by
-  // tests/test_batch_kernels.cpp) and must keep all scratch in the call
-  // frame: a Compressor stays immutable after construction, so concurrent
-  // shards of one batch may run the kernel on disjoint ranges.
+  // The only encode and size paths of a scheme. The CodecEngine's shards, the
+  // CodecServer's coalesced batches and the per-block wrappers above all call
+  // these; results go into index-aligned caller slots (`out[i]` belongs to
+  // `blocks[i]`). A kernel must not depend on how a stream is split into
+  // spans (pinned by tests/test_batch_kernels.cpp; the lossless schemes are
+  // also checked against the reference loops in tests/codec_reference.h) and
+  // must keep all scratch in the call frame: a Compressor stays immutable
+  // after construction, so concurrent shards of one batch may run the kernel
+  // on disjoint ranges.
 
-  /// Size-only batch kernel: fills out[0..blocks.size()) like analyze().
-  virtual void analyze_batch(std::span<const BlockView> blocks, BlockAnalysis* out) const;
-  /// Full-payload batch kernel: fills out[0..blocks.size()) like compress().
-  virtual void compress_batch(std::span<const BlockView> blocks, CompressedBlock* out) const;
+  /// Size-only batch kernel: fills out[0..blocks.size()).
+  virtual void analyze_batch(std::span<const BlockView> blocks, BlockAnalysis* out) const = 0;
+  /// Full-payload batch kernel: fills out[0..blocks.size()).
+  virtual void compress_batch(std::span<const BlockView> blocks, CompressedBlock* out) const = 0;
 
   /// Owned-block conveniences (bench and test entry points): materialize the
   /// views and forward to the virtual kernels above.

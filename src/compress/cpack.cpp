@@ -3,7 +3,8 @@
 #include <array>
 #include <cassert>
 #include <cstring>
-#include <deque>
+#include <stdexcept>
+#include <string>
 
 #include "common/bitstream.h"
 #include "compress/batch_writer.h"
@@ -13,48 +14,20 @@ namespace slc {
 
 namespace {
 
-// FIFO dictionary with fixed capacity; index 0 is the oldest entry, matching
-// the hardware's shift-register organisation.
-class FifoDict {
- public:
-  explicit FifoDict(size_t cap) : cap_(cap) {}
-
-  // Returns index of a full match or -1.
-  int find_full(uint32_t w) const {
-    for (size_t i = 0; i < entries_.size(); ++i)
-      if (entries_[i] == w) return static_cast<int>(i);
-    return -1;
-  }
-  // Returns index whose upper `bytes` bytes match, or -1.
-  int find_partial(uint32_t w, unsigned bytes) const {
-    const uint32_t mask = bytes == 3 ? 0xFFFFFF00u : 0xFFFF0000u;
-    for (size_t i = 0; i < entries_.size(); ++i)
-      if ((entries_[i] & mask) == (w & mask)) return static_cast<int>(i);
-    return -1;
-  }
-  uint32_t at(size_t i) const { return entries_[i]; }
-  void push(uint32_t w) {
-    if (entries_.size() == cap_) entries_.pop_front();
-    entries_.push_back(w);
-  }
-
- private:
-  size_t cap_;
-  std::deque<uint32_t> entries_;
-};
-
-// Same FIFO semantics as FifoDict (logical index 0 = oldest entry), but in a
-// fixed power-of-two ring buffer on the stack — no deque node churn per
-// block. Used by the batch kernels; FifoDict above stays the reference.
+// FIFO dictionary of fixed power-of-two capacity (at most 64 entries) in a
+// ring buffer on the stack. Logical index 0 is the oldest entry, matching the
+// hardware's shift-register organisation.
 class RingDict {
  public:
   explicit RingDict(size_t cap) : mask_(cap - 1), cap_(cap) {}
 
+  // Returns the index of a full match, or -1.
   int find_full(uint32_t w) const {
     for (size_t i = 0; i < size_; ++i)
       if (buf_[(start_ + i) & mask_] == w) return static_cast<int>(i);
     return -1;
   }
+  // Returns the index whose upper `bytes` bytes match, or -1.
   int find_partial(uint32_t w, unsigned bytes) const {
     const uint32_t mask = bytes == 3 ? 0xFFFFFF00u : 0xFFFF0000u;
     const uint32_t key = w & mask;
@@ -62,6 +35,7 @@ class RingDict {
       if ((buf_[(start_ + i) & mask_] & mask) == key) return static_cast<int>(i);
     return -1;
   }
+  uint32_t at(size_t i) const { return buf_[(start_ + i) & mask_]; }
   void push(uint32_t w) {
     if (size_ == cap_) {
       buf_[start_] = w;  // overwrite the oldest slot; it becomes the newest
@@ -79,12 +53,6 @@ class RingDict {
   size_t start_ = 0;
   size_t size_ = 0;
 };
-
-// RingDict's fixed buffer caps the dictionary sizes the batch kernels cover;
-// larger dictionaries (never used in practice) take the scalar path.
-bool ring_dict_applicable(size_t block_bytes, size_t dict_entries) {
-  return detail::word_staging_applicable(block_bytes) && dict_entries <= 64;
-}
 
 constexpr unsigned prefix_bits(CpackCode c) {
   switch (c) {
@@ -110,7 +78,9 @@ constexpr uint64_t prefix_value(CpackCode c) {
 }  // namespace
 
 CpackCompressor::CpackCompressor(size_t dict_entries) : dict_entries_(dict_entries) {
-  assert(dict_entries >= 2 && (dict_entries & (dict_entries - 1)) == 0);
+  if (dict_entries < 2 || dict_entries > 64 || (dict_entries & (dict_entries - 1)) != 0)
+    throw std::invalid_argument("C-PACK: dict_entries must be a power of two in [2, 64], got " +
+                                std::to_string(dict_entries));
   index_bits_ = 0;
   for (size_t v = dict_entries; v > 1; v >>= 1) ++index_bits_;
 }
@@ -127,62 +97,6 @@ unsigned CpackCompressor::code_bits(CpackCode c) const {
   return 34;
 }
 
-CompressedBlock CpackCompressor::compress(BlockView block) const {
-  check_block_bytes(block.size(), 4, "C-PACK");
-  const size_t n_words = block.size() / 4;
-  FifoDict dict(dict_entries_);
-  BitWriter w;
-  for (size_t i = 0; i < n_words; ++i) {
-    const uint32_t word = block.word32(i);
-    if (word == 0) {
-      w.put(prefix_value(CpackCode::kZZZZ), prefix_bits(CpackCode::kZZZZ));
-      continue;
-    }
-    if ((word & 0xFFFFFF00u) == 0) {
-      w.put(prefix_value(CpackCode::kZZZX), prefix_bits(CpackCode::kZZZX));
-      w.put(word & 0xFF, 8);
-      continue;
-    }
-    int idx = dict.find_full(word);
-    if (idx >= 0) {
-      w.put(prefix_value(CpackCode::kMMMM), prefix_bits(CpackCode::kMMMM));
-      w.put(static_cast<uint64_t>(idx), index_bits_);
-      continue;
-    }
-    idx = dict.find_partial(word, 3);
-    if (idx >= 0) {
-      w.put(prefix_value(CpackCode::kMMMX), prefix_bits(CpackCode::kMMMX));
-      w.put(static_cast<uint64_t>(idx), index_bits_);
-      w.put(word & 0xFF, 8);
-      dict.push(word);
-      continue;
-    }
-    idx = dict.find_partial(word, 2);
-    if (idx >= 0) {
-      w.put(prefix_value(CpackCode::kMMXX), prefix_bits(CpackCode::kMMXX));
-      w.put(static_cast<uint64_t>(idx), index_bits_);
-      w.put(word & 0xFFFF, 16);
-      dict.push(word);
-      continue;
-    }
-    w.put(prefix_value(CpackCode::kXXXX), prefix_bits(CpackCode::kXXXX));
-    w.put(word, 32);
-    dict.push(word);
-  }
-
-  CompressedBlock out;
-  if (w.bit_size() >= block.size() * 8) {
-    out.is_compressed = false;
-    out.bit_size = block.size() * 8;
-    out.payload.assign(block.bytes().begin(), block.bytes().end());
-  } else {
-    out.is_compressed = true;
-    out.bit_size = w.bit_size();
-    out.payload = w.bytes();
-  }
-  return out;
-}
-
 Block CpackCompressor::decompress(const CompressedBlock& cb, size_t block_bytes) const {
   check_block_bytes(block_bytes, 4, "C-PACK");
   if (!cb.is_compressed) {
@@ -190,7 +104,7 @@ Block CpackCompressor::decompress(const CompressedBlock& cb, size_t block_bytes)
   }
   Block out(block_bytes);
   BitReader r(cb.payload);
-  FifoDict dict(dict_entries_);
+  RingDict dict(dict_entries_);
   const size_t n_words = block_bytes / 4;
   for (size_t i = 0; i < n_words; ++i) {
     uint32_t word = 0;
@@ -234,55 +148,16 @@ Block CpackCompressor::decompress(const CompressedBlock& cb, size_t block_bytes)
   return out;
 }
 
-BlockAnalysis CpackCompressor::analyze(BlockView block) const {
-  // Mirror of compress(): same dictionary walk (the FIFO must see the same
-  // push sequence), summing code sizes instead of emitting bits.
-  check_block_bytes(block.size(), 4, "C-PACK");
-  const size_t n_words = block.size() / 4;
-  FifoDict dict(dict_entries_);
-  size_t bits = 0;
-  for (size_t i = 0; i < n_words; ++i) {
-    const uint32_t word = block.word32(i);
-    if (word == 0) {
-      bits += code_bits(CpackCode::kZZZZ);
-    } else if ((word & 0xFFFFFF00u) == 0) {
-      bits += code_bits(CpackCode::kZZZX);
-    } else if (dict.find_full(word) >= 0) {
-      bits += code_bits(CpackCode::kMMMM);
-    } else if (dict.find_partial(word, 3) >= 0) {
-      bits += code_bits(CpackCode::kMMMX);
-      dict.push(word);
-    } else if (dict.find_partial(word, 2) >= 0) {
-      bits += code_bits(CpackCode::kMMXX);
-      dict.push(word);
-    } else {
-      bits += code_bits(CpackCode::kXXXX);
-      dict.push(word);
-    }
-  }
-
-  BlockAnalysis a;
-  const size_t raw_bits = block.size() * 8;
-  a.is_compressed = bits < raw_bits;
-  a.bit_size = a.is_compressed ? bits : raw_bits;
-  a.lossless_bits = a.bit_size;
-  return a;
-}
-
 void CpackCompressor::analyze_batch(std::span<const BlockView> blocks, BlockAnalysis* out) const {
-  uint32_t words[detail::kMaxStagedWords];
   for (size_t b = 0; b < blocks.size(); ++b) {
     const BlockView blk = blocks[b];
     check_block_bytes(blk.size(), 4, "C-PACK");
-    if (!ring_dict_applicable(blk.size(), dict_entries_)) {
-      out[b] = analyze(blk);
-      continue;
-    }
-    const size_t n_words = detail::load_words_le32(blk.bytes().data(), blk.size(), words);
+    const uint8_t* p = blk.bytes().data();
+    const size_t n_words = blk.size() / 4;
     RingDict dict(dict_entries_);
     size_t bits = 0;
     for (size_t i = 0; i < n_words; ++i) {
-      const uint32_t word = words[i];
+      const uint32_t word = detail::load_le32(p + 4 * i);
       if (word == 0) {
         bits += code_bits(CpackCode::kZZZZ);
       } else if ((word & 0xFFFFFF00u) == 0) {
@@ -311,20 +186,16 @@ void CpackCompressor::analyze_batch(std::span<const BlockView> blocks, BlockAnal
 
 void CpackCompressor::compress_batch(std::span<const BlockView> blocks,
                                      CompressedBlock* out) const {
-  uint32_t words[detail::kMaxStagedWords];
   detail::BatchBitWriter w;  // reused across the batch
   for (size_t b = 0; b < blocks.size(); ++b) {
     const BlockView blk = blocks[b];
     check_block_bytes(blk.size(), 4, "C-PACK");
-    if (!ring_dict_applicable(blk.size(), dict_entries_)) {
-      out[b] = compress(blk);
-      continue;
-    }
-    const size_t n_words = detail::load_words_le32(blk.bytes().data(), blk.size(), words);
+    const uint8_t* p = blk.bytes().data();
+    const size_t n_words = blk.size() / 4;
     RingDict dict(dict_entries_);
     w.clear();
     for (size_t i = 0; i < n_words; ++i) {
-      const uint32_t word = words[i];
+      const uint32_t word = detail::load_le32(p + 4 * i);
       if (word == 0) {
         w.put(prefix_value(CpackCode::kZZZZ), prefix_bits(CpackCode::kZZZZ));
         continue;

@@ -21,23 +21,22 @@ enum class CpackCode : uint8_t { kZZZZ, kXXXX, kMMMM, kMMXX, kZZZX, kMMMX };
 
 class CpackCompressor : public Compressor {
  public:
-  /// `dict_entries` must be a power of two (index bits = log2).
+  /// Throws std::invalid_argument unless `dict_entries` is a power of two
+  /// in [2, 64] (index bits = log2; the dictionary is a 64-slot ring).
   explicit CpackCompressor(size_t dict_entries = 16);
 
   std::string name() const override { return "C-PACK"; }
-  CompressedBlock compress(BlockView block) const override;
   Block decompress(const CompressedBlock& cb, size_t block_bytes) const override;
-  /// Size-only: runs the dictionary pass summing code bits, no bit stream.
-  BlockAnalysis analyze(BlockView block) const override;
 
-  /// Batched kernels: the FIFO dictionary lives in a fixed ring buffer on the
-  /// stack (no per-block deque churn) and words are staged once per block;
-  /// the bit writer is reused across the batch. Byte-identical to the scalar
-  /// loop.
+  /// One dictionary walk per block, words read straight off the block and
+  /// the FIFO dictionary in a fixed ring buffer on the stack; compress reuses
+  /// its bit writer across the batch. Blocks must be whole 4 B words.
   using Compressor::analyze_batch;
   using Compressor::compress_batch;
   void analyze_batch(std::span<const BlockView> blocks, BlockAnalysis* out) const override;
   void compress_batch(std::span<const BlockView> blocks, CompressedBlock* out) const override;
+
+  size_t dict_entries() const { return dict_entries_; }
 
   /// Encoded bits for a code (prefix + index + literal bytes).
   unsigned code_bits(CpackCode c) const;

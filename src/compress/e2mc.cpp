@@ -16,13 +16,51 @@
 namespace slc {
 
 namespace {
-// Stack staging bound for per-block code lengths (256 symbols = 512 B
-// blocks), matching the word-staging bound of the other schemes.
-constexpr size_t kMaxStagedSymbols = 2 * detail::kMaxStagedWords;
-}  // namespace
+// Stack staging bound for the AVX2 analyze path's code lengths (256 symbols
+// = 512 B blocks); larger blocks sum straight off the table instead.
+constexpr size_t kMaxStagedSymbols = 256;
 
-namespace {
 std::atomic<uint64_t> g_next_model_id{1};
+
+// Writes the pdp header and the byte-aligned ways of `block` into `w`
+// (which must be empty) according to `lo`.
+void emit_ways(const E2mcCompressor& e2mc, BlockView block, const WayLayout& lo,
+               detail::SpanBitWriter& w) {
+  const unsigned ways = e2mc.config().num_ways;
+  const HuffmanCode& code = e2mc.code();
+  const unsigned pdp = E2mcCompressor::pdp_bits(block.size());
+  const size_t per_way = e2mc.symbols_per_way(block.num_symbols());
+  // Header: pdp_i = byte offset of way i (i = 1..num_ways-1) within payload.
+  const size_t header_bytes = (e2mc.header_bits(block.size()) + 7) / 8;
+  size_t off = header_bytes;
+  for (unsigned i = 1; i < ways; ++i) {
+    off += lo.way_bytes[i - 1];
+    w.put(off, pdp);
+  }
+  // Pad header to a byte boundary.
+  const size_t pad = header_bytes * 8 - w.bit_size();
+  if (pad) w.put(0, static_cast<unsigned>(pad));
+
+  for (unsigned way = 0; way < ways; ++way) {
+    const size_t start_bit = w.bit_size();
+    for (size_t s = way * per_way; s < (way + 1) * per_way; ++s) {
+      const uint16_t sym = block.symbol(s);
+      if (code.in_table(sym)) {
+        w.put(code.codeword(sym), code.codeword_len(sym));
+      } else {
+        w.put(code.esc_code(), code.esc_len());
+        w.put(sym, kSymbolBits);
+      }
+    }
+    // Byte-align the way.
+    const size_t used = w.bit_size() - start_bit;
+    assert(used == lo.way_bits[way]);
+    (void)used;
+    const size_t aligned = lo.way_bytes[way] * 8;
+    if (aligned > used) w.put(0, static_cast<unsigned>(aligned - used));
+  }
+}
+
 }  // namespace
 
 E2mcCompressor::E2mcCompressor(HuffmanCode code, E2mcConfig cfg)
@@ -45,15 +83,6 @@ unsigned E2mcCompressor::pdp_bits(size_t block_bytes) {
   unsigned n = 0;
   while ((size_t{1} << n) < block_bytes) ++n;
   return n;
-}
-
-std::vector<uint16_t> E2mcCompressor::code_lengths(BlockView block) const {
-  check_block_bytes(block.size(), kSymbolBits / 8, "E2MC");
-  const size_t n = block.num_symbols();
-  std::vector<uint16_t> lens(n);
-  for (size_t i = 0; i < n; ++i)
-    lens[i] = static_cast<uint16_t>(code_.encoded_bits(block.symbol(i)));
-  return lens;
 }
 
 void E2mcCompressor::code_lengths_batch(std::span<const BlockView> blocks,
@@ -110,74 +139,6 @@ WayLayout E2mcCompressor::layout(std::span<const uint16_t> code_lens, size_t hea
   }
   lo.total_bits = total * 8;
   return lo;
-}
-
-BlockAnalysis E2mcCompressor::analyze(BlockView block) const {
-  const auto lens = code_lengths(block);
-  const WayLayout lo = layout(lens, header_bits(block.size()));
-  const size_t raw_bits = block.size() * 8;
-  BlockAnalysis a;
-  a.is_compressed = lo.total_bits < raw_bits;
-  a.bit_size = a.is_compressed ? lo.total_bits : raw_bits;
-  a.lossless_bits = a.bit_size;
-  return a;
-}
-
-template <class Writer>
-void E2mcCompressor::emit_ways(BlockView block, const WayLayout& lo, Writer& w) const {
-  const unsigned pdp = pdp_bits(block.size());
-  const size_t per_way = symbols_per_way(block.num_symbols());
-  // Header: pdp_i = byte offset of way i (i = 1..num_ways-1) within payload.
-  const size_t header_bytes = (header_bits(block.size()) + 7) / 8;
-  size_t off = header_bytes;
-  for (unsigned i = 1; i < cfg_.num_ways; ++i) {
-    off += lo.way_bytes[i - 1];
-    w.put(off, pdp);
-  }
-  // Pad header to a byte boundary.
-  const size_t pad = header_bytes * 8 - w.bit_size();
-  if (pad) w.put(0, static_cast<unsigned>(pad));
-
-  for (unsigned way = 0; way < cfg_.num_ways; ++way) {
-    const size_t start_bit = w.bit_size();
-    for (size_t s = way * per_way; s < (way + 1) * per_way; ++s) {
-      const uint16_t sym = block.symbol(s);
-      if (code_.in_table(sym)) {
-        w.put(code_.codeword(sym), code_.codeword_len(sym));
-      } else {
-        w.put(code_.esc_code(), code_.esc_len());
-        w.put(sym, kSymbolBits);
-      }
-    }
-    // Byte-align the way.
-    const size_t used = w.bit_size() - start_bit;
-    assert(used == lo.way_bits[way]);
-    (void)used;
-    const size_t aligned = lo.way_bytes[way] * 8;
-    if (aligned > used) w.put(0, static_cast<unsigned>(aligned - used));
-  }
-}
-
-CompressedBlock E2mcCompressor::compress(BlockView block) const {
-  const auto lens = code_lengths(block);
-  const WayLayout lo = layout(lens, header_bits(block.size()));
-  const size_t raw_bits = block.size() * 8;
-
-  CompressedBlock out;
-  if (lo.total_bits >= raw_bits) {
-    out.is_compressed = false;
-    out.bit_size = raw_bits;
-    out.payload.assign(block.bytes().begin(), block.bytes().end());
-    return out;
-  }
-
-  BitWriter w;
-  emit_ways(block, lo, w);
-  out.is_compressed = true;
-  out.bit_size = w.bit_size();
-  assert(out.bit_size == lo.total_bits);
-  out.payload = w.bytes();
-  return out;
 }
 
 void E2mcCompressor::analyze_batch(std::span<const BlockView> blocks, BlockAnalysis* out) const {
@@ -260,7 +221,7 @@ void E2mcCompressor::compress_batch(std::span<const BlockView> blocks,
       continue;
     }
     w.reset(arena.data() + offsets[b]);
-    emit_ways(blk, layouts[b], w);
+    emit_ways(*this, blk, layouts[b], w);
     assert(w.bit_size() == layouts[b].total_bits);
     const size_t written = w.finish();
     assert(written == sizes[b]);

@@ -45,29 +45,24 @@ class E2mcCompressor : public Compressor {
                                                E2mcConfig cfg = {});
 
   std::string name() const override { return "E2MC"; }
-  CompressedBlock compress(BlockView block) const override;
   Block decompress(const CompressedBlock& cb, size_t block_bytes) const override;
-  /// Size-only: sums code lengths through the way layout, no bit stream.
-  BlockAnalysis analyze(BlockView block) const override;
 
-  /// Batched kernels: per-way code-length accumulation without the per-block
-  /// lengths vector (analyze) and a scratch writer reused across the batch
-  /// (compress). Byte-identical to the scalar loop.
+  /// Batched kernels: analyze sums encoded bits per way straight off the
+  /// flattened code-length table (8-lane gathers when AVX2 is active);
+  /// compress runs the same probe into a way layout per block, then the
+  /// prefix-sum payload scatter.
   using Compressor::analyze_batch;
   using Compressor::compress_batch;
   void analyze_batch(std::span<const BlockView> blocks, BlockAnalysis* out) const override;
   void compress_batch(std::span<const BlockView> blocks, CompressedBlock* out) const override;
 
-  /// Per-symbol encoded lengths for a block — the values the TSLC tree adder
-  /// reads from the compressor's code-length table.
-  std::vector<uint16_t> code_lengths(BlockView block) const;
-
-  /// Batched length probe: stages every block's per-symbol encoded lengths
-  /// into one contiguous scratch buffer with single le16 loads (block i's
-  /// lengths live at lens[offsets[i] .. offsets[i+1])). This is the sizing
-  /// pass the SLC batched mode decision runs once for a whole span; the
-  /// values are exactly code_lengths() per block. Both vectors are resized
-  /// (reuse them across calls to amortize the allocation).
+  /// Batched length probe — the values the TSLC tree adder reads from the
+  /// compressor's code-length table: stages every block's per-symbol encoded
+  /// lengths into one contiguous scratch buffer with single le16 loads
+  /// (block i's lengths live at lens[offsets[i] .. offsets[i+1])). This is
+  /// the sizing pass the SLC batched mode decision runs once for a whole
+  /// span. Both vectors are resized (reuse them across calls to amortize
+  /// the allocation).
   void code_lengths_batch(std::span<const BlockView> blocks, std::vector<uint16_t>& lens,
                           std::vector<size_t>& offsets) const;
 
@@ -108,14 +103,6 @@ class E2mcCompressor : public Compressor {
   static constexpr unsigned kDecompressLatency = 20;
 
  private:
-  /// Writes the pdp header and the byte-aligned ways of `block` into `w`
-  /// (which must be empty) according to `lo` — the one emitter the scalar
-  /// compress() (BitWriter) and the batch/scatter kernels
-  /// (detail::SpanBitWriter) go through, so their payloads cannot drift
-  /// apart. Defined in e2mc.cpp; all instantiations live there.
-  template <class Writer>
-  void emit_ways(BlockView block, const WayLayout& lo, Writer& w) const;
-
   HuffmanCode code_;
   E2mcConfig cfg_;
   uint64_t model_id_;

@@ -1,8 +1,8 @@
 #include "compress/fpc.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
-
 #include <vector>
 
 #include "common/bitstream.h"
@@ -39,8 +39,8 @@ void classify_words(const uint8_t* p, size_t n_words, uint8_t* cls, bool use_avx
   }
 }
 
-// Exact compressed size implied by a classification — the same walk
-// compress() does, summing instead of emitting.
+// Exact compressed size implied by a classification — the walk
+// emit_from_classes() does, summing instead of emitting.
 size_t bits_from_classes(const uint8_t* cls, size_t n_words) {
   size_t bits = 0;
   size_t i = 0;
@@ -60,10 +60,10 @@ size_t bits_from_classes(const uint8_t* cls, size_t n_words) {
   return bits;
 }
 
-// compress()'s emission loop driven by precomputed classes; words are read
-// straight off the block bytes. Byte-identical stream to the scalar walk.
-template <class Writer>
-void emit_from_classes(const uint8_t* p, size_t n_words, const uint8_t* cls, Writer& w) {
+// The emission loop driven by precomputed classes; words are read straight
+// off the block bytes.
+void emit_from_classes(const uint8_t* p, size_t n_words, const uint8_t* cls,
+                       detail::SpanBitWriter& w) {
   size_t i = 0;
   while (i < n_words) {
     if (cls[i] == static_cast<uint8_t>(FpcPattern::kZeroRun)) {
@@ -133,52 +133,6 @@ unsigned FpcCompressor::payload_bits(FpcPattern p) {
   return 32;
 }
 
-CompressedBlock FpcCompressor::compress(BlockView block) const {
-  check_block_bytes(block.size(), 4, "FPC");
-  const size_t n_words = block.size() / 4;
-  BitWriter w;
-  size_t i = 0;
-  while (i < n_words) {
-    const uint32_t word = block.word32(i);
-    if (word == 0) {
-      size_t run = 1;
-      while (i + run < n_words && run < kMaxZeroRun && block.word32(i + run) == 0) ++run;
-      w.put(static_cast<uint64_t>(FpcPattern::kZeroRun), kPrefixBits);
-      w.put(run - 1, 3);
-      i += run;
-      continue;
-    }
-    const FpcPattern p = classify(word);
-    w.put(static_cast<uint64_t>(p), kPrefixBits);
-    switch (p) {
-      case FpcPattern::kSignExt4: w.put(word & 0xF, 4); break;
-      case FpcPattern::kSignExt8: w.put(word & 0xFF, 8); break;
-      case FpcPattern::kSignExt16: w.put(word & 0xFFFF, 16); break;
-      case FpcPattern::kHalfwordPadded: w.put(word >> 16, 16); break;
-      case FpcPattern::kTwoHalfwordsSE:
-        w.put((word >> 16) & 0xFF, 8);
-        w.put(word & 0xFF, 8);
-        break;
-      case FpcPattern::kRepeatedBytes: w.put(word & 0xFF, 8); break;
-      case FpcPattern::kUncompressed: w.put(word, 32); break;
-      case FpcPattern::kZeroRun: assert(false); break;
-    }
-    ++i;
-  }
-
-  CompressedBlock out;
-  if (w.bit_size() >= block.size() * 8) {
-    out.is_compressed = false;
-    out.bit_size = block.size() * 8;
-    out.payload.assign(block.bytes().begin(), block.bytes().end());
-  } else {
-    out.is_compressed = true;
-    out.bit_size = w.bit_size();
-    out.payload = w.bytes();
-  }
-  return out;
-}
-
 Block FpcCompressor::decompress(const CompressedBlock& cb, size_t block_bytes) const {
   check_block_bytes(block_bytes, 4, "FPC");
   if (!cb.is_compressed) {
@@ -237,46 +191,20 @@ Block FpcCompressor::decompress(const CompressedBlock& cb, size_t block_bytes) c
   return out;
 }
 
-BlockAnalysis FpcCompressor::analyze(BlockView block) const {
-  // Mirror of compress(): the same word walk, summing sizes instead of
-  // emitting bits.
-  check_block_bytes(block.size(), 4, "FPC");
-  const size_t n_words = block.size() / 4;
-  size_t bits = 0;
-  size_t i = 0;
-  while (i < n_words) {
-    if (block.word32(i) == 0) {
-      size_t run = 1;
-      while (i + run < n_words && run < kMaxZeroRun && block.word32(i + run) == 0) ++run;
-      bits += kPrefixBits + payload_bits(FpcPattern::kZeroRun);
-      i += run;
-      continue;
-    }
-    bits += kPrefixBits + payload_bits(classify(block.word32(i)));
-    ++i;
-  }
-
-  BlockAnalysis a;
-  const size_t raw_bits = block.size() * 8;
-  a.is_compressed = bits < raw_bits;
-  a.bit_size = a.is_compressed ? bits : raw_bits;
-  a.lossless_bits = a.bit_size;
-  return a;
-}
-
 void FpcCompressor::analyze_batch(std::span<const BlockView> blocks, BlockAnalysis* out) const {
-  uint8_t cls[detail::kMaxStagedWords];
+  // One class buffer, sized for the span's largest block.
+  size_t max_words = 0;
+  for (const BlockView& blk : blocks) {
+    check_block_bytes(blk.size(), 4, "FPC");
+    max_words = std::max(max_words, blk.size() / 4);
+  }
+  std::vector<uint8_t> cls(max_words);
   const bool use_avx2 = simd::active_level() == simd::Level::kAvx2;
   for (size_t b = 0; b < blocks.size(); ++b) {
     const BlockView blk = blocks[b];
-    check_block_bytes(blk.size(), 4, "FPC");
-    if (!detail::word_staging_applicable(blk.size())) {
-      out[b] = analyze(blk);
-      continue;
-    }
     const size_t n_words = blk.size() / 4;
-    classify_words(blk.bytes().data(), n_words, cls, use_avx2);
-    const size_t bits = bits_from_classes(cls, n_words);
+    classify_words(blk.bytes().data(), n_words, cls.data(), use_avx2);
+    const size_t bits = bits_from_classes(cls.data(), n_words);
     BlockAnalysis a;
     const size_t raw_bits = blk.size() * 8;
     a.is_compressed = bits < raw_bits;
@@ -292,23 +220,19 @@ void FpcCompressor::compress_batch(std::span<const BlockView> blocks, Compressed
   // offsets, then emit each block at its own offset (stage 2) and slice the
   // arena into per-block payloads (stage 3).
   const size_t n = blocks.size();
-  std::vector<uint8_t> cls_all;
   std::vector<size_t> cls_off(n, 0), bits(n, 0), sizes(n, 0), offsets(n, 0);
   const bool use_avx2 = simd::active_level() == simd::Level::kAvx2;
 
   size_t total_words = 0;
   for (size_t b = 0; b < n; ++b) {
     check_block_bytes(blocks[b].size(), 4, "FPC");
-    if (detail::word_staging_applicable(blocks[b].size())) {
-      cls_off[b] = total_words;
-      total_words += blocks[b].size() / 4;
-    }
+    cls_off[b] = total_words;
+    total_words += blocks[b].size() / 4;
   }
-  cls_all.resize(total_words);
+  std::vector<uint8_t> cls_all(total_words);
 
   for (size_t b = 0; b < n; ++b) {
     const BlockView blk = blocks[b];
-    if (!detail::word_staging_applicable(blk.size())) continue;  // stage-2 fallback
     const size_t n_words = blk.size() / 4;
     uint8_t* cls = cls_all.data() + cls_off[b];
     classify_words(blk.bytes().data(), n_words, cls, use_avx2);
@@ -322,10 +246,6 @@ void FpcCompressor::compress_batch(std::span<const BlockView> blocks, Compressed
 
   for (size_t b = 0; b < n; ++b) {
     const BlockView blk = blocks[b];
-    if (!detail::word_staging_applicable(blk.size())) {
-      out[b] = compress(blk);
-      continue;
-    }
     const uint8_t* p = blk.bytes().data();
     if (bits[b] >= blk.size() * 8) {  // stored raw
       std::memcpy(arena.data() + offsets[b], p, blk.size());
@@ -341,7 +261,6 @@ void FpcCompressor::compress_batch(std::span<const BlockView> blocks, Compressed
 
   for (size_t b = 0; b < n; ++b) {
     const BlockView blk = blocks[b];
-    if (!detail::word_staging_applicable(blk.size())) continue;
     CompressedBlock cb;
     const uint8_t* slice = arena.data() + offsets[b];
     cb.is_compressed = bits[b] < blk.size() * 8;

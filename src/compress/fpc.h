@@ -25,14 +25,10 @@ enum class FpcPattern : uint8_t {
 class FpcCompressor : public Compressor {
  public:
   std::string name() const override { return "FPC"; }
-  CompressedBlock compress(BlockView block) const override;
   Block decompress(const CompressedBlock& cb, size_t block_bytes) const override;
-  /// Size-only: classifies words and sums prefix+payload bits, no bit stream.
-  BlockAnalysis analyze(BlockView block) const override;
 
-  /// Batched kernels: stage the block's words once and classify them in a
-  /// tight non-virtual loop, reusing the bit writer across the batch.
-  /// Byte-identical to the scalar loop.
+  /// Classify every word once (AVX2 when available), size the block from the
+  /// classes, then emit from them. Blocks must be whole 4 B words.
   using Compressor::analyze_batch;
   using Compressor::compress_batch;
   void analyze_batch(std::span<const BlockView> blocks, BlockAnalysis* out) const override;

@@ -3,10 +3,12 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <cstring>
 #include <numeric>
 #include <stdexcept>
 
 #include "common/bitstream.h"
+#include "compress/batch_writer.h"
 #include "compress/codec_registry.h"
 #include "compress/e2mc.h"
 
@@ -204,45 +206,85 @@ std::shared_ptr<HuffmanCompressor> HuffmanCompressor::train(std::span<const uint
   return std::make_shared<HuffmanCompressor>(HuffmanCode::build(freqs, max_entries, max_len));
 }
 
-BlockAnalysis HuffmanCompressor::analyze(BlockView block) const {
-  check_block_bytes(block.size(), kSymbolBits / 8, "Huffman");
-  const size_t n = block.num_symbols();
-  size_t bits = 0;
-  for (size_t i = 0; i < n; ++i) bits += code_.encoded_bits(block.symbol(i));
+namespace {
 
-  BlockAnalysis a;
-  const size_t raw_bits = block.size() * 8;
-  a.is_compressed = bits < raw_bits;
-  a.bit_size = a.is_compressed ? bits : raw_bits;
-  a.lossless_bits = a.bit_size;
-  return a;
+// Exact code bits of one block: the sum of its symbols' encoded lengths.
+size_t code_bits_of(const uint8_t* p, size_t n_sym, const uint32_t* enc_bits) {
+  size_t bits = 0;
+  for (size_t i = 0; i < n_sym; ++i) bits += enc_bits[detail::load_le16(p + 2 * i)];
+  return bits;
 }
 
-CompressedBlock HuffmanCompressor::compress(BlockView block) const {
-  const BlockAnalysis a = analyze(block);
-  CompressedBlock out;
-  if (!a.is_compressed) {
-    out.is_compressed = false;
-    out.bit_size = block.size() * 8;
-    out.payload.assign(block.bytes().begin(), block.bytes().end());
-    return out;
+}  // namespace
+
+void HuffmanCompressor::analyze_batch(std::span<const BlockView> blocks,
+                                      BlockAnalysis* out) const {
+  const uint32_t* enc_bits = code_.encoded_bits_table();
+  for (size_t b = 0; b < blocks.size(); ++b) {
+    const BlockView blk = blocks[b];
+    check_block_bytes(blk.size(), kSymbolBits / 8, "Huffman");
+    const size_t bits = code_bits_of(blk.bytes().data(), blk.num_symbols(), enc_bits);
+    BlockAnalysis a;
+    const size_t raw_bits = blk.size() * 8;
+    a.is_compressed = bits < raw_bits;
+    a.bit_size = a.is_compressed ? bits : raw_bits;
+    a.lossless_bits = a.bit_size;
+    out[b] = a;
   }
-  BitWriter w;
-  const size_t n = block.num_symbols();
-  for (size_t i = 0; i < n; ++i) {
-    const uint16_t sym = block.symbol(i);
-    if (code_.in_table(sym)) {
-      w.put(code_.codeword(sym), code_.codeword_len(sym));
-    } else {
-      w.put(code_.esc_code(), code_.esc_len());
-      w.put(sym, kSymbolBits);
+}
+
+void HuffmanCompressor::compress_batch(std::span<const BlockView> blocks,
+                                       CompressedBlock* out) const {
+  // Prefix-sum payload scatter: stage 1 sizes every block from the code
+  // lengths, the exclusive prefix sum turns the sizes into arena offsets,
+  // stage 2 emits each block's codewords at its own offset and stage 3
+  // slices the arena into the per-block payloads.
+  const size_t n = blocks.size();
+  const uint32_t* enc_bits = code_.encoded_bits_table();
+  std::vector<size_t> bits(n), sizes(n), offsets(n);
+  for (size_t b = 0; b < n; ++b) {
+    const BlockView blk = blocks[b];
+    check_block_bytes(blk.size(), kSymbolBits / 8, "Huffman");
+    bits[b] = code_bits_of(blk.bytes().data(), blk.num_symbols(), enc_bits);
+    sizes[b] = bits[b] < blk.size() * 8 ? (bits[b] + 7) / 8 : blk.size();
+  }
+
+  const size_t total = detail::exclusive_prefix_sum(sizes.data(), n, offsets.data());
+  std::vector<uint8_t> arena(total);
+  detail::SpanBitWriter w;
+
+  for (size_t b = 0; b < n; ++b) {
+    const BlockView blk = blocks[b];
+    const uint8_t* p = blk.bytes().data();
+    if (bits[b] >= blk.size() * 8) {  // stored raw
+      std::memcpy(arena.data() + offsets[b], p, blk.size());
+      continue;
     }
+    w.reset(arena.data() + offsets[b]);
+    for (size_t i = 0; i < blk.num_symbols(); ++i) {
+      const uint16_t sym = detail::load_le16(p + 2 * i);
+      if (code_.in_table(sym)) {
+        w.put(code_.codeword(sym), code_.codeword_len(sym));
+      } else {
+        w.put(code_.esc_code(), code_.esc_len());
+        w.put(sym, kSymbolBits);
+      }
+    }
+    assert(w.bit_size() == bits[b]);
+    const size_t written = w.finish();
+    assert(written == sizes[b]);
+    (void)written;
   }
-  out.is_compressed = true;
-  out.bit_size = w.bit_size();
-  assert(out.bit_size == a.bit_size);
-  out.payload = w.bytes();
-  return out;
+
+  for (size_t b = 0; b < n; ++b) {
+    const BlockView blk = blocks[b];
+    CompressedBlock cb;
+    const uint8_t* slice = arena.data() + offsets[b];
+    cb.is_compressed = bits[b] < blk.size() * 8;
+    cb.bit_size = cb.is_compressed ? bits[b] : blk.size() * 8;
+    cb.payload.assign(slice, slice + sizes[b]);
+    out[b] = std::move(cb);
+  }
 }
 
 Block HuffmanCompressor::decompress(const CompressedBlock& cb, size_t block_bytes) const {

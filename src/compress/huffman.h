@@ -119,10 +119,16 @@ class HuffmanCompressor : public Compressor {
                                                   unsigned max_len = 16);
 
   std::string name() const override { return "Huffman"; }
-  CompressedBlock compress(BlockView block) const override;
   Block decompress(const CompressedBlock& cb, size_t block_bytes) const override;
-  /// Size-only: sums per-symbol code lengths, no bit stream.
-  BlockAnalysis analyze(BlockView block) const override;
+
+  /// Batched kernels: analyze sums each block's symbol lengths off
+  /// HuffmanCode::encoded_bits_table(); compress sizes every block the same
+  /// way, turns the sizes into arena offsets with an exclusive prefix sum and
+  /// emits each block's codewords at its own offset.
+  using Compressor::analyze_batch;
+  using Compressor::compress_batch;
+  void analyze_batch(std::span<const BlockView> blocks, BlockAnalysis* out) const override;
+  void compress_batch(std::span<const BlockView> blocks, CompressedBlock* out) const override;
 
   const HuffmanCode& code() const { return code_; }
 

@@ -3,7 +3,7 @@
 // These are the vector halves of the batch kernels in bdi/fpc/e2mc.cpp:
 // the scheme files call them only when simd::active_level() == kAvx2 and the
 // block geometry fits the kernel's tile shape, so every declaration here has
-// a scalar twin that remains the tested oracle. The implementations live in
+// a scalar sub-kernel twin that must produce the same bytes. The implementations live in
 // simd_avx2.cpp, the one translation unit built with -mavx2; in builds
 // without SLC_HAVE_AVX2_KERNELS the dispatcher never selects kAvx2 and the
 // inline stubs below keep the scheme files link-clean without a single
@@ -34,7 +34,7 @@ inline bool bdi_avx2_applicable(size_t block_bytes) {
   return block_bytes % 32 == 0 && block_bytes <= 128;
 }
 
-/// best_encoding() on 256-bit lanes: zero/repeat scan, then every candidate
+/// probe_direct() on 256-bit lanes: zero/repeat scan, then every candidate
 /// encoding probed with broadcast-subtract range checks. Identical decisions
 /// to the scalar probe_direct for any input.
 BdiProbe bdi_probe_avx2(const uint8_t* p, size_t block_bytes);

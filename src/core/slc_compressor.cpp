@@ -26,18 +26,6 @@ BlockAnalysis to_analysis(const SlcEncodeInfo& info, const SlcCodec::CacheOutcom
 
 }  // namespace
 
-BlockAnalysis SlcCompressor::analyze(BlockView block) const {
-  BlockAnalysis a;
-  SlcCompressor::analyze_batch(std::span<const BlockView>(&block, 1), &a);
-  return a;
-}
-
-CompressedBlock SlcCompressor::compress(BlockView block) const {
-  CompressedBlock cb;
-  SlcCompressor::compress_batch(std::span<const BlockView>(&block, 1), &cb);
-  return cb;
-}
-
 void SlcCompressor::analyze_batch(std::span<const BlockView> blocks, BlockAnalysis* out) const {
   // One probe chunk at a time, so the staged results live on the stack.
   constexpr size_t kChunk = SlcCodec::kProbeChunk;

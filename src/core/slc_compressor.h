@@ -11,8 +11,8 @@
 // b for blocks the Fig. 4 decision truncates. analyze() exposes that through
 // BlockAnalysis::lossy/truncated_symbols.
 //
-// The batch kernels are the only SLC paths: analyze() and compress() run
-// them over a span of 1.
+// The batch kernels are the only SLC paths: Compressor's analyze() and
+// compress() run them over a span of 1.
 #pragma once
 
 #include <memory>
@@ -27,13 +27,11 @@ class SlcCompressor : public Compressor {
       : codec_(std::move(lossless), cfg) {}
 
   std::string name() const override { return to_string(codec_.config().variant); }
-  CompressedBlock compress(BlockView block) const override;
   Block decompress(const CompressedBlock& cb, size_t block_bytes) const override {
     SlcCompressedBlock scb;
     scb.data = cb;
     return codec_.decompress(scb, block_bytes);
   }
-  BlockAnalysis analyze(BlockView block) const override;
 
   /// Batch kernels: analyze_batch runs SlcCodec::decide_batch (memo stage
   /// included) one kProbeChunk chunk at a time, compress_batch runs

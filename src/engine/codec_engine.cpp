@@ -1,6 +1,7 @@
 #include "engine/codec_engine.h"
 
 #include <algorithm>
+#include <stdexcept>
 
 #include "core/fingerprint_cache.h"
 
@@ -285,9 +286,7 @@ CodecFuture<CodecEngine::StreamAnalysis> CodecEngine::submit_analyze(const Compr
       blocks.size(), mag_bytes,
       [&comp, blocks](size_t begin, size_t end, BlockAnalysis* dst) {
         // Every shard goes through the compressor's batch kernel, writing
-        // straight into the index-aligned result slots — schemes with
-        // vectorized overrides get the whole shard at once, and the default
-        // is the scalar loop with no intermediate vector.
+        // straight into the index-aligned result slots.
         comp.analyze_batch(to_views(blocks.subspan(begin, end - begin)), dst);
       },
       [blocks](size_t i) { return blocks[i].size() * 8; }, priority);
@@ -307,6 +306,7 @@ CodecFuture<std::vector<CompressedBlock>> CodecEngine::submit_compress(
 CodecEngine::StreamAnalysis CodecEngine::analyze_bytes(const Compressor& comp,
                                                        std::span<const uint8_t> data,
                                                        size_t mag_bytes, size_t block_bytes) {
+  if (block_bytes == 0) throw std::invalid_argument("analyze_bytes: block_bytes must be positive");
   const size_t n_blocks = (data.size() + block_bytes - 1) / block_bytes;
   return submit_analyze_indexed(
              n_blocks, mag_bytes,

@@ -265,6 +265,7 @@ class CodecEngine {
   /// Synchronous size-only sweep over a flat buffer sliced into
   /// `block_bytes` views without copying (a short tail is zero-padded into a
   /// final full block, like to_blocks); blocks until the job drained.
+  /// Throws std::invalid_argument if `block_bytes` is 0.
   StreamAnalysis analyze_bytes(const Compressor& comp, std::span<const uint8_t> data,
                                size_t mag_bytes = kDefaultMagBytes,
                                size_t block_bytes = kBlockBytes);

@@ -14,10 +14,9 @@ namespace {
 /// job survives a concurrent alloc()); every write (burst slot, lossy
 /// mutation) is block-disjoint and each block's outcome depends only on its
 /// own pre-commit contents, so sharding cannot change results. The whole
-/// [begin, end) range goes through the policy's process_batch kernel —
-/// policies with a batched override (SLC's staged mode decision, the
-/// lossless schemes' vectorized size probes) get the shard at once, and the
-/// default is the per-block scalar loop, byte-identical either way.
+/// [begin, end) range goes through the policy's process_batch kernel (SLC's
+/// staged mode decision, the lossless schemes' batched size probes), so each
+/// policy gets the shard at once.
 void process_blocks(const BlockCodec& codec, uint8_t* data, uint32_t* bursts, bool safe,
                     size_t threshold_bytes, size_t begin, size_t end, CommitStats& ws) {
   const size_t n = end - begin;

@@ -1,14 +1,14 @@
-// Batch-kernel equivalence: for every registry-listed codec, the
-// analyze_batch/compress_batch kernels must be byte-identical to the
-// per-block scalar loop — on random, all-zero, denormal-heavy, value-similar
-// and repeat/delta data, for any batch split. This is the contract that lets
-// the CodecEngine and CodecServer route every shard through the batch entry
-// points without a correctness fallback; it runs under the ASan+UBSan CI job
-// like the rest of this binary. The SLC codec and the BlockCodec policies
-// have no per-block path of their own (one block is a span of 1), so for
-// them these tests pin split invariance, and
-// CodecDifferential.DecideMatchesReference checks the SLC decision against
-// an independent per-block oracle.
+// Batch-kernel split invariance: for every registry-listed codec, the
+// analyze_batch/compress_batch kernels must give the same bytes over spans of
+// 1 (Compressor::analyze/compress) as over any other batch split — on random,
+// all-zero, denormal-heavy, value-similar and repeat/delta data. This is the
+// contract that lets the CodecEngine and CodecServer cut a stream into shards
+// anywhere; it runs under the ASan+UBSan CI job like the rest of this binary.
+// No codec and no BlockCodec policy has a per-block path of its own (one
+// block is a span of 1), so correctness against independent oracles lives in
+// test_codec_differential.cpp: LosslessMatchesReference checks the lossless
+// kernels against the reference encoders in codec_reference.h, and
+// DecideMatchesReference checks the SLC decision against ref_decide.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -25,77 +25,32 @@
 namespace slc {
 namespace {
 
-std::vector<Block> blocks_from_bytes(const std::vector<uint8_t>& data) {
-  return to_blocks(data);
-}
+using test::expect_analysis_eq;
+using test::expect_payload_eq;
 
 std::vector<Block> random_blocks(size_t n) {
-  Rng rng(0xB10CB10Cull);
-  std::vector<uint8_t> data(n * kBlockBytes);
-  for (auto& b : data) b = static_cast<uint8_t>(rng.next_below(256));
-  return blocks_from_bytes(data);
+  return to_blocks(test::data_stream("random", n * kBlockBytes, 0xB10CB10Cull));
 }
 
 std::vector<Block> zero_blocks(size_t n) {
-  return blocks_from_bytes(std::vector<uint8_t>(n * kBlockBytes, 0));
+  return to_blocks(test::data_stream("all-zero", n * kBlockBytes, 0));
 }
 
-// Mostly denormal floats (zero exponent, random mantissa) with zeros mixed
-// in: the data shape that stresses FPC's sign-extension classes and BDI's
-// near-zero immediates.
 std::vector<Block> denormal_blocks(size_t n) {
-  Rng rng(0xDE40A11ull);
-  std::vector<uint8_t> data;
-  data.reserve(n * kBlockBytes);
-  for (size_t i = 0; i < n * kBlockBytes / 4; ++i) {
-    uint32_t bits = 0;
-    if (!rng.chance(0.25)) {
-      bits = static_cast<uint32_t>(rng.next()) & 0x007FFFFFu;  // denormal mantissa
-      if (rng.chance(0.5)) bits |= 0x80000000u;                // random sign
-    }
-    for (int k = 0; k < 4; ++k) data.push_back(static_cast<uint8_t>(bits >> (8 * k)));
-  }
-  return blocks_from_bytes(data);
+  return to_blocks(test::data_stream("denormal", n * kBlockBytes, 0xDE40A11ull));
 }
 
-// Repeated 64-bit values and small-delta integer runs (BDI's and C-PACK's
-// sweet spots), including blocks that alternate the two.
 std::vector<Block> repeat_delta_blocks(size_t n) {
-  Rng rng(0x4E9EA7ull);
-  std::vector<uint8_t> data;
-  data.reserve(n * kBlockBytes);
-  uint64_t base = 0x1122334455667788ull;
-  for (size_t i = 0; i < n * kBlockBytes / 8; ++i) {
-    if (i % 16 == 0) base = rng.next();
-    const uint64_t v = rng.chance(0.5) ? base : base + rng.next_below(200);
-    for (int k = 0; k < 8; ++k) data.push_back(static_cast<uint8_t>(v >> (8 * k)));
-  }
-  return blocks_from_bytes(data);
-}
-
-void expect_analysis_eq(const BlockAnalysis& scalar, const BlockAnalysis& batch,
-                        const std::string& what) {
-  EXPECT_EQ(scalar.bit_size, batch.bit_size) << what;
-  EXPECT_EQ(scalar.is_compressed, batch.is_compressed) << what;
-  EXPECT_EQ(scalar.lossy, batch.lossy) << what;
-  EXPECT_EQ(scalar.lossless_bits, batch.lossless_bits) << what;
-  EXPECT_EQ(scalar.truncated_symbols, batch.truncated_symbols) << what;
-}
-
-void expect_payload_eq(const CompressedBlock& scalar, const CompressedBlock& batch,
-                       const std::string& what) {
-  EXPECT_EQ(scalar.bit_size, batch.bit_size) << what;
-  EXPECT_EQ(scalar.is_compressed, batch.is_compressed) << what;
-  EXPECT_EQ(scalar.payload, batch.payload) << what;
+  return to_blocks(test::data_stream("repeat-delta", n * kBlockBytes, 0x4E9EA7ull));
 }
 
 // Runs one codec over one data set through every batch split and compares
-// against the per-block scalar loop.
+// against spans of 1.
 void check_codec(const Compressor& comp, const std::vector<Block>& blocks,
                  const std::string& label) {
   const std::vector<BlockView> views = to_views(blocks);
 
-  // The scalar oracle: exactly the loop Compressor's defaults run.
+  // Spans of 1: Compressor's per-block analyze()/compress().
   std::vector<BlockAnalysis> scalar_a(blocks.size());
   std::vector<CompressedBlock> scalar_c(blocks.size());
   for (size_t i = 0; i < blocks.size(); ++i) {
@@ -156,8 +111,8 @@ TEST(BatchKernels, ByteIdenticalToScalarLoopForEveryRegistryCodec) {
     for (const auto& [label, blocks] : datasets) check_codec(*comp, blocks, label);
     ++tested;
   }
-  // The registry must have yielded the four schemes with real batch kernels
-  // (plus Huffman and the TSLC variants on the default loop).
+  // The registry must have yielded the five lossless schemes and the TSLC
+  // variants.
   EXPECT_GE(tested, 7u);
 }
 
@@ -242,15 +197,10 @@ TEST(BatchKernels, ProcessBatchMatchesScalarForEveryRegistryPolicy) {
 // env var throws) must not change a single output byte of any codec. On hosts
 // without AVX2 both runs take the scalar path and the comparison is trivially
 // true — CI also runs this whole binary once with SLC_FORCE_SCALAR=1 so the
-// scalar oracle itself stays covered everywhere.
-
-// Restores runtime dispatch even when an ASSERT bails out of the test body.
-struct ForceScalarGuard {
-  ~ForceScalarGuard() { simd::force_scalar(false); }
-};
+// scalar sub-kernels stay covered everywhere.
 
 TEST(BatchKernels, ForceScalarTogglePreservesEveryByte) {
-  ForceScalarGuard guard;
+  test::ForceScalarGuard guard;
   const std::vector<uint8_t> training = test::quantized_walk(7, 64);
   CodecOptions opts = test::test_options(training);
   opts.trained_e2mc = E2mcCompressor::train(training, opts.e2mc);
@@ -335,9 +285,9 @@ TEST(BatchKernels, OddBatchSplitsMatchScalar) {
 // Misaligned block pointers: the same stream viewed at byte offsets 0, 1 and
 // 3 from the backing allocation, so every 32-byte vector load in the kernels
 // is genuinely unaligned (block *sizes* stay kBlockBytes — only the pointers
-// shift). Batch results must match the scalar loop over the same shifted
-// views, and shifting must not perturb a kernel into reading outside its
-// block (ASan in CI would catch an over-read).
+// shift). Batch results must match spans of 1 over the same shifted views,
+// and shifting must not perturb a kernel into reading outside its block
+// (ASan in CI would catch an over-read).
 TEST(BatchKernels, MisalignedBlockPointersMatchScalar) {
   const std::vector<uint8_t> training = test::quantized_walk(7, 64);
   CodecOptions opts = test::test_options(training);
@@ -407,10 +357,11 @@ TEST(BatchKernels, BatchPayloadsRoundtripLossless) {
 
 TEST(BatchKernels, BatchPayloadsDecompressForEveryScheme) {
   // Closes the decompress gap over the batch paths: every scheme's
-  // compress_batch payloads must decode to exactly what the scalar
-  // compress()+decompress() path yields — for lossless schemes that is the
+  // compress_batch payloads must decode to exactly what a span of 1 through
+  // compress() and decompress() yields — for lossless schemes that is the
   // input itself; for the lossy TSLC variants the approximation is part of
-  // the contract, and batch/scalar drift in the decoded bytes is a bug.
+  // the contract, and drift between batch and span-of-1 decoded bytes is a
+  // bug.
   const std::vector<uint8_t> training = test::quantized_walk(7, 64);
   CodecOptions opts = test::test_options(training);
   opts.trained_e2mc = E2mcCompressor::train(training, opts.e2mc);

@@ -7,10 +7,18 @@
 namespace slc {
 namespace {
 
+// The encoding the kernel chose: the payload's leading 4-bit tag, or
+// kUncompressed for a block stored raw.
+BdiEncoding encoding_of(const BdiCompressor& c, const Block& b) {
+  const CompressedBlock cb = c.compress(b.view());
+  if (!cb.is_compressed) return BdiEncoding::kUncompressed;
+  return static_cast<BdiEncoding>(cb.payload.at(0) >> 4);
+}
+
 TEST(Bdi, ZeroBlock) {
   Block b;
-  EXPECT_EQ(BdiCompressor::best_encoding(b.view()), BdiEncoding::kZeros);
   const BdiCompressor c;
+  EXPECT_EQ(encoding_of(c, b), BdiEncoding::kZeros);
   const auto cb = c.compress(b.view());
   EXPECT_TRUE(cb.is_compressed);
   EXPECT_EQ(cb.bit_size, 4u);  // tag only
@@ -20,8 +28,8 @@ TEST(Bdi, ZeroBlock) {
 TEST(Bdi, RepeatedValue) {
   Block b;
   for (size_t i = 0; i < 16; ++i) b.set_word64(i, 0x1122334455667788ull);
-  EXPECT_EQ(BdiCompressor::best_encoding(b.view()), BdiEncoding::kRepeat64);
   const BdiCompressor c;
+  EXPECT_EQ(encoding_of(c, b), BdiEncoding::kRepeat64);
   const auto cb = c.compress(b.view());
   EXPECT_EQ(cb.bit_size, 68u);
   EXPECT_EQ(c.decompress(cb, kBlockBytes), b);
@@ -30,8 +38,8 @@ TEST(Bdi, RepeatedValue) {
 TEST(Bdi, Base8Delta1) {
   Block b;
   for (size_t i = 0; i < 16; ++i) b.set_word64(i, 0x1000000000ull + i);
-  EXPECT_EQ(BdiCompressor::best_encoding(b.view()), BdiEncoding::kBase8Delta1);
   const BdiCompressor c;
+  EXPECT_EQ(encoding_of(c, b), BdiEncoding::kBase8Delta1);
   const auto cb = c.compress(b.view());
   EXPECT_EQ(cb.bit_size, BdiCompressor::encoding_bits(BdiEncoding::kBase8Delta1, kBlockBytes));
   EXPECT_EQ(c.decompress(cb, kBlockBytes), b);
@@ -43,8 +51,8 @@ TEST(Bdi, Base8Delta1WithZeroImmediates) {
   Block b;
   for (size_t i = 0; i < 16; ++i)
     b.set_word64(i, (i % 2) ? 0x2000000000ull + i : i);  // small evens
-  EXPECT_EQ(BdiCompressor::best_encoding(b.view()), BdiEncoding::kBase8Delta1);
   const BdiCompressor c;
+  EXPECT_EQ(encoding_of(c, b), BdiEncoding::kBase8Delta1);
   EXPECT_EQ(c.decompress(c.compress(b.view()), kBlockBytes), b);
 }
 
@@ -53,9 +61,8 @@ TEST(Bdi, Base4Delta1) {
   // 32-bit words near a large base: as 64-bit pairs the deltas span the
   // upper word, so only the 4-byte-base encoding fits 1-byte deltas.
   for (size_t i = 0; i < 32; ++i) b.set_word32(i, 0x40000000u + static_cast<uint32_t>(i * 3));
-  const auto enc = BdiCompressor::best_encoding(b.view());
-  EXPECT_EQ(enc, BdiEncoding::kBase4Delta1);
   const BdiCompressor c;
+  EXPECT_EQ(encoding_of(c, b), BdiEncoding::kBase4Delta1);
   EXPECT_EQ(c.decompress(c.compress(b.view()), kBlockBytes), b);
 }
 
@@ -94,7 +101,7 @@ TEST(Bdi, PicksSmallestValidEncoding) {
   // Values within +-127 of a base: B8D1 (212 bits) must win over B8D2.
   Block b;
   for (size_t i = 0; i < 16; ++i) b.set_word64(i, 0x7777777700ull + i * 5);
-  EXPECT_EQ(BdiCompressor::best_encoding(b.view()), BdiEncoding::kBase8Delta1);
+  EXPECT_EQ(encoding_of(BdiCompressor{}, b), BdiEncoding::kBase8Delta1);
 }
 
 // Property: round trip is the identity for random structured blocks.

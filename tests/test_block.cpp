@@ -1,6 +1,8 @@
 // Block geometry and MAG rounding helpers.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "common/block.h"
 
 namespace slc {
@@ -97,6 +99,12 @@ TEST(ToBlocks, NoPadWhenDisabled) {
   std::vector<uint8_t> data(130, 0xCD);
   const auto blocks = to_blocks(data, kBlockBytes, /*pad_tail=*/false);
   ASSERT_EQ(blocks.size(), 1u);
+}
+
+TEST(ToBlocks, RejectsZeroBlockBytes) {
+  std::vector<uint8_t> data(130, 0xCD);
+  EXPECT_THROW(to_blocks(data, 0), std::invalid_argument);
+  EXPECT_THROW(to_blocks(data, 0, /*pad_tail=*/false), std::invalid_argument);
 }
 
 }  // namespace

@@ -1,11 +1,15 @@
-// Differential tests: E2mcCompressor::layout and TreeSlcSelector::select
-// against the per-symbol reference loops in codec_reference.h, over seeded
-// random code lengths of 1-32 bits, and SlcCodec's batch decision against
-// the per-block ref_decide over seeded block streams. Every WayLayout,
-// TreeCandidate and Decision must match field by field.
+// Differential tests against the reference loops in codec_reference.h: the
+// lossless schemes' batch kernels against the per-block reference encoders
+// over seeded block streams, E2mcCompressor::layout and
+// TreeSlcSelector::select against the per-symbol loops over seeded random
+// code lengths of 1-32 bits, and SlcCodec's batch decision against the
+// per-block ref_decide over seeded block streams. Every payload,
+// BlockAnalysis, WayLayout, TreeCandidate and Decision must match field by
+// field.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -17,6 +21,98 @@
 
 namespace slc {
 namespace {
+
+// --- lossless encoders ----------------------------------------------------------
+
+// Every lossless scheme's analyze_batch/compress_batch against its reference
+// encoder: C-PACK at every dictionary size and E2MC at every way count, on
+// blocks from one word to 8 KiB (every size over 512 B is one the kernels
+// once handed to a per-block scalar member), random, all-zero, denormal,
+// value-similar, repeat-delta and zero-run data, at batch splits of 1, 5 and
+// the whole span with the SIMD sub-kernels pinned off and on. analyze_batch
+// must also size every block exactly as compress_batch does, and decompress
+// must return every block.
+TEST(CodecDifferential, LosslessMatchesReference) {
+  test::ForceScalarGuard guard;
+  const auto training = test::quantized_walk(0x1055, 64);
+  struct Scheme {
+    std::string label;
+    std::shared_ptr<const Compressor> comp;
+    size_t word_bytes;  // the scheme's coding unit
+    size_t ways;        // symbols must split evenly into this many ways
+  };
+  std::vector<Scheme> schemes = {{"BDI", std::make_shared<BdiCompressor>(), 8, 1},
+                                 {"FPC", std::make_shared<FpcCompressor>(), 4, 1}};
+  for (const size_t dict : {2, 4, 8, 16, 32, 64})
+    schemes.push_back({"C-PACK/" + std::to_string(dict),
+                       std::make_shared<CpackCompressor>(dict), 4, 1});
+  for (const unsigned ways : {1u, 2u, 4u, 8u}) {
+    E2mcConfig cfg;
+    cfg.num_ways = ways;
+    schemes.push_back({"E2MC/" + std::to_string(ways) + "way",
+                       E2mcCompressor::train(training, cfg), 2, ways});
+  }
+  schemes.push_back({"Huffman", HuffmanCompressor::train(training), 2, 1});
+
+  const char* const kinds[] = {"random",        "all-zero",     "denormal",
+                               "value-similar", "repeat-delta", "zero-runs"};
+  size_t large_compressed = 0;  // compressed blocks over 512 B
+  for (const Scheme& sc : schemes) {
+    const test::RefCodec ref = test::ref_codec(*sc.comp);
+    ASSERT_NE(ref.analyze, nullptr) << sc.label;
+    for (const size_t block_bytes : {sc.word_bytes, 3 * sc.word_bytes, size_t{64}, size_t{96},
+                                     size_t{128}, size_t{256}, size_t{512}, size_t{520},
+                                     size_t{1024}, size_t{8192}}) {
+      if ((block_bytes / 2) % sc.ways != 0) continue;  // no even way split
+      const size_t n_blocks = std::max<size_t>(6, std::min<size_t>(24, 16384 / block_bytes));
+      for (const char* kind : kinds) {
+        const auto bytes = test::data_stream(kind, n_blocks * block_bytes, block_bytes);
+        const std::vector<Block> blocks = to_blocks(bytes, block_bytes);
+        const std::vector<BlockView> views = to_views(blocks);
+        const std::string tag =
+            sc.label + " " + kind + " " + std::to_string(block_bytes) + " B";
+
+        std::vector<BlockAnalysis> want_a(n_blocks);
+        std::vector<CompressedBlock> want_c(n_blocks);
+        for (size_t i = 0; i < n_blocks; ++i) {
+          want_a[i] = ref.analyze(*sc.comp, views[i]);
+          want_c[i] = ref.compress(*sc.comp, views[i]);
+        }
+
+        std::vector<BlockAnalysis> got_a(n_blocks);
+        std::vector<CompressedBlock> got_c(n_blocks);
+        for (const bool pin_scalar : {true, false}) {
+          simd::force_scalar(pin_scalar);
+          for (const size_t split : {size_t{1}, size_t{5}, n_blocks}) {
+            for (size_t begin = 0; begin < n_blocks; begin += split) {
+              const std::span<const BlockView> part(views.data() + begin,
+                                                    std::min(split, n_blocks - begin));
+              sc.comp->analyze_batch(part, got_a.data() + begin);
+              sc.comp->compress_batch(part, got_c.data() + begin);
+            }
+            for (size_t i = 0; i < n_blocks; ++i) {
+              const std::string what = tag + " block " + std::to_string(i) + " split " +
+                                       std::to_string(split) + " scalar " +
+                                       std::to_string(pin_scalar);
+              test::expect_analysis_eq(want_a[i], got_a[i], what);
+              test::expect_payload_eq(want_c[i], got_c[i], what);
+              EXPECT_EQ(got_a[i].bit_size, got_c[i].bit_size) << what;
+              EXPECT_EQ(got_a[i].is_compressed, got_c[i].is_compressed) << what;
+            }
+          }
+        }
+        for (size_t i = 0; i < n_blocks; ++i) {
+          EXPECT_EQ(sc.comp->decompress(got_c[i], block_bytes), blocks[i])
+              << tag << " block " << i << " decompress";
+          if (block_bytes > 512 && got_c[i].is_compressed) ++large_compressed;
+        }
+      }
+    }
+  }
+  EXPECT_GT(large_compressed, 0u);
+}
+
+// --- SLC decision -----------------------------------------------------------------
 
 std::vector<uint16_t> random_lens(Rng& rng, size_t n) {
   std::vector<uint16_t> lens(n);

@@ -152,7 +152,17 @@ TEST(CodecEngine, AnalyzeBytesPadsTail) {
   const auto blocks = to_blocks(data);
   ASSERT_EQ(blocks.size(), 3u);
   for (size_t i = 0; i < 3; ++i)
-    EXPECT_EQ(res.blocks[i].bit_size, comp->compressed_bits(blocks[i].view()));
+    EXPECT_EQ(res.blocks[i].bit_size, comp->analyze(blocks[i].view()).bit_size);
+}
+
+// A block size of 0 is rejected before any work starts (it used to divide by
+// zero), and the engine stays usable.
+TEST(CodecEngine, AnalyzeBytesRejectsZeroBlockBytes) {
+  const auto comp = CodecRegistry::instance().create("BDI", test_options({}));
+  const std::vector<uint8_t> data(256, 0x5A);
+  CodecEngine engine(2);
+  EXPECT_THROW(engine.analyze_bytes(*comp, data, 32, 0), std::invalid_argument);
+  EXPECT_EQ(engine.analyze_bytes(*comp, data, 32).blocks.size(), 2u);
 }
 
 // --- async submission API ---------------------------------------------------

@@ -90,7 +90,7 @@ TEST(CodecRegistry, RoundTripAndAnalyzeConsistency) {
       const BlockAnalysis a = comp->analyze(b.view());
       EXPECT_EQ(a.bit_size, cb.bit_size) << info->name << " block " << i;
       EXPECT_EQ(a.is_compressed, cb.is_compressed) << info->name << " block " << i;
-      EXPECT_EQ(comp->compressed_bits(b.view()), cb.bit_size) << info->name;
+      EXPECT_EQ(comp->analyze(b.view()).bit_size, cb.bit_size) << info->name;
       EXPECT_LE(cb.bit_size, kBlockBytes * 8) << info->name;
 
       const Block out = comp->decompress(cb, kBlockBytes);
@@ -142,7 +142,7 @@ TEST(CodecRegistry, TrainedModelReuseMatchesRetraining) {
   EXPECT_EQ(reg.create("E2MC", opts).get(), opts.trained_e2mc.get());
 
   for (const Block& b : blocks) {
-    EXPECT_EQ(fresh->compressed_bits(b.view()), reused->compressed_bits(b.view()));
+    EXPECT_EQ(fresh->analyze(b.view()).bit_size, reused->analyze(b.view()).bit_size);
   }
 }
 

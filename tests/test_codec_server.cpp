@@ -36,22 +36,26 @@ using test::test_options;
 class SlowCodec : public Compressor {
  public:
   std::string name() const override { return "TEST-SLOW"; }
-  CompressedBlock compress(BlockView block) const override {
-    std::this_thread::sleep_for(std::chrono::microseconds(100));
-    CompressedBlock cb;
-    cb.bit_size = block.size() * 8;
-    cb.is_compressed = false;
-    return cb;
-  }
   Block decompress(const CompressedBlock&, size_t block_bytes) const override {
     return Block(block_bytes);
   }
-  BlockAnalysis analyze(BlockView block) const override {
-    std::this_thread::sleep_for(std::chrono::microseconds(100));
-    BlockAnalysis a;
-    a.bit_size = block.size() * 8;
-    a.lossless_bits = a.bit_size;
-    return a;
+  void analyze_batch(std::span<const BlockView> blocks, BlockAnalysis* out) const override {
+    for (size_t i = 0; i < blocks.size(); ++i) {
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+      BlockAnalysis a;
+      a.bit_size = blocks[i].size() * 8;
+      a.lossless_bits = a.bit_size;
+      out[i] = a;
+    }
+  }
+  void compress_batch(std::span<const BlockView> blocks, CompressedBlock* out) const override {
+    for (size_t i = 0; i < blocks.size(); ++i) {
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+      CompressedBlock cb;
+      cb.bit_size = blocks[i].size() * 8;
+      cb.is_compressed = false;
+      out[i] = cb;
+    }
   }
 };
 
@@ -59,14 +63,14 @@ class SlowCodec : public Compressor {
 class ThrowingCodec : public Compressor {
  public:
   std::string name() const override { return "TEST-THROW"; }
-  CompressedBlock compress(BlockView) const override {
-    throw std::runtime_error("TEST-THROW compress");
-  }
   Block decompress(const CompressedBlock&, size_t) const override {
     throw std::runtime_error("TEST-THROW decompress");
   }
-  BlockAnalysis analyze(BlockView) const override {
-    throw std::runtime_error("TEST-THROW analyze");
+  void analyze_batch(std::span<const BlockView> blocks, BlockAnalysis*) const override {
+    if (!blocks.empty()) throw std::runtime_error("TEST-THROW analyze");
+  }
+  void compress_batch(std::span<const BlockView> blocks, CompressedBlock*) const override {
+    if (!blocks.empty()) throw std::runtime_error("TEST-THROW compress");
   }
 };
 

@@ -1,6 +1,8 @@
 // C-PACK: dictionary behaviour, pattern codes, round trip.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "common/rng.h"
 #include "compress/cpack.h"
 
@@ -83,6 +85,32 @@ TEST(Cpack, RandomDataFallsBackOrRoundTrips) {
   const auto cb = c.compress(b.view());
   EXPECT_EQ(c.decompress(cb, kBlockBytes), b);
   EXPECT_LE(cb.bit_size, kBlockBytes * 8);
+}
+
+// The dictionary is a 64-slot ring indexed by log2(entries) bits, so only
+// powers of two in [2, 64] are valid. Release builds used to accept the rest:
+// 0 never wrapped the ring and wrote past it; 6 emitted 3-bit indices the
+// decoder resolved against a different entry.
+TEST(CpackCompressor, RejectsDictionarySizesItCannotIndex) {
+  for (const size_t bad : {0, 1, 3, 6, 128})
+    EXPECT_THROW(CpackCompressor{bad}, std::invalid_argument) << bad;
+
+  // 512 B blocks: 128 distinct words (every slot of every ring is reused),
+  // and words drawn from four values.
+  Rng rng(0xD1C7);
+  Block distinct(512), four(512);
+  const uint32_t values[] = {0x11223344u, 0x55667788u, 0x99AABBCCu, 0xDDEEFF01u};
+  for (size_t i = 0; i < 128; ++i) {
+    distinct.set_word32(i, 0x01000000u + static_cast<uint32_t>(i) * 0x01010101u);
+    four.set_word32(i, values[rng.next_below(4)]);
+  }
+  for (const size_t dict : {2, 4, 8, 16, 32, 64}) {
+    const CpackCompressor c(dict);
+    for (const Block* b : {&distinct, &four}) {
+      const auto cb = c.compress(b->view());
+      EXPECT_EQ(c.decompress(cb, b->size()), *b) << dict;
+    }
+  }
 }
 
 TEST(CpackProperty, RoundTripValueLocality) {

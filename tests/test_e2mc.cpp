@@ -1,6 +1,7 @@
 // E2MC: training, layout (ways + pdp header), compressed sizes, round trip.
 #include <gtest/gtest.h>
 
+#include "codec_reference.h"
 #include "common/rng.h"
 #include "compress/e2mc.h"
 
@@ -55,15 +56,19 @@ TEST_F(E2mcTest, HeaderIsThreePdps) {
 
 TEST_F(E2mcTest, CodeLengthsMatchCode) {
   const Block b = block_from(data_, 3);
-  const auto lens = comp_->code_lengths(b.view());
+  const BlockView v = b.view();
+  std::vector<uint16_t> lens;
+  std::vector<size_t> offsets;
+  comp_->code_lengths_batch(std::span<const BlockView>(&v, 1), lens, offsets);
   ASSERT_EQ(lens.size(), kSymbolsPerBlock);
+  ASSERT_EQ(offsets, (std::vector<size_t>{0, kSymbolsPerBlock}));
   for (size_t s = 0; s < kSymbolsPerBlock; ++s)
     EXPECT_EQ(lens[s], comp_->code().encoded_bits(b.symbol(s)));
 }
 
 TEST_F(E2mcTest, LayoutSumsWays) {
   const Block b = block_from(data_, 5);
-  const auto lens = comp_->code_lengths(b.view());
+  const auto lens = test::ref_code_lengths(*comp_, b.view());
   const WayLayout lo = comp_->layout(lens, comp_->header_bits(kBlockBytes));
   size_t total_bits = 0;
   for (unsigned w = 0; w < 4; ++w) {
@@ -78,7 +83,7 @@ TEST_F(E2mcTest, LayoutSumsWays) {
 
 TEST_F(E2mcTest, LayoutWithSkipRemovesSymbolBits) {
   const Block b = block_from(data_, 7);
-  const auto lens = comp_->code_lengths(b.view());
+  const auto lens = test::ref_code_lengths(*comp_, b.view());
   const WayLayout full = comp_->layout(lens, 21);
   const WayLayout cut = comp_->layout(lens, 21, 4, 8);  // skip symbols 4..11
   size_t removed = 0;
@@ -91,7 +96,7 @@ TEST_F(E2mcTest, CompressedBitsEqualsCompressSize) {
   for (size_t i = 0; i < 64; ++i) {
     const Block b = block_from(data_, i);
     const auto cb = comp_->compress(b.view());
-    EXPECT_EQ(comp_->compressed_bits(b.view()), cb.bit_size);
+    EXPECT_EQ(comp_->analyze(b.view()).bit_size, cb.bit_size);
   }
 }
 

@@ -50,7 +50,7 @@ TEST_P(E2mcGeometryTest, RoundTripAndSizeAccounting) {
   for (size_t i = 0; i < 256; ++i) {
     const Block b(std::span<const uint8_t>(data).subspan(i * block_bytes, block_bytes));
     const auto cb = comp->compress(b.view());
-    EXPECT_EQ(comp->compressed_bits(b.view()), cb.bit_size);
+    EXPECT_EQ(comp->analyze(b.view()).bit_size, cb.bit_size);
     EXPECT_LE(cb.bit_size, block_bytes * 8);
     EXPECT_EQ(comp->decompress(cb, block_bytes), b) << "block " << i;
   }
@@ -322,8 +322,8 @@ TEST_P(TableSweepTest, CompressionImprovesOrHolds) {
   uint64_t small_bits = 0, big_bits = 0;
   for (size_t i = 0; i < 256; ++i) {
     const Block b(std::span<const uint8_t>(data).subspan(i * kBlockBytes, kBlockBytes));
-    small_bits += small->compressed_bits(b.view());
-    big_bits += big->compressed_bits(b.view());
+    small_bits += small->analyze(b.view()).bit_size;
+    big_bits += big->analyze(b.view()).bit_size;
   }
   EXPECT_LE(big_bits, small_bits + small_bits / 20)
       << "bigger tables must not cost more than noise";

@@ -35,7 +35,7 @@ TEST(Integration, EffectiveRatioBelowRawForAllSchemes) {
   const Compressor* schemes[] = {&bdi, &fpc, &cpack, e2mc.get()};
   for (const Compressor* c : schemes) {
     RatioAccumulator acc(32);
-    for (const Block& b : blocks) acc.add(b.size() * 8, c->compressed_bits(b.view()));
+    for (const Block& b : blocks) acc.add(b.size() * 8, c->analyze(b.view()).bit_size);
     EXPECT_LE(acc.effective_ratio(), acc.raw_ratio() + 1e-12) << c->name();
   }
 }
@@ -48,8 +48,8 @@ TEST(Integration, E2mcBeatsPatternSchemesOnFloats) {
   const FpcCompressor fpc;
   RatioAccumulator acc_e(32), acc_f(32);
   for (const Block& b : blocks) {
-    acc_e.add(b.size() * 8, e2mc->compressed_bits(b.view()));
-    acc_f.add(b.size() * 8, fpc.compressed_bits(b.view()));
+    acc_e.add(b.size() * 8, e2mc->analyze(b.view()).bit_size);
+    acc_f.add(b.size() * 8, fpc.analyze(b.view()).bit_size);
   }
   EXPECT_GT(acc_e.raw_ratio(), acc_f.raw_ratio());
 }

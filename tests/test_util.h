@@ -1,15 +1,21 @@
 // Shared fixtures for the registry/engine tests: deterministic
-// value-similar test data, the fingerprint-cache fuzz corpus generator,
-// default codec options, and SlcCodec spans of 1.
+// value-similar test data, the codec data streams, the fingerprint-cache
+// fuzz corpus generator, default codec options, field-by-field codec result
+// comparisons, and SlcCodec spans of 1.
 #pragma once
+
+#include <gtest/gtest.h>
 
 #include <cmath>
 #include <span>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/block.h"
 #include "common/rng.h"
 #include "compress/codec_registry.h"
+#include "compress/simd_dispatch.h"
 #include "core/slc_codec.h"
 
 namespace slc::test {
@@ -97,6 +103,57 @@ inline std::vector<uint8_t> corpus_bytes(std::span<const Block> blocks) {
   return out;
 }
 
+/// A flat stream of `bytes` bytes of one kind of codec test data:
+///   "random"        uniform bytes;
+///   "all-zero";
+///   "denormal"      mostly denormal floats (zero exponent, random mantissa
+///                   and sign) with zeros mixed in — FPC's sign-extension
+///                   classes and BDI's near-zero immediates;
+///   "value-similar" quantized_walk();
+///   "repeat-delta"  repeated 64-bit values and small deltas off them
+///                   (BDI's and C-PACK's sweet spots);
+///   "zero-runs"     runs of 1-11 zero words between nonzero words, so FPC's
+///                   zero runs start at every word offset and cross every
+///                   8-word code and 128-word (512 B) boundary.
+inline std::vector<uint8_t> data_stream(std::string_view kind, size_t bytes, uint64_t seed) {
+  Rng rng(seed);
+  std::vector<uint8_t> out;
+  const auto put = [&out](uint64_t v, int width) {
+    for (int k = 0; k < width; ++k) out.push_back(static_cast<uint8_t>(v >> (8 * k)));
+  };
+  if (kind == "random") {
+    while (out.size() < bytes) put(rng.next_below(256), 1);
+  } else if (kind == "all-zero") {
+    out.assign(bytes, 0);
+  } else if (kind == "denormal") {
+    while (out.size() < bytes) {
+      uint32_t bits = 0;
+      if (!rng.chance(0.25)) {
+        bits = static_cast<uint32_t>(rng.next()) & 0x007FFFFFu;
+        if (rng.chance(0.5)) bits |= 0x80000000u;
+      }
+      put(bits, 4);
+    }
+  } else if (kind == "value-similar") {
+    out = quantized_walk(seed, bytes / kBlockBytes + 1);
+  } else if (kind == "repeat-delta") {
+    uint64_t base = 0;
+    for (size_t i = 0; out.size() < bytes; ++i) {
+      if (i % 16 == 0) base = rng.next();
+      put(rng.chance(0.5) ? base : base + rng.next_below(200), 8);
+    }
+  } else if (kind == "zero-runs") {
+    for (size_t i = 0; out.size() < bytes; ++i) {
+      put(rng.next() | 1, 4);
+      for (size_t z = 0; z <= i % 11; ++z) put(0, 4);
+    }
+  } else {
+    ADD_FAILURE() << "unknown data stream " << kind;
+  }
+  out.resize(bytes);
+  return out;
+}
+
 inline CodecOptions test_options(std::span<const uint8_t> training) {
   CodecOptions opts;
   opts.mag_bytes = 32;
@@ -104,6 +161,30 @@ inline CodecOptions test_options(std::span<const uint8_t> training) {
   opts.training_data = training;
   return opts;
 }
+
+// --- codec results ------------------------------------------------------------
+
+inline void expect_analysis_eq(const BlockAnalysis& want, const BlockAnalysis& got,
+                               const std::string& what) {
+  EXPECT_EQ(want.bit_size, got.bit_size) << what;
+  EXPECT_EQ(want.is_compressed, got.is_compressed) << what;
+  EXPECT_EQ(want.lossy, got.lossy) << what;
+  EXPECT_EQ(want.lossless_bits, got.lossless_bits) << what;
+  EXPECT_EQ(want.truncated_symbols, got.truncated_symbols) << what;
+}
+
+inline void expect_payload_eq(const CompressedBlock& want, const CompressedBlock& got,
+                              const std::string& what) {
+  EXPECT_EQ(want.bit_size, got.bit_size) << what;
+  EXPECT_EQ(want.is_compressed, got.is_compressed) << what;
+  EXPECT_EQ(want.payload, got.payload) << what;
+}
+
+/// Restores runtime SIMD dispatch when it goes out of scope, even when an
+/// ASSERT bails out of the test body.
+struct ForceScalarGuard {
+  ~ForceScalarGuard() { simd::force_scalar(false); }
+};
 
 // --- SlcCodec spans ---------------------------------------------------------
 
