@@ -3,11 +3,38 @@
 #include <algorithm>
 #include <cmath>
 #include <numbers>
+#include <stdexcept>
+#include <string>
 
 namespace slc {
 
-std::vector<float> make_smooth_image(size_t width, size_t height, uint64_t seed,
-                                     unsigned bit_depth) {
+namespace {
+
+// Grey levels per 8-bit step at `bit_depth`: the capture quantization.
+double levels_per_step(unsigned bit_depth) {
+  if (bit_depth > 16) {
+    throw std::invalid_argument("smooth image: bit_depth " + std::to_string(bit_depth) +
+                                " does not fit a 16-bit capture code");
+  }
+  return static_cast<double>(1u << (bit_depth > 8 ? bit_depth - 8 : 0));
+}
+
+// Codes are whole numbers below 2^16, and the division is the one the
+// generator's rounding performs, so each decode is exact.
+float degrees(uint16_t code) { return static_cast<float>(code / 100.0); }
+
+void check_decode(size_t codes, size_t out) {
+  if (out < codes) {
+    throw std::invalid_argument("decode: " + std::to_string(codes) + " codes into " +
+                                std::to_string(out) + " floats");
+  }
+}
+
+}  // namespace
+
+std::vector<uint16_t> make_smooth_codes(size_t width, size_t height, uint64_t seed,
+                                        unsigned bit_depth) {
+  const double q = levels_per_step(bit_depth);
   Rng rng(seed);
   // Random low-frequency basis: 6 sinusoid components.
   struct Wave {
@@ -32,10 +59,7 @@ std::vector<float> make_smooth_image(size_t width, size_t height, uint64_t seed,
     tile_edge[t] = rng.chance(0.15) ? rng.uniform(20.0, 70.0) : 0.0;
   }
 
-  // Capture quantization: 2^(bit_depth-8) grey levels per 8-bit step.
-  const double q = static_cast<double>(1u << (bit_depth > 8 ? bit_depth - 8 : 0));
-
-  std::vector<float> img(width * height);
+  std::vector<uint16_t> codes(width * height);
   for (size_t y = 0; y < height; ++y) {
     for (size_t x = 0; x < width; ++x) {
       double v = 128.0;
@@ -49,33 +73,31 @@ std::vector<float> make_smooth_image(size_t width, size_t height, uint64_t seed,
       const size_t tile = (y / kTile) * tiles_x + x / kTile;
       v += tile_noise[tile] * rng.normal();
       if (tile_edge[tile] != 0.0 && (x % kTile) >= kTile / 2) v += tile_edge[tile];
-      img[y * width + x] =
-          static_cast<float>(std::round(std::clamp(v, 0.0, 255.0) * q) / q);
+      codes[y * width + x] = static_cast<uint16_t>(std::round(std::clamp(v, 0.0, 255.0) * q));
     }
   }
-  return img;
+  return codes;
 }
 
-std::vector<float> make_speckle_image(size_t width, size_t height, uint64_t seed) {
-  std::vector<float> base = make_smooth_image(width, height, seed);
+std::vector<uint8_t> make_speckle_codes(size_t width, size_t height, uint64_t seed) {
+  const std::vector<uint16_t> base = make_smooth_codes(width, height, seed);
   Rng rng(seed ^ 0xABCDEF0123456789ull);
-  for (float& p : base) {
+  std::vector<uint8_t> codes(base.size());
+  for (size_t i = 0; i < base.size(); ++i) {
     // Multiplicative exponential speckle (unit mean), the ultrasound model
     // SRAD is designed to remove.
     double u = rng.uniform();
     while (u <= 0.0) u = rng.uniform();
     const double speckle = -std::log(u);
     // Rounded like the smooth image: ultrasound frames are 8-bit captures.
-    p = static_cast<float>(std::round(std::clamp(static_cast<double>(p) * speckle, 0.0, 255.0)));
+    codes[i] = static_cast<uint8_t>(std::round(std::clamp(base[i] * speckle, 0.0, 255.0)));
   }
-  return base;
+  return codes;
 }
 
-void make_gis_records(size_t n, uint64_t seed, std::vector<float>* lat,
-                      std::vector<float>* lon) {
+std::vector<uint16_t> make_gis_codes(size_t n, uint64_t seed) {
   Rng rng(seed);
-  lat->resize(n);
-  lon->resize(n);
+  std::vector<uint16_t> codes(2 * n);
   // Hurricane records are stored track by track: consecutive records are
   // consecutive positions of the same storm, a fraction of a degree apart —
   // that file order is exactly the adjacent-value similarity GPU threads
@@ -90,9 +112,53 @@ void make_gis_records(size_t n, uint64_t seed, std::vector<float>* lat,
       heading += rng.uniform(-0.2, 0.2);
       la = std::clamp(la + 0.12 * std::sin(heading), 0.0, 90.0);
       lo = std::clamp(lo + 0.12 * std::cos(heading), 0.0, 180.0);
-      (*lat)[i] = static_cast<float>(std::round(la * 100.0) / 100.0);
-      (*lon)[i] = static_cast<float>(std::round(lo * 100.0) / 100.0);
+      codes[2 * i] = static_cast<uint16_t>(std::round(la * 100.0));
+      codes[2 * i + 1] = static_cast<uint16_t>(std::round(lo * 100.0));
     }
+  }
+  return codes;
+}
+
+void decode_smooth_codes(std::span<const uint16_t> codes, unsigned bit_depth,
+                         std::span<float> out) {
+  const double q = levels_per_step(bit_depth);
+  check_decode(codes.size(), out.size());
+  for (size_t i = 0; i < codes.size(); ++i) out[i] = static_cast<float>(codes[i] / q);
+}
+
+void decode_speckle_codes(std::span<const uint8_t> codes, std::span<float> out) {
+  check_decode(codes.size(), out.size());
+  std::copy(codes.begin(), codes.end(), out.begin());
+}
+
+void decode_gis_codes(std::span<const uint16_t> codes, std::span<float> out) {
+  check_decode(codes.size(), out.size());
+  std::transform(codes.begin(), codes.end(), out.begin(), degrees);
+}
+
+std::vector<float> make_smooth_image(size_t width, size_t height, uint64_t seed,
+                                     unsigned bit_depth) {
+  const std::vector<uint16_t> codes = make_smooth_codes(width, height, seed, bit_depth);
+  std::vector<float> img(codes.size());
+  decode_smooth_codes(codes, bit_depth, img);
+  return img;
+}
+
+std::vector<float> make_speckle_image(size_t width, size_t height, uint64_t seed) {
+  const std::vector<uint8_t> codes = make_speckle_codes(width, height, seed);
+  std::vector<float> img(codes.size());
+  decode_speckle_codes(codes, img);
+  return img;
+}
+
+void make_gis_records(size_t n, uint64_t seed, std::vector<float>* lat,
+                      std::vector<float>* lon) {
+  const std::vector<uint16_t> codes = make_gis_codes(n, seed);
+  lat->resize(n);
+  lon->resize(n);
+  for (size_t i = 0; i < n; ++i) {
+    (*lat)[i] = degrees(codes[2 * i]);
+    (*lon)[i] = degrees(codes[2 * i + 1]);
   }
 }
 

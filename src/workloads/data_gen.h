@@ -6,9 +6,15 @@
 // Compressibility of GPU data comes from adjacent-thread value similarity
 // (Sec. III-E cites [7], [11]); these generators produce exactly that:
 // neighbouring elements share exponents and high-order mantissa bits.
+//
+// The image and GIS inputs are quantized at capture precision (grey levels,
+// hundredths of a degree), so their generators return the integer capture
+// codes and the float forms are exact decodes of them: a caller can keep an
+// input as codes at a half or a quarter of its float size.
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -21,16 +27,38 @@ namespace slc {
 /// spatially varying entropy natural images show (flat sky compresses to a
 /// few bits per pixel, texture needs many). `bit_depth` sets the capture
 /// quantization: 8 for classic byte images, 12 for sensor/medical data
-/// (values land on a 1/16 grey-level grid).
-std::vector<float> make_smooth_image(size_t width, size_t height, uint64_t seed,
-                                     unsigned bit_depth = 8);
+/// (values land on a 1/16 grey-level grid). Returns the capture codes: pixel
+/// = code / 2^(bit_depth-8), depths below 8 capturing as 8. Throws
+/// std::invalid_argument for a bit_depth above 16, whose codes would not fit.
+std::vector<uint16_t> make_smooth_codes(size_t width, size_t height, uint64_t seed,
+                                        unsigned bit_depth = 8);
 
 /// Speckled image: smooth anatomy base with multiplicative exponential
-/// speckle noise, the standard SRAD input model (ultrasound).
-std::vector<float> make_speckle_image(size_t width, size_t height, uint64_t seed);
+/// speckle noise, the standard SRAD input model (ultrasound). The codes are
+/// the 8-bit grey levels.
+std::vector<uint8_t> make_speckle_codes(size_t width, size_t height, uint64_t seed);
 
 /// Clustered 2-D coordinates (lat in [0,90], lon in [0,180]) around a few
 /// dozen hurricane-track cluster centres, matching Rodinia nn's data shape.
+/// The codes are hundredths of a degree, interleaved lat, lon per record.
+std::vector<uint16_t> make_gis_codes(size_t n, uint64_t seed);
+
+/// Decoders: write the value of codes[i] to out[i]. Exact, so a decoded code
+/// is bit-identical to the float the generator's arithmetic produces. Throw
+/// std::invalid_argument if `out` is shorter than `codes`.
+void decode_smooth_codes(std::span<const uint16_t> codes, unsigned bit_depth,
+                         std::span<float> out);
+void decode_speckle_codes(std::span<const uint8_t> codes, std::span<float> out);
+void decode_gis_codes(std::span<const uint16_t> codes, std::span<float> out);
+
+/// The decoded make_smooth_codes image.
+std::vector<float> make_smooth_image(size_t width, size_t height, uint64_t seed,
+                                     unsigned bit_depth = 8);
+
+/// The decoded make_speckle_codes image.
+std::vector<float> make_speckle_image(size_t width, size_t height, uint64_t seed);
+
+/// The decoded make_gis_codes records, one vector per coordinate.
 void make_gis_records(size_t n, uint64_t seed, std::vector<float>* lat,
                       std::vector<float>* lon);
 

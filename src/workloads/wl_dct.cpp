@@ -39,15 +39,17 @@ class DctWorkload final : public Workload {
 
   void init(ApproxMemory& mem) override {
     dim_ = scaled(512, 64);
-    // 12-bit capture: the SDK's DCT example runs on high-precision sensor
-    // images; the extra grey levels spread block entropy the way the
-    // paper's Fig. 2 distribution for DCT shows.
-    const auto img = make_smooth_image(dim_, dim_, /*seed=*/0x4443545F534Cull,
-                                       /*bit_depth=*/12);
     const size_t bytes = dim_ * dim_ * sizeof(float);
     src_ = mem.alloc("srcImage", bytes, /*safe=*/true);
     dst_ = mem.alloc("dctCoeffs", bytes, /*safe=*/true);
-    std::copy(img.begin(), img.end(), mem.span<float>(src_).begin());
+    // 12-bit capture: the SDK's DCT example runs on high-precision sensor
+    // images; the extra grey levels spread block entropy the way the
+    // paper's Fig. 2 distribution for DCT shows.
+    constexpr unsigned kBitDepth = 12;
+    const auto codes = input_codes(name(), scale_, [this] {
+      return make_smooth_codes(dim_, dim_, /*seed=*/0x4443545F534Cull, kBitDepth);
+    });
+    decode_smooth_codes(codes, kBitDepth, mem.span<float>(src_));
   }
 
   void run(ApproxMemory& mem) override {

@@ -23,16 +23,14 @@ class NnWorkload final : public Workload {
 
   void init(ApproxMemory& mem) override {
     n_ = scaled(1u << 20, 1u << 14);
-    std::vector<float> lat, lon;
-    make_gis_records(n_, /*seed=*/0x4E4E5F534C43ull, &lat, &lon);
-    // Rodinia packs (lat, lng) as float2; one interleaved safe region.
+    // Rodinia packs (lat, lng) as float2; one interleaved safe region, laid
+    // out as the codes are.
     loc_ = mem.alloc("locations", n_ * 2 * sizeof(float), /*safe=*/true);
     dist_ = mem.alloc("distances", n_ * sizeof(float), /*safe=*/true);
-    auto l = mem.span<float>(loc_);
-    for (size_t i = 0; i < n_; ++i) {
-      l[2 * i] = lat[i];
-      l[2 * i + 1] = lon[i];
-    }
+    const auto codes = input_codes(name(), scale_, [this] {
+      return make_gis_codes(n_, /*seed=*/0x4E4E5F534C43ull);
+    });
+    decode_gis_codes(codes, mem.span<float>(loc_));
   }
 
   void run(ApproxMemory& mem) override {

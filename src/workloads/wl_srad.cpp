@@ -41,7 +41,6 @@ class SradWorkload final : public Workload {
   void init(ApproxMemory& mem) override {
     dim_ = scaled(512, 64);
     const size_t bytes = dim_ * dim_ * sizeof(float);
-    const auto img = make_speckle_image(dim_, dim_, v1_ ? 0x535231ull : 0x535232ull);
 
     j_ = mem.alloc("J", bytes, /*safe=*/true);
     dn_ = mem.alloc("dN", bytes, /*safe=*/true);
@@ -55,9 +54,12 @@ class SradWorkload final : public Workload {
       sums2_ = mem.alloc("sums2", bytes, /*safe=*/true);
     }
 
-    auto jj = mem.span<float>(j_);
-    for (size_t i = 0; i < dim_ * dim_; ++i)
-      jj[i] = std::exp(img[i] / 255.0f);  // Rodinia's input scaling
+    const auto codes = input_codes(name(), scale_, [this] {
+      return make_speckle_codes(dim_, dim_, v1_ ? 0x535231ull : 0x535232ull);
+    });
+    const auto jj = mem.span<float>(j_).first(codes.size());
+    decode_speckle_codes(codes, jj);
+    for (float& p : jj) p = std::exp(p / 255.0f);  // Rodinia's input scaling
   }
 
   void run(ApproxMemory& mem) override {

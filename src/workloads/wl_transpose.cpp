@@ -30,10 +30,11 @@ class TransposeWorkload final : public Workload {
     // pipelines (sensor grids, matrices exported at fixed precision), not
     // white noise. The textured-image generator supplies the moderate, mixed
     // compressibility Sec. V-C describes for TP (most blocks above 64 B).
-    const auto img = make_smooth_image(dim_, dim_, /*seed=*/0x54505F534C43ull,
-                                       /*bit_depth=*/12);
-    auto d = mem.span<float>(in_);
-    std::copy(img.begin(), img.end(), d.begin());
+    constexpr unsigned kBitDepth = 12;
+    const auto codes = input_codes(name(), scale_, [this] {
+      return make_smooth_codes(dim_, dim_, /*seed=*/0x54505F534C43ull, kBitDepth);
+    });
+    decode_smooth_codes(codes, kBitDepth, mem.span<float>(in_));
   }
 
   void run(ApproxMemory& mem) override {

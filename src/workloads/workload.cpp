@@ -2,6 +2,7 @@
 
 #include <map>
 #include <stdexcept>
+#include <utility>
 
 #include "common/thread_safety.h"
 #include "workloads/workload_factories.h"
@@ -38,7 +39,41 @@ const GoldenResult& golden_run(const std::string& name, WorkloadScale scale) {
   return cache.emplace(key, std::move(g)).first->second;
 }
 
+struct InputMemo {
+  Mutex mutex;
+  std::map<std::pair<std::string, WorkloadScale>, InputCodes> entries SLC_GUARDED_BY(mutex);
+};
+
+InputMemo& input_memo() {
+  static InputMemo memo;
+  return memo;
+}
+
 }  // namespace
+
+const InputCodes& memoized_input(const std::string& workload, WorkloadScale scale,
+                                 const std::function<InputCodes()>& make) {
+  // As in golden_run: entries are never erased and std::map nodes are
+  // pointer-stable across later inserts.
+  InputMemo& memo = input_memo();
+  MutexLock lock(memo.mutex);
+  const auto key = std::make_pair(workload, scale);
+  auto it = memo.entries.find(key);
+  if (it == memo.entries.end()) it = memo.entries.emplace(key, make()).first;
+  return it->second;
+}
+
+InputMemoStats input_memo_stats(WorkloadScale scale) {
+  InputMemo& memo = input_memo();
+  MutexLock lock(memo.mutex);
+  InputMemoStats stats;
+  for (const auto& [key, codes] : memo.entries) {
+    if (key.second != scale) continue;
+    ++stats.entries;
+    stats.bytes += std::visit([](const auto& v) { return v.size() * sizeof(v[0]); }, codes);
+  }
+  return stats;
+}
 
 std::vector<std::string> workload_names() {
   return {"JM", "BS", "DCT", "FWT", "TP", "BP", "NN", "SRAD1", "SRAD2"};

@@ -1,6 +1,6 @@
 // Race-hunting stress suite for the concurrent stack, written for the TSan
 // CI tier (the plain tier runs it too; the race detector gives it teeth).
-// Three families:
+// Families:
 //   * engine lifetime vs outstanding futures — the stored-exception
 //     contract: shutting down or destroying the engine with futures alive
 //     must deliver every result or a std::runtime_error, never a hang, leak
@@ -14,13 +14,16 @@
 //   * TraceStream producer/consumer traffic — a slow producer against fast
 //     consumers, backpressure under a tiny budget, and mid-stream
 //     destruction (cancel) must neither hang, drop, nor double-deliver a
-//     chunk.
+//     chunk;
+//   * the workload input memo's first use from several threads — every
+//     thread decodes the same inputs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <latch>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
@@ -33,6 +36,8 @@
 #include "server/codec_server.h"
 #include "sim/trace_stream.h"
 #include "test_util.h"
+#include "workloads/workload.h"
+#include "workloads/workload_factories.h"
 
 namespace slc {
 namespace {
@@ -334,6 +339,43 @@ TEST(ConcurrencyStress, TraceStreamCloseDrainsBeforeTerminating) {
     EXPECT_EQ(delivered.load(), kKernels) << consumers_n << " consumers";
     EXPECT_EQ(stream.chunk_high_water(), kKernels);
   }
+}
+
+// ---- workload input memo ----------------------------------------------------
+
+// Four threads init fresh instances of the five memoized workloads at the
+// same moment. ctest runs each test in its own process, so the memo starts
+// empty and the threads race to build every entry: each starts at a
+// different workload, so builds of different keys contend for the memo's one
+// lock while later threads ask for a key another is building. Every thread
+// must see the same region bytes.
+TEST(ConcurrencyStress, WorkloadInputMemoFirstUseFromFourThreads) {
+  const std::vector<std::string> names = {"DCT", "TP", "NN", "SRAD1", "SRAD2"};
+  constexpr size_t kThreads = 4;
+  std::vector<std::vector<std::vector<uint8_t>>> seen(
+      kThreads, std::vector<std::vector<uint8_t>>(names.size()));
+  std::latch start(kThreads);
+  std::vector<std::thread> threads;
+  for (size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      for (size_t k = 0; k < names.size(); ++k) {
+        const size_t w = (t + k) % names.size();
+        auto wl = make_workload(names[w], WorkloadScale::kTiny);
+        ApproxMemory mem;
+        wl->init(mem);
+        for (RegionId r = 0; r < mem.num_regions(); ++r) {
+          const auto bytes = mem.span<const uint8_t>(r);
+          seen[t][w].insert(seen[t][w].end(), bytes.begin(), bytes.end());
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (size_t t = 1; t < kThreads; ++t)
+    for (size_t w = 0; w < names.size(); ++w)
+      EXPECT_TRUE(seen[t][w] == seen[0][w]) << names[w] << " differs on thread " << t;
+  EXPECT_EQ(input_memo_stats(WorkloadScale::kTiny).entries, names.size());
 }
 
 }  // namespace

@@ -1,11 +1,17 @@
 // The nine Table III workloads: construction, #AR counts, golden-run
-// determinism, exactness under lossless codecs, and error under SLC.
+// determinism, exactness under lossless codecs, error under SLC, pinned
+// default-scale inputs and the input memo's size.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <map>
+#include <span>
+#include <string>
 
 #include "workloads/workload.h"
+#include "workloads/workload_factories.h"
 
 namespace slc {
 namespace {
@@ -106,6 +112,58 @@ TEST(WorkloadMetrics, MatchTableIII) {
   EXPECT_EQ(make_workload("NN", WorkloadScale::kTiny)->metric(), ErrorMetric::kMre);
   EXPECT_EQ(make_workload("SRAD1", WorkloadScale::kTiny)->metric(), ErrorMetric::kImageDiff);
   EXPECT_EQ(make_workload("SRAD2", WorkloadScale::kTiny)->metric(), ErrorMetric::kImageDiff);
+}
+
+// FNV-1a, 64-bit: a fixed hash, so pinned values hold on every host.
+uint64_t fnv1a(uint64_t h, std::span<const uint8_t> bytes) {
+  for (uint8_t b : bytes) {
+    h ^= b;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+TEST(Workloads, DefaultInputsMatchPinnedDigests) {
+  // Every region right after init at kDefault (size, then bytes, in region
+  // order), pinned when each generator still wrote its floats directly. A
+  // change to a generator, a seed, a region layout or the input memo that
+  // moves a single input bit fails here.
+  const std::map<std::string, uint64_t> kPinned = {
+      {"JM", 0x0cadafdf190dc302ull},    {"BS", 0x652e4a209b0813f3ull},
+      {"DCT", 0x90f82203f5aee128ull},   {"FWT", 0xde58053921860e3eull},
+      {"TP", 0x280bd5c85003c32dull},    {"BP", 0x3b31ca7eee2cb1dbull},
+      {"NN", 0x8cf50d1df45336c5ull},    {"SRAD1", 0x51dfaa62abd61953ull},
+      {"SRAD2", 0x027873d4e753352dull}};
+  for (const std::string& name : workload_names()) {
+    auto wl = make_workload(name, WorkloadScale::kDefault);
+    ApproxMemory mem;
+    wl->init(mem);
+    uint64_t h = 0xcbf29ce484222325ull;
+    for (RegionId r = 0; r < mem.num_regions(); ++r) {
+      const auto bytes = mem.span<const uint8_t>(r);
+      const uint64_t size = bytes.size();
+      h = fnv1a(h, {reinterpret_cast<const uint8_t*>(&size), sizeof size});
+      h = fnv1a(h, bytes);
+    }
+    EXPECT_EQ(h, kPinned.at(name)) << name;
+  }
+}
+
+TEST(WorkloadInputs, MemoKeepsOneEntryPerWorkloadAndScale) {
+  // DCT, TP, NN, SRAD1 and SRAD2 read their inputs from the memo; the other
+  // four add nothing, and a second init of any workload finds its entry.
+  for (WorkloadScale scale : {WorkloadScale::kTiny, WorkloadScale::kDefault}) {
+    for (int pass = 0; pass < 2; ++pass) {
+      for (const std::string& name : workload_names()) {
+        ApproxMemory mem;
+        make_workload(name, scale)->init(mem);
+      }
+    }
+    EXPECT_EQ(input_memo_stats(scale).entries, 5u);
+  }
+  // 512x512 uint16 for DCT and TP, 2^20 lat/lon pairs of uint16 for NN and
+  // 512x512 uint8 for each SRAD: 5.5 MiB, under 6 MB.
+  EXPECT_EQ(input_memo_stats(WorkloadScale::kDefault).bytes, size_t{5767168});
 }
 
 TEST(WorkloadTranspose, GoldenIsExactTranspose) {
