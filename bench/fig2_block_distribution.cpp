@@ -26,15 +26,15 @@ int main() {
 
   Histogram samples;  // the paper's right axis: how often each bucket occurs
 
-  CodecEngine engine;
   for (const std::string& name : names) {
     const auto e2mc =
         CodecRegistry::instance().create("E2MC", codec_options_for(name, mag, 16));
-    const std::vector<uint8_t>& image = workload_image_cached(name);
-    const auto res = engine.analyze_bytes(*e2mc, image, mag);
+    const std::vector<Block> blocks = to_blocks(workload_image_cached(name));
+    std::vector<BlockAnalysis> analyses(blocks.size());
+    e2mc->analyze_batch(to_views(blocks), analyses.data());
 
     Histogram h;
-    for (const BlockAnalysis& a : res.blocks) {
+    for (const BlockAnalysis& a : analyses) {
       const size_t bytes = (a.bit_size + 7) / 8;
       size_t bucket;
       if (bytes >= kBlockBytes) {

@@ -21,20 +21,20 @@ int main() {
   std::vector<double> raw_all;
   std::vector<double> eff_all[3];
 
-  CodecEngine engine;
   for (const std::string& name : names) {
     const auto e2mc =
         CodecRegistry::instance().create("E2MC", codec_options_for(name, kDefaultMagBytes, 16));
-    const std::vector<uint8_t>& image = workload_image_cached(name);
-    // One size-only engine pass; the per-MAG rounding happens in the
-    // accumulators (raw bits do not depend on MAG).
-    const auto res = engine.analyze_bytes(*e2mc, image, kDefaultMagBytes);
+    // One size-only pass; the per-MAG rounding happens in the accumulators
+    // (raw bits do not depend on MAG).
+    const std::vector<Block> blocks = to_blocks(workload_image_cached(name));
+    std::vector<BlockAnalysis> analyses(blocks.size());
+    e2mc->analyze_batch(to_views(blocks), analyses.data());
 
     std::vector<std::string> cells = {name};
     double raw = 0;
     for (int m = 0; m < 3; ++m) {
       RatioAccumulator acc(mags[m]);
-      for (const BlockAnalysis& a : res.blocks) acc.add(kBlockBytes * 8, a.bit_size);
+      for (const BlockAnalysis& a : analyses) acc.add(kBlockBytes * 8, a.bit_size);
       if (m == 0) {
         raw = acc.raw_ratio();
         raw_all.push_back(raw);

@@ -41,8 +41,8 @@ constexpr size_t kBulkRequestsPerIteration = 2;
 struct ScenarioResult {
   StreamStats bulk_stats;
   StreamStats latency_stats;
-  std::vector<CodecEngine::StreamAnalysis> bulk_results;    // submission order
-  std::vector<CodecEngine::StreamAnalysis> latency_results;
+  std::vector<StreamAnalysis> bulk_results;  // submission order
+  std::vector<StreamAnalysis> latency_results;
   double seconds = 0.0;
 };
 
@@ -118,8 +118,8 @@ ScenarioResult run_scenario(bool prioritize, unsigned threads, const std::string
   return out;
 }
 
-bool results_identical(const std::vector<CodecEngine::StreamAnalysis>& a,
-                       const std::vector<CodecEngine::StreamAnalysis>& b) {
+bool results_identical(const std::vector<StreamAnalysis>& a,
+                       const std::vector<StreamAnalysis>& b) {
   if (a.size() != b.size()) return false;
   for (size_t r = 0; r < a.size(); ++r) {
     if (a[r].blocks.size() != b[r].blocks.size()) return false;

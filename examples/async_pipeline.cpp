@@ -3,7 +3,8 @@
 //
 // Four stages:
 //   1. Two independent analyze jobs in flight on one engine — submit both,
-//      then wait both; per-job results match the synchronous path exactly.
+//      then wait both; each job's shards write index-aligned slots, so its
+//      result matches the same job run alone.
 //   2. A region commit queued with commit_async() while the caller keeps
 //      generating data for the next region (the workload-harness pipeline).
 //   3. flush() as the barrier that makes burst counts and stats final.
@@ -56,19 +57,30 @@ int main() {
   auto engine = std::make_shared<CodecEngine>();
   std::printf("engine: %u worker(s)\n\n", engine->num_threads());
 
-  // 1. Two analyze jobs in flight at once. submit_analyze returns a
-  //    CodecFuture immediately; the streams shard across the same pool and
-  //    each job's result is byte-identical to the same job run alone.
-  const auto blocks_a = to_blocks(make_stream(2, 96));
-  const auto blocks_b = to_blocks(make_stream(3, 96));
-  auto fut_a = engine->submit_analyze(*e2mc, blocks_a, 32);
-  auto fut_b = engine->submit_analyze(*e2mc, blocks_b, 32);
-  const auto res_a = fut_a.wait();
-  const auto res_b = fut_b.wait();
-  std::printf("stream A: %zu blocks, raw ratio %.3f, effective %.3f\n", res_a.blocks.size(),
-              res_a.ratios.raw_ratio(), res_a.ratios.effective_ratio());
-  std::printf("stream B: %zu blocks, raw ratio %.3f, effective %.3f\n\n", res_b.blocks.size(),
-              res_b.ratios.raw_ratio(), res_b.ratios.effective_ratio());
+  // 1. Two analyze jobs in flight at once. submit() returns a CodecFuture
+  //    immediately; the streams shard across the same pool, each shard
+  //    writing its blocks' analyses into index-aligned slots, and each job's
+  //    result is byte-identical to the same job run alone. The ratios are
+  //    folded on this thread after the wait.
+  const std::vector<Block> streams[] = {to_blocks(make_stream(2, 96)),
+                                        to_blocks(make_stream(3, 96))};
+  std::vector<BlockAnalysis> analyses[2];
+  CodecFuture jobs[2];
+  for (int s = 0; s < 2; ++s) {
+    analyses[s].resize(streams[s].size());
+    jobs[s] = engine->submit(streams[s].size(), [&, s](size_t begin, size_t end, unsigned) {
+      const auto views = to_views(std::span<const Block>(streams[s]).subspan(begin, end - begin));
+      e2mc->analyze_batch(views, analyses[s].data() + begin);
+    });
+  }
+  for (int s = 0; s < 2; ++s) {
+    jobs[s].wait();
+    RatioAccumulator ratios(32);
+    for (const BlockAnalysis& a : analyses[s]) ratios.add(kBlockBytes * 8, a.bit_size);
+    std::printf("stream %c: %zu blocks, raw ratio %.3f, effective %.3f\n%s", 'A' + s,
+                analyses[s].size(), ratios.raw_ratio(), ratios.effective_ratio(),
+                s == 1 ? "\n" : "");
+  }
 
   // 2. The memory-model pipeline: queue region r's commit, generate region
   //    r+1 while it compresses. span() settles a region's own pending commit,

@@ -11,7 +11,6 @@
 #include "common/stats.h"
 #include "compress/codec_registry.h"
 #include "core/slc_compressor.h"
-#include "engine/codec_engine.h"
 #include "workloads/workload.h"
 
 using namespace slc;
@@ -36,23 +35,24 @@ int main(int argc, char** argv) {
   const auto slc_comp = std::dynamic_pointer_cast<const SlcCompressor>(
       CodecRegistry::instance().create("TSLC-OPT", opts));
   const SlcCodec& codec = slc_comp->codec();
-  CodecEngine engine;
+  const std::vector<BlockView> views = to_views(blocks);
 
   // Scheme comparison (the Fig. 1 view of this one benchmark): every
-  // lossless scheme in the registry, block stream batched by the engine.
+  // lossless scheme in the registry, its batch kernel over the whole image.
   {
     std::printf("%-8s %10s %10s\n", "scheme", "raw", "effective");
+    std::vector<BlockAnalysis> analyses(views.size());
     for (const std::string& name : CodecRegistry::instance().lossless_names()) {
-      const auto comp = CodecRegistry::instance().create(name, opts);
-      const auto res = engine.analyze_bytes(*comp, image, mag);
-      std::printf("%-8s %10.3f %10.3f\n", name.c_str(), res.ratios.raw_ratio(),
-                  res.ratios.effective_ratio());
+      CodecRegistry::instance().create(name, opts)->analyze_batch(views, analyses.data());
+      RatioAccumulator ratios(mag);
+      for (const BlockAnalysis& a : analyses) ratios.add(kBlockBytes * 8, a.bit_size);
+      std::printf("%-8s %10.3f %10.3f\n", name.c_str(), ratios.raw_ratio(),
+                  ratios.effective_ratio());
     }
   }
 
   // Size histogram at 8 B resolution plus SLC outcomes (the Fig. 2 view),
   // from one batched Fig. 4 decision over the whole image.
-  const std::vector<BlockView> views = to_views(blocks);
   SlcCodec::LengthScratch scratch;
   std::vector<SlcCodec::Decision> decisions(views.size());
   std::vector<SlcCodec::CacheOutcome> outcomes(views.size());

@@ -9,26 +9,18 @@ namespace slc {
 namespace detail {
 
 void EngineJob::finish_shard(size_t items, std::exception_ptr thrown) {
-  std::function<void(size_t, size_t, unsigned)> release;
-  std::function<void(std::exception_ptr)> dropped_hook;  // never invoked
   {
     MutexLock lk(m_);
     if (thrown && !error_) error_ = thrown;
     completed_ += items;
-    if (completed_ < count || finished_) return;
-    finished_ = true;
-    // Release captures as soon as the job drained; destroy outside the lock.
-    release = std::move(body);
-    body = nullptr;
-    dropped_hook = std::move(abandon_hook_);
-    abandon_hook_ = nullptr;
+    if (completed_ < count) return;
   }
-  cv_.notify_all();
+  finish(nullptr);
 }
 
-void EngineJob::abandon(std::exception_ptr reason) {
-  std::function<void(size_t, size_t, unsigned)> release;
-  std::function<void(std::exception_ptr)> hook;
+void EngineJob::finish(std::exception_ptr reason) {
+  Body release;
+  OnDone done;
   std::exception_ptr err;
   {
     MutexLock lk(m_);
@@ -36,22 +28,17 @@ void EngineJob::abandon(std::exception_ptr reason) {
     if (!error_) error_ = std::move(reason);
     err = error_;
     finished_ = true;
+    // Release the body's captures as soon as the job finished; destroy
+    // them outside the lock.
     release = std::move(body);
     body = nullptr;
-    hook = std::move(abandon_hook_);
-    abandon_hook_ = nullptr;
+    done = std::move(on_done_);
+    on_done_ = nullptr;
   }
   cv_.notify_all();
-  // Outside m_ and outside every engine lock (abandon's callers hold none):
-  // the hook may take arbitrary downstream locks (the server takes lock_).
-  if (hook) hook(err);
-}
-
-bool EngineJob::set_abandon_hook(std::function<void(std::exception_ptr)> hook) {
-  MutexLock lk(m_);
-  if (finished_) return false;
-  abandon_hook_ = std::move(hook);
-  return true;
+  // Outside m_ and every engine lock (neither caller holds one): on_done
+  // may take arbitrary downstream locks (the server takes its lock_).
+  if (done) done(err);
 }
 
 void EngineJob::wait() {
@@ -76,6 +63,12 @@ bool EngineJob::cancelled() const {
 }
 
 }  // namespace detail
+
+void CodecFuture::wait() {
+  if (!job_) throw std::logic_error("CodecFuture::wait on an empty future");
+  const auto job = std::move(job_);  // one-shot: consume before any throw
+  job->wait();
+}
 
 CodecEngine::CodecEngine(unsigned num_threads) {
   unsigned n = num_threads != 0 ? num_threads : std::thread::hardware_concurrency();
@@ -102,15 +95,16 @@ void CodecEngine::shutdown() {
   work_cv_.notify_all();
   for (std::thread& t : workers_) t.join();
   // The pool is gone, so jobs still holding unclaimed shards can never
-  // drain. Mark them finished with a stored exception: a future that
-  // outlived the engine then throws from wait() instead of deadlocking.
+  // drain. Finish them with a stored exception: a future that outlived the
+  // engine then throws from wait() instead of deadlocking, and each job's
+  // on_done runs here.
   std::deque<std::shared_ptr<detail::EngineJob>> leftover;
   {
     MutexLock lk(mutex_);
     leftover.swap(queue_);
   }
   for (const auto& job : leftover)
-    job->abandon(std::make_exception_ptr(
+    job->finish(std::make_exception_ptr(
         std::runtime_error("CodecEngine shut down with the job still queued")));
   {
     MutexLock lk(mutex_);
@@ -137,23 +131,11 @@ std::shared_ptr<FingerprintCache> CodecEngine::fingerprint_cache() {
   return fingerprint_cache_;
 }
 
-void CodecEngine::set_fingerprint_cache(std::shared_ptr<FingerprintCache> cache) {
-  MutexLock lk(cache_mutex_);
-  fingerprint_cache_ = std::move(cache);
-}
-
-std::shared_ptr<detail::EngineJob> CodecEngine::enqueue(
-    size_t count, std::function<void(size_t, size_t, unsigned)> body, int priority,
-    std::chrono::steady_clock::time_point deadline) {
-  auto job = std::make_shared<detail::EngineJob>();
-  job->count = count;
-  job->body = std::move(body);
-  job->priority = priority;
-  job->deadline = deadline;
-  if (count == 0) {
-    job->finish_shard(0, nullptr);
-    return job;
-  }
+CodecFuture CodecEngine::submit(size_t count, Body body, int priority,
+                                std::chrono::steady_clock::time_point deadline,
+                                OnDone on_done) {
+  auto job = std::make_shared<detail::EngineJob>(count, std::move(body), std::move(on_done),
+                                                 priority, deadline);
   // Dynamic work queue: ~8 shards per worker balances load without paying a
   // queue round-trip per block. Shard size never affects results, only how
   // the stream is cut across workers. Shards above 16 blocks are rounded up
@@ -163,22 +145,19 @@ std::shared_ptr<detail::EngineJob> CodecEngine::enqueue(
   size_t shard = std::clamp<size_t>((count + target_shards - 1) / target_shards, 1, 4096);
   if (shard > 16) shard = (shard + 15) / 16 * 16;
   job->shard = std::min<size_t>(shard, 4096);
-  bool accepted = false;
+  bool stopped = false;
   {
     MutexLock lk(mutex_);
-    if (!stop_) {
-      queue_.push_back(job);
-      accepted = true;
-    }
+    stopped = stop_;
+    if (!stopped && count > 0) queue_.push_back(job);
   }
-  if (accepted) {
-    work_cv_.notify_all();
+  if (stopped) throw std::runtime_error("CodecEngine::submit after shutdown");
+  if (count == 0) {
+    job->finish_shard(0, nullptr);  // nothing to run: finished on this thread
   } else {
-    // Submitted after shutdown: nothing will ever run it.
-    job->abandon(std::make_exception_ptr(
-        std::runtime_error("CodecEngine::submit after shutdown")));
+    work_cv_.notify_all();
   }
-  return job;
+  return CodecFuture(std::move(job));
 }
 
 void CodecEngine::worker_loop(unsigned id) {
@@ -217,122 +196,6 @@ void CodecEngine::worker_loop(unsigned id) {
     job->finish_shard(end - begin, thrown);
     lk.lock();
   }
-}
-
-CodecFuture<void> CodecEngine::submit(size_t count,
-                                      std::function<void(size_t, size_t, unsigned)> body,
-                                      int priority,
-                                      std::chrono::steady_clock::time_point deadline) {
-  return submit_job<void>(count, std::move(body), {}, priority, deadline);
-}
-
-CodecFuture<CodecEngine::StreamAnalysis> CodecEngine::submit_analyze_indexed(
-    size_t n_blocks, size_t mag_bytes,
-    std::function<void(size_t, size_t, BlockAnalysis*)> produce,
-    std::function<size_t(size_t)> original_bits, int priority) {
-  struct WorkerStats {
-    RatioAccumulator ratios;
-    uint64_t lossy = 0;
-    uint64_t truncated = 0;
-    CacheCounters cache;
-  };
-  // The job context owns everything the shards touch; the future's finalize
-  // keeps it alive until the merged result is materialized.
-  struct Ctx {
-    StreamAnalysis out;
-    std::vector<WorkerStats> per_worker;
-    std::function<void(size_t, size_t, BlockAnalysis*)> produce;
-    std::function<size_t(size_t)> original_bits;
-  };
-  auto ctx = std::make_shared<Ctx>();
-  ctx->out.blocks.resize(n_blocks);
-  ctx->out.ratios = RatioAccumulator(mag_bytes);
-  WorkerStats seed;
-  seed.ratios = RatioAccumulator(mag_bytes);
-  ctx->per_worker.assign(num_threads(), seed);
-  ctx->produce = std::move(produce);
-  ctx->original_bits = std::move(original_bits);
-
-  return submit_job<StreamAnalysis>(
-      n_blocks,
-      [ctx](size_t begin, size_t end, unsigned worker) {
-        ctx->produce(begin, end, ctx->out.blocks.data() + begin);
-        WorkerStats& ws = ctx->per_worker[worker];
-        for (size_t i = begin; i < end; ++i) {
-          const BlockAnalysis& a = ctx->out.blocks[i];
-          ws.ratios.add(ctx->original_bits(i), a.bit_size);
-          ws.lossy += a.lossy ? 1 : 0;
-          ws.truncated += a.truncated_symbols;
-          ws.cache.record(a.cache_probed, a.cache_hit, a.cache_evicted, a.cache_collision);
-        }
-      },
-      [ctx]() {
-        for (const WorkerStats& ws : ctx->per_worker) {
-          ctx->out.ratios.merge(ws.ratios);
-          ctx->out.lossy_blocks += ws.lossy;
-          ctx->out.truncated_symbols += ws.truncated;
-          ctx->out.cache.merge(ws.cache);
-        }
-        return std::move(ctx->out);
-      },
-      priority);
-}
-
-CodecFuture<CodecEngine::StreamAnalysis> CodecEngine::submit_analyze(const Compressor& comp,
-                                                                     std::span<const Block> blocks,
-                                                                     size_t mag_bytes,
-                                                                     int priority) {
-  return submit_analyze_indexed(
-      blocks.size(), mag_bytes,
-      [&comp, blocks](size_t begin, size_t end, BlockAnalysis* dst) {
-        // Every shard goes through the compressor's batch kernel, writing
-        // straight into the index-aligned result slots.
-        comp.analyze_batch(to_views(blocks.subspan(begin, end - begin)), dst);
-      },
-      [blocks](size_t i) { return blocks[i].size() * 8; }, priority);
-}
-
-CodecFuture<std::vector<CompressedBlock>> CodecEngine::submit_compress(
-    const Compressor& comp, std::span<const Block> blocks, int priority) {
-  auto out = std::make_shared<std::vector<CompressedBlock>>(blocks.size());
-  return submit_job<std::vector<CompressedBlock>>(
-      blocks.size(),
-      [out, &comp, blocks](size_t begin, size_t end, unsigned) {
-        comp.compress_batch(to_views(blocks.subspan(begin, end - begin)), out->data() + begin);
-      },
-      [out]() { return std::move(*out); }, priority);
-}
-
-CodecEngine::StreamAnalysis CodecEngine::analyze_bytes(const Compressor& comp,
-                                                       std::span<const uint8_t> data,
-                                                       size_t mag_bytes, size_t block_bytes) {
-  if (block_bytes == 0) throw std::invalid_argument("analyze_bytes: block_bytes must be positive");
-  const size_t n_blocks = (data.size() + block_bytes - 1) / block_bytes;
-  return submit_analyze_indexed(
-             n_blocks, mag_bytes,
-             [&comp, data, block_bytes](size_t begin, size_t end, BlockAnalysis* dst) {
-               // Views straight over the flat buffer — the batch kernel sees
-               // the whole shard, same as the Block-stream path. Only a
-               // ragged tail block needs padded storage (zero-padded like
-               // to_blocks(pad_tail = true)); it lives in this frame for the
-               // duration of the kernel call.
-               std::vector<BlockView> views;
-               views.reserve(end - begin);
-               Block padded(block_bytes);
-               for (size_t b = begin; b < end; ++b) {
-                 const size_t off = b * block_bytes;
-                 if (off + block_bytes <= data.size()) {
-                   views.push_back(BlockView(data.subspan(off, block_bytes)));
-                 } else {
-                   std::copy(data.begin() + static_cast<ptrdiff_t>(off), data.end(),
-                             padded.mutable_bytes().begin());
-                   views.push_back(padded.view());
-                 }
-               }
-               comp.analyze_batch(views, dst);
-             },
-             [block_bytes](size_t) { return block_bytes * 8; }, 0)
-      .wait();
 }
 
 }  // namespace slc

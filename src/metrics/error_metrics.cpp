@@ -1,15 +1,28 @@
 #include "metrics/error_metrics.h"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <cstdint>
+#include <stdexcept>
+#include <string>
 
 namespace slc {
 
+namespace {
+
+/// Every metric compares element i of both spans, so a size mismatch is a
+/// caller bug: reject it before reading anything.
+void require_same_size(size_t golden, size_t approx, const char* who) {
+  if (golden != approx)
+    throw std::invalid_argument(std::string(who) + ": golden has " + std::to_string(golden) +
+                                " elements, approx has " + std::to_string(approx));
+}
+
+}  // namespace
+
 double mean_relative_error_pct(std::span<const float> golden, std::span<const float> approx,
                                double eps) {
-  assert(golden.size() == approx.size());
+  require_same_size(golden.size(), approx.size(), "mean_relative_error_pct");
   if (golden.empty()) return 0.0;
   double sum = 0.0;
   for (size_t i = 0; i < golden.size(); ++i) {
@@ -31,7 +44,7 @@ double mean_relative_error_pct(std::span<const float> golden, std::span<const fl
 }
 
 double rmse(std::span<const float> golden, std::span<const float> approx) {
-  assert(golden.size() == approx.size());
+  require_same_size(golden.size(), approx.size(), "rmse");
   if (golden.empty()) return 0.0;
   double sq = 0.0;
   for (size_t i = 0; i < golden.size(); ++i) {
@@ -45,6 +58,7 @@ double rmse(std::span<const float> golden, std::span<const float> approx) {
 }
 
 double nrmse_pct(std::span<const float> golden, std::span<const float> approx) {
+  require_same_size(golden.size(), approx.size(), "nrmse_pct");
   if (golden.empty()) return 0.0;
   const auto [mn, mx] = std::minmax_element(golden.begin(), golden.end());
   const double range = static_cast<double>(*mx) - static_cast<double>(*mn);
@@ -72,7 +86,7 @@ double image_diff_pct(std::span<const float> golden, std::span<const float> appr
 }
 
 double miss_rate_pct(std::span<const uint8_t> golden, std::span<const uint8_t> approx) {
-  assert(golden.size() == approx.size());
+  require_same_size(golden.size(), approx.size(), "miss_rate_pct");
   if (golden.empty()) return 0.0;
   size_t miss = 0;
   for (size_t i = 0; i < golden.size(); ++i)

@@ -2,7 +2,8 @@
 // mean relative error (MRE) for numeric outputs, normalized root-mean-square
 // error (NRMSE) for signal-processing outputs, image diff for image outputs,
 // and miss rate for boolean decisions (JM). All return percentages to match
-// Fig. 7b / Fig. 9b.
+// Fig. 7b / Fig. 9b. Every metric throws std::invalid_argument when the
+// golden and approx spans differ in size.
 #pragma once
 
 #include <cstddef>

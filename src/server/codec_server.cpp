@@ -1,7 +1,6 @@
 #include "server/codec_server.h"
 
 #include <algorithm>
-#include <atomic>
 #include <stdexcept>
 #include <utility>
 
@@ -41,14 +40,11 @@ std::chrono::steady_clock::time_point flush_deadline(
 
 }  // namespace
 
-/// One dispatched batch: the concatenated blocks of the requests it carries,
-/// index-aligned result slots (analyses or payloads, by kind), and a
-/// shard-completion counter. Exceptions are caught inside the shard body
-/// (never surfaced to the engine) so the counter always reaches the block
-/// count and the batch always completes — errors are delivered per request
-/// instead.
+/// One dispatched batch: the concatenated blocks of the requests it carries
+/// and index-aligned result slots (analyses or payloads, by kind). It is one
+/// engine job, completed through that job's on_done: a shard exception
+/// cancels the rest of the batch and reaches every request as kError.
 struct CodecServer::Batch {
-  CodecServer* server = nullptr;
   StreamId stream = 0;
   RequestKind kind = RequestKind::kAnalyze;
   std::shared_ptr<const Compressor> codec;
@@ -57,18 +53,18 @@ struct CodecServer::Batch {
   std::vector<BlockAnalysis> analyses;      ///< kAnalyze / kDecide
   std::vector<CompressedBlock> payloads;    ///< kCompress
   std::vector<std::shared_ptr<detail::ServerRequest>> requests;
-  std::atomic<size_t> done{0};
 
-  /// First-wins delivery guard between complete_batch (all shards ran) and
-  /// fail_batch_locked (no shard will ever run). The two are mutually
-  /// exclusive by construction — a job is abandoned only while shards remain
-  /// unclaimed, so `done` can never reach the block count afterwards — but
-  /// the inline at-enqueue rejection check and the abandon hook can overlap
-  /// on a racing shutdown, and exactly one of them may deliver.
-  std::atomic<bool> delivered{false};
-
-  Mutex error_m;  ///< leaf lock: nothing else is acquired under it
-  std::exception_ptr error SLC_GUARDED_BY(error_m);  ///< first shard exception
+  /// One engine shard: straight into the batch's index-aligned result slots
+  /// through the codec's batch kernels — coalesced server batches hit
+  /// vectorized overrides (and the prefix-sum payload scatter for compress).
+  void run_shard(size_t begin, size_t end) {
+    const auto views = to_views(std::span<const Block>(blocks).subspan(begin, end - begin));
+    if (kind == RequestKind::kCompress) {
+      codec->compress_batch(views, payloads.data() + begin);
+    } else {
+      codec->analyze_batch(views, analyses.data() + begin);
+    }
+  }
 };
 
 // --- ServerTicket -----------------------------------------------------------
@@ -299,7 +295,6 @@ void CodecServer::dispatch_locked(StreamId s) {
   if (st.pending.empty()) return;
 
   auto batch = std::make_shared<Batch>();
-  batch->server = this;
   batch->stream = s;
   batch->kind = st.pending_kind;
   batch->codec = st.codec;
@@ -329,197 +324,125 @@ void CodecServer::dispatch_locked(StreamId s) {
   inflight_batches_ += 1;
   st.stats.batches += 1;
 
-  // One engine job per batch at the stream's priority. Completion is driven
-  // by the last shard (the body counts blocks), which scatters results and
-  // releases the budget — so fire-and-forget clients still retire their
-  // backpressure debt; the future only matters for the abandonment check.
-  auto fut = engine_->submit(
-      batch->blocks.size(),
-      [batch](size_t begin, size_t end, unsigned) {
-        batch->server->run_shard(*batch, begin, end);
-        const size_t finished = batch->done.fetch_add(end - begin) + (end - begin);
-        if (finished == batch->blocks.size()) batch->server->complete_batch(batch);
-      },
-      priority, deadline);
-  // If the engine is shut down with this batch still queued (accepted at
-  // enqueue, shards never claimed), the job is abandoned and no shard will
-  // ever complete it — without this hook every ticket wait() and the server's
-  // own drain()/~CodecServer would hang. The hook runs on the shutdown
-  // thread, outside every engine lock, so taking lock_ here is safe.
-  CodecServer* self = this;
-  fut.on_abandon([self, batch](std::exception_ptr reason) {
-    MutexLock lk(self->lock_);
-    self->fail_batch_locked(batch, reason);
-  });
-  if (fut.ready() && batch->done.load() < batch->blocks.size()) {
-    // Ready with no shard run: the engine abandoned the job at enqueue (it
-    // was shut down). Fail the batch inline so tickets throw the stored
-    // exception instead of the server hanging in drain()/~CodecServer.
-    // Delivery happens without dropping lock_ — the old unlock/relock here
-    // let admission-turnstile state shift mid-dispatch under a waiter
-    // parked in submit_request.
-    std::exception_ptr err;
-    try {
-      fut.wait();
-      err = std::make_exception_ptr(
-          std::runtime_error("CodecServer: engine rejected the batch"));
-    } catch (...) {
-      err = std::current_exception();
-    }
-    fail_batch_locked(batch, err);
-  }
-}
-
-void CodecServer::fail_batch_locked(const std::shared_ptr<Batch>& batch,
-                                    std::exception_ptr err) {
-  if (batch->delivered.exchange(true)) return;  // abandon hook vs inline check
-  const auto now = std::chrono::steady_clock::now();
-  Stream& st = *streams_.at(batch->stream);
-  for (const auto& req : batch->requests) {
-    const bool missed = req->deadline.count() > 0 && now - req->submitted > req->deadline;
-    st.stats.requests += 1;
-    st.stats.deadline_misses += missed ? 1 : 0;
-    st.stats.latency.record(std::chrono::duration<double>(now - req->submitted).count());
-    {
-      MutexLock rlk(req->m);  // lock order: lock_ then req->m
-      req->resp.status = ResponseStatus::kError;
-      req->resp.tag = req->tag;
-      req->resp.deadline_missed = missed;
-      req->resp.error = err;
-      req->resp.analysis.ratios = RatioAccumulator(batch->mag_bytes);
-      req->done = true;
-    }
-    req->cv.notify_all();
-  }
-  inflight_blocks_ -= batch->blocks.size();
-  inflight_batches_ -= 1;
-  backpressure_cv_.notify_all();
-  drain_cv_.notify_all();
-}
-
-void CodecServer::run_shard(Batch& batch, size_t begin, size_t end) const {
+  // One engine job per batch at the stream's priority; the job's on_done
+  // completes the batch on the worker that ran its last shard (or on the
+  // thread that shut the engine down), so fire-and-forget clients still
+  // retire their backpressure debt.
   try {
-    // Straight into the batch's index-aligned result slots through the
-    // codec's batch kernels — coalesced server batches hit vectorized
-    // overrides (and the prefix-sum payload scatter for compress) the same
-    // way engine stream jobs do.
-    const auto views =
-        to_views(std::span<const Block>(batch.blocks).subspan(begin, end - begin));
-    if (batch.kind == RequestKind::kCompress) {
-      batch.codec->compress_batch(views, batch.payloads.data() + begin);
-    } else {
-      batch.codec->analyze_batch(views, batch.analyses.data() + begin);
-    }
+    engine_->submit(
+        batch->blocks.size(),
+        [batch](size_t begin, size_t end, unsigned) { batch->run_shard(begin, end); }, priority,
+        deadline, [this, batch](std::exception_ptr err) { complete_batch(*batch, err); });
   } catch (...) {
-    // Keep the exception out of the engine so the batch still drains and
-    // completes; it is delivered per request by complete_batch.
-    MutexLock lk(batch.error_m);
-    if (!batch.error) batch.error = std::current_exception();
+    // The engine is stopped (or the job could not be built): no shard will
+    // ever run. Complete the batch here without dropping lock_, so tickets
+    // get the exception and drain()/~CodecServer see the batch retire.
+    const std::exception_ptr err = std::current_exception();
+    const auto now = std::chrono::steady_clock::now();
+    deliver_batch(*batch, err, now);
+    retire_batch_locked(*batch, err, now);
   }
 }
 
-void CodecServer::complete_batch(const std::shared_ptr<Batch>& batch) {
-  if (batch->delivered.exchange(true)) return;  // see Batch::delivered
+void CodecServer::complete_batch(Batch& batch, std::exception_ptr err) {
   const auto now = std::chrono::steady_clock::now();
+  deliver_batch(batch, err, now);
+  MutexLock lk(lock_);
+  retire_batch_locked(batch, err, now);
+}
 
-  // One locked read of the first-shard error; every shard body finished
-  // (and published through the done counter) before this hook runs.
-  std::exception_ptr batch_error;
-  {
-    MutexLock elk(batch->error_m);
-    batch_error = batch->error;
-  }
-
+void CodecServer::deliver_batch(Batch& batch, std::exception_ptr err,
+                                std::chrono::steady_clock::time_point now) {
   // Scatter per-request responses sequentially — same bytes no matter which
-  // worker runs this hook. Delivery (request mutex + cv) happens after the
-  // response is fully built.
-  for (const auto& req : batch->requests) {
+  // thread completes the batch. Delivery (request mutex + cv) happens after
+  // the response is fully built.
+  for (const auto& req : batch.requests) {
     Response resp;
     resp.tag = req->tag;
     resp.deadline_missed = req->deadline.count() > 0 && now - req->submitted > req->deadline;
-    resp.analysis.ratios = RatioAccumulator(batch->mag_bytes);
-    if (batch_error) {
+    resp.analysis.ratios = RatioAccumulator(batch.mag_bytes);
+    if (err) {
       resp.status = ResponseStatus::kError;
-      resp.error = batch_error;
-    } else if (batch->kind == RequestKind::kCompress) {
+      resp.error = err;
+    } else if (batch.kind == RequestKind::kCompress) {
       resp.payloads.assign(
-          std::make_move_iterator(batch->payloads.begin() + static_cast<ptrdiff_t>(req->offset)),
-          std::make_move_iterator(batch->payloads.begin() +
+          std::make_move_iterator(batch.payloads.begin() + static_cast<ptrdiff_t>(req->offset)),
+          std::make_move_iterator(batch.payloads.begin() +
                                   static_cast<ptrdiff_t>(req->offset + req->n_blocks)));
       for (size_t j = 0; j < resp.payloads.size(); ++j) {
-        resp.analysis.ratios.add(batch->blocks[req->offset + j].size() * 8,
+        resp.analysis.ratios.add(batch.blocks[req->offset + j].size() * 8,
                                  resp.payloads[j].bit_size);
       }
     } else {
       for (size_t j = 0; j < req->n_blocks; ++j) {
-        const BlockAnalysis& a = batch->analyses[req->offset + j];
-        resp.analysis.ratios.add(batch->blocks[req->offset + j].size() * 8, a.bit_size);
+        const BlockAnalysis& a = batch.analyses[req->offset + j];
+        resp.analysis.ratios.add(batch.blocks[req->offset + j].size() * 8, a.bit_size);
         resp.analysis.lossy_blocks += a.lossy ? 1 : 0;
         resp.analysis.truncated_symbols += a.truncated_symbols;
         resp.analysis.cache.record(a.cache_probed, a.cache_hit, a.cache_evicted,
                                    a.cache_collision);
       }
-      if (batch->kind == RequestKind::kAnalyze) {
+      if (batch.kind == RequestKind::kAnalyze) {
         // kDecide keeps the per-block vector empty — aggregates only.
         resp.analysis.blocks.assign(
-            batch->analyses.begin() + static_cast<ptrdiff_t>(req->offset),
-            batch->analyses.begin() + static_cast<ptrdiff_t>(req->offset + req->n_blocks));
+            batch.analyses.begin() + static_cast<ptrdiff_t>(req->offset),
+            batch.analyses.begin() + static_cast<ptrdiff_t>(req->offset + req->n_blocks));
       }
     }
-    MutexLock rlk(req->m);
+    MutexLock rlk(req->m);  // lock order: lock_ (if held) then req->m
     req->resp = std::move(resp);
     req->done = true;
   }
-  for (const auto& req : batch->requests) req->cv.notify_all();
+  for (const auto& req : batch.requests) req->cv.notify_all();
+}
 
-  {
-    MutexLock lk(lock_);
-    Stream& st = *streams_.at(batch->stream);
-    for (const auto& req : batch->requests) {
-      st.stats.requests += 1;
-      if (req->deadline.count() > 0 && now - req->submitted > req->deadline) {
-        st.stats.deadline_misses += 1;
-      }
-      st.stats.latency.record(std::chrono::duration<double>(now - req->submitted).count());
+void CodecServer::retire_batch_locked(const Batch& batch, std::exception_ptr err,
+                                      std::chrono::steady_clock::time_point now) {
+  Stream& st = *streams_.at(batch.stream);
+  for (const auto& req : batch.requests) {
+    st.stats.requests += 1;
+    if (req->deadline.count() > 0 && now - req->submitted > req->deadline) {
+      st.stats.deadline_misses += 1;
     }
-    if (!batch_error) {
-      CommitStats& cs = st.stats.commit;
-      if (batch->kind == RequestKind::kCompress) {
-        // Payload batches fold the size/burst counters only; the decision
-        // bookkeeping (lossy/truncated/lossless/cache) is an analyze-path
-        // concept the compress kernels do not report. bit_size/is_compressed
-        // are scalar fields, untouched by the payload moves above.
-        for (size_t i = 0; i < batch->payloads.size(); ++i) {
-          const CompressedBlock& p = batch->payloads[i];
-          cs.blocks += 1;
-          cs.uncompressed_blocks += p.is_compressed ? 0 : 1;
-          cs.bursts += bursts_for_bits(p.bit_size, batch->mag_bytes, batch->blocks[i].size());
-          cs.original_bits += batch->blocks[i].size() * 8;
-          cs.final_bits += p.bit_size;
-        }
-      } else {
-        for (size_t i = 0; i < batch->analyses.size(); ++i) {
-          const BlockAnalysis& a = batch->analyses[i];
-          cs.blocks += 1;
-          cs.lossy_blocks += a.lossy ? 1 : 0;
-          cs.uncompressed_blocks += a.is_compressed ? 0 : 1;
-          cs.bursts += bursts_for_bits(a.bit_size, batch->mag_bytes, batch->blocks[i].size());
-          cs.truncated_symbols += a.truncated_symbols;
-          cs.original_bits += batch->blocks[i].size() * 8;
-          cs.lossless_bits += a.lossless_bits;
-          cs.final_bits += a.bit_size;
-          cs.cache.record(a.cache_probed, a.cache_hit, a.cache_evicted, a.cache_collision);
-        }
-      }
-    }
-    inflight_blocks_ -= batch->blocks.size();
-    inflight_batches_ -= 1;
-    // Notify while still holding the lock: a woken drain() can only pass its
-    // predicate after we release it, so this worker is done touching the
-    // server before ~CodecServer can possibly run.
-    backpressure_cv_.notify_all();
-    drain_cv_.notify_all();
+    st.stats.latency.record(std::chrono::duration<double>(now - req->submitted).count());
   }
+  if (!err) {
+    CommitStats& cs = st.stats.commit;
+    if (batch.kind == RequestKind::kCompress) {
+      // Payload batches fold the size/burst counters only; the decision
+      // bookkeeping (lossy/truncated/lossless/cache) is an analyze-path
+      // concept the compress kernels do not report. bit_size/is_compressed
+      // are scalar fields, untouched by the payload moves in deliver_batch.
+      for (size_t i = 0; i < batch.payloads.size(); ++i) {
+        const CompressedBlock& p = batch.payloads[i];
+        cs.blocks += 1;
+        cs.uncompressed_blocks += p.is_compressed ? 0 : 1;
+        cs.bursts += bursts_for_bits(p.bit_size, batch.mag_bytes, batch.blocks[i].size());
+        cs.original_bits += batch.blocks[i].size() * 8;
+        cs.final_bits += p.bit_size;
+      }
+    } else {
+      for (size_t i = 0; i < batch.analyses.size(); ++i) {
+        const BlockAnalysis& a = batch.analyses[i];
+        cs.blocks += 1;
+        cs.lossy_blocks += a.lossy ? 1 : 0;
+        cs.uncompressed_blocks += a.is_compressed ? 0 : 1;
+        cs.bursts += bursts_for_bits(a.bit_size, batch.mag_bytes, batch.blocks[i].size());
+        cs.truncated_symbols += a.truncated_symbols;
+        cs.original_bits += batch.blocks[i].size() * 8;
+        cs.lossless_bits += a.lossless_bits;
+        cs.final_bits += a.bit_size;
+        cs.cache.record(a.cache_probed, a.cache_hit, a.cache_evicted, a.cache_collision);
+      }
+    }
+  }
+  inflight_blocks_ -= batch.blocks.size();
+  inflight_batches_ -= 1;
+  // Notify while still holding the lock: a woken drain() can only pass its
+  // predicate after we release it, so the completing thread is done
+  // touching the server before ~CodecServer can possibly run.
+  backpressure_cv_.notify_all();
+  drain_cv_.notify_all();
 }
 
 void CodecServer::flush_stream(StreamId s) {

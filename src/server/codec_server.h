@@ -42,10 +42,17 @@
 // waits; the latency percentiles, `rejected` and `deadline_misses` are wall
 // clock too — none of those four are covered by the guarantee.
 //
+// Completion: each batch is one engine job whose on_done completes it —
+// served (every response built from the batch's slots), failed (a shard
+// threw; the engine cancels the rest) or abandoned (the engine shut down
+// with it queued). A batch the engine refuses at submit is completed inline
+// by the same routine. Either way every request resolves exactly once, and
+// the batch's backpressure debt is released exactly once.
+//
 // Threading: any thread may call any member; the server is internally
 // locked. Tickets may be waited from any thread. The engine passed in (or
-// the shared default) must outlive the server and must not be shut down
-// while requests are in flight.
+// the shared default) must outlive the server; shutting it down while
+// requests are in flight fails them with kError instead of hanging.
 #pragma once
 
 #include <chrono>
@@ -60,6 +67,7 @@
 #include "common/stats.h"
 #include "common/thread_safety.h"
 #include "compress/codec_registry.h"
+#include "compress/compressor.h"
 #include "engine/codec_engine.h"
 #include "workloads/approx_memory.h"
 
@@ -96,9 +104,8 @@ enum class AdmissionPolicy : uint8_t {
 /// `options.fingerprint_cache` is already set.
 enum class CacheMode : uint8_t {
   kOff,     ///< no memo (default)
-  kShared,  ///< the engine's shared cache (cross-stream dedup; its capacity
-            ///< and verify-on-hit mode are configured on the engine via
-            ///< CodecEngine::set_fingerprint_cache before streams open)
+  kShared,  ///< the engine's shared cache (CodecEngine::fingerprint_cache():
+            ///< cross-stream dedup at the default FingerprintCache config)
 };
 
 /// Everything needed to open a stream. `options.threshold_bytes` is the
@@ -129,7 +136,7 @@ struct Request {
   /// flush timer with a budget of deadline/2 (capped by
   /// Config::max_coalesce_delay) and boosts the carrying batch to
   /// CodecEngine::kPriorityDeadline. Deadlines are advisory: a late response
-  /// is still delivered, with `Response::deadline_missed` set and the
+  /// is still returned, with `Response::deadline_missed` set and the
   /// stream's `deadline_misses` counter bumped.
   std::chrono::nanoseconds deadline{0};
   /// Opaque client cookie, echoed back in Response::tag.
@@ -140,7 +147,20 @@ enum class ResponseStatus : uint8_t {
   kOk,        ///< served; `analysis` (and `payloads` for kCompress) valid
   kRejected,  ///< shed at admission (AdmissionPolicy::kReject, budget full);
               ///< nothing was scheduled
-  kError,     ///< the batch's codec threw; `error` holds the exception
+  kError,     ///< the batch's codec threw or the engine shut down before
+              ///< running it; `error` holds the exception
+};
+
+/// Size-only result of a request: per-block analyses plus the merged
+/// raw/effective ratio bookkeeping at the stream's MAG.
+struct StreamAnalysis {
+  std::vector<BlockAnalysis> blocks;  ///< index-aligned with the request
+  RatioAccumulator ratios;
+  uint64_t lossy_blocks = 0;
+  uint64_t truncated_symbols = 0;
+  /// Fingerprint-memo outcomes folded over the request (all zero for
+  /// uncached codecs). NOT thread-count invariant — see CacheCounters.
+  CacheCounters cache;
 };
 
 /// What a ticket resolves to. `analysis.ratios` is always initialized with
@@ -154,7 +174,7 @@ struct Response {
   uint64_t tag = 0;                ///< echoed Request::tag
   bool deadline_missed = false;    ///< served after Request::deadline elapsed
   std::exception_ptr error{};      ///< set when status == kError
-  CodecEngine::StreamAnalysis analysis;
+  StreamAnalysis analysis;
   std::vector<CompressedBlock> payloads;
 
   bool ok() const { return status == ResponseStatus::kOk; }
@@ -194,7 +214,7 @@ struct StreamStats {
 namespace detail {
 
 /// One queued request: its slice of the batch it rides in, and its own
-/// completion state (the batch's last shard delivers into it). Lock order:
+/// completion state (the batch's completion delivers into it). Lock order:
 /// `m` nests inside the server lock (CodecServer::lock_ may be held while
 /// taking m; never the reverse).
 struct ServerRequest {
@@ -340,22 +360,24 @@ class CodecServer {
   /// Shared core of submit(); takes ownership of the blocks.
   ServerTicket submit_request(StreamId s, const Request& r, std::vector<Block>&& blocks);
   /// Packages the stream's pending requests into one batch and submits it as
-  /// a single engine job at the stream's priority. If the engine abandoned
-  /// the job at enqueue (shut down), the batch is failed inline via
-  /// fail_batch_locked — without ever dropping lock_.
+  /// a single engine job at the stream's priority, with complete_batch as
+  /// its on_done. If submit() throws (engine stopped), the batch is
+  /// completed inline with that exception — without ever dropping lock_.
   void dispatch_locked(StreamId s) SLC_REQUIRES(lock_);
-  /// Delivers `err` to every request of a batch the engine never ran and
-  /// retires its backpressure debt. Takes each request's mutex while holding
-  /// lock_ (the documented lock order).
-  void fail_batch_locked(const std::shared_ptr<Batch>& batch, std::exception_ptr err)
-      SLC_REQUIRES(lock_);
   /// Backpressure predicate: would admitting `n` more blocks fit the budget
   /// (or is the server drained empty — the oversized-request escape)?
   bool admit_fits_locked(size_t n) const SLC_REQUIRES(lock_);
-  /// Runs on the engine worker that finishes a batch's last shard: scatters
-  /// per-request responses, folds stream stats, releases backpressure.
-  void complete_batch(const std::shared_ptr<Batch>& batch) SLC_EXCLUDES(lock_);
-  void run_shard(Batch& batch, size_t begin, size_t end) const;
+  /// A batch's engine on_done: delivers every response (kError with `err`
+  /// when set), then retires the batch under lock_.
+  void complete_batch(Batch& batch, std::exception_ptr err) SLC_EXCLUDES(lock_);
+  /// Builds and delivers each request's response. Takes each request's
+  /// mutex, which is allowed with or without lock_ held.
+  static void deliver_batch(Batch& batch, std::exception_ptr err,
+                            std::chrono::steady_clock::time_point now);
+  /// Folds the batch into its stream's stats (commit counters only without
+  /// `err`) and releases its backpressure and drain debt.
+  void retire_batch_locked(const Batch& batch, std::exception_ptr err,
+                           std::chrono::steady_clock::time_point now) SLC_REQUIRES(lock_);
   /// Body of the flush-timer thread: force-dispatches batches whose
   /// flush_by elapsed, sleeps until the next one (or until notified).
   void timer_loop() SLC_EXCLUDES(lock_);

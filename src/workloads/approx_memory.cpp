@@ -1,7 +1,7 @@
 #include "workloads/approx_memory.h"
 
 #include <algorithm>
-#include <cassert>
+#include <stdexcept>
 
 #include "sim/trace_stream.h"
 
@@ -94,9 +94,13 @@ uint32_t ApproxMemory::current_bursts(const Region& reg, size_t block) const {
 void ApproxMemory::settle(RegionId r) {
   Region& reg = regions_[r];
   if (!reg.pending.valid()) return;
-  const CommitStats s = reg.pending.wait();  // one-shot: clears pending
-  stats_.merge(s);
-  reg.stats.merge(s);
+  reg.pending.wait();  // one-shot: clears pending; rethrows a codec exception
+  // Per-worker integer counters merge exactly in any order, so the settled
+  // stats match the inline path for every thread count.
+  for (const CommitStats& ws : reg.worker_stats) {
+    stats_.merge(ws);
+    reg.stats.merge(ws);
+  }
 }
 
 void ApproxMemory::commit(RegionId r) {
@@ -124,26 +128,20 @@ void ApproxMemory::commit_async(RegionId r) {
     return;
   }
   // Queue one engine job for the whole region. The body captures raw buffer
-  // pointers and a codec reference-count, never `this` or a Region& — both
-  // survive regions_ growth and an ApproxMemory move while the job runs.
-  auto per_worker = std::make_shared<std::vector<CommitStats>>(engine_->num_threads());
+  // pointers and a codec reference-count, never `this` or a Region& — the
+  // buffers (per-worker stats slots included) survive regions_ growth and an
+  // ApproxMemory move while the job runs.
+  reg.worker_stats.assign(engine_->num_threads(), CommitStats{});
+  CommitStats* worker_stats = reg.worker_stats.data();
   uint8_t* data = reg.data.data();
   uint32_t* bursts = reg.bursts.data();
   const bool safe = reg.safe;
   const size_t threshold = reg.threshold_bytes;
   std::shared_ptr<const BlockCodec> codec = codec_;
-  reg.pending = engine_->submit_job<CommitStats>(
-      n_blocks,
-      [per_worker, data, bursts, safe, threshold, codec](size_t begin, size_t end,
-                                                         unsigned worker) {
-        process_blocks(*codec, data, bursts, safe, threshold, begin, end, (*per_worker)[worker]);
-      },
-      [per_worker]() {
-        // Per-worker integer counters merge exactly in any order, so the
-        // settled stats match the inline path for every thread count.
-        CommitStats total;
-        for (const CommitStats& ws : *per_worker) total.merge(ws);
-        return total;
+  reg.pending = engine_->submit(
+      n_blocks, [worker_stats, data, bursts, safe, threshold, codec](size_t begin, size_t end,
+                                                                     unsigned worker) {
+        process_blocks(*codec, data, bursts, safe, threshold, begin, end, worker_stats[worker]);
       });
 }
 
@@ -205,8 +203,13 @@ void ApproxMemory::begin_kernel(std::string name, double compute_per_access,
   trace_.push_back(std::move(k));
 }
 
+void ApproxMemory::require_kernel(const char* who) const {
+  if (trace_.empty())
+    throw std::logic_error(std::string(who) + ": begin_kernel() must precede trace calls");
+}
+
 void ApproxMemory::trace_block(RegionId r, size_t block, bool write) {
-  assert(!trace_.empty() && "begin_kernel() must precede trace calls");
+  require_kernel("ApproxMemory::trace_block");
   settle(r);  // bursts must reflect the latest commit, async or not
   const Region& reg = regions_[r];
   TraceAccess a;
@@ -217,16 +220,19 @@ void ApproxMemory::trace_block(RegionId r, size_t block, bool write) {
 }
 
 void ApproxMemory::trace_read(RegionId r) {
+  require_kernel("ApproxMemory::trace_read");
   const size_t n = region_blocks(r);
   for (size_t b = 0; b < n; ++b) trace_block(r, b, false);
 }
 
 void ApproxMemory::trace_write(RegionId r) {
+  require_kernel("ApproxMemory::trace_write");
   const size_t n = region_blocks(r);
   for (size_t b = 0; b < n; ++b) trace_block(r, b, true);
 }
 
 void ApproxMemory::trace_zip(std::span<const RegionId> reads, std::span<const RegionId> writes) {
+  require_kernel("ApproxMemory::trace_zip");
   size_t max_blocks = 0;
   for (RegionId r : reads) max_blocks = std::max(max_blocks, region_blocks(r));
   for (RegionId r : writes) max_blocks = std::max(max_blocks, region_blocks(r));

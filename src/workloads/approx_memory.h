@@ -14,13 +14,15 @@
 // Async commits: commit_async(r) queues the region's block work as one
 // CodecEngine job and returns immediately, so the harness thread can capture
 // the next kernel's trace or generate data for other regions while the
-// engine compresses. Every observation of a region — span(), trace_*(),
-// region_stats(), stats(), flush() — first *settles* that region (waits its
-// pending commit and folds its stats in), so any-thread-count results stay
-// byte-identical to the serial commit() path; the only code that may touch a
-// region's bytes without settling is a span taken BEFORE the async commit
-// and dereferenced before the next settle point — don't do that; re-acquire
-// spans after a commit_async of the same region.
+// engine compresses. The job's shards accumulate CommitStats into per-worker
+// slots kept next to the region's handle. Every observation of a region —
+// span(), trace_*(), region_stats(), stats(), flush() — first *settles* that
+// region (waits its pending commit, then merges the per-worker slots on this
+// thread), so any-thread-count results stay byte-identical to the serial
+// commit() path; the only code that may touch a region's bytes without
+// settling is a span taken BEFORE the async commit and dereferenced before
+// the next settle point — don't do that; re-acquire spans after a
+// commit_async of the same region.
 //
 // Kernel-level tracing: begin_kernel() opens a kernel record; trace_read()/
 // trace_write() append block-granular accesses carrying the burst count in
@@ -38,10 +40,11 @@
 // Deliberately mutex-free, so it carries none of the thread-safety
 // annotations the locked subsystems use (common/thread_safety.h): the only
 // cross-thread sharing is engine workers writing block-disjoint slices of a
-// committing region, and the settle-on-access path synchronizes with them
-// through CodecFuture::wait() (the job's mutex + the completed-count
-// handoff) before any harness-side read. There is no lock hierarchy to
-// annotate; the TSan CI tier is this file's race watchdog.
+// committing region and their own per-worker stats slots, and the
+// settle-on-access path synchronizes with them through CodecFuture::wait()
+// (the job's mutex + the completed-count handoff) before any harness-side
+// read. There is no lock hierarchy to annotate; the TSan CI tier is this
+// file's race watchdog.
 #pragma once
 
 #include <cstdint>
@@ -207,6 +210,8 @@ class ApproxMemory {
   /// first); commits of different regions run concurrently. Results and
   /// stats are byte-identical to commit() for any thread count. A codec
   /// exception surfaces at the settle point (flush(), stats(), span(), ...).
+  /// Throws std::runtime_error when the installed engine is shut down: the
+  /// region is left as it was, with nothing pending.
   void commit_async(RegionId r);
 
   /// Barrier: settles every pending async commit, folding its stats in.
@@ -224,6 +229,9 @@ class ApproxMemory {
   // --- trace capture -------------------------------------------------------
   void begin_kernel(std::string name, double compute_per_access,
                     uint32_t accesses_per_cta = 8);
+  // Every trace call appends to the kernel opened by begin_kernel() and
+  // throws std::logic_error when no kernel is open.
+
   /// Appends one read/write access per block of the region.
   void trace_read(RegionId r);
   void trace_write(RegionId r);
@@ -284,12 +292,18 @@ class ApproxMemory {
     /// wrapped once block_bytes / mag_bytes exceeded 255.
     std::vector<uint32_t> bursts;
     CommitStats stats;
-    CodecFuture<CommitStats> pending;  ///< in-flight async commit, if any
+    CodecFuture pending;  ///< in-flight async commit, if any
+    /// The pending commit's per-worker accumulators (one per engine worker),
+    /// merged by settle() after the job finished.
+    std::vector<CommitStats> worker_stats;
   };
 
-  /// Waits a pending async commit of r (if any) and folds its stats into
-  /// the region and run totals. No-op when nothing is pending.
+  /// Waits a pending async commit of r (if any) and folds its per-worker
+  /// stats into the region and run totals. No-op when nothing is pending.
   void settle(RegionId r);
+
+  /// Throws std::logic_error unless begin_kernel() opened a kernel.
+  void require_kernel(const char* who) const;
 
   /// Pushes every kernel in trace_ to the sink (all are complete at the
   /// call sites: before begin_kernel opens the next, or at end_trace).

@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 #include <tuple>
 
 #include "common/rng.h"
@@ -133,6 +134,25 @@ TEST(ApproxMemory, TraceCapturesBursts) {
     EXPECT_EQ(a.bursts, 4u);  // RAW codec: max bursts
     EXPECT_EQ(a.addr % kBlockBytes, 0u);
   }
+}
+
+// A trace call with no kernel open is a caller bug, not a write through an
+// empty trace: all four entry points throw before appending anything, and
+// the memory stays usable.
+TEST(ApproxMemory, TraceBeforeBeginKernelThrows) {
+  ApproxMemory mem;
+  const RegionId r = mem.alloc("x", 2 * kBlockBytes, false);
+  const RegionId rs[] = {r};
+  EXPECT_THROW(mem.trace_read(r), std::logic_error);
+  EXPECT_THROW(mem.trace_write(r), std::logic_error);
+  EXPECT_THROW(mem.trace_zip(rs, rs), std::logic_error);
+  EXPECT_THROW(mem.trace_block(r, 0, false), std::logic_error);
+  EXPECT_TRUE(mem.trace().empty());
+
+  mem.begin_kernel("k", 1.0);
+  mem.trace_read(r);
+  ASSERT_EQ(mem.trace().size(), 1u);
+  EXPECT_EQ(mem.trace()[0].accesses.size(), 2u);
 }
 
 TEST(ApproxMemory, TraceZipInterleaves) {

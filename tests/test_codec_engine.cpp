@@ -1,6 +1,7 @@
-// CodecEngine: parallel-for coverage, and the determinism guarantee — a
-// 1-thread and an N-thread run produce identical per-block results, payloads
-// and merged stats/ratios.
+// CodecEngine: parallel-for coverage, the completion contract (every job
+// finishes exactly once and runs its on_done on that transition), and the
+// determinism guarantee — a 1-thread and an N-thread run produce identical
+// per-block results, payloads and merged stats/ratios.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,6 +22,8 @@
 namespace slc {
 namespace {
 
+using test::engine_analyze;
+using test::engine_compress;
 using test::quantized_walk;
 using test::test_options;
 
@@ -65,8 +68,8 @@ TEST(CodecEngine, ThreadCountInvariantResults) {
     CodecEngine one(1);
     CodecEngine four(4);
 
-    const auto a1 = one.submit_analyze(*comp, blocks, 32).wait();
-    const auto a4 = four.submit_analyze(*comp, blocks, 32).wait();
+    const auto a1 = engine_analyze(one, *comp, blocks, 32);
+    const auto a4 = engine_analyze(four, *comp, blocks, 32);
     ASSERT_EQ(a1.blocks.size(), a4.blocks.size());
     for (size_t i = 0; i < a1.blocks.size(); ++i) {
       EXPECT_EQ(a1.blocks[i].bit_size, a4.blocks[i].bit_size) << scheme << " block " << i;
@@ -78,8 +81,8 @@ TEST(CodecEngine, ThreadCountInvariantResults) {
     EXPECT_EQ(a1.lossy_blocks, a4.lossy_blocks) << scheme;
     EXPECT_EQ(a1.truncated_symbols, a4.truncated_symbols) << scheme;
 
-    const auto c1 = one.submit_compress(*comp, blocks).wait();
-    const auto c4 = four.submit_compress(*comp, blocks).wait();
+    const auto c1 = engine_compress(one, *comp, blocks);
+    const auto c4 = engine_compress(four, *comp, blocks);
     ASSERT_EQ(c1.size(), c4.size());
     for (size_t i = 0; i < c1.size(); ++i) {
       EXPECT_EQ(c1[i].bit_size, c4[i].bit_size) << scheme << " block " << i;
@@ -88,94 +91,28 @@ TEST(CodecEngine, ThreadCountInvariantResults) {
   }
 }
 
-TEST(CodecEngine, AnalyzeBytesMatchesAnalyzeStream) {
-  const auto training = quantized_walk(31, 256);
-  const auto data = quantized_walk(33, 64);
-  const auto blocks = to_blocks(data);
-  const auto comp = CodecRegistry::instance().create("E2MC", test_options(training));
-
-  CodecEngine engine(2);
-  const auto from_blocks = engine.submit_analyze(*comp, blocks, 32).wait();
-  const auto from_bytes = engine.analyze_bytes(*comp, data, 32);
-  ASSERT_EQ(from_bytes.blocks.size(), from_blocks.blocks.size());
-  for (size_t i = 0; i < from_bytes.blocks.size(); ++i)
-    EXPECT_EQ(from_bytes.blocks[i].bit_size, from_blocks.blocks[i].bit_size);
-  EXPECT_EQ(from_bytes.ratios.raw_ratio(), from_blocks.ratios.raw_ratio());
-}
-
-// Satellite regression: analyze_bytes' zero-padded tail must be
-// byte-identical to to_blocks(pad_tail = true) + submit_analyze for every
-// ragged size, including empty input.
-TEST(CodecEngine, AnalyzeBytesTailPaddingMatchesToBlocks) {
-  const auto training = quantized_walk(31, 256);
-  const auto comp = CodecRegistry::instance().create("E2MC", test_options(training));
-  const auto base = quantized_walk(36, 6);
-
-  CodecEngine engine(3);
-  for (const size_t bytes :
-       {size_t{0}, size_t{1}, size_t{40}, kBlockBytes - 1, kBlockBytes, kBlockBytes + 1,
-        5 * kBlockBytes + 17, 6 * kBlockBytes}) {
-    ASSERT_LE(bytes, base.size());
-    const std::span<const uint8_t> data(base.data(), bytes);
-    const auto blocks = to_blocks(data, kBlockBytes, /*pad_tail=*/true);
-
-    const auto from_bytes = engine.analyze_bytes(*comp, data, 32);
-    const auto from_blocks = engine.submit_analyze(*comp, blocks, 32).wait();
-
-    ASSERT_EQ(from_bytes.blocks.size(), from_blocks.blocks.size()) << bytes << " bytes";
-    for (size_t i = 0; i < from_bytes.blocks.size(); ++i) {
-      const BlockAnalysis& a = from_bytes.blocks[i];
-      const BlockAnalysis& b = from_blocks.blocks[i];
-      EXPECT_EQ(a.bit_size, b.bit_size) << bytes << " bytes, block " << i;
-      EXPECT_EQ(a.is_compressed, b.is_compressed) << bytes << " bytes, block " << i;
-      EXPECT_EQ(a.lossy, b.lossy) << bytes << " bytes, block " << i;
-      EXPECT_EQ(a.lossless_bits, b.lossless_bits) << bytes << " bytes, block " << i;
-      EXPECT_EQ(a.truncated_symbols, b.truncated_symbols) << bytes << " bytes, block " << i;
-    }
-    EXPECT_EQ(from_bytes.ratios.blocks(), from_blocks.ratios.blocks()) << bytes;
-    EXPECT_EQ(from_bytes.ratios.raw_ratio(), from_blocks.ratios.raw_ratio()) << bytes;
-    EXPECT_EQ(from_bytes.ratios.effective_ratio(), from_blocks.ratios.effective_ratio()) << bytes;
-    EXPECT_EQ(from_bytes.lossy_blocks, from_blocks.lossy_blocks) << bytes;
-    EXPECT_EQ(from_bytes.truncated_symbols, from_blocks.truncated_symbols) << bytes;
-  }
-}
-
-TEST(CodecEngine, AnalyzeBytesPadsTail) {
-  const auto training = quantized_walk(31, 256);
-  auto data = quantized_walk(34, 3);
-  data.resize(data.size() - 40);  // ragged tail
-  const auto comp = CodecRegistry::instance().create("E2MC", test_options(training));
-
-  CodecEngine engine(2);
-  const auto res = engine.analyze_bytes(*comp, data, 32);
-  EXPECT_EQ(res.blocks.size(), 3u);  // tail zero-padded into a full block
-  const auto blocks = to_blocks(data);
-  ASSERT_EQ(blocks.size(), 3u);
-  for (size_t i = 0; i < 3; ++i)
-    EXPECT_EQ(res.blocks[i].bit_size, comp->analyze(blocks[i].view()).bit_size);
-}
-
-// A block size of 0 is rejected before any work starts (it used to divide by
-// zero), and the engine stays usable.
-TEST(CodecEngine, AnalyzeBytesRejectsZeroBlockBytes) {
-  const auto comp = CodecRegistry::instance().create("BDI", test_options({}));
-  const std::vector<uint8_t> data(256, 0x5A);
-  CodecEngine engine(2);
-  EXPECT_THROW(engine.analyze_bytes(*comp, data, 32, 0), std::invalid_argument);
-  EXPECT_EQ(engine.analyze_bytes(*comp, data, 32).blocks.size(), 2u);
-}
-
 // --- async submission API ---------------------------------------------------
 
 TEST(CodecEngine, FutureBasics) {
-  CodecFuture<void> empty;
+  CodecFuture empty;
   EXPECT_FALSE(empty.valid());
   EXPECT_FALSE(empty.ready());
   EXPECT_THROW(empty.wait(), std::logic_error);
 
   CodecEngine engine(2);
-  // count == 0: ready immediately, wait returns without touching the pool.
-  auto zero = engine.submit(0, [](size_t, size_t, unsigned) { FAIL() << "must not run"; });
+  // count == 0 finishes inside submit(): on_done runs on this thread before
+  // submit returns, the handle is ready, and wait returns without touching
+  // the pool.
+  const auto submitter = std::this_thread::get_id();
+  int done_calls = 0;
+  auto zero = engine.submit(
+      0, [](size_t, size_t, unsigned) { FAIL() << "must not run"; }, 0, CodecEngine::kNoDeadline,
+      [&](std::exception_ptr err) {
+        EXPECT_EQ(err, nullptr);
+        EXPECT_EQ(std::this_thread::get_id(), submitter);
+        ++done_calls;
+      });
+  EXPECT_EQ(done_calls, 1);
   EXPECT_TRUE(zero.valid());
   EXPECT_TRUE(zero.ready());
   zero.wait();
@@ -195,18 +132,34 @@ TEST(CodecEngine, ConcurrentSubmitsMatchSequentialAnalyze) {
   std::vector<std::vector<Block>> streams;
   for (uint64_t s = 0; s < 4; ++s) streams.push_back(to_blocks(quantized_walk(40 + s, 150)));
 
+  // Every job is in flight before the first wait: one analyze and one
+  // compress job per stream, each writing its own index-aligned slots.
   CodecEngine engine(4);
-  std::vector<CodecFuture<CodecEngine::StreamAnalysis>> analyses;
-  std::vector<CodecFuture<std::vector<CompressedBlock>>> payloads;
+  std::vector<std::vector<BlockAnalysis>> analysis_slots;
+  std::vector<std::vector<CompressedBlock>> payloads;
   for (const auto& stream : streams) {
-    analyses.push_back(engine.submit_analyze(*comp, stream, 32));
-    payloads.push_back(engine.submit_compress(*comp, stream));
+    analysis_slots.emplace_back(stream.size());
+    payloads.emplace_back(stream.size());
   }
+  std::vector<CodecFuture> jobs;
+  for (size_t s = 0; s < streams.size(); ++s) {
+    jobs.push_back(test::submit_sweep(engine, streams[s], analysis_slots[s].data(),
+                                      [&comp](std::span<const BlockView> views,
+                                              BlockAnalysis* dst) {
+                                        comp->analyze_batch(views, dst);
+                                      }));
+    jobs.push_back(test::submit_sweep(engine, streams[s], payloads[s].data(),
+                                      [&comp](std::span<const BlockView> views,
+                                              CompressedBlock* dst) {
+                                        comp->compress_batch(views, dst);
+                                      }));
+  }
+  for (CodecFuture& job : jobs) job.wait();
 
   CodecEngine reference(1);
   for (size_t s = 0; s < streams.size(); ++s) {
-    const auto got = analyses[s].wait();
-    const auto want = reference.submit_analyze(*comp, streams[s], 32).wait();
+    const auto got = test::fold_analyses(std::move(analysis_slots[s]), 32);
+    const auto want = engine_analyze(reference, *comp, streams[s], 32);
     ASSERT_EQ(got.blocks.size(), want.blocks.size());
     for (size_t i = 0; i < got.blocks.size(); ++i)
       EXPECT_EQ(got.blocks[i].bit_size, want.blocks[i].bit_size) << "stream " << s << " block " << i;
@@ -215,8 +168,8 @@ TEST(CodecEngine, ConcurrentSubmitsMatchSequentialAnalyze) {
     EXPECT_EQ(got.lossy_blocks, want.lossy_blocks);
     EXPECT_EQ(got.truncated_symbols, want.truncated_symbols);
 
-    const auto got_payloads = payloads[s].wait();
-    const auto want_payloads = reference.submit_compress(*comp, streams[s]).wait();
+    const auto& got_payloads = payloads[s];
+    const auto want_payloads = engine_compress(reference, *comp, streams[s]);
     ASSERT_EQ(got_payloads.size(), want_payloads.size());
     for (size_t i = 0; i < got_payloads.size(); ++i)
       EXPECT_EQ(got_payloads[i].payload, want_payloads[i].payload) << "stream " << s;
@@ -242,24 +195,6 @@ TEST(CodecEngine, ExceptionInOneJobDoesNotPoisonOthers) {
   std::atomic<size_t> total{0};
   engine.submit(10, [&](size_t begin, size_t end, unsigned) { total += end - begin; }).wait();
   EXPECT_EQ(total.load(), 10u);
-}
-
-// submit_job's finalize runs once, on the waiting thread, after the drain —
-// the merge point the determinism contract hangs on.
-TEST(CodecEngine, SubmitJobFinalizeMergesPerWorkerState) {
-  CodecEngine engine(4);
-  auto per_worker = std::make_shared<std::vector<uint64_t>>(engine.num_threads(), 0);
-  auto fut = engine.submit_job<uint64_t>(
-      1000,
-      [per_worker](size_t begin, size_t end, unsigned worker) {
-        for (size_t i = begin; i < end; ++i) (*per_worker)[worker] += i;
-      },
-      [per_worker]() {
-        uint64_t total = 0;
-        for (const uint64_t w : *per_worker) total += w;
-        return total;
-      });
-  EXPECT_EQ(fut.wait(), 1000u * 999u / 2);
 }
 
 // ApproxMemory::commit shards through the engine; stats and mutated contents
@@ -296,6 +231,137 @@ TEST(CodecEngine, CommitInvariantAcrossEngines) {
   }
 }
 
+// --- completion contract -----------------------------------------------------
+
+/// Records every on_done call: how many, and the last `err`.
+struct DoneProbe {
+  std::mutex m;
+  int calls = 0;
+  std::exception_ptr err;
+
+  CodecEngine::OnDone callback() {
+    return [this](std::exception_ptr e) {
+      std::lock_guard<std::mutex> lk(m);
+      ++calls;
+      err = std::move(e);
+    };
+  }
+};
+
+// on_done runs after the waiters wake, on the worker that finished the last
+// shard; shutdown() joins that worker, so after it the call count is final.
+TEST(CodecEngine, OnDoneRunsOnceForDrainedJob) {
+  CodecEngine engine(4);
+  DoneProbe probe;
+  std::atomic<size_t> items{0};
+  auto fut = engine.submit(
+      1000, [&](size_t begin, size_t end, unsigned) { items += end - begin; }, 0,
+      CodecEngine::kNoDeadline, probe.callback());
+  fut.wait();
+  engine.shutdown();
+  EXPECT_EQ(items.load(), 1000u);
+  EXPECT_EQ(probe.calls, 1);
+  EXPECT_EQ(probe.err, nullptr);
+}
+
+TEST(CodecEngine, OnDoneGetsFirstShardException) {
+  CodecEngine engine(4);
+  DoneProbe probe;
+  auto fut = engine.submit(
+      1000,
+      [](size_t begin, size_t, unsigned) {
+        if (begin == 0) throw std::runtime_error("boom");
+      },
+      0, CodecEngine::kNoDeadline, probe.callback());
+  EXPECT_THROW(fut.wait(), std::runtime_error);
+  engine.shutdown();
+  ASSERT_EQ(probe.calls, 1);
+  ASSERT_NE(probe.err, nullptr);
+  try {
+    std::rethrow_exception(probe.err);
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "boom");
+  }
+}
+
+// A job still queued at shutdown() is finished with the shutdown reason,
+// and its on_done runs once, on the thread in shutdown().
+TEST(CodecEngine, OnDoneRunsOnceForJobAbandonedAtShutdown) {
+  CodecEngine engine(1);
+  std::atomic<bool> started{false}, release{false};
+  auto gate = engine.submit(1, [&](size_t, size_t, unsigned) {
+    started = true;
+    while (!release) std::this_thread::yield();
+  });
+  while (!started) std::this_thread::yield();
+  DoneProbe probe;
+  std::thread::id done_thread;
+  auto queued = engine.submit(
+      4, [](size_t, size_t, unsigned) { ADD_FAILURE() << "an abandoned job must not run"; }, 0,
+      CodecEngine::kNoDeadline, [&, record = probe.callback()](std::exception_ptr e) {
+        done_thread = std::this_thread::get_id();
+        record(std::move(e));
+      });
+
+  std::thread::id stopper_id;
+  std::thread stopper([&] {
+    stopper_id = std::this_thread::get_id();
+    engine.shutdown();
+  });
+  while (!engine.stopping()) std::this_thread::yield();
+  release = true;
+  stopper.join();
+
+  gate.wait();
+  EXPECT_THROW(queued.wait(), std::runtime_error);
+  EXPECT_EQ(probe.calls, 1);
+  EXPECT_NE(probe.err, nullptr);
+  EXPECT_EQ(done_thread, stopper_id);
+}
+
+TEST(CodecEngine, SubmitAfterShutdownThrowsAndNeverRunsOnDone) {
+  CodecEngine engine(2);
+  engine.shutdown();
+  DoneProbe probe;
+  bool ran = false;
+  EXPECT_THROW(engine.submit(
+                   8, [&](size_t, size_t, unsigned) { ran = true; }, 0, CodecEngine::kNoDeadline,
+                   probe.callback()),
+               std::runtime_error);
+  EXPECT_THROW(engine.submit(0, [](size_t, size_t, unsigned) {}, 0, CodecEngine::kNoDeadline,
+                             probe.callback()),
+               std::runtime_error);
+  EXPECT_FALSE(ran);
+  EXPECT_EQ(probe.calls, 0);
+}
+
+// on_done holds no engine lock and not the job's mutex: while it blocks on a
+// caller mutex, the thread holding that mutex can still wait the job, submit
+// and wait another job (served by the second worker), then let it go.
+TEST(CodecEngine, OnDoneTakingCallerMutexDoesNotBlockSubmitter) {
+  CodecEngine engine(2);
+  std::mutex caller_m;
+  std::atomic<bool> entered{false};
+  int done_calls = 0;
+  CodecFuture first;
+  {
+    std::unique_lock<std::mutex> held(caller_m);
+    first = engine.submit(1, [](size_t, size_t, unsigned) {}, 0, CodecEngine::kNoDeadline,
+                          [&](std::exception_ptr) {
+                            entered = true;
+                            std::lock_guard<std::mutex> lk(caller_m);
+                            ++done_calls;
+                          });
+    while (!entered) std::this_thread::yield();
+    first.wait();  // the waiters were woken before on_done ran
+    std::atomic<size_t> items{0};
+    engine.submit(64, [&](size_t begin, size_t end, unsigned) { items += end - begin; }).wait();
+    EXPECT_EQ(items.load(), 64u);
+  }
+  engine.shutdown();
+  EXPECT_EQ(done_calls, 1);
+}
+
 // --- shutdown + priority ----------------------------------------------------
 
 // A job still queued when the engine shuts down must be marked finished with
@@ -315,17 +381,9 @@ TEST(CodecEngine, ShutdownAbandonsQueuedJobsAndFutureOutlivesEngine) {
   while (!started) std::this_thread::yield();
 
   std::thread stopper([&] { engine->shutdown(); });
-  // Wait until the stop is visible: once it is, a fresh submit is abandoned
-  // at enqueue (ready immediately, wait() throws). Probes queued before the
-  // stop are abandoned by shutdown; dropping their futures is fine.
-  for (;;) {
-    auto probe = engine->submit(1, [](size_t, size_t, unsigned) {});
-    if (probe.ready()) {
-      EXPECT_THROW(probe.wait(), std::runtime_error);
-      break;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
+  // Once the stop is visible, a fresh submit throws and enqueues nothing.
+  while (!engine->stopping()) std::this_thread::yield();
+  EXPECT_THROW(engine->submit(1, [](size_t, size_t, unsigned) {}), std::runtime_error);
   release = true;
   stopper.join();
 

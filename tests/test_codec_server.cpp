@@ -126,8 +126,8 @@ TEST(CodecServer, OpenStreamValidatesAgainstRegistry) {
   EXPECT_EQ(server.stream_name(s), "ok");
 }
 
-// A request's analysis must match the engine's analyze_bytes of the same
-// data through the same scheme, ragged tail included.
+// A request's analysis must match the scheme's analyze kernel run directly
+// over to_blocks of the same data, ragged tail included.
 TEST(CodecServer, RequestMatchesEngineAnalyzeBytes) {
   const auto training = quantized_walk(31, 256);
   auto data = quantized_walk(42, 5);
@@ -140,8 +140,7 @@ TEST(CodecServer, RequestMatchesEngineAnalyzeBytes) {
   ASSERT_TRUE(got.ok());
 
   const auto comp = CodecRegistry::instance().create("E2MC", test_options(training));
-  CodecEngine reference(1);
-  const auto want = reference.analyze_bytes(*comp, data, 32);
+  const auto want = test::direct_analyze(*comp, to_blocks(data), 32);
 
   ASSERT_EQ(got.analysis.blocks.size(), want.blocks.size());
   for (size_t i = 0; i < got.analysis.blocks.size(); ++i)
@@ -430,7 +429,7 @@ TEST(CodecServer, AggregateStatsSumStreams) {
 }
 
 // Streams of different codecs sharing one server stay isolated: each
-// stream's results match its codec's solo engine run.
+// stream's results match its codec's kernel run directly on the data.
 TEST(CodecServer, MixedCodecStreamsStayIsolated) {
   const auto training = quantized_walk(31, 256);
   const auto data = quantized_walk(50, 6);
@@ -448,11 +447,11 @@ TEST(CodecServer, MixedCodecStreamsStayIsolated) {
   const Response got_b = tb.wait();
   const Response got_e = te.wait();
 
-  CodecEngine reference(1);
+  const auto blocks = to_blocks(data);
   const auto want_b =
-      reference.analyze_bytes(*CodecRegistry::instance().create("BDI", test_options({})), data, 32);
-  const auto want_e = reference.analyze_bytes(
-      *CodecRegistry::instance().create("E2MC", test_options(training)), data, 32);
+      test::direct_analyze(*CodecRegistry::instance().create("BDI", test_options({})), blocks, 32);
+  const auto want_e = test::direct_analyze(
+      *CodecRegistry::instance().create("E2MC", test_options(training)), blocks, 32);
   ASSERT_EQ(got_b.analysis.blocks.size(), want_b.blocks.size());
   ASSERT_EQ(got_e.analysis.blocks.size(), want_e.blocks.size());
   for (size_t i = 0; i < got_b.analysis.blocks.size(); ++i)

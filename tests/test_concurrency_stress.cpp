@@ -5,10 +5,10 @@
 //     contract: shutting down or destroying the engine with futures alive
 //     must deliver every result or a std::runtime_error, never a hang, leak
 //     or racy read;
-//   * server submits racing engine shutdown — every ticket completes, the
-//     job abandon hook fails batches the pool will never run, and
-//     drain()/~CodecServer return instead of waiting on a counter that can
-//     no longer move;
+//   * server submits racing engine shutdown — every ticket completes
+//     exactly once, the engine job's on_done fails batches the pool will
+//     never run, and drain()/~CodecServer return instead of waiting on a
+//     counter that can no longer move;
 //   * shared fingerprint-cache traffic — concurrent analyze jobs through one
 //     engine-owned cache stay byte-identical to the uncached oracle;
 //   * TraceStream producer/consumer traffic — a slow producer against fast
@@ -42,6 +42,7 @@
 namespace slc {
 namespace {
 
+using test::engine_analyze;
 using test::quantized_walk;
 using test::test_options;
 
@@ -67,7 +68,7 @@ StreamConfig e2mc_stream(const char* name) {
 TEST(ConcurrencyStress, EngineDestroyedWithOutstandingFutures) {
   for (const unsigned threads : {1u, 4u}) {
     constexpr size_t kJobs = 32, kItems = 4;
-    std::vector<CodecFuture<void>> futs;
+    std::vector<CodecFuture> futs;
     futs.reserve(kJobs);
     std::atomic<size_t> ran{0};
     {
@@ -101,7 +102,7 @@ TEST(ConcurrencyStress, FutureWaitRacesEngineShutdown) {
   for (const unsigned threads : {1u, 4u}) {
     CodecEngine engine(threads);
     constexpr size_t kJobs = 48, kWaiters = 4;
-    std::vector<CodecFuture<void>> futs;
+    std::vector<CodecFuture> futs;
     futs.reserve(kJobs);
     for (size_t j = 0; j < kJobs; ++j)
       futs.push_back(engine.submit(4, [](size_t, size_t, unsigned) {
@@ -133,9 +134,9 @@ TEST(ConcurrencyStress, FutureWaitRacesEngineShutdown) {
 // Deterministic reproduction of the stranded-batch deadlock: a single-worker
 // engine is pinned on a blocker job while the server dispatches a batch, so
 // the batch is accepted at enqueue but its shards are never claimed. The
-// shutdown abandons it; the abandon hook must fail the ticket and retire the
-// batch — before the hook existed, ticket.wait(), drain() and ~CodecServer
-// all hung here.
+// shutdown abandons it; the job's on_done must fail the ticket and retire
+// the batch — without it, ticket.wait(), drain() and ~CodecServer all hang
+// here.
 TEST(ConcurrencyStress, EngineShutdownFailsEnqueuedServerBatch) {
   auto engine = std::make_shared<CodecEngine>(1);
   std::atomic<bool> started{false}, release{false};
@@ -162,7 +163,7 @@ TEST(ConcurrencyStress, EngineShutdownFailsEnqueuedServerBatch) {
   EXPECT_EQ(res.status, ResponseStatus::kError);
   EXPECT_THROW(res.throw_if_failed(), std::runtime_error);
   stopper.join();
-  server.drain();  // regression: returned only because the hook retired the batch
+  server.drain();  // regression: returns only because on_done retired the batch
   EXPECT_EQ(server.inflight_blocks(), 0u);
   blocker.wait();  // the blocker itself drained normally
 }
@@ -202,6 +203,69 @@ TEST(ConcurrencyStress, ServerSubmitsRaceEngineShutdown) {
   EXPECT_EQ(server.inflight_blocks(), 0u);
 }
 
+// Fire-and-forget batches racing engine->shutdown(). The engine's only
+// worker is pinned while the submitters start, so batches queue up; it is
+// released a little earlier before the stop each round. Batches drain until
+// the stop, the ones still queued are abandoned by shutdown(), and later
+// submits are refused. Each ticket resolves exactly once: the stream counts
+// every request once (a batch completed twice would count its requests twice
+// and underflow the in-flight counters), and inflight_blocks() returns to 0.
+TEST(ConcurrencyStress, ServerBatchesRaceEngineShutdownCompleteOnce) {
+  for (int round = 0; round < 8; ++round) {
+    auto engine = std::make_shared<CodecEngine>(1);
+    std::atomic<bool> started{false}, release{false};
+    auto blocker = engine->submit(1, [&started, &release](size_t, size_t, unsigned) {
+      started = true;
+      while (!release) std::this_thread::yield();
+    });
+    while (!started) std::this_thread::yield();
+
+    CodecServer::Config cfg;
+    cfg.engine = engine;
+    cfg.batch_blocks = 2;
+    cfg.max_inflight_blocks = 0;  // unbounded: submitters never wait
+    CodecServer server(cfg);
+    const StreamId s = server.open_stream(e2mc_stream("race"));
+
+    constexpr size_t kSubmitters = 3, kRequests = 60;
+    std::latch start(kSubmitters + 1);
+    std::vector<std::vector<ServerTicket>> tickets(kSubmitters);
+    std::vector<std::thread> submitters;
+    submitters.reserve(kSubmitters);
+    for (size_t t = 0; t < kSubmitters; ++t)
+      submitters.emplace_back([&, t] {
+        const auto data = quantized_walk(200 + t, 1);
+        start.arrive_and_wait();
+        for (size_t i = 0; i < kRequests; ++i)
+          tickets[t].push_back(server.submit(s, Request{.bytes = data}));
+      });
+    start.arrive_and_wait();
+    std::this_thread::sleep_for(std::chrono::microseconds(100));
+    release = true;
+    std::this_thread::sleep_for(std::chrono::microseconds(100 * round));
+    engine->shutdown();
+    for (auto& th : submitters) th.join();
+    server.drain();
+    blocker.wait();
+
+    size_t ok = 0, failed = 0;
+    for (auto& per_thread : tickets)
+      for (ServerTicket& ticket : per_thread) {
+        const Response res = ticket.wait();
+        if (res.ok()) {
+          ++ok;
+        } else {
+          EXPECT_EQ(res.status, ResponseStatus::kError);
+          EXPECT_THROW(res.throw_if_failed(), std::runtime_error);
+          ++failed;
+        }
+      }
+    EXPECT_EQ(ok + failed, kSubmitters * kRequests) << "round " << round;
+    EXPECT_EQ(server.stream_stats(s).requests, kSubmitters * kRequests) << "round " << round;
+    EXPECT_EQ(server.inflight_blocks(), 0u) << "round " << round;
+  }
+}
+
 // --- shared fingerprint cache -----------------------------------------------
 
 // Concurrent client threads pushing overlapping analyze jobs through one
@@ -220,7 +284,7 @@ TEST(ConcurrencyStress, SharedCacheConcurrentAnalyzeJobs) {
   const auto cached = CodecRegistry::instance().create("TSLC-OPT", cached_opts);
   const auto uncached = CodecRegistry::instance().create("TSLC-OPT", test_options(training()));
   CodecEngine reference(1);
-  const auto want = reference.submit_analyze(*uncached, blocks, 32).wait();
+  const auto want = engine_analyze(reference, *uncached, blocks, 32);
 
   constexpr size_t kClients = 3, kIters = 4;
   std::atomic<size_t> mismatches{0};
@@ -229,7 +293,7 @@ TEST(ConcurrencyStress, SharedCacheConcurrentAnalyzeJobs) {
   for (size_t c = 0; c < kClients; ++c)
     clients.emplace_back([&engine, &cached, &blocks, &want, &mismatches] {
       for (size_t i = 0; i < kIters; ++i) {
-        const auto got = engine->submit_analyze(*cached, blocks, 32).wait();
+        const auto got = engine_analyze(*engine, *cached, blocks, 32);
         if (got.blocks.size() != want.blocks.size()) {
           mismatches.fetch_add(1);
           continue;

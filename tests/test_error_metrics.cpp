@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
+#include <vector>
 
 #include "metrics/error_metrics.h"
 
@@ -80,6 +82,45 @@ TEST(Psnr, KnownValue) {
   const float x[] = {0.9f, 0.1f};
   // rmse = 0.1 -> 20*log10(1/0.1) = 20 dB (float rounding widens the bound)
   EXPECT_NEAR(psnr_db(g, x, 1.0), 20.0, 1e-4);
+}
+
+// --- size mismatches -----------------------------------------------------------
+// Every metric compares element i of both spans, so a shorter span is a
+// caller bug: each rejects it, in either direction, before reading anything.
+
+const std::vector<float> kGolden64(64, 1.0f);
+const std::vector<float> kApprox16(16, 1.0f);
+
+TEST(Mre, SizeMismatchThrows) {
+  EXPECT_THROW(mean_relative_error_pct(kGolden64, kApprox16), std::invalid_argument);
+  EXPECT_THROW(mean_relative_error_pct(kApprox16, kGolden64), std::invalid_argument);
+}
+
+TEST(Rmse, SizeMismatchThrows) {
+  EXPECT_THROW(rmse(kGolden64, kApprox16), std::invalid_argument);
+  EXPECT_THROW(rmse(kApprox16, kGolden64), std::invalid_argument);
+}
+
+TEST(Nrmse, SizeMismatchThrows) {
+  EXPECT_THROW(nrmse_pct(kGolden64, kApprox16), std::invalid_argument);
+  EXPECT_THROW(nrmse_pct(kApprox16, kGolden64), std::invalid_argument);
+  EXPECT_THROW(nrmse_pct({}, kApprox16), std::invalid_argument);
+}
+
+TEST(ImageDiff, SizeMismatchThrows) {
+  EXPECT_THROW(image_diff_pct(kGolden64, kApprox16), std::invalid_argument);
+  EXPECT_THROW(image_diff_pct(kApprox16, kGolden64), std::invalid_argument);
+}
+
+TEST(MissRate, SizeMismatchThrows) {
+  const std::vector<uint8_t> golden(64, 1), approx(16, 1);
+  EXPECT_THROW(miss_rate_pct(golden, approx), std::invalid_argument);
+  EXPECT_THROW(miss_rate_pct(approx, golden), std::invalid_argument);
+}
+
+TEST(Psnr, SizeMismatchThrows) {
+  EXPECT_THROW(psnr_db(kGolden64, kApprox16), std::invalid_argument);
+  EXPECT_THROW(psnr_db(kApprox16, kGolden64), std::invalid_argument);
 }
 
 TEST(MetricNames, ToString) {

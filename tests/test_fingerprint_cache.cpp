@@ -891,9 +891,9 @@ TEST(EngineCache, AnalyzeStreamFoldsCacheCounters) {
   const auto cached = CodecRegistry::instance().create("TSLC-OPT", cached_options(cache));
   const auto uncached = CodecRegistry::instance().create("TSLC-OPT", cached_options(nullptr));
   CodecEngine engine(2);
-  const auto expected = engine.submit_analyze(*uncached, blocks).wait();
-  const auto first = engine.submit_analyze(*cached, blocks).wait();
-  const auto second = engine.submit_analyze(*cached, blocks).wait();
+  const auto expected = test::engine_analyze(engine, *uncached, blocks);
+  const auto first = test::engine_analyze(engine, *cached, blocks);
+  const auto second = test::engine_analyze(engine, *cached, blocks);
   ASSERT_EQ(first.blocks.size(), expected.blocks.size());
   for (size_t i = 0; i < expected.blocks.size(); ++i) {
     for (const auto* a : {&first, &second}) {

@@ -1,7 +1,8 @@
 // Shared fixtures for the registry/engine tests: deterministic
 // value-similar test data, the codec data streams, the fingerprint-cache
 // fuzz corpus generator, default codec options, field-by-field codec result
-// comparisons, and SlcCodec spans of 1.
+// comparisons, kernel sweeps (direct and through one engine job), and
+// SlcCodec spans of 1.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -17,6 +18,8 @@
 #include "compress/codec_registry.h"
 #include "compress/simd_dispatch.h"
 #include "core/slc_codec.h"
+#include "engine/codec_engine.h"
+#include "server/codec_server.h"
 
 namespace slc::test {
 
@@ -178,6 +181,70 @@ inline void expect_payload_eq(const CompressedBlock& want, const CompressedBlock
   EXPECT_EQ(want.bit_size, got.bit_size) << what;
   EXPECT_EQ(want.is_compressed, got.is_compressed) << what;
   EXPECT_EQ(want.payload, got.payload) << what;
+}
+
+// --- kernel sweeps ------------------------------------------------------------
+
+/// Starts one engine job over `blocks`: each shard hands its slice to
+/// `kernel(views, out)` with the shard's index-aligned slots of `out`
+/// (blocks.size() of them). `blocks`, `out` and the kernel's captures must
+/// outlive the wait.
+template <typename Out, typename Kernel>
+CodecFuture submit_sweep(CodecEngine& engine, std::span<const Block> blocks, Out* out,
+                         Kernel kernel) {
+  return engine.submit(blocks.size(), [blocks, out, kernel](size_t begin, size_t end, unsigned) {
+    kernel(to_views(blocks.subspan(begin, end - begin)), out + begin);
+  });
+}
+
+/// Folds per-block analyses into a StreamAnalysis at `mag_bytes`, in block
+/// order on the calling thread (each block counts kBlockBytes * 8 original
+/// bits). Takes the vector over as the result's `blocks`.
+inline StreamAnalysis fold_analyses(std::vector<BlockAnalysis> blocks,
+                                    size_t mag_bytes = kDefaultMagBytes) {
+  StreamAnalysis out;
+  out.ratios = RatioAccumulator(mag_bytes);
+  for (const BlockAnalysis& a : blocks) {
+    out.ratios.add(kBlockBytes * 8, a.bit_size);
+    out.lossy_blocks += a.lossy ? 1 : 0;
+    out.truncated_symbols += a.truncated_symbols;
+    out.cache.record(a.cache_probed, a.cache_hit, a.cache_evicted, a.cache_collision);
+  }
+  out.blocks = std::move(blocks);
+  return out;
+}
+
+/// comp.analyze_batch over `blocks` on the calling thread, folded — the
+/// engine-free oracle.
+inline StreamAnalysis direct_analyze(const Compressor& comp, std::span<const Block> blocks,
+                                     size_t mag_bytes = kDefaultMagBytes) {
+  std::vector<BlockAnalysis> out(blocks.size());
+  comp.analyze_batch(to_views(blocks), out.data());
+  return fold_analyses(std::move(out), mag_bytes);
+}
+
+/// comp.analyze_batch over `blocks` sharded by one engine job, folded on the
+/// calling thread after the wait.
+inline StreamAnalysis engine_analyze(CodecEngine& engine, const Compressor& comp,
+                                     std::span<const Block> blocks,
+                                     size_t mag_bytes = kDefaultMagBytes) {
+  std::vector<BlockAnalysis> out(blocks.size());
+  submit_sweep(engine, blocks, out.data(), [&comp](std::span<const BlockView> views,
+                                                   BlockAnalysis* dst) {
+    comp.analyze_batch(views, dst);
+  }).wait();
+  return fold_analyses(std::move(out), mag_bytes);
+}
+
+/// comp.compress_batch over `blocks` sharded by one engine job.
+inline std::vector<CompressedBlock> engine_compress(CodecEngine& engine, const Compressor& comp,
+                                                    std::span<const Block> blocks) {
+  std::vector<CompressedBlock> out(blocks.size());
+  submit_sweep(engine, blocks, out.data(), [&comp](std::span<const BlockView> views,
+                                                   CompressedBlock* dst) {
+    comp.compress_batch(views, dst);
+  }).wait();
+  return out;
 }
 
 /// Restores runtime SIMD dispatch when it goes out of scope, even when an
