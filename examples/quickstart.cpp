@@ -53,24 +53,28 @@ int main() {
       CodecRegistry::instance().create("TSLC-OPT", opts));
   const SlcCodec& codec = slc_comp->codec();
   const BlockView view = block.view();
-  SlcCompressedBlock sc;
-  codec.compress_batch(std::span<const BlockView>(&view, 1), &sc);  // a span of 1
+  const std::span<const BlockView> one(&view, 1);  // the kernels take spans
+  SlcCodec::LengthScratch scratch;
+  SlcCodec::Decision d;
+  SlcCodec::CacheOutcome memo;
+  codec.decide_batch(one, scratch, &d, &memo);  // the Fig. 4 mode decision
+  CompressedBlock payload;
+  codec.compress_batch(one, &payload);  // the self-describing payload
 
+  const SlcEncodeInfo& info = d.info;
   std::printf("\nSLC (%s, threshold %zu B):\n", slc_comp->name().c_str(),
               codec.config().threshold_bytes);
-  std::printf("  lossless size : %zu bits\n", sc.info.lossless_bits);
-  std::printf("  bit budget gap: %zu extra bits above the burst multiple\n",
-              sc.info.extra_bits);
-  std::printf("  mode          : %s\n", sc.info.lossy ? "LOSSY (truncated)" : "lossless");
-  if (sc.info.lossy) {
-    std::printf("  truncated     : %zu symbols (%zu bits of codes)\n",
-                sc.info.truncated_symbols, sc.info.truncated_bits);
+  std::printf("  lossless size : %zu bits\n", info.lossless_bits);
+  std::printf("  bit budget gap: %zu extra bits above the burst multiple\n", info.extra_bits);
+  std::printf("  mode          : %s\n", info.lossy ? "LOSSY (truncated)" : "lossless");
+  if (info.lossy) {
+    std::printf("  truncated     : %zu symbols (%zu bits of codes)\n", info.truncated_symbols,
+                info.truncated_bits);
   }
-  std::printf("  stored size   : %zu bits -> %zu burst(s)\n", sc.info.final_bits,
-              sc.info.bursts);
+  std::printf("  stored size   : %zu bits -> %zu burst(s)\n", payload.bit_size, info.bursts);
 
   // 3. Decompress and compare.
-  const Block out = codec.decompress(sc, block.size());
+  const Block out = codec.decompress(payload, block.size());
   size_t diff_symbols = 0;
   for (size_t s = 0; s < kSymbolsPerBlock; ++s)
     if (out.symbol(s) != block.symbol(s)) ++diff_symbols;

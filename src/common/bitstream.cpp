@@ -4,54 +4,6 @@
 
 namespace slc {
 
-void BitWriter::put(uint64_t value, unsigned nbits) {
-  assert(nbits <= 64);
-  if (nbits == 0) return;
-  if (nbits < 64) value &= (uint64_t{1} << nbits) - 1;
-  // Grow buffer to hold the new bits.
-  const size_t need_bytes = (bit_size_ + nbits + 7) / 8;
-  if (buf_.size() < need_bytes) buf_.resize(need_bytes, 0);
-  // Write bit-by-bit groups: place up to 8 bits per byte.
-  size_t pos = bit_size_;
-  unsigned left = nbits;
-  while (left > 0) {
-    const size_t byte = pos / 8;
-    const unsigned bit_in_byte = static_cast<unsigned>(pos % 8);
-    const unsigned room = 8 - bit_in_byte;
-    const unsigned take = left < room ? left : room;
-    // Extract the top `take` bits of the remaining value.
-    const uint64_t chunk = (value >> (left - take)) & ((uint64_t{1} << take) - 1);
-    buf_[byte] |= static_cast<uint8_t>(chunk << (room - take));
-    pos += take;
-    left -= take;
-  }
-  bit_size_ += nbits;
-}
-
-std::vector<uint8_t> BitWriter::bytes() const {
-  std::vector<uint8_t> out(buf_.begin(), buf_.begin() + static_cast<long>(byte_size()));
-  return out;
-}
-
-void BitWriter::patch(size_t pos, uint64_t value, unsigned nbits) {
-  assert(pos + nbits <= bit_size_);
-  for (unsigned i = 0; i < nbits; ++i) {
-    const bool bit = ((value >> (nbits - 1 - i)) & 1) != 0;
-    const size_t p = pos + i;
-    const size_t byte = p / 8;
-    const unsigned shift = 7 - static_cast<unsigned>(p % 8);
-    if (bit)
-      buf_[byte] |= static_cast<uint8_t>(1u << shift);
-    else
-      buf_[byte] &= static_cast<uint8_t>(~(1u << shift));
-  }
-}
-
-void BitWriter::clear() {
-  buf_.clear();
-  bit_size_ = 0;
-}
-
 uint64_t BitReader::get(unsigned nbits) {
   const uint64_t v = peek(nbits);
   if (pos_ + nbits > bit_size()) overrun_ = true;

@@ -1,10 +1,11 @@
-// Bit-granular stream writer/reader used by all compressors.
+// Bit-granular stream reader used by every decompressor.
 //
 // Compressed GPU memory blocks are bit-packed: entropy codes (E2MC), pattern
-// prefixes (FPC/C-PACK) and headers (SLC) all have non-byte sizes. The writer
-// appends MSB-first into a growing byte buffer; the reader consumes from an
-// immutable view. MSB-first ordering matches the canonical-Huffman decode
-// convention (codewords compare as left-aligned big-endian integers).
+// prefixes (FPC/C-PACK) and headers (SLC) all have non-byte sizes. The
+// compress kernels write MSB-first through detail::SpanBitWriter
+// (compress/batch_writer.h); the reader consumes from an immutable view.
+// MSB-first ordering matches the canonical-Huffman decode convention
+// (codewords compare as left-aligned big-endian integers).
 #pragma once
 
 #include <cstddef>
@@ -13,40 +14,6 @@
 #include <vector>
 
 namespace slc {
-
-/// Append-only MSB-first bit writer.
-class BitWriter {
- public:
-  BitWriter() = default;
-
-  /// Appends the low `nbits` bits of `value`, most-significant bit first.
-  /// `nbits` must be in [0, 64].
-  void put(uint64_t value, unsigned nbits);
-
-  /// Appends a single bit.
-  void put_bit(bool bit) { put(bit ? 1u : 0u, 1); }
-
-  /// Number of bits written so far.
-  size_t bit_size() const { return bit_size_; }
-
-  /// Size in whole bytes (rounded up).
-  size_t byte_size() const { return (bit_size_ + 7) / 8; }
-
-  /// Finishes the stream and returns the packed bytes (final partial byte is
-  /// zero-padded). The writer remains usable; this copies.
-  std::vector<uint8_t> bytes() const;
-
-  /// Overwrites `nbits` bits starting at absolute bit position `pos` with the
-  /// low `nbits` of `value`. The range must already have been written.
-  /// Used to back-patch parallel-decoding pointers once way offsets are known.
-  void patch(size_t pos, uint64_t value, unsigned nbits);
-
-  void clear();
-
- private:
-  std::vector<uint8_t> buf_;
-  size_t bit_size_ = 0;
-};
 
 /// MSB-first bit reader over an immutable byte span.
 class BitReader {

@@ -1,19 +1,23 @@
 // Internal helpers for the schemes' batched kernels (bdi/fpc/cpack/e2mc/
-// huffman): little-endian word loads and word-at-a-time bit writers.
+// huffman and the SLC codec): little-endian word loads, the span bit writer,
+// the stored-raw rule and the one payload layout every compress kernel uses.
 //
-// BatchBitWriter and SpanBitWriter produce a byte stream identical to
-// BitWriter's (MSB-first, final partial byte zero-padded) but accumulate into
-// a 64-bit register and emit whole bytes, instead of BitWriter's per-byte
-// masking loop. Equality of the streams is pinned by
-// tests/test_codec_differential.cpp, which compares every lossless kernel's
-// payloads against the BitWriter reference loops in tests/codec_reference.h.
+// SpanBitWriter writes MSB-first with the final partial byte zero-padded,
+// accumulating into a 64-bit register and emitting whole bytes. Its streams
+// are pinned byte for byte against the reference BitWriter in tests/
+// (BitStreamProperty, and every lossless kernel's payloads against the
+// reference encoders in tests/codec_reference.h).
 // Not part of the public codec API.
 #pragma once
 
 #include <bit>
+#include <cassert>
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <vector>
+
+#include "compress/compressor.h"
 
 namespace slc::detail {
 
@@ -44,17 +48,15 @@ inline uint64_t load_le64(const uint8_t* p) {
   return v;
 }
 
-/// Append-only MSB-first bit writer for the batch kernels. Reuse across a
-/// batch with clear(); the buffer keeps its capacity.
-class BatchBitWriter {
+/// MSB-first bit writer over a caller-provided destination: the writer
+/// scatter_payloads() hands each compressed block at its arena offset. The
+/// caller sizes the destination from the same sizing pass.
+class SpanBitWriter {
  public:
-  void clear() {
-    buf_.clear();
-    acc_ = 0;
-    fill_ = 0;
-  }
+  explicit SpanBitWriter(uint8_t* dst) : dst_(dst) {}
 
-  /// Appends the low `nbits` bits of `value`, most-significant bit first.
+  /// Appends the low `nbits` (<= 64) bits of `value`, most-significant bit
+  /// first.
   void put(uint64_t value, unsigned nbits) {
     if (nbits > 56) {  // split so the 64-bit accumulator cannot overflow
       put(value >> 32, nbits - 32);
@@ -62,62 +64,8 @@ class BatchBitWriter {
       return;
     }
     if (nbits == 0) return;
-    if (nbits < 64) value &= (uint64_t{1} << nbits) - 1;
+    value &= (uint64_t{1} << nbits) - 1;
     acc_ = (acc_ << nbits) | value;  // fill_ < 8 here, so fill_+nbits <= 63
-    fill_ += nbits;
-    while (fill_ >= 8) {
-      fill_ -= 8;
-      buf_.push_back(static_cast<uint8_t>((acc_ >> fill_) & 0xFF));
-    }
-  }
-
-  void put_bit(bool bit) { put(bit ? 1u : 0u, 1); }
-
-  size_t bit_size() const { return buf_.size() * 8 + fill_; }
-
-  /// The packed stream so far, final partial byte zero-padded — byte-for-byte
-  /// what BitWriter::bytes() returns for the same put() sequence.
-  std::vector<uint8_t> bytes() const {
-    std::vector<uint8_t> out(buf_);
-    if (fill_) out.push_back(static_cast<uint8_t>((acc_ << (8 - fill_)) & 0xFF));
-    return out;
-  }
-
- private:
-  std::vector<uint8_t> buf_;
-  uint64_t acc_ = 0;
-  unsigned fill_ = 0;  // pending bits in the low end of acc_; < 8 between puts
-};
-
-/// BatchBitWriter's emission logic over a caller-provided destination span —
-/// the writer half of the prefix-sum payload scatter: a sizing pass computes
-/// each block's exact payload bytes, exclusive_prefix_sum() turns those into
-/// independent arena offsets, and each block emits through a SpanBitWriter
-/// at its own offset with no per-block allocation. Identical stream bytes to
-/// BitWriter / BatchBitWriter for the same put() sequence; the caller must
-/// size the destination from the same sizing pass (asserted via finish()).
-class SpanBitWriter {
- public:
-  SpanBitWriter() = default;
-  explicit SpanBitWriter(uint8_t* dst) : dst_(dst) {}
-
-  void reset(uint8_t* dst) {
-    dst_ = dst;
-    len_ = 0;
-    acc_ = 0;
-    fill_ = 0;
-  }
-
-  /// Appends the low `nbits` bits of `value`, most-significant bit first.
-  void put(uint64_t value, unsigned nbits) {
-    if (nbits > 56) {
-      put(value >> 32, nbits - 32);
-      put(value & 0xFFFFFFFFull, 32);
-      return;
-    }
-    if (nbits == 0) return;
-    if (nbits < 64) value &= (uint64_t{1} << nbits) - 1;
-    acc_ = (acc_ << nbits) | value;
     fill_ += nbits;
     while (fill_ >= 8) {
       fill_ -= 8;
@@ -129,8 +77,8 @@ class SpanBitWriter {
 
   size_t bit_size() const { return len_ * 8 + fill_; }
 
-  /// Flushes the final partial byte (zero-padded, like BitWriter::bytes())
-  /// and returns the total bytes written.
+  /// Flushes the final partial byte (zero-padded) and returns the total
+  /// bytes written.
   size_t finish() {
     if (fill_) {
       dst_[len_++] = static_cast<uint8_t>((acc_ << (8 - fill_)) & 0xFF);
@@ -141,21 +89,61 @@ class SpanBitWriter {
   }
 
  private:
-  uint8_t* dst_ = nullptr;
+  uint8_t* dst_;
   size_t len_ = 0;
   uint64_t acc_ = 0;
-  unsigned fill_ = 0;
+  unsigned fill_ = 0;  // pending bits in the low end of acc_; < 8 between puts
 };
 
-/// offsets[i] = sizes[0] + ... + sizes[i-1]; returns the total. The scatter
-/// companion to SpanBitWriter: block i's payload lands at arena + offsets[i].
-inline size_t exclusive_prefix_sum(const size_t* sizes, size_t n, size_t* offsets) {
-  size_t total = 0;
-  for (size_t i = 0; i < n; ++i) {
-    offsets[i] = total;
-    total += sizes[i];
+/// The stored-raw rule of every lossless scheme: a block keeps its `bits`-bit
+/// encoding only when that is smaller than the raw block, and is otherwise
+/// stored raw at the raw size. Each scheme's analyze and compress kernels
+/// size blocks through it, so the two cannot disagree.
+inline BlockAnalysis lossless_size(size_t bits, size_t block_bytes) {
+  BlockAnalysis a;
+  a.is_compressed = bits < block_bytes * 8;
+  a.bit_size = a.is_compressed ? bits : block_bytes * 8;
+  a.lossless_bits = a.bit_size;
+  return a;
+}
+
+/// lossless_size() into a compress kernel's slot, ahead of scatter_payloads().
+inline void set_lossless_size(CompressedBlock& cb, size_t bits, size_t block_bytes) {
+  const BlockAnalysis a = lossless_size(bits, block_bytes);
+  cb.bit_size = a.bit_size;
+  cb.is_compressed = a.is_compressed;
+}
+
+/// The payload layout of every compress kernel. On entry a scheme's sizing
+/// pass has set out[b].bit_size and out[b].is_compressed for blocks[b]; a
+/// stored-raw block's bit_size is its raw size. The payloads are laid out
+/// back to back in one arena at the exclusive prefix sum of their byte
+/// sizes; a stored-raw block's bytes are copied, and `emit(b, w)` writes
+/// compressed block b through a SpanBitWriter at its offset, exactly
+/// out[b].bit_size bits. The arena is then sliced into out[b].payload.
+template <class Emit>
+void scatter_payloads(std::span<const BlockView> blocks, CompressedBlock* out, Emit&& emit) {
+  const size_t n = blocks.size();
+  std::vector<size_t> offsets(n + 1, 0);
+  for (size_t b = 0; b < n; ++b) offsets[b + 1] = offsets[b] + out[b].byte_size();
+  std::vector<uint8_t> arena(offsets[n]);
+
+  for (size_t b = 0; b < n; ++b) {
+    uint8_t* dst = arena.data() + offsets[b];
+    if (!out[b].is_compressed) {
+      assert(out[b].bit_size == blocks[b].size() * 8);
+      std::memcpy(dst, blocks[b].bytes().data(), blocks[b].size());
+      continue;
+    }
+    SpanBitWriter w(dst);
+    emit(b, w);
+    assert(w.bit_size() == out[b].bit_size);
+    [[maybe_unused]] const size_t written = w.finish();
+    assert(written == offsets[b + 1] - offsets[b]);
   }
-  return total;
+
+  for (size_t b = 0; b < n; ++b)
+    out[b].payload.assign(arena.data() + offsets[b], arena.data() + offsets[b + 1]);
 }
 
 }  // namespace slc::detail

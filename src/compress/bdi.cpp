@@ -2,7 +2,7 @@
 
 #include <array>
 #include <cassert>
-#include <cstring>
+#include <vector>
 
 #include "common/bitstream.h"
 #include "compress/batch_writer.h"
@@ -196,32 +196,22 @@ void BdiCompressor::analyze_batch(std::span<const BlockView> blocks, BlockAnalys
       uint64_t base = 0;
       enc = probe_direct(blk.bytes().data(), blk.size(), &base);
     }
-    BlockAnalysis a;
-    a.is_compressed = enc != BdiEncoding::kUncompressed;
-    a.bit_size = encoding_bits(enc, blk.size());
-    a.lossless_bits = a.bit_size;
-    out[b] = a;
+    out[b] = detail::lossless_size(encoding_bits(enc, blk.size()), blk.size());
   }
 }
 
 void BdiCompressor::compress_batch(std::span<const BlockView> blocks, CompressedBlock* out) const {
-  // Prefix-sum payload scatter: stage 1 probes every block once (AVX2 when
-  // available) and records each payload's exact byte size; the exclusive
-  // prefix sum turns those into independent arena offsets; stage 2 emits
-  // each block at its own offset through a SpanBitWriter; stage 3 slices the
-  // arena into the per-block payloads.
+  // Sizing pass: probe every block once (AVX2 when available) and keep the
+  // winner's base and select mask for the emitter.
   struct Probe {
     BdiEncoding enc = BdiEncoding::kUncompressed;
     uint64_t base = 0;
     uint64_t mask = 0;       // per-word base-select bits (AVX2 probe only)
     bool have_mask = false;
   };
-  const size_t n = blocks.size();
-  std::vector<Probe> probes(n);
-  std::vector<size_t> sizes(n), offsets(n);
+  std::vector<Probe> probes(blocks.size());
   const bool use_avx2 = simd::active_level() == simd::Level::kAvx2;
-
-  for (size_t b = 0; b < n; ++b) {
+  for (size_t b = 0; b < blocks.size(); ++b) {
     const BlockView blk = blocks[b];
     Probe& pr = probes[b];
     check_block_bytes(blk.size(), 8, "BDI");
@@ -235,24 +225,12 @@ void BdiCompressor::compress_batch(std::span<const BlockView> blocks, Compressed
     } else {
       pr.enc = probe_direct(p, blk.size(), &pr.base);
     }
-    sizes[b] = pr.enc == BdiEncoding::kUncompressed
-                   ? blk.size()
-                   : (encoding_bits(pr.enc, blk.size()) + 7) / 8;
+    detail::set_lossless_size(out[b], encoding_bits(pr.enc, blk.size()), blk.size());
   }
 
-  const size_t total = detail::exclusive_prefix_sum(sizes.data(), n, offsets.data());
-  std::vector<uint8_t> arena(total);
-  detail::SpanBitWriter w;
-
-  for (size_t b = 0; b < n; ++b) {
-    const BlockView blk = blocks[b];
+  detail::scatter_payloads(blocks, out, [&](size_t b, detail::SpanBitWriter& w) {
+    const uint8_t* p = blocks[b].bytes().data();
     const Probe& pr = probes[b];
-    const uint8_t* p = blk.bytes().data();
-    if (pr.enc == BdiEncoding::kUncompressed) {
-      std::memcpy(arena.data() + offsets[b], p, blk.size());
-      continue;
-    }
-    w.reset(arena.data() + offsets[b]);
     w.put(static_cast<uint64_t>(pr.enc), kTagBits);
     switch (pr.enc) {
       case BdiEncoding::kZeros:
@@ -262,7 +240,7 @@ void BdiCompressor::compress_batch(std::span<const BlockView> blocks, Compressed
         break;
       default: {
         const Geometry g = geometry(pr.enc);
-        const size_t nw = blk.size() / g.base_bytes;
+        const size_t nw = blocks[b].size() / g.base_bytes;
         w.put(pr.base, static_cast<unsigned>(g.base_bytes * 8));
         if (pr.have_mask) {
           // The probe already decided zero-base vs explicit-base per word.
@@ -286,21 +264,7 @@ void BdiCompressor::compress_batch(std::span<const BlockView> blocks, Compressed
         break;
       }
     }
-    assert(w.bit_size() == encoding_bits(pr.enc, blk.size()));
-    const size_t written = w.finish();
-    assert(written == sizes[b]);
-    (void)written;
-  }
-
-  for (size_t b = 0; b < n; ++b) {
-    CompressedBlock cb;
-    const uint8_t* slice = arena.data() + offsets[b];
-    cb.is_compressed = probes[b].enc != BdiEncoding::kUncompressed;
-    cb.bit_size = cb.is_compressed ? encoding_bits(probes[b].enc, blocks[b].size())
-                                   : blocks[b].size() * 8;
-    cb.payload.assign(slice, slice + sizes[b]);
-    out[b] = std::move(cb);
-  }
+  });
 }
 
 namespace {

@@ -1,10 +1,11 @@
 #include "compress/cpack.h"
 
+#include <algorithm>
 #include <array>
 #include <cassert>
-#include <cstring>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "common/bitstream.h"
 #include "compress/batch_writer.h"
@@ -54,15 +55,6 @@ class RingDict {
   size_t size_ = 0;
 };
 
-constexpr unsigned prefix_bits(CpackCode c) {
-  switch (c) {
-    case CpackCode::kZZZZ:
-    case CpackCode::kXXXX:
-    case CpackCode::kMMMM: return 2;
-    default: return 4;
-  }
-}
-
 constexpr uint64_t prefix_value(CpackCode c) {
   switch (c) {
     case CpackCode::kZZZZ: return 0b00;
@@ -73,6 +65,47 @@ constexpr uint64_t prefix_value(CpackCode c) {
     case CpackCode::kMMMX: return 0b1110;
   }
   return 0;
+}
+
+// One word's C-PACK decision: its code and, for the dictionary codes, the
+// matched entry's index.
+struct WordCode {
+  CpackCode code;
+  uint8_t idx;
+};
+
+// The dictionary walk of one block: decides every word in order, pushing to
+// the FIFO exactly as the decompressor will, records each word's code in
+// `codes` and returns the block's exact encoded bits. The one place C-PACK's
+// decision tree is written; analyze sums it, compress emits from its codes.
+size_t walk_dictionary(const CpackCompressor& c, const uint8_t* p, size_t n_words,
+                       WordCode* codes) {
+  RingDict dict(c.dict_entries());
+  size_t bits = 0;
+  for (size_t i = 0; i < n_words; ++i) {
+    const uint32_t word = detail::load_le32(p + 4 * i);
+    int idx = -1;
+    CpackCode code;
+    if (word == 0) {
+      code = CpackCode::kZZZZ;
+    } else if ((word & 0xFFFFFF00u) == 0) {
+      code = CpackCode::kZZZX;
+    } else if ((idx = dict.find_full(word)) >= 0) {
+      code = CpackCode::kMMMM;
+    } else if ((idx = dict.find_partial(word, 3)) >= 0) {
+      code = CpackCode::kMMMX;
+      dict.push(word);
+    } else if ((idx = dict.find_partial(word, 2)) >= 0) {
+      code = CpackCode::kMMXX;
+      dict.push(word);
+    } else {
+      code = CpackCode::kXXXX;
+      dict.push(word);
+    }
+    codes[i] = {code, static_cast<uint8_t>(idx < 0 ? 0 : idx)};
+    bits += c.code_bits(code);
+  }
+  return bits;
 }
 
 }  // namespace
@@ -149,101 +182,61 @@ Block CpackCompressor::decompress(const CompressedBlock& cb, size_t block_bytes)
 }
 
 void CpackCompressor::analyze_batch(std::span<const BlockView> blocks, BlockAnalysis* out) const {
+  // One code buffer, sized for the span's largest block.
+  size_t max_words = 0;
+  for (const BlockView& blk : blocks) {
+    check_block_bytes(blk.size(), 4, "C-PACK");
+    max_words = std::max(max_words, blk.size() / 4);
+  }
+  std::vector<WordCode> codes(max_words);
   for (size_t b = 0; b < blocks.size(); ++b) {
     const BlockView blk = blocks[b];
-    check_block_bytes(blk.size(), 4, "C-PACK");
-    const uint8_t* p = blk.bytes().data();
-    const size_t n_words = blk.size() / 4;
-    RingDict dict(dict_entries_);
-    size_t bits = 0;
-    for (size_t i = 0; i < n_words; ++i) {
-      const uint32_t word = detail::load_le32(p + 4 * i);
-      if (word == 0) {
-        bits += code_bits(CpackCode::kZZZZ);
-      } else if ((word & 0xFFFFFF00u) == 0) {
-        bits += code_bits(CpackCode::kZZZX);
-      } else if (dict.find_full(word) >= 0) {
-        bits += code_bits(CpackCode::kMMMM);
-      } else if (dict.find_partial(word, 3) >= 0) {
-        bits += code_bits(CpackCode::kMMMX);
-        dict.push(word);
-      } else if (dict.find_partial(word, 2) >= 0) {
-        bits += code_bits(CpackCode::kMMXX);
-        dict.push(word);
-      } else {
-        bits += code_bits(CpackCode::kXXXX);
-        dict.push(word);
-      }
-    }
-    BlockAnalysis a;
-    const size_t raw_bits = blk.size() * 8;
-    a.is_compressed = bits < raw_bits;
-    a.bit_size = a.is_compressed ? bits : raw_bits;
-    a.lossless_bits = a.bit_size;
-    out[b] = a;
+    const size_t bits = walk_dictionary(*this, blk.bytes().data(), blk.size() / 4, codes.data());
+    out[b] = detail::lossless_size(bits, blk.size());
   }
 }
 
 void CpackCompressor::compress_batch(std::span<const BlockView> blocks,
                                      CompressedBlock* out) const {
-  detail::BatchBitWriter w;  // reused across the batch
-  for (size_t b = 0; b < blocks.size(); ++b) {
-    const BlockView blk = blocks[b];
-    check_block_bytes(blk.size(), 4, "C-PACK");
-    const uint8_t* p = blk.bytes().data();
-    const size_t n_words = blk.size() / 4;
-    RingDict dict(dict_entries_);
-    w.clear();
-    for (size_t i = 0; i < n_words; ++i) {
-      const uint32_t word = detail::load_le32(p + 4 * i);
-      if (word == 0) {
-        w.put(prefix_value(CpackCode::kZZZZ), prefix_bits(CpackCode::kZZZZ));
-        continue;
-      }
-      if ((word & 0xFFFFFF00u) == 0) {
-        w.put(prefix_value(CpackCode::kZZZX), prefix_bits(CpackCode::kZZZX));
-        w.put(word & 0xFF, 8);
-        continue;
-      }
-      int idx = dict.find_full(word);
-      if (idx >= 0) {
-        w.put(prefix_value(CpackCode::kMMMM), prefix_bits(CpackCode::kMMMM));
-        w.put(static_cast<uint64_t>(idx), index_bits_);
-        continue;
-      }
-      idx = dict.find_partial(word, 3);
-      if (idx >= 0) {
-        w.put(prefix_value(CpackCode::kMMMX), prefix_bits(CpackCode::kMMMX));
-        w.put(static_cast<uint64_t>(idx), index_bits_);
-        w.put(word & 0xFF, 8);
-        dict.push(word);
-        continue;
-      }
-      idx = dict.find_partial(word, 2);
-      if (idx >= 0) {
-        w.put(prefix_value(CpackCode::kMMXX), prefix_bits(CpackCode::kMMXX));
-        w.put(static_cast<uint64_t>(idx), index_bits_);
-        w.put(word & 0xFFFF, 16);
-        dict.push(word);
-        continue;
-      }
-      w.put(prefix_value(CpackCode::kXXXX), prefix_bits(CpackCode::kXXXX));
-      w.put(word, 32);
-      dict.push(word);
-    }
-
-    CompressedBlock cb;
-    if (w.bit_size() >= blk.size() * 8) {
-      cb.is_compressed = false;
-      cb.bit_size = blk.size() * 8;
-      cb.payload.assign(blk.bytes().begin(), blk.bytes().end());
-    } else {
-      cb.is_compressed = true;
-      cb.bit_size = w.bit_size();
-      cb.payload = w.bytes();
-    }
-    out[b] = std::move(cb);
+  // Sizing pass: walk every block's dictionary once into one span-wide code
+  // buffer; the emitter then writes each word from its recorded code.
+  const size_t n = blocks.size();
+  std::vector<size_t> code_off(n + 1, 0);
+  for (size_t b = 0; b < n; ++b) {
+    check_block_bytes(blocks[b].size(), 4, "C-PACK");
+    code_off[b + 1] = code_off[b] + blocks[b].size() / 4;
   }
+  std::vector<WordCode> codes(code_off[n]);
+  for (size_t b = 0; b < n; ++b) {
+    const BlockView blk = blocks[b];
+    const size_t bits =
+        walk_dictionary(*this, blk.bytes().data(), blk.size() / 4, codes.data() + code_off[b]);
+    detail::set_lossless_size(out[b], bits, blk.size());
+  }
+
+  detail::scatter_payloads(blocks, out, [&](size_t b, detail::SpanBitWriter& w) {
+    const uint8_t* p = blocks[b].bytes().data();
+    const WordCode* wc = codes.data() + code_off[b];
+    for (size_t i = 0; i < blocks[b].size() / 4; ++i) {
+      // The word's prefix, index and literal bytes as one code_bits()-wide
+      // field (at most 34 bits), so each word is a single put.
+      const uint64_t word = detail::load_le32(p + 4 * i);
+      const CpackCode code = wc[i].code;
+      const uint64_t idx = wc[i].idx;
+      uint64_t field = prefix_value(code);
+      switch (code) {
+        case CpackCode::kZZZZ: break;
+        case CpackCode::kZZZX: field = field << 8 | (word & 0xFF); break;
+        case CpackCode::kMMMM: field = field << index_bits_ | idx; break;
+        case CpackCode::kMMMX: field = (field << index_bits_ | idx) << 8 | (word & 0xFF); break;
+        case CpackCode::kMMXX:
+          field = (field << index_bits_ | idx) << 16 | (word & 0xFFFF);
+          break;
+        case CpackCode::kXXXX: field = field << 32 | word; break;
+      }
+      w.put(field, code_bits(code));
+    }
+  });
 }
 
 namespace {

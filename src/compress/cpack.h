@@ -29,8 +29,9 @@ class CpackCompressor : public Compressor {
   Block decompress(const CompressedBlock& cb, size_t block_bytes) const override;
 
   /// One dictionary walk per block, words read straight off the block and
-  /// the FIFO dictionary in a fixed ring buffer on the stack; compress reuses
-  /// its bit writer across the batch. Blocks must be whole 4 B words.
+  /// the FIFO dictionary in a fixed ring buffer on the stack; compress
+  /// records each word's code in the walk and emits from the codes. Blocks
+  /// must be whole 4 B words.
   using Compressor::analyze_batch;
   using Compressor::compress_batch;
   void analyze_batch(std::span<const BlockView> blocks, BlockAnalysis* out) const override;

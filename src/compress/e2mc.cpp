@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
-#include <cstring>
 #include <stdexcept>
 #include <string>
 
@@ -170,30 +169,19 @@ void E2mcCompressor::analyze_batch(std::span<const BlockView> blocks, BlockAnaly
         total += (way_bits + 7) / 8;
       }
     }
-    const size_t total_bits = total * 8;
-    const size_t raw_bits = blk.size() * 8;
-    BlockAnalysis a;
-    a.is_compressed = total_bits < raw_bits;
-    a.bit_size = a.is_compressed ? total_bits : raw_bits;
-    a.lossless_bits = a.bit_size;
-    out[b] = a;
+    out[b] = detail::lossless_size(total * 8, blk.size());
   }
 }
 
 void E2mcCompressor::compress_batch(std::span<const BlockView> blocks,
                                     CompressedBlock* out) const {
-  // Prefix-sum payload scatter: stage 1 runs the code-length probe (8-lane
-  // gathers when AVX2 is active) and the way layout per block, giving each
-  // payload's exact byte size; the exclusive prefix sum turns those into
-  // independent arena offsets; stage 2 emits via emit_ways at each offset;
-  // stage 3 slices the arena into the per-block payloads.
-  const size_t n_blocks = blocks.size();
+  // Sizing pass: the code-length probe (8-lane gathers when AVX2 is active)
+  // and the way layout per block; the emitter writes the header and ways
+  // from each block's layout.
   std::vector<uint16_t> lens;  // scratch, reused across the batch
-  std::vector<WayLayout> layouts(n_blocks);
-  std::vector<size_t> sizes(n_blocks, 0), offsets(n_blocks, 0);
+  std::vector<WayLayout> layouts(blocks.size());
   const bool use_avx2 = simd::active_level() == simd::Level::kAvx2;
-
-  for (size_t b = 0; b < n_blocks; ++b) {
+  for (size_t b = 0; b < blocks.size(); ++b) {
     const BlockView blk = blocks[b];
     check_block_bytes(blk.size(), kSymbolBits / 8, "E2MC");
     const size_t n = blk.num_symbols();
@@ -206,37 +194,12 @@ void E2mcCompressor::compress_batch(std::span<const BlockView> blocks,
         lens[i] = static_cast<uint16_t>(code_.encoded_bits(detail::load_le16(p + 2 * i)));
     }
     layouts[b] = layout(lens, header_bits(blk.size()));
-    sizes[b] =
-        layouts[b].total_bits < blk.size() * 8 ? layouts[b].total_bits / 8 : blk.size();
+    detail::set_lossless_size(out[b], layouts[b].total_bits, blk.size());
   }
 
-  const size_t total = detail::exclusive_prefix_sum(sizes.data(), n_blocks, offsets.data());
-  std::vector<uint8_t> arena(total);
-  detail::SpanBitWriter w;
-
-  for (size_t b = 0; b < n_blocks; ++b) {
-    const BlockView blk = blocks[b];
-    if (layouts[b].total_bits >= blk.size() * 8) {  // stored raw
-      std::memcpy(arena.data() + offsets[b], blk.bytes().data(), blk.size());
-      continue;
-    }
-    w.reset(arena.data() + offsets[b]);
-    emit_ways(*this, blk, layouts[b], w);
-    assert(w.bit_size() == layouts[b].total_bits);
-    const size_t written = w.finish();
-    assert(written == sizes[b]);
-    (void)written;
-  }
-
-  for (size_t b = 0; b < n_blocks; ++b) {
-    const BlockView blk = blocks[b];
-    CompressedBlock cb;
-    const uint8_t* slice = arena.data() + offsets[b];
-    cb.is_compressed = layouts[b].total_bits < blk.size() * 8;
-    cb.bit_size = cb.is_compressed ? layouts[b].total_bits : blk.size() * 8;
-    cb.payload.assign(slice, slice + sizes[b]);
-    out[b] = std::move(cb);
-  }
+  detail::scatter_payloads(blocks, out, [&](size_t b, detail::SpanBitWriter& w) {
+    emit_ways(*this, blocks[b], layouts[b], w);
+  });
 }
 
 Block E2mcCompressor::decompress(const CompressedBlock& cb, size_t block_bytes) const {

@@ -49,8 +49,8 @@ class E2mcCompressor : public Compressor {
 
   /// Batched kernels: analyze sums encoded bits per way straight off the
   /// flattened code-length table (8-lane gathers when AVX2 is active);
-  /// compress runs the same probe into a way layout per block, then the
-  /// prefix-sum payload scatter.
+  /// compress runs the same probe into a way layout per block, then emits
+  /// through the shared payload scatter.
   using Compressor::analyze_batch;
   using Compressor::compress_batch;
   void analyze_batch(std::span<const BlockView> blocks, BlockAnalysis* out) const override;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstring>
 #include <vector>
 
 #include "common/bitstream.h"
@@ -23,19 +22,53 @@ bool fits_se(uint32_t w, unsigned bits) {
   return v >= -lim && v < lim;
 }
 
+// Pattern class of one nonzero word (zero runs are coalesced by the caller).
+FpcPattern classify(uint32_t w) {
+  if (fits_se(w, 4)) return FpcPattern::kSignExt4;
+  if (fits_se(w, 8)) return FpcPattern::kSignExt8;
+  if (fits_se(w, 16)) return FpcPattern::kSignExt16;
+  if ((w & 0xFFFFu) == 0) return FpcPattern::kHalfwordPadded;
+  {
+    const uint32_t lo = w & 0xFFFFu;
+    const uint32_t hi = w >> 16;
+    const auto se8 = [](uint32_t h) {
+      const int16_t v = static_cast<int16_t>(h);
+      return v >= -128 && v < 128;
+    };
+    if (se8(lo) && se8(hi)) return FpcPattern::kTwoHalfwordsSE;
+  }
+  {
+    const uint32_t b = w & 0xFFu;
+    if (w == (b | (b << 8) | (b << 16) | (b << 24))) return FpcPattern::kRepeatedBytes;
+  }
+  return FpcPattern::kUncompressed;
+}
+
+// Payload bits of a pattern, excluding the 3-bit prefix.
+unsigned payload_bits(FpcPattern p) {
+  switch (p) {
+    case FpcPattern::kZeroRun: return 3;
+    case FpcPattern::kSignExt4: return 4;
+    case FpcPattern::kSignExt8: return 8;
+    case FpcPattern::kSignExt16: return 16;
+    case FpcPattern::kHalfwordPadded: return 16;
+    case FpcPattern::kTwoHalfwordsSE: return 16;
+    case FpcPattern::kRepeatedBytes: return 8;
+    case FpcPattern::kUncompressed: return 32;
+  }
+  return 32;
+}
+
 // Fills cls[i] with the FpcPattern id of word i (kZeroRun marking a zero
 // word), vectorized when the dispatcher allows. Classification is the hot
 // half of FPC; the run coalescing and bit emission below consume these ids
 // instead of re-deriving them.
 void classify_words(const uint8_t* p, size_t n_words, uint8_t* cls, bool use_avx2) {
-  if (use_avx2) {
-    simd::fpc_classify_avx2(p, n_words, cls);
-    return;
-  }
-  for (size_t i = 0; i < n_words; ++i) {
+  const size_t done = use_avx2 ? simd::fpc_classify_avx2(p, n_words, cls) : 0;
+  for (size_t i = done; i < n_words; ++i) {
     const uint32_t w = detail::load_le32(p + 4 * i);
     cls[i] = w == 0 ? static_cast<uint8_t>(FpcPattern::kZeroRun)
-                    : static_cast<uint8_t>(FpcCompressor::classify(w));
+                    : static_cast<uint8_t>(classify(w));
   }
 }
 
@@ -50,11 +83,11 @@ size_t bits_from_classes(const uint8_t* cls, size_t n_words) {
       while (i + run < n_words && run < kMaxZeroRun &&
              cls[i + run] == static_cast<uint8_t>(FpcPattern::kZeroRun))
         ++run;
-      bits += kPrefixBits + FpcCompressor::payload_bits(FpcPattern::kZeroRun);
+      bits += kPrefixBits + payload_bits(FpcPattern::kZeroRun);
       i += run;
       continue;
     }
-    bits += kPrefixBits + FpcCompressor::payload_bits(static_cast<FpcPattern>(cls[i]));
+    bits += kPrefixBits + payload_bits(static_cast<FpcPattern>(cls[i]));
     ++i;
   }
   return bits;
@@ -97,41 +130,6 @@ void emit_from_classes(const uint8_t* p, size_t n_words, const uint8_t* cls,
 }
 
 }  // namespace
-
-FpcPattern FpcCompressor::classify(uint32_t w) {
-  if (fits_se(w, 4)) return FpcPattern::kSignExt4;
-  if (fits_se(w, 8)) return FpcPattern::kSignExt8;
-  if (fits_se(w, 16)) return FpcPattern::kSignExt16;
-  if ((w & 0xFFFFu) == 0) return FpcPattern::kHalfwordPadded;
-  {
-    const uint32_t lo = w & 0xFFFFu;
-    const uint32_t hi = w >> 16;
-    const auto se8 = [](uint32_t h) {
-      const int16_t v = static_cast<int16_t>(h);
-      return v >= -128 && v < 128;
-    };
-    if (se8(lo) && se8(hi)) return FpcPattern::kTwoHalfwordsSE;
-  }
-  {
-    const uint32_t b = w & 0xFFu;
-    if (w == (b | (b << 8) | (b << 16) | (b << 24))) return FpcPattern::kRepeatedBytes;
-  }
-  return FpcPattern::kUncompressed;
-}
-
-unsigned FpcCompressor::payload_bits(FpcPattern p) {
-  switch (p) {
-    case FpcPattern::kZeroRun: return 3;
-    case FpcPattern::kSignExt4: return 4;
-    case FpcPattern::kSignExt8: return 8;
-    case FpcPattern::kSignExt16: return 16;
-    case FpcPattern::kHalfwordPadded: return 16;
-    case FpcPattern::kTwoHalfwordsSE: return 16;
-    case FpcPattern::kRepeatedBytes: return 8;
-    case FpcPattern::kUncompressed: return 32;
-  }
-  return 32;
-}
 
 Block FpcCompressor::decompress(const CompressedBlock& cb, size_t block_bytes) const {
   check_block_bytes(block_bytes, 4, "FPC");
@@ -204,70 +202,34 @@ void FpcCompressor::analyze_batch(std::span<const BlockView> blocks, BlockAnalys
     const BlockView blk = blocks[b];
     const size_t n_words = blk.size() / 4;
     classify_words(blk.bytes().data(), n_words, cls.data(), use_avx2);
-    const size_t bits = bits_from_classes(cls.data(), n_words);
-    BlockAnalysis a;
-    const size_t raw_bits = blk.size() * 8;
-    a.is_compressed = bits < raw_bits;
-    a.bit_size = a.is_compressed ? bits : raw_bits;
-    a.lossless_bits = a.bit_size;
-    out[b] = a;
+    out[b] = detail::lossless_size(bits_from_classes(cls.data(), n_words), blk.size());
   }
 }
 
 void FpcCompressor::compress_batch(std::span<const BlockView> blocks, CompressedBlock* out) const {
-  // Prefix-sum payload scatter: classify every block once (stage 1, the
-  // vectorizable half), turn the implied exact payload sizes into arena
-  // offsets, then emit each block at its own offset (stage 2) and slice the
-  // arena into per-block payloads (stage 3).
+  // Sizing pass: classify every block once (the vectorizable half) into one
+  // span-wide class buffer, and size it from its classes; the emitter then
+  // reads the classes back.
   const size_t n = blocks.size();
-  std::vector<size_t> cls_off(n, 0), bits(n, 0), sizes(n, 0), offsets(n, 0);
-  const bool use_avx2 = simd::active_level() == simd::Level::kAvx2;
-
-  size_t total_words = 0;
+  std::vector<size_t> cls_off(n + 1, 0);
   for (size_t b = 0; b < n; ++b) {
     check_block_bytes(blocks[b].size(), 4, "FPC");
-    cls_off[b] = total_words;
-    total_words += blocks[b].size() / 4;
+    cls_off[b + 1] = cls_off[b] + blocks[b].size() / 4;
   }
-  std::vector<uint8_t> cls_all(total_words);
-
+  std::vector<uint8_t> cls(cls_off[n]);
+  const bool use_avx2 = simd::active_level() == simd::Level::kAvx2;
   for (size_t b = 0; b < n; ++b) {
     const BlockView blk = blocks[b];
     const size_t n_words = blk.size() / 4;
-    uint8_t* cls = cls_all.data() + cls_off[b];
-    classify_words(blk.bytes().data(), n_words, cls, use_avx2);
-    bits[b] = bits_from_classes(cls, n_words);
-    sizes[b] = bits[b] < blk.size() * 8 ? (bits[b] + 7) / 8 : blk.size();
+    classify_words(blk.bytes().data(), n_words, cls.data() + cls_off[b], use_avx2);
+    detail::set_lossless_size(out[b], bits_from_classes(cls.data() + cls_off[b], n_words),
+                              blk.size());
   }
 
-  const size_t total = detail::exclusive_prefix_sum(sizes.data(), n, offsets.data());
-  std::vector<uint8_t> arena(total);
-  detail::SpanBitWriter w;
-
-  for (size_t b = 0; b < n; ++b) {
-    const BlockView blk = blocks[b];
-    const uint8_t* p = blk.bytes().data();
-    if (bits[b] >= blk.size() * 8) {  // stored raw
-      std::memcpy(arena.data() + offsets[b], p, blk.size());
-      continue;
-    }
-    w.reset(arena.data() + offsets[b]);
-    emit_from_classes(p, blk.size() / 4, cls_all.data() + cls_off[b], w);
-    assert(w.bit_size() == bits[b]);
-    const size_t written = w.finish();
-    assert(written == sizes[b]);
-    (void)written;
-  }
-
-  for (size_t b = 0; b < n; ++b) {
-    const BlockView blk = blocks[b];
-    CompressedBlock cb;
-    const uint8_t* slice = arena.data() + offsets[b];
-    cb.is_compressed = bits[b] < blk.size() * 8;
-    cb.bit_size = cb.is_compressed ? bits[b] : blk.size() * 8;
-    cb.payload.assign(slice, slice + sizes[b]);
-    out[b] = std::move(cb);
-  }
+  detail::scatter_payloads(blocks, out, [&](size_t b, detail::SpanBitWriter& w) {
+    emit_from_classes(blocks[b].bytes().data(), blocks[b].size() / 4, cls.data() + cls_off[b],
+                      w);
+  });
 }
 
 namespace {

@@ -33,12 +33,6 @@ class FpcCompressor : public Compressor {
   using Compressor::compress_batch;
   void analyze_batch(std::span<const BlockView> blocks, BlockAnalysis* out) const override;
   void compress_batch(std::span<const BlockView> blocks, CompressedBlock* out) const override;
-
-  /// Pattern classification for one word (zero runs handled by the caller).
-  static FpcPattern classify(uint32_t word);
-
-  /// Payload bits for a pattern (excluding the 3-bit prefix).
-  static unsigned payload_bits(FpcPattern p);
 };
 
 }  // namespace slc

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <cstring>
 #include <numeric>
 #include <stdexcept>
 
@@ -223,45 +222,26 @@ void HuffmanCompressor::analyze_batch(std::span<const BlockView> blocks,
   for (size_t b = 0; b < blocks.size(); ++b) {
     const BlockView blk = blocks[b];
     check_block_bytes(blk.size(), kSymbolBits / 8, "Huffman");
-    const size_t bits = code_bits_of(blk.bytes().data(), blk.num_symbols(), enc_bits);
-    BlockAnalysis a;
-    const size_t raw_bits = blk.size() * 8;
-    a.is_compressed = bits < raw_bits;
-    a.bit_size = a.is_compressed ? bits : raw_bits;
-    a.lossless_bits = a.bit_size;
-    out[b] = a;
+    out[b] = detail::lossless_size(code_bits_of(blk.bytes().data(), blk.num_symbols(), enc_bits),
+                                   blk.size());
   }
 }
 
 void HuffmanCompressor::compress_batch(std::span<const BlockView> blocks,
                                        CompressedBlock* out) const {
-  // Prefix-sum payload scatter: stage 1 sizes every block from the code
-  // lengths, the exclusive prefix sum turns the sizes into arena offsets,
-  // stage 2 emits each block's codewords at its own offset and stage 3
-  // slices the arena into the per-block payloads.
-  const size_t n = blocks.size();
+  // Sizing pass: every block's code bits from the length table; the emitter
+  // writes each block's codewords.
   const uint32_t* enc_bits = code_.encoded_bits_table();
-  std::vector<size_t> bits(n), sizes(n), offsets(n);
-  for (size_t b = 0; b < n; ++b) {
+  for (size_t b = 0; b < blocks.size(); ++b) {
     const BlockView blk = blocks[b];
     check_block_bytes(blk.size(), kSymbolBits / 8, "Huffman");
-    bits[b] = code_bits_of(blk.bytes().data(), blk.num_symbols(), enc_bits);
-    sizes[b] = bits[b] < blk.size() * 8 ? (bits[b] + 7) / 8 : blk.size();
+    detail::set_lossless_size(
+        out[b], code_bits_of(blk.bytes().data(), blk.num_symbols(), enc_bits), blk.size());
   }
 
-  const size_t total = detail::exclusive_prefix_sum(sizes.data(), n, offsets.data());
-  std::vector<uint8_t> arena(total);
-  detail::SpanBitWriter w;
-
-  for (size_t b = 0; b < n; ++b) {
-    const BlockView blk = blocks[b];
-    const uint8_t* p = blk.bytes().data();
-    if (bits[b] >= blk.size() * 8) {  // stored raw
-      std::memcpy(arena.data() + offsets[b], p, blk.size());
-      continue;
-    }
-    w.reset(arena.data() + offsets[b]);
-    for (size_t i = 0; i < blk.num_symbols(); ++i) {
+  detail::scatter_payloads(blocks, out, [&](size_t b, detail::SpanBitWriter& w) {
+    const uint8_t* p = blocks[b].bytes().data();
+    for (size_t i = 0; i < blocks[b].num_symbols(); ++i) {
       const uint16_t sym = detail::load_le16(p + 2 * i);
       if (code_.in_table(sym)) {
         w.put(code_.codeword(sym), code_.codeword_len(sym));
@@ -270,21 +250,7 @@ void HuffmanCompressor::compress_batch(std::span<const BlockView> blocks,
         w.put(sym, kSymbolBits);
       }
     }
-    assert(w.bit_size() == bits[b]);
-    const size_t written = w.finish();
-    assert(written == sizes[b]);
-    (void)written;
-  }
-
-  for (size_t b = 0; b < n; ++b) {
-    const BlockView blk = blocks[b];
-    CompressedBlock cb;
-    const uint8_t* slice = arena.data() + offsets[b];
-    cb.is_compressed = bits[b] < blk.size() * 8;
-    cb.bit_size = cb.is_compressed ? bits[b] : blk.size() * 8;
-    cb.payload.assign(slice, slice + sizes[b]);
-    out[b] = std::move(cb);
-  }
+  });
 }
 
 Block HuffmanCompressor::decompress(const CompressedBlock& cb, size_t block_bytes) const {

@@ -123,8 +123,8 @@ class HuffmanCompressor : public Compressor {
 
   /// Batched kernels: analyze sums each block's symbol lengths off
   /// HuffmanCode::encoded_bits_table(); compress sizes every block the same
-  /// way, turns the sizes into arena offsets with an exclusive prefix sum and
-  /// emits each block's codewords at its own offset.
+  /// way and emits each block's codewords through the shared payload
+  /// scatter.
   using Compressor::analyze_batch;
   using Compressor::compress_batch;
   void analyze_batch(std::span<const BlockView> blocks, BlockAnalysis* out) const override;

@@ -249,7 +249,7 @@ __m256i fpc_classify_vec(__m256i v) {
 
 }  // namespace
 
-void fpc_classify_avx2(const uint8_t* p, size_t n_words, uint8_t* cls) {
+size_t fpc_classify_avx2(const uint8_t* p, size_t n_words, uint8_t* cls) {
   size_t i = 0;
   for (; i + 32 <= n_words; i += 32) {
     __m256i id[4];
@@ -264,12 +264,7 @@ void fpc_classify_avx2(const uint8_t* p, size_t n_words, uint8_t* cls) {
     bytes = _mm256_permutevar8x32_epi32(bytes, _mm256_setr_epi32(0, 4, 1, 5, 2, 6, 3, 7));
     _mm256_storeu_si256(reinterpret_cast<__m256i*>(cls + i), bytes);
   }
-  for (; i < n_words; ++i) {
-    uint32_t w;
-    std::memcpy(&w, p + 4 * i, 4);
-    cls[i] = w == 0 ? static_cast<uint8_t>(FpcPattern::kZeroRun)
-                    : static_cast<uint8_t>(FpcCompressor::classify(w));
-  }
+  return i;
 }
 
 void e2mc_code_lengths_avx2(const uint8_t* p, size_t n_sym, const uint32_t* bits_table,

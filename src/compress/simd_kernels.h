@@ -39,11 +39,12 @@ inline bool bdi_avx2_applicable(size_t block_bytes) {
 /// to the scalar probe_direct for any input.
 BdiProbe bdi_probe_avx2(const uint8_t* p, size_t block_bytes);
 
-/// FPC prefix classification for `n_words` little-endian 32-bit words:
-/// cls[i] gets the FpcPattern value of word i, with 0 (kZeroRun) marking a
-/// zero word — run coalescing stays with the caller, exactly like the
-/// scalar walk. Handles any n_words (vector tiles of 32, scalar tail).
-void fpc_classify_avx2(const uint8_t* p, size_t n_words, uint8_t* cls);
+/// FPC prefix classification of the whole 32-word tiles among `n_words`
+/// little-endian 32-bit words: cls[i] gets the FpcPattern value of word i,
+/// with 0 (kZeroRun) marking a zero word — run coalescing stays with the
+/// caller, exactly like the scalar walk. Returns the words classified (a
+/// multiple of 32); the caller's scalar classifier finishes the tail.
+size_t fpc_classify_avx2(const uint8_t* p, size_t n_words, uint8_t* cls);
 
 /// E2MC code-length probe: lens[i] = bits_table[symbol i] for `n_sym`
 /// little-endian 16-bit symbols, via 8-lane gathers over the flattened
@@ -55,7 +56,7 @@ void e2mc_code_lengths_avx2(const uint8_t* p, size_t n_sym, const uint32_t* bits
 // Builds without the AVX2 TU: unreachable (active_level() is pinned to
 // kScalar), present only so the call sites compile unchanged.
 inline BdiProbe bdi_probe_avx2(const uint8_t*, size_t) { return {}; }
-inline void fpc_classify_avx2(const uint8_t*, size_t, uint8_t*) {}
+inline size_t fpc_classify_avx2(const uint8_t*, size_t, uint8_t*) { return 0; }
 inline void e2mc_code_lengths_avx2(const uint8_t*, size_t, const uint32_t*, uint16_t*) {}
 #endif
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <array>
 #include <cassert>
-#include <cstring>
 #include <utility>
 #include <vector>
 
@@ -64,8 +63,8 @@ size_t SlcCodec::header_bits(size_t block_bytes) const {
   return SlcHeader::bits(block_bytes, lossless_->config().num_ways, n_sym);
 }
 
-size_t SlcCodec::encode_into(BlockView block, const Decision& d,
-                             std::span<const uint16_t> lens, detail::SpanBitWriter& w) const {
+void SlcCodec::encode_into(BlockView block, const Decision& d,
+                           std::span<const uint16_t> lens, detail::SpanBitWriter& w) const {
   const unsigned num_ways = lossless_->config().num_ways;
   const size_t n_sym = block.num_symbols();
   const size_t per_way = lossless_->symbols_per_way(n_sym);
@@ -103,8 +102,6 @@ size_t SlcCodec::encode_into(BlockView block, const Decision& d,
     const size_t aligned = lo.way_bytes[way] * 8;
     if (aligned > used) w.put(0, static_cast<unsigned>(aligned - used));
   }
-  assert(w.bit_size() == lo.total_bits);
-  return lo.total_bits;
 }
 
 SlcCodec::Decision SlcCodec::decide(std::span<const uint16_t> lens,
@@ -296,66 +293,36 @@ void SlcCodec::decide_chunk_cached(FingerprintCache& c, std::span<const BlockVie
   for (size_t k = 0; k < n_twin; ++k) out[twin[k]] = out[rep[k]];
 }
 
-void SlcCodec::compress_batch(std::span<const BlockView> blocks, SlcCompressedBlock* out) const {
-  // Prefix-sum payload scatter over the batched Fig. 4 decision: the probe
-  // already yields every block's exact final size (final_bits is always a
-  // whole number of bytes — the ways are byte-aligned and raw blocks are
-  // byte-sized), so the payloads scatter into one arena at independent
-  // offsets and no per-block writer or probe re-run is needed.
-  const size_t n = blocks.size();
+void SlcCodec::compress_batch(std::span<const BlockView> blocks, CompressedBlock* out) const {
+  // Sizing pass: the batched Fig. 4 decision gives every block's exact final
+  // size (final_bits is always a whole number of bytes — the ways are
+  // byte-aligned and raw blocks are byte-sized); the emitter re-encodes each
+  // compressed block from its decision and staged lengths.
   LengthScratch scratch;
-  std::vector<Decision> ds(n);
+  std::vector<Decision> ds(blocks.size());
   probe_batch(blocks, scratch, ds.data());
-
-  std::vector<size_t> sizes(n), offsets(n);
-  for (size_t b = 0; b < n; ++b) {
-    assert(ds[b].info.final_bits % 8 == 0);
-    sizes[b] = ds[b].info.final_bits / 8;
-  }
-  const size_t total = detail::exclusive_prefix_sum(sizes.data(), n, offsets.data());
-  std::vector<uint8_t> arena(total);
-  detail::SpanBitWriter w;
-
-  for (size_t b = 0; b < n; ++b) {
-    const BlockView blk = blocks[b];
-    const Decision& d = ds[b];
-    if (d.info.stored_uncompressed) {
-      std::memcpy(arena.data() + offsets[b], blk.bytes().data(), blk.size());
-      continue;
-    }
-    w.reset(arena.data() + offsets[b]);
-    const size_t bits = encode_into(blk, d, scratch.block_lens(b), w);
-    assert(bits == d.info.final_bits);
-    assert(!d.info.lossy || bits <= d.info.bursts * cfg_.mag_bytes * 8);
-    (void)bits;
-    const size_t written = w.finish();
-    assert(written == sizes[b]);
-    (void)written;
+  for (size_t b = 0; b < blocks.size(); ++b) {
+    out[b].bit_size = ds[b].info.final_bits;
+    out[b].is_compressed = !ds[b].info.stored_uncompressed;
   }
 
-  for (size_t b = 0; b < n; ++b) {
-    const Decision& d = ds[b];
-    SlcCompressedBlock cb;
-    cb.info = d.info;
-    cb.data.is_compressed = !d.info.stored_uncompressed;
-    cb.data.bit_size = d.info.final_bits;
-    const uint8_t* slice = arena.data() + offsets[b];
-    cb.data.payload.assign(slice, slice + sizes[b]);
-    out[b] = std::move(cb);
-  }
+  detail::scatter_payloads(blocks, out, [&](size_t b, detail::SpanBitWriter& w) {
+    encode_into(blocks[b], ds[b], scratch.block_lens(b), w);
+    assert(!ds[b].info.lossy || w.bit_size() <= ds[b].info.bursts * cfg_.mag_bytes * 8);
+  });
 }
 
-Block SlcCodec::decompress(const SlcCompressedBlock& cb, size_t block_bytes) const {
+Block SlcCodec::decompress(const CompressedBlock& cb, size_t block_bytes) const {
   check_block_bytes(block_bytes, kSymbolBits / 8, "SlcCodec");
-  if (!cb.data.is_compressed) {
-    return Block(std::span<const uint8_t>(cb.data.payload.data(), block_bytes));
+  if (!cb.is_compressed) {
+    return Block(std::span<const uint8_t>(cb.payload.data(), block_bytes));
   }
   const unsigned num_ways = lossless_->config().num_ways;
   const size_t n_sym = block_bytes * 8 / kSymbolBits;
   const size_t per_way = lossless_->symbols_per_way(n_sym);
   const HuffmanCode& code = lossless_->code();
 
-  BitReader hdr_reader(cb.data.payload);
+  BitReader hdr_reader(cb.payload);
   const SlcHeader h = SlcHeader::read(hdr_reader, block_bytes, num_ways, n_sym);
   const size_t skip_start = h.lossy ? h.start_symbol : 0;
   const size_t skip_count = h.lossy ? h.approx_count : 0;
@@ -366,7 +333,7 @@ Block SlcCodec::decompress(const SlcCompressedBlock& cb, size_t block_bytes) con
   for (unsigned i = 1; i < num_ways; ++i) way_off[i] = h.way_offsets[i];
 
   for (unsigned way = 0; way < num_ways; ++way) {
-    BitReader r(cb.data.payload);
+    BitReader r(cb.payload);
     r.seek(way_off[way] * 8);
     for (size_t s = way * per_way; s < (way + 1) * per_way; ++s) {
       if (s >= skip_start && s < skip_start + skip_count) {

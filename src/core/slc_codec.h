@@ -26,9 +26,6 @@
 namespace slc {
 
 class FingerprintCache;
-namespace detail {
-class SpanBitWriter;
-}
 
 enum class SlcVariant : uint8_t { kSimp, kPred, kOpt };
 
@@ -57,11 +54,6 @@ struct SlcEncodeInfo {
   size_t truncated_symbols = 0;
   size_t truncated_bits = 0;  ///< code bits removed (>= extra bits when lossy)
   size_t extra_bits = 0;      ///< overshoot above the bit budget
-};
-
-struct SlcCompressedBlock {
-  CompressedBlock data;
-  SlcEncodeInfo info;
 };
 
 class SlcCodec {
@@ -129,10 +121,11 @@ class SlcCodec {
 
   /// Compresses the span per the Fig. 4 decision: one staged length probe
   /// (never the memo: emission needs the lengths a hit does not carry),
-  /// then payload emission through the prefix-sum scatter — each block's
-  /// exact final size is known from its Decision, so every payload is
-  /// written at an independent offset of one reused arena.
-  void compress_batch(std::span<const BlockView> blocks, SlcCompressedBlock* out) const;
+  /// then payload emission through the shared payload scatter — each
+  /// block's exact final size is known from its Decision. The payload is
+  /// self-describing (the Fig. 6 header carries mode, ss and len); the
+  /// decision bookkeeping itself comes from decide_batch().
+  void compress_batch(std::span<const BlockView> blocks, CompressedBlock* out) const;
 
   /// The block as reads will observe it after a store+load round trip of
   /// decision `d`, without materializing the payload: every non-truncated
@@ -146,7 +139,7 @@ class SlcCodec {
 
   /// Decompresses (exact for lossless blocks; approximated symbols filled
   /// per the configured variant for lossy blocks).
-  Block decompress(const SlcCompressedBlock& cb, size_t block_bytes = kBlockBytes) const;
+  Block decompress(const CompressedBlock& cb, size_t block_bytes = kBlockBytes) const;
 
   /// The (model, MAG, threshold, variant) key this codec's entries live
   /// under; distinct for every distinct decision function.
@@ -196,9 +189,9 @@ class SlcCodec {
   void fill_approximated(Block& out, size_t skip_start, size_t skip_count) const;
 
   /// Emits the block per decision `d` (symbols of the truncation window
-  /// removed) into `w`, which must be empty; returns the total bits written.
-  size_t encode_into(BlockView block, const Decision& d, std::span<const uint16_t> lens,
-                     detail::SpanBitWriter& w) const;
+  /// removed) into `w`, which must be empty: d.info.final_bits bits.
+  void encode_into(BlockView block, const Decision& d, std::span<const uint16_t> lens,
+                   detail::SpanBitWriter& w) const;
 };
 
 }  // namespace slc

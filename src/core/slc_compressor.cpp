@@ -39,13 +39,6 @@ void SlcCompressor::analyze_batch(std::span<const BlockView> blocks, BlockAnalys
   }
 }
 
-void SlcCompressor::compress_batch(std::span<const BlockView> blocks,
-                                   CompressedBlock* out) const {
-  std::vector<SlcCompressedBlock> cbs(blocks.size());
-  codec_.compress_batch(blocks, cbs.data());
-  for (size_t i = 0; i < blocks.size(); ++i) out[i] = std::move(cbs[i].data);
-}
-
 namespace {
 
 std::shared_ptr<const E2mcCompressor> lossless_from(const CodecOptions& opts) {

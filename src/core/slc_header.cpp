@@ -22,8 +22,7 @@ size_t SlcHeader::bits(size_t block_bytes, unsigned num_ways, size_t num_symbols
          (num_ways - 1) * E2mcCompressor::pdp_bits(block_bytes);
 }
 
-template <class Writer>
-void SlcHeader::write(Writer& w, size_t block_bytes, unsigned num_ways,
+void SlcHeader::write(detail::SpanBitWriter& w, size_t block_bytes, unsigned num_ways,
                       size_t num_symbols) const {
   w.put_bit(lossy);
   w.put(start_symbol, ss_bits(num_symbols));
@@ -37,9 +36,6 @@ void SlcHeader::write(Writer& w, size_t block_bytes, unsigned num_ways,
   const size_t target = padded_bytes(block_bytes, num_ways, num_symbols) * 8;
   if (target > w.bit_size()) w.put(0, static_cast<unsigned>(target - w.bit_size()));
 }
-
-template void SlcHeader::write(BitWriter&, size_t, unsigned, size_t) const;
-template void SlcHeader::write(detail::SpanBitWriter&, size_t, unsigned, size_t) const;
 
 SlcHeader SlcHeader::read(BitReader& r, size_t block_bytes, unsigned num_ways,
                           size_t num_symbols) {

@@ -15,6 +15,10 @@
 
 namespace slc {
 
+namespace detail {
+class SpanBitWriter;
+}
+
 struct SlcHeader {
   bool lossy = false;
   uint8_t start_symbol = 0;   ///< ss: index of first approximated symbol
@@ -29,11 +33,9 @@ struct SlcHeader {
     return (bits(block_bytes, num_ways, num_symbols) + 7) / 8;
   }
 
-  /// Writer is BitWriter or detail::SpanBitWriter (the batch scatter path);
-  /// defined in slc_header.cpp with explicit instantiations for both. The
-  /// header must start at bit 0 of `w`.
-  template <class Writer>
-  void write(Writer& w, size_t block_bytes, unsigned num_ways, size_t num_symbols) const;
+  /// Writes the header, byte-padded. The header must start at bit 0 of `w`.
+  void write(detail::SpanBitWriter& w, size_t block_bytes, unsigned num_ways,
+             size_t num_symbols) const;
   static SlcHeader read(BitReader& r, size_t block_bytes, unsigned num_ways,
                         size_t num_symbols);
 };

@@ -5,7 +5,9 @@
 // FPC, C-PACK, E2MC and Huffman are the per-block scalar encoders those
 // schemes shipped before their batch kernels became the only encode path:
 // one block at a time, words read through BlockView, a FIFO deque for the
-// C-PACK dictionary and a BitWriter for the stream. ref_codec() picks the
+// C-PACK dictionary and the reference BitWriter (bit_writer.h) for the
+// stream. Every one stores a block raw unless its encoding is smaller than
+// the block. ref_codec() picks the
 // pair for a compressor by its dynamic type. bench/codec_throughput times
 // them as its `scalar` rows and checks the batch kernels against them byte
 // for byte.
@@ -32,7 +34,7 @@
 #include <span>
 #include <vector>
 
-#include "common/bitstream.h"
+#include "bit_writer.h"
 #include "compress/bdi.h"
 #include "compress/cpack.h"
 #include "compress/e2mc.h"
@@ -135,16 +137,18 @@ inline CompressedBlock ref_bdi_compress(BlockView block) {
   using namespace ref_bdi;
   const BdiEncoding enc = ref_bdi_best_encoding(block);
   CompressedBlock out;
+  // Stored raw unless the encoding is smaller than the block: kUncompressed,
+  // and kRepeat64 (68 bits) on an 8 B block.
+  if (BdiCompressor::encoding_bits(enc, block.size()) >= block.size() * 8) {
+    out.is_compressed = false;
+    out.bit_size = block.size() * 8;
+    out.payload.assign(block.bytes().begin(), block.bytes().end());
+    return out;
+  }
   BitWriter w;
   w.put(static_cast<uint64_t>(enc), kTagBits);
 
   switch (enc) {
-    case BdiEncoding::kUncompressed: {
-      out.is_compressed = false;
-      out.bit_size = block.size() * 8;
-      out.payload.assign(block.bytes().begin(), block.bytes().end());
-      return out;
-    }
     case BdiEncoding::kZeros:
       break;  // tag only
     case BdiEncoding::kRepeat64:
@@ -181,10 +185,11 @@ inline CompressedBlock ref_bdi_compress(BlockView block) {
 }
 
 inline BlockAnalysis ref_bdi_analyze(BlockView block) {
-  const BdiEncoding enc = ref_bdi_best_encoding(block);
+  const size_t bits = BdiCompressor::encoding_bits(ref_bdi_best_encoding(block), block.size());
+  const size_t raw_bits = block.size() * 8;
   BlockAnalysis a;
-  a.is_compressed = enc != BdiEncoding::kUncompressed;
-  a.bit_size = BdiCompressor::encoding_bits(enc, block.size());
+  a.is_compressed = bits < raw_bits;
+  a.bit_size = a.is_compressed ? bits : raw_bits;
   a.lossless_bits = a.bit_size;
   return a;
 }
@@ -192,6 +197,41 @@ inline BlockAnalysis ref_bdi_analyze(BlockView block) {
 namespace ref_fpc {
 constexpr unsigned kPrefixBits = 3;
 constexpr size_t kMaxZeroRun = 8;
+
+// Whether `v` fits a `bits`-bit two's-complement field.
+inline bool fits(int64_t v, unsigned bits) {
+  return v >= -(int64_t{1} << (bits - 1)) && v < (int64_t{1} << (bits - 1));
+}
+
+// Pattern of one nonzero word: the first class, in prefix order, that
+// holds it.
+inline FpcPattern classify(uint32_t w) {
+  const auto v = static_cast<int32_t>(w);
+  if (fits(v, 4)) return FpcPattern::kSignExt4;
+  if (fits(v, 8)) return FpcPattern::kSignExt8;
+  if (fits(v, 16)) return FpcPattern::kSignExt16;
+  if ((w & 0xFFFFu) == 0) return FpcPattern::kHalfwordPadded;
+  if (fits(static_cast<int16_t>(w >> 16), 8) && fits(static_cast<int16_t>(w & 0xFFFFu), 8))
+    return FpcPattern::kTwoHalfwordsSE;
+  if (w == (w & 0xFFu) * 0x01010101u) return FpcPattern::kRepeatedBytes;
+  return FpcPattern::kUncompressed;
+}
+
+// Payload bits behind a pattern's 3-bit prefix.
+inline unsigned payload_bits(FpcPattern p) {
+  switch (p) {
+    case FpcPattern::kZeroRun: return 3;  // run length - 1
+    case FpcPattern::kSignExt4: return 4;
+    case FpcPattern::kSignExt8:
+    case FpcPattern::kRepeatedBytes: return 8;
+    case FpcPattern::kSignExt16:
+    case FpcPattern::kHalfwordPadded:
+    case FpcPattern::kTwoHalfwordsSE: return 16;
+    case FpcPattern::kUncompressed: return 32;
+  }
+  return 32;
+}
+
 }  // namespace ref_fpc
 
 inline CompressedBlock ref_fpc_compress(BlockView block) {
@@ -210,7 +250,7 @@ inline CompressedBlock ref_fpc_compress(BlockView block) {
       i += run;
       continue;
     }
-    const FpcPattern p = FpcCompressor::classify(word);
+    const FpcPattern p = classify(word);
     w.put(static_cast<uint64_t>(p), kPrefixBits);
     switch (p) {
       case FpcPattern::kSignExt4: w.put(word & 0xF, 4); break;
@@ -252,11 +292,11 @@ inline BlockAnalysis ref_fpc_analyze(BlockView block) {
     if (block.word32(i) == 0) {
       size_t run = 1;
       while (i + run < n_words && run < kMaxZeroRun && block.word32(i + run) == 0) ++run;
-      bits += kPrefixBits + FpcCompressor::payload_bits(FpcPattern::kZeroRun);
+      bits += kPrefixBits + payload_bits(FpcPattern::kZeroRun);
       i += run;
       continue;
     }
-    bits += kPrefixBits + FpcCompressor::payload_bits(FpcCompressor::classify(block.word32(i)));
+    bits += kPrefixBits + payload_bits(classify(block.word32(i)));
     ++i;
   }
   BlockAnalysis a;

@@ -1,11 +1,20 @@
-// BitWriter/BitReader: the foundation every codec builds on.
+// BitWriter/BitReader: the foundation every codec builds on. BitWriter is
+// the reference writer (bit_writer.h); the production SpanBitWriter must
+// write the same bytes for any put() sequence.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
+#include "bit_writer.h"
 #include "common/bitstream.h"
 #include "common/rng.h"
+#include "compress/batch_writer.h"
 
 namespace slc {
 namespace {
+
+using test::BitWriter;
 
 TEST(BitWriter, EmptyStream) {
   BitWriter w;
@@ -160,6 +169,33 @@ TEST(BitStreamProperty, RandomRoundTrip) {
     }
     EXPECT_FALSE(r.overrun());
   }
+}
+
+// Property: for any put() sequence, widths 0-64 (so every put above 56
+// bits takes the accumulator's split path), SpanBitWriter writes exactly
+// BitWriter's bytes and bit count.
+TEST(BitStreamProperty, SpanWriterMatchesReferenceWriter) {
+  Rng rng(0x5BA7);
+  size_t split_puts = 0;
+  for (int trial = 0; trial < 200; ++trial) {
+    BitWriter ref;
+    std::vector<uint8_t> buf(50 * 8 + 1, 0xA5);  // poisoned: every byte must be written
+    detail::SpanBitWriter w(buf.data());
+    const size_t n_puts = rng.next_below(51);
+    for (size_t i = 0; i < n_puts; ++i) {
+      const auto width = static_cast<unsigned>(rng.next_below(65));
+      const uint64_t value = rng.next();  // high bits above `width` must be masked off
+      ref.put(value, width);
+      w.put(value, width);
+      if (width > 56) ++split_puts;
+    }
+    EXPECT_EQ(w.bit_size(), ref.bit_size()) << "trial " << trial;
+    const size_t len = w.finish();
+    const std::vector<uint8_t> want = ref.bytes();
+    ASSERT_EQ(len, want.size()) << "trial " << trial;
+    EXPECT_TRUE(std::equal(want.begin(), want.end(), buf.begin())) << "trial " << trial;
+  }
+  EXPECT_GT(split_puts, 0u);
 }
 
 }  // namespace

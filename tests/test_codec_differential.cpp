@@ -5,7 +5,7 @@
 // code lengths of 1-32 bits, and SlcCodec's batch decision against the
 // per-block ref_decide over seeded block streams. Every payload,
 // BlockAnalysis, WayLayout, TreeCandidate and Decision must match field by
-// field.
+// field, and every SLC payload must carry its reference decision.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -29,9 +29,13 @@ namespace {
 // blocks from one word to 8 KiB (every size over 512 B is one the kernels
 // once handed to a per-block scalar member), random, all-zero, denormal,
 // value-similar, repeat-delta and zero-run data, at batch splits of 1, 5 and
-// the whole span with the SIMD sub-kernels pinned off and on. analyze_batch
-// must also size every block exactly as compress_batch does, and decompress
-// must return every block.
+// the whole span with the SIMD sub-kernels pinned off and on. Two more spans
+// per scheme check the payload layout's edges: an empty span, which must
+// write no slot, and one span mixing one-word, 96 B, 128 B, 520 B and 8 KiB
+// blocks of random and all-zero data, so stored-raw and compressed payloads
+// of every size sit side by side. analyze_batch must also size every block
+// exactly as compress_batch does, a compressed block must be smaller than
+// the raw block, and decompress must return every block.
 TEST(CodecDifferential, LosslessMatchesReference) {
   test::ForceScalarGuard guard;
   const auto training = test::quantized_walk(0x1055, 64);
@@ -54,60 +58,92 @@ TEST(CodecDifferential, LosslessMatchesReference) {
   }
   schemes.push_back({"Huffman", HuffmanCompressor::train(training), 2, 1});
 
-  const char* const kinds[] = {"random",        "all-zero",     "denormal",
-                               "value-similar", "repeat-delta", "zero-runs"};
   size_t large_compressed = 0;  // compressed blocks over 512 B
-  for (const Scheme& sc : schemes) {
-    const test::RefCodec ref = test::ref_codec(*sc.comp);
-    ASSERT_NE(ref.analyze, nullptr) << sc.label;
-    for (const size_t block_bytes : {sc.word_bytes, 3 * sc.word_bytes, size_t{64}, size_t{96},
-                                     size_t{128}, size_t{256}, size_t{512}, size_t{520},
-                                     size_t{1024}, size_t{8192}}) {
-      if ((block_bytes / 2) % sc.ways != 0) continue;  // no even way split
-      const size_t n_blocks = std::max<size_t>(6, std::min<size_t>(24, 16384 / block_bytes));
-      for (const char* kind : kinds) {
-        const auto bytes = test::data_stream(kind, n_blocks * block_bytes, block_bytes);
-        const std::vector<Block> blocks = to_blocks(bytes, block_bytes);
-        const std::vector<BlockView> views = to_views(blocks);
-        const std::string tag =
-            sc.label + " " + kind + " " + std::to_string(block_bytes) + " B";
+  const auto check_span = [&](const Scheme& sc, const test::RefCodec& ref,
+                              const std::vector<Block>& blocks, const std::string& tag) {
+    const size_t n_blocks = blocks.size();
+    const std::vector<BlockView> views = to_views(blocks);
+    std::vector<BlockAnalysis> want_a(n_blocks);
+    std::vector<CompressedBlock> want_c(n_blocks);
+    for (size_t i = 0; i < n_blocks; ++i) {
+      want_a[i] = ref.analyze(*sc.comp, views[i]);
+      want_c[i] = ref.compress(*sc.comp, views[i]);
+    }
 
-        std::vector<BlockAnalysis> want_a(n_blocks);
-        std::vector<CompressedBlock> want_c(n_blocks);
-        for (size_t i = 0; i < n_blocks; ++i) {
-          want_a[i] = ref.analyze(*sc.comp, views[i]);
-          want_c[i] = ref.compress(*sc.comp, views[i]);
+    std::vector<BlockAnalysis> got_a(n_blocks);
+    std::vector<CompressedBlock> got_c(n_blocks);
+    for (const bool pin_scalar : {true, false}) {
+      simd::force_scalar(pin_scalar);
+      for (const size_t split : {size_t{1}, size_t{5}, n_blocks}) {
+        for (size_t begin = 0; begin < n_blocks; begin += split) {
+          const std::span<const BlockView> part(views.data() + begin,
+                                                std::min(split, n_blocks - begin));
+          sc.comp->analyze_batch(part, got_a.data() + begin);
+          sc.comp->compress_batch(part, got_c.data() + begin);
         }
-
-        std::vector<BlockAnalysis> got_a(n_blocks);
-        std::vector<CompressedBlock> got_c(n_blocks);
-        for (const bool pin_scalar : {true, false}) {
-          simd::force_scalar(pin_scalar);
-          for (const size_t split : {size_t{1}, size_t{5}, n_blocks}) {
-            for (size_t begin = 0; begin < n_blocks; begin += split) {
-              const std::span<const BlockView> part(views.data() + begin,
-                                                    std::min(split, n_blocks - begin));
-              sc.comp->analyze_batch(part, got_a.data() + begin);
-              sc.comp->compress_batch(part, got_c.data() + begin);
-            }
-            for (size_t i = 0; i < n_blocks; ++i) {
-              const std::string what = tag + " block " + std::to_string(i) + " split " +
-                                       std::to_string(split) + " scalar " +
-                                       std::to_string(pin_scalar);
-              test::expect_analysis_eq(want_a[i], got_a[i], what);
-              test::expect_payload_eq(want_c[i], got_c[i], what);
-              EXPECT_EQ(got_a[i].bit_size, got_c[i].bit_size) << what;
-              EXPECT_EQ(got_a[i].is_compressed, got_c[i].is_compressed) << what;
-            }
+        for (size_t i = 0; i < n_blocks; ++i) {
+          const std::string what = tag + " block " + std::to_string(i) + " split " +
+                                   std::to_string(split) + " scalar " +
+                                   std::to_string(pin_scalar);
+          test::expect_analysis_eq(want_a[i], got_a[i], what);
+          test::expect_payload_eq(want_c[i], got_c[i], what);
+          EXPECT_EQ(got_a[i].bit_size, got_c[i].bit_size) << what;
+          EXPECT_EQ(got_a[i].is_compressed, got_c[i].is_compressed) << what;
+          if (got_c[i].is_compressed) {
+            EXPECT_LT(got_c[i].bit_size, blocks[i].size() * 8) << what;
+            EXPECT_LE(got_c[i].payload.size(), blocks[i].size()) << what;
           }
-        }
-        for (size_t i = 0; i < n_blocks; ++i) {
-          EXPECT_EQ(sc.comp->decompress(got_c[i], block_bytes), blocks[i])
-              << tag << " block " << i << " decompress";
-          if (block_bytes > 512 && got_c[i].is_compressed) ++large_compressed;
         }
       }
     }
+    for (size_t i = 0; i < n_blocks; ++i) {
+      EXPECT_EQ(sc.comp->decompress(got_c[i], blocks[i].size()), blocks[i])
+          << tag << " block " << i << " decompress";
+      if (blocks[i].size() > 512 && got_c[i].is_compressed) ++large_compressed;
+    }
+  };
+
+  const char* const kinds[] = {"random",        "all-zero",     "denormal",
+                               "value-similar", "repeat-delta", "zero-runs"};
+  for (const Scheme& sc : schemes) {
+    const test::RefCodec ref = test::ref_codec(*sc.comp);
+    ASSERT_NE(ref.analyze, nullptr) << sc.label;
+    const auto fits = [&](size_t block_bytes) {
+      return (block_bytes / 2) % sc.ways == 0;  // an even way split
+    };
+    for (const size_t block_bytes : {sc.word_bytes, 3 * sc.word_bytes, size_t{64}, size_t{96},
+                                     size_t{128}, size_t{256}, size_t{512}, size_t{520},
+                                     size_t{1024}, size_t{8192}}) {
+      if (!fits(block_bytes)) continue;
+      const size_t n_blocks = std::max<size_t>(6, std::min<size_t>(24, 16384 / block_bytes));
+      for (const char* kind : kinds) {
+        const auto bytes = test::data_stream(kind, n_blocks * block_bytes, block_bytes);
+        check_span(sc, ref, to_blocks(bytes, block_bytes),
+                   sc.label + " " + kind + " " + std::to_string(block_bytes) + " B");
+      }
+    }
+
+    // An empty span writes no slot.
+    BlockAnalysis a_slot;
+    a_slot.bit_size = 7;
+    CompressedBlock c_slot;
+    c_slot.bit_size = 7;
+    c_slot.payload = {1, 2, 3};
+    sc.comp->analyze_batch(std::span<const BlockView>{}, &a_slot);
+    sc.comp->compress_batch(std::span<const BlockView>{}, &c_slot);
+    EXPECT_EQ(a_slot.bit_size, 7u) << sc.label << " empty span";
+    EXPECT_EQ(c_slot.bit_size, 7u) << sc.label << " empty span";
+    EXPECT_EQ(c_slot.payload, (std::vector<uint8_t>{1, 2, 3})) << sc.label << " empty span";
+
+    // Mixed block sizes in one span, random beside all-zero.
+    std::vector<Block> mixed;
+    for (const size_t block_bytes :
+         {sc.word_bytes, size_t{96}, size_t{128}, size_t{520}, size_t{8192}}) {
+      if (!fits(block_bytes)) continue;
+      for (const char* kind : {"random", "all-zero"})
+        mixed.emplace_back(test::data_stream(kind, block_bytes, mixed.size()));
+    }
+    check_span(sc, ref, mixed, sc.label + " mixed sizes");
   }
   EXPECT_GT(large_compressed, 0u);
 }
@@ -220,7 +256,8 @@ void expect_decision_eq(const SlcCodec::Decision& ref, const SlcCodec::Decision&
 }
 
 // SlcCodec::decide_batch with the memo off, on, and on with verify-on-hit,
-// and compress_batch's bookkeeping and payload sizes, against ref_decide:
+// and compress_batch's payloads (header fields, size, decoded block),
+// against ref_decide:
 // every variant, MAG and threshold, 64-256 B blocks at 4 and 8 ways, and
 // random, value-similar, duplicate-heavy (the memo serves the repeats) and
 // code-mix streams (symbols drawn across the model's whole code table and
@@ -303,19 +340,31 @@ TEST(CodecDifferential, DecideMatchesReference) {
                 }
               }
 
+              // The payload carries the decision: its Fig. 6 header holds the
+              // mode and window, its size is the final size, and it decodes
+              // to the payload-free approximation of the block.
               cfg.cache = nullptr;
               const SlcCodec codec(e2mc, cfg);
-              std::vector<SlcCompressedBlock> cbs(views.size());
+              std::vector<CompressedBlock> cbs(views.size());
               codec.compress_batch(views, cbs.data());
               for (size_t i = 0; i < views.size(); ++i) {
                 const std::string what = tag + " compress block " + std::to_string(i);
-                expect_decision_eq(want[i], SlcCodec::Decision{cbs[i].info, want[i].skip_start,
-                                                               want[i].skip_count},
-                                   what);
-                EXPECT_EQ(cbs[i].data.is_compressed, !want[i].info.stored_uncompressed) << what;
-                EXPECT_EQ(cbs[i].data.bit_size, want[i].info.final_bits) << what;
-                EXPECT_EQ(cbs[i].data.payload.size() * 8, want[i].info.final_bits) << what;
-                lossy += want[i].info.lossy ? 1 : 0;
+                const SlcEncodeInfo& info = want[i].info;
+                EXPECT_EQ(cbs[i].is_compressed, !info.stored_uncompressed) << what;
+                EXPECT_EQ(cbs[i].bit_size, info.final_bits) << what;
+                EXPECT_EQ(cbs[i].payload.size(), info.final_bits / 8) << what;
+                if (cbs[i].is_compressed) {
+                  BitReader r(cbs[i].payload);
+                  const SlcHeader h =
+                      SlcHeader::read(r, block_bytes, ways, views[i].num_symbols());
+                  EXPECT_EQ(h.lossy, info.lossy) << what;
+                  EXPECT_EQ(h.start_symbol, want[i].skip_start) << what;
+                  EXPECT_EQ(h.approx_count, info.lossy ? want[i].skip_count : 0) << what;
+                }
+                EXPECT_EQ(codec.decompress(cbs[i], block_bytes),
+                          codec.approx_decode(views[i], want[i]))
+                    << what;
+                lossy += info.lossy ? 1 : 0;
                 raw += want[i].info.stored_uncompressed ? 1 : 0;
                 ++decided;
               }

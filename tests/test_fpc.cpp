@@ -1,28 +1,44 @@
 // FPC: pattern classification, zero runs, and the round-trip property.
 #include <gtest/gtest.h>
 
+#include <utility>
+
+#include "common/bitstream.h"
 #include "common/rng.h"
 #include "compress/fpc.h"
 
 namespace slc {
 namespace {
 
+// Word `w` followed by a zero word through the compressor: the pattern in
+// w's 3-bit prefix, and the block's bits. The zero word costs one 6-bit run,
+// and at most 3 + 32 + 6 bits the 8 B block is never stored raw.
+std::pair<FpcPattern, size_t> encode_word(uint32_t w) {
+  Block b(8);
+  b.set_word32(0, w);
+  const CompressedBlock cb = FpcCompressor().compress(b.view());
+  EXPECT_TRUE(cb.is_compressed);
+  BitReader r(cb.payload);
+  return {static_cast<FpcPattern>(r.get(3)), cb.bit_size};
+}
+
 TEST(Fpc, ClassifyPatterns) {
-  EXPECT_EQ(FpcCompressor::classify(0x00000003), FpcPattern::kSignExt4);
-  EXPECT_EQ(FpcCompressor::classify(0xFFFFFFFD), FpcPattern::kSignExt4);  // -3
-  EXPECT_EQ(FpcCompressor::classify(0x0000007F), FpcPattern::kSignExt8);
-  EXPECT_EQ(FpcCompressor::classify(0xFFFFFF80), FpcPattern::kSignExt8);
-  EXPECT_EQ(FpcCompressor::classify(0x00001234), FpcPattern::kSignExt16);
-  EXPECT_EQ(FpcCompressor::classify(0x12340000), FpcPattern::kHalfwordPadded);
-  EXPECT_EQ(FpcCompressor::classify(0x007F0071), FpcPattern::kTwoHalfwordsSE);
-  EXPECT_EQ(FpcCompressor::classify(0xABABABAB), FpcPattern::kRepeatedBytes);
-  EXPECT_EQ(FpcCompressor::classify(0x12345678), FpcPattern::kUncompressed);
+  EXPECT_EQ(encode_word(0x00000003).first, FpcPattern::kSignExt4);
+  EXPECT_EQ(encode_word(0xFFFFFFFD).first, FpcPattern::kSignExt4);  // -3
+  EXPECT_EQ(encode_word(0x0000007F).first, FpcPattern::kSignExt8);
+  EXPECT_EQ(encode_word(0xFFFFFF80).first, FpcPattern::kSignExt8);
+  EXPECT_EQ(encode_word(0x00001234).first, FpcPattern::kSignExt16);
+  EXPECT_EQ(encode_word(0x12340000).first, FpcPattern::kHalfwordPadded);
+  EXPECT_EQ(encode_word(0x007F0071).first, FpcPattern::kTwoHalfwordsSE);
+  EXPECT_EQ(encode_word(0xABABABAB).first, FpcPattern::kRepeatedBytes);
+  EXPECT_EQ(encode_word(0x12345678).first, FpcPattern::kUncompressed);
 }
 
 TEST(Fpc, PayloadBits) {
-  EXPECT_EQ(FpcCompressor::payload_bits(FpcPattern::kZeroRun), 3u);
-  EXPECT_EQ(FpcCompressor::payload_bits(FpcPattern::kSignExt4), 4u);
-  EXPECT_EQ(FpcCompressor::payload_bits(FpcPattern::kUncompressed), 32u);
+  // Prefix + payload, then the zero word's run (prefix + 3-bit length).
+  EXPECT_EQ(encode_word(0x00000003).second, 3u + 4u + 6u);   // kSignExt4
+  EXPECT_EQ(encode_word(0x12345678).second, 3u + 32u + 6u);  // kUncompressed
+  EXPECT_EQ(FpcCompressor().compress(Block(8).view()).bit_size, 3u + 3u);  // kZeroRun
 }
 
 TEST(Fpc, AllZerosUsesRuns) {

@@ -102,7 +102,7 @@ TEST_F(SlcCodecTest, LosslessRoundTripIsExact) {
   const SlcCodec codec = make(SlcVariant::kOpt, /*threshold=*/0);
   for (size_t i = 0; i < 256; ++i) {
     const Block b = block(i);
-    EXPECT_EQ(codec.decompress(test::compress_one(codec, b.view()), kBlockBytes), b)
+    EXPECT_EQ(codec.decompress(test::compress_one(codec, b.view()).data, kBlockBytes), b)
         << "block " << i;
   }
 }
@@ -113,7 +113,7 @@ TEST_F(SlcCodecTest, LossyOnlyChangesTruncatedSymbols) {
     const Block b = block(i);
     const auto cb = test::compress_one(codec, b.view());
     if (!cb.info.lossy) continue;
-    const Block out = codec.decompress(cb, kBlockBytes);
+    const Block out = codec.decompress(cb.data, kBlockBytes);
     // Decode the header to learn the truncated range.
     BitReader r(cb.data.payload);
     const SlcHeader h = SlcHeader::read(r, kBlockBytes, 4, 64);
@@ -134,7 +134,7 @@ TEST_F(SlcCodecTest, SimpFillsZeros) {
     const Block b = block(i);
     const auto cb = test::compress_one(codec, b.view());
     if (!cb.info.lossy) continue;
-    const Block out = codec.decompress(cb, kBlockBytes);
+    const Block out = codec.decompress(cb.data, kBlockBytes);
     BitReader r(cb.data.payload);
     const SlcHeader h = SlcHeader::read(r, kBlockBytes, 4, 64);
     for (size_t s = h.start_symbol; s < size_t{h.start_symbol} + h.approx_count; ++s)
@@ -155,7 +155,7 @@ TEST_F(SlcCodecTest, PredFillsParityMatchedNeighbour) {
     const auto cb = test::compress_one(codec, b.view());
     if (!cb.info.lossy) continue;
     ++checked;
-    const Block out = codec.decompress(cb, kBlockBytes);
+    const Block out = codec.decompress(cb.data, kBlockBytes);
     BitReader r(cb.data.payload);
     const SlcHeader h = SlcHeader::read(r, kBlockBytes, 4, 64);
     uint16_t expected[2];
@@ -191,7 +191,7 @@ TEST_F(SlcCodecTest, UncompressibleStoredRaw) {
   const auto cb = test::compress_one(codec, b.view());
   EXPECT_TRUE(cb.info.stored_uncompressed);
   EXPECT_EQ(cb.info.bursts, 4u);
-  EXPECT_EQ(codec.decompress(cb, kBlockBytes), b);
+  EXPECT_EQ(codec.decompress(cb.data, kBlockBytes), b);
 }
 
 TEST_F(SlcCodecTest, HighlyCompressibleUsesOneBurst) {
@@ -200,7 +200,7 @@ TEST_F(SlcCodecTest, HighlyCompressibleUsesOneBurst) {
   const auto cb = test::compress_one(codec, b.view());
   EXPECT_FALSE(cb.info.lossy);
   EXPECT_EQ(cb.info.bursts, 1u);
-  EXPECT_EQ(codec.decompress(cb, kBlockBytes), b);
+  EXPECT_EQ(codec.decompress(cb.data, kBlockBytes), b);
 }
 
 TEST_F(SlcCodecTest, BurstsNeverExceedLossless) {
@@ -258,7 +258,7 @@ TEST_P(SlcSweepTest, LossyAlwaysMagMultiple) {
       EXPECT_LT(cb.info.bursts, bursts_for_bits(cb.info.lossless_bits, mag));
     }
     // Decompression must always succeed and leave intact symbols intact.
-    const Block out = codec.decompress(cb, kBlockBytes);
+    const Block out = codec.decompress(cb.data, kBlockBytes);
     if (!cb.info.lossy) {
       EXPECT_EQ(out, b);
     }

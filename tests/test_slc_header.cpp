@@ -1,10 +1,39 @@
 // SLC compressed-block header (Fig. 6): m + ss + len + 3 pdps = 32 bits.
+// SlcHeader::write's bytes are checked against the Fig. 6 fields written one
+// by one through the reference BitWriter.
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "bit_writer.h"
+#include "compress/batch_writer.h"
 #include "core/slc_header.h"
 
 namespace slc {
 namespace {
+
+// `h` through SlcHeader::write for a 128 B / 4-way / 64-symbol block,
+// followed by `tail` (the start of the way data).
+std::vector<uint8_t> write_header(const SlcHeader& h, std::vector<uint8_t> tail = {}) {
+  std::vector<uint8_t> buf(SlcHeader::padded_bytes(128, 4, 64) + tail.size());
+  detail::SpanBitWriter w(buf.data());
+  h.write(w, 128, 4, 64);
+  EXPECT_EQ(w.bit_size(), 32u);
+  for (const uint8_t b : tail) w.put(b, 8);
+  EXPECT_EQ(w.finish(), buf.size());
+  return buf;
+}
+
+// The same header, field by field: m (1), ss (6), len = count-1 (4), three
+// 7-bit pdps.
+std::vector<uint8_t> fig6_reference(const SlcHeader& h) {
+  test::BitWriter w;
+  w.put_bit(h.lossy);
+  w.put(h.start_symbol, 6);
+  w.put(h.approx_count == 0 ? 0 : h.approx_count - 1u, 4);
+  for (unsigned i = 1; i < 4; ++i) w.put(h.way_offsets[i], 7);
+  return w.bytes();
+}
 
 TEST(SlcHeader, BitsMatchFig6) {
   // 1 (m) + 6 (ss) + 4 (len) + 3*7 (pdp) = 32 bits for 128 B / 4 ways.
@@ -23,11 +52,9 @@ TEST(SlcHeader, RoundTripLossless) {
   h.way_offsets[1] = 17;
   h.way_offsets[2] = 43;
   h.way_offsets[3] = 101;
-  BitWriter w;
-  h.write(w, 128, 4, 64);
-  EXPECT_EQ(w.bit_size(), 32u);
+  const auto bytes = write_header(h);
+  EXPECT_EQ(bytes, fig6_reference(h));
 
-  auto bytes = w.bytes();
   BitReader r(bytes);
   const SlcHeader back = SlcHeader::read(r, 128, 4, 64);
   EXPECT_FALSE(back.lossy);
@@ -42,9 +69,8 @@ TEST(SlcHeader, RoundTripLossy) {
   h.lossy = true;
   h.start_symbol = 48;
   h.approx_count = 16;  // max: stored as 15 in the 4-bit field
-  BitWriter w;
-  h.write(w, 128, 4, 64);
-  auto bytes = w.bytes();
+  const auto bytes = write_header(h);
+  EXPECT_EQ(bytes, fig6_reference(h));
   BitReader r(bytes);
   const SlcHeader back = SlcHeader::read(r, 128, 4, 64);
   EXPECT_TRUE(back.lossy);
@@ -58,9 +84,8 @@ TEST(SlcHeader, AllLenValues) {
     h.lossy = true;
     h.start_symbol = static_cast<uint8_t>(count % 64);
     h.approx_count = count;
-    BitWriter w;
-    h.write(w, 128, 4, 64);
-    auto bytes = w.bytes();
+    const auto bytes = write_header(h);
+    EXPECT_EQ(bytes, fig6_reference(h)) << int{count};
     BitReader r(bytes);
     const SlcHeader back = SlcHeader::read(r, 128, 4, 64);
     EXPECT_EQ(back.approx_count, count);
@@ -69,11 +94,7 @@ TEST(SlcHeader, AllLenValues) {
 }
 
 TEST(SlcHeader, ReaderLeavesPositionByteAligned) {
-  SlcHeader h;
-  BitWriter w;
-  h.write(w, 128, 4, 64);
-  w.put(0xAB, 8);  // payload byte after the header
-  auto bytes = w.bytes();
+  const auto bytes = write_header(SlcHeader{}, {0xAB});  // payload byte after the header
   BitReader r(bytes);
   SlcHeader::read(r, 128, 4, 64);
   EXPECT_EQ(r.position() % 8, 0u);

@@ -279,10 +279,18 @@ inline SlcCodec::Decision decide_one(const SlcCodec& codec, BlockView view,
   return d;
 }
 
-/// SlcCodec::compress_batch over a span of 1.
-inline SlcCompressedBlock compress_one(const SlcCodec& codec, BlockView view) {
-  SlcCompressedBlock out;
-  codec.compress_batch(std::span<const BlockView>(&view, 1), &out);
+/// One block through SlcCodec: the payload compress_batch writes and the
+/// bookkeeping of the decision decide_batch takes for it.
+struct SlcCompressed {
+  CompressedBlock data;
+  SlcEncodeInfo info;
+};
+
+/// SlcCodec::compress_batch and decide_batch over a span of 1.
+inline SlcCompressed compress_one(const SlcCodec& codec, BlockView view) {
+  SlcCompressed out;
+  codec.compress_batch(std::span<const BlockView>(&view, 1), &out.data);
+  out.info = decide_one(codec, view).info;
   return out;
 }
 
