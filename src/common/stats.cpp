@@ -80,6 +80,64 @@ double PercentileTracker::percentile(double p) const {
   return scratch[idx];
 }
 
+namespace {
+
+/// Bucket edges in nanoseconds: edge i = 2^(i / kBucketsPerOctave). Both
+/// record() and percentile() read this one table, so a sample always lies
+/// inside the bucket whose upper edge percentile() reports.
+const std::array<double, LatencyHistogram::kBuckets + 1>& latency_edges() {
+  static const auto edges = [] {
+    std::array<double, LatencyHistogram::kBuckets + 1> e{};
+    for (size_t i = 0; i < e.size(); ++i)
+      e[i] = std::exp2(static_cast<double>(i) /
+                       static_cast<double>(LatencyHistogram::kBucketsPerOctave));
+    return e;
+  }();
+  return edges;
+}
+
+}  // namespace
+
+void LatencyHistogram::record(std::chrono::nanoseconds d) {
+  const uint64_t ns = d.count() > 0 ? static_cast<uint64_t>(d.count()) : 0;
+  const auto& edges = latency_edges();
+  const auto above = std::upper_bound(edges.begin(), edges.end(), static_cast<double>(ns));
+  // Below edge 0 (1 ns) is bucket 0; past the last edge is the last bucket.
+  const auto bucket = std::clamp<ptrdiff_t>(above - edges.begin() - 1, 0,
+                                            static_cast<ptrdiff_t>(kBuckets) - 1);
+  counts_[static_cast<size_t>(bucket)] += 1;
+  count_ += 1;
+  sum_ns_ += ns;
+  max_ns_ = std::max(max_ns_, ns);
+}
+
+void LatencyHistogram::merge(const LatencyHistogram& other) {
+  for (size_t i = 0; i < kBuckets; ++i) counts_[i] += other.counts_[i];
+  count_ += other.count_;
+  sum_ns_ += other.sum_ns_;
+  max_ns_ = std::max(max_ns_, other.max_ns_);
+}
+
+double LatencyHistogram::mean() const {
+  return count_ ? static_cast<double>(sum_ns_) / static_cast<double>(count_) * 1e-9 : 0.0;
+}
+
+double LatencyHistogram::max() const { return static_cast<double>(max_ns_) * 1e-9; }
+
+double LatencyHistogram::percentile(double p) const {
+  if (count_ == 0) return 0.0;
+  const double clamped = std::min(std::max(p, 0.0), 100.0);
+  // Nearest rank, as PercentileTracker::percentile.
+  auto rank = static_cast<uint64_t>(std::ceil(clamped / 100.0 * static_cast<double>(count_)));
+  rank = std::clamp<uint64_t>(rank, 1, count_);
+  uint64_t seen = 0;
+  size_t bucket = 0;
+  while (seen + counts_[bucket] < rank) seen += counts_[bucket++];
+  // The last bucket is open-ended: only max() bounds it.
+  const double upper_ns = bucket + 1 < kBuckets ? latency_edges()[bucket + 1] : INFINITY;
+  return std::min(static_cast<double>(max_ns_), upper_ns) * 1e-9;
+}
+
 TextTable::TextTable(std::vector<std::string> header) : header_(std::move(header)) {}
 
 void TextTable::add_row(std::vector<std::string> cells) { rows_.push_back(std::move(cells)); }

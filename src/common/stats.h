@@ -3,6 +3,8 @@
 // histogram utilities for the Fig. 2 block-size distribution.
 #pragma once
 
+#include <array>
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <map>
@@ -93,9 +95,9 @@ class Histogram {
   uint64_t total_ = 0;
 };
 
-/// Collects raw samples and answers percentile queries (nearest-rank) —
-/// the latency bookkeeping behind the CodecServer's per-stream p50/p99.
-/// Samples are kept verbatim so merging trackers is exact. Const queries
+/// Collects raw samples and answers percentile queries (nearest-rank) — the
+/// exact timings of the bench drivers. Samples are kept verbatim, so merging
+/// trackers is exact and memory grows with the sample count. Const queries
 /// are genuinely read-only (percentile() selects on a scratch copy), so
 /// concurrent readers need no external lock.
 class PercentileTracker {
@@ -112,6 +114,45 @@ class PercentileTracker {
 
  private:
   std::vector<double> samples_;
+};
+
+/// Fixed-bucket log-scale histogram of durations: the CodecServer's
+/// per-stream request latencies. Its memory is fixed (no heap), so a
+/// long-running server's statistics do not grow with the requests served.
+/// Bucket i holds [2^(i/32), 2^((i+1)/32)) ns, 32 per octave from 1 ns to
+/// 2^42 ns (about 73 min); shorter samples fall in the first bucket and
+/// longer ones in the last.
+///
+/// count(), mean() and max() are exact: samples are whole nanoseconds and
+/// summed as integers. percentile() returns min(max(), upper edge of the
+/// bucket holding the nearest-rank sample): never below the exact
+/// nearest-rank value and at most one bucket (a factor 2^(1/32), 2.2%)
+/// above it, so a p99 over fewer than 100 samples is the exact maximum.
+/// merge() adds integers, so it is associative and commutative, and an empty
+/// histogram is its identity.
+class LatencyHistogram {
+ public:
+  static constexpr size_t kBucketsPerOctave = 32;
+  static constexpr size_t kOctaves = 42;
+  static constexpr size_t kBuckets = kBucketsPerOctave * kOctaves;
+
+  void record(std::chrono::nanoseconds d);
+  void merge(const LatencyHistogram& other);
+
+  uint64_t count() const { return count_; }
+  double mean() const;  ///< seconds; 0 when empty
+  double max() const;   ///< seconds; 0 when empty
+  /// Nearest-rank percentile in seconds, `p` in [0, 100]. Returns 0 when
+  /// empty.
+  double percentile(double p) const;
+
+  bool operator==(const LatencyHistogram&) const = default;
+
+ private:
+  std::array<uint64_t, kBuckets> counts_{};
+  uint64_t count_ = 0;
+  uint64_t sum_ns_ = 0;
+  uint64_t max_ns_ = 0;
 };
 
 /// Fixed-width text table printer for bench output (keeps every bench's

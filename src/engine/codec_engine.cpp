@@ -138,13 +138,13 @@ CodecFuture CodecEngine::submit(size_t count, Body body, int priority,
                                                  priority, deadline);
   // Dynamic work queue: ~8 shards per worker balances load without paying a
   // queue round-trip per block. Shard size never affects results, only how
-  // the stream is cut across workers. Shards above 16 blocks are rounded up
-  // to a multiple of 16 so the SIMD batch kernels see full tiles and the
-  // per-shard staging (length scratch, scatter arena) amortizes evenly.
+  // the stream is cut across workers. The size is clamped to
+  // [kMinShard, kMaxShard] and rounded up to a multiple of 16, so the SIMD
+  // batch kernels see full tiles and the per-shard staging amortizes evenly.
   const size_t target_shards = static_cast<size_t>(num_threads()) * 8;
-  size_t shard = std::clamp<size_t>((count + target_shards - 1) / target_shards, 1, 4096);
-  if (shard > 16) shard = (shard + 15) / 16 * 16;
-  job->shard = std::min<size_t>(shard, 4096);
+  const size_t shard =
+      std::clamp<size_t>((count + target_shards - 1) / target_shards, kMinShard, kMaxShard);
+  job->shard = (shard + 15) / 16 * 16;
   bool stopped = false;
   {
     MutexLock lk(mutex_);

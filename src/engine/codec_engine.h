@@ -160,6 +160,15 @@ class CodecEngine {
   static constexpr std::chrono::steady_clock::time_point kNoDeadline =
       std::chrono::steady_clock::time_point::max();
 
+  /// Shard size bounds. A job shorter than kMinShard items is one shard, and
+  /// every shard of a longer job but its last has at least kMinShard: one
+  /// batch-kernel chunk (SlcCodec::kProbeChunk), because a smaller shard
+  /// pays a claim round trip and a worker wake for less than one kernel
+  /// call. Both bounds are multiples of the 16-item tile every shard size is
+  /// rounded up to.
+  static constexpr size_t kMinShard = 64;
+  static constexpr size_t kMaxShard = 4096;
+
   /// `num_threads` = 0 picks std::thread::hardware_concurrency() (min 1).
   explicit CodecEngine(unsigned num_threads = 0);
   /// shutdown(): joins the pool; jobs still queued are abandoned.

@@ -1,8 +1,12 @@
 #include "server/codec_server.h"
 
 #include <algorithm>
+#include <array>
 #include <stdexcept>
+#include <string>
 #include <utility>
+
+#include "core/slc_codec.h"
 
 namespace slc {
 
@@ -22,6 +26,10 @@ int to_engine_priority(StreamPriority p) {
 
 constexpr auto kNoFlush = std::chrono::steady_clock::time_point::max();
 
+/// A fresh pending batch reserves room for at most this many blocks, so a
+/// batch_blocks far above any real batch does not reserve a huge arena.
+constexpr size_t kMaxReserveBlocks = 4096;
+
 /// When a parked request must be force-dispatched: deadline-carrying
 /// requests get half their deadline as coalescing budget (capped by the
 /// configured linger) so the engine keeps the other half; deadline-free
@@ -38,31 +46,75 @@ std::chrono::steady_clock::time_point flush_deadline(
   return kNoFlush;
 }
 
+/// A payload longer than its block would overrun the block's slot in the
+/// payload arena; the open Compressor interface allows one, so the batch
+/// fails instead.
+[[noreturn]] void throw_payload_overflow(const Compressor& codec, size_t payload_bytes,
+                                         size_t block_bytes) {
+  throw std::length_error("CodecServer: a " + codec.name() + " payload of " +
+                          std::to_string(payload_bytes) + " B exceeds its " +
+                          std::to_string(block_bytes) + " B block");
+}
+
 }  // namespace
 
-/// One dispatched batch: the concatenated blocks of the requests it carries
-/// and index-aligned result slots (analyses or payloads, by kind). It is one
-/// engine job, completed through that job's on_done: a shard exception
-/// cancels the rest of the batch and reaches every request as kError.
+static_assert(CodecEngine::kMinShard == SlcCodec::kProbeChunk,
+              "a shard stages one kernel chunk of views at a time");
+
+/// One dispatched batch: the requests' blocks back to back in one arena
+/// with an end offset per block, and index-aligned result slots (analyses,
+/// or the payload arena, by kind). It is one engine job, completed through
+/// that job's on_done: a shard exception cancels the rest of the batch and
+/// reaches every request as kError.
 struct CodecServer::Batch {
+  static constexpr size_t kChunk = CodecEngine::kMinShard;
+
   StreamId stream = 0;
   RequestKind kind = RequestKind::kAnalyze;
   std::shared_ptr<const Compressor> codec;
   size_t mag_bytes = kDefaultMagBytes;
-  std::vector<Block> blocks;
-  std::vector<BlockAnalysis> analyses;      ///< kAnalyze / kDecide
-  std::vector<CompressedBlock> payloads;    ///< kCompress
+  std::vector<uint8_t> bytes;
+  std::vector<size_t> ends;  ///< block i is bytes[block_begin(i), ends[i])
+  std::vector<BlockAnalysis> analyses;             ///< kAnalyze / kDecide
+  std::shared_ptr<detail::PayloadArena> payloads;  ///< kCompress
   std::vector<std::shared_ptr<detail::ServerRequest>> requests;
 
-  /// One engine shard: straight into the batch's index-aligned result slots
-  /// through the codec's batch kernels — coalesced server batches hit
-  /// vectorized overrides (and the prefix-sum payload scatter for compress).
-  void run_shard(size_t begin, size_t end) {
-    const auto views = to_views(std::span<const Block>(blocks).subspan(begin, end - begin));
-    if (kind == RequestKind::kCompress) {
-      codec->compress_batch(views, payloads.data() + begin);
-    } else {
-      codec->analyze_batch(views, analyses.data() + begin);
+  size_t block_begin(size_t i) const { return i == 0 ? 0 : ends[i - 1]; }
+  size_t block_bytes(size_t i) const { return ends[i] - block_begin(i); }
+
+  /// One engine shard, one kernel chunk at a time over views staged on the
+  /// stack. Analyses land in the batch's slots directly; payloads go
+  /// through the worker's reused `slots`, then into the payload arena at
+  /// their blocks' input offsets.
+  void run_shard(size_t begin, size_t end, std::span<CompressedBlock, kChunk> slots) {
+    std::array<BlockView, kChunk> views;
+    for (size_t base = begin; base < end; base += kChunk) {
+      const size_t n = std::min(kChunk, end - base);
+      for (size_t j = 0; j < n; ++j)
+        views[j] = BlockView(
+            std::span<const uint8_t>(bytes).subspan(block_begin(base + j), block_bytes(base + j)));
+      const std::span<const BlockView> chunk(views.data(), n);
+      if (kind != RequestKind::kCompress) {
+        codec->analyze_batch(chunk, analyses.data() + base);
+        continue;
+      }
+      for (size_t j = 0; j < n; ++j) {
+        slots[j].payload.clear();  // keeps the capacity
+        slots[j].bit_size = 0;
+        slots[j].is_compressed = false;
+      }
+      codec->compress_batch(chunk, slots.data());
+      for (size_t j = 0; j < n; ++j) {
+        const size_t i = base + j;
+        const std::vector<uint8_t>& p = slots[j].payload;
+        if (p.size() > block_bytes(i)) throw_payload_overflow(*codec, p.size(), block_bytes(i));
+        std::copy(p.begin(), p.end(),
+                  payloads->bytes.begin() + static_cast<ptrdiff_t>(block_begin(i)));
+        payloads->entries[i] = {.offset = block_begin(i),
+                                .length = p.size(),
+                                .bit_size = slots[j].bit_size,
+                                .is_compressed = slots[j].is_compressed};
+      }
     }
   }
 };
@@ -90,9 +142,27 @@ Response ServerTicket::wait() {
     done = req->done;
   }
   if (!done && server_) server_->flush_stream(stream_);
-  MutexLock lk(req->m);
-  while (!req->done) req->cv.wait(req->m);
-  return std::move(req->resp);
+  Response resp;
+  std::shared_ptr<const detail::PayloadArena> arena;
+  {
+    MutexLock lk(req->m);
+    while (!req->done) req->cv.wait(req->m);
+    resp = std::move(req->resp);
+    arena = std::move(req->payloads);
+  }
+  // Payload vectors are built here, on the waiting thread, so they are
+  // allocated and freed on the client's side.
+  if (arena) {
+    resp.payloads.resize(req->n_blocks);
+    for (size_t j = 0; j < req->n_blocks; ++j) {
+      const detail::PayloadArena::Entry& e = arena->entries[req->offset + j];
+      const auto first = arena->bytes.begin() + static_cast<ptrdiff_t>(e.offset);
+      resp.payloads[j].payload.assign(first, first + static_cast<ptrdiff_t>(e.length));
+      resp.payloads[j].bit_size = e.bit_size;
+      resp.payloads[j].is_compressed = e.is_compressed;
+    }
+  }
+  return resp;
 }
 
 // --- CodecServer ------------------------------------------------------------
@@ -102,6 +172,7 @@ CodecServer::CodecServer() : CodecServer(Config{}) {}
 CodecServer::CodecServer(Config cfg) : cfg_(std::move(cfg)) {
   engine_ = cfg_.engine ? cfg_.engine : CodecEngine::shared_default();
   if (cfg_.batch_blocks == 0) cfg_.batch_blocks = 1;
+  worker_slots_.resize(engine_->num_threads());
   timer_ = std::thread([this] { timer_loop(); });
 }
 
@@ -150,21 +221,14 @@ const std::string& CodecServer::stream_name(StreamId s) const {
   return streams_.at(s)->cfg.name;
 }
 
-ServerTicket CodecServer::submit(StreamId s, const Request& request) {
-  std::vector<Block> blocks =
-      !request.blocks.empty()
-          ? std::vector<Block>(request.blocks.begin(), request.blocks.end())
-          : to_blocks(request.bytes);
-  return submit_request(s, request, std::move(blocks));
-}
-
-ServerTicket CodecServer::submit_request(StreamId s, const Request& r,
-                                         std::vector<Block>&& blocks) {
+ServerTicket CodecServer::submit(StreamId s, const Request& r) {
   auto req = std::make_shared<detail::ServerRequest>();
   // Latency is measured from here — before any admission wait or coalescing
   // delay — so percentiles reflect what the client experienced.
   req->submitted = std::chrono::steady_clock::now();
-  req->n_blocks = blocks.size();
+  const size_t n = !r.blocks.empty() ? r.blocks.size()
+                                     : (r.bytes.size() + kBlockBytes - 1) / kBlockBytes;
+  req->n_blocks = n;
   req->kind = r.kind;
   req->tag = r.tag;
   req->deadline = r.deadline;
@@ -172,13 +236,11 @@ ServerTicket CodecServer::submit_request(StreamId s, const Request& r,
   MutexLock lk(lock_);
   Stream& st = *streams_.at(s);
 
-  if (blocks.empty()) {
+  if (n == 0) {
     // Nothing to schedule; complete inline so the request can never be
     // stranded in an empty batch.
     st.stats.requests += 1;
-    st.stats.latency.record(std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                                          req->submitted)
-                                .count());
+    st.stats.latency.record(std::chrono::steady_clock::now() - req->submitted);
     MutexLock rlk(req->m);
     req->resp.tag = req->tag;
     req->resp.analysis.ratios = RatioAccumulator(st.cfg.options.mag_bytes);
@@ -186,7 +248,6 @@ ServerTicket CodecServer::submit_request(StreamId s, const Request& r,
     return ServerTicket(this, s, std::move(req));
   }
 
-  const size_t n = blocks.size();
   if (cfg_.max_inflight_blocks != 0 && st.cfg.admission == AdmissionPolicy::kReject) {
     // Load shedding: a kReject stream never waits. The request is shed
     // unless it could be admitted *right now* — budget room and no older
@@ -229,15 +290,29 @@ ServerTicket CodecServer::submit_request(StreamId s, const Request& r,
   // Batches are kind-homogeneous: a kind switch flushes the pending batch.
   if (!st.pending.empty() && st.pending_kind != r.kind) dispatch_locked(s);
 
-  req->offset = st.pending_blocks.size();
+  req->offset = st.pending_ends.size();
   if (st.pending.empty()) {
     st.pending_kind = r.kind;
     st.flush_by = kNoFlush;
     st.pending_has_deadline = false;
     st.pending_deadline = CodecEngine::kNoDeadline;
+    // The last dispatch took the buffers: size them for a full batch once
+    // instead of regrowing them request by request.
+    const size_t expect = std::min(cfg_.batch_blocks, kMaxReserveBlocks);
+    st.pending_ends.reserve(expect);
+    st.pending_bytes.reserve(expect * kBlockBytes);
   }
-  st.pending_blocks.insert(st.pending_blocks.end(), std::make_move_iterator(blocks.begin()),
-                           std::make_move_iterator(blocks.end()));
+  if (!r.blocks.empty()) {
+    for (const Block& b : r.blocks) {
+      st.pending_bytes.insert(st.pending_bytes.end(), b.bytes().begin(), b.bytes().end());
+      st.pending_ends.push_back(st.pending_bytes.size());
+    }
+  } else {
+    const size_t start = st.pending_bytes.size();
+    st.pending_bytes.insert(st.pending_bytes.end(), r.bytes.begin(), r.bytes.end());
+    st.pending_bytes.resize(start + n * kBlockBytes);  // zero-pads the ragged tail
+    for (size_t j = 1; j <= n; ++j) st.pending_ends.push_back(start + j * kBlockBytes);
+  }
   st.pending.push_back(req);
   pending_blocks_total_ += n;
   if (r.deadline.count() > 0) {
@@ -249,14 +324,19 @@ ServerTicket CodecServer::submit_request(StreamId s, const Request& r,
   // as the batch retires.
   const bool over_budget = cfg_.max_inflight_blocks != 0 &&
                            inflight_blocks_ + pending_blocks_total_ > cfg_.max_inflight_blocks;
-  if (st.pending_blocks.size() >= cfg_.batch_blocks || over_budget) {
+  if (st.pending_ends.size() >= cfg_.batch_blocks || over_budget) {
     dispatch_locked(s);
   } else {
     // Parked: arm the flush timer so a submit lull cannot strand the batch.
+    // The timer rescans whenever it wakes, so it needs a nudge only for a
+    // flush earlier than the wake it is already sleeping until.
     const auto when = flush_deadline(req->submitted, req->deadline, cfg_.max_coalesce_delay);
     if (when < st.flush_by) {
       st.flush_by = when;
-      timer_cv_.notify_all();
+      if (when < timer_wake_) {
+        timer_wake_ = when;
+        timer_cv_.notify_all();
+      }
     }
   }
   return ServerTicket(this, s, std::move(req));
@@ -282,6 +362,7 @@ void CodecServer::timer_loop() {
       }
     }
     if (stopping_) break;
+    timer_wake_ = next;
     if (next == kNoFlush) {
       timer_cv_.wait(lock_);
     } else {
@@ -299,14 +380,19 @@ void CodecServer::dispatch_locked(StreamId s) {
   batch->kind = st.pending_kind;
   batch->codec = st.codec;
   batch->mag_bytes = st.cfg.options.mag_bytes;
-  batch->blocks = std::move(st.pending_blocks);
+  batch->bytes = std::move(st.pending_bytes);
+  batch->ends = std::move(st.pending_ends);
   batch->requests = std::move(st.pending);
-  st.pending_blocks.clear();
+  st.pending_bytes.clear();
+  st.pending_ends.clear();
   st.pending.clear();
+  const size_t n = batch->ends.size();
   if (batch->kind == RequestKind::kCompress) {
-    batch->payloads.resize(batch->blocks.size());
+    batch->payloads = std::make_shared<detail::PayloadArena>();
+    batch->payloads->bytes.resize(batch->bytes.size());
+    batch->payloads->entries.resize(n);
   } else {
-    batch->analyses.resize(batch->blocks.size());
+    batch->analyses.resize(n);
   }
   // A batch carrying any explicit deadline claims shards ahead of everything
   // priority-scheduled between the bulk/latency ends; its earliest absolute
@@ -319,8 +405,8 @@ void CodecServer::dispatch_locked(StreamId s) {
   st.pending_has_deadline = false;
   st.pending_deadline = CodecEngine::kNoDeadline;
 
-  pending_blocks_total_ -= batch->blocks.size();
-  inflight_blocks_ += batch->blocks.size();
+  pending_blocks_total_ -= n;
+  inflight_blocks_ += n;
   inflight_batches_ += 1;
   st.stats.batches += 1;
 
@@ -330,9 +416,12 @@ void CodecServer::dispatch_locked(StreamId s) {
   // retire their backpressure debt.
   try {
     engine_->submit(
-        batch->blocks.size(),
-        [batch](size_t begin, size_t end, unsigned) { batch->run_shard(begin, end); }, priority,
-        deadline, [this, batch](std::exception_ptr err) { complete_batch(*batch, err); });
+        n,
+        [this, batch](size_t begin, size_t end, unsigned worker) {
+          batch->run_shard(begin, end, worker_slots_[worker]);
+        },
+        priority, deadline,
+        [this, batch](std::exception_ptr err) { complete_batch(*batch, err); });
   } catch (...) {
     // The engine is stopped (or the job could not be built): no shard will
     // ever run. Complete the batch here without dropping lock_, so tickets
@@ -365,18 +454,16 @@ void CodecServer::deliver_batch(Batch& batch, std::exception_ptr err,
       resp.status = ResponseStatus::kError;
       resp.error = err;
     } else if (batch.kind == RequestKind::kCompress) {
-      resp.payloads.assign(
-          std::make_move_iterator(batch.payloads.begin() + static_cast<ptrdiff_t>(req->offset)),
-          std::make_move_iterator(batch.payloads.begin() +
-                                  static_cast<ptrdiff_t>(req->offset + req->n_blocks)));
-      for (size_t j = 0; j < resp.payloads.size(); ++j) {
-        resp.analysis.ratios.add(batch.blocks[req->offset + j].size() * 8,
-                                 resp.payloads[j].bit_size);
+      // The payload vectors are built by the waiter (ServerTicket::wait).
+      for (size_t j = 0; j < req->n_blocks; ++j) {
+        const size_t i = req->offset + j;
+        resp.analysis.ratios.add(batch.block_bytes(i) * 8, batch.payloads->entries[i].bit_size);
       }
     } else {
       for (size_t j = 0; j < req->n_blocks; ++j) {
-        const BlockAnalysis& a = batch.analyses[req->offset + j];
-        resp.analysis.ratios.add(batch.blocks[req->offset + j].size() * 8, a.bit_size);
+        const size_t i = req->offset + j;
+        const BlockAnalysis& a = batch.analyses[i];
+        resp.analysis.ratios.add(batch.block_bytes(i) * 8, a.bit_size);
         resp.analysis.lossy_blocks += a.lossy ? 1 : 0;
         resp.analysis.truncated_symbols += a.truncated_symbols;
         resp.analysis.cache.record(a.cache_probed, a.cache_hit, a.cache_evicted,
@@ -391,6 +478,7 @@ void CodecServer::deliver_batch(Batch& batch, std::exception_ptr err,
     }
     MutexLock rlk(req->m);  // lock order: lock_ (if held) then req->m
     req->resp = std::move(resp);
+    if (!err) req->payloads = batch.payloads;  // null unless kCompress
     req->done = true;
   }
   for (const auto& req : batch.requests) req->cv.notify_all();
@@ -404,21 +492,20 @@ void CodecServer::retire_batch_locked(const Batch& batch, std::exception_ptr err
     if (req->deadline.count() > 0 && now - req->submitted > req->deadline) {
       st.stats.deadline_misses += 1;
     }
-    st.stats.latency.record(std::chrono::duration<double>(now - req->submitted).count());
+    st.stats.latency.record(now - req->submitted);
   }
   if (!err) {
     CommitStats& cs = st.stats.commit;
     if (batch.kind == RequestKind::kCompress) {
       // Payload batches fold the size/burst counters only; the decision
       // bookkeeping (lossy/truncated/lossless/cache) is an analyze-path
-      // concept the compress kernels do not report. bit_size/is_compressed
-      // are scalar fields, untouched by the payload moves in deliver_batch.
-      for (size_t i = 0; i < batch.payloads.size(); ++i) {
-        const CompressedBlock& p = batch.payloads[i];
+      // concept the compress kernels do not report.
+      for (size_t i = 0; i < batch.ends.size(); ++i) {
+        const detail::PayloadArena::Entry& p = batch.payloads->entries[i];
         cs.blocks += 1;
         cs.uncompressed_blocks += p.is_compressed ? 0 : 1;
-        cs.bursts += bursts_for_bits(p.bit_size, batch.mag_bytes, batch.blocks[i].size());
-        cs.original_bits += batch.blocks[i].size() * 8;
+        cs.bursts += bursts_for_bits(p.bit_size, batch.mag_bytes, batch.block_bytes(i));
+        cs.original_bits += batch.block_bytes(i) * 8;
         cs.final_bits += p.bit_size;
       }
     } else {
@@ -427,16 +514,16 @@ void CodecServer::retire_batch_locked(const Batch& batch, std::exception_ptr err
         cs.blocks += 1;
         cs.lossy_blocks += a.lossy ? 1 : 0;
         cs.uncompressed_blocks += a.is_compressed ? 0 : 1;
-        cs.bursts += bursts_for_bits(a.bit_size, batch.mag_bytes, batch.blocks[i].size());
+        cs.bursts += bursts_for_bits(a.bit_size, batch.mag_bytes, batch.block_bytes(i));
         cs.truncated_symbols += a.truncated_symbols;
-        cs.original_bits += batch.blocks[i].size() * 8;
+        cs.original_bits += batch.block_bytes(i) * 8;
         cs.lossless_bits += a.lossless_bits;
         cs.final_bits += a.bit_size;
         cs.cache.record(a.cache_probed, a.cache_hit, a.cache_evicted, a.cache_collision);
       }
     }
   }
-  inflight_blocks_ -= batch.blocks.size();
+  inflight_blocks_ -= batch.ends.size();
   inflight_batches_ -= 1;
   // Notify while still holding the lock: a woken drain() can only pass its
   // predicate after we release it, so the completing thread is done

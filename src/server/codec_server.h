@@ -25,8 +25,16 @@
 //     AdmissionPolicy::kReject streams get an immediate kRejected response
 //     instead of queueing — overload sheds load instead of growing latency;
 //   * tracks per-stream and aggregate CommitStats, request-latency
-//     percentiles (PercentileTracker, p50/p99), rejections and deadline
-//     misses.
+//     percentiles (a fixed-size LatencyHistogram, p50/p99), rejections and
+//     deadline misses.
+//
+// Memory: a stream's pending batch is one byte arena plus an end offset per
+// block, appended to by submit(); shards view it on the stack, one 64-block
+// kernel chunk at a time. A kCompress batch writes each payload into a
+// per-batch payload arena at its block's input offset, and the waiting
+// thread builds its Response::payloads from that slice in wait(). So the
+// path from submit() to wait() allocates nothing per block except the
+// payload vectors a Response must own.
 //
 // Stream lifecycle: open_stream() -> submit() xN (tickets) -> wait()/drain().
 // Streams live as long as the server; there is no close — drain() is the
@@ -37,10 +45,15 @@
 // results do not depend on which batch carried them; they land in
 // index-aligned slots; the scatter to per-request responses and the stats
 // fold walk blocks in order on a single thread; cross-batch merges add
-// integer counters, which commute. Batch *boundaries* (StreamStats::batches)
-// additionally depend on wall clock (the coalesce timer) and backpressure
-// waits; the latency percentiles, `rejected` and `deadline_misses` are wall
-// clock too — none of those four are covered by the guarantee.
+// integer counters, which commute. A worker's reused kCompress slots are
+// reset (empty payload, bit_size 0, not compressed) before every kernel
+// call, so a kernel that leaves a slot untouched returns a fresh slot, never
+// an earlier batch's bytes — another tenant's. A payload longer than its
+// block fails the batch with std::length_error. Batch *boundaries*
+// (StreamStats::batches) additionally depend on wall clock (the coalesce
+// timer) and backpressure waits; the latency percentiles, `rejected` and
+// `deadline_misses` are wall clock too — none of those four are covered by
+// the guarantee.
 //
 // Completion: each batch is one engine job whose on_done completes it —
 // served (every response built from the batch's slots), failed (a shard
@@ -55,6 +68,7 @@
 // requests are in flight fails them with kError instead of hanging.
 #pragma once
 
+#include <array>
 #include <chrono>
 #include <cstdint>
 #include <exception>
@@ -130,7 +144,8 @@ struct Request {
   /// Flat byte buffer, sliced into 128 B blocks (ragged tail zero-padded
   /// like to_blocks).
   std::span<const uint8_t> bytes{};
-  /// Pre-blocked input (takes precedence over `bytes`).
+  /// Pre-blocked input (takes precedence over `bytes`); each block keeps its
+  /// own size.
   std::span<const Block> blocks{};
   /// Completion deadline relative to submit(); 0 = none. A deadline arms the
   /// flush timer with a budget of deadline/2 (capped by
@@ -188,18 +203,19 @@ struct Response {
 };
 
 /// Per-stream (or aggregate) serving counters. `commit` is deterministic.
-/// `latency` is wall-clock seconds from the steady_clock capture at the top
-/// of submit() — before any admission wait or coalescing delay — to response
-/// delivery, over served (kOk/kError) requests only. `requests` counts every
-/// submit() including rejected ones; `rejected` and `deadline_misses` are
-/// wall-clock-dependent shed/miss counters.
+/// `latency` is wall-clock time from the steady_clock capture at the top of
+/// submit() — before any admission wait or coalescing delay — to response
+/// delivery, over served (kOk/kError) requests only; its queries return
+/// seconds. `requests` counts every submit() including rejected ones;
+/// `rejected` and `deadline_misses` are wall-clock-dependent shed/miss
+/// counters.
 struct StreamStats {
   CommitStats commit;
   uint64_t requests = 0;
   uint64_t batches = 0;
   uint64_t rejected = 0;
   uint64_t deadline_misses = 0;
-  PercentileTracker latency;
+  LatencyHistogram latency;
 
   void merge(const StreamStats& o) {
     commit.merge(o.commit);
@@ -212,6 +228,22 @@ struct StreamStats {
 };
 
 namespace detail {
+
+/// A kCompress batch's output. Block i's payload is `bytes[offset, offset +
+/// length)`, where `offset` is the block's offset in the batch's input arena
+/// — so each payload has a slot as long as its block — and its size and flag
+/// travel alongside. Written by the batch's shards (disjoint entries and
+/// slots), read only after the batch completed.
+struct PayloadArena {
+  struct Entry {
+    size_t offset = 0;
+    size_t length = 0;  ///< payload bytes actually written (not derived from bit_size)
+    size_t bit_size = 0;
+    bool is_compressed = false;
+  };
+  std::vector<uint8_t> bytes;
+  std::vector<Entry> entries;  ///< index-aligned with the batch's blocks
+};
 
 /// One queued request: its slice of the batch it rides in, and its own
 /// completion state (the batch's completion delivers into it). Lock order:
@@ -229,6 +261,10 @@ struct ServerRequest {
   CondVar cv;  ///< signals done
   bool done SLC_GUARDED_BY(m) = false;
   Response resp SLC_GUARDED_BY(m);
+  /// A served kCompress request's batch output; wait() builds resp.payloads
+  /// from this request's entries. The request holds the arena, never the
+  /// batch: the batch holds its requests, so that would be a cycle.
+  std::shared_ptr<const PayloadArena> payloads SLC_GUARDED_BY(m);
 };
 
 }  // namespace detail
@@ -340,7 +376,11 @@ class CodecServer {
     StreamConfig cfg;
     std::shared_ptr<const Compressor> codec;
     int engine_priority = 0;
-    std::vector<Block> pending_blocks;  ///< coalesced, owned until dispatch
+    /// The pending requests' blocks back to back, owned until dispatch;
+    /// block i is pending_bytes[pending_ends[i - 1] (0 for i = 0),
+    /// pending_ends[i]).
+    std::vector<uint8_t> pending_bytes;
+    std::vector<size_t> pending_ends;
     std::vector<std::shared_ptr<detail::ServerRequest>> pending;
     /// Kind of the pending batch (a submit with a different kind dispatches
     /// the pending batch first — batches are kind-homogeneous).
@@ -357,8 +397,6 @@ class CodecServer {
     StreamStats stats;
   };
 
-  /// Shared core of submit(); takes ownership of the blocks.
-  ServerTicket submit_request(StreamId s, const Request& r, std::vector<Block>&& blocks);
   /// Packages the stream's pending requests into one batch and submits it as
   /// a single engine job at the stream's priority, with complete_batch as
   /// its on_done. If submit() throws (engine stopped), the batch is
@@ -391,7 +429,12 @@ class CodecServer {
   mutable Mutex lock_;
   CondVar backpressure_cv_;  ///< signals: budget freed / turnstile advanced
   CondVar drain_cv_;         ///< signals: inflight_batches_ reached 0
-  CondVar timer_cv_;         ///< signals: new flush_by armed / stopping_
+  CondVar timer_cv_;         ///< signals: flush_by armed before timer_wake_ / stopping_
+  /// When the timer thread next rescans (time_point::max() while it waits
+  /// untimed). submit() notifies timer_cv_ only for a flush earlier than
+  /// this, so the timer wakes once per coalescing window, not per batch.
+  std::chrono::steady_clock::time_point timer_wake_ SLC_GUARDED_BY(lock_) =
+      std::chrono::steady_clock::time_point::max();
   std::vector<std::unique_ptr<Stream>> streams_ SLC_GUARDED_BY(lock_);
   size_t inflight_blocks_ SLC_GUARDED_BY(lock_) = 0;
   size_t inflight_batches_ SLC_GUARDED_BY(lock_) = 0;
@@ -400,6 +443,11 @@ class CodecServer {
   uint64_t admit_head_ SLC_GUARDED_BY(lock_) = 0;  ///< turnstile: next turn to admit
   uint64_t admit_tail_ SLC_GUARDED_BY(lock_) = 0;  ///< next turn to hand out
   bool stopping_ SLC_GUARDED_BY(lock_) = false;    ///< ~CodecServer: timer must exit
+  /// kCompress kernel output slots, one chunk per engine worker, indexed by
+  /// the shard's worker_id. Not under lock_: a worker runs one shard at a
+  /// time, so only worker w touches worker_slots_[w]. Reused across batches
+  /// so the payload vectors keep their capacity.
+  std::vector<std::array<CompressedBlock, CodecEngine::kMinShard>> worker_slots_;
   std::thread timer_;  ///< flush-timer thread; started in ctor, joined in dtor
 };
 

@@ -319,8 +319,10 @@ class PerBlockCodec final : public BlockCodec {
 // the same kernel run a block at a time: same mutated contents, same stats,
 // same burst counts — across lossy/threshold-varied regions (tighter and
 // looser than the codec config, unsafe, zero-threshold) and across engine
-// batch splits (inline, 1-thread, 4-thread shard sizes all differ).
+// batch splits: a 600-block region is one span inline, 80-block shards on
+// one thread and 64-block shards on four.
 TEST(ApproxMemory, BatchCommitMatchesScalarAcrossThresholds) {
+  static constexpr size_t kRegionBlocks = 600;
   auto run = [](std::shared_ptr<const BlockCodec> codec, std::shared_ptr<CodecEngine> engine) {
     ApproxMemory mem;
     mem.set_engine(std::move(engine));
@@ -332,9 +334,9 @@ TEST(ApproxMemory, BatchCommitMatchesScalarAcrossThresholds) {
     const Spec specs[] = {{true, 16}, {true, 4}, {true, 64}, {false, 16}, {true, 0}};
     std::vector<RegionId> regions;
     for (size_t i = 0; i < std::size(specs); ++i) {
-      regions.push_back(mem.alloc("r" + std::to_string(i), 48 * kBlockBytes, specs[i].safe,
-                                  specs[i].threshold));
-      const auto src = quantized_walk(100 + i, 48);
+      regions.push_back(mem.alloc("r" + std::to_string(i), kRegionBlocks * kBlockBytes,
+                                  specs[i].safe, specs[i].threshold));
+      const auto src = quantized_walk(100 + i, kRegionBlocks);
       std::copy(src.begin(), src.end(), mem.span<uint8_t>(regions.back()).begin());
     }
     mem.commit_all();

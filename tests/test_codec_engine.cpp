@@ -11,7 +11,10 @@
 #include <memory>
 #include <mutex>
 #include <stdexcept>
+#include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "common/rng.h"
 #include "test_util.h"
@@ -39,6 +42,49 @@ TEST(CodecEngine, ParallelForCoversEveryIndexExactlyOnce) {
       for (size_t i = begin; i < end; ++i) hits[i].fetch_add(1);
     }).wait();
     for (size_t i = 0; i < count; ++i) EXPECT_EQ(hits[i].load(), 1) << "index " << i;
+  }
+}
+
+// The shard rule, read back from the ranges the body sees: a job under
+// kMinShard items is one shard; otherwise every shard but the last has at
+// least kMinShard items and a multiple of 16, all but the last are the same
+// size, and none exceeds kMaxShard.
+TEST(CodecEngine, ShardSizesRespectFloorTileAndCap) {
+  static_assert(CodecEngine::kMinShard == 64 && CodecEngine::kMaxShard == 4096);
+  for (const unsigned threads : {1u, 2u, 4u}) {
+    CodecEngine engine(threads);
+    for (const size_t count :
+         {size_t{1}, size_t{17}, size_t{63}, size_t{64}, size_t{65}, size_t{100}, size_t{256},
+          size_t{1000}, size_t{4097}, size_t{100000}, size_t{300000}}) {
+      std::mutex m;
+      std::vector<std::pair<size_t, size_t>> ranges;
+      engine.submit(count, [&](size_t begin, size_t end, unsigned) {
+        std::lock_guard<std::mutex> lk(m);
+        ranges.emplace_back(begin, end);
+      }).wait();
+      std::sort(ranges.begin(), ranges.end());
+      ASSERT_FALSE(ranges.empty());
+      const std::string at = "count " + std::to_string(count) + " threads " +
+                             std::to_string(threads);
+      EXPECT_EQ(ranges.front().first, 0u) << at;
+      EXPECT_EQ(ranges.back().second, count) << at;
+      if (count < CodecEngine::kMinShard) {
+        EXPECT_EQ(ranges.size(), 1u) << at;
+        continue;
+      }
+      const size_t shard = ranges.front().second - ranges.front().first;
+      for (size_t i = 0; i < ranges.size(); ++i) {
+        const size_t size = ranges[i].second - ranges[i].first;
+        if (i > 0) {
+          EXPECT_EQ(ranges[i].first, ranges[i - 1].second) << at;
+        }
+        EXPECT_LE(size, CodecEngine::kMaxShard) << at;
+        if (i + 1 == ranges.size()) continue;
+        EXPECT_EQ(size, shard) << at;
+        EXPECT_GE(size, CodecEngine::kMinShard) << at;
+        EXPECT_EQ(size % 16, 0u) << at;
+      }
+    }
   }
 }
 
@@ -177,18 +223,19 @@ TEST(CodecEngine, ConcurrentSubmitsMatchSequentialAnalyze) {
 }
 
 // An exception is confined to its job: concurrent jobs complete normally,
-// the failed future rethrows, and the pool stays usable.
+// the failed future rethrows, and the pool stays usable. 512 items on two
+// workers are 8 shards of 64 per job, so the failed job has shards to cancel.
 TEST(CodecEngine, ExceptionInOneJobDoesNotPoisonOthers) {
   CodecEngine engine(2);
   std::atomic<size_t> good_total{0};
-  auto bad = engine.submit(64, [&](size_t begin, size_t, unsigned) {
+  auto bad = engine.submit(512, [&](size_t begin, size_t, unsigned) {
     if (begin == 0) throw std::runtime_error("boom");
   });
   auto good =
-      engine.submit(64, [&](size_t begin, size_t end, unsigned) { good_total += end - begin; });
+      engine.submit(512, [&](size_t begin, size_t end, unsigned) { good_total += end - begin; });
 
   good.wait();
-  EXPECT_EQ(good_total.load(), 64u);
+  EXPECT_EQ(good_total.load(), 512u);
   EXPECT_THROW(bad.wait(), std::runtime_error);
 
   // The pool must stay usable afterwards.
@@ -476,6 +523,7 @@ TEST(CodecEngine, EarliestDeadlineClaimsFirstWithinBand) {
 
 // A multi-shard deadline batch drains completely before a same-band batch
 // with a later deadline starts: shard claims follow the job-level EDF order.
+// 512 items on one worker are 8 shards of 64 per batch.
 TEST(CodecEngine, DeadlineBatchesDispatchInDeadlineOrder) {
   CodecEngine engine(1);
   std::atomic<bool> started{false}, release{false};
@@ -490,7 +538,7 @@ TEST(CodecEngine, DeadlineBatchesDispatchInDeadlineOrder) {
   const auto now = std::chrono::steady_clock::now();
   auto batch = [&](int tag, std::chrono::seconds deadline) {
     return engine.submit(
-        64,
+        512,
         [&order, &order_m, tag](size_t, size_t, unsigned) {
           std::lock_guard<std::mutex> lk(order_m);
           order.push_back(tag);
@@ -504,7 +552,7 @@ TEST(CodecEngine, DeadlineBatchesDispatchInDeadlineOrder) {
   gate.wait();
   late.wait();
   early.wait();
-  ASSERT_FALSE(order.empty());
+  ASSERT_EQ(order.size(), 16u) << "two batches of 8 shards each";
   const auto first_late = std::find(order.begin(), order.end(), 1);
   const auto last_early = std::find(order.rbegin(), order.rend(), 0);
   ASSERT_NE(first_late, order.end());

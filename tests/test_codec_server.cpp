@@ -4,15 +4,16 @@
 // coexistence, per-request error delivery, and the determinism guarantee —
 // per-stream results are byte-identical for 1 and N engine threads.
 //
-// This file registers two test-only codecs (TEST-SLOW, TEST-THROW), so it
-// lives in its own test binary: the registry is process-global and the main
-// suite asserts the exact production name lists.
+// This file registers test-only codecs (TEST-SLOW, TEST-THROW, TEST-LONG,
+// TEST-STALE), so it lives in its own test binary: the registry is
+// process-global and the main suite asserts the exact production name lists.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -74,29 +75,70 @@ class ThrowingCodec : public Compressor {
   }
 };
 
-const CodecRegistrar slow_registrar{CodecInfo{
-    .name = "TEST-SLOW",
-    .scheme = "test fixture",
-    .paper = "n/a",
-    .order = 999,
-    .lossy = false,
-    .needs_training = false,
-    .compress_latency = 0,
-    .decompress_latency = 0,
-    .make = [](const CodecOptions&) { return std::make_shared<SlowCodec>(); },
-    .make_block_codec = nullptr}};
+/// Returns a payload one byte longer than its block — what no registry codec
+/// does (the stored-raw rule caps payloads at the block), but the open
+/// Compressor interface allows.
+class LongPayloadCodec : public Compressor {
+ public:
+  std::string name() const override { return "TEST-LONG"; }
+  Block decompress(const CompressedBlock&, size_t block_bytes) const override {
+    return Block(block_bytes);
+  }
+  void analyze_batch(std::span<const BlockView> blocks, BlockAnalysis* out) const override {
+    for (size_t i = 0; i < blocks.size(); ++i) out[i].bit_size = blocks[i].size() * 8;
+  }
+  void compress_batch(std::span<const BlockView> blocks, CompressedBlock* out) const override {
+    for (size_t i = 0; i < blocks.size(); ++i) {
+      out[i].payload.assign(blocks[i].size() + 1, 0xAB);
+      out[i].bit_size = (blocks[i].size() + 1) * 8;
+      out[i].is_compressed = true;
+    }
+  }
+};
 
-const CodecRegistrar throw_registrar{CodecInfo{
-    .name = "TEST-THROW",
-    .scheme = "test fixture",
-    .paper = "n/a",
-    .order = 999,
-    .lossy = false,
-    .needs_training = false,
-    .compress_latency = 0,
-    .decompress_latency = 0,
-    .make = [](const CodecOptions&) { return std::make_shared<ThrowingCodec>(); },
-    .make_block_codec = nullptr}};
+/// Writes its output slots on its first compress call and leaves them
+/// untouched on every later one — a kernel whose slots could carry an
+/// earlier batch's bytes if the server reused them without a reset.
+class StaleSlotCodec : public Compressor {
+ public:
+  std::string name() const override { return "TEST-STALE"; }
+  Block decompress(const CompressedBlock&, size_t block_bytes) const override {
+    return Block(block_bytes);
+  }
+  void analyze_batch(std::span<const BlockView> blocks, BlockAnalysis* out) const override {
+    for (size_t i = 0; i < blocks.size(); ++i) out[i].bit_size = blocks[i].size() * 8;
+  }
+  void compress_batch(std::span<const BlockView> blocks, CompressedBlock* out) const override {
+    if (calls_.fetch_add(1) != 0) return;
+    for (size_t i = 0; i < blocks.size(); ++i) {
+      out[i].payload.assign(blocks[i].bytes().begin(), blocks[i].bytes().begin() + 8);
+      out[i].bit_size = 64;
+      out[i].is_compressed = true;
+    }
+  }
+
+ private:
+  mutable std::atomic<int> calls_{0};
+};
+
+/// Registry entry of a test-only codec.
+template <class Codec>
+CodecInfo fixture_info(const char* name) {
+  CodecInfo info;
+  info.name = name;
+  info.scheme = "test fixture";
+  info.paper = "n/a";
+  info.order = 999;
+  info.make = [](const CodecOptions&) -> std::shared_ptr<const Compressor> {
+    return std::make_shared<Codec>();
+  };
+  return info;
+}
+
+const CodecRegistrar slow_registrar{fixture_info<SlowCodec>("TEST-SLOW")};
+const CodecRegistrar throw_registrar{fixture_info<ThrowingCodec>("TEST-THROW")};
+const CodecRegistrar long_registrar{fixture_info<LongPayloadCodec>("TEST-LONG")};
+const CodecRegistrar stale_registrar{fixture_info<StaleSlotCodec>("TEST-STALE")};
 
 StreamConfig e2mc_stream(std::string name, std::span<const uint8_t> training,
                          StreamPriority prio = StreamPriority::kNormal) {
@@ -762,6 +804,288 @@ TEST(CodecServer, OpenStreamRejectsBadMag) {
     }
   }
   EXPECT_EQ(server.num_streams(), 0u);
+}
+
+// --- arena layout, payload safety, timer wakes ---------------------------------
+
+/// The five requests of the layout tests, coalesced into one batch: blocks
+/// of 64, 128 and 256 B, a byte buffer with a ragged tail, and an empty
+/// request. 190 blocks span several engine shards at 1 and at 4 workers.
+struct LayoutInput {
+  std::vector<Block> small = to_blocks(quantized_walk(120, 20), 64);   // 40 x 64 B
+  std::vector<Block> mid = to_blocks(quantized_walk(121, 50));         // 50 x 128 B
+  std::vector<Block> large = to_blocks(quantized_walk(122, 60), 256);  // 30 x 256 B
+  std::vector<uint8_t> ragged = [] {
+    auto d = quantized_walk(123, 70);
+    d.resize(d.size() - 77);
+    return d;
+  }();
+
+  /// Each request's blocks as the direct codec sees them (empty last).
+  std::vector<std::vector<Block>> per_request() const {
+    return {small, mid, large, to_blocks(ragged), {}};
+  }
+  std::vector<Request> requests(RequestKind kind) const {
+    return {Request{.kind = kind, .blocks = small}, Request{.kind = kind, .blocks = mid},
+            Request{.kind = kind, .blocks = large}, Request{.kind = kind, .bytes = ragged},
+            Request{.kind = kind}};
+  }
+};
+
+// Every kind over a batch of mixed block sizes, a ragged tail and an empty
+// request equals the direct codec over the same blocks: per-block analyses,
+// payload bytes, bit sizes and flags, each response's ratios and decision
+// aggregates, and the stream's CommitStats — at 1 and 4 engine workers.
+TEST(CodecServer, CoalescedMixedBlockSizesMatchDirectCodecAllKinds) {
+  const auto training = quantized_walk(31, 256);
+  const LayoutInput in;
+  const auto per_request = in.per_request();
+  std::vector<Block> all;
+  for (const auto& r : per_request) all.insert(all.end(), r.begin(), r.end());
+  ASSERT_EQ(all.size(), 190u);
+
+  for (const char* codec : {"E2MC", "BDI"}) {
+    const auto comp = CodecRegistry::instance().create(codec, test_options(training));
+    const std::vector<BlockAnalysis> want_a = comp->analyze_batch(all);
+    const std::vector<CompressedBlock> want_c = comp->compress_batch(all);
+
+    for (const unsigned threads : {1u, 4u}) {
+      for (const RequestKind kind :
+           {RequestKind::kAnalyze, RequestKind::kDecide, RequestKind::kCompress}) {
+        const std::string at = std::string(codec) + " threads " + std::to_string(threads) +
+                               " kind " + std::to_string(static_cast<int>(kind));
+        CodecServer::Config cfg;
+        cfg.engine = std::make_shared<CodecEngine>(threads);
+        cfg.batch_blocks = 1024;
+        cfg.max_coalesce_delay = std::chrono::microseconds(0);
+        CodecServer server(cfg);
+        StreamConfig sc;
+        sc.name = "layout";
+        sc.codec = codec;
+        sc.options = test_options(training);
+        const StreamId s = server.open_stream(sc);
+
+        std::vector<ServerTicket> tickets;
+        for (const Request& r : in.requests(kind)) tickets.push_back(server.submit(s, r));
+        std::vector<Response> got;
+        for (auto& t : tickets) got.push_back(t.wait());
+        server.drain();
+        EXPECT_EQ(server.stream_stats(s).batches, 1u) << at;
+
+        CommitStats want_stats;
+        size_t i = 0;  // index into `all`
+        for (size_t r = 0; r < per_request.size(); ++r) {
+          const Response& resp = got[r];
+          ASSERT_TRUE(resp.ok()) << at << " request " << r;
+          RatioAccumulator ratios(kDefaultMagBytes);
+          uint64_t lossy = 0, truncated = 0;
+          for (size_t j = 0; j < per_request[r].size(); ++j, ++i) {
+            const size_t bytes = all[i].size();
+            const BlockAnalysis& a = want_a[i];
+            const CompressedBlock& c = want_c[i];
+            const size_t bits = kind == RequestKind::kCompress ? c.bit_size : a.bit_size;
+            ratios.add(bytes * 8, bits);
+            want_stats.blocks += 1;
+            want_stats.bursts += bursts_for_bits(bits, kDefaultMagBytes, bytes);
+            want_stats.original_bits += bytes * 8;
+            want_stats.final_bits += bits;
+            if (kind == RequestKind::kCompress) {
+              want_stats.uncompressed_blocks += c.is_compressed ? 0 : 1;
+              ASSERT_EQ(resp.payloads.size(), per_request[r].size()) << at;
+              EXPECT_EQ(resp.payloads[j].payload, c.payload) << at << " block " << i;
+              EXPECT_EQ(resp.payloads[j].bit_size, c.bit_size) << at << " block " << i;
+              EXPECT_EQ(resp.payloads[j].is_compressed, c.is_compressed) << at << " block " << i;
+              continue;
+            }
+            lossy += a.lossy ? 1 : 0;
+            truncated += a.truncated_symbols;
+            want_stats.lossy_blocks += a.lossy ? 1 : 0;
+            want_stats.uncompressed_blocks += a.is_compressed ? 0 : 1;
+            want_stats.truncated_symbols += a.truncated_symbols;
+            want_stats.lossless_bits += a.lossless_bits;
+            want_stats.cache.record(a.cache_probed, a.cache_hit, a.cache_evicted,
+                                    a.cache_collision);
+            if (kind == RequestKind::kAnalyze) {
+              ASSERT_EQ(resp.analysis.blocks.size(), per_request[r].size()) << at;
+              test::expect_analysis_eq(a, resp.analysis.blocks[j], at);
+            }
+          }
+          if (kind != RequestKind::kAnalyze) {
+            EXPECT_TRUE(resp.analysis.blocks.empty()) << at;
+          }
+          if (kind != RequestKind::kCompress) {
+            EXPECT_TRUE(resp.payloads.empty()) << at;
+          }
+          EXPECT_EQ(resp.analysis.ratios.blocks(), ratios.blocks()) << at << " request " << r;
+          EXPECT_EQ(resp.analysis.ratios.raw_ratio(), ratios.raw_ratio()) << at;
+          EXPECT_EQ(resp.analysis.ratios.effective_ratio(), ratios.effective_ratio()) << at;
+          EXPECT_EQ(resp.analysis.lossy_blocks, lossy) << at;
+          EXPECT_EQ(resp.analysis.truncated_symbols, truncated) << at;
+        }
+        EXPECT_TRUE(server.stream_stats(s).commit == want_stats) << at;
+      }
+    }
+  }
+}
+
+// A payload longer than its block fails the whole batch with
+// std::length_error; every request of the batch gets kError and no payloads,
+// nothing is written past the slot (the ASan build checks that), and the
+// stream stays usable.
+TEST(CodecServer, PayloadLongerThanItsBlockFailsTheBatch) {
+  CodecServer::Config cfg;
+  cfg.engine = std::make_shared<CodecEngine>(2);
+  cfg.batch_blocks = 1024;
+  cfg.max_coalesce_delay = std::chrono::microseconds(0);
+  CodecServer server(cfg);
+  StreamConfig sc;
+  sc.name = "long";
+  sc.codec = "TEST-LONG";
+  const StreamId s = server.open_stream(sc);
+
+  const auto a = quantized_walk(130, 100);
+  const auto b = quantized_walk(131, 3);
+  auto ta = server.submit(s, Request{.kind = RequestKind::kCompress, .bytes = a});
+  auto tb = server.submit(s, Request{.kind = RequestKind::kCompress, .bytes = b});
+  for (auto* t : {&ta, &tb}) {
+    const Response res = t->wait();
+    EXPECT_EQ(res.status, ResponseStatus::kError);
+    EXPECT_TRUE(res.payloads.empty()) << "a failed batch carries no payloads";
+    EXPECT_THROW(res.throw_if_failed(), std::length_error);
+  }
+  server.drain();
+  EXPECT_EQ(server.stream_stats(s).batches, 1u);
+  EXPECT_EQ(server.stream_stats(s).commit.blocks, 0u);
+  EXPECT_EQ(server.inflight_blocks(), 0u);
+
+  // kAnalyze never builds payloads, so the same stream still serves it.
+  EXPECT_TRUE(server.submit(s, Request{.bytes = b}).wait().ok());
+}
+
+// A kernel's own exception on a kCompress batch also leaves no payloads.
+TEST(CodecServer, CompressErrorBatchCarriesNoPayloads) {
+  CodecServer server;
+  StreamConfig sc;
+  sc.name = "throw";
+  sc.codec = "TEST-THROW";
+  const StreamId s = server.open_stream(sc);
+  const auto data = quantized_walk(132, 4);
+  const Response res =
+      server.submit(s, Request{.kind = RequestKind::kCompress, .bytes = data}).wait();
+  EXPECT_EQ(res.status, ResponseStatus::kError);
+  EXPECT_TRUE(res.payloads.empty());
+}
+
+// TEST-SLOW reports raw-size blocks with empty payloads; they come back
+// empty, with their bit sizes, not as the block's bytes.
+TEST(CodecServer, EmptyPayloadsComeBackEmpty) {
+  CodecServer::Config cfg;
+  cfg.engine = std::make_shared<CodecEngine>(1);
+  CodecServer server(cfg);
+  StreamConfig sc;
+  sc.name = "slow";
+  sc.codec = "TEST-SLOW";
+  const StreamId s = server.open_stream(sc);
+  const auto data = quantized_walk(133, 3);
+  const Response res =
+      server.submit(s, Request{.kind = RequestKind::kCompress, .bytes = data}).wait();
+  ASSERT_TRUE(res.ok());
+  ASSERT_EQ(res.payloads.size(), 3u);
+  for (const CompressedBlock& p : res.payloads) {
+    EXPECT_TRUE(p.payload.empty());
+    EXPECT_EQ(p.bit_size, kBlockBytes * 8);
+    EXPECT_FALSE(p.is_compressed);
+  }
+}
+
+// Worker slots are reused across batches — and across streams, which are
+// tenants — so each is reset before every kernel call: a kernel that leaves
+// a slot untouched returns an empty payload of 0 bits, never the bytes an
+// earlier batch left there. One worker, so both batches use the same slots.
+TEST(CodecServer, UntouchedSlotsNeverReturnAnEarlierBatchsBytes) {
+  CodecServer::Config cfg;
+  cfg.engine = std::make_shared<CodecEngine>(1);
+  CodecServer server(cfg);
+  StreamConfig sc;
+  sc.name = "stale";
+  sc.codec = "TEST-STALE";
+  const StreamId s = server.open_stream(sc);
+
+  const auto data = quantized_walk(134, 4);
+  const Response first =
+      server.submit(s, Request{.kind = RequestKind::kCompress, .bytes = data}).wait();
+  ASSERT_TRUE(first.ok());
+  ASSERT_EQ(first.payloads.size(), 4u);
+  EXPECT_EQ(first.payloads[0].payload.size(), 8u);
+  EXPECT_TRUE(first.payloads[0].is_compressed);
+
+  const Response second =
+      server.submit(s, Request{.kind = RequestKind::kCompress, .bytes = data}).wait();
+  ASSERT_TRUE(second.ok());
+  ASSERT_EQ(second.payloads.size(), 4u);
+  for (const CompressedBlock& p : second.payloads) {
+    EXPECT_TRUE(p.payload.empty()) << "an earlier batch's bytes leaked into this response";
+    EXPECT_EQ(p.bit_size, 0u);
+    EXPECT_FALSE(p.is_compressed);
+  }
+}
+
+// Fire-and-forget kCompress tickets: every batch still retires its budget
+// and drain() returns, with nobody ever waiting for a payload.
+TEST(CodecServer, FireAndForgetCompressRetiresBudget) {
+  const auto training = quantized_walk(31, 256);
+  CodecServer::Config cfg;
+  cfg.engine = std::make_shared<CodecEngine>(2);
+  cfg.batch_blocks = 16;
+  cfg.max_inflight_blocks = 64;
+  CodecServer server(cfg);
+  StreamConfig sc = e2mc_stream("forget", training);
+  const StreamId s = server.open_stream(sc);
+
+  const auto data = quantized_walk(135, 8);
+  for (int i = 0; i < 40; ++i) {
+    server.submit(s, Request{.kind = RequestKind::kCompress, .bytes = data});
+    EXPECT_LE(server.inflight_blocks(), cfg.max_inflight_blocks);
+  }
+  server.drain();
+  EXPECT_EQ(server.inflight_blocks(), 0u);
+  EXPECT_EQ(server.stream_stats(s).commit.blocks, 40u * 8u);
+}
+
+// The flush timer sleeps until the earliest armed flush and is woken only
+// for an earlier one. Stream A parks a deadline-free request under a 10 s
+// linger; C's 2 ms deadline then wakes the timer, which dispatches C and
+// goes back to sleep until A's linger — C being ready proves that scan ran
+// (only the timer can dispatch C). B's 20 ms deadline must wake it again:
+// B's ticket becomes ready long before A's linger ends, with no wait().
+TEST(CodecServer, EarlierFlushWakesTimerSleepingOnLaterOne) {
+  const auto training = quantized_walk(31, 256);
+  CodecServer::Config cfg;
+  cfg.batch_blocks = 1024;
+  cfg.max_coalesce_delay = std::chrono::seconds(10);
+  CodecServer server(cfg);
+  const StreamId a = server.open_stream(e2mc_stream("a", training));
+  const StreamId b = server.open_stream(e2mc_stream("b", training));
+  const auto data = quantized_walk(136, 2);
+
+  auto poll_ready = [](const ServerTicket& t, std::chrono::seconds bound) {
+    const auto start = std::chrono::steady_clock::now();
+    while (!t.ready() && std::chrono::steady_clock::now() - start < bound)
+      std::this_thread::yield();
+    return t.ready();
+  };
+  auto ta = server.submit(a, Request{.bytes = data});
+  auto tc = server.submit(b, Request{.bytes = data, .deadline = std::chrono::milliseconds(2)});
+  ASSERT_TRUE(poll_ready(tc, std::chrono::seconds(5))) << "the timer never flushed C";
+  const auto start = std::chrono::steady_clock::now();
+  auto tb = server.submit(b, Request{.bytes = data, .deadline = std::chrono::milliseconds(20)});
+  ASSERT_TRUE(poll_ready(tb, std::chrono::seconds(5)))
+      << "B waited for the timer's wake at A's 10 s linger";
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(5));
+  EXPECT_FALSE(ta.ready()) << "A is still lingering";
+  EXPECT_TRUE(ta.wait().ok());  // wait() flushes A
+  EXPECT_TRUE(tc.wait().ok());
+  EXPECT_TRUE(tb.wait().ok());
 }
 
 }  // namespace

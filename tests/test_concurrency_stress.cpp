@@ -64,10 +64,11 @@ StreamConfig e2mc_stream(const char* name) {
 // Destroying the engine with futures still outstanding: each future must
 // resolve afterwards — normally (the job drained before the stop) or with
 // the stored std::runtime_error (abandoned in the queue) — at 1 worker and
-// at N workers.
+// at N workers. 256 items are 4 shards of 64 at either worker count, so a
+// job can be stopped with some shards claimed and others not.
 TEST(ConcurrencyStress, EngineDestroyedWithOutstandingFutures) {
   for (const unsigned threads : {1u, 4u}) {
-    constexpr size_t kJobs = 32, kItems = 4;
+    constexpr size_t kJobs = 32, kItems = 256;
     std::vector<CodecFuture> futs;
     futs.reserve(kJobs);
     std::atomic<size_t> ran{0};
@@ -97,7 +98,7 @@ TEST(ConcurrencyStress, EngineDestroyedWithOutstandingFutures) {
 
 // wait() racing shutdown() from concurrent waiter threads: every waiter
 // returns (result or stored exception); none deadlocks on a condvar whose
-// notifier is gone.
+// notifier is gone. Each job is 4 shards of 64 items.
 TEST(ConcurrencyStress, FutureWaitRacesEngineShutdown) {
   for (const unsigned threads : {1u, 4u}) {
     CodecEngine engine(threads);
@@ -105,7 +106,7 @@ TEST(ConcurrencyStress, FutureWaitRacesEngineShutdown) {
     std::vector<CodecFuture> futs;
     futs.reserve(kJobs);
     for (size_t j = 0; j < kJobs; ++j)
-      futs.push_back(engine.submit(4, [](size_t, size_t, unsigned) {
+      futs.push_back(engine.submit(256, [](size_t, size_t, unsigned) {
         std::this_thread::sleep_for(std::chrono::microseconds(200));
       }));
     std::atomic<size_t> ok{0}, abandoned{0};

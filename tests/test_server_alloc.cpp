@@ -1,0 +1,186 @@
+// Heap traffic of the serving path. A counting global operator new/delete
+// counts every allocation, on every thread (client, flush timer, engine
+// workers), while a CodecServer serves a saturated closed loop: one TSLC-OPT
+// stream on a CodecEngine(2), 16 requests of 512 blocks outstanding. Per
+// served block, after warm-up:
+//
+//   * kDecide stays below 1/8 allocation: nothing is allocated per block;
+//   * kCompress stays at or below 1 + 1/8: the one payload vector each
+//     Response must own, plus what is not per block.
+//
+// What is not per block: each request's state and Response::payloads
+// vector, each batch's buffers and engine job, and each kernel call's own
+// scratch — TSLC-OPT's compress_batch allocates 5 times per 64-block chunk
+// (0.08 per block) and its analyze_batch twice. Requests of 512 blocks keep
+// the first two small next to that fixed kernel share; with the serve
+// benchmark's 32-block requests kCompress reads about 1.23 per block.
+//
+// The replacement operators are process-wide, so this suite is its own
+// binary.
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <cstdlib>
+#include <deque>
+#include <new>
+#include <vector>
+
+#include "server/codec_server.h"
+#include "test_util.h"
+
+namespace {
+
+std::atomic<uint64_t> g_news{0};
+std::atomic<uint64_t> g_deletes{0};
+
+void* counted_alloc(std::size_t n) {
+  g_news.fetch_add(1, std::memory_order_relaxed);
+  return std::malloc(n != 0 ? n : 1);
+}
+
+void* counted_aligned_alloc(std::size_t n, std::align_val_t al) {
+  g_news.fetch_add(1, std::memory_order_relaxed);
+  const auto a = static_cast<std::size_t>(al);
+  return std::aligned_alloc(a, (n + a - 1) / a * a);
+}
+
+void counted_free(void* p) {
+  if (p != nullptr) g_deletes.fetch_add(1, std::memory_order_relaxed);
+  std::free(p);
+}
+
+}  // namespace
+
+void* operator new(std::size_t n) {
+  if (void* p = counted_alloc(n)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t n) {
+  if (void* p = counted_alloc(n)) return p;
+  throw std::bad_alloc();
+}
+void* operator new(std::size_t n, const std::nothrow_t&) noexcept { return counted_alloc(n); }
+void* operator new[](std::size_t n, const std::nothrow_t&) noexcept { return counted_alloc(n); }
+void* operator new(std::size_t n, std::align_val_t al) {
+  if (void* p = counted_aligned_alloc(n, al)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t n, std::align_val_t al) {
+  if (void* p = counted_aligned_alloc(n, al)) return p;
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { counted_free(p); }
+void operator delete[](void* p) noexcept { counted_free(p); }
+void operator delete(void* p, std::size_t) noexcept { counted_free(p); }
+void operator delete[](void* p, std::size_t) noexcept { counted_free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { counted_free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { counted_free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept { counted_free(p); }
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { counted_free(p); }
+
+namespace slc {
+namespace {
+
+constexpr size_t kBlocksPerRequest = 512;
+constexpr size_t kWindow = 16;  ///< 8192 blocks in flight: inside the default budget
+constexpr size_t kInputs = 64;  ///< distinct request inputs, cycled
+
+/// One TSLC-OPT stream on a fresh CodecServer over a CodecEngine(2), fed by
+/// a closed loop that keeps kWindow requests outstanding.
+class SaturatedServer {
+ public:
+  SaturatedServer(RequestKind kind, CacheMode cache) : kind_(kind) {
+    CodecServer::Config cfg;
+    cfg.engine = std::make_shared<CodecEngine>(2);
+    server_ = std::make_unique<CodecServer>(cfg);
+    StreamConfig sc;
+    sc.name = "alloc";
+    sc.codec = "TSLC-OPT";
+    sc.options = test::test_options(training_);
+    sc.cache_mode = cache;
+    stream_ = server_->open_stream(sc);
+    for (uint64_t i = 0; i < kInputs; ++i)
+      inputs_.push_back(test::quantized_walk(1000 + i, kBlocksPerRequest));
+  }
+
+  /// Serves `requests` requests through the window; returns the blocks served.
+  uint64_t run(size_t requests) {
+    uint64_t blocks = 0;
+    size_t submitted = 0;
+    while (outstanding_.size() < kWindow && submitted < requests) submit(submitted++);
+    while (!outstanding_.empty()) {
+      const Response resp = outstanding_.front().wait();
+      outstanding_.pop_front();
+      EXPECT_TRUE(resp.ok());
+      blocks += kBlocksPerRequest;
+      if (submitted < requests) submit(submitted++);
+    }
+    return blocks;
+  }
+
+  /// Submits `requests` requests and drops every ticket unwaited.
+  void fire_and_forget(size_t requests) {
+    for (size_t i = 0; i < requests; ++i)
+      server_->submit(stream_, Request{.kind = kind_, .bytes = inputs_[i % kInputs]});
+  }
+
+  CodecServer& server() { return *server_; }
+
+ private:
+  void submit(size_t i) {
+    outstanding_.push_back(server_->submit(
+        stream_, Request{.kind = kind_,
+                         .bytes = inputs_[i % kInputs],
+                         .deadline = std::chrono::milliseconds(5)}));
+  }
+
+  std::vector<uint8_t> training_ = test::quantized_walk(31, 256);
+  RequestKind kind_;
+  std::unique_ptr<CodecServer> server_;
+  StreamId stream_ = 0;
+  std::vector<std::vector<uint8_t>> inputs_;
+  std::deque<ServerTicket> outstanding_;
+};
+
+/// Allocations per served block over `requests` requests, after a warm-up
+/// that fills the worker slots, the memo and the allocator.
+double allocations_per_block(RequestKind kind, CacheMode cache, size_t requests) {
+  SaturatedServer s(kind, cache);
+  s.run(200);
+  const uint64_t before = g_news.load();
+  const uint64_t blocks = s.run(requests);
+  const uint64_t news = g_news.load() - before;
+  return static_cast<double>(news) / static_cast<double>(blocks);
+}
+
+TEST(ServerAllocations, DecideAllocatesNothingPerBlock) {
+  const double per_block = allocations_per_block(RequestKind::kDecide, CacheMode::kShared, 600);
+  RecordProperty("allocations_per_block", std::to_string(per_block));
+  EXPECT_LT(per_block, 1.0 / 8);
+}
+
+TEST(ServerAllocations, CompressAllocatesOnlyTheResponsePayloads) {
+  const double per_block = allocations_per_block(RequestKind::kCompress, CacheMode::kOff, 600);
+  RecordProperty("allocations_per_block", std::to_string(per_block));
+  EXPECT_LE(per_block, 1.0 + 1.0 / 8);
+}
+
+// Dropped kCompress tickets free their batches' payload arenas: a request
+// holds its batch's arena, never the batch, so there is no cycle to leak.
+// Once the server and its engine are gone, every allocation made since
+// before they were built is freed again.
+TEST(ServerAllocations, DroppedCompressTicketsFreeTheirArenas) {
+  const uint64_t live_before = g_news.load() - g_deletes.load();
+  {
+    SaturatedServer s(RequestKind::kCompress, CacheMode::kOff);
+    s.fire_and_forget(200);  // 200 batches of 512 blocks
+    s.server().drain();
+    EXPECT_EQ(s.server().inflight_blocks(), 0u);
+  }  // ~CodecServer, then ~CodecEngine joins the workers
+  const uint64_t live_after = g_news.load() - g_deletes.load();
+  EXPECT_LE(live_after, live_before + 16)
+      << "live allocations grew by " << live_after - live_before;
+}
+
+}  // namespace
+}  // namespace slc
