@@ -11,6 +11,7 @@
 
 #include "common/block.h"
 #include "compress/simd_dispatch.h"
+#include "slc_bench_git_sha.h"  // generated at build time by git_stamp.cmake
 
 namespace slc::bench {
 

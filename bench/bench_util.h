@@ -92,7 +92,7 @@ class BenchReport {
   /// The report is stamped with host/dispatch metadata at construction:
   /// simd_compiled, cpu_avx2, simd_active and force_scalar_env (from
   /// slc::simd), hardware_concurrency, compiler (name and version),
-  /// build_type and git_sha (the commit recorded at configure time). So
+  /// build_type and git_sha (the commit built, stamped at build time). So
   /// BENCH_*.json records which host and kernel variant produced the numbers,
   /// and tools/bench_compare.py can warn when a baseline came from another
   /// host class.

@@ -15,8 +15,8 @@
 // resubmission dedups against its first copy. The commits client also shows
 // the typed Request surface: a kCompress request returning real payloads
 // under a deadline, and a kReject stream shedding at saturation. The final
-// table prints per-stream CommitStats, the memo hit rate, latency
-// percentiles, and the rejected/deadline-miss counters.
+// table prints per-stream CommitStats, the memo hit and bypass rates,
+// latency percentiles, and the rejected/deadline-miss counters.
 //
 // Build & run:   cmake -B build && cmake --build build
 //                ./build/examples/multi_stream_server
@@ -138,7 +138,7 @@ int main() {
   // Barrier, then per-stream + aggregate accounting.
   server.drain();
   TextTable t({"Stream", "Requests", "Rejected", "Misses", "Batches", "Blocks", "Lossy",
-               "Avg bursts", "Memo hits", "p50 (us)", "p99 (us)"});
+               "Avg bursts", "Memo hits", "Bypassed", "p50 (us)", "p99 (us)"});
   for (const StreamId s : {s_sweep, s_commits, s_probe}) {
     const StreamStats st = server.stream_stats(s);
     t.add_row({server.stream_name(s), std::to_string(st.requests), std::to_string(st.rejected),
@@ -146,6 +146,7 @@ int main() {
                std::to_string(st.commit.blocks), std::to_string(st.commit.lossy_blocks),
                TextTable::fmt(st.commit.avg_bursts(), 2),
                TextTable::fmt(st.commit.cache.hit_rate() * 100.0, 1) + "%",
+               TextTable::fmt(st.commit.cache.bypass_rate() * 100.0, 1) + "%",
                TextTable::fmt(st.latency.percentile(50) * 1e6, 0),
                TextTable::fmt(st.latency.percentile(99) * 1e6, 0)});
   }
@@ -155,6 +156,7 @@ int main() {
              std::to_string(agg.commit.blocks), std::to_string(agg.commit.lossy_blocks),
              TextTable::fmt(agg.commit.avg_bursts(), 2),
              TextTable::fmt(agg.commit.cache.hit_rate() * 100.0, 1) + "%",
+             TextTable::fmt(agg.commit.cache.bypass_rate() * 100.0, 1) + "%",
              TextTable::fmt(agg.latency.percentile(50) * 1e6, 0),
              TextTable::fmt(agg.latency.percentile(99) * 1e6, 0)});
   std::printf("\n%s", t.to_string().c_str());

@@ -41,11 +41,25 @@ class RunningStats {
 /// need a floor to be averageable).
 double geometric_mean(std::span<const double> xs, double floor = 1e-300);
 
+/// One block's outcome at the block-fingerprint decision memo
+/// (core/fingerprint_cache.h), as SlcCodec::decide_batch reports it and
+/// BlockAnalysis / BlockCodecResult carry it. All false when the codec has
+/// no memo or SLC_FINGERPRINT_CACHE disables it. A block is either probed
+/// or bypassed, never both.
+struct CacheOutcome {
+  bool probed = false;     ///< the memo was consulted
+  bool hit = false;        ///< decision served from the memo (or an in-chunk twin)
+  bool evicted = false;    ///< the insert replaced the least recent way of a full set
+  bool collision = false;  ///< verify-on-hit content mismatch (fingerprint collision)
+  bool bypassed = false;   ///< the codec's memo governor decided it without the memo
+};
+
 /// Outcome counters for the block-fingerprint decision memo
 /// (core/fingerprint_cache.h), embedded in CommitStats and the per-stream
 /// server tables. Unlike every other commit counter these are NOT
 /// thread-count invariant: whether block i hits depends on whether a
-/// concurrent shard already inserted its duplicate. The *decisions* stay
+/// concurrent shard already inserted its duplicate, and whether it is
+/// bypassed on the hit rate the governor saw. The *decisions* stay
 /// invariant either way (a hit returns exactly the decision the miss path
 /// would compute), so determinism checks compare
 /// CommitStats::same_decisions(), never these counters.
@@ -54,16 +68,17 @@ struct CacheCounters {
   uint64_t misses = 0;      ///< decision computed (and inserted)
   uint64_t evictions = 0;   ///< least recent ways of full sets replaced by inserts
   uint64_t collisions = 0;  ///< verify-on-hit content mismatches (fingerprint collision)
+  uint64_t bypassed = 0;    ///< decided without the memo: neither a hit nor a miss
 
-  /// Folds one block's probe outcome in (the shape BlockAnalysis /
-  /// BlockCodecResult carry it in).
-  void record(bool probed, bool hit, bool evicted, bool collision) {
-    if (probed) {
-      hits += hit ? 1 : 0;
-      misses += hit ? 0 : 1;
+  /// Folds one block's outcome in.
+  void record(const CacheOutcome& o) {
+    if (o.probed) {
+      hits += o.hit ? 1 : 0;
+      misses += o.hit ? 0 : 1;
     }
-    evictions += evicted ? 1 : 0;
-    collisions += collision ? 1 : 0;
+    evictions += o.evicted ? 1 : 0;
+    collisions += o.collision ? 1 : 0;
+    bypassed += o.bypassed ? 1 : 0;
   }
 
   void merge(const CacheCounters& o) {
@@ -71,11 +86,18 @@ struct CacheCounters {
     misses += o.misses;
     evictions += o.evictions;
     collisions += o.collisions;
+    bypassed += o.bypassed;
   }
 
   uint64_t probes() const { return hits + misses; }
+  /// Hits over probed blocks; bypassed blocks do not count.
   double hit_rate() const {
     return probes() ? static_cast<double>(hits) / static_cast<double>(probes()) : 0.0;
+  }
+  /// Bypassed blocks over every block a memo-backed codec decided.
+  double bypass_rate() const {
+    const uint64_t all = probes() + bypassed;
+    return all ? static_cast<double>(bypassed) / static_cast<double>(all) : 0.0;
   }
 
   bool operator==(const CacheCounters&) const = default;

@@ -33,12 +33,9 @@ struct BlockCodecResult {
   /// every other block reads back as its own input, so no copy is made.
   std::optional<Block> decoded;
 
-  // Fingerprint-memo outcome (see BlockAnalysis): hit-rate accounting only;
-  // every decision field above is cache-invariant.
-  bool cache_probed = false;
-  bool cache_hit = false;
-  bool cache_evicted = false;
-  bool cache_collision = false;
+  /// Fingerprint-memo outcome (see BlockAnalysis): hit-rate accounting only;
+  /// every decision field above is cache-invariant.
+  CacheOutcome cache;
 };
 
 class BlockCodec {

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "common/block.h"
+#include "common/stats.h"
 
 namespace slc {
 
@@ -41,14 +42,10 @@ struct BlockAnalysis {
   size_t lossless_bits = 0;     ///< size before any truncation
   size_t truncated_symbols = 0; ///< approximated symbols (SLC only)
 
-  // Fingerprint-memo outcome for this block (core/fingerprint_cache.h; all
-  // false when the scheme has no cache or it is disabled). The decision
-  // fields above are identical either way — these only feed hit-rate
-  // accounting (CacheCounters), never determinism checks.
-  bool cache_probed = false;     ///< the decision memo was consulted
-  bool cache_hit = false;        ///< decision served without the E2MC probe
-  bool cache_evicted = false;    ///< inserting this block displaced an entry
-  bool cache_collision = false;  ///< verify-on-hit caught a fingerprint collision
+  /// Fingerprint-memo outcome for this block. The decision fields above are
+  /// identical either way — it only feeds hit-rate accounting
+  /// (CacheCounters), never determinism checks.
+  CacheOutcome cache;
 };
 
 /// Abstract block compressor. A scheme implements the two batch kernels and

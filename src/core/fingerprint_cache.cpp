@@ -122,11 +122,11 @@ size_t FingerprintCache::set_index(uint64_t codec_key, uint64_t fp) const {
   return static_cast<size_t>(avalanche(fp ^ (codec_key * kPrime2))) & (num_sets_ - 1);
 }
 
-void FingerprintCache::prefetch(uint64_t codec_key, uint64_t fp) const {
-  // Both cache lines of the set, for writing: a hit or insert updates ages.
-  const char* set = reinterpret_cast<const char*>(&sets_[set_index(codec_key, fp)]);
-  __builtin_prefetch(set, /*rw=*/1, /*locality=*/3);
-  __builtin_prefetch(set + 64, 1, 3);
+void FingerprintCache::prefetch(size_t set) const {
+  // Both cache lines of the set, for writing: a hit or insert may update ages.
+  const char* p = reinterpret_cast<const char*>(&sets_[set]);
+  __builtin_prefetch(p, /*rw=*/1, /*locality=*/3);
+  __builtin_prefetch(p + 64, 1, 3);
 }
 
 bool FingerprintCache::pack(uint64_t codec_key, uint64_t fp, const SlcCodec::Decision& d,
@@ -193,19 +193,22 @@ FingerprintCache::Lookup FingerprintCache::lookup_locked(Stripe& st, size_t s,
   Set& set = sets_[s];
   const size_t w = find(set, codec_key, fp);
   if (w == kWays) {
-    st.counters.record(/*probed=*/true, /*hit=*/false, false, false);
+    ++st.counters.misses;
     return Lookup::kMiss;
   }
   const Way& way = set.ways[w];
   if (cfg_.verify_on_hit &&
       (way.content_bytes != block.size() ||
        !std::equal(block.begin(), block.end(), slot(s, w)))) {
-    st.counters.record(/*probed=*/true, /*hit=*/false, false, /*collision=*/true);
+    ++st.counters.misses;
+    ++st.counters.collisions;
     return Lookup::kCollision;
   }
-  promote(set, w, way.age);
+  // Already the most recent way: promoting would only store its age of 0
+  // again and dirty a line other workers read.
+  if (way.age != 0) promote(set, w, way.age);
   out = unpack(way);
-  st.counters.record(/*probed=*/true, /*hit=*/true, false, false);
+  ++st.counters.hits;
   return Lookup::kHit;
 }
 
@@ -229,7 +232,7 @@ bool FingerprintCache::insert_locked(Stripe& st, size_t s, const Way& packed,
       if (way.age > set.ways[w].age) w = v;
     }
     evicted = (set.ways[w].flags & kValid) != 0;
-    if (evicted) st.counters.record(/*probed=*/false, false, /*evicted=*/true, false);
+    if (evicted) ++st.counters.evictions;
   }
   const unsigned rank =
       (set.ways[w].flags & kValid) != 0 ? set.ways[w].age : static_cast<unsigned>(kWays);
@@ -239,15 +242,14 @@ bool FingerprintCache::insert_locked(Stripe& st, size_t s, const Way& packed,
   return evicted;
 }
 
-void FingerprintCache::lookup_batch(uint64_t codec_key, std::span<const uint64_t> fps,
+void FingerprintCache::lookup_batch(uint64_t codec_key, std::span<const Key> keys,
                                     std::span<const BlockView> blocks, SlcCodec::Decision* out,
                                     Lookup* result) {
-  assert(fps.size() <= kMaxBatch);
-  std::array<size_t, kMaxBatch> sets{};
+  assert(keys.size() <= kMaxBatch);
   std::array<uint64_t, kMaxStripes> members{};  // bit i: key i lives in this stripe
-  for (size_t i = 0; i < fps.size(); ++i) {
-    sets[i] = set_index(codec_key, fps[i]);
-    members[sets[i] >> stripe_shift_] |= uint64_t{1} << i;
+  for (size_t i = 0; i < keys.size(); ++i) {
+    assert(keys[i].set == set_index(codec_key, keys[i].fp));
+    members[keys[i].set >> stripe_shift_] |= uint64_t{1} << i;
   }
   for (size_t t = 0; t < num_stripes_; ++t) {
     if (members[t] == 0) continue;
@@ -255,23 +257,23 @@ void FingerprintCache::lookup_batch(uint64_t codec_key, std::span<const uint64_t
     MutexLock lk(st.m);
     for (uint64_t m = members[t]; m != 0; m &= m - 1) {
       const size_t i = static_cast<size_t>(std::countr_zero(m));
-      result[i] = lookup_locked(st, sets[i], codec_key, fps[i], blocks[i].bytes(), out[i]);
+      result[i] =
+          lookup_locked(st, keys[i].set, codec_key, keys[i].fp, blocks[i].bytes(), out[i]);
     }
   }
 }
 
-void FingerprintCache::insert_batch(uint64_t codec_key, std::span<const uint64_t> fps,
+void FingerprintCache::insert_batch(uint64_t codec_key, std::span<const Key> keys,
                                     std::span<const BlockView> blocks,
                                     const SlcCodec::Decision* ds, bool* evicted) {
-  assert(fps.size() <= kMaxBatch);
-  std::array<size_t, kMaxBatch> sets{};
+  assert(keys.size() <= kMaxBatch);
   std::array<Way, kMaxBatch> packed{};
   std::array<uint64_t, kMaxStripes> members{};  // bit i: key i fits and lives here
-  for (size_t i = 0; i < fps.size(); ++i) {
+  for (size_t i = 0; i < keys.size(); ++i) {
+    assert(keys[i].set == set_index(codec_key, keys[i].fp));
     evicted[i] = false;
-    if (!pack(codec_key, fps[i], ds[i], blocks[i].bytes(), packed[i])) continue;
-    sets[i] = set_index(codec_key, fps[i]);
-    members[sets[i] >> stripe_shift_] |= uint64_t{1} << i;
+    if (!pack(codec_key, keys[i].fp, ds[i], blocks[i].bytes(), packed[i])) continue;
+    members[keys[i].set >> stripe_shift_] |= uint64_t{1} << i;
   }
   for (size_t t = 0; t < num_stripes_; ++t) {
     if (members[t] == 0) continue;
@@ -279,7 +281,7 @@ void FingerprintCache::insert_batch(uint64_t codec_key, std::span<const uint64_t
     MutexLock lk(st.m);
     for (uint64_t m = members[t]; m != 0; m &= m - 1) {
       const size_t i = static_cast<size_t>(std::countr_zero(m));
-      evicted[i] = insert_locked(st, sets[i], packed[i], blocks[i].bytes());
+      evicted[i] = insert_locked(st, keys[i].set, packed[i], blocks[i].bytes());
     }
   }
 }
@@ -312,6 +314,7 @@ void FingerprintCache::clear() {
     MutexLock lk(stripe_for(s).m);
     std::fill_n(&sets_[s], per_stripe, Set{});
   }
+  epoch_.fetch_add(1, std::memory_order_relaxed);
 }
 
 bool FingerprintCache::runtime_enabled() {

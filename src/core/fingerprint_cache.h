@@ -40,6 +40,7 @@
 // of a concurrent pair misses first is a race); the decisions are.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -79,13 +80,21 @@ class FingerprintCache {
   FingerprintCache() : FingerprintCache(Config{}) {}
   explicit FingerprintCache(Config cfg);
 
-  /// Starts pulling (codec_key, fp)'s set into the cache hierarchy. A pure
-  /// hint: the batch probe issues it for a whole chunk before the first
-  /// lookup, so the table misses overlap instead of serializing.
-  void prefetch(uint64_t codec_key, uint64_t fp) const;
+  /// One probe or store key under a codec key: the block's fingerprint and
+  /// the set it maps to, set_index(codec_key, fp) — computed once per
+  /// chunk by the caller, then shared by prefetch, lookup and insert.
+  struct Key {
+    uint64_t fp = 0;
+    size_t set = 0;
+  };
+
+  /// Starts pulling set `set` into the cache hierarchy. A pure hint: the
+  /// batch probe prefetches a whole chunk before the first lookup, so the
+  /// table misses overlap instead of serializing.
+  void prefetch(size_t set) const;
 
   /// Probe and store for at most kMaxBatch keys: key i is (codec_key,
-  /// fps[i]) with content blocks[i], which only verify-on-hit mode reads.
+  /// keys[i]) with content blocks[i], which only verify-on-hit mode reads.
   /// Keys apply in index order within each stripe, so a batch leaves the
   /// table as the same keys in batches of 1 would, but each lock stripe is
   /// taken once per batch instead of once per key.
@@ -95,14 +104,14 @@ class FingerprintCache {
   /// same size and bytes): out[i] gets its decision and the entry becomes
   /// its set's most recent way. Otherwise kCollision (stored, content
   /// differs) or kMiss; neither touches out[i] or the set's order.
-  void lookup_batch(uint64_t codec_key, std::span<const uint64_t> fps,
+  void lookup_batch(uint64_t codec_key, std::span<const Key> keys,
                     std::span<const BlockView> blocks, SlcCodec::Decision* out,
                     Lookup* result);
   /// Stores ds[i] as its set's most recent way; evicted[i] is true when the
   /// set was full and its least recent way was replaced. A stored key is
   /// refreshed in place (last writer wins, no eviction); an entry too wide
   /// for a way (see the header comment) is not stored.
-  void insert_batch(uint64_t codec_key, std::span<const uint64_t> fps,
+  void insert_batch(uint64_t codec_key, std::span<const Key> keys,
                     std::span<const BlockView> blocks, const SlcCodec::Decision* ds,
                     bool* evicted);
 
@@ -111,15 +120,19 @@ class FingerprintCache {
   size_t num_sets() const { return num_sets_; }
   bool verify_on_hit() const { return cfg_.verify_on_hit; }
 
-  /// Which set (codec_key, fp) maps to — exposed so the adversarial tests
-  /// can construct forced same-set streams.
+  /// Which set (codec_key, fp) maps to: the set half of a Key.
   size_t set_index(uint64_t codec_key, uint64_t fp) const;
+  Key key(uint64_t codec_key, uint64_t fp) const { return {fp, set_index(codec_key, fp)}; }
 
-  /// Lifetime hit/miss/eviction/collision totals across all stripes.
+  /// Lifetime hit/miss/eviction/collision totals across all stripes (the
+  /// memo never sees a bypassed block, so `bypassed` stays 0 here).
   CacheCounters counters() const;
 
-  /// Drops every entry (counters keep their totals).
+  /// Drops every entry (counters keep their totals) and starts a new epoch.
   void clear();
+  /// Bumped by every clear(): a codec's memo governor restarts when the
+  /// epoch it last saw changes, so a cleared memo is judged afresh.
+  uint64_t epoch() const { return epoch_.load(std::memory_order_relaxed); }
 
   /// Process-wide force-disable knob, probed once: SLC_FINGERPRINT_CACHE=0
   /// (or "off") makes every codec ignore its configured cache, so the
@@ -192,6 +205,7 @@ class FingerprintCache {
   std::unique_ptr<Set[]> sets_;
   std::unique_ptr<Stripe[]> stripes_;
   std::unique_ptr<uint8_t[]> arena_;  ///< verify-on-hit content, one slot per way
+  std::atomic<uint64_t> epoch_{0};
 };
 
 }  // namespace slc

@@ -20,10 +20,7 @@ BlockCodecResult make_result(const SlcCodec& codec, BlockView block, const SlcCo
   r.lossy = info.lossy;
   r.stored_uncompressed = info.stored_uncompressed;
   r.truncated_symbols = info.truncated_symbols;
-  r.cache_probed = oc.probed;
-  r.cache_hit = oc.hit;
-  r.cache_evicted = oc.evicted;
-  r.cache_collision = oc.collision;
+  r.cache = oc;
   if (info.lossy) r.decoded = codec.approx_decode(block, d);
   return r;
 }

@@ -190,6 +190,58 @@ void SlcCodec::probe_batch(std::span<const BlockView> blocks, LengthScratch& scr
     out[i] = decide(scratch.block_lens(i), blocks[i].size());
 }
 
+// --- memo governor ------------------------------------------------------------
+
+SlcCodec::MemoGovernor::Stage SlcCodec::MemoGovernor::next(uint64_t epoch) {
+  if (epoch_.load(std::memory_order_relaxed) != epoch) restart(epoch);
+  if (!off_.load(std::memory_order_relaxed)) return Stage::kMemo;
+  const uint32_t k = chunks_.fetch_add(1, std::memory_order_relaxed);
+  return k % kSampleEvery == kSampleEvery - 1 ? Stage::kSample : Stage::kBypass;
+}
+
+void SlcCodec::MemoGovernor::restart(uint64_t epoch) {
+  window_.store(0, std::memory_order_relaxed);
+  off_.store(false, std::memory_order_relaxed);
+  epoch_.store(epoch, std::memory_order_relaxed);
+}
+
+void SlcCodec::MemoGovernor::report(Stage stage, uint32_t probed, uint32_t hits) {
+  constexpr auto kRelaxed = std::memory_order_relaxed;
+  if (stage == Stage::kMemo) {
+    // The chunk that fills the window judges it and opens the next one
+    // empty, in the same step, so exactly one chunk judges each window.
+    const uint64_t add = uint64_t{probed} << 32 | hits;
+    uint64_t w = window_.load(kRelaxed), filled;
+    do {
+      filled = w + add;
+    } while (!window_.compare_exchange_weak(w, (filled >> 32) >= kWindow ? 0 : filled, kRelaxed));
+    const uint64_t n = filled >> 32, h = filled & 0xFFFFFFFFu;
+    if (n >= kWindow && 2 * h < n) {
+      chunks_.store(0, kRelaxed);
+      samples_.store(0, kRelaxed);
+      off_.store(true, kRelaxed);
+    }
+    return;
+  }
+  static_assert(kProbeChunk < 256 && kSamples * 16 <= 64,
+                "a sampled chunk's probed and hit counts are 8-bit fields of one word");
+  uint64_t old = samples_.load(kRelaxed), hist;
+  do {
+    hist = old << 16 | probed << 8 | hits;
+  } while (!samples_.compare_exchange_weak(old, hist, kRelaxed));
+  uint32_t n = 0, h = 0;
+  for (unsigned k = 0; k < kSamples; ++k) {
+    const uint32_t p = (hist >> (16 * k + 8)) & 0xFFu;
+    if (p == 0) return;  // fewer than kSamples samples since the memo went off
+    n += p;
+    h += (hist >> (16 * k)) & 0xFFu;
+  }
+  if (2 * h >= n) {
+    window_.store(0, kRelaxed);
+    off_.store(false, kRelaxed);
+  }
+}
+
 void SlcCodec::decide_batch(std::span<const BlockView> blocks, LengthScratch& scratch,
                             Decision* out, CacheOutcome* oc) const {
   FingerprintCache* c = active_cache();
@@ -198,30 +250,40 @@ void SlcCodec::decide_batch(std::span<const BlockView> blocks, LengthScratch& sc
     std::fill_n(oc, blocks.size(), CacheOutcome{});
     return;
   }
+  const uint64_t epoch = c->epoch();
   for (size_t base = 0; base < blocks.size(); base += kProbeChunk) {
     const size_t n = std::min(kProbeChunk, blocks.size() - base);
-    decide_chunk_cached(*c, blocks.subspan(base, n), scratch, out + base, oc + base);
+    const std::span<const BlockView> chunk = blocks.subspan(base, n);
+    const MemoGovernor::Stage stage = governor_.next(epoch);
+    if (stage == MemoGovernor::Stage::kBypass) {
+      probe_batch(chunk, scratch, out + base);
+      std::fill_n(oc + base, n, CacheOutcome{.bypassed = true});
+      continue;
+    }
+    const uint32_t hits = decide_chunk_cached(*c, chunk, scratch, out + base, oc + base);
+    governor_.report(stage, static_cast<uint32_t>(n), hits);
   }
 }
 
-void SlcCodec::decide_chunk_cached(FingerprintCache& c, std::span<const BlockView> blocks,
-                                   LengthScratch& scratch, Decision* out,
-                                   CacheOutcome* oc) const {
+uint32_t SlcCodec::decide_chunk_cached(FingerprintCache& c, std::span<const BlockView> blocks,
+                                       LengthScratch& scratch, Decision* out,
+                                       CacheOutcome* oc) const {
   const size_t n = blocks.size();
   assert(n <= kProbeChunk);
 
   // 1. Fingerprint the chunk and prefetch every block's set, so the table
-  // misses of the whole chunk overlap before the first probe.
-  std::array<uint64_t, kProbeChunk> fps{};
+  // misses of the whole chunk overlap before the first probe. Each key's
+  // set is computed here once, for the prefetch, the probe and the insert.
+  std::array<FingerprintCache::Key, kProbeChunk> keys;
   for (size_t i = 0; i < n; ++i) {
-    fps[i] = block_fingerprint(blocks[i].bytes());
-    c.prefetch(cache_key_, fps[i]);
+    keys[i] = c.key(cache_key_, block_fingerprint(blocks[i].bytes()));
+    c.prefetch(keys[i].set);
   }
 
   // 2. Probe the chunk, taking each lock stripe once.
   static_assert(kProbeChunk <= FingerprintCache::kMaxBatch);
   std::array<FingerprintCache::Lookup, kProbeChunk> probed{};
-  c.lookup_batch(cache_key_, std::span<const uint64_t>(fps.data(), n), blocks, out,
+  c.lookup_batch(cache_key_, std::span<const FingerprintCache::Key>(keys.data(), n), blocks, out,
                  probed.data());
 
   // 3. Dedup the misses within the chunk — a chunk of 95% duplicates then
@@ -234,12 +296,13 @@ void SlcCodec::decide_chunk_cached(FingerprintCache& c, std::span<const BlockVie
   std::array<uint8_t, kProbeChunk> miss{};         // blocks that need the decision
   std::array<uint8_t, kProbeChunk> twin{}, rep{};  // twin[k] copies rep[k]'s decision
   size_t n_miss = 0, n_twin = 0;
+  uint32_t n_hit = 0;
   for (size_t i = 0; i < n; ++i) {
-    oc[i] = CacheOutcome{};
-    oc[i].probed = true;
+    oc[i] = CacheOutcome{.probed = true};
     switch (probed[i]) {
       case FingerprintCache::Lookup::kHit:
         oc[i].hit = true;
+        ++n_hit;
         continue;
       case FingerprintCache::Lookup::kCollision:
         oc[i].collision = true;
@@ -247,8 +310,9 @@ void SlcCodec::decide_chunk_cached(FingerprintCache& c, std::span<const BlockVie
       case FingerprintCache::Lookup::kMiss:
         break;
     }
-    size_t slot = fps[i] & (kSlots - 1);
-    while (first_miss[slot] != 0 && fps[first_miss[slot] - 1] != fps[i])
+    const uint64_t fp = keys[i].fp;
+    size_t slot = fp & (kSlots - 1);
+    while (first_miss[slot] != 0 && keys[first_miss[slot] - 1].fp != fp)
       slot = (slot + 1) & (kSlots - 1);
     if (first_miss[slot] != 0) {
       // Same fingerprint as an earlier miss of this chunk. In verify-on-hit
@@ -260,6 +324,7 @@ void SlcCodec::decide_chunk_cached(FingerprintCache& c, std::span<const BlockVie
       if (!c.verify_on_hit() ||
           (a.size() == b.size() && std::equal(a.begin(), a.end(), b.begin()))) {
         oc[i].hit = true;
+        ++n_hit;
         twin[n_twin] = static_cast<uint8_t>(i);
         rep[n_twin++] = static_cast<uint8_t>(j);
         continue;
@@ -274,23 +339,24 @@ void SlcCodec::decide_chunk_cached(FingerprintCache& c, std::span<const BlockVie
   // one lock per stripe.
   if (n_miss != 0) {
     std::array<BlockView, kProbeChunk> views;
-    std::array<uint64_t, kProbeChunk> miss_fps{};
+    std::array<FingerprintCache::Key, kProbeChunk> miss_keys;
     std::array<Decision, kProbeChunk> decided;
     std::array<bool, kProbeChunk> evicted{};
     for (size_t k = 0; k < n_miss; ++k) {
       views[k] = blocks[miss[k]];
-      miss_fps[k] = fps[miss[k]];
+      miss_keys[k] = keys[miss[k]];
     }
     const std::span<const BlockView> miss_views(views.data(), n_miss);
     probe_batch(miss_views, scratch, decided.data());
-    c.insert_batch(cache_key_, std::span<const uint64_t>(miss_fps.data(), n_miss), miss_views,
-                   decided.data(), evicted.data());
+    c.insert_batch(cache_key_, std::span<const FingerprintCache::Key>(miss_keys.data(), n_miss),
+                   miss_views, decided.data(), evicted.data());
     for (size_t k = 0; k < n_miss; ++k) {
       out[miss[k]] = decided[k];
       oc[miss[k]].evicted = evicted[k];
     }
   }
   for (size_t k = 0; k < n_twin; ++k) out[twin[k]] = out[rep[k]];
+  return n_hit;
 }
 
 void SlcCodec::compress_batch(std::span<const BlockView> blocks, CompressedBlock* out) const {

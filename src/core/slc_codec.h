@@ -16,9 +16,11 @@
 // (Sec. III-F).
 #pragma once
 
+#include <atomic>
 #include <memory>
 #include <optional>
 
+#include "common/stats.h"
 #include "compress/e2mc.h"
 #include "core/slc_header.h"
 #include "core/tree_selector.h"
@@ -91,12 +93,7 @@ class SlcCodec {
   /// Per-block memo bookkeeping for one decision. Feeds CacheCounters only
   /// and is the single thing that is NOT thread-count invariant about a
   /// cached run.
-  struct CacheOutcome {
-    bool probed = false;     ///< a configured, enabled cache was consulted
-    bool hit = false;        ///< decision served from the memo (or an in-chunk twin)
-    bool evicted = false;    ///< the insert replaced the least recent way of a full set
-    bool collision = false;  ///< verify-on-hit content mismatch (fp collision)
-  };
+  using CacheOutcome = slc::CacheOutcome;
 
   /// The memo stage works through its span in chunks of at most this many
   /// blocks, with all per-chunk bookkeeping in fixed arrays; callers that
@@ -115,7 +112,9 @@ class SlcCodec {
   /// and decide the distinct misses and insert them. A hit returns exactly
   /// the Decision the probe computes for that content (modulo undetected
   /// 64-bit fingerprint collisions, which verify-on-hit eliminates),
-  /// including decisions too wide for the memo to store.
+  /// including decisions too wide for the memo to store. The codec's memo
+  /// governor (MemoGovernor) may run a chunk through the probe alone
+  /// instead; its blocks are then `bypassed`, neither hits nor misses.
   void decide_batch(std::span<const BlockView> blocks, LengthScratch& scratch, Decision* out,
                     CacheOutcome* oc) const;
 
@@ -159,10 +158,50 @@ class SlcCodec {
   static constexpr unsigned kDecompressLatency = E2mcCompressor::kDecompressLatency;
 
  private:
+  /// Steps the memo aside while it does not pay. Each codec (so each server
+  /// stream) has one. With the memo on, it judges windows of kWindow probed
+  /// blocks: a window whose hit rate (in-chunk twins included) is below 1/2
+  /// switches the memo off. With it off, chunks skip the memo stage — no
+  /// fingerprint, lookup, dedup or insert — except 1 in kSampleEvery, which
+  /// runs it; once the last kSamples of those sampled chunks reach a hit
+  /// rate of 1/2 the memo is back on, with an empty window. A new memo
+  /// epoch (FingerprintCache::clear()) restarts it: memo on, empty window.
+  /// The state is relaxed atomics: concurrent shards of one codec race on
+  /// it, which moves only which chunks bypass, never a decision.
+  class MemoGovernor {
+   public:
+    static constexpr uint32_t kWindow = 4096;
+    static constexpr uint32_t kSampleEvery = 64;
+    static constexpr unsigned kSamples = 4;
+
+    enum class Stage : uint8_t { kMemo, kSample, kBypass };
+
+    /// The stage of the next chunk under memo epoch `epoch`.
+    Stage next(uint64_t epoch);
+    /// Reports a chunk that ran the memo stage as `stage` (kMemo or
+    /// kSample): `probed` blocks, `hits` of them served without a decision.
+    void report(Stage stage, uint32_t probed, uint32_t hits);
+
+   private:
+    void restart(uint64_t epoch);
+
+    std::atomic<uint64_t> epoch_{0};
+    std::atomic<bool> off_{false};
+    /// Memo on: the open window, probed blocks << 32 | hits.
+    std::atomic<uint64_t> window_{0};
+    /// Memo off: chunks since it went off, and the last kSamples sampled
+    /// chunks as 16-bit probed << 8 | hits fields, the newest lowest.
+    std::atomic<uint32_t> chunks_{0};
+    std::atomic<uint64_t> samples_{0};
+  };
+
   std::shared_ptr<const E2mcCompressor> lossless_;
   SlcConfig cfg_;
   TreeSlcSelector selector_;
   uint64_t cache_key_ = 0;
+  /// On a cache line of its own: engine workers write it once per chunk,
+  /// and read everything above on every decision.
+  alignas(64) mutable MemoGovernor governor_;
 
   /// The memo decide_batch() consults: cfg_.cache unless the
   /// SLC_FINGERPRINT_CACHE env knob force-disables caching process-wide.
@@ -174,9 +213,10 @@ class SlcCodec {
   void probe_batch(std::span<const BlockView> blocks, LengthScratch& scratch,
                    Decision* out) const;
 
-  /// One chunk of the memo stage (blocks.size() <= kProbeChunk).
-  void decide_chunk_cached(FingerprintCache& c, std::span<const BlockView> blocks,
-                           LengthScratch& scratch, Decision* out, CacheOutcome* oc) const;
+  /// One chunk of the memo stage (blocks.size() <= kProbeChunk); returns
+  /// how many of its blocks were served without a decision.
+  uint32_t decide_chunk_cached(FingerprintCache& c, std::span<const BlockView> blocks,
+                               LengthScratch& scratch, Decision* out, CacheOutcome* oc) const;
 
   /// The Fig. 4 mode decision over one block's staged code lengths.
   Decision decide(std::span<const uint16_t> lens, size_t block_bytes) const;

@@ -17,10 +17,7 @@ BlockAnalysis to_analysis(const SlcEncodeInfo& info, const SlcCodec::CacheOutcom
   a.lossy = info.lossy;
   a.lossless_bits = info.lossless_bits;
   a.truncated_symbols = info.truncated_symbols;
-  a.cache_probed = oc.probed;
-  a.cache_hit = oc.hit;
-  a.cache_evicted = oc.evicted;
-  a.cache_collision = oc.collision;
+  a.cache = oc;
   return a;
 }
 

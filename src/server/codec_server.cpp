@@ -428,23 +428,24 @@ void CodecServer::dispatch_locked(StreamId s) {
     // get the exception and drain()/~CodecServer see the batch retire.
     const std::exception_ptr err = std::current_exception();
     const auto now = std::chrono::steady_clock::now();
-    deliver_batch(*batch, err, now);
-    retire_batch_locked(*batch, err, now);
+    retire_batch_locked(*batch, deliver_batch(*batch, err, now), now);
   }
 }
 
 void CodecServer::complete_batch(Batch& batch, std::exception_ptr err) {
   const auto now = std::chrono::steady_clock::now();
-  deliver_batch(batch, err, now);
+  const CommitStats commit = deliver_batch(batch, err, now);
   MutexLock lk(lock_);
-  retire_batch_locked(batch, err, now);
+  retire_batch_locked(batch, commit, now);
 }
 
-void CodecServer::deliver_batch(Batch& batch, std::exception_ptr err,
-                                std::chrono::steady_clock::time_point now) {
+CommitStats CodecServer::deliver_batch(Batch& batch, std::exception_ptr err,
+                                       std::chrono::steady_clock::time_point now) {
   // Scatter per-request responses sequentially — same bytes no matter which
   // thread completes the batch. Delivery (request mutex + cv) happens after
-  // the response is fully built.
+  // the response is fully built. The same pass folds the batch's commit
+  // counters, so retiring it under lock_ is one merge.
+  CommitStats cs;
   for (const auto& req : batch.requests) {
     Response resp;
     resp.tag = req->tag;
@@ -455,23 +456,43 @@ void CodecServer::deliver_batch(Batch& batch, std::exception_ptr err,
       resp.error = err;
     } else if (batch.kind == RequestKind::kCompress) {
       // The payload vectors are built by the waiter (ServerTicket::wait).
+      // Payload batches fold the size/burst counters only; the decision
+      // bookkeeping (lossy/truncated/lossless/cache) is an analyze-path
+      // concept the compress kernels do not report.
       for (size_t j = 0; j < req->n_blocks; ++j) {
         const size_t i = req->offset + j;
-        resp.analysis.ratios.add(batch.block_bytes(i) * 8, batch.payloads->entries[i].bit_size);
+        const detail::PayloadArena::Entry& p = batch.payloads->entries[i];
+        const size_t bits = batch.block_bytes(i) * 8;
+        resp.analysis.ratios.add(bits, p.bit_size);
+        cs.uncompressed_blocks += p.is_compressed ? 0 : 1;
+        cs.bursts += bursts_for_bits(p.bit_size, batch.mag_bytes, batch.block_bytes(i));
+        cs.original_bits += bits;
+        cs.final_bits += p.bit_size;
       }
+      cs.blocks += req->n_blocks;
     } else {
+      StreamAnalysis& sa = resp.analysis;
       for (size_t j = 0; j < req->n_blocks; ++j) {
         const size_t i = req->offset + j;
         const BlockAnalysis& a = batch.analyses[i];
-        resp.analysis.ratios.add(batch.block_bytes(i) * 8, a.bit_size);
-        resp.analysis.lossy_blocks += a.lossy ? 1 : 0;
-        resp.analysis.truncated_symbols += a.truncated_symbols;
-        resp.analysis.cache.record(a.cache_probed, a.cache_hit, a.cache_evicted,
-                                   a.cache_collision);
+        const size_t bits = batch.block_bytes(i) * 8;
+        sa.ratios.add(bits, a.bit_size);
+        sa.lossy_blocks += a.lossy ? 1 : 0;
+        sa.truncated_symbols += a.truncated_symbols;
+        sa.cache.record(a.cache);
+        cs.uncompressed_blocks += a.is_compressed ? 0 : 1;
+        cs.bursts += bursts_for_bits(a.bit_size, batch.mag_bytes, batch.block_bytes(i));
+        cs.original_bits += bits;
+        cs.lossless_bits += a.lossless_bits;
+        cs.final_bits += a.bit_size;
       }
+      cs.blocks += req->n_blocks;
+      cs.lossy_blocks += sa.lossy_blocks;
+      cs.truncated_symbols += sa.truncated_symbols;
+      cs.cache.merge(sa.cache);
       if (batch.kind == RequestKind::kAnalyze) {
         // kDecide keeps the per-block vector empty — aggregates only.
-        resp.analysis.blocks.assign(
+        sa.blocks.assign(
             batch.analyses.begin() + static_cast<ptrdiff_t>(req->offset),
             batch.analyses.begin() + static_cast<ptrdiff_t>(req->offset + req->n_blocks));
       }
@@ -482,9 +503,10 @@ void CodecServer::deliver_batch(Batch& batch, std::exception_ptr err,
     req->done = true;
   }
   for (const auto& req : batch.requests) req->cv.notify_all();
+  return cs;
 }
 
-void CodecServer::retire_batch_locked(const Batch& batch, std::exception_ptr err,
+void CodecServer::retire_batch_locked(const Batch& batch, const CommitStats& commit,
                                       std::chrono::steady_clock::time_point now) {
   Stream& st = *streams_.at(batch.stream);
   for (const auto& req : batch.requests) {
@@ -494,35 +516,7 @@ void CodecServer::retire_batch_locked(const Batch& batch, std::exception_ptr err
     }
     st.stats.latency.record(now - req->submitted);
   }
-  if (!err) {
-    CommitStats& cs = st.stats.commit;
-    if (batch.kind == RequestKind::kCompress) {
-      // Payload batches fold the size/burst counters only; the decision
-      // bookkeeping (lossy/truncated/lossless/cache) is an analyze-path
-      // concept the compress kernels do not report.
-      for (size_t i = 0; i < batch.ends.size(); ++i) {
-        const detail::PayloadArena::Entry& p = batch.payloads->entries[i];
-        cs.blocks += 1;
-        cs.uncompressed_blocks += p.is_compressed ? 0 : 1;
-        cs.bursts += bursts_for_bits(p.bit_size, batch.mag_bytes, batch.block_bytes(i));
-        cs.original_bits += batch.block_bytes(i) * 8;
-        cs.final_bits += p.bit_size;
-      }
-    } else {
-      for (size_t i = 0; i < batch.analyses.size(); ++i) {
-        const BlockAnalysis& a = batch.analyses[i];
-        cs.blocks += 1;
-        cs.lossy_blocks += a.lossy ? 1 : 0;
-        cs.uncompressed_blocks += a.is_compressed ? 0 : 1;
-        cs.bursts += bursts_for_bits(a.bit_size, batch.mag_bytes, batch.block_bytes(i));
-        cs.truncated_symbols += a.truncated_symbols;
-        cs.original_bits += batch.block_bytes(i) * 8;
-        cs.lossless_bits += a.lossless_bits;
-        cs.final_bits += a.bit_size;
-        cs.cache.record(a.cache_probed, a.cache_hit, a.cache_evicted, a.cache_collision);
-      }
-    }
-  }
+  st.stats.commit.merge(commit);
   inflight_blocks_ -= batch.ends.size();
   inflight_batches_ -= 1;
   // Notify while still holding the lock: a woken drain() can only pass its

@@ -406,15 +406,16 @@ class CodecServer {
   /// (or is the server drained empty — the oversized-request escape)?
   bool admit_fits_locked(size_t n) const SLC_REQUIRES(lock_);
   /// A batch's engine on_done: delivers every response (kError with `err`
-  /// when set), then retires the batch under lock_.
+  /// when set) outside lock_, then retires the batch under it.
   void complete_batch(Batch& batch, std::exception_ptr err) SLC_EXCLUDES(lock_);
-  /// Builds and delivers each request's response. Takes each request's
-  /// mutex, which is allowed with or without lock_ held.
-  static void deliver_batch(Batch& batch, std::exception_ptr err,
-                            std::chrono::steady_clock::time_point now);
-  /// Folds the batch into its stream's stats (commit counters only without
-  /// `err`) and releases its backpressure and drain debt.
-  void retire_batch_locked(const Batch& batch, std::exception_ptr err,
+  /// Builds and delivers each request's response, and returns the batch's
+  /// commit counters (empty with `err`) from the same pass over its blocks.
+  /// Takes each request's mutex, which is allowed with or without lock_ held.
+  static CommitStats deliver_batch(Batch& batch, std::exception_ptr err,
+                                   std::chrono::steady_clock::time_point now);
+  /// Folds the batch into its stream's stats (`commit` is deliver_batch's
+  /// result) and releases its backpressure and drain debt.
+  void retire_batch_locked(const Batch& batch, const CommitStats& commit,
                            std::chrono::steady_clock::time_point now) SLC_REQUIRES(lock_);
   /// Body of the flush-timer thread: force-dispatches batches whose
   /// flush_by elapsed, sleeps until the next one (or until notified).

@@ -38,7 +38,7 @@ void process_blocks(const BlockCodec& codec, uint8_t* data, uint32_t* bursts, bo
     ws.original_bits += kBlockBytes * 8;
     ws.lossless_bits += res.lossless_bits;
     ws.final_bits += res.final_bits;
-    ws.cache.record(res.cache_probed, res.cache_hit, res.cache_evicted, res.cache_collision);
+    ws.cache.record(res.cache);
     if (res.decoded) {
       const auto src = res.decoded->bytes();
       std::copy(src.begin(), src.end(), data + b * kBlockBytes);

@@ -903,8 +903,7 @@ TEST(CodecServer, CoalescedMixedBlockSizesMatchDirectCodecAllKinds) {
             want_stats.uncompressed_blocks += a.is_compressed ? 0 : 1;
             want_stats.truncated_symbols += a.truncated_symbols;
             want_stats.lossless_bits += a.lossless_bits;
-            want_stats.cache.record(a.cache_probed, a.cache_hit, a.cache_evicted,
-                                    a.cache_collision);
+            want_stats.cache.record(a.cache);
             if (kind == RequestKind::kAnalyze) {
               ASSERT_EQ(resp.analysis.blocks.size(), per_request[r].size()) << at;
               test::expect_analysis_eq(a, resp.analysis.blocks[j], at);

@@ -15,6 +15,8 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <cstring>
+#include <functional>
 #include <memory>
 #include <set>
 #include <string>
@@ -127,19 +129,29 @@ void expect_result_eq(const BlockCodecResult& a, const BlockCodecResult& b,
 FingerprintCache::Lookup lookup_one(FingerprintCache& cache, uint64_t key, uint64_t fp,
                                     std::span<const uint8_t> block, SlcCodec::Decision& out) {
   const BlockView view(block);
+  const FingerprintCache::Key k = cache.key(key, fp);
   FingerprintCache::Lookup result;
-  cache.lookup_batch(key, std::span<const uint64_t>(&fp, 1), std::span<const BlockView>(&view, 1),
-                     &out, &result);
+  cache.lookup_batch(key, std::span<const FingerprintCache::Key>(&k, 1),
+                     std::span<const BlockView>(&view, 1), &out, &result);
   return result;
 }
 
 bool insert_one(FingerprintCache& cache, uint64_t key, uint64_t fp,
                 std::span<const uint8_t> block, const SlcCodec::Decision& d) {
   const BlockView view(block);
+  const FingerprintCache::Key k = cache.key(key, fp);
   bool evicted = false;
-  cache.insert_batch(key, std::span<const uint64_t>(&fp, 1), std::span<const BlockView>(&view, 1),
-                     &d, &evicted);
+  cache.insert_batch(key, std::span<const FingerprintCache::Key>(&k, 1),
+                     std::span<const BlockView>(&view, 1), &d, &evicted);
   return evicted;
+}
+
+/// The keys of `fps` under codec key `key`.
+std::vector<FingerprintCache::Key> keys_of(const FingerprintCache& cache, uint64_t key,
+                                           const std::vector<uint64_t>& fps) {
+  std::vector<FingerprintCache::Key> keys;
+  for (const uint64_t fp : fps) keys.push_back(cache.key(key, fp));
+  return keys;
 }
 
 /// A decision that fits a packed way, distinct for tags below 60000.
@@ -329,7 +341,7 @@ TEST(FingerprintCache, BatchProbeMatchesOneByOne) {
   bool evicted_batched[FingerprintCache::kMaxBatch] = {};
   for (size_t i = 0; i < fps.size(); ++i)
     evicted_single[i] = insert_one(single, kKey, fps[i], blocks[i].bytes(), ds[i]);
-  batched.insert_batch(kKey, fps, views, ds.data(), evicted_batched);
+  batched.insert_batch(kKey, keys_of(batched, kKey, fps), views, ds.data(), evicted_batched);
   for (size_t i = 0; i < fps.size(); ++i)
     EXPECT_EQ(evicted_batched[i], evicted_single[i] != 0) << "insert " << i;
 
@@ -340,7 +352,8 @@ TEST(FingerprintCache, BatchProbeMatchesOneByOne) {
   probe_views.push_back(blocks[0].view());
   std::vector<SlcCodec::Decision> got_single(probe_fps.size()), got_batched(probe_fps.size());
   FingerprintCache::Lookup res_batched[FingerprintCache::kMaxBatch];
-  batched.lookup_batch(kKey, probe_fps, probe_views, got_batched.data(), res_batched);
+  batched.lookup_batch(kKey, keys_of(batched, kKey, probe_fps), probe_views, got_batched.data(),
+                       res_batched);
   size_t hits = 0;
   for (size_t i = 0; i < probe_fps.size(); ++i) {
     const auto r = lookup_one(single, kKey, probe_fps[i], probe_views[i].bytes(), got_single[i]);
@@ -986,6 +999,266 @@ TEST(EngineCache, SharedCacheConcurrentCommitsStayDeterministic) {
   }
 }
 
+// --- memo governor ----------------------------------------------------------
+//
+// Each SlcCodec steps its memo aside while it does not pay. The rule these
+// tests pin: windows of kWindow probed blocks; a window below a hit rate of
+// 1/2 switches the memo off; while off, 1 chunk in kSampleEvery still runs
+// the memo stage, and the last kSamples of those at a hit rate of 1/2
+// switch it back on; FingerprintCache::clear() restarts the governor.
+
+constexpr size_t kWindow = 4096;
+constexpr size_t kSampleEvery = 64;
+constexpr size_t kChunk = SlcCodec::kProbeChunk;
+/// Blocks within which a stream that turns 90% duplicate over an unseen
+/// 4096-block working set switches the memo back on. While the memo is off
+/// only sampled chunks insert, about 57 working-set blocks each, so the
+/// sampled hit rate reaches 1/2 after about 60 samples of 64 chunks each
+/// (~250k blocks); the bound leaves a margin over that.
+constexpr size_t kBackOnBound = 320 * 1024;
+
+/// Seeded governor traffic, taken a slice at a time so a long stream is
+/// never held whole: fresh random blocks, or with probability `dup` a
+/// uniformly drawn block of `working_set`.
+class Traffic {
+ public:
+  explicit Traffic(uint64_t seed) : rng_(seed) {}
+
+  /// The next `blocks` blocks, back to back.
+  std::vector<uint8_t> take(size_t blocks, double dup = 0.0,
+                            std::span<const Block> working_set = {}) {
+    std::vector<uint8_t> out(blocks * kBlockBytes);
+    for (size_t b = 0; b < blocks; ++b) {
+      uint8_t* dst = out.data() + b * kBlockBytes;
+      if (!working_set.empty() && rng_.chance(dup)) {
+        const auto src = working_set[rng_.next_below(working_set.size())].bytes();
+        std::copy(src.begin(), src.end(), dst);
+        continue;
+      }
+      for (size_t w = 0; w < kBlockBytes; w += 8) {
+        const uint64_t v = rng_.next();
+        std::memcpy(dst + w, &v, 8);
+      }
+    }
+    return out;
+  }
+
+ private:
+  Rng rng_;
+};
+
+std::vector<BlockView> views_of(std::span<const uint8_t> bytes) {
+  std::vector<BlockView> v;
+  for (size_t off = 0; off < bytes.size(); off += kBlockBytes)
+    v.emplace_back(bytes.subspan(off, kBlockBytes));
+  return v;
+}
+
+/// The three governor streams, one kWindow-block slice at a time: `slice(i)`
+/// is slice i, empty past the end.
+struct GovernorStream {
+  const char* name;
+  std::function<std::vector<uint8_t>(size_t)> slice;
+};
+
+/// Eight fresh windows.
+GovernorStream fresh_stream() {
+  auto traffic = std::make_shared<Traffic>(201);
+  return {"fresh", [traffic](size_t i) {
+            return i < 8 ? traffic->take(kWindow) : std::vector<uint8_t>{};
+          }};
+}
+
+/// Two fresh windows (the memo goes off after the first), then 90%
+/// duplicates of an unseen 4096-block working set, up to kBackOnBound blocks.
+GovernorStream turns_duplicate_stream() {
+  auto traffic = std::make_shared<Traffic>(301);
+  auto working_set =
+      std::make_shared<const std::vector<Block>>(test::dedup_corpus({.blocks = 4096, .seed = 302}));
+  return {"turns-duplicate", [traffic, working_set](size_t i) {
+            if (i < 2) return traffic->take(kWindow);
+            if (i < 2 + kBackOnBound / kWindow) return traffic->take(kWindow, 0.9, *working_set);
+            return std::vector<uint8_t>{};
+          }};
+}
+
+/// Eight windows in which 95% of the blocks repeat an earlier block.
+GovernorStream duplicate_stream() {
+  auto bytes = std::make_shared<const std::vector<uint8_t>>(test::corpus_bytes(
+      test::dedup_corpus({.blocks = 8 * kWindow, .dup_fraction = 0.95, .seed = 401})));
+  return {"95%-duplicate", [bytes](size_t i) {
+            if (i >= 8) return std::vector<uint8_t>{};
+            const auto first = bytes->begin() + static_cast<ptrdiff_t>(i * kWindow * kBlockBytes);
+            return std::vector<uint8_t>(first, first + static_cast<ptrdiff_t>(kWindow * kBlockBytes));
+          }};
+}
+
+bool same_decision(const SlcCodec::Decision& a, const SlcCodec::Decision& b) {
+  const SlcEncodeInfo &x = a.info, &y = b.info;
+  return x.lossy == y.lossy && x.stored_uncompressed == y.stored_uncompressed &&
+         x.lossless_bits == y.lossless_bits && x.final_bits == y.final_bits &&
+         x.bursts == y.bursts && x.truncated_symbols == y.truncated_symbols &&
+         x.truncated_bits == y.truncated_bits && x.extra_bits == y.extra_bits &&
+         a.skip_start == b.skip_start && a.skip_count == b.skip_count;
+}
+
+/// What one cached codec's governor did over a stream, fed to decide_batch
+/// one slice at a time on this thread.
+struct Governed {
+  std::vector<bool> probed;  ///< per kProbeChunk chunk: ran the memo stage, else bypassed
+  CacheCounters counters;
+  size_t blocks = 0;
+  size_t diverged = 0;  ///< blocks whose decision differs from the uncached codec's
+};
+
+void govern(const SlcCodec& cached, std::span<const BlockView> slice, Governed& g) {
+  std::vector<SlcCodec::CacheOutcome> ocs;
+  const auto got = test::decide_all(cached, slice, &ocs);
+  const auto want = test::decide_all(make_slc(nullptr), slice);
+  // With the memo on, a block is probed or bypassed, never both, and a
+  // chunk is never a mix; with it force-disabled, a block is neither.
+  const bool memo = FingerprintCache::runtime_enabled();
+  for (size_t base = 0; base < slice.size(); base += kChunk) {
+    const size_t end = std::min(slice.size(), base + kChunk);
+    size_t probed = 0;
+    for (size_t i = base; i < end; ++i) {
+      EXPECT_EQ(ocs[i].probed || ocs[i].bypassed, memo) << "block " << g.blocks + i;
+      EXPECT_FALSE(ocs[i].probed && ocs[i].bypassed) << "block " << g.blocks + i;
+      probed += ocs[i].probed ? 1 : 0;
+      g.counters.record(ocs[i]);
+      g.diverged += same_decision(want[i], got[i]) ? 0 : 1;
+    }
+    EXPECT_TRUE(probed == 0 || probed == end - base) << "chunk at " << g.blocks + base;
+    g.probed.push_back(probed != 0);
+  }
+  g.blocks += slice.size();
+}
+
+Governed govern(const SlcCodec& cached, const GovernorStream& stream) {
+  Governed g;
+  for (size_t i = 0;; ++i) {
+    const std::vector<uint8_t> bytes = stream.slice(i);
+    if (bytes.empty()) return g;
+    govern(cached, views_of(bytes), g);
+  }
+}
+
+TEST(MemoGovernor, FreshWindowsSwitchTheMemoOff) {
+  auto cache = std::make_shared<FingerprintCache>();
+  const Governed g = govern(make_slc(cache), fresh_stream());
+  EXPECT_EQ(g.diverged, 0u);
+  if (!FingerprintCache::runtime_enabled()) GTEST_SKIP() << "cache force-disabled";
+
+  // The first window runs the memo and misses throughout; the memo is off
+  // from the next chunk on, except 1 chunk in kSampleEvery.
+  const size_t window_chunks = kWindow / kChunk;
+  size_t samples = 0;
+  for (size_t c = 0; c < g.probed.size(); ++c) {
+    const bool sampled =
+        c >= window_chunks && (c - window_chunks) % kSampleEvery == kSampleEvery - 1;
+    EXPECT_EQ(g.probed[c], c < window_chunks || sampled) << "chunk " << c;
+    samples += sampled ? 1 : 0;
+  }
+  EXPECT_EQ(samples, 7u);
+  EXPECT_EQ(g.counters.hits, 0u);
+  EXPECT_EQ(g.counters.probes(), kWindow + samples * kChunk);
+  EXPECT_EQ(g.counters.bypassed, g.blocks - g.counters.probes());
+  // A bypassed block never reaches the memo.
+  EXPECT_EQ(cache->counters().probes(), g.counters.probes());
+  EXPECT_EQ(cache->counters().bypassed, 0u);
+}
+
+TEST(MemoGovernor, DuplicateTrafficSwitchesTheMemoBackOn) {
+  const Governed g = govern(make_slc(std::make_shared<FingerprintCache>()), turns_duplicate_stream());
+  EXPECT_EQ(g.diverged, 0u);
+  if (!FingerprintCache::runtime_enabled()) GTEST_SKIP() << "cache force-disabled";
+
+  // Off after the first fresh window; back on at the first chunk that runs
+  // the memo right after a chunk that ran it, and on from there to the end.
+  const size_t window_chunks = kWindow / kChunk;
+  ASSERT_FALSE(g.probed[window_chunks]);
+  size_t on = g.probed.size();
+  for (size_t c = window_chunks + 1; c < g.probed.size() && on == g.probed.size(); ++c)
+    if (g.probed[c] && g.probed[c - 1]) on = c;
+  ASSERT_LT(on, g.probed.size()) << "memo still off after " << kBackOnBound << " blocks";
+  const size_t turned = 2 * kWindow;  // where the duplicate traffic starts
+  EXPECT_LE(on * kChunk - turned, kBackOnBound);
+  for (size_t c = on; c < g.probed.size(); ++c) EXPECT_TRUE(g.probed[c]) << "chunk " << c;
+}
+
+TEST(MemoGovernor, NinetyFivePercentDuplicatesNeverSwitchItOff) {
+  const Governed g = govern(make_slc(std::make_shared<FingerprintCache>()), duplicate_stream());
+  EXPECT_EQ(g.diverged, 0u);
+  if (!FingerprintCache::runtime_enabled()) GTEST_SKIP() << "cache force-disabled";
+  EXPECT_EQ(g.counters.bypassed, 0u);
+  EXPECT_EQ(g.counters.probes(), g.blocks);
+  EXPECT_GT(g.counters.hit_rate(), 0.9);
+}
+
+TEST(MemoGovernor, ClearRestartsTheGovernor) {
+  if (!FingerprintCache::runtime_enabled()) GTEST_SKIP() << "cache force-disabled";
+  Traffic traffic(501);
+  auto cache = std::make_shared<FingerprintCache>();
+  const SlcCodec cached = make_slc(cache);
+  Governed before;
+  for (int i = 0; i < 2; ++i) govern(cached, views_of(traffic.take(kWindow)), before);
+  ASSERT_FALSE(before.probed[kWindow / kChunk]) << "a fresh window switches the memo off";
+
+  // After clear(): memo on, with an empty window — a whole window probed,
+  // then off again.
+  cache->clear();
+  Governed after;
+  govern(cached, views_of(traffic.take(kWindow + kChunk)), after);
+  EXPECT_EQ(after.counters.probes(), kWindow);
+  EXPECT_EQ(after.counters.bypassed, kChunk);
+}
+
+TEST(MemoGovernor, DecisionsMatchUncachedAtOneAndFourThreads) {
+  // The three governor streams through one cached codec per run, each slice
+  // sharded by an engine job: workers race on the governor, which may move
+  // which chunks bypass, never a decision.
+  const auto uncached = CodecRegistry::instance().create("TSLC-OPT", cached_options(nullptr));
+  for (const unsigned threads : {1u, 4u}) {
+    CodecEngine engine(threads);
+    for (const GovernorStream& stream :
+         {fresh_stream(), turns_duplicate_stream(), duplicate_stream()}) {
+      const auto cached = CodecRegistry::instance().create(
+          "TSLC-OPT", cached_options(std::make_shared<FingerprintCache>()));
+      size_t blocks = 0, diverged = 0;
+      CacheCounters c;
+      for (size_t i = 0;; ++i) {
+        const std::vector<uint8_t> bytes = stream.slice(i);
+        if (bytes.empty()) break;
+        const auto views = views_of(bytes);
+        std::vector<BlockAnalysis> want(views.size()), got(views.size());
+        uncached->analyze_batch(views, want.data());
+        engine
+            .submit(views.size(),
+                    [&](size_t begin, size_t end, unsigned) {
+                      cached->analyze_batch(
+                          std::span<const BlockView>(views).subspan(begin, end - begin),
+                          got.data() + begin);
+                    })
+            .wait();
+        for (size_t j = 0; j < views.size(); ++j) {
+          const BlockAnalysis &w = want[j], &g = got[j];
+          diverged += (w.bit_size != g.bit_size || w.is_compressed != g.is_compressed ||
+                       w.lossy != g.lossy || w.lossless_bits != g.lossless_bits ||
+                       w.truncated_symbols != g.truncated_symbols)
+                          ? 1
+                          : 0;
+          c.record(g.cache);
+        }
+        blocks += views.size();
+      }
+      EXPECT_EQ(diverged, 0u) << stream.name << " threads=" << threads;
+      if (FingerprintCache::runtime_enabled()) {
+        EXPECT_EQ(c.probes() + c.bypassed, blocks) << stream.name << " threads=" << threads;
+      }
+    }
+  }
+}
+
 // --- server-level knobs -----------------------------------------------------
 
 StreamConfig tslc_stream(const char* name, CacheMode mode = CacheMode::kShared) {
@@ -1039,6 +1312,25 @@ TEST(ServerCache, SharedCacheDedupsAcrossStreams) {
   // zero decision probes' worth of misses.
   EXPECT_EQ(sb.cache.hits, sb.blocks);
   EXPECT_TRUE(sa.same_decisions(sb));
+}
+
+TEST(ServerCache, BypassedBlocksFoldIntoStreamStats) {
+  if (!FingerprintCache::runtime_enabled()) GTEST_SKIP() << "cache force-disabled";
+  // Fresh traffic switches the stream's memo off after one window; the
+  // bypassed blocks reach the response and the stream's counters.
+  const auto bytes = Traffic(601).take(4 * kWindow);
+  CodecServer::Config scfg;
+  scfg.engine = std::make_shared<CodecEngine>(2);
+  CodecServer server(scfg);
+  const StreamId s = server.open_stream(tslc_stream("fresh"));
+  const Response r = server.submit(s, Request{.kind = RequestKind::kDecide, .bytes = bytes}).wait();
+  server.drain();
+  const CacheCounters& got = r.analysis.cache;
+  EXPECT_GT(got.bypassed, 0u);
+  EXPECT_EQ(got.probes() + got.bypassed, 4 * kWindow);
+  const CommitStats commit = server.stream_stats(s).commit;
+  EXPECT_EQ(commit.cache, got);
+  EXPECT_EQ(server.aggregate_stats().commit.cache.bypassed, got.bypassed);
 }
 
 }  // namespace

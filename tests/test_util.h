@@ -208,7 +208,7 @@ inline StreamAnalysis fold_analyses(std::vector<BlockAnalysis> blocks,
     out.ratios.add(kBlockBytes * 8, a.bit_size);
     out.lossy_blocks += a.lossy ? 1 : 0;
     out.truncated_symbols += a.truncated_symbols;
-    out.cache.record(a.cache_probed, a.cache_hit, a.cache_evicted, a.cache_collision);
+    out.cache.record(a.cache);
   }
   out.blocks = std::move(blocks);
   return out;
