@@ -40,17 +40,14 @@ int main() {
     const TreeSlcSelector base_sel(/*extra_nodes=*/false);
     const TreeSlcSelector opt_sel(/*extra_nodes=*/true);
 
-    std::vector<uint16_t> all_lens;
-    std::vector<size_t> offsets;
-    e2mc.code_lengths_batch(to_views(blocks), all_lens, offsets);
-
+    std::vector<uint16_t> lens;  // one block's code lengths, reused
     uint64_t lossy = 0, total = 0;
     uint64_t sym_base = 0, sym_opt = 0, waste_base = 0, waste_opt = 0, selections = 0;
     for (size_t i = 0; i < blocks.size(); ++i) {
       const Block& b = blocks[i];
       ++total;
-      const std::span<const uint16_t> lens(all_lens.data() + offsets[i],
-                                           offsets[i + 1] - offsets[i]);
+      lens.resize(b.view().num_symbols());
+      e2mc.code_lengths(b.view(), lens.data());
       const auto lo = e2mc.layout(lens, codec.header_bits(b.size()));
       const size_t comp = lo.total_bits;
       if (comp >= b.size() * 8) continue;

@@ -53,10 +53,9 @@ int main(int argc, char** argv) {
 
   // Size histogram at 8 B resolution plus SLC outcomes (the Fig. 2 view),
   // from one batched Fig. 4 decision over the whole image.
-  SlcCodec::LengthScratch scratch;
   std::vector<SlcCodec::Decision> decisions(views.size());
   std::vector<SlcCodec::CacheOutcome> outcomes(views.size());
-  codec.decide_batch(views, scratch, decisions.data(), outcomes.data());
+  codec.decide_batch(views, decisions.data(), outcomes.data());
   Histogram size_hist;
   uint64_t lossy = 0, raw = 0, bursts_e2mc = 0, bursts_slc = 0, truncated = 0;
   for (size_t i = 0; i < blocks.size(); ++i) {

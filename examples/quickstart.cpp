@@ -54,10 +54,9 @@ int main() {
   const SlcCodec& codec = slc_comp->codec();
   const BlockView view = block.view();
   const std::span<const BlockView> one(&view, 1);  // the kernels take spans
-  SlcCodec::LengthScratch scratch;
   SlcCodec::Decision d;
   SlcCodec::CacheOutcome memo;
-  codec.decide_batch(one, scratch, &d, &memo);  // the Fig. 4 mode decision
+  codec.decide_batch(one, &d, &memo);  // the Fig. 4 mode decision
   CompressedBlock payload;
   codec.compress_batch(one, &payload);  // the self-describing payload
 

@@ -7,21 +7,6 @@
 
 namespace slc {
 
-size_t round_up_to_mag_bits(size_t bits, size_t mag_bytes) {
-  const size_t mag_bits = mag_bytes * 8;
-  if (mag_bits == 0) return bits;
-  return (bits + mag_bits - 1) / mag_bits * mag_bits;
-}
-
-size_t bursts_for_bits(size_t bits, size_t mag_bytes, size_t block_bytes) {
-  const size_t mag_bits = mag_bytes * 8;
-  assert(mag_bits > 0);
-  size_t bursts = (bits + mag_bits - 1) / mag_bits;
-  bursts = std::max<size_t>(bursts, 1);
-  const size_t max_bursts = block_bytes / mag_bytes;
-  return std::min(bursts, max_bursts);
-}
-
 void check_mag_bytes(size_t mag_bytes, const char* who) {
   if (mag_bytes == 0 || kBlockBytes % mag_bytes != 0)
     throw std::invalid_argument(std::string(who) + ": MAG of " + std::to_string(mag_bytes) +

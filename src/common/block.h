@@ -7,6 +7,9 @@
 // geometry so every module agrees on rounding and symbol extraction.
 #pragma once
 
+#include <algorithm>
+#include <bit>
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <span>
@@ -93,12 +96,25 @@ class Block {
 
 /// Rounds `bits` up to the next multiple of `mag_bytes` (in bits). This is
 /// the quantity DRAM actually transfers for a compressed block — the basis of
-/// the paper's "effective" compression ratio.
-size_t round_up_to_mag_bits(size_t bits, size_t mag_bytes);
+/// the paper's "effective" compression ratio. `mag_bytes` is 0 (no rounding)
+/// or a power of two, as every MAG check_mag_bytes accepts is (a divisor of
+/// 128 B), so the rounding is shifts.
+inline size_t round_up_to_mag_bits(size_t bits, size_t mag_bytes) {
+  if (mag_bytes == 0) return bits;
+  assert(std::has_single_bit(mag_bytes));
+  const unsigned shift = static_cast<unsigned>(std::countr_zero(mag_bytes)) + 3;
+  return (bits + (size_t{1} << shift) - 1) >> shift << shift;
+}
 
 /// Number of MAG-sized bursts needed for `bits` of compressed payload
-/// (minimum one burst; capped at block_bytes / mag).
-size_t bursts_for_bits(size_t bits, size_t mag_bytes, size_t block_bytes = kBlockBytes);
+/// (minimum one burst; capped at block_bytes / mag). `mag_bytes` is a power
+/// of two, as for round_up_to_mag_bits.
+inline size_t bursts_for_bits(size_t bits, size_t mag_bytes, size_t block_bytes = kBlockBytes) {
+  assert(std::has_single_bit(mag_bytes));
+  const unsigned shift = static_cast<unsigned>(std::countr_zero(mag_bytes));
+  const size_t bursts = (bits + (size_t{8} << shift) - 1) >> (shift + 3);
+  return std::min(std::max<size_t>(bursts, 1), block_bytes >> shift);
+}
 
 /// Throw std::invalid_argument, the message prefixed with `who`, unless
 /// `mag_bytes` is positive and divides kBlockBytes (codec constructors,

@@ -95,7 +95,7 @@ class Compressor {
 /// Accumulates raw and effective compression ratios over a stream of blocks
 /// (per benchmark in Fig. 1). Effective size is the compressed size rounded
 /// up to a whole number of MAG bursts, floored at one burst and capped at the
-/// uncompressed block size.
+/// uncompressed block size. The MAG is a power of two (round_up_to_mag_bits).
 class RatioAccumulator {
  public:
   explicit RatioAccumulator(size_t mag_bytes = kDefaultMagBytes) : mag_bytes_(mag_bytes) {}

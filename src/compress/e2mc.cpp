@@ -84,29 +84,15 @@ unsigned E2mcCompressor::pdp_bits(size_t block_bytes) {
   return n;
 }
 
-void E2mcCompressor::code_lengths_batch(std::span<const BlockView> blocks,
-                                        std::vector<uint16_t>& lens,
-                                        std::vector<size_t>& offsets) const {
-  size_t total = 0;
-  offsets.resize(blocks.size() + 1);
-  for (size_t b = 0; b < blocks.size(); ++b) {
-    check_block_bytes(blocks[b].size(), kSymbolBits / 8, "E2MC");
-    offsets[b] = total;
-    total += blocks[b].num_symbols();
-  }
-  offsets[blocks.size()] = total;
-  lens.resize(total);
-  const bool use_avx2 = simd::active_level() == simd::Level::kAvx2;
-  for (size_t b = 0; b < blocks.size(); ++b) {
-    const uint8_t* p = blocks[b].bytes().data();
-    uint16_t* dst = lens.data() + offsets[b];
-    const size_t n = blocks[b].num_symbols();
-    if (use_avx2) {
-      simd::e2mc_code_lengths_avx2(p, n, code_.encoded_bits_table(), dst);
-    } else {
-      for (size_t i = 0; i < n; ++i)
-        dst[i] = static_cast<uint16_t>(code_.encoded_bits(detail::load_le16(p + 2 * i)));
-    }
+void E2mcCompressor::code_lengths(BlockView block, uint16_t* lens, simd::Level level) const {
+  check_block_bytes(block.size(), kSymbolBits / 8, "E2MC");
+  const uint8_t* p = block.bytes().data();
+  const size_t n = block.num_symbols();
+  if (level == simd::Level::kAvx2) {
+    simd::e2mc_code_lengths_avx2(p, n, code_.encoded_bits_table(), lens);
+  } else {
+    for (size_t i = 0; i < n; ++i)
+      lens[i] = static_cast<uint16_t>(code_.encoded_bits(detail::load_le16(p + 2 * i)));
   }
 }
 
@@ -180,19 +166,11 @@ void E2mcCompressor::compress_batch(std::span<const BlockView> blocks,
   // from each block's layout.
   std::vector<uint16_t> lens;  // scratch, reused across the batch
   std::vector<WayLayout> layouts(blocks.size());
-  const bool use_avx2 = simd::active_level() == simd::Level::kAvx2;
+  const simd::Level level = simd::active_level();
   for (size_t b = 0; b < blocks.size(); ++b) {
     const BlockView blk = blocks[b];
-    check_block_bytes(blk.size(), kSymbolBits / 8, "E2MC");
-    const size_t n = blk.num_symbols();
-    lens.resize(n);
-    const uint8_t* p = blk.bytes().data();
-    if (use_avx2) {
-      simd::e2mc_code_lengths_avx2(p, n, code_.encoded_bits_table(), lens.data());
-    } else {
-      for (size_t i = 0; i < n; ++i)
-        lens[i] = static_cast<uint16_t>(code_.encoded_bits(detail::load_le16(p + 2 * i)));
-    }
+    lens.resize(blk.num_symbols());
+    code_lengths(blk, lens.data(), level);
     layouts[b] = layout(lens, header_bits(blk.size()));
     detail::set_lossless_size(out[b], layouts[b].total_bits, blk.size());
   }

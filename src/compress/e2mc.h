@@ -14,6 +14,7 @@
 
 #include "compress/compressor.h"
 #include "compress/huffman.h"
+#include "compress/simd_dispatch.h"
 
 namespace slc {
 
@@ -56,15 +57,15 @@ class E2mcCompressor : public Compressor {
   void analyze_batch(std::span<const BlockView> blocks, BlockAnalysis* out) const override;
   void compress_batch(std::span<const BlockView> blocks, CompressedBlock* out) const override;
 
-  /// Batched length probe — the values the TSLC tree adder reads from the
-  /// compressor's code-length table: stages every block's per-symbol encoded
-  /// lengths into one contiguous scratch buffer with single le16 loads
-  /// (block i's lengths live at lens[offsets[i] .. offsets[i+1])). This is
-  /// the sizing pass the SLC batched mode decision runs once for a whole
-  /// span. Both vectors are resized (reuse them across calls to amortize
-  /// the allocation).
-  void code_lengths_batch(std::span<const BlockView> blocks, std::vector<uint16_t>& lens,
-                          std::vector<size_t>& offsets) const;
+  /// The length probe the TSLC tree adder reads from the compressor's
+  /// code-length table: lens[i] = encoded bits of symbol i of `block`
+  /// (escape cost folded in) for its num_symbols() symbols, with single
+  /// le16 loads (8-lane gathers at simd::Level::kAvx2). The caller owns the
+  /// staging, so the SLC decision keeps it on the stack; a batch kernel
+  /// reads the dispatch level once and passes it. Throws
+  /// std::invalid_argument when the block is not whole symbols.
+  void code_lengths(BlockView block, uint16_t* lens,
+                    simd::Level level = simd::active_level()) const;
 
   /// Layout (way bit/byte sizes, header, total) for a block, optionally with
   /// symbols [skip_start, skip_start+skip_count) removed from their way —

@@ -57,12 +57,11 @@ void SlcBlockCodec::process_batch(std::span<const BlockView> blocks, bool safe_t
   const SlcCodec& codec = codec_for(safe_to_approx, threshold_bytes);
   // One probe chunk at a time, so the staged decisions live on the stack.
   constexpr size_t kChunk = SlcCodec::kProbeChunk;
-  SlcCodec::LengthScratch scratch;
   std::array<SlcCodec::Decision, kChunk> ds;
   std::array<SlcCodec::CacheOutcome, kChunk> ocs;
   for (size_t base = 0; base < blocks.size(); base += kChunk) {
     const size_t n = std::min(kChunk, blocks.size() - base);
-    codec.decide_batch(blocks.subspan(base, n), scratch, ds.data(), ocs.data());
+    codec.decide_batch(blocks.subspan(base, n), ds.data(), ocs.data());
     for (size_t i = 0; i < n; ++i)
       out[base + i] = make_result(codec, blocks[base + i], ds[i], ocs[i]);
   }

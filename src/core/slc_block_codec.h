@@ -33,8 +33,7 @@ class SlcBlockCodec final : public BlockCodec {
   /// one for unsafe/zero-threshold regions, the configured codec when the
   /// region budget is at least the config's, and a cached per-threshold
   /// codec for regions with a tighter budget — built once per distinct
-  /// threshold instead of per block (repeated commits of the same region
-  /// used to re-derive the TreeSlcSelector on every block).
+  /// threshold instead of per block.
   const SlcCodec& codec_for(bool safe_to_approx, size_t threshold_bytes) const;
 
   std::shared_ptr<const E2mcCompressor> lossless_;

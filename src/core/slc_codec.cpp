@@ -39,7 +39,7 @@ const char* to_string(SlcVariant v) {
 SlcCodec::SlcCodec(std::shared_ptr<const E2mcCompressor> lossless, SlcConfig cfg)
     : lossless_(std::move(lossless)),
       cfg_(std::move(cfg)),
-      selector_(cfg_.variant == SlcVariant::kOpt) {
+      extra_nodes_(cfg_.variant == SlcVariant::kOpt) {
   assert(lossless_ != nullptr);
   check_mag_bytes(cfg_.mag_bytes, "SlcCodec");
   // Everything the Fig. 4 decision depends on beyond the block content: the
@@ -75,12 +75,12 @@ void SlcCodec::encode_into(BlockView block, const Decision& d,
   // The Fig. 6 header, with the pdp way offsets filled in.
   SlcHeader h;
   h.lossy = d.info.lossy;
-  h.start_symbol = static_cast<uint8_t>(skip_start);
+  h.start_symbol = static_cast<uint32_t>(skip_start);
   h.approx_count = static_cast<uint8_t>(d.info.lossy ? skip_count : 0);
   size_t off = SlcHeader::padded_bytes(block.size(), num_ways, n_sym);
   for (unsigned i = 1; i < num_ways; ++i) {
     off += lo.way_bytes[i - 1];
-    h.way_offsets[i] = static_cast<uint8_t>(off);
+    h.way_offsets[i] = static_cast<uint32_t>(off);
   }
 
   const HuffmanCode& code = lossless_->code();
@@ -104,53 +104,79 @@ void SlcCodec::encode_into(BlockView block, const Decision& d,
   }
 }
 
-SlcCodec::Decision SlcCodec::decide(std::span<const uint16_t> lens,
-                                    size_t block_bytes) const {
-  const size_t raw_bits = block_bytes * 8;
+SlcCodec::Geometry SlcCodec::geometry(size_t block_bytes) const {
+  check_block_bytes(block_bytes, kSymbolBits / 8, "SlcCodec");
+  Geometry g;
+  g.block_bytes = block_bytes;
+  g.num_symbols = block_bytes * 8 / kSymbolBits;
+  g.per_way = lossless_->symbols_per_way(g.num_symbols);
+  g.header_bytes = SlcHeader::padded_bytes(block_bytes, lossless_->config().num_ways,
+                                           g.num_symbols);
+  return g;
+}
+
+void SlcCodec::decide(std::span<const uint16_t> lens, const Geometry& g, Decision& d) const {
+  const CodeLengthTree tree(lens, extra_nodes_);
+  const size_t raw_bits = g.block_bytes * 8;
   const size_t mag_bits = cfg_.mag_bytes * 8;
-  const size_t max_bursts = block_bytes / cfg_.mag_bytes;
+  const size_t raw_bursts = bursts_for_bits(raw_bits, cfg_.mag_bytes, g.block_bytes);
+  const auto way_bytes = [](size_t bits) { return (bits + 7) >> 3; };
 
-  const WayLayout lossless_layout = lossless_->layout(lens, header_bits(block_bytes));
-  const size_t comp_bits = lossless_layout.total_bits;
+  // The lossless layout: each way's sum off the tree, byte-aligned, after
+  // the byte-padded header.
+  const unsigned num_ways = lossless_->config().num_ways;
+  std::array<size_t, 8> way_bits{};
+  size_t comp_bytes = g.header_bytes;
+  for (unsigned w = 0; w < num_ways; ++w) {
+    way_bits[w] = tree.range_bits(w * g.per_way, (w + 1) * g.per_way);
+    comp_bytes += way_bytes(way_bits[w]);
+  }
+  const size_t comp_bits = comp_bytes * 8;
 
-  Decision d;
+  d = Decision{};
   d.info.lossless_bits = comp_bits;
 
-  auto raw_decision = [&] {
+  auto store_raw = [&] {
     d.info.stored_uncompressed = true;
     d.info.final_bits = raw_bits;
-    d.info.bursts = max_bursts;
-    return d;
+    d.info.bursts = raw_bursts;
   };
 
   // Fig. 4, top branch: when the compressed size reaches the uncompressed
   // size, the block is always stored raw with the full bit budget (128 B).
-  if (comp_bits >= raw_bits) return raw_decision();
+  if (comp_bits >= raw_bits) return store_raw();
 
   // Bit budget: closest multiple of MAG <= comp size, floored at one MAG
   // (it is impossible to fetch less than one burst). Note a block slightly
   // above the last burst boundary (e.g. 108 B at MAG 32) is still a lossy
-  // candidate: truncating to 96 B saves the fourth burst.
-  const size_t budget_bits = std::max(comp_bits / mag_bits * mag_bits, mag_bits);
+  // candidate: truncating to 96 B saves the fourth burst. A MAG divides
+  // 128 B, so it is a power of two and rounding down is a mask.
+  const size_t budget_bits = std::max(comp_bits & ~(mag_bits - 1), mag_bits);
   const size_t extra_bits = comp_bits > budget_bits ? comp_bits - budget_bits : 0;
   d.info.extra_bits = extra_bits;
 
   if (extra_bits != 0 && extra_bits <= cfg_.threshold_bytes * 8) {
     // Lossy path: find the sub-block to truncate. The tree works on raw code
     // bits while way byte-alignment can re-add up to (ways-1)*7 padding bits,
-    // so verify the truncated layout and escalate to the next larger window
-    // if padding pushed the block back over budget.
-    std::optional<TreeCandidate> cand = selector_.select(lens, extra_bits);
+    // so size the cut block and escalate to a larger window, another walk of
+    // the same tree, if padding pushed it back over budget. A cut re-rounds
+    // only the ways its window overlaps; a window inside one way removes its
+    // whole sum from that way.
+    std::optional<TreeCandidate> cand = tree.select(extra_bits);
     size_t cut_bits = 0;
     while (cand) {
-      const WayLayout cut =
-          lossless_->layout(lens, header_bits(block_bytes), cand->start, cand->count);
-      if (cut.total_bits <= budget_bits) {
-        cut_bits = cut.total_bits;
-        break;
+      const size_t begin = cand->start, end = cand->start + cand->count;
+      size_t cut_bytes = comp_bytes;
+      size_t w = begin / g.per_way;
+      for (size_t way_begin = w * g.per_way; way_begin < end; ++w, way_begin += g.per_way) {
+        const size_t lo = std::max(way_begin, begin);
+        const size_t hi = std::min(way_begin + g.per_way, end);
+        const size_t share = lo == begin && hi == end ? cand->sum_bits : tree.range_bits(lo, hi);
+        cut_bytes -= way_bytes(way_bits[w]) - way_bytes(way_bits[w] - share);
       }
-      const size_t need = cand->sum_bits + (cut.total_bits - budget_bits);
-      cand = selector_.select(lens, need);
+      cut_bits = cut_bytes * 8;
+      if (cut_bits <= budget_bits) break;
+      cand = tree.select(cand->sum_bits + (cut_bits - budget_bits));
       // A repeated selection with a larger target always returns a strictly
       // larger sum or nullopt, so this loop terminates.
     }
@@ -161,10 +187,10 @@ SlcCodec::Decision SlcCodec::decide(std::span<const uint16_t> lens,
       d.info.final_bits = cut_bits;
       // Usually the budget's burst count; one fewer when the selected window
       // overshoots past another burst boundary.
-      d.info.bursts = bursts_for_bits(cut_bits, cfg_.mag_bytes, block_bytes);
+      d.info.bursts = bursts_for_bits(cut_bits, cfg_.mag_bytes, g.block_bytes);
       d.skip_start = cand->start;
       d.skip_count = cand->count;
-      return d;
+      return;
     }
     // No window covers the overshoot -> fall through to lossless.
   }
@@ -173,21 +199,30 @@ SlcCodec::Decision SlcCodec::decide(std::span<const uint16_t> lens,
   // A lossless block needing as many bursts as the raw block is stored raw:
   // same traffic, no decompression latency, and the MDC's max burst count
   // marks it (no header needed, Sec. III-G).
-  if (bursts_for_bits(comp_bits, cfg_.mag_bytes, block_bytes) >= max_bursts) {
-    return raw_decision();
-  }
+  const size_t lossless_bursts = bursts_for_bits(comp_bits, cfg_.mag_bytes, g.block_bytes);
+  if (lossless_bursts >= raw_bursts) return store_raw();
   d.info.final_bits = comp_bits;
-  d.info.bursts = bursts_for_bits(comp_bits, cfg_.mag_bytes, block_bytes);
-  return d;
+  d.info.bursts = lossless_bursts;
 }
 
-void SlcCodec::probe_batch(std::span<const BlockView> blocks, LengthScratch& scratch,
-                           Decision* out) const {
-  // One staged probe for the whole span (the E2MC batched sizing pass), then
-  // the budget/threshold/tree decision per block over the staged lengths.
-  lossless_->code_lengths_batch(blocks, scratch.lens, scratch.offsets);
-  for (size_t i = 0; i < blocks.size(); ++i)
-    out[i] = decide(scratch.block_lens(i), blocks[i].size());
+void SlcCodec::probe_batch(std::span<const BlockView> blocks, Decision* out) const {
+  // Each block's code lengths are staged once, then the decision reads
+  // them through one tree. The geometry is derived once per run of
+  // equal-sized blocks.
+  uint16_t stack_lens[CodeLengthTree::kStackSymbols];
+  std::vector<uint16_t> heap_lens;
+  Geometry g;
+  const simd::Level level = simd::active_level();
+  for (size_t i = 0; i < blocks.size(); ++i) {
+    if (blocks[i].size() != g.block_bytes) g = geometry(blocks[i].size());
+    uint16_t* lens = stack_lens;
+    if (g.num_symbols > CodeLengthTree::kStackSymbols) {
+      heap_lens.resize(g.num_symbols);
+      lens = heap_lens.data();
+    }
+    lossless_->code_lengths(blocks[i], lens, level);
+    decide(std::span<const uint16_t>(lens, g.num_symbols), g, out[i]);
+  }
 }
 
 // --- memo governor ------------------------------------------------------------
@@ -242,11 +277,11 @@ void SlcCodec::MemoGovernor::report(Stage stage, uint32_t probed, uint32_t hits)
   }
 }
 
-void SlcCodec::decide_batch(std::span<const BlockView> blocks, LengthScratch& scratch,
-                            Decision* out, CacheOutcome* oc) const {
+void SlcCodec::decide_batch(std::span<const BlockView> blocks, Decision* out,
+                            CacheOutcome* oc) const {
   FingerprintCache* c = active_cache();
   if (c == nullptr) {
-    probe_batch(blocks, scratch, out);
+    probe_batch(blocks, out);
     std::fill_n(oc, blocks.size(), CacheOutcome{});
     return;
   }
@@ -256,18 +291,17 @@ void SlcCodec::decide_batch(std::span<const BlockView> blocks, LengthScratch& sc
     const std::span<const BlockView> chunk = blocks.subspan(base, n);
     const MemoGovernor::Stage stage = governor_.next(epoch);
     if (stage == MemoGovernor::Stage::kBypass) {
-      probe_batch(chunk, scratch, out + base);
+      probe_batch(chunk, out + base);
       std::fill_n(oc + base, n, CacheOutcome{.bypassed = true});
       continue;
     }
-    const uint32_t hits = decide_chunk_cached(*c, chunk, scratch, out + base, oc + base);
+    const uint32_t hits = decide_chunk_cached(*c, chunk, out + base, oc + base);
     governor_.report(stage, static_cast<uint32_t>(n), hits);
   }
 }
 
 uint32_t SlcCodec::decide_chunk_cached(FingerprintCache& c, std::span<const BlockView> blocks,
-                                       LengthScratch& scratch, Decision* out,
-                                       CacheOutcome* oc) const {
+                                       Decision* out, CacheOutcome* oc) const {
   const size_t n = blocks.size();
   assert(n <= kProbeChunk);
 
@@ -347,7 +381,7 @@ uint32_t SlcCodec::decide_chunk_cached(FingerprintCache& c, std::span<const Bloc
       miss_keys[k] = keys[miss[k]];
     }
     const std::span<const BlockView> miss_views(views.data(), n_miss);
-    probe_batch(miss_views, scratch, decided.data());
+    probe_batch(miss_views, decided.data());
     c.insert_batch(cache_key_, std::span<const FingerprintCache::Key>(miss_keys.data(), n_miss),
                    miss_views, decided.data(), evicted.data());
     for (size_t k = 0; k < n_miss; ++k) {
@@ -360,20 +394,32 @@ uint32_t SlcCodec::decide_chunk_cached(FingerprintCache& c, std::span<const Bloc
 }
 
 void SlcCodec::compress_batch(std::span<const BlockView> blocks, CompressedBlock* out) const {
-  // Sizing pass: the batched Fig. 4 decision gives every block's exact final
-  // size (final_bits is always a whole number of bytes — the ways are
+  // Sizing pass: the Fig. 4 decision gives every block's exact final size
+  // (final_bits is always a whole number of bytes — the ways are
   // byte-aligned and raw blocks are byte-sized); the emitter re-encodes each
-  // compressed block from its decision and staged lengths.
-  LengthScratch scratch;
+  // compressed block from its decision and staged lengths, so the lengths
+  // stay staged for the whole span.
+  std::vector<uint16_t> lens;
+  std::vector<size_t> offsets(blocks.size() + 1);
+  for (size_t b = 0; b < blocks.size(); ++b)
+    offsets[b + 1] = offsets[b] + blocks[b].num_symbols();
+  lens.resize(offsets.back());
   std::vector<Decision> ds(blocks.size());
-  probe_batch(blocks, scratch, ds.data());
+  Geometry g;
+  const simd::Level level = simd::active_level();
+  const auto block_lens = [&](size_t b) {
+    return std::span<const uint16_t>(lens).subspan(offsets[b], offsets[b + 1] - offsets[b]);
+  };
   for (size_t b = 0; b < blocks.size(); ++b) {
+    if (blocks[b].size() != g.block_bytes) g = geometry(blocks[b].size());
+    lossless_->code_lengths(blocks[b], lens.data() + offsets[b], level);
+    decide(block_lens(b), g, ds[b]);
     out[b].bit_size = ds[b].info.final_bits;
     out[b].is_compressed = !ds[b].info.stored_uncompressed;
   }
 
   detail::scatter_payloads(blocks, out, [&](size_t b, detail::SpanBitWriter& w) {
-    encode_into(blocks[b], ds[b], scratch.block_lens(b), w);
+    encode_into(blocks[b], ds[b], block_lens(b), w);
     assert(!ds[b].info.lossy || w.bit_size() <= ds[b].info.bursts * cfg_.mag_bytes * 8);
   });
 }

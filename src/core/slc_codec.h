@@ -78,18 +78,6 @@ class SlcCodec {
     size_t skip_count = 0;
   };
 
-  /// Staged per-symbol code lengths for a span of blocks (block i's lengths
-  /// at lens[offsets[i] .. offsets[i+1])). Reuse across calls to amortize
-  /// the allocation.
-  struct LengthScratch {
-    std::vector<uint16_t> lens;
-    std::vector<size_t> offsets;
-
-    std::span<const uint16_t> block_lens(size_t i) const {
-      return std::span<const uint16_t>(lens).subspan(offsets[i], offsets[i + 1] - offsets[i]);
-    }
-  };
-
   /// Per-block memo bookkeeping for one decision. Feeds CacheCounters only
   /// and is the single thing that is NOT thread-count invariant about a
   /// cached run.
@@ -102,21 +90,22 @@ class SlcCodec {
 
   /// The Fig. 4 mode decision for every block of the span: out[i] is block
   /// i's Decision, oc[i] its memo outcome. Without an active memo (cfg.cache
-  /// null, or SLC_FINGERPRINT_CACHE force-disabling it) this is one staged
-  /// E2MC length probe for the whole span into `scratch`, then the budget/
-  /// threshold/tree decision per block. With one, the memo is a stage in
-  /// front of that probe, run per chunk of kProbeChunk blocks: fingerprint
-  /// every block and prefetch its memo set, probe (one lock per memo
-  /// stripe), dedup the misses within the chunk (twins copy the first one's
-  /// decision; under verify-on-hit only on equal size and bytes), then probe
-  /// and decide the distinct misses and insert them. A hit returns exactly
-  /// the Decision the probe computes for that content (modulo undetected
-  /// 64-bit fingerprint collisions, which verify-on-hit eliminates),
-  /// including decisions too wide for the memo to store. The codec's memo
-  /// governor (MemoGovernor) may run a chunk through the probe alone
-  /// instead; its blocks are then `bypassed`, neither hits nor misses.
-  void decide_batch(std::span<const BlockView> blocks, LengthScratch& scratch, Decision* out,
-                    CacheOutcome* oc) const;
+  /// null, or SLC_FINGERPRINT_CACHE force-disabling it) each block's E2MC
+  /// code lengths are staged on the stack, summed once into a
+  /// CodeLengthTree, and the budget/threshold/window decision reads that
+  /// tree. With a memo, it is a stage in front of that probe, run per chunk
+  /// of kProbeChunk blocks: fingerprint every block and prefetch its memo
+  /// set, probe (one lock per memo stripe), dedup the misses within the
+  /// chunk (twins copy the first one's decision; under verify-on-hit only on
+  /// equal size and bytes), then probe and decide the distinct misses and
+  /// insert them. A hit returns exactly the Decision the probe computes for
+  /// that content (modulo undetected 64-bit fingerprint collisions, which
+  /// verify-on-hit eliminates), including decisions too wide for the memo to
+  /// store. The codec's memo governor (MemoGovernor) may run a chunk through
+  /// the probe alone instead; its blocks are then `bypassed`, neither hits
+  /// nor misses. Allocates nothing for blocks of up to
+  /// CodeLengthTree::kStackSymbols symbols.
+  void decide_batch(std::span<const BlockView> blocks, Decision* out, CacheOutcome* oc) const;
 
   /// Compresses the span per the Fig. 4 decision: one staged length probe
   /// (never the memo: emission needs the lengths a hit does not carry),
@@ -195,9 +184,18 @@ class SlcCodec {
     std::atomic<uint64_t> samples_{0};
   };
 
+  /// Everything the decision needs to know about a block size, derived once
+  /// per run of equal-sized blocks.
+  struct Geometry {
+    size_t block_bytes = 0;  ///< 0: none yet
+    size_t num_symbols = 0;
+    size_t per_way = 0;
+    size_t header_bytes = 0;  ///< the byte-padded Fig. 6 header
+  };
+
   std::shared_ptr<const E2mcCompressor> lossless_;
   SlcConfig cfg_;
-  TreeSlcSelector selector_;
+  bool extra_nodes_;  ///< TSLC-OPT's 6- and 12-symbol windows
   uint64_t cache_key_ = 0;
   /// On a cache line of its own: engine workers write it once per chunk,
   /// and read everything above on every decision.
@@ -207,19 +205,27 @@ class SlcCodec {
   /// SLC_FINGERPRINT_CACHE env knob force-disables caching process-wide.
   FingerprintCache* active_cache() const;
 
-  /// The memo-free staged probe: one E2MC length probe for the whole span
-  /// into `scratch`, then decide() per block. decide_batch() without a memo,
-  /// the memo's miss path and compress_batch() all run it.
-  void probe_batch(std::span<const BlockView> blocks, LengthScratch& scratch,
-                   Decision* out) const;
+  /// Throws std::invalid_argument like E2mcCompressor::symbols_per_way.
+  Geometry geometry(size_t block_bytes) const;
+
+  /// The memo-free probe: each block's code lengths staged on the stack
+  /// (on the heap above CodeLengthTree::kStackSymbols symbols), then
+  /// decide(). decide_batch() without a memo and the memo's miss path run
+  /// it.
+  void probe_batch(std::span<const BlockView> blocks, Decision* out) const;
 
   /// One chunk of the memo stage (blocks.size() <= kProbeChunk); returns
   /// how many of its blocks were served without a decision.
   uint32_t decide_chunk_cached(FingerprintCache& c, std::span<const BlockView> blocks,
-                               LengthScratch& scratch, Decision* out, CacheOutcome* oc) const;
+                               Decision* out, CacheOutcome* oc) const;
 
-  /// The Fig. 4 mode decision over one block's staged code lengths.
-  Decision decide(std::span<const uint16_t> lens, size_t block_bytes) const;
+  /// The Fig. 4 mode decision over one block's code lengths into `d`, all of
+  /// it read off one CodeLengthTree: the way sums and lossless size, the
+  /// budget and overshoot, the first-fit window and each candidate's cut
+  /// size. It writes `d` in place (the caller's slot): a returned Decision
+  /// would be copied out with loads wider than the stores that built it,
+  /// which cannot be forwarded.
+  void decide(std::span<const uint16_t> lens, const Geometry& g, Decision& d) const;
 
   /// Re-fills the truncated window of `out` per the configured variant. All
   /// symbols outside [skip_start, skip_start + skip_count) must already hold

@@ -10,15 +10,16 @@ namespace slc {
 
 namespace {
 
-BlockAnalysis to_analysis(const SlcEncodeInfo& info, const SlcCodec::CacheOutcome& oc) {
-  BlockAnalysis a;
+/// Field by field into the caller's slot: a BlockAnalysis built aside and
+/// copied in would be read back with loads wider than the stores that built
+/// it, which cannot be forwarded.
+void to_analysis(const SlcEncodeInfo& info, const SlcCodec::CacheOutcome& oc, BlockAnalysis& a) {
   a.bit_size = info.final_bits;
   a.is_compressed = !info.stored_uncompressed;
   a.lossy = info.lossy;
   a.lossless_bits = info.lossless_bits;
   a.truncated_symbols = info.truncated_symbols;
   a.cache = oc;
-  return a;
 }
 
 }  // namespace
@@ -26,13 +27,12 @@ BlockAnalysis to_analysis(const SlcEncodeInfo& info, const SlcCodec::CacheOutcom
 void SlcCompressor::analyze_batch(std::span<const BlockView> blocks, BlockAnalysis* out) const {
   // One probe chunk at a time, so the staged results live on the stack.
   constexpr size_t kChunk = SlcCodec::kProbeChunk;
-  SlcCodec::LengthScratch scratch;
   std::array<SlcCodec::Decision, kChunk> ds;
   std::array<SlcCodec::CacheOutcome, kChunk> ocs;
   for (size_t base = 0; base < blocks.size(); base += kChunk) {
     const size_t n = std::min(kChunk, blocks.size() - base);
-    codec_.decide_batch(blocks.subspan(base, n), scratch, ds.data(), ocs.data());
-    for (size_t i = 0; i < n; ++i) out[base + i] = to_analysis(ds[i].info, ocs[i]);
+    codec_.decide_batch(blocks.subspan(base, n), ds.data(), ocs.data());
+    for (size_t i = 0; i < n; ++i) to_analysis(ds[i].info, ocs[i], out[base + i]);
   }
 }
 

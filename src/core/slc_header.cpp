@@ -41,12 +41,12 @@ SlcHeader SlcHeader::read(BitReader& r, size_t block_bytes, unsigned num_ways,
                           size_t num_symbols) {
   SlcHeader h;
   h.lossy = r.get_bit();
-  h.start_symbol = static_cast<uint8_t>(r.get(ss_bits(num_symbols)));
+  h.start_symbol = static_cast<uint32_t>(r.get(ss_bits(num_symbols)));
   const auto len_field = static_cast<uint8_t>(r.get(kLenBits));
   h.approx_count = h.lossy ? static_cast<uint8_t>(len_field + 1) : 0;
   const unsigned pdp = E2mcCompressor::pdp_bits(block_bytes);
   for (unsigned i = 1; i < num_ways; ++i)
-    h.way_offsets[i] = static_cast<uint8_t>(r.get(pdp));
+    h.way_offsets[i] = static_cast<uint32_t>(r.get(pdp));
   r.seek((r.position() + 7) / 8 * 8);  // skip header padding
   return h;
 }

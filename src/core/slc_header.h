@@ -1,9 +1,10 @@
 // SLC compressed-block header (paper Fig. 6).
 //
-// Layout: m (1 bit, lossless/lossy) | ss (6 bits, first approximated symbol)
-// | len (4 bits, number of approximated symbols, stored as count-1) |
-// pdp x (ways-1), each N bits with 2^N = block size in bytes. For the paper's
-// geometry (128 B block, 4 ways) the header is 1+6+4+3*7 = 32 bits.
+// Layout: m (1 bit, lossless/lossy) | ss (S bits, first approximated symbol,
+// 2^S >= symbols per block) | len (4 bits, number of approximated symbols,
+// stored as count-1) | pdp x (ways-1), each N bits with 2^N >= block size in
+// bytes. For the paper's geometry (128 B block, 4 ways) the header is
+// 1+6+4+3*7 = 32 bits; larger blocks widen ss and pdp past 8 bits.
 // Uncompressed blocks carry no header; the burst count lives in the MDC.
 #pragma once
 
@@ -21,9 +22,9 @@ class SpanBitWriter;
 
 struct SlcHeader {
   bool lossy = false;
-  uint8_t start_symbol = 0;   ///< ss: index of first approximated symbol
-  uint8_t approx_count = 0;   ///< len: symbols approximated (0 when lossless)
-  uint8_t way_offsets[8] = {};///< byte offsets of ways 1..ways-1 (pdp)
+  uint32_t start_symbol = 0;     ///< ss: index of first approximated symbol
+  uint8_t approx_count = 0;      ///< len: symbols approximated (0 when lossless)
+  uint32_t way_offsets[8] = {};  ///< byte offsets of ways 1..ways-1 (pdp)
 
   /// Header size in bits for a block/way geometry.
   static size_t bits(size_t block_bytes, unsigned num_ways, size_t num_symbols);

@@ -1,46 +1,110 @@
 #include "core/tree_selector.h"
 
-#include <array>
+#include <algorithm>
+#include <cassert>
+#include <cstring>
 #include <numeric>
 
 namespace slc {
 
 namespace {
 
-// Window sizes in selection order. 6 and 12 are the TSLC-OPT extra nodes:
-// a 6-symbol window is a level-3 node (4 symbols) plus the adjacent level-2
-// node; a 12-symbol window is a level-4 node (8) plus the adjacent level-3
-// node. They start at the alignment of the larger parent so each window stays
-// inside one 16-symbol decoding way.
-struct WindowClass {
-  size_t size;
-  size_t stride;  // start alignment
-  bool opt_only;
-};
+/// out[k] = in[2k] + in[2k+1]: one tree level from the level below.
+void sum_pairs(const uint16_t* __restrict in, size_t count, uint16_t* __restrict out) {
+  for (size_t k = 0; k < count; ++k) out[k] = static_cast<uint16_t>(in[2 * k] + in[2 * k + 1]);
+}
 
-constexpr std::array<WindowClass, 7> kClasses = {{
-    {1, 1, false},
-    {2, 2, false},
-    {4, 4, false},
-    {6, 8, true},
-    {8, 8, false},
-    {12, 16, true},
-    {16, 16, false},
-}};
-static_assert(kClasses.back().size <= kMaxApproxSymbols);
-
-// Blocks up to this many symbols (512 B) keep select()'s prefix sum on the
-// stack.
-constexpr size_t kStackSymbols = 256;
-
-/// prefix[i] = lens[0] + ... + lens[i-1], so window [s, s+c) sums to
-/// prefix[s+c] - prefix[s]. `prefix` holds lens.size() + 1 entries.
-void prefix_sum(std::span<const uint16_t> lens, size_t* prefix) {
-  prefix[0] = 0;
-  for (size_t i = 0; i < lens.size(); ++i) prefix[i + 1] = prefix[i] + lens[i];
+/// The priority encoder of one level: the index of the first of
+/// sums[0, count) that is >= need (need in [1, 2^15]), or count. Four sums
+/// per 64-bit word: every sum is below 2^15, so sum + (2^15 - need) sets a
+/// 16-bit lane's top bit exactly when sum >= need, without a carry into the
+/// next lane. A word with a hit is then resolved sum by sum.
+size_t first_at_least(const uint16_t* sums, size_t count, size_t need) {
+  constexpr uint64_t kLanes = 0x0001000100010001ull;
+  const uint64_t bias = (size_t{1} << 15) - need;
+  size_t k = 0;
+  for (; k + 4 <= count; k += 4) {
+    uint64_t w;
+    std::memcpy(&w, sums + k, sizeof w);
+    if (((w + bias * kLanes) & (kLanes << 15)) != 0) break;
+  }
+  for (; k < count; ++k)
+    if (sums[k] >= need) return k;
+  return count;
 }
 
 }  // namespace
+
+CodeLengthTree::CodeLengthTree(std::span<const uint16_t> lens, bool extra_nodes)
+    : n_(lens.size()), extra_nodes_(extra_nodes) {
+  assert(std::all_of(lens.begin(), lens.end(), [](uint16_t l) { return l <= kMaxLengthBits; }));
+  const size_t c2 = n_ / 2, c4 = n_ / 4, c8 = n_ / 8, c16 = n_ / 16;
+  uint16_t* nodes = stack_nodes_;
+  uint32_t* top_prefix = stack_prefix_;
+  if (n_ > kStackSymbols) {
+    heap_nodes_.resize(c2 + c4 + c8 + c16);
+    heap_prefix_.resize(c16 + 1);
+    nodes = heap_nodes_.data();
+    top_prefix = heap_prefix_.data();
+  }
+  // One bottom-up pass: each level sums adjacent pairs of the one below and
+  // holds only whole nodes.
+  uint16_t* l2 = nodes;
+  uint16_t* l4 = l2 + c2;
+  uint16_t* l8 = l4 + c4;
+  uint16_t* l16 = l8 + c8;
+  sum_pairs(lens.data(), c2, l2);
+  sum_pairs(l2, c4, l4);
+  sum_pairs(l4, c8, l8);
+  sum_pairs(l8, c16, l16);
+  top_prefix[0] = 0;
+  for (size_t k = 0; k < c16; ++k) top_prefix[k + 1] = top_prefix[k] + l16[k];
+  level_[0] = lens.data();
+  level_[1] = l2;
+  level_[2] = l4;
+  level_[3] = l8;
+  level_[4] = l16;
+  top_prefix_ = top_prefix;
+}
+
+std::optional<TreeCandidate> CodeLengthTree::select(size_t need) const {
+  static_assert(kMaxApproxSymbols >= 16, "the largest window is one 16-symbol node");
+  // Every node is below 2^15 bits, so a larger need has no window.
+  if (need == 0 || need > kMaxNodeBits) return std::nullopt;
+  // Sizes 1, 2, 4, [6], 8, [12], 16: level l holds the windows of 2^l
+  // symbols, and with extra_nodes the windows of 6 and 12 come before levels
+  // 3 and 4. A 6-symbol window is a 4-symbol node plus the adjacent 2-symbol
+  // node and starts every 8 symbols; a 12-symbol window is an 8-symbol node
+  // plus the adjacent 4-symbol node and starts every 16. Starting at the
+  // larger parent's alignment keeps every window inside one 16-symbol node.
+  for (unsigned l = 0; l < 5; ++l) {
+    if (extra_nodes_ && l >= 3) {
+      const size_t size = size_t{3} << (l - 2);
+      for (size_t start = 0; start + size <= n_; start += size_t{1} << l) {
+        const size_t sum = pair_window_bits(l, start);
+        if (sum >= need) return TreeCandidate{start, size, sum};
+      }
+    }
+    const size_t count = n_ >> l;
+    const size_t k = first_at_least(level_[l], count, need);
+    if (k < count) return TreeCandidate{k << l, size_t{1} << l, level_[l][k]};
+  }
+  return std::nullopt;
+}
+
+std::vector<TreeCandidate> CodeLengthTree::windows() const {
+  std::vector<TreeCandidate> out;
+  for (unsigned l = 0; l < 5; ++l) {
+    if (extra_nodes_ && l >= 3) {
+      const size_t size = size_t{3} << (l - 2);
+      for (size_t start = 0; start + size <= n_; start += size_t{1} << l)
+        out.push_back(TreeCandidate{start, size, pair_window_bits(l, start)});
+    }
+    for (size_t k = 0; k < (n_ >> l); ++k)
+      out.push_back(TreeCandidate{k << l, size_t{1} << l, level_[l][k]});
+  }
+  return out;
+}
 
 size_t TreeSlcSelector::comp_size_bits(std::span<const uint16_t> code_lens) {
   return std::accumulate(code_lens.begin(), code_lens.end(), size_t{0});
@@ -48,37 +112,11 @@ size_t TreeSlcSelector::comp_size_bits(std::span<const uint16_t> code_lens) {
 
 std::optional<TreeCandidate> TreeSlcSelector::select(std::span<const uint16_t> code_lens,
                                                      size_t extra_bits) const {
-  const size_t n = code_lens.size();
-  if (extra_bits == 0) return std::nullopt;
-  size_t stack_prefix[kStackSymbols + 1];
-  std::vector<size_t> heap_prefix;
-  size_t* prefix = stack_prefix;
-  if (n > kStackSymbols) {
-    heap_prefix.resize(n + 1);
-    prefix = heap_prefix.data();
-  }
-  prefix_sum(code_lens, prefix);
-  for (const WindowClass& wc : kClasses) {
-    if (wc.opt_only && !extra_nodes_) continue;
-    for (size_t start = 0; start + wc.size <= n; start += wc.stride) {
-      const size_t sum = prefix[start + wc.size] - prefix[start];
-      if (sum >= extra_bits) return TreeCandidate{start, wc.size, sum};
-    }
-  }
-  return std::nullopt;
+  return CodeLengthTree(code_lens, extra_nodes_).select(extra_bits);
 }
 
 std::vector<TreeCandidate> TreeSlcSelector::windows(std::span<const uint16_t> code_lens) const {
-  std::vector<TreeCandidate> out;
-  const size_t n = code_lens.size();
-  std::vector<size_t> prefix(n + 1);
-  prefix_sum(code_lens, prefix.data());
-  for (const WindowClass& wc : kClasses) {
-    if (wc.opt_only && !extra_nodes_) continue;
-    for (size_t start = 0; start + wc.size <= n; start += wc.stride)
-      out.push_back(TreeCandidate{start, wc.size, prefix[start + wc.size] - prefix[start]});
-  }
-  return out;
+  return CodeLengthTree(code_lens, extra_nodes_).windows();
 }
 
 }  // namespace slc

@@ -211,13 +211,18 @@ TEST(CodecDifferential, LayoutMatchesPerSymbolReference) {
 }
 
 // Every extra_bits from 0 to one past the largest window sum, with and
-// without the TSLC-OPT extra nodes. The 320-symbol span is longer than the
-// selector's stack prefix sum.
+// without the TSLC-OPT extra nodes. At 4 and 260 symbols the tree's top
+// levels are partial; the 260- and 320-symbol spans are longer than the
+// tree's stack storage. Every symbol range of the tree sums like the
+// lengths themselves.
 TEST(CodecDifferential, SelectMatchesWindowSumReference) {
   Rng rng(0x5E1EC7);
-  for (const size_t n : {size_t{32}, size_t{64}, size_t{128}, size_t{320}}) {
+  for (const size_t n :
+       {size_t{4}, size_t{32}, size_t{64}, size_t{128}, size_t{260}, size_t{320}}) {
     for (int t = 0; t < kTrials; ++t) {
       const auto lens = random_lens(rng, n);
+      std::vector<size_t> prefix(n + 1);
+      for (size_t i = 0; i < n; ++i) prefix[i + 1] = prefix[i] + lens[i];
       for (const bool extra_nodes : {false, true}) {
         const TreeSlcSelector sel(extra_nodes);
         const std::string tag = "n=" + std::to_string(n) + " trial=" + std::to_string(t) +
@@ -226,10 +231,9 @@ TEST(CodecDifferential, SelectMatchesWindowSumReference) {
         // largest bounds the extra_bits sweep.
         size_t max_sum = 0;
         for (const TreeCandidate& c : sel.windows(lens)) {
-          size_t sum = 0;
-          for (size_t i = c.start; i < c.start + c.count; ++i) sum += lens[i];
-          EXPECT_EQ(c.sum_bits, sum) << tag << " window " << c.start << "+" << c.count;
-          max_sum = std::max(max_sum, sum);
+          EXPECT_EQ(c.sum_bits, prefix[c.start + c.count] - prefix[c.start])
+              << tag << " window " << c.start << "+" << c.count;
+          max_sum = std::max(max_sum, c.sum_bits);
         }
         for (size_t extra = 0; extra <= max_sum + 1; ++extra) {
           expect_candidate_eq(test::ref_select(lens, extra, extra_nodes), sel.select(lens, extra),
@@ -237,6 +241,11 @@ TEST(CodecDifferential, SelectMatchesWindowSumReference) {
         }
         EXPECT_FALSE(sel.select(lens, max_sum + 1).has_value()) << tag;
       }
+      const CodeLengthTree tree(lens, /*extra_nodes=*/true);
+      for (size_t begin = 0; begin <= n; ++begin)
+        for (size_t end = begin; end <= n; ++end)
+          ASSERT_EQ(tree.range_bits(begin, end), prefix[end] - prefix[begin])
+              << "n=" << n << " trial=" << t << " range [" << begin << "," << end << ")";
     }
   }
 }
@@ -258,13 +267,16 @@ void expect_decision_eq(const SlcCodec::Decision& ref, const SlcCodec::Decision&
 // SlcCodec::decide_batch with the memo off, on, and on with verify-on-hit,
 // and compress_batch's payloads (header fields, size, decoded block),
 // against ref_decide:
-// every variant, MAG and threshold, 64-256 B blocks at 4 and 8 ways, and
-// random, value-similar, duplicate-heavy (the memo serves the repeats) and
-// code-mix streams (symbols drawn across the model's whole code table and
-// escapes). Way padding can push a cut block back over budget, so that the
-// decision escalates to a larger window, only when the window starts inside
-// one way and ends in another: 96 B blocks (12 or 6 symbols per way) are
-// the geometries here where that happens.
+// every variant and MAG, thresholds up to 64 B (an overshoot up to a whole
+// 16-symbol window), 64 B to 1 KiB blocks at 4 and 8 ways (the way counts
+// that split the block), and random, value-similar, duplicate-heavy (the
+// memo serves the repeats) and code-mix streams (symbols drawn across the
+// model's whole code table and escapes). Way padding can push a cut block
+// back over budget, so that the decision escalates to a larger window, only
+// when the window starts inside one way and ends in another: 96 B blocks
+// (12 or 6 symbols per way) and 520 B blocks (65 per way) are the
+// geometries here where that happens. Blocks over 256 B carry way offsets
+// and, at 520 B (260 symbols), window starts wider than 8 bits.
 TEST(CodecDifferential, DecideMatchesReference) {
   constexpr size_t kBlocks = 48;
   const auto training = test::quantized_walk(0xDEC1DE, 64);
@@ -278,7 +290,9 @@ TEST(CodecDifferential, DecideMatchesReference) {
       if (e2mc->code().in_table(static_cast<uint16_t>(sym)))
         coded.push_back(static_cast<uint16_t>(sym));
 
-    for (const size_t block_bytes : {size_t{64}, size_t{96}, size_t{128}, size_t{256}}) {
+    for (const size_t block_bytes :
+         {size_t{64}, size_t{96}, size_t{128}, size_t{256}, size_t{520}, size_t{1024}}) {
+      if (block_bytes / 2 % ways != 0) continue;  // the ways must split the symbols
       // The streams as flat buffers: uniform random bytes; a value-similar
       // walk like the training data; blocks drawn from 6 of that walk's; and
       // symbols drawn from the code table (every code length) or, one in 8,
@@ -313,7 +327,8 @@ TEST(CodecDifferential, DecideMatchesReference) {
         const std::vector<BlockView> views = to_views(blocks);
         for (const SlcVariant variant : {SlcVariant::kSimp, SlcVariant::kPred, SlcVariant::kOpt}) {
           for (const size_t mag : {size_t{16}, size_t{32}, size_t{64}}) {
-            for (const size_t threshold : {size_t{0}, size_t{8}, size_t{16}, size_t{32}}) {
+            for (const size_t threshold :
+                 {size_t{0}, size_t{8}, size_t{16}, size_t{32}, size_t{64}}) {
               SlcConfig cfg;
               cfg.mag_bytes = mag;
               cfg.threshold_bytes = threshold;

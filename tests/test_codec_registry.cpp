@@ -154,10 +154,9 @@ TEST(CodecRegistry, SlcAdapterExposesEncodeInfo) {
   ASSERT_NE(comp, nullptr);
   const auto blocks = reference_blocks();
   const auto views = to_views(blocks);
-  SlcCodec::LengthScratch scratch;
   std::vector<SlcCodec::Decision> ds(views.size());
   std::vector<SlcCodec::CacheOutcome> ocs(views.size());
-  comp->codec().decide_batch(views, scratch, ds.data(), ocs.data());
+  comp->codec().decide_batch(views, ds.data(), ocs.data());
   for (size_t i = 0; i < blocks.size(); ++i) {
     const SlcEncodeInfo& info = ds[i].info;
     const BlockAnalysis a = comp->analyze(views[i]);

@@ -56,12 +56,8 @@ TEST_F(E2mcTest, HeaderIsThreePdps) {
 
 TEST_F(E2mcTest, CodeLengthsMatchCode) {
   const Block b = block_from(data_, 3);
-  const BlockView v = b.view();
-  std::vector<uint16_t> lens;
-  std::vector<size_t> offsets;
-  comp_->code_lengths_batch(std::span<const BlockView>(&v, 1), lens, offsets);
-  ASSERT_EQ(lens.size(), kSymbolsPerBlock);
-  ASSERT_EQ(offsets, (std::vector<size_t>{0, kSymbolsPerBlock}));
+  std::vector<uint16_t> lens(kSymbolsPerBlock);
+  comp_->code_lengths(b.view(), lens.data());
   for (size_t s = 0; s < kSymbolsPerBlock; ++s)
     EXPECT_EQ(lens[s], comp_->code().encoded_bits(b.symbol(s)));
 }

@@ -9,11 +9,12 @@
 //     Response must own, plus what is not per block.
 //
 // What is not per block: each request's state and Response::payloads
-// vector, each batch's buffers and engine job, and each kernel call's own
-// scratch — TSLC-OPT's compress_batch allocates 5 times per 64-block chunk
-// (0.08 per block) and its analyze_batch twice. Requests of 512 blocks keep
-// the first two small next to that fixed kernel share; with the serve
-// benchmark's 32-block requests kCompress reads about 1.23 per block.
+// vector, each batch's buffers and engine job, and each compress kernel
+// call's own scratch — TSLC-OPT's compress_batch allocates 5 times per
+// 64-block chunk (0.08 per block); its analyze_batch allocates nothing.
+// Requests of 512 blocks keep the first two small next to that fixed kernel
+// share; with the serve benchmark's 32-block requests kCompress reads about
+// 1.23 per block.
 //
 // The replacement operators are process-wide, so this suite is its own
 // binary.
@@ -25,6 +26,7 @@
 #include <new>
 #include <vector>
 
+#include "core/fingerprint_cache.h"
 #include "server/codec_server.h"
 #include "test_util.h"
 
@@ -163,6 +165,28 @@ TEST(ServerAllocations, CompressAllocatesOnlyTheResponsePayloads) {
   const double per_block = allocations_per_block(RequestKind::kCompress, CacheMode::kOff, 600);
   RecordProperty("allocations_per_block", std::to_string(per_block));
   EXPECT_LE(per_block, 1.0 + 1.0 / 8);
+}
+
+// The Fig. 4 decision stages everything on the stack: TSLC-OPT's
+// analyze_batch over 256 blocks of 128 B allocates nothing, with the memo
+// off and with it on, whether the memo misses (first pass) or hits (second).
+TEST(ServerAllocations, DecideKernelAllocatesNothing) {
+  const std::vector<uint8_t> training = test::quantized_walk(31, 256);
+  const std::vector<uint8_t> bytes = test::quantized_walk(77, 256);
+  std::vector<BlockView> views;
+  for (size_t off = 0; off < bytes.size(); off += kBlockBytes)
+    views.emplace_back(std::span<const uint8_t>(bytes).subspan(off, kBlockBytes));
+  for (const bool memo : {false, true}) {
+    CodecOptions opts = test::test_options(training);
+    if (memo) opts.fingerprint_cache = std::make_shared<FingerprintCache>();
+    const auto codec = CodecRegistry::instance().create("TSLC-OPT", opts);
+    std::vector<BlockAnalysis> out(views.size());
+    for (int pass = 0; pass < 2; ++pass) {
+      const uint64_t before = g_news.load();
+      codec->analyze_batch(views, out.data());
+      EXPECT_EQ(g_news.load() - before, 0u) << "memo " << memo << " pass " << pass;
+    }
+  }
 }
 
 // Dropped kCompress tickets free their batches' payload arenas: a request

@@ -260,10 +260,9 @@ struct ForceScalarGuard {
 inline std::vector<SlcCodec::Decision> decide_all(
     const SlcCodec& codec, std::span<const BlockView> views,
     std::vector<SlcCodec::CacheOutcome>* oc = nullptr) {
-  SlcCodec::LengthScratch scratch;
   std::vector<SlcCodec::Decision> out(views.size());
   std::vector<SlcCodec::CacheOutcome> ocs(views.size());
-  codec.decide_batch(views, scratch, out.data(), ocs.data());
+  codec.decide_batch(views, out.data(), ocs.data());
   if (oc != nullptr) *oc = std::move(ocs);
   return out;
 }
@@ -271,10 +270,9 @@ inline std::vector<SlcCodec::Decision> decide_all(
 /// SlcCodec::decide_batch over a span of 1.
 inline SlcCodec::Decision decide_one(const SlcCodec& codec, BlockView view,
                                      SlcCodec::CacheOutcome* oc = nullptr) {
-  SlcCodec::LengthScratch scratch;
   SlcCodec::Decision d;
   SlcCodec::CacheOutcome outcome;
-  codec.decide_batch(std::span<const BlockView>(&view, 1), scratch, &d, &outcome);
+  codec.decide_batch(std::span<const BlockView>(&view, 1), &d, &outcome);
   if (oc != nullptr) *oc = outcome;
   return d;
 }
