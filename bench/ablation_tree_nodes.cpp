@@ -37,9 +37,6 @@ int main() {
     const E2mcCompressor& e2mc = codec.lossless();
     const auto blocks = to_blocks(workload_image_cached(name));
 
-    const TreeSlcSelector base_sel(/*extra_nodes=*/false);
-    const TreeSlcSelector opt_sel(/*extra_nodes=*/true);
-
     std::vector<uint16_t> lens;  // one block's code lengths, reused
     uint64_t lossy = 0, total = 0;
     uint64_t sym_base = 0, sym_opt = 0, waste_base = 0, waste_opt = 0, selections = 0;
@@ -54,15 +51,15 @@ int main() {
       const size_t budget = std::max(comp / (mag * 8) * (mag * 8), mag * 8);
       const size_t extra = comp > budget ? comp - budget : 0;
       if (extra == 0 || extra > threshold * 8) continue;
-      const auto c_base = base_sel.select(lens, extra);
-      const auto c_opt = opt_sel.select(lens, extra);
+      const auto c_base = CodeLengthTree(lens, /*extra_nodes=*/false).select(extra);
+      const auto c_opt = CodeLengthTree(lens, /*extra_nodes=*/true).select(extra);
       if (!c_base || !c_opt) continue;
       ++lossy;
       ++selections;
       sym_base += c_base->count;
       sym_opt += c_opt->count;
-      waste_base += TreeSlcSelector::overshoot_bits(*c_base, extra);
-      waste_opt += TreeSlcSelector::overshoot_bits(*c_opt, extra);
+      waste_base += overshoot_bits(*c_base, extra);
+      waste_opt += overshoot_bits(*c_opt, extra);
     }
 
     auto avg = [&](uint64_t v) {

@@ -25,6 +25,9 @@ inline constexpr unsigned kSymbolBits = 16;
 inline constexpr size_t kSymbolsPerBlock = kBlockBytes * 8 / kSymbolBits;  // 64
 /// Default memory access granularity for GDDR5: 32-bit bus x burst 8.
 inline constexpr size_t kDefaultMagBytes = 32;
+/// Default SLC lossy threshold: the largest overshoot a block may shed by
+/// approximation (the paper's 16 B, half the default MAG).
+inline constexpr size_t kDefaultThresholdBytes = 16;
 
 /// A fixed 128-byte block view with symbol accessors.
 class BlockView {
@@ -71,7 +74,6 @@ class Block {
 
   size_t size() const { return data_.size(); }
   std::span<const uint8_t> bytes() const { return data_; }
-  std::span<uint8_t> mutable_bytes() { return data_; }
   BlockView view() const { return BlockView(data_); }
 
   uint16_t symbol(size_t i) const { return view().symbol(i); }

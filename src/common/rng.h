@@ -31,9 +31,6 @@ class Rng {
   /// Standard normal via Box-Muller (deterministic, no cached spare).
   double normal();
 
-  /// Uniform 32-bit float in [lo, hi).
-  float uniform_f(float lo, float hi) { return static_cast<float>(uniform(lo, hi)); }
-
   /// Bernoulli with probability p.
   bool chance(double p) { return uniform() < p; }
 

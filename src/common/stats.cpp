@@ -7,26 +7,6 @@
 
 namespace slc {
 
-void RunningStats::add(double x) {
-  if (n_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  ++n_;
-  sum_ += x;
-  const double delta = x - mean_w_;
-  mean_w_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_w_);
-}
-
-double RunningStats::variance() const {
-  return n_ > 1 ? m2_ / static_cast<double>(n_ - 1) : 0.0;
-}
-
-double RunningStats::stddev() const { return std::sqrt(variance()); }
-
 double geometric_mean(std::span<const double> xs, double floor) {
   if (xs.empty()) return 0.0;
   double log_sum = 0.0;
@@ -49,21 +29,6 @@ double Histogram::fraction(int64_t bucket) const {
 }
 
 void PercentileTracker::record(double x) { samples_.push_back(x); }
-
-void PercentileTracker::merge(const PercentileTracker& other) {
-  samples_.insert(samples_.end(), other.samples_.begin(), other.samples_.end());
-}
-
-double PercentileTracker::mean() const {
-  if (samples_.empty()) return 0.0;
-  double sum = 0.0;
-  for (double x : samples_) sum += x;
-  return sum / static_cast<double>(samples_.size());
-}
-
-double PercentileTracker::max() const {
-  return samples_.empty() ? 0.0 : *std::max_element(samples_.begin(), samples_.end());
-}
 
 double PercentileTracker::percentile(double p) const {
   if (samples_.empty()) return 0.0;
@@ -107,19 +72,13 @@ void LatencyHistogram::record(std::chrono::nanoseconds d) {
                                             static_cast<ptrdiff_t>(kBuckets) - 1);
   counts_[static_cast<size_t>(bucket)] += 1;
   count_ += 1;
-  sum_ns_ += ns;
   max_ns_ = std::max(max_ns_, ns);
 }
 
 void LatencyHistogram::merge(const LatencyHistogram& other) {
   for (size_t i = 0; i < kBuckets; ++i) counts_[i] += other.counts_[i];
   count_ += other.count_;
-  sum_ns_ += other.sum_ns_;
   max_ns_ = std::max(max_ns_, other.max_ns_);
-}
-
-double LatencyHistogram::mean() const {
-  return count_ ? static_cast<double>(sum_ns_) / static_cast<double>(count_) * 1e-9 : 0.0;
 }
 
 double LatencyHistogram::max() const { return static_cast<double>(max_ns_) * 1e-9; }

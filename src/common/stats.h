@@ -1,6 +1,6 @@
-// Small statistics helpers used by benches and the simulator: running
-// accumulators, geometric means (the paper reports GM everywhere), and
-// histogram utilities for the Fig. 2 block-size distribution.
+// Small statistics helpers used by benches and the simulator: geometric
+// means (the paper reports GM everywhere), histogram utilities for the
+// Fig. 2 block-size distribution, and latency percentiles.
 #pragma once
 
 #include <array>
@@ -13,28 +13,6 @@
 #include <vector>
 
 namespace slc {
-
-/// Running mean/min/max/sum accumulator.
-class RunningStats {
- public:
-  void add(double x);
-  size_t count() const { return n_; }
-  double sum() const { return sum_; }
-  double mean() const { return n_ ? sum_ / static_cast<double>(n_) : 0.0; }
-  double min() const { return n_ ? min_ : 0.0; }
-  double max() const { return n_ ? max_ : 0.0; }
-  /// Sample variance (n-1 denominator) via Welford's algorithm.
-  double variance() const;
-  double stddev() const;
-
- private:
-  size_t n_ = 0;
-  double sum_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-  double mean_w_ = 0.0;  // Welford running mean
-  double m2_ = 0.0;      // Welford running M2
-};
 
 /// Geometric mean of a sequence of positive values. Values <= 0 are clamped
 /// to `floor` first (the paper's error plots are log-scale, so zero errors
@@ -107,7 +85,6 @@ struct CacheCounters {
 class Histogram {
  public:
   void add(int64_t bucket, uint64_t weight = 1);
-  uint64_t total() const { return total_; }
   uint64_t at(int64_t bucket) const;
   double fraction(int64_t bucket) const;
   const std::map<int64_t, uint64_t>& buckets() const { return counts_; }
@@ -118,19 +95,13 @@ class Histogram {
 };
 
 /// Collects raw samples and answers percentile queries (nearest-rank) — the
-/// exact timings of the bench drivers. Samples are kept verbatim, so merging
-/// trackers is exact and memory grows with the sample count. Const queries
-/// are genuinely read-only (percentile() selects on a scratch copy), so
-/// concurrent readers need no external lock.
+/// exact timings of the bench drivers. Samples are kept verbatim, so memory
+/// grows with the sample count. Const queries are genuinely read-only
+/// (percentile() selects on a scratch copy), so concurrent readers need no
+/// external lock.
 class PercentileTracker {
  public:
   void record(double x);
-  /// Folds another tracker's samples into this one.
-  void merge(const PercentileTracker& other);
-
-  size_t count() const { return samples_.size(); }
-  double mean() const;
-  double max() const;
   /// Nearest-rank percentile, `p` in [0, 100]. Returns 0 when empty.
   double percentile(double p) const;
 
@@ -145,11 +116,11 @@ class PercentileTracker {
 /// 2^42 ns (about 73 min); shorter samples fall in the first bucket and
 /// longer ones in the last.
 ///
-/// count(), mean() and max() are exact: samples are whole nanoseconds and
-/// summed as integers. percentile() returns min(max(), upper edge of the
-/// bucket holding the nearest-rank sample): never below the exact
-/// nearest-rank value and at most one bucket (a factor 2^(1/32), 2.2%)
-/// above it, so a p99 over fewer than 100 samples is the exact maximum.
+/// count() and max() are exact: samples are whole nanoseconds. percentile()
+/// returns min(max(), upper edge of the bucket holding the nearest-rank
+/// sample): never below the exact nearest-rank value and at most one bucket
+/// (a factor 2^(1/32), 2.2%) above it, so a p99 over fewer than 100 samples
+/// is the exact maximum.
 /// merge() adds integers, so it is associative and commutative, and an empty
 /// histogram is its identity.
 class LatencyHistogram {
@@ -162,8 +133,7 @@ class LatencyHistogram {
   void merge(const LatencyHistogram& other);
 
   uint64_t count() const { return count_; }
-  double mean() const;  ///< seconds; 0 when empty
-  double max() const;   ///< seconds; 0 when empty
+  double max() const;  ///< seconds; 0 when empty
   /// Nearest-rank percentile in seconds, `p` in [0, 100]. Returns 0 when
   /// empty.
   double percentile(double p) const;
@@ -173,7 +143,6 @@ class LatencyHistogram {
  private:
   std::array<uint64_t, kBuckets> counts_{};
   uint64_t count_ = 0;
-  uint64_t sum_ns_ = 0;
   uint64_t max_ns_ = 0;
 };
 

@@ -35,7 +35,6 @@ class BdiCompressor : public Compressor {
   /// Probe every encoding off direct 64-bit loads (AVX2 for blocks up to
   /// 128 B) and keep the winner's base, so compress emits without a second
   /// probe. Blocks must be whole 8 B words.
-  using Compressor::analyze_batch;
   using Compressor::compress_batch;
   void analyze_batch(std::span<const BlockView> blocks, BlockAnalysis* out) const override;
   void compress_batch(std::span<const BlockView> blocks, CompressedBlock* out) const override;

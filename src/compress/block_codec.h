@@ -61,11 +61,6 @@ class BlockCodec {
 
   virtual size_t mag_bytes() const = 0;
   virtual std::string name() const = 0;
-
-  /// Max bursts for an uncompressed block.
-  size_t max_bursts(size_t block_bytes = kBlockBytes) const {
-    return block_bytes / mag_bytes();
-  }
 };
 
 /// Uncompressed baseline: every block costs max bursts, contents unchanged.

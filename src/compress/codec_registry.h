@@ -34,7 +34,7 @@ class FingerprintCache;
 /// `threshold_bytes`).
 struct CodecOptions {
   size_t mag_bytes = kDefaultMagBytes;
-  size_t threshold_bytes = 16;  ///< SLC lossy threshold (paper default 16 B)
+  size_t threshold_bytes = kDefaultThresholdBytes;  ///< SLC lossy threshold
   /// Sample the entropy coders train their symbol tables on (E2MC's online
   /// sampling window). Schemes with needs_training require this unless
   /// `trained_e2mc` is supplied.
@@ -83,7 +83,6 @@ class CodecRegistry {
   const CodecInfo* find(std::string_view name) const;
   /// Lookup; throws std::out_of_range with the known names on a miss.
   const CodecInfo& at(std::string_view name) const;
-  bool contains(std::string_view name) const { return find(name) != nullptr; }
 
   /// Constructs the compressor registered under `name`. Throws
   /// std::invalid_argument when the scheme has no Compressor form (RAW) or

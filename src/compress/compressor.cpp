@@ -24,13 +24,6 @@ std::vector<CompressedBlock> Compressor::compress_batch(std::span<const Block> b
   return out;
 }
 
-std::vector<BlockAnalysis> Compressor::analyze_batch(std::span<const Block> blocks) const {
-  std::vector<BlockAnalysis> out(blocks.size());
-  const std::vector<BlockView> views = to_views(blocks);
-  analyze_batch(views, out.data());
-  return out;
-}
-
 void RatioAccumulator::add(size_t original_bits, size_t compressed_bits) {
   ++blocks_;
   original_bits_ += original_bits;

@@ -86,10 +86,9 @@ class Compressor {
   /// Full-payload batch kernel: fills out[0..blocks.size()).
   virtual void compress_batch(std::span<const BlockView> blocks, CompressedBlock* out) const = 0;
 
-  /// Owned-block conveniences (bench and test entry points): materialize the
-  /// views and forward to the virtual kernels above.
+  /// Owned-block convenience (bench and test entry point): materializes the
+  /// views and forwards to the virtual kernel above.
   std::vector<CompressedBlock> compress_batch(std::span<const Block> blocks) const;
-  std::vector<BlockAnalysis> analyze_batch(std::span<const Block> blocks) const;
 };
 
 /// Accumulates raw and effective compression ratios over a stream of blocks

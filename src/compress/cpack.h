@@ -32,7 +32,6 @@ class CpackCompressor : public Compressor {
   /// the FIFO dictionary in a fixed ring buffer on the stack; compress
   /// records each word's code in the walk and emits from the codes. Blocks
   /// must be whole 4 B words.
-  using Compressor::analyze_batch;
   using Compressor::compress_batch;
   void analyze_batch(std::span<const BlockView> blocks, BlockAnalysis* out) const override;
   void compress_batch(std::span<const BlockView> blocks, CompressedBlock* out) const override;

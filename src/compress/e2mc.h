@@ -52,7 +52,6 @@ class E2mcCompressor : public Compressor {
   /// flattened code-length table (8-lane gathers when AVX2 is active);
   /// compress runs the same probe into a way layout per block, then emits
   /// through the shared payload scatter.
-  using Compressor::analyze_batch;
   using Compressor::compress_batch;
   void analyze_batch(std::span<const BlockView> blocks, BlockAnalysis* out) const override;
   void compress_batch(std::span<const BlockView> blocks, CompressedBlock* out) const override;

@@ -40,13 +40,6 @@ void SymbolFrequencies::add_sample(std::span<const uint8_t> data, double fractio
   }
 }
 
-size_t SymbolFrequencies::distinct() const {
-  size_t d = 0;
-  for (uint64_t c : counts_)
-    if (c) ++d;
-  return d;
-}
-
 std::vector<unsigned> package_merge_lengths(std::span<const uint64_t> weights, unsigned max_len) {
   const size_t n = weights.size();
   std::vector<unsigned> lengths(n, 0);
@@ -176,7 +169,6 @@ HuffmanCode HuffmanCode::build(const SymbolFrequencies& freqs, size_t max_entrie
     }
     ++code;
   }
-  hc.entries_ = candidates.size();
   hc.build_lut();
   hc.enc_bits_.resize(size_t{1} << kSymbolBits);
   for (size_t s = 0; s < hc.enc_bits_.size(); ++s)

@@ -39,7 +39,6 @@ class SymbolFrequencies {
 
   uint64_t count(uint16_t sym) const { return counts_[sym]; }
   uint64_t total() const { return total_; }
-  size_t distinct() const;
 
  private:
   std::vector<uint64_t> counts_;
@@ -78,7 +77,6 @@ class HuffmanCode {
   unsigned esc_len() const { return esc_len_; }
   uint32_t esc_code() const { return esc_code_; }
   unsigned max_len() const { return max_len_; }
-  size_t table_entries() const { return entries_; }
 
   /// Decodes one symbol from the MSB-first 16-bit window `peek16`
   /// (zero-padded past end of stream). Returns {symbol, bits_consumed,
@@ -96,7 +94,6 @@ class HuffmanCode {
   unsigned esc_len_ = 0;
   uint32_t esc_code_ = 0;
   unsigned max_len_ = 16;
-  size_t entries_ = 0;
   std::vector<DecodeStep> lut_;      // 65536-entry peek-decoder
   std::vector<uint32_t> enc_bits_;   // 65536-entry encoded_bits() table
 
@@ -125,7 +122,6 @@ class HuffmanCompressor : public Compressor {
   /// HuffmanCode::encoded_bits_table(); compress sizes every block the same
   /// way and emits each block's codewords through the shared payload
   /// scatter.
-  using Compressor::analyze_batch;
   using Compressor::compress_batch;
   void analyze_batch(std::span<const BlockView> blocks, BlockAnalysis* out) const override;
   void compress_batch(std::span<const BlockView> blocks, CompressedBlock* out) const override;

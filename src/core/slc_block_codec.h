@@ -1,6 +1,8 @@
 // SlcBlockCodec: the paper's selective lossy codec as a memory-controller
 // BlockCodec policy. Unsafe regions are forced down the lossless path
 // (threshold 0); safe regions use min(region threshold, config threshold).
+// A region allocated without a threshold has no cap (SIZE_MAX), so it runs
+// at the config threshold.
 //
 // Constructed by name through CodecRegistry::create_block_codec("TSLC-*").
 #pragma once

@@ -35,7 +35,7 @@ const char* to_string(SlcVariant v);
 
 struct SlcConfig {
   size_t mag_bytes = kDefaultMagBytes;  ///< memory access granularity
-  size_t threshold_bytes = 16;          ///< lossy threshold (paper default 16 B)
+  size_t threshold_bytes = kDefaultThresholdBytes;  ///< lossy threshold
   SlcVariant variant = SlcVariant::kOpt;
   /// Optional content-addressed memo for the Fig. 4 decision
   /// (core/fingerprint_cache.h). Null (the default) keeps the decision

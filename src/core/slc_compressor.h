@@ -36,7 +36,6 @@ class SlcCompressor : public Compressor {
   /// SlcCodec::compress_batch (staged length probe + shared payload
   /// scatter), so CodecEngine shards and CodecServer coalesced batches run
   /// the Fig. 4 decision and the payload emission at batch speed.
-  using Compressor::analyze_batch;
   using Compressor::compress_batch;
   void analyze_batch(std::span<const BlockView> blocks, BlockAnalysis* out) const override;
   void compress_batch(std::span<const BlockView> blocks, CompressedBlock* out) const override {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cstring>
-#include <numeric>
 
 namespace slc {
 
@@ -90,33 +89,6 @@ std::optional<TreeCandidate> CodeLengthTree::select(size_t need) const {
     if (k < count) return TreeCandidate{k << l, size_t{1} << l, level_[l][k]};
   }
   return std::nullopt;
-}
-
-std::vector<TreeCandidate> CodeLengthTree::windows() const {
-  std::vector<TreeCandidate> out;
-  for (unsigned l = 0; l < 5; ++l) {
-    if (extra_nodes_ && l >= 3) {
-      const size_t size = size_t{3} << (l - 2);
-      for (size_t start = 0; start + size <= n_; start += size_t{1} << l)
-        out.push_back(TreeCandidate{start, size, pair_window_bits(l, start)});
-    }
-    for (size_t k = 0; k < (n_ >> l); ++k)
-      out.push_back(TreeCandidate{k << l, size_t{1} << l, level_[l][k]});
-  }
-  return out;
-}
-
-size_t TreeSlcSelector::comp_size_bits(std::span<const uint16_t> code_lens) {
-  return std::accumulate(code_lens.begin(), code_lens.end(), size_t{0});
-}
-
-std::optional<TreeCandidate> TreeSlcSelector::select(std::span<const uint16_t> code_lens,
-                                                     size_t extra_bits) const {
-  return CodeLengthTree(code_lens, extra_nodes_).select(extra_bits);
-}
-
-std::vector<TreeCandidate> TreeSlcSelector::windows(std::span<const uint16_t> code_lens) const {
-  return CodeLengthTree(code_lens, extra_nodes_).windows();
 }
 
 }  // namespace slc

@@ -34,10 +34,17 @@ struct TreeCandidate {
   size_t sum_bits = 0;  ///< compressed bits the truncation removes
 };
 
+/// Unneeded approximation of a selection: the bits it removes beyond the
+/// overshoot it had to cover (Sec. III-F's motivation for extra nodes).
+inline size_t overshoot_bits(const TreeCandidate& c, size_t extra_bits) {
+  return c.sum_bits > extra_bits ? c.sum_bits - extra_bits : 0;
+}
+
 /// The Fig. 5 tree adder over one block's code lengths, built bottom-up in
 /// one pass: nodes of 2, 4, 8 and 16 symbols (level 1 is the lengths
 /// themselves), with extra_nodes the TSLC-OPT 6- and 12-symbol windows as
-/// node pairs, and a running sum over the 16-symbol nodes. Any block size
+/// node pairs, and a running sum over the 16-symbol nodes (the root, the
+/// compressed size before headers, is range_bits(0, n)). Any block size
 /// works: a level holds only its whole nodes, so a partial top level simply
 /// ends early. Everything the Fig. 4 decision needs reads the tree:
 ///  * select() walks the levels in first-fit order;
@@ -69,11 +76,10 @@ class CodeLengthTree {
 
   /// The first window covering `need` bits in Fig. 5 order: sizes 1, 2, 4,
   /// [6], 8, [12], 16 (bracketed only with extra_nodes), symbol order within
-  /// a size. nullopt when need is 0 or no window covers it.
+  /// a size — the per-level priority encoders. nullopt when need is 0 or no
+  /// window of at most kMaxApproxSymbols symbols covers it (the block then
+  /// stays lossless).
   std::optional<TreeCandidate> select(size_t need) const;
-
-  /// Every window, in select() order.
-  std::vector<TreeCandidate> windows() const;
 
  private:
   /// Code bits of symbols [0, end): the 16-symbol nodes below end's
@@ -112,43 +118,6 @@ class CodeLengthTree {
   uint32_t stack_prefix_[kStackSymbols / 16 + 1];
   std::vector<uint16_t> heap_nodes_;
   std::vector<uint32_t> heap_prefix_;
-};
-
-class TreeSlcSelector {
- public:
-  /// `extra_nodes` enables the TSLC-OPT intermediate windows.
-  explicit TreeSlcSelector(bool extra_nodes) : extra_nodes_(extra_nodes) {}
-
-  /// Sum of all code lengths — the tree root (comp size before headers).
-  static size_t comp_size_bits(std::span<const uint16_t> code_lens);
-
-  /// Selects the sub-block to approximate for the given overshoot.
-  /// Returns nullopt when no window of <= kMaxApproxSymbols symbols has
-  /// sum >= extra_bits (the block then stays lossless).
-  ///
-  /// Hardware-faithful policy: windows are examined in increasing size
-  /// (1, 2, 4, [6], 8, [12], 16 symbols; bracketed sizes only with
-  /// extra_nodes); within a size, the first window in symbol order wins
-  /// (priority encoder). Like the tree adder, the block's lengths are summed
-  /// once, into a CodeLengthTree: every window is one of its nodes, or for
-  /// the extra windows a pair of adjacent nodes.
-  std::optional<TreeCandidate> select(std::span<const uint16_t> code_lens,
-                                      size_t extra_bits) const;
-
-  /// All windows the tree exposes for `n` symbols — used by tests and the
-  /// hardware-cost model (node/adder counts).
-  std::vector<TreeCandidate> windows(std::span<const uint16_t> code_lens) const;
-
-  /// Unneeded approximation for a selection: selected sum minus the
-  /// overshoot it had to cover (Sec. III-F's motivation for extra nodes).
-  static size_t overshoot_bits(const TreeCandidate& c, size_t extra_bits) {
-    return c.sum_bits > extra_bits ? c.sum_bits - extra_bits : 0;
-  }
-
-  bool extra_nodes() const { return extra_nodes_; }
-
- private:
-  bool extra_nodes_;
 };
 
 }  // namespace slc

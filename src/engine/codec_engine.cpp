@@ -52,11 +52,6 @@ void EngineJob::wait() {
   if (err) std::rethrow_exception(err);
 }
 
-bool EngineJob::ready() const {
-  MutexLock lk(m_);
-  return finished_;
-}
-
 bool EngineJob::cancelled() const {
   MutexLock lk(m_);
   return error_ != nullptr;

@@ -93,8 +93,6 @@ struct EngineJob {
   void finish(std::exception_ptr reason);
   /// Blocks until the job finished; rethrows its stored exception.
   void wait();
-  /// Non-blocking: has the job finished?
-  bool ready() const;
   /// True when a claimed shard must be cancelled (a prior shard threw).
   bool cancelled() const;
 
@@ -126,8 +124,6 @@ class CodecFuture {
 
   /// True until wait() consumed this handle (default-constructed: false).
   bool valid() const { return job_ != nullptr; }
-  /// Non-blocking: has the job finished?
-  bool ready() const { return job_ && job_->ready(); }
   /// Blocks until the job finished (one-shot). Rethrows the job's first
   /// exception. Throws std::logic_error on an empty handle.
   void wait();

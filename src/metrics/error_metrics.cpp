@@ -94,12 +94,6 @@ double miss_rate_pct(std::span<const uint8_t> golden, std::span<const uint8_t> a
   return static_cast<double>(miss) / static_cast<double>(golden.size()) * 100.0;
 }
 
-double psnr_db(std::span<const float> golden, std::span<const float> approx, double peak) {
-  const double r = rmse(golden, approx);
-  if (r == 0.0) return 99.0;  // conventional "identical" cap
-  return 20.0 * std::log10(peak / r);
-}
-
 const char* to_string(ErrorMetric m) {
   switch (m) {
     case ErrorMetric::kMissRate: return "Miss rate";

@@ -36,9 +36,6 @@ double image_diff_pct(std::span<const float> golden, std::span<const float> appr
 /// fraction of outputs that flipped.
 double miss_rate_pct(std::span<const uint8_t> golden, std::span<const uint8_t> approx);
 
-/// Peak signal-to-noise ratio in dB for float images with the given peak.
-double psnr_db(std::span<const float> golden, std::span<const float> approx, double peak = 1.0);
-
 /// Error metric kinds from Table III.
 enum class ErrorMetric : uint8_t { kMissRate, kMre, kImageDiff, kNrmse };
 

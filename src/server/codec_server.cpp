@@ -208,11 +208,6 @@ StreamId CodecServer::open_stream(StreamConfig cfg) {
   return static_cast<StreamId>(streams_.size() - 1);
 }
 
-size_t CodecServer::num_streams() const {
-  MutexLock lk(lock_);
-  return streams_.size();
-}
-
 const std::string& CodecServer::stream_name(StreamId s) const {
   MutexLock lk(lock_);
   // The returned reference outlives the lock safely: streams are never

@@ -282,8 +282,6 @@ class ServerTicket {
   ServerTicket(const ServerTicket&) = delete;
   ServerTicket& operator=(const ServerTicket&) = delete;
 
-  /// True until wait() consumed this ticket (default-constructed: false).
-  bool valid() const { return req_ != nullptr; }
   /// Non-blocking: has the request completed (served, failed or rejected)?
   bool ready() const;
   /// Blocks until this request completed; one-shot.
@@ -345,7 +343,7 @@ class CodecServer {
   /// positive divisor of kBlockBytes.
   StreamId open_stream(StreamConfig cfg);
 
-  size_t num_streams() const;
+  /// Throws std::out_of_range for an id open_stream never returned.
   const std::string& stream_name(StreamId s) const;
 
   /// Queues a typed request on `s` (input copied). kBlock streams may wait

@@ -46,9 +46,6 @@ class Cache {
   /// Invalidates everything (kernel boundary flushes for L1).
   void clear();
 
-  size_t num_sets() const { return sets_; }
-  unsigned ways() const { return ways_; }
-
  private:
   /// Tag of an empty way. A line tag is an address shifted right by at
   /// least one bit, so it never reaches this value.

@@ -6,10 +6,6 @@
 
 namespace slc {
 
-bool TraceStream::push(KernelTrace chunk) {
-  return push(std::make_shared<const KernelTrace>(std::move(chunk)));
-}
-
 bool TraceStream::push(std::shared_ptr<const KernelTrace> chunk) {
   {
     MutexLock lk(m_);
@@ -70,21 +66,6 @@ size_t TraceStream::chunk_high_water() const {
 uint64_t TraceStream::access_high_water() const {
   MutexLock lk(m_);
   return access_hwm_;
-}
-
-size_t TraceStream::queued() const {
-  MutexLock lk(m_);
-  return q_.size();
-}
-
-bool TraceStream::closed() const {
-  MutexLock lk(m_);
-  return closed_;
-}
-
-bool TraceStream::cancelled() const {
-  MutexLock lk(m_);
-  return cancelled_;
 }
 
 }  // namespace slc

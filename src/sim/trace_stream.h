@@ -54,11 +54,9 @@ class TraceStream {
 
   /// Queues one kernel chunk, blocking while the queue is at budget. Returns
   /// false when the consumer cancelled (the chunk is dropped); throws
-  /// std::logic_error on push after close (producer bug). Moves the trace
-  /// into a heap chunk; use the shared_ptr overload to avoid the allocation.
-  bool push(KernelTrace chunk) SLC_EXCLUDES(m_);
-  /// Same, for a caller-managed chunk (owning or aliasing/non-owning — the
-  /// materialized adapter borrows the vector's elements this way).
+  /// std::logic_error on push after close (producer bug). The chunk may own
+  /// its trace or alias a caller's (the materialized adapter borrows the
+  /// vector's elements this way).
   bool push(std::shared_ptr<const KernelTrace> chunk) SLC_EXCLUDES(m_);
 
   /// End of trace: no further push is legal; pop drains the queue then
@@ -82,9 +80,6 @@ class TraceStream {
   size_t chunk_high_water() const SLC_EXCLUDES(m_);
   /// Peak queue depth in TraceAccess entries — the footprint proxy.
   uint64_t access_high_water() const SLC_EXCLUDES(m_);
-  size_t queued() const SLC_EXCLUDES(m_);
-  bool closed() const SLC_EXCLUDES(m_);
-  bool cancelled() const SLC_EXCLUDES(m_);
 
  private:
   const size_t budget_;

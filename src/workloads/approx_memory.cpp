@@ -225,12 +225,6 @@ void ApproxMemory::trace_read(RegionId r) {
   for (size_t b = 0; b < n; ++b) trace_block(r, b, false);
 }
 
-void ApproxMemory::trace_write(RegionId r) {
-  require_kernel("ApproxMemory::trace_write");
-  const size_t n = region_blocks(r);
-  for (size_t b = 0; b < n; ++b) trace_block(r, b, true);
-}
-
 void ApproxMemory::trace_zip(std::span<const RegionId> reads, std::span<const RegionId> writes) {
   require_kernel("ApproxMemory::trace_zip");
   size_t max_blocks = 0;

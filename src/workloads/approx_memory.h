@@ -24,9 +24,9 @@
 // the next settle point — don't do that; re-acquire spans after a
 // commit_async of the same region.
 //
-// Kernel-level tracing: begin_kernel() opens a kernel record; trace_read()/
-// trace_write() append block-granular accesses carrying the burst count in
-// effect (from the region's latest settled commit). The timing simulator
+// Kernel-level tracing: begin_kernel() opens a kernel record; trace_read(),
+// trace_zip() and trace_block() append block-granular accesses carrying the
+// burst count in effect (from the region's latest settled commit). The timing simulator
 // replays the trace; the functional run uses the mutated arrays. Both derive
 // from the same codec decisions.
 //
@@ -170,17 +170,17 @@ class ApproxMemory {
   }
   CodecEngine* engine() const { return engine_.get(); }
 
-  /// Extended cudaMalloc (Sec. IV-C). Threshold is the per-region lossy
-  /// threshold in bytes; ignored when safe_to_approx is false.
+  /// Extended cudaMalloc (Sec. IV-C). `threshold_bytes` caps the codec's
+  /// lossy threshold for this region (the codec applies the smaller of the
+  /// two); by default there is no cap, so the codec's threshold applies.
+  /// Ignored when safe_to_approx is false.
   RegionId alloc(std::string name, size_t bytes, bool safe_to_approx,
-                 size_t threshold_bytes = 16);
+                 size_t threshold_bytes = SIZE_MAX);
 
   size_t num_regions() const { return regions_.size(); }
   const std::string& region_name(RegionId r) const { return regions_[r].name; }
-  size_t region_bytes(RegionId r) const { return regions_[r].data.size(); }
   size_t region_blocks(RegionId r) const { return regions_[r].data.size() / kBlockBytes; }
   bool region_safe(RegionId r) const { return regions_[r].safe; }
-  uint64_t region_addr(RegionId r) const { return regions_[r].base_addr; }
   size_t safe_region_count() const;
 
   /// Typed view of a region's current contents. Settles a pending async
@@ -232,9 +232,8 @@ class ApproxMemory {
   // Every trace call appends to the kernel opened by begin_kernel() and
   // throws std::logic_error when no kernel is open.
 
-  /// Appends one read/write access per block of the region.
+  /// Appends one read access per block of the region.
   void trace_read(RegionId r);
-  void trace_write(RegionId r);
   /// Interleaves same-index blocks of several regions (streaming kernels
   /// touching multiple arrays in lockstep).
   void trace_zip(std::span<const RegionId> reads, std::span<const RegionId> writes);
@@ -285,7 +284,7 @@ class ApproxMemory {
     std::string name;
     std::vector<uint8_t> data;
     bool safe = false;
-    size_t threshold_bytes = 16;
+    size_t threshold_bytes = SIZE_MAX;  ///< cap on the codec's threshold
     uint64_t base_addr = 0;
     /// Per-block bursts from the last commit (kUncommittedBursts before the
     /// first). Wide enough for any geometry — a uint8_t store silently

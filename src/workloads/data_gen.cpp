@@ -136,32 +136,6 @@ void decode_gis_codes(std::span<const uint16_t> codes, std::span<float> out) {
   std::transform(codes.begin(), codes.end(), out.begin(), degrees);
 }
 
-std::vector<float> make_smooth_image(size_t width, size_t height, uint64_t seed,
-                                     unsigned bit_depth) {
-  const std::vector<uint16_t> codes = make_smooth_codes(width, height, seed, bit_depth);
-  std::vector<float> img(codes.size());
-  decode_smooth_codes(codes, bit_depth, img);
-  return img;
-}
-
-std::vector<float> make_speckle_image(size_t width, size_t height, uint64_t seed) {
-  const std::vector<uint8_t> codes = make_speckle_codes(width, height, seed);
-  std::vector<float> img(codes.size());
-  decode_speckle_codes(codes, img);
-  return img;
-}
-
-void make_gis_records(size_t n, uint64_t seed, std::vector<float>* lat,
-                      std::vector<float>* lon) {
-  const std::vector<uint16_t> codes = make_gis_codes(n, seed);
-  lat->resize(n);
-  lon->resize(n);
-  for (size_t i = 0; i < n; ++i) {
-    (*lat)[i] = degrees(codes[2 * i]);
-    (*lon)[i] = degrees(codes[2 * i + 1]);
-  }
-}
-
 void make_option_params(size_t n, uint64_t seed, std::vector<float>* price,
                         std::vector<float>* strike, std::vector<float>* years) {
   Rng rng(seed);

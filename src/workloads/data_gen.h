@@ -51,17 +51,6 @@ void decode_smooth_codes(std::span<const uint16_t> codes, unsigned bit_depth,
 void decode_speckle_codes(std::span<const uint8_t> codes, std::span<float> out);
 void decode_gis_codes(std::span<const uint16_t> codes, std::span<float> out);
 
-/// The decoded make_smooth_codes image.
-std::vector<float> make_smooth_image(size_t width, size_t height, uint64_t seed,
-                                     unsigned bit_depth = 8);
-
-/// The decoded make_speckle_codes image.
-std::vector<float> make_speckle_image(size_t width, size_t height, uint64_t seed);
-
-/// The decoded make_gis_codes records, one vector per coordinate.
-void make_gis_records(size_t n, uint64_t seed, std::vector<float>* lat,
-                      std::vector<float>* lon);
-
 /// CUDA SDK BlackScholes parameter ranges: S in [5,30], X in [1,100],
 /// T in [0.25,10].
 void make_option_params(size_t n, uint64_t seed, std::vector<float>* price,

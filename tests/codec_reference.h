@@ -14,10 +14,11 @@
 //
 // The SLC decision. ref_code_lengths() and ref_layout() size an E2MC block
 // symbol by symbol (ref_layout adds every symbol outside the skip window to
-// way i / per_way); ref_select() re-sums each window it tries, in the Fig. 5
-// first-fit order (sizes 1, 2, 4, [6], 8, [12], 16; symbol order within a
-// size). ref_decide() is the Fig. 4 mode decision of one block written out
-// over those.
+// way i / per_way); ref_windows() sums every window symbol by symbol, in the
+// Fig. 5 first-fit order (sizes 1, 2, 4, [6], 8, [12], 16; symbol order
+// within a size), and ref_select() takes the first that covers the
+// overshoot. ref_decide() is the Fig. 4 mode decision of one block written
+// out over those.
 //
 // The differential tests in test_codec_differential.cpp drive all of these
 // beside the production kernels, which sum each way once, read windows off
@@ -660,11 +661,11 @@ inline WayLayout ref_layout(std::span<const uint16_t> code_lens, unsigned num_wa
   return lo;
 }
 
-/// TSLC window selection: the first window, smallest size first, whose
-/// code-length sum covers `extra_bits`; nullopt when none does or when
-/// `extra_bits` is 0. The 6- and 12-symbol classes need `extra_nodes`.
-inline std::optional<TreeCandidate> ref_select(std::span<const uint16_t> code_lens,
-                                               size_t extra_bits, bool extra_nodes) {
+/// Every TSLC window in the Fig. 5 first-fit order (sizes 1, 2, 4, [6], 8,
+/// [12], 16; symbol order within a size), each with its code-length sum.
+/// The 6- and 12-symbol classes need `extra_nodes`.
+inline std::vector<TreeCandidate> ref_windows(std::span<const uint16_t> code_lens,
+                                              bool extra_nodes) {
   struct WindowClass {
     size_t size;
     size_t stride;
@@ -679,16 +680,26 @@ inline std::optional<TreeCandidate> ref_select(std::span<const uint16_t> code_le
       {12, 16, true},
       {16, 16, false},
   }};
-  if (extra_bits == 0) return std::nullopt;
+  std::vector<TreeCandidate> out;
   const size_t n = code_lens.size();
   for (const WindowClass& wc : kClasses) {
     if (wc.opt_only && !extra_nodes) continue;
     for (size_t start = 0; start + wc.size <= n; start += wc.stride) {
       size_t sum = 0;
       for (size_t i = start; i < start + wc.size; ++i) sum += code_lens[i];
-      if (sum >= extra_bits) return TreeCandidate{start, wc.size, sum};
+      out.push_back(TreeCandidate{start, wc.size, sum});
     }
   }
+  return out;
+}
+
+/// TSLC window selection: the first of ref_windows() whose code-length sum
+/// covers `extra_bits`; nullopt when none does or when `extra_bits` is 0.
+inline std::optional<TreeCandidate> ref_select(std::span<const uint16_t> code_lens,
+                                               size_t extra_bits, bool extra_nodes) {
+  if (extra_bits == 0) return std::nullopt;
+  for (const TreeCandidate& w : ref_windows(code_lens, extra_nodes))
+    if (w.sum_bits >= extra_bits) return w;
   return std::nullopt;
 }
 

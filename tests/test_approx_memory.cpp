@@ -38,7 +38,7 @@ std::shared_ptr<E2mcCompressor> tiny_e2mc() {
 TEST(ApproxMemory, AllocPadsToBlocks) {
   ApproxMemory mem;
   const RegionId r = mem.alloc("x", 130, false);
-  EXPECT_EQ(mem.region_bytes(r), 2 * kBlockBytes);
+  EXPECT_EQ(mem.span<const uint8_t>(r).size(), 2 * kBlockBytes);
   EXPECT_EQ(mem.region_blocks(r), 2u);
 }
 
@@ -46,9 +46,15 @@ TEST(ApproxMemory, AddressesAreBlockAlignedAndDisjoint) {
   ApproxMemory mem;
   const RegionId a = mem.alloc("a", 1024, false);
   const RegionId b = mem.alloc("b", 1024, false);
-  EXPECT_EQ(mem.region_addr(a) % kBlockBytes, 0u);
-  EXPECT_EQ(mem.region_addr(b) % kBlockBytes, 0u);
-  EXPECT_GE(mem.region_addr(b), mem.region_addr(a) + 1024);
+  // A region's base address is its first block's traced address.
+  mem.begin_kernel("k", 1.0);
+  mem.trace_block(a, 0, false);
+  mem.trace_block(b, 0, false);
+  const uint64_t addr_a = mem.trace()[0].accesses[0].addr;
+  const uint64_t addr_b = mem.trace()[0].accesses[1].addr;
+  EXPECT_EQ(addr_a % kBlockBytes, 0u);
+  EXPECT_EQ(addr_b % kBlockBytes, 0u);
+  EXPECT_GE(addr_b, addr_a + 1024);
 }
 
 TEST(ApproxMemory, SafeRegionCount) {
@@ -122,7 +128,8 @@ TEST(ApproxMemory, TraceCapturesBursts) {
   mem.commit(r);
   mem.begin_kernel("k", 2.0, 4);
   mem.trace_read(r);
-  mem.trace_write(r);
+  const RegionId writes[] = {r};
+  mem.trace_zip({}, writes);
   const auto& trace = mem.trace();
   ASSERT_EQ(trace.size(), 1u);
   EXPECT_EQ(trace[0].name, "k");
@@ -137,14 +144,13 @@ TEST(ApproxMemory, TraceCapturesBursts) {
 }
 
 // A trace call with no kernel open is a caller bug, not a write through an
-// empty trace: all four entry points throw before appending anything, and
+// empty trace: all three entry points throw before appending anything, and
 // the memory stays usable.
 TEST(ApproxMemory, TraceBeforeBeginKernelThrows) {
   ApproxMemory mem;
   const RegionId r = mem.alloc("x", 2 * kBlockBytes, false);
   const RegionId rs[] = {r};
   EXPECT_THROW(mem.trace_read(r), std::logic_error);
-  EXPECT_THROW(mem.trace_write(r), std::logic_error);
   EXPECT_THROW(mem.trace_zip(rs, rs), std::logic_error);
   EXPECT_THROW(mem.trace_block(r, 0, false), std::logic_error);
   EXPECT_TRUE(mem.trace().empty());
@@ -165,10 +171,11 @@ TEST(ApproxMemory, TraceZipInterleaves) {
   mem.trace_zip(reads, writes);
   const auto& acc = mem.trace()[0].accesses;
   ASSERT_EQ(acc.size(), 4u);
-  EXPECT_EQ(acc[0].addr, mem.region_addr(a));
-  EXPECT_EQ(acc[1].addr, mem.region_addr(b));
+  EXPECT_FALSE(acc[0].write);
+  EXPECT_GE(acc[1].addr, acc[0].addr + 2 * kBlockBytes) << "b lies past a";
   EXPECT_TRUE(acc[1].write);
-  EXPECT_EQ(acc[2].addr, mem.region_addr(a) + kBlockBytes);
+  EXPECT_EQ(acc[2].addr, acc[0].addr + kBlockBytes);
+  EXPECT_EQ(acc[3].addr, acc[1].addr + kBlockBytes);
 }
 
 TEST(ApproxMemory, UncommittedBlocksCostMaxBursts) {
@@ -400,9 +407,8 @@ TEST(BlockCodec, RawReportsMaxBursts) {
   const RawBlockCodec raw(32);
   Block b;
   const auto r = raw.process(b.view(), true, 16);
-  EXPECT_EQ(r.bursts, 4u);
+  EXPECT_EQ(r.bursts, kBlockBytes / 32);
   EXPECT_FALSE(r.lossy);
-  EXPECT_EQ(raw.max_bursts(), 4u);
 }
 
 TEST(BlockCodec, SlcRespectsRegionThreshold) {
@@ -424,6 +430,55 @@ TEST(BlockCodec, SlcRespectsRegionThreshold) {
   }
   EXPECT_GT(lossy_with, 0u);
   EXPECT_EQ(lossy_without, 0u);
+}
+
+// A region allocated without a threshold has no cap of its own, so it runs
+// at the codec's threshold: at 32 B it commits exactly like a region
+// allocated with 32 B, and a block overshooting its budget by 17-32 B goes
+// lossy where a 16 B cap would keep it exact.
+TEST(ApproxMemory, RegionWithoutThresholdTakesTheCodecs) {
+  const auto e2mc = tiny_e2mc();
+  SlcConfig cfg;
+  cfg.threshold_bytes = 32;
+  cfg.variant = SlcVariant::kOpt;
+  const auto bytes = quantized_walk(17, 64);
+
+  // A block the 32 B threshold approximates, changing its bytes, and a 16 B
+  // one cannot.
+  const std::vector<Block> blocks = to_blocks(bytes);
+  const std::vector<BlockView> views = to_views(blocks);
+  std::vector<SlcCodec::Decision> ds(blocks.size());
+  std::vector<SlcCodec::CacheOutcome> ocs(blocks.size());
+  const SlcCodec codec32(e2mc, cfg);
+  codec32.decide_batch(views, ds.data(), ocs.data());
+  size_t mid = blocks.size();
+  for (size_t i = 0; i < blocks.size() && mid == blocks.size(); ++i) {
+    const SlcEncodeInfo& info = ds[i].info;
+    if (info.lossy && info.extra_bits > 16 * 8 && info.extra_bits <= 32 * 8 &&
+        codec32.approx_decode(views[i], ds[i]) != blocks[i])
+      mid = i;
+  }
+  ASSERT_LT(mid, blocks.size()) << "the walk has no block overshooting by 17-32 B";
+
+  ApproxMemory mem;
+  mem.set_codec(std::make_shared<SlcBlockCodec>(e2mc, cfg));
+  const RegionId uncapped = mem.alloc("uncapped", bytes.size(), true);
+  const RegionId at32 = mem.alloc("at32", bytes.size(), true, 32);
+  const RegionId at16 = mem.alloc("at16", bytes.size(), true, 16);
+  for (const RegionId r : {uncapped, at32, at16})
+    std::copy(bytes.begin(), bytes.end(), mem.span<uint8_t>(r).begin());
+  mem.commit_all();
+
+  const auto got = mem.span<const uint8_t>(uncapped);
+  const auto want = mem.span<const uint8_t>(at32);
+  EXPECT_TRUE(std::equal(got.begin(), got.end(), want.begin(), want.end()));
+  EXPECT_EQ(mem.region_stats(uncapped), mem.region_stats(at32));
+  EXPECT_GT(mem.region_stats(uncapped).lossy_blocks, mem.region_stats(at16).lossy_blocks);
+  const auto block_of = [&](RegionId r) {
+    return Block(mem.span<const uint8_t>(r).subspan(mid * kBlockBytes, kBlockBytes));
+  };
+  EXPECT_EQ(block_of(uncapped), codec32.approx_decode(views[mid], ds[mid]));
+  EXPECT_EQ(block_of(at16), blocks[mid]) << "a 16 B cap keeps the block exact";
 }
 
 }  // namespace

@@ -15,9 +15,10 @@ TEST(Block, DefaultIsZeroed128) {
 }
 
 TEST(Block, SymbolLittleEndian) {
-  Block b;
-  b.mutable_bytes()[0] = 0x34;
-  b.mutable_bytes()[1] = 0x12;
+  std::vector<uint8_t> bytes(kBlockBytes);
+  bytes[0] = 0x34;
+  bytes[1] = 0x12;
+  const Block b(std::move(bytes));
   EXPECT_EQ(b.symbol(0), 0x1234);
 }
 

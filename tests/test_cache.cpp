@@ -18,9 +18,14 @@ TEST(Cache, MissThenHit) {
 }
 
 TEST(Cache, Geometry) {
+  EXPECT_EQ(Cache::sets_for(16 * 1024, 4, 128), 32u);
+  // Lines 32 sets apart share a set: its four ways hold four of them, and a
+  // fifth evicts the least recent.
   Cache c(16 * 1024, 4, 128);
-  EXPECT_EQ(c.num_sets(), 32u);
-  EXPECT_EQ(c.ways(), 4u);
+  for (uint64_t w = 0; w < 4; ++w) EXPECT_FALSE(c.fill(w * 32 * 128, true, 1).has_value()) << w;
+  const auto ev = c.fill(4 * 32 * 128, true, 1);
+  ASSERT_TRUE(ev.has_value());
+  EXPECT_EQ(ev->addr, 0u);
 }
 
 TEST(Cache, DistinctLines) {
@@ -66,7 +71,7 @@ TEST(Cache, WriteHitMarksDirty) {
   EXPECT_TRUE(c.write_hit(0, 2));
   c.fill(128, false, 1);
   // Force eviction of line 0 within its set.
-  const size_t sets = c.num_sets();
+  const size_t sets = Cache::sets_for(1024, 2, 128);
   const auto ev = c.fill(sets * 128 * 2, false, 1);  // same set as 0
   if (ev) {
     EXPECT_EQ(ev->addr, 0u);
@@ -84,8 +89,9 @@ TEST(Cache, RefillResidentLineMergesDirty) {
   c.fill(0, true, 2);
   EXPECT_FALSE(c.fill(0, false, 3).has_value());  // no self-eviction
   // Dirtiness preserved: evicting later yields a writeback.
-  c.fill(c.num_sets() * 128, false, 1);
-  const auto ev = c.fill(c.num_sets() * 128 * 2, false, 1);
+  const size_t sets = Cache::sets_for(1024, 2, 128);
+  c.fill(sets * 128, false, 1);
+  const auto ev = c.fill(sets * 128 * 2, false, 1);
   ASSERT_TRUE(ev.has_value());
   EXPECT_EQ(ev->addr, 0u);
 }
@@ -103,7 +109,8 @@ TEST(Cache, RejectsGeometriesItCannotModel) {
   EXPECT_THROW(Cache(1024, 2, 1), std::invalid_argument);    // a tag could be the empty sentinel
   EXPECT_THROW(Cache(1024, 0, 128), std::invalid_argument);
   EXPECT_THROW(Cache(1024, 16, 128), std::invalid_argument);  // smaller than one set
-  EXPECT_EQ(Cache(3 * 2 * 128, 2, 128).num_sets(), 3u);
+  EXPECT_EQ(Cache::sets_for(3 * 2 * 128, 2, 128), 3u);
+  EXPECT_NO_THROW(Cache(3 * 2 * 128, 2, 128));
 }
 
 // Differential: Cache against the reference model it replaced, over random
@@ -132,9 +139,9 @@ TEST(CacheDifferential, MatchesReferenceOnRandomOps) {
                                       << g.line_bytes << " B lines");
     Cache cache(g.total_bytes, g.ways, g.line_bytes);
     test::RefCache ref(g.total_bytes, g.ways, g.line_bytes);
-    ASSERT_EQ(cache.num_sets(), ref.num_sets());
+    ASSERT_EQ(Cache::sets_for(g.total_bytes, g.ways, g.line_bytes), ref.num_sets());
     Rng rng(seed++);
-    const uint64_t pool = 2 * cache.num_sets() * g.ways + 1;
+    const uint64_t pool = 2 * ref.num_sets() * g.ways + 1;
     size_t evictions = 0;
     for (int op = 0; op < 20000; ++op) {
       const uint64_t addr = rng.chance(0.02) ? (rng.chance(0.5) ? UINT64_MAX - rng.next_below(4)

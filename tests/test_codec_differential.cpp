@@ -1,7 +1,7 @@
 // Differential tests against the reference loops in codec_reference.h: the
 // lossless schemes' batch kernels against the per-block reference encoders
 // over seeded block streams, E2mcCompressor::layout and
-// TreeSlcSelector::select against the per-symbol loops over seeded random
+// CodeLengthTree::select against the per-symbol loops over seeded random
 // code lengths of 1-32 bits, and SlcCodec's batch decision against the
 // per-block ref_decide over seeded block streams. Every payload,
 // BlockAnalysis, WayLayout, TreeCandidate and Decision must match field by
@@ -224,22 +224,18 @@ TEST(CodecDifferential, SelectMatchesWindowSumReference) {
       std::vector<size_t> prefix(n + 1);
       for (size_t i = 0; i < n; ++i) prefix[i + 1] = prefix[i] + lens[i];
       for (const bool extra_nodes : {false, true}) {
-        const TreeSlcSelector sel(extra_nodes);
+        const CodeLengthTree tree(lens, extra_nodes);
         const std::string tag = "n=" + std::to_string(n) + " trial=" + std::to_string(t) +
                                 " extra_nodes=" + std::to_string(extra_nodes);
-        // windows() reports every window with its per-symbol sum; the
-        // largest bounds the extra_bits sweep.
+        // The largest window sum bounds the extra_bits sweep.
         size_t max_sum = 0;
-        for (const TreeCandidate& c : sel.windows(lens)) {
-          EXPECT_EQ(c.sum_bits, prefix[c.start + c.count] - prefix[c.start])
-              << tag << " window " << c.start << "+" << c.count;
+        for (const TreeCandidate& c : test::ref_windows(lens, extra_nodes))
           max_sum = std::max(max_sum, c.sum_bits);
-        }
         for (size_t extra = 0; extra <= max_sum + 1; ++extra) {
-          expect_candidate_eq(test::ref_select(lens, extra, extra_nodes), sel.select(lens, extra),
+          expect_candidate_eq(test::ref_select(lens, extra, extra_nodes), tree.select(extra),
                               tag + " extra=" + std::to_string(extra));
         }
-        EXPECT_FALSE(sel.select(lens, max_sum + 1).has_value()) << tag;
+        EXPECT_FALSE(tree.select(max_sum + 1).has_value()) << tag;
       }
       const CodeLengthTree tree(lens, /*extra_nodes=*/true);
       for (size_t begin = 0; begin <= n; ++begin)

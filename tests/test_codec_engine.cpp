@@ -142,13 +142,11 @@ TEST(CodecEngine, ThreadCountInvariantResults) {
 TEST(CodecEngine, FutureBasics) {
   CodecFuture empty;
   EXPECT_FALSE(empty.valid());
-  EXPECT_FALSE(empty.ready());
   EXPECT_THROW(empty.wait(), std::logic_error);
 
   CodecEngine engine(2);
   // count == 0 finishes inside submit(): on_done runs on this thread before
-  // submit returns, the handle is ready, and wait returns without touching
-  // the pool.
+  // submit returns, and wait returns without touching the pool.
   const auto submitter = std::this_thread::get_id();
   int done_calls = 0;
   auto zero = engine.submit(
@@ -160,7 +158,6 @@ TEST(CodecEngine, FutureBasics) {
       });
   EXPECT_EQ(done_calls, 1);
   EXPECT_TRUE(zero.valid());
-  EXPECT_TRUE(zero.ready());
   zero.wait();
   EXPECT_FALSE(zero.valid());  // one-shot
 
@@ -437,7 +434,6 @@ TEST(CodecEngine, ShutdownAbandonsQueuedJobsAndFutureOutlivesEngine) {
   gate.wait();  // fully claimed before the stop: drains normally
   engine.reset();
   // The future outlives the engine; its job was abandoned, so wait() throws.
-  EXPECT_TRUE(orphan.ready());
   EXPECT_THROW(orphan.wait(), std::runtime_error);
 }
 

@@ -313,14 +313,14 @@ TEST(ConcurrencyStress, SharedCacheConcurrentAnalyzeJobs) {
 
 // ---- TraceStream producer/consumer stress ---------------------------------
 
-KernelTrace tagged_kernel(uint64_t tag) {
-  KernelTrace k;
-  k.name = "k" + std::to_string(tag);
-  k.compute_per_access = 1.0;
+std::shared_ptr<const KernelTrace> tagged_kernel(uint64_t tag) {
+  auto k = std::make_shared<KernelTrace>();
+  k->name = "k" + std::to_string(tag);
+  k->compute_per_access = 1.0;
   TraceAccess a;
   a.addr = tag * kBlockBytes;  // tag smuggled through the address
   a.bursts = 1;
-  k.accesses.push_back(a);
+  k->accesses.push_back(a);
   return k;
 }
 

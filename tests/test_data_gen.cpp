@@ -21,16 +21,46 @@
 namespace slc {
 namespace {
 
+// The decoded inputs, as a workload reads them: a generator's capture codes
+// through its decoder.
+std::vector<float> smooth_image(size_t width, size_t height, uint64_t seed,
+                                unsigned bit_depth = 8) {
+  const std::vector<uint16_t> codes = make_smooth_codes(width, height, seed, bit_depth);
+  std::vector<float> img(codes.size());
+  decode_smooth_codes(codes, bit_depth, img);
+  return img;
+}
+
+std::vector<float> speckle_image(size_t width, size_t height, uint64_t seed) {
+  const std::vector<uint8_t> codes = make_speckle_codes(width, height, seed);
+  std::vector<float> img(codes.size());
+  decode_speckle_codes(codes, img);
+  return img;
+}
+
+/// The decoded make_gis_codes records, one vector per coordinate.
+void gis_records(size_t n, uint64_t seed, std::vector<float>* lat, std::vector<float>* lon) {
+  const std::vector<uint16_t> codes = make_gis_codes(n, seed);
+  std::vector<float> interleaved(codes.size());
+  decode_gis_codes(codes, interleaved);
+  lat->resize(n);
+  lon->resize(n);
+  for (size_t i = 0; i < n; ++i) {
+    (*lat)[i] = interleaved[2 * i];
+    (*lon)[i] = interleaved[2 * i + 1];
+  }
+}
+
 TEST(DataGen, SmoothImageDeterministic) {
-  const auto a = make_smooth_image(64, 64, 1);
-  const auto b = make_smooth_image(64, 64, 1);
+  const auto a = smooth_image(64, 64, 1);
+  const auto b = smooth_image(64, 64, 1);
   EXPECT_EQ(a, b);
-  const auto c = make_smooth_image(64, 64, 2);
+  const auto c = smooth_image(64, 64, 2);
   EXPECT_NE(a, c);
 }
 
 TEST(DataGen, SmoothImageRange) {
-  const auto img = make_smooth_image(64, 64, 3);
+  const auto img = smooth_image(64, 64, 3);
   ASSERT_EQ(img.size(), 64u * 64u);
   for (float p : img) {
     EXPECT_GE(p, 0.0f);
@@ -39,7 +69,7 @@ TEST(DataGen, SmoothImageRange) {
 }
 
 TEST(DataGen, SmoothImageIsLocallySimilar) {
-  const auto img = make_smooth_image(128, 128, 4);
+  const auto img = smooth_image(128, 128, 4);
   double total_step = 0;
   for (size_t i = 1; i < 128; ++i)
     total_step += std::abs(img[i] - img[i - 1]);
@@ -52,12 +82,11 @@ TEST(DataGen, SmoothImageRejectsBitDepthAbove16) {
   // from bit_depth 40 on.
   for (unsigned depth : {17u, 40u, 64u, ~0u}) {
     EXPECT_THROW(make_smooth_codes(8, 8, 1, depth), std::invalid_argument) << depth;
-    EXPECT_THROW(make_smooth_image(8, 8, 1, depth), std::invalid_argument) << depth;
   }
   const std::vector<uint16_t> codes(4, 1);
   std::vector<float> out(4);
   EXPECT_THROW(decode_smooth_codes(codes, 17, out), std::invalid_argument);
-  EXPECT_NO_THROW(make_smooth_image(8, 8, 1, 16));
+  EXPECT_NO_THROW(smooth_image(8, 8, 1, 16));
 }
 
 TEST(DataGen, DecodersRejectShortOutput) {
@@ -75,8 +104,8 @@ TEST(DataGen, DecodersRejectShortOutput) {
 }
 
 TEST(DataGen, SpeckleImageNoisierThanSmooth) {
-  const auto smooth = make_smooth_image(128, 128, 5);
-  const auto speckle = make_speckle_image(128, 128, 5);
+  const auto smooth = smooth_image(128, 128, 5);
+  const auto speckle = speckle_image(128, 128, 5);
   double ds = 0, dn = 0;
   for (size_t i = 1; i < smooth.size(); ++i) {
     ds += std::abs(smooth[i] - smooth[i - 1]);
@@ -87,7 +116,7 @@ TEST(DataGen, SpeckleImageNoisierThanSmooth) {
 
 TEST(DataGen, GisRecordsRanges) {
   std::vector<float> lat, lon;
-  make_gis_records(10000, 6, &lat, &lon);
+  gis_records(10000, 6, &lat, &lon);
   ASSERT_EQ(lat.size(), 10000u);
   for (size_t i = 0; i < lat.size(); ++i) {
     EXPECT_GE(lat[i], 0.0f);
@@ -193,7 +222,7 @@ TEST(DataGenDifferential, SmoothImageMatchesReference) {
         cases.push_back({w, h, seed, depth});
   for (const Args& a : cases) {
     const auto ref = test::ref_make_smooth_image(a.width, a.height, a.seed, a.bit_depth);
-    EXPECT_TRUE(same_bits(make_smooth_image(a.width, a.height, a.seed, a.bit_depth), ref))
+    EXPECT_TRUE(same_bits(smooth_image(a.width, a.height, a.seed, a.bit_depth), ref))
         << a.width << "x" << a.height << " seed " << a.seed << " depth " << a.bit_depth;
   }
 }
@@ -212,7 +241,7 @@ TEST(DataGenDifferential, SpeckleImageMatchesReference) {
     cases.push_back({37, 23, seed});
   }
   for (const Args& a : cases) {
-    EXPECT_TRUE(same_bits(make_speckle_image(a.width, a.height, a.seed),
+    EXPECT_TRUE(same_bits(speckle_image(a.width, a.height, a.seed),
                           test::ref_make_speckle_image(a.width, a.height, a.seed)))
         << a.width << "x" << a.height << " seed " << a.seed;
   }
@@ -228,7 +257,7 @@ TEST(DataGenDifferential, GisRecordsMatchReference) {
     for (size_t n : {size_t{1}, size_t{1000}, size_t{1} << 14}) cases.push_back({n, seed});
   for (const Args& a : cases) {
     std::vector<float> lat, lon, ref_lat, ref_lon;
-    make_gis_records(a.n, a.seed, &lat, &lon);
+    gis_records(a.n, a.seed, &lat, &lon);
     test::ref_make_gis_records(a.n, a.seed, &ref_lat, &ref_lon);
     EXPECT_TRUE(same_bits(lat, ref_lat)) << "n " << a.n << " seed " << a.seed;
     EXPECT_TRUE(same_bits(lon, ref_lon)) << "n " << a.n << " seed " << a.seed;

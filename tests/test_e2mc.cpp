@@ -16,7 +16,7 @@ std::vector<uint8_t> training_data(uint64_t seed, size_t blocks = 512) {
   float base = 100.0f;
   for (size_t b = 0; b < blocks; ++b) {
     for (size_t i = 0; i < kBlockBytes / 4; ++i) {
-      base += rng.uniform_f(-0.01f, 0.01f);
+      base += static_cast<float>(rng.uniform(-0.01f, 0.01f));
       uint32_t bits;
       __builtin_memcpy(&bits, &base, 4);
       data.push_back(static_cast<uint8_t>(bits));

@@ -72,18 +72,6 @@ TEST(MissRate, NonzeroTreatedAsTrue) {
   EXPECT_EQ(miss_rate_pct(g, x), 0.0);
 }
 
-TEST(Psnr, IdenticalIsCapped) {
-  const float a[] = {0.5f};
-  EXPECT_EQ(psnr_db(a, a), 99.0);
-}
-
-TEST(Psnr, KnownValue) {
-  const float g[] = {1.0f, 0.0f};
-  const float x[] = {0.9f, 0.1f};
-  // rmse = 0.1 -> 20*log10(1/0.1) = 20 dB (float rounding widens the bound)
-  EXPECT_NEAR(psnr_db(g, x, 1.0), 20.0, 1e-4);
-}
-
 // --- size mismatches -----------------------------------------------------------
 // Every metric compares element i of both spans, so a shorter span is a
 // caller bug: each rejects it, in either direction, before reading anything.
@@ -116,11 +104,6 @@ TEST(MissRate, SizeMismatchThrows) {
   const std::vector<uint8_t> golden(64, 1), approx(16, 1);
   EXPECT_THROW(miss_rate_pct(golden, approx), std::invalid_argument);
   EXPECT_THROW(miss_rate_pct(approx, golden), std::invalid_argument);
-}
-
-TEST(Psnr, SizeMismatchThrows) {
-  EXPECT_THROW(psnr_db(kGolden64, kApprox16), std::invalid_argument);
-  EXPECT_THROW(psnr_db(kApprox16, kGolden64), std::invalid_argument);
 }
 
 TEST(MetricNames, ToString) {

@@ -179,8 +179,9 @@ TEST(BlockFingerprint, EveryByteFlipChangesFingerprint) {
   const Block base = test::dedup_corpus({.blocks = 1, .seed = 5})[0];
   const uint64_t fp = block_fingerprint(base.bytes());
   for (size_t pos = 0; pos < kBlockBytes; ++pos) {
-    Block mutated = base;
-    mutated.mutable_bytes()[pos] ^= 0x01;
+    std::vector<uint8_t> bytes(base.bytes().begin(), base.bytes().end());
+    bytes[pos] ^= 0x01;
+    const Block mutated(std::move(bytes));
     EXPECT_NE(block_fingerprint(mutated.bytes()), fp) << "byte " << pos;
   }
 }
@@ -326,10 +327,9 @@ TEST(FingerprintCache, BatchProbeMatchesOneByOne) {
   fps.push_back(fps[3]);  // a repeat inside the batch
   std::vector<Block> blocks;
   for (const uint64_t fp : fps) {
-    Block b;
-    auto bytes = b.mutable_bytes();
+    std::vector<uint8_t> bytes(kBlockBytes);
     for (size_t i = 0; i < bytes.size(); ++i) bytes[i] = static_cast<uint8_t>(fp * 31 + i);
-    blocks.push_back(std::move(b));
+    blocks.emplace_back(std::move(bytes));
   }
   std::vector<SlcCodec::Decision> ds;
   for (const uint64_t fp : fps) ds.push_back(arbitrary_decision(fp));
@@ -467,11 +467,10 @@ TEST(FingerprintCache, ConcurrentMixedHitMissTrafficWithVerifyOnHit) {
   // can be checked against exactly what the inserter stored, and honest
   // content can never trip the verify-on-hit collision path.
   const auto block_for = [](uint64_t fp) {
-    Block b;
-    auto bytes = b.mutable_bytes();
+    std::vector<uint8_t> bytes(kBlockBytes);
     for (size_t i = 0; i < bytes.size(); ++i)
       bytes[i] = static_cast<uint8_t>((fp * 0x9E3779B97F4A7C15ull + i * 0x85EBCA77ull) >> 32);
-    return b;
+    return Block(std::move(bytes));
   };
 
   constexpr uint64_t kKey = 7;
@@ -599,10 +598,9 @@ std::vector<Block> reshaped(const std::vector<Block>& blocks, size_t block_bytes
   std::vector<Block> out;
   out.reserve(blocks.size());
   for (const Block& b : blocks) {
-    Block r(block_bytes);
-    auto dst = r.mutable_bytes();
+    std::vector<uint8_t> dst(block_bytes);
     for (size_t i = 0; i < block_bytes; ++i) dst[i] = b.bytes()[i % b.size()];
-    out.push_back(std::move(r));
+    out.emplace_back(std::move(dst));
   }
   return out;
 }
@@ -679,9 +677,10 @@ TEST(CachedDecision, OversizeDecisionIsReturnedButNotStored) {
   // An incompressible 8 KiB block is stored raw: 65536 final bits and 256
   // bursts at MAG 32, one past what a packed way holds. The memo must hand
   // back the exact decision and keep nothing, so a repeat misses again.
-  Block block(8192);
+  std::vector<uint8_t> bytes(8192);
   Rng rng(90);
-  for (uint8_t& byte : block.mutable_bytes()) byte = static_cast<uint8_t>(rng.next());
+  for (uint8_t& byte : bytes) byte = static_cast<uint8_t>(rng.next());
+  const Block block(std::move(bytes));
   const std::vector<BlockView> views{block.view()};
   auto cache = std::make_shared<FingerprintCache>();
   const SlcCodec uncached = make_slc(nullptr);

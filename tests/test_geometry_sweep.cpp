@@ -191,11 +191,12 @@ TEST(LosslessSchemes, RejectBlockSizesTheyCannotEncode) {
     ++schemes;
     for (const size_t bytes : {size_t{0}, size_t{100}, size_t{101}, size_t{130}}) {
       if (bytes != 0 && bytes % word == 0) continue;
-      Block block(bytes);
+      std::vector<uint8_t> data(bytes);
       if (bytes >= 2) {
-        block.mutable_bytes()[bytes - 2] = 0xAB;
-        block.mutable_bytes()[bytes - 1] = 0xCD;
+        data[bytes - 2] = 0xAB;
+        data[bytes - 1] = 0xCD;
       }
+      const Block block(std::move(data));
       const std::vector<BlockView> views{block.view()};
       std::vector<BlockAnalysis> analyses(1);
       std::vector<CompressedBlock> payloads(1);

@@ -258,7 +258,7 @@ TEST(GpuSim, StreamingMatchesMaterializedRun) {
   TraceStream stream(2);
   SimStats got;
   std::thread consumer([&] { got = sim.run(stream); });
-  for (const auto& k : trace) ASSERT_TRUE(stream.push(k));
+  for (const auto& k : trace) ASSERT_TRUE(stream.push(std::make_shared<const KernelTrace>(k)));
   stream.close();
   consumer.join();
   EXPECT_TRUE(want.same_counters(got));
@@ -287,7 +287,8 @@ TEST(GpuSim, StreamHighWaterMarkBoundedByBudget) {
   std::thread consumer([&] { got = sim.run(stream); });
   // Push far more kernels than the budget: backpressure must cap the queue.
   for (int i = 0; i < 64; ++i)
-    ASSERT_TRUE(stream.push(streaming_kernel(64, 2, 1.0, 0x1000'0000 + i * 0x10000)));
+    ASSERT_TRUE(stream.push(
+        std::make_shared<const KernelTrace>(streaming_kernel(64, 2, 1.0, 0x1000'0000 + i * 0x10000))));
   stream.close();
   consumer.join();
   EXPECT_EQ(got.kernels, 64u);
@@ -351,16 +352,21 @@ TEST(GpuSim, RejectsGeometriesItCannotModel) {
 // backpressure unwinds instead of deadlocking.
 TEST(GpuSim, RejectedKernelCancelsTheStream) {
   TraceStream stream(1);
+  bool rejected = false;
   std::thread producer([&] {
-    stream.push(streaming_kernel(10, 4, std::numeric_limits<double>::infinity()));
-    for (int i = 0; i < 4 && stream.push(streaming_kernel(10, 4)); ++i) {
-    }
+    const auto push = [&](double compute) {
+      return stream.push(std::make_shared<const KernelTrace>(streaming_kernel(10, 4, compute)));
+    };
+    rejected = !push(std::numeric_limits<double>::infinity());
+    // The budget is 1 and nothing pops after the bad kernel, so by the third
+    // push at the latest a push waits on the full queue until the cancel.
+    for (int i = 0; i < 4 && !rejected; ++i) rejected = !push(1.0);
     stream.close();
   });
   GpuSim sim(GpuSimConfig{});
   EXPECT_THROW(sim.run(stream), std::invalid_argument);
   producer.join();
-  EXPECT_TRUE(stream.cancelled());
+  EXPECT_TRUE(rejected) << "the producer must see the stream cancelled";
 }
 
 // ---- Differential: GpuSim against the reference event loop -----------------

@@ -74,7 +74,7 @@ TEST(SymbolFrequencies, CountsLittleEndianSymbols) {
   EXPECT_EQ(f.count(0x1234), 2u);
   EXPECT_EQ(f.count(0x5678), 1u);
   EXPECT_EQ(f.total(), 3u);
-  EXPECT_EQ(f.distinct(), 2u);
+  EXPECT_EQ(f.count(0x1234) + f.count(0x5678), f.total());  // no other symbol counted
 }
 
 TEST(HuffmanCode, FrequentSymbolsGetShortCodes) {
@@ -101,7 +101,9 @@ TEST(HuffmanCode, TableEntryLimit) {
   SymbolFrequencies f;
   for (uint32_t s = 0; s < 3000; ++s) f.add_symbol(static_cast<uint16_t>(s), 3000 - s);
   const auto code = HuffmanCode::build(f, 256, 16);
-  EXPECT_EQ(code.table_entries(), 256u);
+  size_t in_table = 0;
+  for (uint32_t s = 0; s < 3000; ++s) in_table += code.in_table(static_cast<uint16_t>(s)) ? 1 : 0;
+  EXPECT_EQ(in_table, 256u);
   EXPECT_TRUE(code.in_table(0));       // most frequent kept
   EXPECT_FALSE(code.in_table(2999));   // least frequent escaped
 }

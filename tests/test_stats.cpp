@@ -1,6 +1,7 @@
 // Statistics helpers: geometric means drive every paper GM bar.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <type_traits>
@@ -11,31 +12,6 @@
 
 namespace slc {
 namespace {
-
-TEST(RunningStats, Basic) {
-  RunningStats s;
-  s.add(1.0);
-  s.add(2.0);
-  s.add(3.0);
-  EXPECT_EQ(s.count(), 3u);
-  EXPECT_DOUBLE_EQ(s.mean(), 2.0);
-  EXPECT_DOUBLE_EQ(s.min(), 1.0);
-  EXPECT_DOUBLE_EQ(s.max(), 3.0);
-  EXPECT_DOUBLE_EQ(s.sum(), 6.0);
-  EXPECT_DOUBLE_EQ(s.variance(), 1.0);
-}
-
-TEST(RunningStats, EmptyIsZero) {
-  RunningStats s;
-  EXPECT_EQ(s.mean(), 0.0);
-  EXPECT_EQ(s.variance(), 0.0);
-}
-
-TEST(RunningStats, SingleValueVarianceZero) {
-  RunningStats s;
-  s.add(5.0);
-  EXPECT_EQ(s.variance(), 0.0);
-}
 
 TEST(GeometricMean, KnownValues) {
   const double xs[] = {1.0, 4.0};
@@ -62,7 +38,6 @@ TEST(Histogram, CountsAndFractions) {
   Histogram h;
   h.add(0, 3);
   h.add(4);
-  EXPECT_EQ(h.total(), 4u);
   EXPECT_EQ(h.at(0), 3u);
   EXPECT_EQ(h.at(4), 1u);
   EXPECT_EQ(h.at(99), 0u);
@@ -107,30 +82,17 @@ TEST(TextTable, RowsWiderThanHeaderRenderEveryCell) {
 TEST(PercentileTracker, NearestRankPercentiles) {
   PercentileTracker t;
   for (int i = 100; i >= 1; --i) t.record(i);  // unsorted insert order
-  EXPECT_EQ(t.count(), 100u);
   EXPECT_DOUBLE_EQ(t.percentile(50), 50.0);
   EXPECT_DOUBLE_EQ(t.percentile(99), 99.0);
   EXPECT_DOUBLE_EQ(t.percentile(100), 100.0);
   EXPECT_DOUBLE_EQ(t.percentile(0), 1.0);
-  EXPECT_DOUBLE_EQ(t.max(), 100.0);
-  EXPECT_DOUBLE_EQ(t.mean(), 50.5);
 }
 
-TEST(PercentileTracker, EmptyAndMerge) {
+TEST(PercentileTracker, EmptyIsZero) {
   PercentileTracker empty;
-  EXPECT_EQ(empty.count(), 0u);
+  EXPECT_EQ(empty.percentile(0), 0.0);
   EXPECT_EQ(empty.percentile(50), 0.0);
-  EXPECT_EQ(empty.mean(), 0.0);
-  EXPECT_EQ(empty.max(), 0.0);
-
-  PercentileTracker a, b;
-  a.record(1.0);
-  a.record(2.0);
-  b.record(10.0);
-  a.merge(b);
-  EXPECT_EQ(a.count(), 3u);
-  EXPECT_DOUBLE_EQ(a.percentile(100), 10.0);
-  EXPECT_DOUBLE_EQ(a.percentile(34), 2.0);
+  EXPECT_EQ(empty.percentile(100), 0.0);
 }
 
 // --- LatencyHistogram ---------------------------------------------------------
@@ -151,8 +113,8 @@ LatencyHistogram histogram_of(const std::vector<std::chrono::nanoseconds>& xs) {
   return h;
 }
 
-// Against the exact tracker over the same samples: count, mean and max are
-// exact, and every percentile is at least the exact nearest-rank sample and
+// Against the exact tracker over the same samples: count and max are exact,
+// and every percentile is at least the exact nearest-rank sample and
 // at most one bucket (a factor 2^(1/32)) above it.
 TEST(LatencyHistogram, PercentilesWithinOneBucketOfExact) {
   const double bucket = std::exp2(1.0 / LatencyHistogram::kBucketsPerOctave);
@@ -160,14 +122,10 @@ TEST(LatencyHistogram, PercentilesWithinOneBucketOfExact) {
     const auto xs = latency_samples(7 + n, n);
     const LatencyHistogram h = histogram_of(xs);
     PercentileTracker exact;
-    uint64_t sum_ns = 0;
-    for (const auto x : xs) {
-      exact.record(static_cast<double>(x.count()) * 1e-9);
-      sum_ns += static_cast<uint64_t>(x.count());
-    }
+    for (const auto x : xs) exact.record(static_cast<double>(x.count()) * 1e-9);
     EXPECT_EQ(h.count(), n);
-    EXPECT_EQ(h.max(), exact.max()) << n;
-    EXPECT_EQ(h.mean(), static_cast<double>(sum_ns) / static_cast<double>(n) * 1e-9) << n;
+    EXPECT_EQ(h.max(), static_cast<double>(std::max_element(xs.begin(), xs.end())->count()) * 1e-9)
+        << n;
     for (const double p : {0.0, 1.0, 25.0, 50.0, 90.0, 99.0, 99.9, 100.0}) {
       const double want = exact.percentile(p);
       const double got = h.percentile(p);
@@ -226,7 +184,6 @@ TEST(LatencyHistogram, EmptyAndOutOfRangeSamples) {
   LatencyHistogram h;
   EXPECT_EQ(h.count(), 0u);
   EXPECT_EQ(h.percentile(50), 0.0);
-  EXPECT_EQ(h.mean(), 0.0);
   EXPECT_EQ(h.max(), 0.0);
 
   h.record(std::chrono::nanoseconds(0));
@@ -243,7 +200,7 @@ TEST(LatencyHistogram, EmptyAndOutOfRangeSamples) {
 TEST(LatencyHistogram, MemoryDoesNotGrowWithSamples) {
   static_assert(std::is_trivially_copyable_v<LatencyHistogram>);
   static_assert(sizeof(LatencyHistogram) ==
-                (LatencyHistogram::kBuckets + 3) * sizeof(uint64_t));
+                (LatencyHistogram::kBuckets + 2) * sizeof(uint64_t));
   const LatencyHistogram small = histogram_of(latency_samples(5, 10));
   const LatencyHistogram large = histogram_of(latency_samples(5, 100000));
   EXPECT_EQ(sizeof(small), sizeof(large));

@@ -1,8 +1,7 @@
 // TSLC tree selector: hardware-faithful window selection (Sec. III-D/F).
 #include <gtest/gtest.h>
 
-#include <numeric>
-
+#include "codec_reference.h"
 #include "common/rng.h"
 #include "core/tree_selector.h"
 
@@ -13,22 +12,26 @@ std::vector<uint16_t> uniform_lens(uint16_t len, size_t n = 64) {
   return std::vector<uint16_t>(n, len);
 }
 
+std::vector<uint16_t> random_lens(Rng& rng) {
+  std::vector<uint16_t> lens(64);
+  for (auto& l : lens) l = static_cast<uint16_t>(1 + rng.next_below(16));
+  return lens;
+}
+
 TEST(TreeSelector, CompSizeIsSum) {
-  auto lens = uniform_lens(7);
-  EXPECT_EQ(TreeSlcSelector::comp_size_bits(lens), 7u * 64u);
+  const auto lens = uniform_lens(7);
+  EXPECT_EQ(CodeLengthTree(lens, false).range_bits(0, lens.size()), 7u * 64u);
 }
 
 TEST(TreeSelector, ZeroExtraBitsSelectsNothing) {
-  const TreeSlcSelector sel(false);
-  auto lens = uniform_lens(8);
-  EXPECT_FALSE(sel.select(lens, 0).has_value());
+  const auto lens = uniform_lens(8);
+  EXPECT_FALSE(CodeLengthTree(lens, false).select(0).has_value());
 }
 
 TEST(TreeSelector, SingleSymbolWindowWhenEnough) {
-  const TreeSlcSelector sel(false);
   auto lens = uniform_lens(4);
   lens[10] = 15;  // one long symbol
-  const auto c = sel.select(lens, 12);
+  const auto c = CodeLengthTree(lens, false).select(12);
   ASSERT_TRUE(c.has_value());
   EXPECT_EQ(c->count, 1u);
   EXPECT_EQ(c->start, 10u);
@@ -36,32 +39,28 @@ TEST(TreeSelector, SingleSymbolWindowWhenEnough) {
 }
 
 TEST(TreeSelector, PriorityEncoderPicksFirstWindow) {
-  const TreeSlcSelector sel(false);
   auto lens = uniform_lens(4);
   lens[20] = 14;
   lens[40] = 15;  // later window also qualifies but must not win
-  const auto c = sel.select(lens, 13);
+  const auto c = CodeLengthTree(lens, false).select(13);
   ASSERT_TRUE(c.has_value());
   EXPECT_EQ(c->start, 20u);
 }
 
 TEST(TreeSelector, EscalatesToLargerWindows) {
-  const TreeSlcSelector sel(false);
-  auto lens = uniform_lens(4);  // windows: 1->4, 2->8, 4->16, 8->32, 16->64
-  const auto c = sel.select(lens, 20);
+  const auto lens = uniform_lens(4);  // windows: 1->4, 2->8, 4->16, 8->32, 16->64
+  const auto c = CodeLengthTree(lens, false).select(20);
   ASSERT_TRUE(c.has_value());
   EXPECT_EQ(c->count, 8u);      // smallest power-of-two window with sum >= 20
   EXPECT_EQ(c->sum_bits, 32u);
 }
 
 TEST(TreeSelector, AlignedStarts) {
-  const TreeSlcSelector sel(false);
   Rng rng(1);
   for (int trial = 0; trial < 200; ++trial) {
-    std::vector<uint16_t> lens(64);
-    for (auto& l : lens) l = static_cast<uint16_t>(1 + rng.next_below(16));
+    const auto lens = random_lens(rng);
     const size_t extra = 1 + rng.next_below(128);
-    const auto c = sel.select(lens, extra);
+    const auto c = CodeLengthTree(lens, false).select(extra);
     if (!c) continue;
     EXPECT_EQ(c->start % c->count, 0u) << "power-of-two windows are self-aligned";
     EXPECT_GE(c->sum_bits, extra);
@@ -70,19 +69,17 @@ TEST(TreeSelector, AlignedStarts) {
 }
 
 TEST(TreeSelector, NoWindowMeansLossless) {
-  const TreeSlcSelector sel(false);
-  auto lens = uniform_lens(1);  // 16-symbol window sums to only 16
-  EXPECT_FALSE(sel.select(lens, 64).has_value());
+  const auto lens = uniform_lens(1);  // 16-symbol window sums to only 16
+  EXPECT_FALSE(CodeLengthTree(lens, false).select(64).has_value());
 }
 
 TEST(TreeSelector, OptUsesIntermediateWindows) {
   // extra_bits between the 4-window and 8-window sums: OPT's 6-symbol window
   // (sum 24) must beat the base selector's 8-symbol window (sum 32).
-  auto lens = uniform_lens(4);
+  const auto lens = uniform_lens(4);
   const size_t extra = 20;
-  const TreeSlcSelector base(false), opt(true);
-  const auto cb = base.select(lens, extra);
-  const auto co = opt.select(lens, extra);
+  const auto cb = CodeLengthTree(lens, false).select(extra);
+  const auto co = CodeLengthTree(lens, true).select(extra);
   ASSERT_TRUE(cb && co);
   EXPECT_EQ(cb->count, 8u);
   EXPECT_EQ(co->count, 6u);
@@ -90,11 +87,10 @@ TEST(TreeSelector, OptUsesIntermediateWindows) {
 }
 
 TEST(TreeSelector, OptTwelveSymbolWindow) {
-  auto lens = uniform_lens(4);
+  const auto lens = uniform_lens(4);
   const size_t extra = 36;  // 8-window sum 32 < 36 <= 12-window sum 48
-  const TreeSlcSelector base(false), opt(true);
-  const auto cb = base.select(lens, extra);
-  const auto co = opt.select(lens, extra);
+  const auto cb = CodeLengthTree(lens, false).select(extra);
+  const auto co = CodeLengthTree(lens, true).select(extra);
   ASSERT_TRUE(cb && co);
   EXPECT_EQ(cb->count, 16u);
   EXPECT_EQ(co->count, 12u);
@@ -105,13 +101,11 @@ TEST(TreeSelector, OptNeverTruncatesMoreSymbols) {
   // Sec. III-D); OPT's extra sizes (6, 12) slot between the power-of-two
   // sizes, so its selection size never exceeds the base selector's.
   Rng rng(2);
-  const TreeSlcSelector base(false), opt(true);
   for (int trial = 0; trial < 500; ++trial) {
-    std::vector<uint16_t> lens(64);
-    for (auto& l : lens) l = static_cast<uint16_t>(1 + rng.next_below(16));
+    const auto lens = random_lens(rng);
     const size_t extra = 1 + rng.next_below(128);
-    const auto cb = base.select(lens, extra);
-    const auto co = opt.select(lens, extra);
+    const auto cb = CodeLengthTree(lens, false).select(extra);
+    const auto co = CodeLengthTree(lens, true).select(extra);
     if (cb) {
       ASSERT_TRUE(co.has_value()) << "OPT has a superset of windows";
       EXPECT_LE(co->count, cb->count);
@@ -119,12 +113,13 @@ TEST(TreeSelector, OptNeverTruncatesMoreSymbols) {
   }
 }
 
+// The window set the tree selects from is the one test::ref_windows
+// enumerates; the differential suite pins select() against it for every
+// overshoot.
 TEST(TreeSelector, WindowsStayInsideOneWay) {
   // All selectable windows must sit inside one 16-symbol decoding way —
   // truncation never splits across pdp boundaries.
-  const TreeSlcSelector opt(true);
-  auto lens = uniform_lens(5);
-  for (const TreeCandidate& w : opt.windows(lens)) {
+  for (const TreeCandidate& w : test::ref_windows(uniform_lens(5), true)) {
     const size_t way_first = w.start / 16;
     const size_t way_last = (w.start + w.count - 1) / 16;
     EXPECT_EQ(way_first, way_last) << "window " << w.start << "+" << w.count;
@@ -132,34 +127,32 @@ TEST(TreeSelector, WindowsStayInsideOneWay) {
 }
 
 TEST(TreeSelector, WindowCounts) {
-  auto lens = uniform_lens(1);
-  const TreeSlcSelector base(false), opt(true);
+  const auto lens = uniform_lens(1);
   // Base: 64 + 32 + 16 + 8 + 4 windows (sizes 1,2,4,8,16).
-  EXPECT_EQ(base.windows(lens).size(), 64u + 32u + 16u + 8u + 4u);
+  const size_t base = test::ref_windows(lens, false).size();
+  EXPECT_EQ(base, 64u + 32u + 16u + 8u + 4u);
   // OPT adds 8 six-symbol and 4 twelve-symbol windows (Sec. III-F).
-  EXPECT_EQ(opt.windows(lens).size(), base.windows(lens).size() + 8u + 4u);
+  EXPECT_EQ(test::ref_windows(lens, true).size(), base + 8u + 4u);
 }
 
 TEST(TreeSelector, OvershootBits) {
   TreeCandidate c{0, 4, 30};
-  EXPECT_EQ(TreeSlcSelector::overshoot_bits(c, 20), 10u);
-  EXPECT_EQ(TreeSlcSelector::overshoot_bits(c, 30), 0u);
-  EXPECT_EQ(TreeSlcSelector::overshoot_bits(c, 40), 0u);
+  EXPECT_EQ(overshoot_bits(c, 20), 10u);
+  EXPECT_EQ(overshoot_bits(c, 30), 0u);
+  EXPECT_EQ(overshoot_bits(c, 40), 0u);
 }
 
 // Property: the returned window always covers extra_bits with the smallest
 // participating window size (selection order is by size).
 TEST(TreeSelectorProperty, SmallestQualifyingSize) {
   Rng rng(3);
-  const TreeSlcSelector sel(true);
   for (int trial = 0; trial < 300; ++trial) {
-    std::vector<uint16_t> lens(64);
-    for (auto& l : lens) l = static_cast<uint16_t>(1 + rng.next_below(16));
+    const auto lens = random_lens(rng);
     const size_t extra = 1 + rng.next_below(160);
-    const auto c = sel.select(lens, extra);
+    const auto c = CodeLengthTree(lens, true).select(extra);
     if (!c) continue;
     // No window of a strictly smaller size may qualify.
-    for (const TreeCandidate& w : sel.windows(lens)) {
+    for (const TreeCandidate& w : test::ref_windows(lens, true)) {
       if (w.count < c->count) {
         EXPECT_LT(w.sum_bits, extra);
       }

@@ -70,27 +70,29 @@ inline std::vector<Block> dedup_corpus(const CorpusConfig& cfg) {
       continue;
     }
     if (!out.empty() && rng.chance(cfg.flip_fraction)) {
-      Block b = out[rng.next_below(out.size())];
-      auto bytes = b.mutable_bytes();
+      const auto src = out[rng.next_below(out.size())].bytes();
+      std::vector<uint8_t> bytes(src.begin(), src.end());
       bytes[rng.next_below(bytes.size())] ^= static_cast<uint8_t>(1 + rng.next_below(255));
-      out.push_back(std::move(b));
+      out.emplace_back(std::move(bytes));
       continue;
     }
     if (rng.chance(cfg.zero_fraction)) {
       out.emplace_back();
       continue;
     }
-    Block b;
     if (i % 2 == 0) {
-      for (uint8_t& byte : b.mutable_bytes()) byte = static_cast<uint8_t>(rng.next());
-    } else {
-      for (size_t w = 0; w < kBlockBytes / 4; ++w) {
-        walk += rng.uniform(-1.0, 1.0);
-        const float v = static_cast<float>(std::round(walk * 4.0) / 4.0);
-        uint32_t bits;
-        __builtin_memcpy(&bits, &v, 4);
-        b.set_word32(w, bits);
-      }
+      std::vector<uint8_t> bytes(kBlockBytes);
+      for (uint8_t& byte : bytes) byte = static_cast<uint8_t>(rng.next());
+      out.emplace_back(std::move(bytes));
+      continue;
+    }
+    Block b;
+    for (size_t w = 0; w < kBlockBytes / 4; ++w) {
+      walk += rng.uniform(-1.0, 1.0);
+      const float v = static_cast<float>(std::round(walk * 4.0) / 4.0);
+      uint32_t bits;
+      __builtin_memcpy(&bits, &v, 4);
+      b.set_word32(w, bits);
     }
     out.push_back(std::move(b));
   }
