@@ -18,7 +18,9 @@
 // Fig. 5 first-fit order (sizes 1, 2, 4, [6], 8, [12], 16; symbol order
 // within a size), and ref_select() takes the first that covers the
 // overshoot. ref_decide() is the Fig. 4 mode decision of one block written
-// out over those.
+// out over those, and ref_slc_compress() writes the TSLC payload of that
+// decision field by field: the Fig. 6 header, then the ways with the
+// truncation window left out.
 //
 // The differential tests in test_codec_differential.cpp drive all of these
 // beside the production kernels, which sum each way once, read windows off
@@ -757,6 +759,73 @@ inline SlcCodec::Decision ref_decide(const E2mcCompressor& e2mc, const SlcConfig
   d.info.final_bits = comp_bits;
   d.info.bursts = bursts(comp_bits);
   return d;
+}
+
+/// The TSLC payload of one block under its reference decision (ref_decide):
+/// the block's bytes when stored raw, otherwise the Fig. 6 header and the
+/// ways, field by field through the reference BitWriter. The header is m
+/// (1 bit), ss (S bits, 2^S >= symbols), len (4 bits, count-1; 0 when
+/// lossless) and one N-bit pdp per way after the first (2^N >= block
+/// bytes), each the byte offset of its way, then zero-padded to a byte;
+/// each way codes its symbols outside the truncation window and pads to a
+/// byte.
+inline CompressedBlock ref_slc_compress(const E2mcCompressor& e2mc, const SlcConfig& cfg,
+                                        BlockView block) {
+  const SlcCodec::Decision d = ref_decide(e2mc, cfg, block);
+  CompressedBlock out;
+  if (d.info.stored_uncompressed) {
+    out.is_compressed = false;
+    out.bit_size = block.size() * 8;
+    out.payload.assign(block.bytes().begin(), block.bytes().end());
+    return out;
+  }
+  const auto bits_for = [](size_t values) {
+    unsigned n = 0;
+    while ((size_t{1} << n) < values) ++n;
+    return n;
+  };
+  const unsigned ways = e2mc.config().num_ways;
+  const size_t n = block.num_symbols();
+  const size_t per_way = n / ways;
+  const unsigned ss_bits = bits_for(n), pdp_bits = bits_for(block.size());
+  const size_t header_bytes = (1 + ss_bits + 4 + (ways - 1) * pdp_bits + 7) / 8;
+  const size_t skip_end = d.skip_start + d.skip_count;
+  const auto truncated = [&](size_t s) { return s >= d.skip_start && s < skip_end; };
+
+  std::vector<size_t> way_bits(ways, 0);
+  for (size_t s = 0; s < n; ++s)
+    if (!truncated(s)) way_bits[s / per_way] += e2mc.code().encoded_bits(block.symbol(s));
+
+  BitWriter w;
+  w.put_bit(d.info.lossy);
+  w.put(d.skip_start, ss_bits);
+  w.put(d.info.lossy ? d.skip_count - 1 : 0, 4);
+  size_t offset = header_bytes;
+  for (unsigned i = 1; i < ways; ++i) {
+    offset += (way_bits[i - 1] + 7) / 8;
+    w.put(offset, pdp_bits);
+  }
+  w.put(0, static_cast<unsigned>(header_bytes * 8 - w.bit_size()));
+
+  const HuffmanCode& code = e2mc.code();
+  for (unsigned way = 0; way < ways; ++way) {
+    for (size_t s = way * per_way; s < (way + 1) * per_way; ++s) {
+      if (truncated(s)) continue;
+      const uint16_t sym = block.symbol(s);
+      if (code.in_table(sym)) {
+        w.put(code.codeword(sym), code.codeword_len(sym));
+      } else {
+        w.put(code.esc_code(), code.esc_len());
+        w.put(sym, kSymbolBits);
+      }
+    }
+    w.put(0, static_cast<unsigned>((8 - w.bit_size() % 8) % 8));
+  }
+  out.is_compressed = true;
+  out.bit_size = w.bit_size();
+  out.payload = w.bytes();
+  assert(out.bit_size == d.info.final_bits);
+  return out;
 }
 
 }  // namespace slc::test

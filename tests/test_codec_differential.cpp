@@ -261,8 +261,9 @@ void expect_decision_eq(const SlcCodec::Decision& ref, const SlcCodec::Decision&
 }
 
 // SlcCodec::decide_batch with the memo off, on, and on with verify-on-hit,
-// and compress_batch's payloads (header fields, size, decoded block),
-// against ref_decide:
+// and compress_batch's payloads (header fields, size, decoded block, and
+// every byte against ref_slc_compress, pad bits included), against
+// ref_decide:
 // every variant and MAG, thresholds up to 64 B (an overshoot up to a whole
 // 16-symbol window), 64 B to 1 KiB blocks at 4 and 8 ways (the way counts
 // that split the block), and random, value-similar, duplicate-heavy (the
@@ -351,15 +352,18 @@ TEST(CodecDifferential, DecideMatchesReference) {
                 }
               }
 
-              // The payload carries the decision: its Fig. 6 header holds the
-              // mode and window, its size is the final size, and it decodes
-              // to the payload-free approximation of the block.
+              // The payload carries the decision: it is the reference payload
+              // byte for byte, its Fig. 6 header holds the mode and window,
+              // its size is the final size, and it decodes to the
+              // payload-free approximation of the block.
               cfg.cache = nullptr;
               const SlcCodec codec(e2mc, cfg);
               std::vector<CompressedBlock> cbs(views.size());
               codec.compress_batch(views, cbs.data());
               for (size_t i = 0; i < views.size(); ++i) {
                 const std::string what = tag + " compress block " + std::to_string(i);
+                test::expect_payload_eq(test::ref_slc_compress(*e2mc, cfg, views[i]), cbs[i],
+                                        what);
                 const SlcEncodeInfo& info = want[i].info;
                 EXPECT_EQ(cbs[i].is_compressed, !info.stored_uncompressed) << what;
                 EXPECT_EQ(cbs[i].bit_size, info.final_bits) << what;
