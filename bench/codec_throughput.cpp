@@ -13,8 +13,11 @@
 // is the same kernel with the runtime-dispatched SIMD variants enabled
 // (identical to "batch" on hosts without AVX2 — the JSON "meta" object
 // records which variant actually ran). Both batch paths must agree with the
-// scalar loop byte for byte — this driver exits non-zero if they diverge,
-// and ctest runs it as bench_codec_throughput_smoke for that check.
+// scalar loop byte for byte, and before decompress is timed every block
+// must decode to what its analysis promises: exactly, or for a lossy TSLC
+// block with at most its truncated symbols changed. This driver exits
+// non-zero if either check fails, and ctest runs it as
+// bench_codec_throughput_smoke for those checks.
 //
 // Usage: codec_throughput [benchmark] [--blocks N] [--json[=path]]
 //   defaults: SRAD2, 4096 blocks, JSON off (bare --json writes
@@ -92,7 +95,7 @@ int main(int argc, char** argv) try {
   // the E2MC length gathers underneath).
   const std::vector<std::string> schemes = {"BDI", "FPC", "C-PACK", "E2MC", "TSLC-OPT"};
   BenchReport report("codec_throughput");
-  bool all_identical = true;
+  bool all_ok = true;
 
   for (const std::string& scheme : schemes) {
     const auto comp = CodecRegistry::instance().create(
@@ -134,7 +137,7 @@ int main(int argc, char** argv) try {
       identical = analyses_equal(scalar_a[i], batch_a[i]) && analyses_equal(scalar_a[i], simd_a[i]);
     if (!identical) {
       std::printf("FATAL: %s analyze_batch diverged from the scalar loop\n", scheme.c_str());
-      all_identical = false;
+      all_ok = false;
     }
 
     // --- compress ------------------------------------------------------------
@@ -171,13 +174,28 @@ int main(int argc, char** argv) try {
       identical = payloads_equal(scalar_c[i], batch_c[i]) && payloads_equal(scalar_c[i], simd_c[i]);
     if (!identical) {
       std::printf("FATAL: %s compress_batch diverged from the scalar loop\n", scheme.c_str());
-      all_identical = false;
+      all_ok = false;
     }
 
     // --- decompress ----------------------------------------------------------
     // No batch decompress kernel exists (decompression is per-request on the
     // read path), but its throughput stays in the trajectory so a regression
-    // is visible in BENCH_codec.json.
+    // is visible in BENCH_codec.json. Each block must first decode to what
+    // its analysis promises: a block not reported lossy comes back exactly,
+    // a lossy one with at most its truncated symbols changed.
+    bool decoded = true;
+    for (size_t i = 0; i < blocks.size() && decoded; ++i) {
+      const Block got = comp->decompress(scalar_c[i], blocks[i].size());
+      size_t changed = 0;
+      for (size_t s = 0; s < views[i].num_symbols(); ++s)
+        changed += got.symbol(s) != views[i].symbol(s) ? 1 : 0;
+      decoded = changed <= (batch_a[i].lossy ? batch_a[i].truncated_symbols : 0);
+    }
+    if (!decoded) {
+      std::printf("FATAL: %s decompress does not return the blocks it compressed\n",
+                  scheme.c_str());
+      all_ok = false;
+    }
     const auto decompress_loop = [&] {
       for (size_t i = 0; i < blocks.size(); ++i)
         comp->decompress(scalar_c[i], blocks[i].size());
@@ -193,14 +211,14 @@ int main(int argc, char** argv) try {
   std::printf("spans of 1 for TSLC-OPT. \"scalar\" and \"batch\" pin the scalar sub-kernels;\n");
   std::printf("\"batch+simd\" lets runtime dispatch pick (this run: %s).\n",
               simd::active_level_name());
-  std::printf("Both batch paths are verified byte-identical to the scalar loop before\n");
-  std::printf("the table is printed.\n");
+  std::printf("Both batch paths are verified byte-identical to the scalar loop, and\n");
+  std::printf("every decoded block against its input, before the table is printed.\n");
 
   if (!json_path.empty()) {
     if (!report.write_json(json_path)) return 1;
     std::printf("\nwrote %s\n", json_path.c_str());
   }
-  return all_identical ? 0 : 1;
+  return all_ok ? 0 : 1;
 } catch (const std::exception& e) {
   std::fprintf(stderr, "error: %s\n", e.what());
   return 1;

@@ -6,7 +6,6 @@ namespace slc {
 
 uint64_t BitReader::get(unsigned nbits) {
   const uint64_t v = peek(nbits);
-  if (pos_ + nbits > bit_size()) overrun_ = true;
   pos_ += nbits;
   return v;
 }

@@ -23,8 +23,7 @@ class BitReader {
   /// the span dangling. Bind the buffer to a named variable first.
   explicit BitReader(std::vector<uint8_t>&&) = delete;
 
-  /// Reads `nbits` (<= 64) bits MSB-first. Reading past the end returns
-  /// zero-padded bits and sets overrun().
+  /// Reads `nbits` (<= 64) bits MSB-first. Bits past the end read as zero.
   uint64_t get(unsigned nbits);
 
   bool get_bit() { return get(1) != 0; }
@@ -40,13 +39,13 @@ class BitReader {
 
   size_t position() const { return pos_; }
   size_t bit_size() const { return data_.size() * 8; }
-  size_t remaining() const { return pos_ >= bit_size() ? 0 : bit_size() - pos_; }
-  bool overrun() const { return overrun_; }
+  /// True when a read or skip has passed the end of the data: the entropy
+  /// decoders check it after each symbol run.
+  bool overrun() const { return pos_ > bit_size(); }
 
  private:
   std::span<const uint8_t> data_;
   size_t pos_ = 0;
-  bool overrun_ = false;
 };
 
 }  // namespace slc

@@ -74,6 +74,8 @@ class Block {
 
   size_t size() const { return data_.size(); }
   std::span<const uint8_t> bytes() const { return data_; }
+  /// The bytes, for a decoder that writes a run of them in place.
+  uint8_t* data() { return data_.data(); }
   BlockView view() const { return BlockView(data_); }
 
   uint16_t symbol(size_t i) const { return view().symbol(i); }

@@ -1,6 +1,7 @@
 // Internal helpers for the schemes' batched kernels (bdi/fpc/cpack/e2mc/
 // huffman and the SLC codec): little-endian word loads, the span bit writer,
-// the stored-raw rule and the one payload layout every compress kernel uses.
+// both halves of the stored-raw rule and the one payload layout every
+// compress kernel uses.
 //
 // SpanBitWriter writes MSB-first with the final partial byte zero-padded,
 // accumulating into a 64-bit register and emitting whole bytes. Its streams
@@ -15,6 +16,7 @@
 #include <cstdint>
 #include <cstring>
 #include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "compress/compressor.h"
@@ -105,6 +107,14 @@ inline BlockAnalysis lossless_size(size_t bits, size_t block_bytes) {
   a.bit_size = a.is_compressed ? bits : block_bytes * 8;
   a.lossless_bits = a.bit_size;
   return a;
+}
+
+/// The decode half of the stored-raw rule, for every decompress: the payload
+/// is the block's bytes, and a shorter one throws std::invalid_argument.
+inline Block stored_raw_block(const CompressedBlock& cb, size_t block_bytes) {
+  if (cb.payload.size() < block_bytes)
+    throw std::invalid_argument("stored-raw payload is shorter than its block");
+  return Block(std::span<const uint8_t>(cb.payload.data(), block_bytes));
 }
 
 /// lossless_size() into a compress kernel's slot, ahead of scatter_payloads().

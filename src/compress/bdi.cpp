@@ -144,9 +144,7 @@ size_t BdiCompressor::encoding_bits(BdiEncoding enc, size_t block_bytes) {
 
 Block BdiCompressor::decompress(const CompressedBlock& cb, size_t block_bytes) const {
   check_block_bytes(block_bytes, 8, "BDI");
-  if (!cb.is_compressed) {
-    return Block(std::span<const uint8_t>(cb.payload.data(), block_bytes));
-  }
+  if (!cb.is_compressed) return detail::stored_raw_block(cb, block_bytes);
   BitReader r(cb.payload);
   const auto enc = static_cast<BdiEncoding>(r.get(kTagBits));
   Block out(block_bytes);

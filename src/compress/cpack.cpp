@@ -132,9 +132,7 @@ unsigned CpackCompressor::code_bits(CpackCode c) const {
 
 Block CpackCompressor::decompress(const CompressedBlock& cb, size_t block_bytes) const {
   check_block_bytes(block_bytes, 4, "C-PACK");
-  if (!cb.is_compressed) {
-    return Block(std::span<const uint8_t>(cb.payload.data(), block_bytes));
-  }
+  if (!cb.is_compressed) return detail::stored_raw_block(cb, block_bytes);
   Block out(block_bytes);
   BitReader r(cb.payload);
   RingDict dict(dict_entries_);

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cassert>
 #include <stdexcept>
 #include <string>
 
@@ -21,43 +20,9 @@ constexpr size_t kMaxStagedSymbols = 256;
 
 std::atomic<uint64_t> g_next_model_id{1};
 
-// Writes the pdp header and the byte-aligned ways of `block` into `w`
-// (which must be empty) according to `lo`.
-void emit_ways(const E2mcCompressor& e2mc, BlockView block, const WayLayout& lo,
-               detail::SpanBitWriter& w) {
-  const unsigned ways = e2mc.config().num_ways;
-  const HuffmanCode& code = e2mc.code();
-  const unsigned pdp = E2mcCompressor::pdp_bits(block.size());
-  const size_t per_way = e2mc.symbols_per_way(block.num_symbols());
-  // Header: pdp_i = byte offset of way i (i = 1..num_ways-1) within payload.
-  const size_t header_bytes = (e2mc.header_bits(block.size()) + 7) / 8;
-  size_t off = header_bytes;
-  for (unsigned i = 1; i < ways; ++i) {
-    off += lo.way_bytes[i - 1];
-    w.put(off, pdp);
-  }
-  // Pad header to a byte boundary.
-  const size_t pad = header_bytes * 8 - w.bit_size();
-  if (pad) w.put(0, static_cast<unsigned>(pad));
-
-  for (unsigned way = 0; way < ways; ++way) {
-    const size_t start_bit = w.bit_size();
-    for (size_t s = way * per_way; s < (way + 1) * per_way; ++s) {
-      const uint16_t sym = block.symbol(s);
-      if (code.in_table(sym)) {
-        w.put(code.codeword(sym), code.codeword_len(sym));
-      } else {
-        w.put(code.esc_code(), code.esc_len());
-        w.put(sym, kSymbolBits);
-      }
-    }
-    // Byte-align the way.
-    const size_t used = w.bit_size() - start_bit;
-    assert(used == lo.way_bits[way]);
-    (void)used;
-    const size_t aligned = lo.way_bytes[way] * 8;
-    if (aligned > used) w.put(0, static_cast<unsigned>(aligned - used));
-  }
+// Zero-pads `w` to a byte: the header and every way end on one.
+void pad_to_byte(detail::SpanBitWriter& w) {
+  w.put(0, static_cast<unsigned>((8 - w.bit_size() % 8) % 8));
 }
 
 }  // namespace
@@ -82,6 +47,58 @@ unsigned E2mcCompressor::pdp_bits(size_t block_bytes) {
   unsigned n = 0;
   while ((size_t{1} << n) < block_bytes) ++n;
   return n;
+}
+
+void WayLayout::way_offsets(unsigned num_ways, uint32_t* out) const {
+  size_t off = (header_bits + 7) / 8;
+  for (unsigned i = 1; i < num_ways; ++i) {
+    off += way_bytes[i - 1];
+    out[i] = static_cast<uint32_t>(off);
+  }
+}
+
+void E2mcCompressor::write_pdps(detail::SpanBitWriter& w, size_t block_bytes, unsigned num_ways,
+                                const uint32_t* way_offsets) {
+  const unsigned pdp = pdp_bits(block_bytes);
+  for (unsigned i = 1; i < num_ways; ++i) w.put(way_offsets[i], pdp);
+  pad_to_byte(w);
+}
+
+void E2mcCompressor::read_pdps(BitReader& r, size_t block_bytes, unsigned num_ways,
+                               uint32_t* way_offsets) {
+  const unsigned pdp = pdp_bits(block_bytes);
+  for (unsigned i = 1; i < num_ways; ++i) way_offsets[i] = static_cast<uint32_t>(r.get(pdp));
+  r.seek((r.position() + 7) / 8 * 8);
+}
+
+void E2mcCompressor::emit_ways(BlockView block, detail::SpanBitWriter& w, size_t skip_start,
+                               size_t skip_count) const {
+  const size_t per_way = symbols_per_way(block.num_symbols());
+  const size_t skip_end = skip_start + skip_count;
+  for (unsigned way = 0; way < cfg_.num_ways; ++way) {
+    const size_t begin = way * per_way, end = begin + per_way;
+    code_.encode_run(block, begin, std::clamp(skip_start, begin, end), w);
+    code_.encode_run(block, std::clamp(skip_end, begin, end), end, w);
+    pad_to_byte(w);
+  }
+}
+
+void E2mcCompressor::decode_ways(BitReader& r, const uint32_t* way_offsets, Block& out,
+                                 size_t skip_start, size_t skip_count) const {
+  const size_t per_way = symbols_per_way(out.size() * 8 / kSymbolBits);
+  const size_t skip_end = skip_start + skip_count;
+  size_t start = r.position();  // way 0's: the end of the header
+  for (unsigned way = 0; way < cfg_.num_ways; ++way) {
+    // Way i starts at pdp i: in order, and none past the payload.
+    const size_t next = way + 1 < cfg_.num_ways ? size_t{way_offsets[way + 1]} * 8 : r.bit_size();
+    if (next < start)
+      throw std::invalid_argument("E2MC: way offsets out of order or past the payload");
+    const size_t begin = way * per_way, end = begin + per_way;
+    r.seek(start);
+    code_.decode_run(r, out, begin, std::clamp(skip_start, begin, end));
+    code_.decode_run(r, out, std::clamp(skip_end, begin, end), end);
+    start = next;
+  }
 }
 
 void E2mcCompressor::code_lengths(BlockView block, uint16_t* lens, simd::Level level) const {
@@ -176,37 +193,21 @@ void E2mcCompressor::compress_batch(std::span<const BlockView> blocks,
   }
 
   detail::scatter_payloads(blocks, out, [&](size_t b, detail::SpanBitWriter& w) {
-    emit_ways(*this, blocks[b], layouts[b], w);
+    uint32_t way_offsets[8] = {};
+    layouts[b].way_offsets(cfg_.num_ways, way_offsets);
+    write_pdps(w, blocks[b].size(), cfg_.num_ways, way_offsets);
+    emit_ways(blocks[b], w);
   });
 }
 
 Block E2mcCompressor::decompress(const CompressedBlock& cb, size_t block_bytes) const {
   check_block_bytes(block_bytes, kSymbolBits / 8, "E2MC");
-  if (!cb.is_compressed) {
-    return Block(std::span<const uint8_t>(cb.payload.data(), block_bytes));
-  }
-  const unsigned pdp = pdp_bits(block_bytes);
-  const size_t per_way = symbols_per_way(block_bytes * 8 / kSymbolBits);
-  const size_t header_bytes = (header_bits(block_bytes) + 7) / 8;
-
-  BitReader hdr(cb.payload);
-  std::array<size_t, 8> way_off{};
-  way_off[0] = header_bytes;
-  for (unsigned i = 1; i < cfg_.num_ways; ++i) way_off[i] = hdr.get(pdp);
-
+  if (!cb.is_compressed) return detail::stored_raw_block(cb, block_bytes);
+  BitReader r(cb.payload);
+  uint32_t way_offsets[8] = {};
+  read_pdps(r, block_bytes, cfg_.num_ways, way_offsets);
   Block out(block_bytes);
-  for (unsigned way = 0; way < cfg_.num_ways; ++way) {
-    BitReader r(cb.payload);
-    r.seek(way_off[way] * 8);
-    for (size_t s = way * per_way; s < (way + 1) * per_way; ++s) {
-      const auto step = code_.decode(static_cast<uint16_t>(r.peek(16)));
-      assert(step.bits > 0 && "invalid codeword");
-      r.skip(step.bits);
-      uint16_t sym = step.symbol;
-      if (step.is_escape) sym = static_cast<uint16_t>(r.get(kSymbolBits));
-      out.set_symbol(s, sym);
-    }
-  }
+  decode_ways(r, way_offsets, out);
   return out;
 }
 

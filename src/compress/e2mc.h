@@ -33,6 +33,10 @@ struct WayLayout {
   std::array<size_t, 8> way_bytes{};  // byte-aligned sizes
   size_t header_bits = 0;
   size_t total_bits = 0;  // header (byte-padded) + sum(way_bytes)*8
+
+  /// The pdps: out[i] = byte offset of way i (1 <= i < num_ways) in the
+  /// payload, after the byte-padded header and ways 0..i-1.
+  void way_offsets(unsigned num_ways, uint32_t* out) const;
 };
 
 class E2mcCompressor : public Compressor {
@@ -50,8 +54,8 @@ class E2mcCompressor : public Compressor {
 
   /// Batched kernels: analyze sums encoded bits per way straight off the
   /// flattened code-length table (8-lane gathers when AVX2 is active);
-  /// compress runs the same probe into a way layout per block, then emits
-  /// through the shared payload scatter.
+  /// compress runs the same probe into a way layout per block, then writes
+  /// its pdps and ways through the shared payload scatter.
   using Compressor::compress_batch;
   void analyze_batch(std::span<const BlockView> blocks, BlockAnalysis* out) const override;
   void compress_batch(std::span<const BlockView> blocks, CompressedBlock* out) const override;
@@ -91,6 +95,30 @@ class E2mcCompressor : public Compressor {
 
   /// pdp width: N bits with 2^N = block size in bytes.
   static unsigned pdp_bits(size_t block_bytes);
+
+  // --- the way layer ---------------------------------------------------------
+  // E2MC payload: the pdps, byte-padded, then ways of HuffmanCode symbol runs.
+  // A TSLC payload adds its Fig. 6 fields in front and cuts its window out.
+
+  /// Writes way_offsets[1..num_ways-1] as pdp_bits(block_bytes)-bit pdps and
+  /// byte-pads, as the pdps end a header; read_pdps() reads them back and
+  /// leaves `r` at the first way.
+  static void write_pdps(detail::SpanBitWriter& w, size_t block_bytes, unsigned num_ways,
+                         const uint32_t* way_offsets);
+  static void read_pdps(BitReader& r, size_t block_bytes, unsigned num_ways,
+                        uint32_t* way_offsets);
+
+  /// Emits the ways of `block`: each codes its symbols outside the window
+  /// [skip_start, skip_start + skip_count) as the runs on either side of it
+  /// and zero-pads to a byte. decode_ways() reads them into `out`, way 0
+  /// from r's position and way i from byte way_offsets[i], leaving the
+  /// window as it is; it throws std::invalid_argument unless those starts
+  /// lie in order within the payload and every run ends inside it, and like
+  /// symbols_per_way().
+  void emit_ways(BlockView block, detail::SpanBitWriter& w, size_t skip_start = 0,
+                 size_t skip_count = 0) const;
+  void decode_ways(BitReader& r, const uint32_t* way_offsets, Block& out, size_t skip_start = 0,
+                   size_t skip_count = 0) const;
 
   /// Baseline E2MC header: 3 pdps (no mode/ss/len fields).
   size_t header_bits(size_t block_bytes) const {

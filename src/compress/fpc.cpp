@@ -133,9 +133,7 @@ void emit_from_classes(const uint8_t* p, size_t n_words, const uint8_t* cls,
 
 Block FpcCompressor::decompress(const CompressedBlock& cb, size_t block_bytes) const {
   check_block_bytes(block_bytes, 4, "FPC");
-  if (!cb.is_compressed) {
-    return Block(std::span<const uint8_t>(cb.payload.data(), block_bytes));
-  }
+  if (!cb.is_compressed) return detail::stored_raw_block(cb, block_bytes);
   Block out(block_bytes);
   BitReader r(cb.payload);
   const size_t n_words = block_bytes / 4;

@@ -6,7 +6,6 @@
 #include <numeric>
 #include <stdexcept>
 
-#include "common/bitstream.h"
 #include "compress/batch_writer.h"
 #include "compress/codec_registry.h"
 #include "compress/e2mc.h"
@@ -114,7 +113,6 @@ std::vector<unsigned> package_merge_lengths(std::span<const uint64_t> weights, u
 HuffmanCode HuffmanCode::build(const SymbolFrequencies& freqs, size_t max_entries,
                                unsigned max_len) {
   HuffmanCode hc;
-  hc.max_len_ = max_len;
   hc.len_.assign(size_t{1} << kSymbolBits, 0);
   hc.code_.assign(size_t{1} << kSymbolBits, 0);
 
@@ -177,7 +175,7 @@ HuffmanCode HuffmanCode::build(const SymbolFrequencies& freqs, size_t max_entrie
 }
 
 void HuffmanCode::build_lut() {
-  lut_.assign(size_t{1} << kSymbolBits, DecodeStep{0, 0, false});
+  lut_.assign(size_t{1} << kSymbolBits, DecodeStep{0, 0, true});  // no codeword
   auto fill = [&](uint32_t code, unsigned len, uint16_t sym, bool esc) {
     assert(len >= 1 && len <= 16);
     const uint32_t lo = code << (16 - len);
@@ -187,6 +185,19 @@ void HuffmanCode::build_lut() {
   for (uint32_t s = 0; s < (1u << kSymbolBits); ++s)
     if (len_[s]) fill(code_[s], len_[s], static_cast<uint16_t>(s), false);
   if (esc_len_) fill(esc_code_, esc_len_, 0, true);
+}
+
+void HuffmanCode::encode_run(BlockView block, size_t begin, size_t end,
+                             detail::SpanBitWriter& w) const {
+  for (size_t s = begin; s < end; ++s) {
+    const uint16_t sym = block.symbol(s);
+    if (in_table(sym)) {
+      w.put(codeword(sym), codeword_len(sym));
+    } else {
+      w.put(esc_code(), esc_len());
+      w.put(sym, kSymbolBits);
+    }
+  }
 }
 
 std::shared_ptr<HuffmanCompressor> HuffmanCompressor::train(std::span<const uint8_t> sample,
@@ -232,35 +243,16 @@ void HuffmanCompressor::compress_batch(std::span<const BlockView> blocks,
   }
 
   detail::scatter_payloads(blocks, out, [&](size_t b, detail::SpanBitWriter& w) {
-    const uint8_t* p = blocks[b].bytes().data();
-    for (size_t i = 0; i < blocks[b].num_symbols(); ++i) {
-      const uint16_t sym = detail::load_le16(p + 2 * i);
-      if (code_.in_table(sym)) {
-        w.put(code_.codeword(sym), code_.codeword_len(sym));
-      } else {
-        w.put(code_.esc_code(), code_.esc_len());
-        w.put(sym, kSymbolBits);
-      }
-    }
+    code_.encode_run(blocks[b], 0, blocks[b].num_symbols(), w);
   });
 }
 
 Block HuffmanCompressor::decompress(const CompressedBlock& cb, size_t block_bytes) const {
   check_block_bytes(block_bytes, kSymbolBits / 8, "Huffman");
-  if (!cb.is_compressed) {
-    return Block(std::span<const uint8_t>(cb.payload.data(), block_bytes));
-  }
+  if (!cb.is_compressed) return detail::stored_raw_block(cb, block_bytes);
   Block out(block_bytes);
   BitReader r(cb.payload);
-  const size_t n_sym = block_bytes * 8 / kSymbolBits;
-  for (size_t s = 0; s < n_sym; ++s) {
-    const auto step = code_.decode(static_cast<uint16_t>(r.peek(16)));
-    assert(step.bits > 0 && "invalid codeword");
-    r.skip(step.bits);
-    uint16_t sym = step.symbol;
-    if (step.is_escape) sym = static_cast<uint16_t>(r.get(kSymbolBits));
-    out.set_symbol(s, sym);
-  }
+  code_.decode_run(r, out, 0, block_bytes * 8 / kSymbolBits);
   return out;
 }
 

@@ -13,12 +13,18 @@
 #include <limits>
 #include <memory>
 #include <span>
+#include <stdexcept>
 #include <vector>
 
+#include "common/bitstream.h"
 #include "common/block.h"
 #include "compress/compressor.h"
 
 namespace slc {
+
+namespace detail {
+class SpanBitWriter;
+}
 
 /// Symbol frequency table over the full 16-bit alphabet.
 class SymbolFrequencies {
@@ -76,11 +82,12 @@ class HuffmanCode {
   uint32_t codeword(uint16_t sym) const { return code_[sym]; }
   unsigned esc_len() const { return esc_len_; }
   uint32_t esc_code() const { return esc_code_; }
-  unsigned max_len() const { return max_len_; }
 
   /// Decodes one symbol from the MSB-first 16-bit window `peek16`
   /// (zero-padded past end of stream). Returns {symbol, bits_consumed,
-  /// is_escape}; when is_escape, the caller must read 16 raw bits next.
+  /// is_escape}; when is_escape, the caller must read 16 raw bits next. A
+  /// window that starts no codeword (only an incomplete code, such as an
+  /// escape-only one, has such windows) reads as an escape of 0 bits.
   struct DecodeStep {
     uint16_t symbol;
     unsigned bits;
@@ -88,12 +95,35 @@ class HuffmanCode {
   };
   DecodeStep decode(uint16_t peek16) const { return lut_[peek16]; }
 
+  /// The symbol-run coder of every entropy payload: encode_run() writes
+  /// symbols [begin, end) of `block` as codewords, or the escape and 16 raw
+  /// bits; decode_run() reads them back into `out` and throws
+  /// std::invalid_argument on a non-codeword or a run past r's data. It is
+  /// inline, with one pointer to the bytes, to keep the copies' tight loop.
+  void encode_run(BlockView block, size_t begin, size_t end, detail::SpanBitWriter& w) const;
+  void decode_run(BitReader& r, Block& out, size_t begin, size_t end) const {
+    uint8_t* const bytes = out.data();
+    for (size_t s = begin; s < end; ++s) {
+      const DecodeStep step = decode(static_cast<uint16_t>(r.peek(16)));
+      r.skip(step.bits);
+      uint16_t sym = step.symbol;
+      if (step.is_escape) {
+        if (step.bits == 0)
+          throw std::invalid_argument("entropy payload: not a codeword of the code");
+        sym = static_cast<uint16_t>(r.get(kSymbolBits));
+      }
+      bytes[2 * s] = static_cast<uint8_t>(sym);
+      bytes[2 * s + 1] = static_cast<uint8_t>(sym >> 8);
+    }
+    if (r.overrun())
+      throw std::invalid_argument("entropy payload: a symbol run ends past the payload");
+  }
+
  private:
   std::vector<uint8_t> len_;   // 65536 entries; 0 = escaped
   std::vector<uint32_t> code_; // canonical codewords (left-aligned to len)
   unsigned esc_len_ = 0;
   uint32_t esc_code_ = 0;
-  unsigned max_len_ = 16;
   std::vector<DecodeStep> lut_;      // 65536-entry peek-decoder
   std::vector<uint32_t> enc_bits_;   // 65536-entry encoded_bits() table
 
@@ -120,7 +150,7 @@ class HuffmanCompressor : public Compressor {
 
   /// Batched kernels: analyze sums each block's symbol lengths off
   /// HuffmanCode::encoded_bits_table(); compress sizes every block the same
-  /// way and emits each block's codewords through the shared payload
+  /// way and emits each block as one symbol run through the shared payload
   /// scatter.
   using Compressor::compress_batch;
   void analyze_batch(std::span<const BlockView> blocks, BlockAnalysis* out) const override;

@@ -63,47 +63,6 @@ size_t SlcCodec::header_bits(size_t block_bytes) const {
   return SlcHeader::bits(block_bytes, lossless_->config().num_ways, n_sym);
 }
 
-void SlcCodec::encode_into(BlockView block, const Decision& d,
-                           std::span<const uint16_t> lens, detail::SpanBitWriter& w) const {
-  const unsigned num_ways = lossless_->config().num_ways;
-  const size_t n_sym = block.num_symbols();
-  const size_t per_way = lossless_->symbols_per_way(n_sym);
-  const size_t skip_start = d.skip_start, skip_count = d.skip_count;
-  const WayLayout lo =
-      lossless_->layout(lens, header_bits(block.size()), skip_start, skip_count);
-
-  // The Fig. 6 header, with the pdp way offsets filled in.
-  SlcHeader h;
-  h.lossy = d.info.lossy;
-  h.start_symbol = static_cast<uint32_t>(skip_start);
-  h.approx_count = static_cast<uint8_t>(d.info.lossy ? skip_count : 0);
-  size_t off = SlcHeader::padded_bytes(block.size(), num_ways, n_sym);
-  for (unsigned i = 1; i < num_ways; ++i) {
-    off += lo.way_bytes[i - 1];
-    h.way_offsets[i] = static_cast<uint32_t>(off);
-  }
-
-  const HuffmanCode& code = lossless_->code();
-  h.write(w, block.size(), num_ways, n_sym);
-  for (unsigned way = 0; way < num_ways; ++way) {
-    const size_t start_bit = w.bit_size();
-    for (size_t s = way * per_way; s < (way + 1) * per_way; ++s) {
-      if (s >= skip_start && s < skip_start + skip_count) continue;
-      const uint16_t sym = block.symbol(s);
-      if (code.in_table(sym)) {
-        w.put(code.codeword(sym), code.codeword_len(sym));
-      } else {
-        w.put(code.esc_code(), code.esc_len());
-        w.put(sym, kSymbolBits);
-      }
-    }
-    const size_t used = w.bit_size() - start_bit;
-    assert(used == lo.way_bits[way]);
-    const size_t aligned = lo.way_bytes[way] * 8;
-    if (aligned > used) w.put(0, static_cast<unsigned>(aligned - used));
-  }
-}
-
 SlcCodec::Geometry SlcCodec::geometry(size_t block_bytes) const {
   check_block_bytes(block_bytes, kSymbolBits / 8, "SlcCodec");
   Geometry g;
@@ -418,49 +377,35 @@ void SlcCodec::compress_batch(std::span<const BlockView> blocks, CompressedBlock
     out[b].is_compressed = !ds[b].info.stored_uncompressed;
   }
 
+  // Each payload: the Fig. 6 header (m, ss, len, then the pdps of the cut
+  // layout), then the E2MC ways with the truncation window left out.
+  const unsigned num_ways = lossless_->config().num_ways;
   detail::scatter_payloads(blocks, out, [&](size_t b, detail::SpanBitWriter& w) {
-    encode_into(blocks[b], ds[b], block_lens(b), w);
-    assert(!ds[b].info.lossy || w.bit_size() <= ds[b].info.bursts * cfg_.mag_bytes * 8);
+    const BlockView block = blocks[b];
+    const Decision& d = ds[b];
+    const WayLayout lo =
+        lossless_->layout(block_lens(b), header_bits(block.size()), d.skip_start, d.skip_count);
+    SlcHeader h;
+    h.lossy = d.info.lossy;
+    h.start_symbol = static_cast<uint32_t>(d.skip_start);
+    h.approx_count = static_cast<uint8_t>(d.info.lossy ? d.skip_count : 0);
+    lo.way_offsets(num_ways, h.way_offsets);
+    h.write(w, block.size(), num_ways, block.num_symbols());
+    lossless_->emit_ways(block, w, d.skip_start, d.skip_count);
+    assert(!d.info.lossy || w.bit_size() <= d.info.bursts * cfg_.mag_bytes * 8);
   });
 }
 
 Block SlcCodec::decompress(const CompressedBlock& cb, size_t block_bytes) const {
   check_block_bytes(block_bytes, kSymbolBits / 8, "SlcCodec");
-  if (!cb.is_compressed) {
-    return Block(std::span<const uint8_t>(cb.payload.data(), block_bytes));
-  }
-  const unsigned num_ways = lossless_->config().num_ways;
-  const size_t n_sym = block_bytes * 8 / kSymbolBits;
-  const size_t per_way = lossless_->symbols_per_way(n_sym);
-  const HuffmanCode& code = lossless_->code();
-
-  BitReader hdr_reader(cb.payload);
-  const SlcHeader h = SlcHeader::read(hdr_reader, block_bytes, num_ways, n_sym);
-  const size_t skip_start = h.lossy ? h.start_symbol : 0;
-  const size_t skip_count = h.lossy ? h.approx_count : 0;
-
+  if (!cb.is_compressed) return detail::stored_raw_block(cb, block_bytes);
+  BitReader r(cb.payload);
+  const SlcHeader h = SlcHeader::read(r, block_bytes, lossless_->config().num_ways,
+                                      block_bytes * 8 / kSymbolBits);
+  // A lossless header's len reads as 0: its window is empty.
   Block out(block_bytes);
-  std::array<size_t, 8> way_off{};
-  way_off[0] = SlcHeader::padded_bytes(block_bytes, num_ways, n_sym);
-  for (unsigned i = 1; i < num_ways; ++i) way_off[i] = h.way_offsets[i];
-
-  for (unsigned way = 0; way < num_ways; ++way) {
-    BitReader r(cb.payload);
-    r.seek(way_off[way] * 8);
-    for (size_t s = way * per_way; s < (way + 1) * per_way; ++s) {
-      if (s >= skip_start && s < skip_start + skip_count) {
-        continue;  // not in the stream; fill_approximated() writes it below
-      }
-      const auto step = code.decode(static_cast<uint16_t>(r.peek(16)));
-      assert(step.bits > 0 && "invalid codeword");
-      r.skip(step.bits);
-      uint16_t sym = step.symbol;
-      if (step.is_escape) sym = static_cast<uint16_t>(r.get(kSymbolBits));
-      out.set_symbol(s, sym);
-    }
-  }
-
-  if (h.lossy && skip_count > 0) fill_approximated(out, skip_start, skip_count);
+  lossless_->decode_ways(r, h.way_offsets, out, h.start_symbol, h.approx_count);
+  if (h.approx_count > 0) fill_approximated(out, h.start_symbol, h.approx_count);
   return out;
 }
 

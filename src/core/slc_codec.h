@@ -233,11 +233,6 @@ class SlcCodec {
   /// approx_decode() share, so the payload and payload-free decodes cannot
   /// drift apart.
   void fill_approximated(Block& out, size_t skip_start, size_t skip_count) const;
-
-  /// Emits the block per decision `d` (symbols of the truncation window
-  /// removed) into `w`, which must be empty: d.info.final_bits bits.
-  void encode_into(BlockView block, const Decision& d, std::span<const uint16_t> lens,
-                   detail::SpanBitWriter& w) const;
 };
 
 }  // namespace slc

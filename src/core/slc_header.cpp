@@ -1,6 +1,7 @@
 #include "core/slc_header.h"
 
 #include <cassert>
+#include <stdexcept>
 
 #include "compress/batch_writer.h"
 #include "compress/e2mc.h"
@@ -30,11 +31,7 @@ void SlcHeader::write(detail::SpanBitWriter& w, size_t block_bytes, unsigned num
   // len is stored as count-1 (1..16 -> 0..15); lossless blocks store 0.
   const unsigned len_field = approx_count == 0 ? 0 : approx_count - 1u;
   w.put(len_field, kLenBits);
-  const unsigned pdp = E2mcCompressor::pdp_bits(block_bytes);
-  for (unsigned i = 1; i < num_ways; ++i) w.put(way_offsets[i], pdp);
-  // Pad to byte boundary.
-  const size_t target = padded_bytes(block_bytes, num_ways, num_symbols) * 8;
-  if (target > w.bit_size()) w.put(0, static_cast<unsigned>(target - w.bit_size()));
+  E2mcCompressor::write_pdps(w, block_bytes, num_ways, way_offsets);
 }
 
 SlcHeader SlcHeader::read(BitReader& r, size_t block_bytes, unsigned num_ways,
@@ -44,10 +41,9 @@ SlcHeader SlcHeader::read(BitReader& r, size_t block_bytes, unsigned num_ways,
   h.start_symbol = static_cast<uint32_t>(r.get(ss_bits(num_symbols)));
   const auto len_field = static_cast<uint8_t>(r.get(kLenBits));
   h.approx_count = h.lossy ? static_cast<uint8_t>(len_field + 1) : 0;
-  const unsigned pdp = E2mcCompressor::pdp_bits(block_bytes);
-  for (unsigned i = 1; i < num_ways; ++i)
-    h.way_offsets[i] = static_cast<uint32_t>(r.get(pdp));
-  r.seek((r.position() + 7) / 8 * 8);  // skip header padding
+  E2mcCompressor::read_pdps(r, block_bytes, num_ways, h.way_offsets);
+  if (h.lossy && h.start_symbol + size_t{h.approx_count} > num_symbols)
+    throw std::invalid_argument("SlcHeader: the lossy window [ss, ss + len) leaves the block");
   return h;
 }
 

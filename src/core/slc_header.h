@@ -6,6 +6,9 @@
 // bytes. For the paper's geometry (128 B block, 4 ways) the header is
 // 1+6+4+3*7 = 32 bits; larger blocks widen ss and pdp past 8 bits.
 // Uncompressed blocks carry no header; the burst count lives in the MDC.
+// An SLC block is an E2MC block with a wider header: write()/read() call
+// E2MC's pdp pair (E2mcCompressor::write_pdps/read_pdps) after m, ss and
+// len, and read() rejects a lossy window [ss, ss + len) that leaves the block.
 #pragma once
 
 #include <cstddef>
@@ -37,6 +40,8 @@ struct SlcHeader {
   /// Writes the header, byte-padded. The header must start at bit 0 of `w`.
   void write(detail::SpanBitWriter& w, size_t block_bytes, unsigned num_ways,
              size_t num_symbols) const;
+  /// Reads a header from bit 0 of `r`, leaving `r` at the first way; throws
+  /// std::invalid_argument when a lossy window leaves the block.
   static SlcHeader read(BitReader& r, size_t block_bytes, unsigned num_ways,
                         size_t num_symbols);
 };

@@ -1,8 +1,11 @@
 // SLC compressed-block header (Fig. 6): m + ss + len + 3 pdps = 32 bits.
 // SlcHeader::write's bytes are checked against the Fig. 6 fields written one
-// by one through the reference BitWriter.
+// by one through the reference BitWriter, and SlcHeader::read must reject a
+// lossy window that leaves the block.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "bit_writer.h"
@@ -90,6 +93,35 @@ TEST(SlcHeader, AllLenValues) {
     const SlcHeader back = SlcHeader::read(r, 128, 4, 64);
     EXPECT_EQ(back.approx_count, count);
     EXPECT_EQ(back.start_symbol, count % 64);
+  }
+}
+
+// A lossy window ending at the last symbol is read, one symbol further is
+// not (at 96 B and 128 B). ss is 6 bits at both sizes, so it holds 0..63.
+TEST(SlcHeader, ReadRejectsWindowLeavingTheBlock) {
+  for (const size_t block_bytes : {size_t{96}, size_t{128}}) {
+    const size_t n_sym = block_bytes / 2;
+    for (const size_t count : {size_t{1}, size_t{9}, size_t{16}}) {
+      for (const size_t start : {n_sym - count, n_sym - count + 1, size_t{63}}) {
+        if (start > 63) continue;
+        SlcHeader h;
+        h.lossy = true;
+        h.start_symbol = static_cast<uint32_t>(start);
+        h.approx_count = static_cast<uint8_t>(count);
+        std::vector<uint8_t> bytes(SlcHeader::padded_bytes(block_bytes, 4, n_sym));
+        detail::SpanBitWriter w(bytes.data());
+        h.write(w, block_bytes, 4, n_sym);
+        w.finish();
+        BitReader r(bytes);
+        const std::string what = std::to_string(block_bytes) + " B, ss " +
+                                 std::to_string(start) + " len " + std::to_string(count);
+        if (start + count <= n_sym) {
+          EXPECT_EQ(SlcHeader::read(r, block_bytes, 4, n_sym).start_symbol, start) << what;
+        } else {
+          EXPECT_THROW(SlcHeader::read(r, block_bytes, 4, n_sym), std::invalid_argument) << what;
+        }
+      }
+    }
   }
 }
 
