@@ -6,6 +6,7 @@
 // bytes. For the paper's geometry (128 B block, 4 ways) the header is
 // 1+6+4+3*7 = 32 bits; larger blocks widen ss and pdp past 8 bits.
 // Uncompressed blocks carry no header; the burst count lives in the MDC.
+//
 // An SLC block is an E2MC block with a wider header: write()/read() call
 // E2MC's pdp pair (E2mcCompressor::write_pdps/read_pdps) after m, ss and
 // len, and read() rejects a lossy window [ss, ss + len) that leaves the block.
