@@ -11,7 +11,7 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "core/slc_compressor.h"
+#include "core/slc_codec.h"
 #include "core/tree_selector.h"
 
 using namespace slc;
@@ -30,11 +30,10 @@ int main() {
 
   std::vector<double> waste_base_all, waste_opt_all;
   for (const std::string& name : names) {
-    const auto slc_comp = std::dynamic_pointer_cast<const SlcCompressor>(
+    const auto codec = std::dynamic_pointer_cast<const SlcCodec>(
         CodecRegistry::instance().create("TSLC-PRED",
                                          codec_options_for(name, mag, threshold)));
-    const SlcCodec& codec = slc_comp->codec();
-    const E2mcCompressor& e2mc = codec.lossless();
+    const E2mcCompressor& e2mc = codec->lossless();
     const auto blocks = to_blocks(workload_image_cached(name));
 
     std::vector<uint16_t> lens;  // one block's code lengths, reused
@@ -45,7 +44,7 @@ int main() {
       ++total;
       lens.resize(b.view().num_symbols());
       e2mc.code_lengths(b.view(), lens.data());
-      const auto lo = e2mc.layout(lens, codec.header_bits(b.size()));
+      const auto lo = e2mc.layout(lens, codec->header_bits(b.size()));
       const size_t comp = lo.total_bits;
       if (comp >= b.size() * 8) continue;
       const size_t budget = std::max(comp / (mag * 8) * (mag * 8), mag * 8);

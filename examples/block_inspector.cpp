@@ -10,7 +10,7 @@
 
 #include "common/stats.h"
 #include "compress/codec_registry.h"
-#include "core/slc_compressor.h"
+#include "core/slc_codec.h"
 #include "workloads/workload.h"
 
 using namespace slc;
@@ -32,9 +32,8 @@ int main(int argc, char** argv) {
   opts.training_data = image;
   opts.trained_e2mc = std::dynamic_pointer_cast<const E2mcCompressor>(
       CodecRegistry::instance().create("E2MC", opts));
-  const auto slc_comp = std::dynamic_pointer_cast<const SlcCompressor>(
+  const auto codec = std::dynamic_pointer_cast<const SlcCodec>(
       CodecRegistry::instance().create("TSLC-OPT", opts));
-  const SlcCodec& codec = slc_comp->codec();
   const std::vector<BlockView> views = to_views(blocks);
 
   // Scheme comparison (the Fig. 1 view of this one benchmark): every
@@ -55,7 +54,7 @@ int main(int argc, char** argv) {
   // from one batched Fig. 4 decision over the whole image.
   std::vector<SlcCodec::Decision> decisions(views.size());
   std::vector<SlcCodec::CacheOutcome> outcomes(views.size());
-  codec.decide_batch(views, decisions.data(), outcomes.data());
+  codec->decide_batch(views, threshold, decisions.data(), outcomes.data());
   Histogram size_hist;
   uint64_t lossy = 0, raw = 0, bursts_e2mc = 0, bursts_slc = 0, truncated = 0;
   for (size_t i = 0; i < blocks.size(); ++i) {

@@ -8,7 +8,7 @@
 
 #include "common/block.h"
 #include "compress/codec_registry.h"
-#include "core/slc_compressor.h"
+#include "core/slc_codec.h"
 
 using namespace slc;
 
@@ -49,20 +49,19 @@ int main() {
   // 2. The same block through SLC (constructed by name too): if the
   //    compressed size is a few bytes above a burst multiple, SLC truncates
   //    symbols to fit the budget.
-  const auto slc_comp = std::dynamic_pointer_cast<const SlcCompressor>(
+  const auto codec = std::dynamic_pointer_cast<const SlcCodec>(
       CodecRegistry::instance().create("TSLC-OPT", opts));
-  const SlcCodec& codec = slc_comp->codec();
   const BlockView view = block.view();
   const std::span<const BlockView> one(&view, 1);  // the kernels take spans
   SlcCodec::Decision d;
   SlcCodec::CacheOutcome memo;
-  codec.decide_batch(one, &d, &memo);  // the Fig. 4 mode decision
+  codec->decide_batch(one, opts.threshold_bytes, &d, &memo);  // the Fig. 4 mode decision
   CompressedBlock payload;
-  codec.compress_batch(one, &payload);  // the self-describing payload
+  codec->compress_batch(one, &payload);  // the self-describing payload
 
   const SlcEncodeInfo& info = d.info;
-  std::printf("\nSLC (%s, threshold %zu B):\n", slc_comp->name().c_str(),
-              codec.config().threshold_bytes);
+  std::printf("\nSLC (%s, threshold %zu B):\n", codec->name().c_str(),
+              codec->config().threshold_bytes);
   std::printf("  lossless size : %zu bits\n", info.lossless_bits);
   std::printf("  bit budget gap: %zu extra bits above the burst multiple\n", info.extra_bits);
   std::printf("  mode          : %s\n", info.lossy ? "LOSSY (truncated)" : "lossless");
@@ -73,7 +72,7 @@ int main() {
   std::printf("  stored size   : %zu bits -> %zu burst(s)\n", payload.bit_size, info.bursts);
 
   // 3. Decompress and compare.
-  const Block out = codec.decompress(payload, block.size());
+  const Block out = codec->decompress(payload, block.size());
   size_t diff_symbols = 0;
   for (size_t s = 0; s < kSymbolsPerBlock; ++s)
     if (out.symbol(s) != block.symbol(s)) ++diff_symbols;

@@ -1,5 +1,5 @@
 // Common interface for block compressors (BDI, FPC, C-PACK, E2MC, Huffman,
-// and the SLC adapters) plus the raw/effective compression-ratio bookkeeping
+// and SlcCodec's TSLC-*) plus the raw/effective compression-ratio bookkeeping
 // from the paper.
 //
 // All schemes operate on one 128 B memory block at a time and report an exact
@@ -34,7 +34,7 @@ struct CompressedBlock {
 /// Size-only outcome of compressing one block — everything the ratio studies
 /// and the timing simulator need, without materializing a payload. For
 /// lossless schemes `lossless_bits == bit_size` and the lossy fields stay
-/// zero; the SLC adapters fill all fields from the Fig. 4 mode decision.
+/// zero; SlcCodec fills all fields from the Fig. 4 mode decision.
 struct BlockAnalysis {
   size_t bit_size = 0;          ///< stored size in bits (raw size if uncompressed)
   bool is_compressed = false;

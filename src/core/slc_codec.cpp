@@ -42,15 +42,17 @@ SlcCodec::SlcCodec(std::shared_ptr<const E2mcCompressor> lossless, SlcConfig cfg
       extra_nodes_(cfg_.variant == SlcVariant::kOpt) {
   assert(lossless_ != nullptr);
   check_mag_bytes(cfg_.mag_bytes, "SlcCodec");
+}
+
+uint64_t SlcCodec::cache_key(size_t threshold_bytes) const {
   // Everything the Fig. 4 decision depends on beyond the block content: the
   // trained model (its process-unique id — never reused, unlike a pointer),
-  // geometry and variant. Two codecs agreeing on this key always agree on
-  // every decision, so their memo entries are interchangeable.
+  // geometry, threshold and variant. Two decisions agreeing on this key
+  // always agree, so their memo entries are interchangeable.
   uint64_t key = mix_key(0, lossless_->model_id());
   key = mix_key(key, cfg_.mag_bytes);
-  key = mix_key(key, cfg_.threshold_bytes);
-  key = mix_key(key, static_cast<uint64_t>(cfg_.variant));
-  cache_key_ = key;
+  key = mix_key(key, threshold_bytes);
+  return mix_key(key, static_cast<uint64_t>(cfg_.variant));
 }
 
 FingerprintCache* SlcCodec::active_cache() const {
@@ -74,7 +76,8 @@ SlcCodec::Geometry SlcCodec::geometry(size_t block_bytes) const {
   return g;
 }
 
-void SlcCodec::decide(std::span<const uint16_t> lens, const Geometry& g, Decision& d) const {
+void SlcCodec::decide(std::span<const uint16_t> lens, const Geometry& g, size_t threshold_bytes,
+                      Decision& d) const {
   const CodeLengthTree tree(lens, extra_nodes_);
   const size_t raw_bits = g.block_bytes * 8;
   const size_t mag_bits = cfg_.mag_bytes * 8;
@@ -114,7 +117,7 @@ void SlcCodec::decide(std::span<const uint16_t> lens, const Geometry& g, Decisio
   const size_t extra_bits = comp_bits > budget_bits ? comp_bits - budget_bits : 0;
   d.info.extra_bits = extra_bits;
 
-  if (extra_bits != 0 && extra_bits <= cfg_.threshold_bytes * 8) {
+  if (extra_bits != 0 && extra_bits <= threshold_bytes * 8) {
     // Lossy path: find the sub-block to truncate. The tree works on raw code
     // bits while way byte-alignment can re-add up to (ways-1)*7 padding bits,
     // so size the cut block and escalate to a larger window, another walk of
@@ -164,7 +167,8 @@ void SlcCodec::decide(std::span<const uint16_t> lens, const Geometry& g, Decisio
   d.info.bursts = lossless_bursts;
 }
 
-void SlcCodec::probe_batch(std::span<const BlockView> blocks, Decision* out) const {
+void SlcCodec::probe_batch(std::span<const BlockView> blocks, size_t threshold_bytes,
+                           Decision* out) const {
   // Each block's code lengths are staged once, then the decision reads
   // them through one tree. The geometry is derived once per run of
   // equal-sized blocks.
@@ -180,7 +184,7 @@ void SlcCodec::probe_batch(std::span<const BlockView> blocks, Decision* out) con
       lens = heap_lens.data();
     }
     lossless_->code_lengths(blocks[i], lens, level);
-    decide(std::span<const uint16_t>(lens, g.num_symbols), g, out[i]);
+    decide(std::span<const uint16_t>(lens, g.num_symbols), g, threshold_bytes, out[i]);
   }
 }
 
@@ -236,31 +240,34 @@ void SlcCodec::MemoGovernor::report(Stage stage, uint32_t probed, uint32_t hits)
   }
 }
 
-void SlcCodec::decide_batch(std::span<const BlockView> blocks, Decision* out,
-                            CacheOutcome* oc) const {
+void SlcCodec::decide_batch(std::span<const BlockView> blocks, size_t threshold_bytes,
+                            Decision* out, CacheOutcome* oc) const {
   FingerprintCache* c = active_cache();
   if (c == nullptr) {
-    probe_batch(blocks, out);
+    probe_batch(blocks, threshold_bytes, out);
     std::fill_n(oc, blocks.size(), CacheOutcome{});
     return;
   }
+  const uint64_t key = cache_key(threshold_bytes);
   const uint64_t epoch = c->epoch();
   for (size_t base = 0; base < blocks.size(); base += kProbeChunk) {
     const size_t n = std::min(kProbeChunk, blocks.size() - base);
     const std::span<const BlockView> chunk = blocks.subspan(base, n);
     const MemoGovernor::Stage stage = governor_.next(epoch);
     if (stage == MemoGovernor::Stage::kBypass) {
-      probe_batch(chunk, out + base);
+      probe_batch(chunk, threshold_bytes, out + base);
       std::fill_n(oc + base, n, CacheOutcome{.bypassed = true});
       continue;
     }
-    const uint32_t hits = decide_chunk_cached(*c, chunk, out + base, oc + base);
+    const uint32_t hits =
+        decide_chunk_cached(*c, key, threshold_bytes, chunk, out + base, oc + base);
     governor_.report(stage, static_cast<uint32_t>(n), hits);
   }
 }
 
-uint32_t SlcCodec::decide_chunk_cached(FingerprintCache& c, std::span<const BlockView> blocks,
-                                       Decision* out, CacheOutcome* oc) const {
+uint32_t SlcCodec::decide_chunk_cached(FingerprintCache& c, uint64_t key, size_t threshold_bytes,
+                                       std::span<const BlockView> blocks, Decision* out,
+                                       CacheOutcome* oc) const {
   const size_t n = blocks.size();
   assert(n <= kProbeChunk);
 
@@ -269,14 +276,14 @@ uint32_t SlcCodec::decide_chunk_cached(FingerprintCache& c, std::span<const Bloc
   // set is computed here once, for the prefetch, the probe and the insert.
   std::array<FingerprintCache::Key, kProbeChunk> keys;
   for (size_t i = 0; i < n; ++i) {
-    keys[i] = c.key(cache_key_, block_fingerprint(blocks[i].bytes()));
+    keys[i] = c.key(key, block_fingerprint(blocks[i].bytes()));
     c.prefetch(keys[i].set);
   }
 
   // 2. Probe the chunk, taking each lock stripe once.
   static_assert(kProbeChunk <= FingerprintCache::kMaxBatch);
   std::array<FingerprintCache::Lookup, kProbeChunk> probed{};
-  c.lookup_batch(cache_key_, std::span<const FingerprintCache::Key>(keys.data(), n), blocks, out,
+  c.lookup_batch(key, std::span<const FingerprintCache::Key>(keys.data(), n), blocks, out,
                  probed.data());
 
   // 3. Dedup the misses within the chunk — a chunk of 95% duplicates then
@@ -340,8 +347,8 @@ uint32_t SlcCodec::decide_chunk_cached(FingerprintCache& c, std::span<const Bloc
       miss_keys[k] = keys[miss[k]];
     }
     const std::span<const BlockView> miss_views(views.data(), n_miss);
-    probe_batch(miss_views, decided.data());
-    c.insert_batch(cache_key_, std::span<const FingerprintCache::Key>(miss_keys.data(), n_miss),
+    probe_batch(miss_views, threshold_bytes, decided.data());
+    c.insert_batch(key, std::span<const FingerprintCache::Key>(miss_keys.data(), n_miss),
                    miss_views, decided.data(), evicted.data());
     for (size_t k = 0; k < n_miss; ++k) {
       out[miss[k]] = decided[k];
@@ -350,6 +357,29 @@ uint32_t SlcCodec::decide_chunk_cached(FingerprintCache& c, std::span<const Bloc
   }
   for (size_t k = 0; k < n_twin; ++k) out[twin[k]] = out[rep[k]];
   return n_hit;
+}
+
+void SlcCodec::analyze_batch(std::span<const BlockView> blocks, BlockAnalysis* out) const {
+  // One probe chunk at a time, so the staged results live on the stack. Each
+  // analysis is written field by field into the caller's slot: one built
+  // aside and copied in would be read back with loads wider than the stores
+  // that built it, which cannot be forwarded.
+  std::array<Decision, kProbeChunk> ds;
+  std::array<CacheOutcome, kProbeChunk> ocs;
+  for (size_t base = 0; base < blocks.size(); base += kProbeChunk) {
+    const size_t n = std::min(kProbeChunk, blocks.size() - base);
+    decide_batch(blocks.subspan(base, n), cfg_.threshold_bytes, ds.data(), ocs.data());
+    for (size_t i = 0; i < n; ++i) {
+      const SlcEncodeInfo& info = ds[i].info;
+      BlockAnalysis& a = out[base + i];
+      a.bit_size = info.final_bits;
+      a.is_compressed = !info.stored_uncompressed;
+      a.lossy = info.lossy;
+      a.lossless_bits = info.lossless_bits;
+      a.truncated_symbols = info.truncated_symbols;
+      a.cache = ocs[i];
+    }
+  }
 }
 
 void SlcCodec::compress_batch(std::span<const BlockView> blocks, CompressedBlock* out) const {
@@ -372,7 +402,7 @@ void SlcCodec::compress_batch(std::span<const BlockView> blocks, CompressedBlock
   for (size_t b = 0; b < blocks.size(); ++b) {
     if (blocks[b].size() != g.block_bytes) g = geometry(blocks[b].size());
     lossless_->code_lengths(blocks[b], lens.data() + offsets[b], level);
-    decide(block_lens(b), g, ds[b]);
+    decide(block_lens(b), g, cfg_.threshold_bytes, ds[b]);
     out[b].bit_size = ds[b].info.final_bits;
     out[b].is_compressed = !ds[b].info.stored_uncompressed;
   }

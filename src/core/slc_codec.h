@@ -14,6 +14,12 @@
 // the value of the first non-truncated symbol of the block (value-similarity
 // prediction, Sec. III-E); TSLC-OPT additionally enables the extra tree nodes
 // (Sec. III-F).
+//
+// SlcCodec is the Compressor of the three variants: analyze_batch() and
+// compress_batch() decide at the configured threshold, and decide_batch()
+// takes the threshold as an argument, so one codec serves every region
+// threshold of the extended cudaMalloc (Sec. IV-C). The variants are lossy:
+// decompress(compress(b)) may differ from b in its truncated symbols.
 #pragma once
 
 #include <atomic>
@@ -40,9 +46,9 @@ struct SlcConfig {
   /// Optional content-addressed memo for the Fig. 4 decision
   /// (core/fingerprint_cache.h). Null (the default) keeps the decision
   /// uncached; when set, decide_batch() serves repeat blocks without the
-  /// E2MC length probe. The codec derives its cache key from (E2MC model id,
-  /// MAG, threshold, variant), so one cache may safely back any number of
-  /// codecs — entries never cross a configuration or a trained model.
+  /// E2MC length probe. Each decision is keyed on (E2MC model id, MAG,
+  /// threshold, variant), so one cache may safely back any number of codecs
+  /// — entries never cross a configuration, a threshold or a trained model.
   std::shared_ptr<FingerprintCache> cache{};
 };
 
@@ -58,7 +64,7 @@ struct SlcEncodeInfo {
   size_t extra_bits = 0;      ///< overshoot above the bit budget
 };
 
-class SlcCodec {
+class SlcCodec : public Compressor {
  public:
   /// Throws std::invalid_argument unless cfg.mag_bytes is positive and
   /// divides kBlockBytes. Every entry point that sizes, encodes or decodes a
@@ -88,12 +94,12 @@ class SlcCodec {
   /// stage per-chunk results on the stack use the same size.
   static constexpr size_t kProbeChunk = 64;
 
-  /// The Fig. 4 mode decision for every block of the span: out[i] is block
-  /// i's Decision, oc[i] its memo outcome. Without an active memo (cfg.cache
-  /// null, or SLC_FINGERPRINT_CACHE force-disabling it) each block's E2MC
-  /// code lengths are staged on the stack, summed once into a
-  /// CodeLengthTree, and the budget/threshold/window decision reads that
-  /// tree. With a memo, it is a stage in front of that probe, run per chunk
+  /// The Fig. 4 mode decision at `threshold_bytes` for every block of the
+  /// span: out[i] is block i's Decision, oc[i] its memo outcome. Without an
+  /// active memo (cfg.cache null, or SLC_FINGERPRINT_CACHE force-disabling
+  /// it) each block's E2MC code lengths are staged on the stack, summed once
+  /// into a CodeLengthTree, and the budget/threshold/window decision reads
+  /// that tree. With a memo, it is a stage in front of that probe, run per chunk
   /// of kProbeChunk blocks: fingerprint every block and prefetch its memo
   /// set, probe (one lock per memo stripe), dedup the misses within the
   /// chunk (twins copy the first one's decision; under verify-on-hit only on
@@ -105,15 +111,22 @@ class SlcCodec {
   /// the probe alone instead; its blocks are then `bypassed`, neither hits
   /// nor misses. Allocates nothing for blocks of up to
   /// CodeLengthTree::kStackSymbols symbols.
-  void decide_batch(std::span<const BlockView> blocks, Decision* out, CacheOutcome* oc) const;
+  void decide_batch(std::span<const BlockView> blocks, size_t threshold_bytes, Decision* out,
+                    CacheOutcome* oc) const;
 
-  /// Compresses the span per the Fig. 4 decision: one staged length probe
-  /// (never the memo: emission needs the lengths a hit does not carry),
-  /// then payload emission through the shared payload scatter — each
-  /// block's exact final size is known from its Decision. The payload is
+  /// decide_batch() at the configured threshold, one kProbeChunk chunk at a
+  /// time, mapped onto BlockAnalysis.
+  void analyze_batch(std::span<const BlockView> blocks, BlockAnalysis* out) const override;
+
+  /// Compresses the span per the Fig. 4 decision at the configured
+  /// threshold: one staged length probe (never the memo: emission needs the
+  /// lengths a hit does not carry), then payload emission through the
+  /// shared payload scatter — each block's exact final size is known from
+  /// its Decision. The payload is
   /// self-describing (the Fig. 6 header carries mode, ss and len); the
   /// decision bookkeeping itself comes from decide_batch().
-  void compress_batch(std::span<const BlockView> blocks, CompressedBlock* out) const;
+  using Compressor::compress_batch;
+  void compress_batch(std::span<const BlockView> blocks, CompressedBlock* out) const override;
 
   /// The block as reads will observe it after a store+load round trip of
   /// decision `d`, without materializing the payload: every non-truncated
@@ -127,12 +140,13 @@ class SlcCodec {
 
   /// Decompresses (exact for lossless blocks; approximated symbols filled
   /// per the configured variant for lossy blocks).
-  Block decompress(const CompressedBlock& cb, size_t block_bytes = kBlockBytes) const;
+  Block decompress(const CompressedBlock& cb, size_t block_bytes) const override;
 
-  /// The (model, MAG, threshold, variant) key this codec's entries live
-  /// under; distinct for every distinct decision function.
-  uint64_t cache_key() const { return cache_key_; }
+  /// The (model, MAG, threshold, variant) memo key of the decisions at
+  /// `threshold_bytes`; distinct for every distinct decision function.
+  uint64_t cache_key(size_t threshold_bytes) const;
 
+  std::string name() const override { return to_string(cfg_.variant); }
   const SlcConfig& config() const { return cfg_; }
   const E2mcCompressor& lossless() const { return *lossless_; }
 
@@ -148,12 +162,13 @@ class SlcCodec {
 
  private:
   /// Steps the memo aside while it does not pay. Each codec (so each server
-  /// stream) has one. With the memo on, it judges windows of kWindow probed
-  /// blocks: a window whose hit rate (in-chunk twins included) is below 1/2
-  /// switches the memo off. With it off, chunks skip the memo stage — no
-  /// fingerprint, lookup, dedup or insert — except 1 in kSampleEvery, which
-  /// runs it; once the last kSamples of those sampled chunks reach a hit
-  /// rate of 1/2 the memo is back on, with an empty window. A new memo
+  /// stream) has one, across every threshold it decides at. With the memo
+  /// on, it judges windows of kWindow probed blocks: a window whose hit rate
+  /// (in-chunk twins included) is below 1/2 switches the memo off. With it
+  /// off, chunks skip the memo stage — no fingerprint, lookup, dedup or
+  /// insert — except 1 in kSampleEvery, which runs it; once the last
+  /// kSamples of those sampled chunks reach a hit rate of 1/2 the memo is
+  /// back on, with an empty window. A new memo
   /// epoch (FingerprintCache::clear()) restarts it: memo on, empty window.
   /// The state is relaxed atomics: concurrent shards of one codec race on
   /// it, which moves only which chunks bypass, never a decision.
@@ -196,7 +211,6 @@ class SlcCodec {
   std::shared_ptr<const E2mcCompressor> lossless_;
   SlcConfig cfg_;
   bool extra_nodes_;  ///< TSLC-OPT's 6- and 12-symbol windows
-  uint64_t cache_key_ = 0;
   /// On a cache line of its own: engine workers write it once per chunk,
   /// and read everything above on every decision.
   alignas(64) mutable MemoGovernor governor_;
@@ -212,20 +226,24 @@ class SlcCodec {
   /// (on the heap above CodeLengthTree::kStackSymbols symbols), then
   /// decide(). decide_batch() without a memo and the memo's miss path run
   /// it.
-  void probe_batch(std::span<const BlockView> blocks, Decision* out) const;
+  void probe_batch(std::span<const BlockView> blocks, size_t threshold_bytes,
+                   Decision* out) const;
 
-  /// One chunk of the memo stage (blocks.size() <= kProbeChunk); returns
-  /// how many of its blocks were served without a decision.
-  uint32_t decide_chunk_cached(FingerprintCache& c, std::span<const BlockView> blocks,
-                               Decision* out, CacheOutcome* oc) const;
+  /// One chunk of the memo stage (blocks.size() <= kProbeChunk) under `key`,
+  /// cache_key(threshold_bytes); returns how many of its blocks were served
+  /// without a decision.
+  uint32_t decide_chunk_cached(FingerprintCache& c, uint64_t key, size_t threshold_bytes,
+                               std::span<const BlockView> blocks, Decision* out,
+                               CacheOutcome* oc) const;
 
-  /// The Fig. 4 mode decision over one block's code lengths into `d`, all of
-  /// it read off one CodeLengthTree: the way sums and lossless size, the
-  /// budget and overshoot, the first-fit window and each candidate's cut
-  /// size. It writes `d` in place (the caller's slot): a returned Decision
+  /// The Fig. 4 mode decision at `threshold_bytes` over one block's code
+  /// lengths into `d`, all of it read off one CodeLengthTree: the way sums
+  /// and lossless size, the budget and overshoot, the first-fit window and
+  /// each candidate's cut size. It writes `d` in place (the caller's slot): a returned Decision
   /// would be copied out with loads wider than the stores that built it,
   /// which cannot be forwarded.
-  void decide(std::span<const uint16_t> lens, const Geometry& g, Decision& d) const;
+  void decide(std::span<const uint16_t> lens, const Geometry& g, size_t threshold_bytes,
+              Decision& d) const;
 
   /// Re-fills the truncated window of `out` per the configured variant. All
   /// symbols outside [skip_start, skip_start + skip_count) must already hold

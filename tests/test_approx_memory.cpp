@@ -102,7 +102,7 @@ TEST(ApproxMemory, SlcCodecMutatesOnlySafeRegions) {
   SlcConfig cfg;
   cfg.threshold_bytes = 16;
   cfg.variant = SlcVariant::kSimp;
-  auto codec = std::make_shared<SlcBlockCodec>(e2mc, cfg);
+  auto codec = std::make_shared<SlcBlockCodec>(std::make_shared<SlcCodec>(e2mc, cfg));
 
   ApproxMemory mem;
   mem.set_codec(codec);
@@ -196,7 +196,7 @@ std::shared_ptr<SlcBlockCodec> tiny_slc() {
   SlcConfig cfg;
   cfg.threshold_bytes = 16;
   cfg.variant = SlcVariant::kOpt;
-  return std::make_shared<SlcBlockCodec>(tiny_e2mc(), cfg);
+  return std::make_shared<SlcBlockCodec>(std::make_shared<SlcCodec>(tiny_e2mc(), cfg));
 }
 
 /// Fills a fresh memory with two value-similar regions and returns their ids.
@@ -416,7 +416,7 @@ TEST(BlockCodec, SlcRespectsRegionThreshold) {
   SlcConfig cfg;
   cfg.threshold_bytes = 16;
   cfg.variant = SlcVariant::kOpt;
-  const SlcBlockCodec codec(e2mc, cfg);
+  const SlcBlockCodec codec(std::make_shared<SlcCodec>(e2mc, cfg));
 
   const auto bytes = quantized_walk(17, 64);
   size_t lossy_with = 0, lossy_without = 0;
@@ -450,7 +450,7 @@ TEST(ApproxMemory, RegionWithoutThresholdTakesTheCodecs) {
   std::vector<SlcCodec::Decision> ds(blocks.size());
   std::vector<SlcCodec::CacheOutcome> ocs(blocks.size());
   const SlcCodec codec32(e2mc, cfg);
-  codec32.decide_batch(views, ds.data(), ocs.data());
+  codec32.decide_batch(views, cfg.threshold_bytes, ds.data(), ocs.data());
   size_t mid = blocks.size();
   for (size_t i = 0; i < blocks.size() && mid == blocks.size(); ++i) {
     const SlcEncodeInfo& info = ds[i].info;
@@ -461,7 +461,7 @@ TEST(ApproxMemory, RegionWithoutThresholdTakesTheCodecs) {
   ASSERT_LT(mid, blocks.size()) << "the walk has no block overshooting by 17-32 B";
 
   ApproxMemory mem;
-  mem.set_codec(std::make_shared<SlcBlockCodec>(e2mc, cfg));
+  mem.set_codec(std::make_shared<SlcBlockCodec>(std::make_shared<SlcCodec>(e2mc, cfg)));
   const RegionId uncapped = mem.alloc("uncapped", bytes.size(), true);
   const RegionId at32 = mem.alloc("at32", bytes.size(), true, 32);
   const RegionId at16 = mem.alloc("at16", bytes.size(), true, 16);

@@ -166,8 +166,9 @@ TEST(BatchKernels, ProcessBatchMatchesScalarForEveryRegistryPolicy) {
       {"value-similar", to_blocks(test::quantized_walk(21, 48))},
   };
   // Region annotations covering every policy branch: unsafe, safe at the
-  // config threshold, tighter than config (the cached-codec path), looser
-  // than config, and a zero threshold (never lossy even when safe).
+  // config threshold, tighter than config (the region's own threshold),
+  // looser than config (capped at the config's), and a zero threshold
+  // (never lossy even when safe).
   const std::vector<std::pair<bool, size_t>> annotations = {
       {false, 16}, {true, 16}, {true, 4}, {true, 64}, {true, 0}};
 

@@ -3,12 +3,14 @@
 // over seeded block streams, E2mcCompressor::layout and
 // CodeLengthTree::select against the per-symbol loops over seeded random
 // code lengths of 1-32 bits, and SlcCodec's batch decision against the
-// per-block ref_decide over seeded block streams. Every payload,
+// per-block ref_decide over seeded block streams, also as SlcBlockCodec and
+// ApproxMemory commit it at every region threshold. Every payload,
 // BlockAnalysis, WayLayout, TreeCandidate and Decision must match field by
 // field, and every SLC payload must carry its reference decision.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -17,7 +19,9 @@
 #include "codec_reference.h"
 #include "common/rng.h"
 #include "core/fingerprint_cache.h"
+#include "core/slc_block_codec.h"
 #include "test_util.h"
+#include "workloads/approx_memory.h"
 
 namespace slc {
 namespace {
@@ -393,6 +397,137 @@ TEST(CodecDifferential, DecideMatchesReference) {
   EXPECT_GT(lossy, 0u);
   EXPECT_GT(raw, 0u);
   EXPECT_GT(decided - lossy - raw, 0u);
+}
+
+// A region's threshold (the extended cudaMalloc of Sec. IV-C) against
+// ref_decide: regions allocated with thresholds 0, 4, 8, 16 and 24 B and
+// without one, safe and unsafe, under a 16 B and a 32 B codec of every
+// variant. Every block SlcBlockCodec commits carries the reference decision
+// at min(region, codec) threshold, or at 0 in an unsafe region: its bursts,
+// sizes and, for a lossy block, the contents the reference payload decodes
+// to. ApproxMemory commits the same regions to the same contents and
+// totals. The second run shares one memo across every codec, so the same
+// content is decided at every threshold through it: a memo key without the
+// threshold would serve one threshold's decisions at another.
+TEST(CodecDifferential, RegionThresholdMatchesReference) {
+  constexpr size_t kBlocks = 96;
+  const auto e2mc = E2mcCompressor::train(test::quantized_walk(0x7E61, 64));
+  const std::vector<Block> blocks = to_blocks(test::quantized_walk(0x7E62, kBlocks));
+  const std::vector<BlockView> views = to_views(blocks);
+  const size_t kNone = SIZE_MAX;  // ApproxMemory::alloc's default: no cap
+  const size_t region_thresholds[] = {0, 4, 8, 16, 24, kNone};
+  constexpr SlcVariant kVariants[] = {SlcVariant::kSimp, SlcVariant::kPred, SlcVariant::kOpt};
+
+  // The reference decision and committed contents of every block, per
+  // variant and effective threshold.
+  struct Committed {
+    SlcCodec::Decision d;
+    Block bytes;
+  };
+  std::map<std::pair<SlcVariant, size_t>, std::vector<Committed>> refs;
+  const auto reference = [&](SlcVariant variant, size_t threshold) -> const auto& {
+    std::vector<Committed>& ref = refs[{variant, threshold}];
+    if (!ref.empty()) return ref;
+    SlcConfig cfg;
+    cfg.mag_bytes = 32;
+    cfg.threshold_bytes = threshold;
+    cfg.variant = variant;
+    const SlcCodec decoder(e2mc, cfg);
+    for (size_t i = 0; i < views.size(); ++i) {
+      const SlcCodec::Decision d = test::ref_decide(*e2mc, cfg, views[i]);
+      Block bytes = blocks[i];
+      if (d.info.lossy)
+        bytes = decoder.decompress(test::ref_slc_compress(*e2mc, cfg, views[i]), kBlockBytes);
+      ref.push_back({d, std::move(bytes)});
+    }
+    return ref;
+  };
+
+  std::map<size_t, size_t> lossy_at;  // effective threshold -> lossy blocks
+  for (const bool memo : {false, true}) {
+    const auto cache = memo ? std::make_shared<FingerprintCache>() : nullptr;
+    CacheCounters counters;
+    for (const size_t codec_threshold : {size_t{16}, size_t{32}}) {
+      for (const SlcVariant variant : kVariants) {
+        SlcConfig cfg;
+        cfg.mag_bytes = 32;
+        cfg.threshold_bytes = codec_threshold;
+        cfg.variant = variant;
+        cfg.cache = cache;
+        const auto policy = std::make_shared<SlcBlockCodec>(std::make_shared<SlcCodec>(e2mc, cfg));
+        ApproxMemory mem;
+        mem.set_codec(policy);
+        struct Region {
+          RegionId id;
+          size_t threshold;  // effective
+          std::string tag;
+        };
+        std::vector<Region> regions;
+        for (const bool safe : {true, false}) {
+          for (const size_t region : region_thresholds) {
+            const size_t threshold = safe ? std::min(region, codec_threshold) : 0;
+            const std::vector<Committed>& ref = reference(variant, threshold);
+            const std::string tag = std::string(to_string(variant)) + " codec " +
+                                    std::to_string(codec_threshold) + " B, " +
+                                    (safe ? "safe" : "unsafe") + " region " +
+                                    (region == kNone ? "none" : std::to_string(region)) +
+                                    (memo ? ", memo" : "");
+            std::vector<BlockCodecResult> got(views.size());
+            policy->process_batch(views, safe, region, got.data());
+            for (size_t i = 0; i < views.size(); ++i) {
+              const std::string what = tag + ", block " + std::to_string(i);
+              const SlcEncodeInfo& want = ref[i].d.info;
+              EXPECT_EQ(got[i].bursts, want.bursts) << what;
+              EXPECT_EQ(got[i].lossless_bits, want.lossless_bits) << what;
+              EXPECT_EQ(got[i].final_bits, want.final_bits) << what;
+              EXPECT_EQ(got[i].lossy, want.lossy) << what;
+              EXPECT_EQ(got[i].stored_uncompressed, want.stored_uncompressed) << what;
+              EXPECT_EQ(got[i].truncated_symbols, want.truncated_symbols) << what;
+              EXPECT_EQ(got[i].decoded.value_or(blocks[i]), ref[i].bytes) << what;
+              counters.record(got[i].cache);
+            }
+            const RegionId r = mem.alloc(tag, kBlocks * kBlockBytes, safe, region);
+            const std::span<uint8_t> dst = mem.span<uint8_t>(r);
+            for (size_t i = 0; i < kBlocks; ++i)
+              std::ranges::copy(blocks[i].bytes(), dst.subspan(i * kBlockBytes).begin());
+            regions.push_back({r, threshold, tag});
+          }
+        }
+
+        mem.commit_all();
+        mem.flush();
+        for (const auto& [r, threshold, tag] : regions) {
+          const std::vector<Committed>& ref = reference(variant, threshold);
+          const std::span<const uint8_t> contents = mem.span<const uint8_t>(r);
+          CommitStats want;
+          for (size_t i = 0; i < kBlocks; ++i) {
+            const SlcEncodeInfo& info = ref[i].d.info;
+            want.bursts += info.bursts;
+            want.final_bits += info.final_bits;
+            want.lossy_blocks += info.lossy ? 1 : 0;
+            EXPECT_TRUE(std::ranges::equal(
+                contents.subspan(i * kBlockBytes, kBlockBytes), ref[i].bytes.bytes()))
+                << tag << ", committed block " << i;
+          }
+          const CommitStats got = mem.region_stats(r);
+          EXPECT_EQ(got.bursts, want.bursts) << tag;
+          EXPECT_EQ(got.final_bits, want.final_bits) << tag;
+          EXPECT_EQ(got.lossy_blocks, want.lossy_blocks) << tag;
+          if (!memo) lossy_at[threshold] = want.lossy_blocks;
+        }
+      }
+    }
+    // Every decision went through the memo, which served repeats: each
+    // content is decided more than once at threshold 0 alone.
+    if (memo && FingerprintCache::runtime_enabled()) {
+      EXPECT_EQ(counters.bypassed, 0u);
+      EXPECT_GT(counters.hits, 0u);
+    }
+  }
+  // Each threshold step approximates more blocks, so every region threshold
+  // decides differently.
+  for (auto it = lossy_at.begin(); std::next(it) != lossy_at.end(); ++it)
+    EXPECT_LT(it->second, std::next(it)->second) << "threshold " << it->first;
 }
 
 }  // namespace

@@ -9,7 +9,7 @@
 #include "test_util.h"
 #include "compress/block_codec.h"
 #include "compress/codec_registry.h"
-#include "core/slc_compressor.h"
+#include "core/slc_codec.h"
 
 namespace slc {
 namespace {
@@ -149,14 +149,14 @@ TEST(CodecRegistry, TrainedModelReuseMatchesRetraining) {
 TEST(CodecRegistry, SlcAdapterExposesEncodeInfo) {
   const auto& reg = CodecRegistry::instance();
   const auto training = quantized_walk(23, 256);
-  const auto comp = std::dynamic_pointer_cast<const SlcCompressor>(
+  const auto comp = std::dynamic_pointer_cast<const SlcCodec>(
       reg.create("TSLC-OPT", test_options(training)));
   ASSERT_NE(comp, nullptr);
   const auto blocks = reference_blocks();
   const auto views = to_views(blocks);
   std::vector<SlcCodec::Decision> ds(views.size());
   std::vector<SlcCodec::CacheOutcome> ocs(views.size());
-  comp->codec().decide_batch(views, ds.data(), ocs.data());
+  comp->decide_batch(views, comp->config().threshold_bytes, ds.data(), ocs.data());
   for (size_t i = 0; i < blocks.size(); ++i) {
     const SlcEncodeInfo& info = ds[i].info;
     const BlockAnalysis a = comp->analyze(views[i]);

@@ -18,7 +18,6 @@
 #include "compress/codec_registry.h"
 #include "compress/huffman.h"
 #include "core/slc_codec.h"
-#include "core/slc_compressor.h"
 #include "test_util.h"
 
 namespace slc {
@@ -127,7 +126,7 @@ TEST(DecodeChecks, TruncatedEntropyPayloadIsRejected) {
     decoders.push_back(e2mc);
     if (ways < 4) continue;
     for (const SlcVariant variant : kVariants)
-      decoders.push_back(std::make_shared<SlcCompressor>(e2mc, slc_config(variant)));
+      decoders.push_back(std::make_shared<SlcCodec>(e2mc, slc_config(variant)));
   }
 
   size_t lossy = 0;

@@ -569,14 +569,14 @@ TEST(CachedDecision, CodecKeysIsolateConfigurationsAndModels) {
   auto cache = std::make_shared<FingerprintCache>();
   const SlcCodec a = make_slc(cache, /*threshold=*/16);
   const SlcCodec b = make_slc(cache, /*threshold=*/4);
-  ASSERT_NE(a.cache_key(), b.cache_key());
+  ASSERT_NE(a.cache_key(16), b.cache_key(4));
   // A second model trained on the same sample is still a distinct key —
   // identity is the model instance, not its contents.
   SlcConfig cfg;
   cfg.mag_bytes = 32;
   cfg.cache = cache;
   const SlcCodec c(E2mcCompressor::train(shared_training(), E2mcConfig{}), cfg);
-  ASSERT_NE(c.cache_key(), a.cache_key());
+  ASSERT_NE(c.cache_key(16), a.cache_key(16));
 
   const Block block = test::dedup_corpus({.blocks = 1, .seed = 40})[0];
   SlcCodec::CacheOutcome oc;

@@ -24,6 +24,11 @@ std::shared_ptr<const E2mcCompressor> train_for(const std::string& name) {
   return c;
 }
 
+std::shared_ptr<const BlockCodec> slc_policy(std::shared_ptr<const E2mcCompressor> e2mc,
+                                             const SlcConfig& cfg) {
+  return std::make_shared<SlcBlockCodec>(std::make_shared<SlcCodec>(std::move(e2mc), cfg));
+}
+
 TEST(Integration, EffectiveRatioBelowRawForAllSchemes) {
   // Fig. 1's core claim, checked on one float-heavy benchmark.
   const auto image = workload_memory_image("SRAD2", WorkloadScale::kTiny);
@@ -62,7 +67,7 @@ TEST(Integration, SlcReducesTrafficVsE2mc) {
     SlcConfig cfg;
     cfg.threshold_bytes = 16;
     cfg.variant = SlcVariant::kOpt;
-    auto slc = std::make_shared<SlcBlockCodec>(e2mc, cfg);
+    auto slc = slc_policy(e2mc, cfg);
     const auto rb = run_workload(name, base, WorkloadScale::kTiny);
     const auto rs = run_workload(name, slc, WorkloadScale::kTiny);
     EXPECT_LE(rs.stats.bursts, rb.stats.bursts) << name;
@@ -85,11 +90,9 @@ TEST(Integration, PredictionReducesErrorVsTruncation) {
     SlcConfig cfg;
     cfg.threshold_bytes = 16;
     cfg.variant = SlcVariant::kSimp;
-    const auto simp =
-        run_workload(name, std::make_shared<SlcBlockCodec>(e2mc, cfg), WorkloadScale::kTiny);
+    const auto simp = run_workload(name, slc_policy(e2mc, cfg), WorkloadScale::kTiny);
     cfg.variant = SlcVariant::kPred;
-    const auto pred =
-        run_workload(name, std::make_shared<SlcBlockCodec>(e2mc, cfg), WorkloadScale::kTiny);
+    const auto pred = run_workload(name, slc_policy(e2mc, cfg), WorkloadScale::kTiny);
     if (simp.stats.lossy_blocks == 0) continue;  // nothing approximated
     EXPECT_LE(pred.error_pct, simp.error_pct * 1.5 + 1e-9) << name;
   }
@@ -102,8 +105,7 @@ TEST(Integration, ErrorBoundedAtDefaultThreshold) {
     SlcConfig cfg;
     cfg.threshold_bytes = 16;
     cfg.variant = SlcVariant::kOpt;
-    const auto r =
-        run_workload(name, std::make_shared<SlcBlockCodec>(e2mc, cfg), WorkloadScale::kTiny);
+    const auto r = run_workload(name, slc_policy(e2mc, cfg), WorkloadScale::kTiny);
     EXPECT_LT(r.error_pct, 25.0) << name << " error out of the paper's regime";
   }
 }
@@ -115,7 +117,7 @@ TEST(Integration, FullPipelineSpeedupOnMemoryBoundWorkload) {
   SlcConfig cfg;
   cfg.threshold_bytes = 16;
   cfg.variant = SlcVariant::kOpt;
-  auto slc_codec = std::make_shared<SlcBlockCodec>(e2mc, cfg);
+  auto slc_codec = slc_policy(e2mc, cfg);
 
   const auto rb = run_workload(name, base_codec, WorkloadScale::kTiny);
   const auto rs = run_workload(name, slc_codec, WorkloadScale::kTiny);

@@ -257,24 +257,25 @@ struct ForceScalarGuard {
 
 // --- SlcCodec spans ---------------------------------------------------------
 
-/// SlcCodec::decide_batch over the whole span; `oc`, when given, receives
-/// the memo outcomes.
+/// SlcCodec::decide_batch at the codec's threshold over the whole span;
+/// `oc`, when given, receives the memo outcomes.
 inline std::vector<SlcCodec::Decision> decide_all(
     const SlcCodec& codec, std::span<const BlockView> views,
     std::vector<SlcCodec::CacheOutcome>* oc = nullptr) {
   std::vector<SlcCodec::Decision> out(views.size());
   std::vector<SlcCodec::CacheOutcome> ocs(views.size());
-  codec.decide_batch(views, out.data(), ocs.data());
+  codec.decide_batch(views, codec.config().threshold_bytes, out.data(), ocs.data());
   if (oc != nullptr) *oc = std::move(ocs);
   return out;
 }
 
-/// SlcCodec::decide_batch over a span of 1.
+/// SlcCodec::decide_batch at the codec's threshold over a span of 1.
 inline SlcCodec::Decision decide_one(const SlcCodec& codec, BlockView view,
                                      SlcCodec::CacheOutcome* oc = nullptr) {
   SlcCodec::Decision d;
   SlcCodec::CacheOutcome outcome;
-  codec.decide_batch(std::span<const BlockView>(&view, 1), &d, &outcome);
+  codec.decide_batch(std::span<const BlockView>(&view, 1), codec.config().threshold_bytes, &d,
+                     &outcome);
   if (oc != nullptr) *oc = outcome;
   return d;
 }
