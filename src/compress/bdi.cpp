@@ -2,6 +2,8 @@
 
 #include <array>
 #include <cassert>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/bitstream.h"
@@ -150,17 +152,19 @@ Block BdiCompressor::decompress(const CompressedBlock& cb, size_t block_bytes) c
   Block out(block_bytes);
   switch (enc) {
     case BdiEncoding::kZeros:
-      return out;
+      break;
     case BdiEncoding::kRepeat64: {
       const uint64_t v = r.get(64);
       for (size_t i = 0; i < block_bytes / 8; ++i) out.set_word64(i, v);
-      return out;
+      break;
     }
-    case BdiEncoding::kUncompressed:
-      assert(false && "uncompressed blocks must have is_compressed=false");
-      return out;
     default: {
+      // kUncompressed marks a stored-raw block, which has no compressed
+      // payload, and the tags past kBase2Delta1 name no encoding.
       const Geometry g = geometry(enc);
+      if (g.base_bytes == 0)
+        throw std::invalid_argument("BDI payload: tag " + std::to_string(static_cast<int>(enc)) +
+                                    " is no compressed encoding");
       const size_t n = block_bytes / g.base_bytes;
       const uint64_t base = r.get(static_cast<unsigned>(g.base_bytes * 8));
       std::vector<bool> use_base(n);
@@ -177,9 +181,10 @@ Block BdiCompressor::decompress(const CompressedBlock& cb, size_t block_bytes) c
           default: assert(false);
         }
       }
-      return out;
     }
   }
+  if (r.overrun()) throw std::invalid_argument("BDI payload: the block ends past the payload");
+  return out;
 }
 
 void BdiCompressor::analyze_batch(std::span<const BlockView> blocks, BlockAnalysis* out) const {

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cassert>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -37,6 +36,7 @@ class RingDict {
     return -1;
   }
   uint32_t at(size_t i) const { return buf_[(start_ + i) & mask_]; }
+  size_t size() const { return size_; }
   void push(uint32_t w) {
     if (size_ == cap_) {
       buf_[start_] = w;  // overwrite the oldest slot; it becomes the newest
@@ -136,6 +136,13 @@ Block CpackCompressor::decompress(const CompressedBlock& cb, size_t block_bytes)
   Block out(block_bytes);
   BitReader r(cb.payload);
   RingDict dict(dict_entries_);
+  // A dictionary code names an entry the words before it pushed.
+  const auto entry = [&](size_t idx) {
+    if (idx >= dict.size())
+      throw std::invalid_argument("C-PACK payload: index " + std::to_string(idx) + " past the " +
+                                  std::to_string(dict.size()) + " dictionary entries");
+    return dict.at(idx);
+  };
   const size_t n_words = block_bytes / 4;
   for (size_t i = 0; i < n_words; ++i) {
     uint32_t word = 0;
@@ -148,34 +155,30 @@ Block CpackCompressor::decompress(const CompressedBlock& cb, size_t block_bytes)
       }
     } else {
       if (r.get_bit() == 0) {
-        const auto idx = static_cast<size_t>(r.get(index_bits_));  // mmmm
-        word = dict.at(idx);
+        word = entry(r.get(index_bits_));  // mmmm
       } else {
         // 4-bit prefixes: 1100 mmxx, 1101 zzzx, 1110 mmmx
         const bool b3 = r.get_bit();
         if (!b3) {
           // 110x
           if (!r.get_bit()) {
-            const auto idx = static_cast<size_t>(r.get(index_bits_));  // mmxx
-            const auto lo = static_cast<uint32_t>(r.get(16));
-            word = (dict.at(idx) & 0xFFFF0000u) | lo;
+            const uint32_t hi = entry(r.get(index_bits_)) & 0xFFFF0000u;  // mmxx
+            word = hi | static_cast<uint32_t>(r.get(16));
             dict.push(word);
           } else {
             word = static_cast<uint32_t>(r.get(8));  // zzzx
           }
         } else {
-          const bool b4 = r.get_bit();
-          assert(!b4 && "1111 prefix is unused in C-PACK");
-          (void)b4;
-          const auto idx = static_cast<size_t>(r.get(index_bits_));  // mmmx
-          const auto lo = static_cast<uint32_t>(r.get(8));
-          word = (dict.at(idx) & 0xFFFFFF00u) | lo;
+          if (r.get_bit()) throw std::invalid_argument("C-PACK payload: unused prefix 1111");
+          const uint32_t hi = entry(r.get(index_bits_)) & 0xFFFFFF00u;  // mmmx
+          word = hi | static_cast<uint32_t>(r.get(8));
           dict.push(word);
         }
       }
     }
     out.set_word32(i, word);
   }
+  if (r.overrun()) throw std::invalid_argument("C-PACK payload: the block ends past the payload");
   return out;
 }
 

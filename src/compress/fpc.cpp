@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
 #include <vector>
 
 #include "common/bitstream.h"
@@ -143,6 +144,8 @@ Block FpcCompressor::decompress(const CompressedBlock& cb, size_t block_bytes) c
     switch (p) {
       case FpcPattern::kZeroRun: {
         const size_t run = r.get(3) + 1;
+        if (run > n_words - i)
+          throw std::invalid_argument("FPC payload: a zero run passes the block's last word");
         i += run;  // words already zero-initialized
         break;
       }
@@ -184,6 +187,7 @@ Block FpcCompressor::decompress(const CompressedBlock& cb, size_t block_bytes) c
         break;
     }
   }
+  if (r.overrun()) throw std::invalid_argument("FPC payload: the block ends past the payload");
   return out;
 }
 

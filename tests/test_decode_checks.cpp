@@ -3,9 +3,10 @@
 // silently zero-filled block: a stored-raw payload shorter than its block
 // (every registry scheme), an SLC header whose lossy window leaves the block
 // (every TSLC variant, at 128 B and at 96 B, where a 6-bit ss alone can point
-// past the 48 symbols), bits that start no codeword, and every proper prefix
-// of a compressed entropy payload (Huffman, E2MC at every way count, TSLC-*
-// at 4 and 8 ways).
+// past the 48 symbols), bits that start no codeword, a BDI tag that names no
+// compressed encoding, a C-PACK code no encoder writes, an FPC zero run past
+// the block, and every proper prefix of a compressed payload (Huffman, E2MC
+// at every way count, TSLC-* at 4 and 8 ways, BDI, FPC and C-PACK).
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -15,7 +16,10 @@
 #include <vector>
 
 #include "compress/batch_writer.h"
+#include "compress/bdi.h"
 #include "compress/codec_registry.h"
+#include "compress/cpack.h"
+#include "compress/fpc.h"
 #include "compress/huffman.h"
 #include "core/slc_codec.h"
 #include "test_util.h"
@@ -113,6 +117,19 @@ TEST(DecodeChecks, BitsThatStartNoCodewordAreRejected) {
   EXPECT_THROW(huff->decompress(cb, 128), std::invalid_argument);
 }
 
+/// Every proper prefix of `cb`'s payload, from empty to one byte short,
+/// fails to decode.
+void expect_prefixes_rejected(const Compressor& comp, const CompressedBlock& cb,
+                              size_t block_bytes, const std::string& what) {
+  CompressedBlock prefix = cb;
+  for (size_t len = 0; len < cb.payload.size(); ++len) {
+    prefix.payload.assign(cb.payload.begin(), cb.payload.begin() + static_cast<ptrdiff_t>(len));
+    prefix.bit_size = len * 8;
+    EXPECT_THROW(comp.decompress(prefix, block_bytes), std::invalid_argument)
+        << what << " prefix " << len;
+  }
+}
+
 // Every proper prefix of every compressed payload, from empty to one byte
 // short, is rejected: a pdp or the header end lies past it, or a symbol run
 // ends past it.
@@ -147,19 +164,146 @@ TEST(DecodeChecks, TruncatedEntropyPayloadIsRejected) {
         const std::string what =
             comp->name() + " " + std::to_string(block_bytes) + " B block " + std::to_string(i);
         EXPECT_NO_THROW(comp->decompress(cbs[i], block_bytes)) << what;
-        CompressedBlock prefix = cbs[i];
-        for (size_t len = 0; len < cbs[i].payload.size(); ++len) {
-          prefix.payload.assign(cbs[i].payload.begin(),
-                                cbs[i].payload.begin() + static_cast<ptrdiff_t>(len));
-          prefix.bit_size = len * 8;
-          EXPECT_THROW(comp->decompress(prefix, block_bytes), std::invalid_argument)
-              << what << " prefix " << len;
-        }
+        expect_prefixes_rejected(*comp, cbs[i], block_bytes, what);
       }
       EXPECT_GT(compressed, 0u) << comp->name() << " " << block_bytes << " B";
     }
   }
   EXPECT_GT(lossy, 0u);
+}
+
+// Every proper prefix of a compressed BDI, FPC or C-PACK payload, from empty
+// to one byte short, is rejected: the block's last code ends past it. The
+// blocks are arithmetic progressions of 32-bit words, which all three
+// compress, plus each scheme's own sweet spots.
+TEST(DecodeChecks, TruncatedLosslessPayloadIsRejected) {
+  const std::shared_ptr<const Compressor> decoders[] = {
+      std::make_shared<BdiCompressor>(), std::make_shared<FpcCompressor>(),
+      std::make_shared<CpackCompressor>(2), std::make_shared<CpackCompressor>(16),
+      std::make_shared<CpackCompressor>(64)};
+  constexpr size_t kStreamBytes = 1024;
+  std::vector<uint8_t> progression;
+  for (uint32_t i = 0; progression.size() < kStreamBytes; ++i) {
+    const uint32_t word = 0x40000000u + 12345u * (i / 32) + 7u * (i % 32);
+    for (int k = 0; k < 4; ++k) progression.push_back(static_cast<uint8_t>(word >> (8 * k)));
+  }
+  const std::vector<uint8_t> streams[] = {
+      progression, test::data_stream("denormal", kStreamBytes, 1),
+      test::data_stream("repeat-delta", kStreamBytes, 2),
+      test::data_stream("zero-runs", kStreamBytes, 3),
+      test::data_stream("all-zero", kStreamBytes, 4)};
+
+  for (const auto& comp : decoders) {
+    size_t compressed = 0;
+    for (const size_t block_bytes : {size_t{64}, size_t{128}}) {
+      for (const std::vector<uint8_t>& bytes : streams) {
+        const std::vector<Block> blocks = to_blocks(bytes, block_bytes);
+        const std::vector<CompressedBlock> cbs = comp->compress_batch(blocks);
+        for (size_t i = 0; i < cbs.size(); ++i) {
+          if (!cbs[i].is_compressed) continue;
+          ++compressed;
+          const std::string what =
+              comp->name() + " " + std::to_string(block_bytes) + " B block " + std::to_string(i);
+          EXPECT_EQ(comp->decompress(cbs[i], block_bytes), blocks[i]) << what;
+          expect_prefixes_rejected(*comp, cbs[i], block_bytes, what);
+        }
+      }
+    }
+    EXPECT_GT(compressed, 20u) << comp->name();
+  }
+}
+
+/// A compressed payload of `bytes` zero bytes that starts with the codes
+/// `write` puts.
+template <typename Write>
+CompressedBlock crafted(size_t bytes, Write write) {
+  CompressedBlock cb;
+  cb.is_compressed = true;
+  cb.payload.assign(bytes, 0);
+  detail::SpanBitWriter w(cb.payload.data());
+  write(w);
+  w.finish();
+  cb.bit_size = bytes * 8;
+  return cb;
+}
+
+// A BDI tag that names no compressed encoding: kUncompressed (0) marks a
+// stored-raw block, and 9-15 name none. The payload is long enough for any
+// encoding.
+TEST(DecodeChecks, BdiTagOfNoEncodingIsRejected) {
+  const BdiCompressor bdi;
+  for (const size_t block_bytes : {size_t{64}, size_t{128}}) {
+    for (const unsigned tag : {0u, 9u, 10u, 11u, 12u, 13u, 14u, 15u}) {
+      const CompressedBlock cb = crafted(block_bytes, [&](auto& w) { w.put(tag, 4); });
+      EXPECT_THROW(bdi.decompress(cb, block_bytes), std::invalid_argument)
+          << "tag " << tag << ", " << block_bytes << " B";
+    }
+    // The same payload under a tag that names an encoding decodes.
+    const auto b8d1 = static_cast<unsigned>(BdiEncoding::kBase8Delta1);
+    EXPECT_NO_THROW(bdi.decompress(crafted(block_bytes, [&](auto& w) { w.put(b8d1, 4); }),
+                                   block_bytes));
+  }
+}
+
+// C-PACK codes no encoder writes: a dictionary index past the entries the
+// words before it pushed, which would read an empty ring slot, and the unused
+// 1111 prefix. Each payload is an xxxx word (pushing entry 0), the code under
+// test at every index, then zzzz words; only index 0 decodes.
+TEST(DecodeChecks, CpackImpossibleCodeIsRejected) {
+  constexpr uint32_t kWord = 0x12345678u;
+  for (const size_t dict_entries : {size_t{2}, size_t{16}, size_t{64}}) {
+    const CpackCompressor cpack(dict_entries);
+    unsigned index_bits = 0;
+    while ((size_t{1} << index_bits) < dict_entries) ++index_bits;
+    struct Code {
+      const char* name;
+      uint64_t prefix;
+      unsigned prefix_bits, tail_bits;
+    };
+    for (const Code& code : {Code{"mmmm", 0b10, 2, 0}, Code{"mmxx", 0b1100, 4, 16},
+                             Code{"mmmx", 0b1110, 4, 8}}) {
+      for (size_t idx = 0; idx < dict_entries; ++idx) {
+        const CompressedBlock cb = crafted(kBlockBytes, [&](auto& w) {
+          w.put(0b01, 2);
+          w.put(kWord, 32);
+          w.put(code.prefix, code.prefix_bits);
+          w.put(idx, index_bits);
+          w.put(0, code.tail_bits);
+        });
+        const std::string what = std::string(code.name) + " index " + std::to_string(idx) +
+                                 ", " + std::to_string(dict_entries) + " entries";
+        if (idx == 0) {
+          const Block out = cpack.decompress(cb, kBlockBytes);
+          EXPECT_EQ(out.view().word32(0), kWord) << what;
+          EXPECT_EQ(out.view().word32(1) >> 16, kWord >> 16) << what;
+        } else {
+          EXPECT_THROW(cpack.decompress(cb, kBlockBytes), std::invalid_argument) << what;
+        }
+      }
+    }
+    const CompressedBlock unused = crafted(kBlockBytes, [](auto& w) { w.put(0b1111, 4); });
+    EXPECT_THROW(cpack.decompress(unused, kBlockBytes), std::invalid_argument)
+        << "prefix 1111, " << dict_entries << " entries";
+  }
+}
+
+// An FPC zero run that passes the block's last word: 8 + 1 + 8 words of a
+// 16-word block. The same payload with a run of 7 at the end decodes.
+TEST(DecodeChecks, FpcZeroRunPastTheBlockIsRejected) {
+  const FpcCompressor fpc;
+  const auto payload = [](unsigned last_run) {
+    return crafted(16, [&](auto& w) {
+      w.put(static_cast<unsigned>(FpcPattern::kZeroRun), 3);
+      w.put(7, 3);
+      w.put(static_cast<unsigned>(FpcPattern::kSignExt4), 3);
+      w.put(5, 4);
+      w.put(static_cast<unsigned>(FpcPattern::kZeroRun), 3);
+      w.put(last_run - 1, 3);
+    });
+  };
+  const Block out = fpc.decompress(payload(7), 64);
+  EXPECT_EQ(out.view().word32(8), 5u);
+  EXPECT_THROW(fpc.decompress(payload(8), 64), std::invalid_argument);
 }
 
 }  // namespace
