@@ -8,8 +8,10 @@
 // -DSLC_THREAD_SAFETY_ANALYSIS=ON, CI job `thread-safety`) proves at compile
 // time that no guarded field is touched without its lock and no helper is
 // called without the capability it names. On GCC (or clang without the
-// flag) the macros expand to nothing and the wrappers cost exactly a
-// std::mutex / std::condition_variable_any.
+// flag) the macros expand to nothing. The wrappers cost a std::mutex and a
+// std::condition_variable: neither allocates, and a CondVar waits on its
+// Mutex's own std::mutex. Mutex::lock() spins briefly before it sleeps (see
+// Mutex).
 //
 // How to annotate new code (see docs/ARCHITECTURE.md "Concurrency & locking
 // discipline" for the lock hierarchy):
@@ -31,6 +33,7 @@
 //     SLC_NO_THREAD_SAFETY_ANALYSIS and a comment saying why.
 #pragma once
 
+#include <chrono>
 #include <condition_variable>
 #include <mutex>
 
@@ -90,21 +93,44 @@
 
 namespace slc {
 
-/// std::mutex as a declared capability. Satisfies BasicLockable/Lockable, so
-/// it composes with std::condition_variable_any (see CondVar) — but the
-/// annotated concurrent stack takes it through MutexLock, never through
-/// std::lock_guard/std::unique_lock, which the analysis cannot see into.
+/// std::mutex as a declared capability. Satisfies BasicLockable/Lockable —
+/// but the annotated concurrent stack takes it through MutexLock, never
+/// through std::lock_guard/std::unique_lock, which the analysis cannot see
+/// into.
+///
+/// lock() tries kSpinRounds times, with a CPU pause between tries, before it
+/// blocks: the serving path's critical sections are a few hundred
+/// nanoseconds, shorter than a futex sleep and wake, so a thread that finds
+/// the lock held usually gets it by waiting in place.
 class SLC_CAPABILITY("mutex") Mutex {
  public:
+  static constexpr int kSpinRounds = 100;
+
   Mutex() = default;
   Mutex(const Mutex&) = delete;
   Mutex& operator=(const Mutex&) = delete;
 
-  void lock() SLC_ACQUIRE() { m_.lock(); }
+  void lock() SLC_ACQUIRE() {
+    for (int i = 0; i < kSpinRounds; ++i) {
+      if (m_.try_lock()) return;
+      cpu_relax();
+    }
+    m_.lock();
+  }
   void unlock() SLC_RELEASE() { m_.unlock(); }
   bool try_lock() SLC_TRY_ACQUIRE(true) { return m_.try_lock(); }
 
  private:
+  friend class CondVar;
+
+  static void cpu_relax() {
+#if defined(__x86_64__) || defined(__i386__)
+    __builtin_ia32_pause();
+#elif defined(__aarch64__)
+    asm volatile("yield");
+#endif
+  }
+
   std::mutex m_;
 };
 
@@ -135,7 +161,9 @@ class SLC_SCOPED_CAPABILITY MutexLock {
   bool held_;
 };
 
-/// Condition variable bound to Mutex. wait() declares SLC_REQUIRES(m): the
+/// Condition variable bound to Mutex: a std::condition_variable that waits
+/// on the Mutex's own std::mutex, which the caller already holds (adopted
+/// for the wait, handed back after). wait() declares SLC_REQUIRES(m): the
 /// caller holds m before and after (the internal unlock/relock is invisible
 /// to the analysis, which matches the semantics of a condition wait). The
 /// guarded predicate is re-checked by the caller's explicit while loop, so
@@ -146,19 +174,26 @@ class CondVar {
   CondVar(const CondVar&) = delete;
   CondVar& operator=(const CondVar&) = delete;
 
-  void wait(Mutex& m) SLC_REQUIRES(m) { cv_.wait(m); }
+  void wait(Mutex& m) SLC_REQUIRES(m) {
+    std::unique_lock<std::mutex> lk(m.m_, std::adopt_lock);
+    cv_.wait(lk);
+    lk.release();  // still held: the caller's MutexLock releases it
+  }
 
   template <class Rep, class Period>
   std::cv_status wait_for(Mutex& m, const std::chrono::duration<Rep, Period>& rel)
       SLC_REQUIRES(m) {
-    return cv_.wait_for(m, rel);
+    std::unique_lock<std::mutex> lk(m.m_, std::adopt_lock);
+    const std::cv_status status = cv_.wait_for(lk, rel);
+    lk.release();
+    return status;
   }
 
   void notify_one() noexcept { cv_.notify_one(); }
   void notify_all() noexcept { cv_.notify_all(); }
 
  private:
-  std::condition_variable_any cv_;
+  std::condition_variable cv_;
 };
 
 }  // namespace slc

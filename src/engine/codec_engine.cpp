@@ -9,12 +9,12 @@ namespace slc {
 namespace detail {
 
 void EngineJob::finish_shard(size_t items, std::exception_ptr thrown) {
-  {
+  if (thrown) {
     MutexLock lk(m_);
-    if (thrown && !error_) error_ = thrown;
-    completed_ += items;
-    if (completed_ < count) return;
+    if (!error_) error_ = std::move(thrown);
+    failed_.store(true, std::memory_order_relaxed);
   }
+  if (completed_.fetch_add(items, std::memory_order_acq_rel) + items < count) return;
   finish(nullptr);
 }
 
@@ -50,11 +50,6 @@ void EngineJob::wait() {
   }
   // Rethrow outside the lock: nothing below may touch guarded state.
   if (err) std::rethrow_exception(err);
-}
-
-bool EngineJob::cancelled() const {
-  MutexLock lk(m_);
-  return error_ != nullptr;
 }
 
 }  // namespace detail

@@ -31,6 +31,7 @@
 // on_done; src/server/).
 #pragma once
 
+#include <atomic>
 #include <chrono>
 #include <cstddef>
 #include <deque>
@@ -51,10 +52,12 @@ namespace detail {
 
 /// One submitted job: an independent shard range plus its own completion and
 /// error state. Shared between the queue, the workers still running its
-/// shards, and the future holding it. Completion (`completed_`/`finished_`/
-/// `error_`/`on_done_`) is guarded by the job's own mutex so a future can
-/// wait on the job even after the engine that ran it is gone; the shard
-/// cursor (`next`) stays under the engine mutex with the queue.
+/// shards, and the future holding it. Shards count themselves done with one
+/// atomic add and read cancellation from an atomic flag, so a shard takes no
+/// lock; the job's own mutex guards only the finish (`finished_`/`error_`/
+/// `on_done_`), so a future can wait on the job even after the engine that
+/// ran it is gone. The shard cursor (`next`) stays under the engine mutex
+/// with the queue.
 struct EngineJob {
   using Body = std::function<void(size_t begin, size_t end, unsigned worker_id)>;
   using OnDone = std::function<void(std::exception_ptr)>;
@@ -94,12 +97,18 @@ struct EngineJob {
   /// Blocks until the job finished; rethrows its stored exception.
   void wait();
   /// True when a claimed shard must be cancelled (a prior shard threw).
-  bool cancelled() const;
+  bool cancelled() const { return failed_.load(std::memory_order_relaxed); }
 
  private:
+  /// Items whose shard returned or was cancelled. Each add is acq_rel, so
+  /// the add that reaches `count` sees every shard's writes before the job
+  /// finishes.
+  std::atomic<size_t> completed_{0};
+  /// Set, under m_, with a shard's exception: a cancellation hint read
+  /// without the lock (a shard that misses it merely runs).
+  std::atomic<bool> failed_{false};
   mutable Mutex m_;
   CondVar cv_;  ///< signals finished_ (the only predicate waited on m_)
-  size_t completed_ SLC_GUARDED_BY(m_) = 0;  ///< items whose body returned
   bool finished_ SLC_GUARDED_BY(m_) = false;
   std::exception_ptr error_ SLC_GUARDED_BY(m_);
   OnDone on_done_ SLC_GUARDED_BY(m_);  ///< moved out and run by finish()

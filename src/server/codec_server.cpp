@@ -30,6 +30,9 @@ constexpr auto kNoFlush = std::chrono::steady_clock::time_point::max();
 /// batch_blocks far above any real batch does not reserve a huge arena.
 constexpr size_t kMaxReserveBlocks = 4096;
 
+/// Blocks a fresh pending batch reserves room for.
+size_t reserve_blocks(size_t batch_blocks) { return std::min(batch_blocks, kMaxReserveBlocks); }
+
 /// When a parked request must be force-dispatched: deadline-carrying
 /// requests get half their deadline as coalescing budget (capped by the
 /// configured linger) so the engine keeps the other half; deadline-free
@@ -65,19 +68,31 @@ static_assert(CodecEngine::kMinShard == SlcCodec::kProbeChunk,
 /// with an end offset per block, and index-aligned result slots (analyses,
 /// or the payload arena, by kind). It is one engine job, completed through
 /// that job's on_done: a shard exception cancels the rest of the batch and
-/// reaches every request as kError.
+/// reaches every request as kError. Its stream owns it and reuses it once
+/// it retired, buffers cleared but their capacity kept.
 struct CodecServer::Batch {
   static constexpr size_t kChunk = CodecEngine::kMinShard;
 
   StreamId stream = 0;
   RequestKind kind = RequestKind::kAnalyze;
-  std::shared_ptr<const Compressor> codec;
+  const Compressor* codec = nullptr;  ///< the stream's; streams outlive batches
   size_t mag_bytes = kDefaultMagBytes;
+  int priority = 0;  ///< the engine job's priority and EDF deadline
+  std::chrono::steady_clock::time_point deadline = CodecEngine::kNoDeadline;
   std::vector<uint8_t> bytes;
   std::vector<size_t> ends;  ///< block i is bytes[block_begin(i), ends[i])
   std::vector<BlockAnalysis> analyses;             ///< kAnalyze / kDecide
   std::shared_ptr<detail::PayloadArena> payloads;  ///< kCompress
   std::vector<std::shared_ptr<detail::ServerRequest>> requests;
+
+  /// What completion adds to the stream's stats: gathered by deliver_batch
+  /// outside lock_, folded in by retire_batch_locked.
+  size_t blocks = 0;
+  CommitStats commit;
+  uint64_t deadline_misses = 0;
+  std::vector<std::chrono::nanoseconds> latencies;  ///< one per request
+
+  Batch* next = nullptr;  ///< link in a ReadyBatches list or the spare list
 
   size_t block_begin(size_t i) const { return i == 0 ? 0 : ends[i - 1]; }
   size_t block_bytes(size_t i) const { return ends[i] - block_begin(i); }
@@ -119,37 +134,74 @@ struct CodecServer::Batch {
   }
 };
 
+struct CodecServer::ReadyBatches {
+  Batch* head = nullptr;
+  Batch* tail = nullptr;
+
+  void push(Batch* b) {
+    b->next = nullptr;
+    if (tail != nullptr) {
+      tail->next = b;
+    } else {
+      head = b;
+    }
+    tail = b;
+  }
+  Batch* pop() {
+    Batch* b = head;
+    if (b != nullptr) {
+      head = b->next;
+      if (head == nullptr) tail = nullptr;
+    }
+    return b;
+  }
+  bool empty() const { return head == nullptr; }
+};
+
+// --- ServerRequest ----------------------------------------------------------
+
+namespace detail {
+
+void ServerRequest::publish() {
+  if (state.exchange(State::kDone, std::memory_order_acq_rel) != State::kParked) return;
+  // The waiter set kParked under m and holds m until cv.wait releases it,
+  // so once we hold m it is asleep or about to re-check: the notify cannot
+  // be lost.
+  MutexLock lk(m);
+  cv.notify_all();
+}
+
+void ServerRequest::await() {
+  MutexLock lk(m);
+  State seen = State::kPending;
+  if (!state.compare_exchange_strong(seen, State::kParked, std::memory_order_acq_rel,
+                                     std::memory_order_acquire) &&
+      seen == State::kDone)
+    return;
+  while (!ready()) cv.wait(m);
+}
+
+}  // namespace detail
+
 // --- ServerTicket -----------------------------------------------------------
 
-bool ServerTicket::ready() const {
-  if (!req_) return false;
-  MutexLock lk(req_->m);
-  return req_->done;
-}
+bool ServerTicket::ready() const { return req_ && req_->ready(); }
 
 Response ServerTicket::wait() {
   if (!req_) throw std::logic_error("ServerTicket::wait on an empty ticket");
   auto req = std::move(req_);  // one-shot: consume before any throw
   // The request may still be coalescing in its stream's pending batch; a
   // waiter must force dispatch or it would block until the flush timer (or
-  // someone else's submit) fills the batch. Skip the flush when already
-  // complete so waiting a finished ticket does not dispatch the stream's
-  // unrelated half-full batch.
-  // (Called without holding req->m: the server lock nests outside it.)
-  bool done;
-  {
-    MutexLock lk(req->m);
-    done = req->done;
+  // someone else's submit) fills the batch. Only that batch is flushed, and
+  // only while the request is unfinished: waiting a finished ticket takes
+  // no lock at all, and never dispatches the stream's unrelated half-full
+  // batch.
+  if (!req->ready()) {
+    if (server_) server_->flush_batch(stream_, req->batch);
+    req->await();
   }
-  if (!done && server_) server_->flush_stream(stream_);
-  Response resp;
-  std::shared_ptr<const detail::PayloadArena> arena;
-  {
-    MutexLock lk(req->m);
-    while (!req->done) req->cv.wait(req->m);
-    resp = std::move(req->resp);
-    arena = std::move(req->payloads);
-  }
+  Response resp = std::move(req->resp);
+  const std::shared_ptr<const detail::PayloadArena> arena = std::move(req->payloads);
   // Payload vectors are built here, on the waiting thread, so they are
   // allocated and freed on the client's side.
   if (arena) {
@@ -228,112 +280,124 @@ ServerTicket CodecServer::submit(StreamId s, const Request& r) {
   req->tag = r.tag;
   req->deadline = r.deadline;
 
-  MutexLock lk(lock_);
-  Stream& st = *streams_.at(s);
+  // Batches dispatched below reach the engine only after lock_ is released.
+  ReadyBatches ready;
+  {
+    MutexLock lk(lock_);
+    Stream& st = *streams_.at(s);
 
-  if (n == 0) {
-    // Nothing to schedule; complete inline so the request can never be
-    // stranded in an empty batch.
-    st.stats.requests += 1;
-    st.stats.latency.record(std::chrono::steady_clock::now() - req->submitted);
-    MutexLock rlk(req->m);
-    req->resp.tag = req->tag;
-    req->resp.analysis.ratios = RatioAccumulator(st.cfg.options.mag_bytes);
-    req->done = true;
-    return ServerTicket(this, s, std::move(req));
-  }
-
-  if (cfg_.max_inflight_blocks != 0 && st.cfg.admission == AdmissionPolicy::kReject) {
-    // Load shedding: a kReject stream never waits. The request is shed
-    // unless it could be admitted *right now* — budget room and no older
-    // submitter already queued at the turnstile (jumping the FIFO would
-    // starve waiting kBlock submitters of the room they were promised).
-    if (admit_tail_ != admit_head_ || !admit_fits_locked(n)) {
+    if (n == 0) {
+      // Nothing to schedule; complete inline so the request can never be
+      // stranded in an empty batch.
       st.stats.requests += 1;
-      st.stats.rejected += 1;
-      MutexLock rlk(req->m);
-      req->resp.status = ResponseStatus::kRejected;
+      st.stats.latency.record(std::chrono::steady_clock::now() - req->submitted);
       req->resp.tag = req->tag;
       req->resp.analysis.ratios = RatioAccumulator(st.cfg.options.mag_bytes);
-      req->done = true;
+      req->publish();
       return ServerTicket(this, s, std::move(req));
     }
-  } else if (cfg_.max_inflight_blocks != 0) {
-    // Backpressure: admit once dispatched + queued blocks leave room. The
-    // empty-server escape (admit_fits_locked) admits a request larger than
-    // the whole budget (dispatched immediately below) instead of
-    // deadlocking. Admission is a FIFO turnstile — each submitter waits its
-    // turn — so an oversized request cannot be starved by a steady stream
-    // of small ones: younger submitters queue behind it while the server
-    // drains to empty.
-    const uint64_t turn = admit_tail_++;
-    while (!(admit_head_ == turn && admit_fits_locked(n))) {
-      // Queued-but-undispatched batches never retire on their own; push
-      // them out on every re-check — a submit admitted ahead of us may
-      // have parked new pending blocks — so the wait is always on engine
-      // progress.
-      if (!admit_fits_locked(n)) {
-        for (StreamId sid = 0; sid < streams_.size(); ++sid) dispatch_locked(sid);
-      }
-      if (admit_head_ == turn && admit_fits_locked(n)) break;
-      backpressure_cv_.wait(lock_);
-    }
-    admit_head_ += 1;
-    backpressure_cv_.notify_all();  // hand the turnstile to the next waiter
-  }
 
-  // Batches are kind-homogeneous: a kind switch flushes the pending batch.
-  if (!st.pending.empty() && st.pending_kind != r.kind) dispatch_locked(s);
-
-  req->offset = st.pending_ends.size();
-  if (st.pending.empty()) {
-    st.pending_kind = r.kind;
-    st.flush_by = kNoFlush;
-    st.pending_has_deadline = false;
-    st.pending_deadline = CodecEngine::kNoDeadline;
-    // The last dispatch took the buffers: size them for a full batch once
-    // instead of regrowing them request by request.
-    const size_t expect = std::min(cfg_.batch_blocks, kMaxReserveBlocks);
-    st.pending_ends.reserve(expect);
-    st.pending_bytes.reserve(expect * kBlockBytes);
-  }
-  if (!r.blocks.empty()) {
-    for (const Block& b : r.blocks) {
-      st.pending_bytes.insert(st.pending_bytes.end(), b.bytes().begin(), b.bytes().end());
-      st.pending_ends.push_back(st.pending_bytes.size());
+    if (cfg_.max_inflight_blocks != 0 && st.cfg.admission == AdmissionPolicy::kReject) {
+      // Load shedding: a kReject stream never waits. The request is shed
+      // unless it could be admitted *right now* — budget room and no older
+      // submitter already queued at the turnstile (jumping the FIFO would
+      // starve waiting kBlock submitters of the room they were promised).
+      if (admit_tail_ != admit_head_ || !admit_fits_locked(n)) {
+        st.stats.requests += 1;
+        st.stats.rejected += 1;
+        req->resp.status = ResponseStatus::kRejected;
+        req->resp.tag = req->tag;
+        req->resp.analysis.ratios = RatioAccumulator(st.cfg.options.mag_bytes);
+        req->publish();
+        return ServerTicket(this, s, std::move(req));
+      }
+    } else if (cfg_.max_inflight_blocks != 0) {
+      // Backpressure: admit once dispatched + queued blocks leave room. The
+      // empty-server escape (admit_fits_locked) admits a request larger than
+      // the whole budget (dispatched immediately below) instead of
+      // deadlocking. Admission is a FIFO turnstile — each submitter waits its
+      // turn — so an oversized request cannot be starved by a steady stream
+      // of small ones: younger submitters queue behind it while the server
+      // drains to empty.
+      const uint64_t turn = admit_tail_++;
+      while (!(admit_head_ == turn && admit_fits_locked(n))) {
+        // Queued-but-undispatched batches never retire on their own; push
+        // them out on every re-check — a submit admitted ahead of us may
+        // have parked new pending blocks — so the wait is always on engine
+        // progress.
+        if (!admit_fits_locked(n)) {
+          for (StreamId sid = 0; sid < streams_.size(); ++sid) dispatch_locked(sid, ready);
+        }
+        if (admit_head_ == turn && admit_fits_locked(n)) break;
+        if (!ready.empty()) {
+          // Hand them to the engine before sleeping on their completion.
+          lk.unlock();
+          hand_off(ready);
+          lk.lock();
+          continue;
+        }
+        backpressure_cv_.wait(lock_);
+      }
+      admit_head_ += 1;
+      backpressure_cv_.notify_all();  // hand the turnstile to the next waiter
     }
-  } else {
-    const size_t start = st.pending_bytes.size();
-    st.pending_bytes.insert(st.pending_bytes.end(), r.bytes.begin(), r.bytes.end());
-    st.pending_bytes.resize(start + n * kBlockBytes);  // zero-pads the ragged tail
-    for (size_t j = 1; j <= n; ++j) st.pending_ends.push_back(start + j * kBlockBytes);
-  }
-  st.pending.push_back(req);
-  pending_blocks_total_ += n;
-  if (r.deadline.count() > 0) {
-    st.pending_has_deadline = true;
-    st.pending_deadline = std::min(st.pending_deadline, req->submitted + r.deadline);
-  }
-  // Over budget is only reachable through the empty-server escape (an
-  // oversized request): dispatch at once so the bound is restored as soon
-  // as the batch retires.
-  const bool over_budget = cfg_.max_inflight_blocks != 0 &&
-                           inflight_blocks_ + pending_blocks_total_ > cfg_.max_inflight_blocks;
-  if (st.pending_ends.size() >= cfg_.batch_blocks || over_budget) {
-    dispatch_locked(s);
-  } else {
-    // Parked: arm the flush timer so a submit lull cannot strand the batch.
-    // The timer rescans whenever it wakes, so it needs a nudge only for a
-    // flush earlier than the wake it is already sleeping until.
-    const auto when = flush_deadline(req->submitted, req->deadline, cfg_.max_coalesce_delay);
-    if (when < st.flush_by) {
-      st.flush_by = when;
-      if (when < timer_wake_) {
-        timer_wake_ = when;
-        timer_cv_.notify_all();
+
+    // Batches are kind-homogeneous: a kind switch flushes the pending batch.
+    if (!st.pending.empty() && st.pending_kind != r.kind) dispatch_locked(s, ready);
+
+    req->offset = st.pending_ends.size();
+    req->batch = st.stats.batches;  // the number dispatch will give this batch
+    if (st.pending.empty()) {
+      st.pending_kind = r.kind;
+      st.flush_by = kNoFlush;
+      st.pending_has_deadline = false;
+      st.pending_deadline = CodecEngine::kNoDeadline;
+      // Size the buffers for a full batch once instead of regrowing them
+      // request by request (a no-op when a recycled batch left them this
+      // large).
+      const size_t expect = reserve_blocks(cfg_.batch_blocks);
+      st.pending_ends.reserve(expect);
+      st.pending_bytes.reserve(expect * kBlockBytes);
+    }
+    if (!r.blocks.empty()) {
+      for (const Block& b : r.blocks) {
+        st.pending_bytes.insert(st.pending_bytes.end(), b.bytes().begin(), b.bytes().end());
+        st.pending_ends.push_back(st.pending_bytes.size());
+      }
+    } else {
+      const size_t start = st.pending_bytes.size();
+      st.pending_bytes.insert(st.pending_bytes.end(), r.bytes.begin(), r.bytes.end());
+      st.pending_bytes.resize(start + n * kBlockBytes);  // zero-pads the ragged tail
+      for (size_t j = 1; j <= n; ++j) st.pending_ends.push_back(start + j * kBlockBytes);
+    }
+    st.pending.push_back(req);
+    pending_blocks_total_ += n;
+    if (r.deadline.count() > 0) {
+      st.pending_has_deadline = true;
+      st.pending_deadline = std::min(st.pending_deadline, req->submitted + r.deadline);
+    }
+    // Over budget is only reachable through the empty-server escape (an
+    // oversized request): dispatch at once so the bound is restored as soon
+    // as the batch retires.
+    const bool over_budget = cfg_.max_inflight_blocks != 0 &&
+                             inflight_blocks_ + pending_blocks_total_ > cfg_.max_inflight_blocks;
+    if (st.pending_ends.size() >= cfg_.batch_blocks || over_budget) {
+      dispatch_locked(s, ready);
+    } else {
+      // Parked: arm the flush timer so a submit lull cannot strand the batch.
+      // The timer rescans whenever it wakes, so it needs a nudge only for a
+      // flush earlier than the wake it is already sleeping until.
+      const auto when = flush_deadline(req->submitted, req->deadline, cfg_.max_coalesce_delay);
+      if (when < st.flush_by) {
+        st.flush_by = when;
+        if (when < timer_wake_) {
+          timer_wake_ = when;
+          timer_cv_.notify_all();
+        }
       }
     }
   }
+  hand_off(ready);
   return ServerTicket(this, s, std::move(req));
 }
 
@@ -347,16 +411,24 @@ void CodecServer::timer_loop() {
   while (!stopping_) {
     const auto now = std::chrono::steady_clock::now();
     auto next = kNoFlush;
+    ReadyBatches ready;
     for (StreamId s = 0; s < streams_.size(); ++s) {
       Stream& st = *streams_[s];
       if (st.pending.empty()) continue;
       if (st.flush_by <= now) {
-        dispatch_locked(s);
+        dispatch_locked(s, ready);
       } else {
         next = std::min(next, st.flush_by);
       }
     }
-    if (stopping_) break;
+    if (!ready.empty()) {
+      // Submit outside lock_, then rescan: flushes armed meanwhile were
+      // notified to nobody.
+      lk.unlock();
+      hand_off(ready);
+      lk.lock();
+      continue;
+    }
     timer_wake_ = next;
     if (next == kNoFlush) {
       timer_cv_.wait(lock_);
@@ -366,36 +438,34 @@ void CodecServer::timer_loop() {
   }
 }
 
-void CodecServer::dispatch_locked(StreamId s) {
+void CodecServer::dispatch_locked(StreamId s, ReadyBatches& ready) {
   Stream& st = *streams_.at(s);
   if (st.pending.empty()) return;
 
-  auto batch = std::make_shared<Batch>();
+  Batch* batch = st.spare;
+  if (batch != nullptr) {
+    st.spare = batch->next;
+  } else {
+    batch = st.batches.emplace_back(std::make_unique<Batch>()).get();
+  }
   batch->stream = s;
   batch->kind = st.pending_kind;
-  batch->codec = st.codec;
+  batch->codec = st.codec.get();
   batch->mag_bytes = st.cfg.options.mag_bytes;
-  batch->bytes = std::move(st.pending_bytes);
-  batch->ends = std::move(st.pending_ends);
-  batch->requests = std::move(st.pending);
-  st.pending_bytes.clear();
-  st.pending_ends.clear();
-  st.pending.clear();
+  // Swap, not move: the pending side takes the recycled batch's cleared
+  // buffers and keeps their capacity for the next batch.
+  batch->bytes.swap(st.pending_bytes);
+  batch->ends.swap(st.pending_ends);
+  batch->requests.swap(st.pending);
   const size_t n = batch->ends.size();
-  if (batch->kind == RequestKind::kCompress) {
-    batch->payloads = std::make_shared<detail::PayloadArena>();
-    batch->payloads->bytes.resize(batch->bytes.size());
-    batch->payloads->entries.resize(n);
-  } else {
-    batch->analyses.resize(n);
-  }
+  batch->blocks = n;
   // A batch carrying any explicit deadline claims shards ahead of everything
   // priority-scheduled between the bulk/latency ends; its earliest absolute
   // deadline rides along so the engine orders same-band batches EDF.
-  const int priority = st.pending_has_deadline
-                           ? std::max(st.engine_priority, CodecEngine::kPriorityDeadline)
-                           : st.engine_priority;
-  const auto deadline = st.pending_deadline;
+  batch->priority = st.pending_has_deadline
+                        ? std::max(st.engine_priority, CodecEngine::kPriorityDeadline)
+                        : st.engine_priority;
+  batch->deadline = st.pending_deadline;
   st.flush_by = kNoFlush;
   st.pending_has_deadline = false;
   st.pending_deadline = CodecEngine::kNoDeadline;
@@ -404,47 +474,76 @@ void CodecServer::dispatch_locked(StreamId s) {
   inflight_blocks_ += n;
   inflight_batches_ += 1;
   st.stats.batches += 1;
+  ready.push(batch);
+}
 
-  // One engine job per batch at the stream's priority; the job's on_done
-  // completes the batch on the worker that ran its last shard (or on the
-  // thread that shut the engine down), so fire-and-forget clients still
-  // retire their backpressure debt.
-  try {
-    engine_->submit(
-        n,
-        [this, batch](size_t begin, size_t end, unsigned worker) {
-          batch->run_shard(begin, end, worker_slots_[worker]);
-        },
-        priority, deadline,
-        [this, batch](std::exception_ptr err) { complete_batch(*batch, err); });
-  } catch (...) {
-    // The engine is stopped (or the job could not be built): no shard will
-    // ever run. Complete the batch here without dropping lock_, so tickets
-    // get the exception and drain()/~CodecServer see the batch retire.
-    const std::exception_ptr err = std::current_exception();
-    const auto now = std::chrono::steady_clock::now();
-    retire_batch_locked(*batch, deliver_batch(*batch, err, now), now);
+void CodecServer::hand_off(ReadyBatches& ready) {
+  while (Batch* batch = ready.pop()) {
+    // One engine job per batch; its on_done completes the batch on the
+    // worker that ran its last shard (or on the thread that shut the engine
+    // down), so fire-and-forget clients still retire their backpressure
+    // debt. Both callbacks capture two pointers, which std::function keeps
+    // inline.
+    try {
+      if (batch->kind == RequestKind::kCompress) {
+        batch->payloads = std::make_shared<detail::PayloadArena>();
+        batch->payloads->bytes.resize(batch->bytes.size());
+        batch->payloads->entries.resize(batch->blocks);
+      } else {
+        batch->analyses.resize(batch->blocks);
+      }
+      engine_->submit(
+          batch->blocks,
+          [this, batch](size_t begin, size_t end, unsigned worker) {
+            batch->run_shard(begin, end, worker_slots_[worker]);
+          },
+          batch->priority, batch->deadline,
+          [this, batch](std::exception_ptr err) { complete_batch(*batch, err); });
+    } catch (...) {
+      // The engine is stopped (or the job could not be built): no shard
+      // will ever run. Complete the batch here, so tickets get the exception
+      // and drain()/~CodecServer see the batch retire.
+      complete_batch(*batch, std::current_exception());
+    }
   }
 }
 
 void CodecServer::complete_batch(Batch& batch, std::exception_ptr err) {
-  const auto now = std::chrono::steady_clock::now();
-  const CommitStats commit = deliver_batch(batch, err, now);
+  deliver_batch(batch, err, std::chrono::steady_clock::now());
+  // Release outside lock_. The buffers keep their capacity for the batch's
+  // next use, unless they outgrew twice a full batch.
+  batch.payloads.reset();
+  batch.bytes.clear();
+  batch.ends.clear();
+  batch.analyses.clear();
+  batch.requests.clear();
+  const size_t keep_blocks = 2 * reserve_blocks(cfg_.batch_blocks);
+  if (batch.ends.capacity() > keep_blocks || batch.bytes.capacity() > keep_blocks * kBlockBytes) {
+    batch.bytes.shrink_to_fit();
+    batch.ends.shrink_to_fit();
+    batch.analyses.shrink_to_fit();
+    batch.requests.shrink_to_fit();
+  }
   MutexLock lk(lock_);
-  retire_batch_locked(batch, commit, now);
+  retire_batch_locked(batch);
 }
 
-CommitStats CodecServer::deliver_batch(Batch& batch, std::exception_ptr err,
-                                       std::chrono::steady_clock::time_point now) {
+void CodecServer::deliver_batch(Batch& batch, std::exception_ptr err,
+                                std::chrono::steady_clock::time_point now) {
   // Scatter per-request responses sequentially — same bytes no matter which
-  // thread completes the batch. Delivery (request mutex + cv) happens after
-  // the response is fully built. The same pass folds the batch's commit
-  // counters, so retiring it under lock_ is one merge.
-  CommitStats cs;
-  for (const auto& req : batch.requests) {
-    Response resp;
+  // thread completes the batch. Each response is published after it is
+  // fully built. The same pass tallies the batch's commit counters, request
+  // latencies and deadline misses, so retiring it under lock_ is one fold.
+  CommitStats& cs = batch.commit;
+  cs = CommitStats{};
+  batch.deadline_misses = 0;
+  batch.latencies.clear();
+  for (std::shared_ptr<detail::ServerRequest>& req : batch.requests) {
+    Response& resp = req->resp;
     resp.tag = req->tag;
     resp.deadline_missed = req->deadline.count() > 0 && now - req->submitted > req->deadline;
+    batch.deadline_misses += resp.deadline_missed ? 1 : 0;
+    batch.latencies.push_back(now - req->submitted);
     resp.analysis.ratios = RatioAccumulator(batch.mag_bytes);
     if (err) {
       resp.status = ResponseStatus::kError;
@@ -465,6 +564,7 @@ CommitStats CodecServer::deliver_batch(Batch& batch, std::exception_ptr err,
         cs.final_bits += p.bit_size;
       }
       cs.blocks += req->n_blocks;
+      req->payloads = batch.payloads;
     } else {
       StreamAnalysis& sa = resp.analysis;
       for (size_t j = 0; j < req->n_blocks; ++j) {
@@ -492,28 +592,24 @@ CommitStats CodecServer::deliver_batch(Batch& batch, std::exception_ptr err,
             batch.analyses.begin() + static_cast<ptrdiff_t>(req->offset + req->n_blocks));
       }
     }
-    MutexLock rlk(req->m);  // lock order: lock_ (if held) then req->m
-    req->resp = std::move(resp);
-    if (!err) req->payloads = batch.payloads;  // null unless kCompress
-    req->done = true;
+    req->publish();
+    // Drop the batch's reference at once: its waiter, usually still
+    // reading the response, then holds the last one and frees the request
+    // on the thread that allocated it.
+    req.reset();
   }
-  for (const auto& req : batch.requests) req->cv.notify_all();
-  return cs;
 }
 
-void CodecServer::retire_batch_locked(const Batch& batch, const CommitStats& commit,
-                                      std::chrono::steady_clock::time_point now) {
+void CodecServer::retire_batch_locked(Batch& batch) {
   Stream& st = *streams_.at(batch.stream);
-  for (const auto& req : batch.requests) {
-    st.stats.requests += 1;
-    if (req->deadline.count() > 0 && now - req->submitted > req->deadline) {
-      st.stats.deadline_misses += 1;
-    }
-    st.stats.latency.record(now - req->submitted);
-  }
-  st.stats.commit.merge(commit);
-  inflight_blocks_ -= batch.ends.size();
+  st.stats.requests += batch.latencies.size();
+  st.stats.deadline_misses += batch.deadline_misses;
+  for (const std::chrono::nanoseconds d : batch.latencies) st.stats.latency.record(d);
+  st.stats.commit.merge(batch.commit);
+  inflight_blocks_ -= batch.blocks;
   inflight_batches_ -= 1;
+  batch.next = st.spare;
+  st.spare = &batch;
   // Notify while still holding the lock: a woken drain() can only pass its
   // predicate after we release it, so the completing thread is done
   // touching the server before ~CodecServer can possibly run.
@@ -521,14 +617,22 @@ void CodecServer::retire_batch_locked(const Batch& batch, const CommitStats& com
   drain_cv_.notify_all();
 }
 
-void CodecServer::flush_stream(StreamId s) {
-  MutexLock lk(lock_);
-  dispatch_locked(s);
+void CodecServer::flush_batch(StreamId s, uint64_t batch) {
+  ReadyBatches ready;
+  {
+    MutexLock lk(lock_);
+    if (streams_.at(s)->stats.batches == batch) dispatch_locked(s, ready);
+  }
+  hand_off(ready);
 }
 
 void CodecServer::drain() {
+  ReadyBatches ready;
   MutexLock lk(lock_);
-  for (StreamId s = 0; s < streams_.size(); ++s) dispatch_locked(s);
+  for (StreamId s = 0; s < streams_.size(); ++s) dispatch_locked(s, ready);
+  lk.unlock();
+  hand_off(ready);
+  lk.lock();
   while (inflight_batches_ != 0) drain_cv_.wait(lock_);
 }
 

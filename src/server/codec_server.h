@@ -34,7 +34,14 @@
 // per-batch payload arena at its block's input offset, and the waiting
 // thread builds its Response::payloads from that slice in wait(). So the
 // path from submit() to wait() allocates nothing per block except the
-// payload vectors a Response must own.
+// payload vectors a Response must own. Batches are recycled: dispatch takes
+// a retired batch from the stream's spare list and swaps its cleared
+// buffers with the pending ones, and completion clears them again and
+// returns the batch. The spare list holds only batches that were once in
+// flight at the same time, so the stream's peak bounds it; a batch whose
+// buffers outgrew twice a full batch frees them instead of keeping them.
+// So in steady state a batch allocates only its engine job (and a kCompress
+// batch its payload arena), and a request only its own state.
 //
 // Stream lifecycle: open_stream() -> submit() xN (tickets) -> wait()/drain().
 // Streams live as long as the server; there is no close — drain() is the
@@ -69,6 +76,7 @@
 #pragma once
 
 #include <array>
+#include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <exception>
@@ -246,25 +254,47 @@ struct PayloadArena {
 };
 
 /// One queued request: its slice of the batch it rides in, and its own
-/// completion state (the batch's completion delivers into it). Lock order:
-/// `m` nests inside the server lock (CodecServer::lock_ may be held while
-/// taking m; never the reverse).
+/// completion state (the batch's completion delivers into it).
+///
+/// Completion is one atomic `state`: the batch's completion writes `resp`
+/// and `payloads`, then publish() stores kDone with release order, so a
+/// waiter that reads kDone (acquire) sees them without a lock. A waiter that finds the request
+/// pending parks: under `m` it moves `state` to kParked and sleeps on `cv`;
+/// publish() takes `m` to wake it only when it finds kParked. `m` is a leaf
+/// lock, never held with CodecServer::lock_.
 struct ServerRequest {
+  enum class State : uint8_t { kPending, kParked, kDone };
+
   size_t offset = 0;    ///< first block inside the dispatched batch
   size_t n_blocks = 0;
+  /// Its stream's dispatched-batch count when the request joined the
+  /// pending batch: that batch is still coalescing while the count is
+  /// unchanged.
+  uint64_t batch = 0;
   RequestKind kind = RequestKind::kAnalyze;
   uint64_t tag = 0;
   std::chrono::nanoseconds deadline{0};  ///< 0 = none
   std::chrono::steady_clock::time_point submitted{};
 
-  Mutex m;
-  CondVar cv;  ///< signals done
-  bool done SLC_GUARDED_BY(m) = false;
-  Response resp SLC_GUARDED_BY(m);
+  /// Written once, by publish()'s caller before it, and read only after
+  /// ready() (not under `m`: `state`'s release store publishes them).
+  Response resp;
   /// A served kCompress request's batch output; wait() builds resp.payloads
   /// from this request's entries. The request holds the arena, never the
   /// batch: the batch holds its requests, so that would be a cycle.
-  std::shared_ptr<const PayloadArena> payloads SLC_GUARDED_BY(m);
+  std::shared_ptr<const PayloadArena> payloads;
+
+  /// Marks `resp` and `payloads` complete and wakes a parked waiter.
+  void publish();
+  /// True once publish() ran; `resp` and `payloads` are then readable.
+  bool ready() const { return state.load(std::memory_order_acquire) == State::kDone; }
+  /// Blocks until publish() ran.
+  void await();
+
+ private:
+  std::atomic<State> state{State::kPending};
+  Mutex m;
+  CondVar cv;  ///< signals kDone to a parked waiter
 };
 
 }  // namespace detail
@@ -303,7 +333,7 @@ class CodecServer {
     /// Engine batches run on; null picks CodecEngine::shared_default().
     std::shared_ptr<CodecEngine> engine;
     /// Coalescing target: a stream's pending requests dispatch as one engine
-    /// job once they cover this many blocks (or on wait()/flush/drain/timer).
+    /// job once they cover this many blocks (or on wait()/drain/timer).
     size_t batch_blocks = 256;
     /// Backpressure budget: a kBlock submit() waits while admitting the
     /// request would push dispatched-plus-queued blocks past this (a kReject
@@ -320,9 +350,9 @@ class CodecServer {
     /// Upper bound on how long a parked request may coalesce before the
     /// timer thread force-dispatches its batch. A request with a deadline
     /// uses min(deadline/2, this) as its budget; one without uses this
-    /// directly. 0 disables idle flush for deadline-free requests (legacy
-    /// manual-flush behavior) — deadline-carrying requests always arm the
-    /// timer.
+    /// directly. 0 disables idle flush for deadline-free requests (they
+    /// dispatch when full, waited or drained) — deadline-carrying requests
+    /// always arm the timer.
     std::chrono::microseconds max_coalesce_delay{2000};
   };
 
@@ -351,8 +381,6 @@ class CodecServer {
   /// completes immediately. See Request/Response for the contract.
   ServerTicket submit(StreamId s, const Request& request);
 
-  /// Dispatches `s`'s partially-filled batch now (no-op when empty).
-  void flush_stream(StreamId s);
   /// Barrier: dispatches every partial batch and blocks until all in-flight
   /// batches completed. Request errors stay with their tickets.
   void drain();
@@ -393,28 +421,45 @@ class CodecServer {
     /// forwarded to the engine so same-band batches claim EDF.
     std::chrono::steady_clock::time_point pending_deadline = CodecEngine::kNoDeadline;
     StreamStats stats;
+    /// Every batch this stream dispatched, in flight or spare; they live as
+    /// long as the server (which drains before it is destroyed).
+    std::vector<std::unique_ptr<Batch>> batches;
+    /// Retired batches ready for reuse, linked through Batch::next.
+    Batch* spare = nullptr;
   };
+  /// Batches prepared under lock_, in dispatch order, to be handed to the
+  /// engine once it is released.
+  struct ReadyBatches;
 
-  /// Packages the stream's pending requests into one batch and submits it as
-  /// a single engine job at the stream's priority, with complete_batch as
-  /// its on_done. If submit() throws (engine stopped), the batch is
-  /// completed inline with that exception — without ever dropping lock_.
-  void dispatch_locked(StreamId s) SLC_REQUIRES(lock_);
+  /// Dispatches `s`'s pending batch if it is still batch number `batch`
+  /// (the one a waited request joined), so a waiter never flushes a later,
+  /// unrelated partial batch.
+  void flush_batch(StreamId s, uint64_t batch) SLC_EXCLUDES(lock_);
+  /// Packages the stream's pending requests into one batch (a spare one
+  /// when the stream has one) and appends it to `ready`; it counts as in
+  /// flight from here. The caller hands `ready` to the engine after
+  /// releasing lock_.
+  void dispatch_locked(StreamId s, ReadyBatches& ready) SLC_REQUIRES(lock_);
+  /// Submits each ready batch as one engine job at its stream's priority,
+  /// with complete_batch as its on_done. A batch the engine refuses (it is
+  /// stopping) is completed here with that exception.
+  void hand_off(ReadyBatches& ready) SLC_EXCLUDES(lock_);
   /// Backpressure predicate: would admitting `n` more blocks fit the budget
   /// (or is the server drained empty — the oversized-request escape)?
   bool admit_fits_locked(size_t n) const SLC_REQUIRES(lock_);
   /// A batch's engine on_done: delivers every response (kError with `err`
-  /// when set) outside lock_, then retires the batch under it.
+  /// when set) and releases the batch's buffers and request references
+  /// outside lock_, then retires the batch under it.
   void complete_batch(Batch& batch, std::exception_ptr err) SLC_EXCLUDES(lock_);
-  /// Builds and delivers each request's response, and returns the batch's
-  /// commit counters (empty with `err`) from the same pass over its blocks.
-  /// Takes each request's mutex, which is allowed with or without lock_ held.
-  static CommitStats deliver_batch(Batch& batch, std::exception_ptr err,
-                                   std::chrono::steady_clock::time_point now);
-  /// Folds the batch into its stream's stats (`commit` is deliver_batch's
-  /// result) and releases its backpressure and drain debt.
-  void retire_batch_locked(const Batch& batch, const CommitStats& commit,
-                           std::chrono::steady_clock::time_point now) SLC_REQUIRES(lock_);
+  /// Builds and publishes each request's response, dropping the batch's
+  /// reference to it right after, and tallies what the batch adds to its
+  /// stream's stats (commit counters, empty with `err`; latencies; deadline
+  /// misses) in the same pass over its blocks.
+  static void deliver_batch(Batch& batch, std::exception_ptr err,
+                            std::chrono::steady_clock::time_point now);
+  /// Folds the batch's tally into its stream's stats, releases its
+  /// backpressure and drain debt and returns it to the stream's spare list.
+  void retire_batch_locked(Batch& batch) SLC_REQUIRES(lock_);
   /// Body of the flush-timer thread: force-dispatches batches whose
   /// flush_by elapsed, sleeps until the next one (or until notified).
   void timer_loop() SLC_EXCLUDES(lock_);

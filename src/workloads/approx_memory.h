@@ -178,7 +178,6 @@ class ApproxMemory {
                  size_t threshold_bytes = SIZE_MAX);
 
   size_t num_regions() const { return regions_.size(); }
-  const std::string& region_name(RegionId r) const { return regions_[r].name; }
   size_t region_blocks(RegionId r) const { return regions_[r].data.size() / kBlockBytes; }
   bool region_safe(RegionId r) const { return regions_[r].safe; }
   size_t safe_region_count() const;

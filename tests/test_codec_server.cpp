@@ -1088,5 +1088,196 @@ TEST(CodecServer, EarlierFlushWakesTimerSleepingOnLaterOne) {
   EXPECT_TRUE(tb.wait().ok());
 }
 
+// --- recycled batches --------------------------------------------------------
+//
+// A stream reuses a retired batch, buffers cleared but their capacity kept,
+// so each of these runs many batches through one stream and checks that
+// none of them sees what an earlier one left behind.
+
+/// `n` bytes no block of quantized_walk resembles: incompressible noise.
+std::vector<uint8_t> noise_bytes(uint64_t seed, size_t n) {
+  Rng rng(seed);
+  std::vector<uint8_t> out(n);
+  for (uint8_t& b : out) b = static_cast<uint8_t>(rng.next());
+  return out;
+}
+
+void expect_payloads_match(const Response& res, const Compressor& direct,
+                           std::span<const uint8_t> bytes, const std::string& what) {
+  ASSERT_TRUE(res.ok()) << what;
+  const std::vector<CompressedBlock> want = direct.compress_batch(to_blocks(bytes));
+  ASSERT_EQ(res.payloads.size(), want.size()) << what;
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(res.payloads[i].payload, want[i].payload) << what << " block " << i;
+    EXPECT_EQ(res.payloads[i].bit_size, want[i].bit_size) << what << " block " << i;
+    EXPECT_EQ(res.payloads[i].is_compressed, want[i].is_compressed) << what << " block " << i;
+  }
+}
+
+void expect_decision_matches(const Response& res, const Compressor& direct,
+                             std::span<const uint8_t> bytes, const std::string& what) {
+  ASSERT_TRUE(res.ok()) << what;
+  const std::vector<Block> blocks = to_blocks(bytes);
+  std::vector<BlockView> views;
+  for (const Block& b : blocks) views.push_back(b.view());
+  std::vector<BlockAnalysis> want(views.size());
+  direct.analyze_batch(views, want.data());
+  RatioAccumulator ratios(kDefaultMagBytes);
+  uint64_t lossy = 0;
+  uint64_t truncated = 0;
+  for (const BlockAnalysis& a : want) {
+    ratios.add(kBlockBytes * 8, a.bit_size);
+    lossy += a.lossy ? 1 : 0;
+    truncated += a.truncated_symbols;
+  }
+  EXPECT_TRUE(res.analysis.blocks.empty()) << what;
+  EXPECT_EQ(res.analysis.ratios.blocks(), ratios.blocks()) << what;
+  EXPECT_EQ(res.analysis.ratios.raw_ratio(), ratios.raw_ratio()) << what;
+  EXPECT_EQ(res.analysis.ratios.effective_ratio(), ratios.effective_ratio()) << what;
+  EXPECT_EQ(res.analysis.lossy_blocks, lossy) << what;
+  EXPECT_EQ(res.analysis.truncated_symbols, truncated) << what;
+}
+
+// A full batch of noise, then a ragged request: whichever recycled buffer
+// the ragged request lands in, its tail block is zero-padded, never padded
+// with the noise an earlier batch left in that memory.
+TEST(CodecServer, RecycledBatchZeroPadsARaggedRequest) {
+  const auto training = quantized_walk(31, 256);
+  CodecServer::Config cfg;
+  cfg.engine = std::make_shared<CodecEngine>(1);
+  cfg.batch_blocks = 4;
+  cfg.max_coalesce_delay = std::chrono::microseconds(0);
+  CodecServer server(cfg);
+  const StreamId s = server.open_stream(e2mc_stream("ragged", training));
+  const auto direct = CodecRegistry::instance().create("E2MC", test_options(training));
+
+  for (uint64_t round = 0; round < 6; ++round) {
+    const auto full = noise_bytes(700 + round, 4 * kBlockBytes);
+    expect_payloads_match(
+        server.submit(s, Request{.kind = RequestKind::kCompress, .bytes = full}).wait(), *direct,
+        full, "full batch " + std::to_string(round));
+    std::vector<uint8_t> ragged = quantized_walk(710 + round, 2);
+    ragged.resize(kBlockBytes + kBlockBytes / 2);
+    const Response res =
+        server.submit(s, Request{.kind = RequestKind::kCompress, .bytes = ragged}).wait();
+    expect_payloads_match(res, *direct, ragged, "ragged request " + std::to_string(round));
+  }
+  server.drain();
+  EXPECT_EQ(server.stream_stats(s).batches, 12u);
+}
+
+// One stream alternates kDecide, kCompress and kDecide, with and without
+// waiting in between, so a batch that carried payloads is reused for
+// decisions and the other way round. Every response matches the direct
+// codec.
+TEST(CodecServer, RecycledBatchesSwitchKindsCleanly) {
+  const auto training = quantized_walk(31, 256);
+  for (const unsigned threads : {1u, 3u}) {
+    CodecServer::Config cfg;
+    cfg.engine = std::make_shared<CodecEngine>(threads);
+    cfg.batch_blocks = 8;
+    CodecServer server(cfg);
+    StreamConfig sc;
+    sc.name = "kinds";
+    sc.codec = "TSLC-OPT";
+    sc.options = test_options(training);
+    const StreamId s = server.open_stream(sc);
+    const auto direct = CodecRegistry::instance().create("TSLC-OPT", test_options(training));
+
+    const RequestKind kinds[] = {RequestKind::kDecide, RequestKind::kCompress,
+                                 RequestKind::kDecide};
+    std::vector<std::vector<uint8_t>> inputs;
+    std::vector<ServerTicket> tickets;
+    auto check = [&](size_t i) {
+      const std::string what = "request " + std::to_string(i) + " threads " +
+                               std::to_string(threads);
+      if (kinds[i % 3] == RequestKind::kCompress) {
+        expect_payloads_match(tickets[i].wait(), *direct, inputs[i], what);
+      } else {
+        expect_decision_matches(tickets[i].wait(), *direct, inputs[i], what);
+      }
+    };
+    for (uint64_t round = 0; round < 8; ++round) {
+      // Even rounds wait each request; odd rounds leave all three in flight.
+      for (size_t k = 0; k < 3; ++k) {
+        inputs.push_back(quantized_walk(720 + 3 * round + k, 3 + (round + k) % 9));
+        tickets.push_back(server.submit(s, Request{.kind = kinds[k], .bytes = inputs.back()}));
+        if (round % 2 == 0) check(tickets.size() - 1);
+      }
+      if (round % 2 == 1)
+        for (size_t i = tickets.size() - 3; i < tickets.size(); ++i) check(i);
+    }
+  }
+}
+
+// A failed batch is recycled like a served one: the good batches after it
+// on the same stream carry no error and the right results.
+TEST(CodecServer, RecycledBatchAfterAFailedOneServesCleanly) {
+  CodecServer::Config cfg;
+  cfg.engine = std::make_shared<CodecEngine>(2);
+  cfg.batch_blocks = 16;
+  CodecServer server(cfg);
+  StreamConfig sc;
+  sc.name = "long";
+  sc.codec = "TEST-LONG";
+  const StreamId s = server.open_stream(sc);
+
+  for (uint64_t round = 0; round < 4; ++round) {
+    const auto data = quantized_walk(740 + round, 5 + round);
+    const Response failed =
+        server.submit(s, Request{.kind = RequestKind::kCompress, .bytes = data}).wait();
+    EXPECT_EQ(failed.status, ResponseStatus::kError);
+    EXPECT_TRUE(failed.payloads.empty());
+
+    const Response good = server.submit(s, Request{.bytes = data}).wait();
+    ASSERT_TRUE(good.ok()) << "round " << round;
+    EXPECT_EQ(good.error, nullptr);
+    EXPECT_TRUE(good.payloads.empty());
+    ASSERT_EQ(good.analysis.blocks.size(), 5 + round);
+    for (const BlockAnalysis& a : good.analysis.blocks) EXPECT_EQ(a.bit_size, kBlockBytes * 8);
+  }
+  server.drain();
+  const StreamStats st = server.stream_stats(s);
+  EXPECT_EQ(st.requests, 8u);
+  EXPECT_EQ(st.commit.blocks, 5u + 6u + 7u + 8u) << "failed batches commit nothing";
+  EXPECT_EQ(server.inflight_blocks(), 0u);
+}
+
+// The engine shuts down while a stream has batches queued, in flight and
+// still coalescing. Every ticket resolves — served before the stop, or
+// kError — the budget returns to zero, and (under the ASan job's leak
+// checker) the recycled batches and their requests are all freed with the
+// server.
+TEST(CodecServer, EngineShutdownMidLoadResolvesEveryTicket) {
+  auto engine = std::make_shared<CodecEngine>(2);
+  CodecServer::Config cfg;
+  cfg.engine = engine;
+  cfg.batch_blocks = 8;
+  CodecServer server(cfg);
+  StreamConfig sc;
+  sc.name = "slow";
+  sc.codec = "TEST-SLOW";
+  const StreamId s = server.open_stream(sc);
+
+  const auto data = quantized_walk(750, 4);
+  std::vector<ServerTicket> tickets;
+  for (int i = 0; i < 40; ++i) {
+    const RequestKind kind = i % 3 == 0 ? RequestKind::kCompress : RequestKind::kAnalyze;
+    tickets.push_back(server.submit(s, Request{.kind = kind, .bytes = data}));
+    if (i == 24) engine->shutdown();
+  }
+  size_t served = 0;
+  size_t failed = 0;
+  for (ServerTicket& t : tickets) {
+    const Response res = t.wait();
+    ASSERT_TRUE(res.status == ResponseStatus::kOk || res.status == ResponseStatus::kError);
+    (res.ok() ? served : failed) += 1;
+  }
+  EXPECT_GT(failed, 0u) << "requests submitted after the stop fail";
+  server.drain();
+  EXPECT_EQ(server.inflight_blocks(), 0u);
+  EXPECT_EQ(server.stream_stats(s).requests, served + failed);
+}
+
 }  // namespace
 }  // namespace slc

@@ -9,16 +9,21 @@
 //     Response must own, plus what is not per block.
 //
 // What is not per block: each request's state and Response::payloads
-// vector, each batch's buffers and engine job, and each compress kernel
-// call's own scratch — TSLC-OPT's compress_batch allocates 5 times per
-// 64-block chunk (0.08 per block); its analyze_batch allocates nothing.
-// Requests of 512 blocks keep the first two small next to that fixed kernel
-// share; with the serve benchmark's 32-block requests kCompress reads about
-// 1.23 per block.
+// vector, each batch's engine job (and a kCompress batch's payload arena),
+// and each compress kernel call's own scratch — TSLC-OPT's compress_batch
+// allocates 5 times per 64-block chunk (0.08 per block); its analyze_batch
+// allocates nothing. A batch, its buffers and its engine callbacks are
+// recycled. Requests of 512 blocks keep the first two small next to that
+// fixed kernel share. The serve benchmark's shape — 64 outstanding requests
+// of 32 blocks — is pinned per request for kDecide (about 1.19: the
+// request, plus an eighth of a batch's engine job); kCompress reads about
+// 1.16 per block there.
 //
 // The replacement operators are process-wide, so this suite is its own
 // binary.
 #include <gtest/gtest.h>
+
+#include <malloc.h>
 
 #include <atomic>
 #include <cstdlib>
@@ -34,20 +39,27 @@ namespace {
 
 std::atomic<uint64_t> g_news{0};
 std::atomic<uint64_t> g_deletes{0};
+std::atomic<int64_t> g_live_bytes{0};  ///< usable bytes of live allocations
 
-void* counted_alloc(std::size_t n) {
+void* counted(void* p) {
   g_news.fetch_add(1, std::memory_order_relaxed);
-  return std::malloc(n != 0 ? n : 1);
+  if (p != nullptr)
+    g_live_bytes.fetch_add(static_cast<int64_t>(malloc_usable_size(p)), std::memory_order_relaxed);
+  return p;
 }
 
+void* counted_alloc(std::size_t n) { return counted(std::malloc(n != 0 ? n : 1)); }
+
 void* counted_aligned_alloc(std::size_t n, std::align_val_t al) {
-  g_news.fetch_add(1, std::memory_order_relaxed);
   const auto a = static_cast<std::size_t>(al);
-  return std::aligned_alloc(a, (n + a - 1) / a * a);
+  return counted(std::aligned_alloc(a, (n + a - 1) / a * a));
 }
 
 void counted_free(void* p) {
-  if (p != nullptr) g_deletes.fetch_add(1, std::memory_order_relaxed);
+  if (p != nullptr) {
+    g_deletes.fetch_add(1, std::memory_order_relaxed);
+    g_live_bytes.fetch_sub(static_cast<int64_t>(malloc_usable_size(p)), std::memory_order_relaxed);
+  }
   std::free(p);
 }
 
@@ -83,17 +95,33 @@ void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { counte
 namespace slc {
 namespace {
 
-constexpr size_t kBlocksPerRequest = 512;
-constexpr size_t kWindow = 16;  ///< 8192 blocks in flight: inside the default budget
+/// Request size and outstanding window of a saturated closed loop.
+struct Shape {
+  size_t blocks_per_request;
+  size_t window;
+  /// Requests carry 5 ms deadlines under the default linger, so the flush
+  /// timer may dispatch a batch early. Without, a batch dispatches only
+  /// when full (or when a waiter needs it), whatever the host's load.
+  bool timed;
+};
+/// 8192 blocks in flight, inside the default budget: the per-block costs.
+constexpr Shape kLargeRequests{512, 16, true};
+/// The serve benchmark's request size and window (bench/e2e/serve.cpp):
+/// eight full 256-block batches in flight, so per-request and per-batch
+/// costs show. Untimed, so a loaded host cannot cut batches short and add
+/// engine jobs per request.
+constexpr Shape kServeRequests{32, 64, false};
 constexpr size_t kInputs = 64;  ///< distinct request inputs, cycled
 
 /// One TSLC-OPT stream on a fresh CodecServer over a CodecEngine(2), fed by
-/// a closed loop that keeps kWindow requests outstanding.
+/// a closed loop that keeps `shape.window` requests outstanding.
 class SaturatedServer {
  public:
-  SaturatedServer(RequestKind kind, CacheMode cache) : kind_(kind) {
+  SaturatedServer(RequestKind kind, CacheMode cache, Shape shape = kLargeRequests)
+      : kind_(kind), shape_(shape) {
     CodecServer::Config cfg;
     cfg.engine = std::make_shared<CodecEngine>(2);
+    if (!shape.timed) cfg.max_coalesce_delay = std::chrono::microseconds(0);
     server_ = std::make_unique<CodecServer>(cfg);
     StreamConfig sc;
     sc.name = "alloc";
@@ -102,19 +130,19 @@ class SaturatedServer {
     sc.cache_mode = cache;
     stream_ = server_->open_stream(sc);
     for (uint64_t i = 0; i < kInputs; ++i)
-      inputs_.push_back(test::quantized_walk(1000 + i, kBlocksPerRequest));
+      inputs_.push_back(test::quantized_walk(1000 + i, shape.blocks_per_request));
   }
 
   /// Serves `requests` requests through the window; returns the blocks served.
   uint64_t run(size_t requests) {
     uint64_t blocks = 0;
     size_t submitted = 0;
-    while (outstanding_.size() < kWindow && submitted < requests) submit(submitted++);
+    while (outstanding_.size() < shape_.window && submitted < requests) submit(submitted++);
     while (!outstanding_.empty()) {
       const Response resp = outstanding_.front().wait();
       outstanding_.pop_front();
       EXPECT_TRUE(resp.ok());
-      blocks += kBlocksPerRequest;
+      blocks += shape_.blocks_per_request;
       if (submitted < requests) submit(submitted++);
     }
     return blocks;
@@ -133,11 +161,13 @@ class SaturatedServer {
     outstanding_.push_back(server_->submit(
         stream_, Request{.kind = kind_,
                          .bytes = inputs_[i % kInputs],
-                         .deadline = std::chrono::milliseconds(5)}));
+                         .deadline = shape_.timed ? std::chrono::milliseconds(5)
+                                                  : std::chrono::milliseconds(0)}));
   }
 
   std::vector<uint8_t> training_ = test::quantized_walk(31, 256);
   RequestKind kind_;
+  Shape shape_;
   std::unique_ptr<CodecServer> server_;
   StreamId stream_ = 0;
   std::vector<std::vector<uint8_t>> inputs_;
@@ -145,9 +175,11 @@ class SaturatedServer {
 };
 
 /// Allocations per served block over `requests` requests, after a warm-up
-/// that fills the worker slots, the memo and the allocator.
-double allocations_per_block(RequestKind kind, CacheMode cache, size_t requests) {
-  SaturatedServer s(kind, cache);
+/// that fills the worker slots, the memo, the stream's spare batches and
+/// the allocator.
+double allocations_per_block(RequestKind kind, CacheMode cache, size_t requests,
+                             Shape shape = kLargeRequests) {
+  SaturatedServer s(kind, cache, shape);
   s.run(200);
   const uint64_t before = g_news.load();
   const uint64_t blocks = s.run(requests);
@@ -165,6 +197,54 @@ TEST(ServerAllocations, CompressAllocatesOnlyTheResponsePayloads) {
   const double per_block = allocations_per_block(RequestKind::kCompress, CacheMode::kOff, 600);
   RecordProperty("allocations_per_block", std::to_string(per_block));
   EXPECT_LE(per_block, 1.0 + 1.0 / 8);
+}
+
+// At the serve benchmark's shape a request's own state and its batch's
+// engine job are what is left: 1 + 1/8 per request, since eight requests
+// fill a batch. The batch itself, its buffers and its callbacks are
+// recycled, and neither a CondVar nor a queued request allocates.
+TEST(ServerAllocations, DecideAllocatesAboutOnePerRequestAtServeShape) {
+  const double per_request =
+      allocations_per_block(RequestKind::kDecide, CacheMode::kShared, 20000, kServeRequests) *
+      static_cast<double>(kServeRequests.blocks_per_request);
+  RecordProperty("allocations_per_request", std::to_string(per_request));
+  EXPECT_LE(per_request, 1.25);
+}
+
+// A stream keeps its retired batches' buffers for reuse, but not those of a
+// batch that outgrew twice a full one: after one request of 8192 blocks
+// (1 MiB of input in one batch) and a few ordinary ones, the server holds
+// about what it held before.
+TEST(ServerAllocations, OversizedBatchBuffersAreNotKept) {
+  const std::vector<uint8_t> training = test::quantized_walk(31, 256);
+  CodecServer::Config cfg;
+  cfg.engine = std::make_shared<CodecEngine>(2);
+  CodecServer server(cfg);
+  StreamConfig sc;
+  sc.name = "oversized";
+  sc.codec = "TSLC-OPT";
+  sc.options = test::test_options(training);
+  const StreamId s = server.open_stream(sc);
+  const std::vector<uint8_t> small = test::quantized_walk(60, 32);
+  const std::vector<uint8_t> big = test::quantized_walk(61, 8192);
+  auto decide = [&](std::span<const uint8_t> bytes) {
+    return server.submit(s, Request{.kind = RequestKind::kDecide, .bytes = bytes}).wait();
+  };
+  auto serve_small = [&] {
+    for (int i = 0; i < 16; ++i) EXPECT_TRUE(decide(small).ok());
+  };
+
+  // A response is published before its batch retires, so drain() before
+  // each reading: every batch has then released what it does not keep.
+  serve_small();
+  server.drain();
+  const int64_t before = g_live_bytes.load();
+  EXPECT_TRUE(decide(big).ok());
+  serve_small();
+  server.drain();
+  const int64_t grown = g_live_bytes.load() - before;
+  RecordProperty("live_bytes_grown", std::to_string(grown));
+  EXPECT_LT(grown, 256 * 1024) << "the oversized batch's buffers were kept";
 }
 
 // The Fig. 4 decision stages everything on the stack: TSLC-OPT's

@@ -19,6 +19,10 @@ suites under tests/. Their text symbols are compared with nm in two passes:
             src/ (nm -l line info) and that no production binary contains
             (this catches header-inline functions, which pass 1 misses).
 
+Only objects whose source still exists are audited: a reused build tree
+keeps the object of a deleted source (CMakeFiles/<target>.dir/<path>.o for
+src/<path>), and no binary links its functions any more.
+
 Symbols are compared by demangled signature, so each overload is audited on
 its own, and a lambda counts as part of the function that defines it.
 Constructors, destructors, assignment and comparison operators are not
@@ -37,6 +41,7 @@ import argparse
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
@@ -114,6 +119,23 @@ def owner(signature: str) -> str:
     return top_level_split(head, " ")[-1] if sep else signature
 
 
+def source_of(obj: Path, obj_root: Path) -> Path | None:
+    """The src/-relative source of obj_root/CMakeFiles/<target>.dir/<path>.o
+    (that is, <path>), or None for an object laid out otherwise."""
+    parts = obj.relative_to(obj_root).parts
+    if len(parts) < 3 or parts[0] != "CMakeFiles" or not parts[1].endswith(".dir") \
+            or obj.suffix != ".o":
+        return None
+    return Path(*parts[2:]).with_suffix("")
+
+
+def live_objects(objects: list[Path], obj_root: Path, src_root: Path) -> list[Path]:
+    """The objects whose source still exists under src_root; an object laid
+    out otherwise is kept."""
+    return [o for o in objects
+            if (src := source_of(o, obj_root)) is None or (src_root / src).is_file()]
+
+
 def flagged(objects: list[str], production: list[str], tests: list[str],
             src_dir: str) -> set[str]:
     """Signatures of src/ functions that no production binary links.
@@ -184,7 +206,8 @@ def audit(build_dir: Path) -> int:
                    check=True, stdout=subprocess.DEVNULL)
     subprocess.run(["cmake", "--build", str(build_dir), "-j", jobs], check=True,
                    stdout=subprocess.DEVNULL)
-    objects = sorted((build_dir / "src").rglob("*.o"))
+    objects = live_objects(sorted((build_dir / "src").rglob("*.o")), build_dir / "src",
+                           REPO / "src")
     production = elf_executables(build_dir, PRODUCTION_DIRS)
     tests = elf_executables(build_dir, TEST_DIRS)
     if not objects or not production or not tests:
@@ -242,6 +265,15 @@ def self_test() -> int:
     assert len(check(names, allow.replace("observer:", "because:"))) == 2, \
         "an entry without a known reason fails"
     assert top_level_split("a::b<c::d>::operator<(x::y)", "::") == ["a", "b<c::d>", "operator<(x::y)"]
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "src" / "core").mkdir(parents=True)
+        (Path(tmp) / "src" / "core" / "kept.cpp").touch()
+        obj_root = Path(tmp) / "build" / "src"
+        kept = obj_root / "CMakeFiles" / "slc_core.dir" / "core" / "kept.cpp.o"
+        deleted = obj_root / "CMakeFiles" / "slc_core.dir" / "core" / "deleted.cpp.o"
+        other = obj_root / "elsewhere.o"
+        assert live_objects([kept, deleted, other], obj_root, Path(tmp) / "src") == [kept, other], \
+            "the object of a deleted source is not audited"
     print("link_audit.py self-test: ok")
     return 0
 
