@@ -36,14 +36,15 @@ int main() {
     const E2mcCompressor& e2mc = codec->lossless();
     const auto blocks = to_blocks(workload_image_cached(name));
 
-    std::vector<uint16_t> lens;  // one block's code lengths, reused
+    std::vector<uint16_t> lens, sums8;  // one block's probe, reused
     uint64_t lossy = 0, total = 0;
     uint64_t sym_base = 0, sym_opt = 0, waste_base = 0, waste_opt = 0, selections = 0;
     for (size_t i = 0; i < blocks.size(); ++i) {
       const Block& b = blocks[i];
       ++total;
       lens.resize(b.view().num_symbols());
-      e2mc.code_lengths(b.view(), lens.data());
+      sums8.resize(lens.size() / 8);
+      e2mc.code_lengths(b.view(), lens.data(), sums8.data());
       const auto lo = e2mc.layout(lens, codec->header_bits(b.size()));
       const size_t comp = lo.total_bits;
       if (comp >= b.size() * 8) continue;

@@ -1,6 +1,5 @@
 #include "compress/compressor.h"
 
-#include <algorithm>
 #include <cassert>
 
 namespace slc {
@@ -22,20 +21,6 @@ std::vector<CompressedBlock> Compressor::compress_batch(std::span<const Block> b
   const std::vector<BlockView> views = to_views(blocks);
   compress_batch(views, out.data());
   return out;
-}
-
-void RatioAccumulator::add(size_t original_bits, size_t compressed_bits) {
-  ++blocks_;
-  original_bits_ += original_bits;
-  // A scheme never stores more than the raw block (falls back to
-  // uncompressed), so clamp for accounting.
-  const size_t raw = std::min(compressed_bits, original_bits);
-  raw_bits_ += raw;
-  // Effective size: whole bursts, at least one, at most the raw block.
-  size_t eff = round_up_to_mag_bits(raw, mag_bytes_);
-  eff = std::max(eff, mag_bytes_ * 8);
-  eff = std::min(eff, original_bits);
-  effective_bits_ += eff;
 }
 
 void RatioAccumulator::merge(const RatioAccumulator& other) {

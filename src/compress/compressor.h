@@ -9,6 +9,7 @@
 // transfer whole bursts (Section I of the paper).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -99,7 +100,18 @@ class RatioAccumulator {
  public:
   explicit RatioAccumulator(size_t mag_bytes = kDefaultMagBytes) : mag_bytes_(mag_bytes) {}
 
-  void add(size_t original_bits, size_t compressed_bits);
+  /// Inline: a server batch's completion folds every block through it.
+  void add(size_t original_bits, size_t compressed_bits) {
+    ++blocks_;
+    original_bits_ += original_bits;
+    // A scheme never stores more than the raw block (falls back to
+    // uncompressed), so clamp for accounting.
+    const size_t raw = std::min(compressed_bits, original_bits);
+    raw_bits_ += raw;
+    // Effective size: whole bursts, at least one, at most the raw block.
+    effective_bits_ +=
+        std::min(std::max(round_up_to_mag_bits(raw, mag_bytes_), mag_bytes_ * 8), original_bits);
+  }
 
   /// Folds another accumulator (same MAG) into this one. All counters are
   /// integers, so merging is exact and order-independent — the property the

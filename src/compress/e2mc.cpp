@@ -101,16 +101,26 @@ void E2mcCompressor::decode_ways(BitReader& r, const uint32_t* way_offsets, Bloc
   }
 }
 
-void E2mcCompressor::code_lengths(BlockView block, uint16_t* lens, simd::Level level) const {
+void E2mcCompressor::code_lengths(BlockView block, uint16_t* lens, uint16_t* sums8,
+                                  simd::Level level) const {
   check_block_bytes(block.size(), kSymbolBits / 8, "E2MC");
   const uint8_t* p = block.bytes().data();
   const size_t n = block.num_symbols();
   if (level == simd::Level::kAvx2) {
-    simd::e2mc_code_lengths_avx2(p, n, code_.encoded_bits_table(), lens);
-  } else {
-    for (size_t i = 0; i < n; ++i)
-      lens[i] = static_cast<uint16_t>(code_.encoded_bits(detail::load_le16(p + 2 * i)));
+    simd::e2mc_code_lengths_avx2(p, n, code_.encoded_bits_table(), lens, sums8);
+    return;
   }
+  size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    unsigned sum = 0;
+    for (size_t k = i; k < i + 8; ++k) {
+      lens[k] = static_cast<uint16_t>(code_.encoded_bits(detail::load_le16(p + 2 * k)));
+      sum += lens[k];
+    }
+    sums8[i / 8] = static_cast<uint16_t>(sum);
+  }
+  for (; i < n; ++i)
+    lens[i] = static_cast<uint16_t>(code_.encoded_bits(detail::load_le16(p + 2 * i)));
 }
 
 size_t E2mcCompressor::symbols_per_way(size_t num_symbols) const {
@@ -153,17 +163,16 @@ void E2mcCompressor::analyze_batch(std::span<const BlockView> blocks, BlockAnaly
     const size_t per_way = symbols_per_way(n);
     // layout() without the per-block lengths vector: sum encoded bits per
     // way directly off the flattened code-length table, escape cost folded
-    // in (8-lane gathers when AVX2 is active; identical values either way).
+    // in (when AVX2 is active, 8-lane gathers whose group sums give the way
+    // sums; identical values either way).
     const uint8_t* p = blk.bytes().data();
     size_t total = (header_bits(blk.size()) + 7) / 8;
     if (use_avx2 && n <= kMaxStagedSymbols) {
-      uint16_t lens[kMaxStagedSymbols];
-      simd::e2mc_code_lengths_avx2(p, n, enc, lens);
-      for (unsigned way = 0; way < cfg_.num_ways; ++way) {
-        size_t way_bits = 0;
-        for (size_t s = way * per_way; s < (way + 1) * per_way; ++s) way_bits += lens[s];
-        total += (way_bits + 7) / 8;
-      }
+      uint16_t lens[kMaxStagedSymbols], sums8[kMaxStagedSymbols / 8];
+      size_t bits[8];
+      simd::e2mc_code_lengths_avx2(p, n, enc, lens, sums8);
+      way_bits(lens, sums8, per_way, cfg_.num_ways, bits);
+      for (unsigned way = 0; way < cfg_.num_ways; ++way) total += (bits[way] + 7) / 8;
     } else {
       size_t s = 0;
       for (unsigned way = 0; way < cfg_.num_ways; ++way) {
@@ -181,13 +190,14 @@ void E2mcCompressor::compress_batch(std::span<const BlockView> blocks,
   // Sizing pass: the code-length probe (8-lane gathers when AVX2 is active)
   // and the way layout per block; the emitter writes the header and ways
   // from each block's layout.
-  std::vector<uint16_t> lens;  // scratch, reused across the batch
+  std::vector<uint16_t> lens, sums8;  // scratch, reused across the batch
   std::vector<WayLayout> layouts(blocks.size());
   const simd::Level level = simd::active_level();
   for (size_t b = 0; b < blocks.size(); ++b) {
     const BlockView blk = blocks[b];
     lens.resize(blk.num_symbols());
-    code_lengths(blk, lens.data(), level);
+    sums8.resize(blk.num_symbols() / 8);
+    code_lengths(blk, lens.data(), sums8.data(), level);
     layouts[b] = layout(lens, header_bits(blk.size()));
     detail::set_lossless_size(out[b], layouts[b].total_bits, blk.size());
   }

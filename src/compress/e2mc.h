@@ -60,15 +60,37 @@ class E2mcCompressor : public Compressor {
   void analyze_batch(std::span<const BlockView> blocks, BlockAnalysis* out) const override;
   void compress_batch(std::span<const BlockView> blocks, CompressedBlock* out) const override;
 
-  /// The length probe the TSLC tree adder reads from the compressor's
+  /// The length probe the SLC decision reads from the compressor's
   /// code-length table: lens[i] = encoded bits of symbol i of `block`
   /// (escape cost folded in) for its num_symbols() symbols, with single
-  /// le16 loads (8-lane gathers at simd::Level::kAvx2). The caller owns the
-  /// staging, so the SLC decision keeps it on the stack; a batch kernel
-  /// reads the dispatch level once and passes it. Throws
-  /// std::invalid_argument when the block is not whole symbols.
-  void code_lengths(BlockView block, uint16_t* lens,
+  /// le16 loads (8-lane gathers at simd::Level::kAvx2), and in the same
+  /// pass sums8[k] = lens[8k] + ... + lens[8k + 7] for each of its
+  /// num_symbols() / 8 whole groups of 8 (at kAvx2 folded from the gather
+  /// registers). The caller owns the staging, so the SLC decision keeps it
+  /// on the stack; a batch kernel reads the dispatch level once and passes
+  /// it. Throws std::invalid_argument when the block is not whole symbols.
+  void code_lengths(BlockView block, uint16_t* lens, uint16_t* sums8,
                     simd::Level level = simd::active_level()) const;
+
+  /// Each way's code bits off a code_lengths() probe: out[w] for the
+  /// num_ways ways of per_way symbols. A running sum over the group sums
+  /// reaches each way's end, plus the lengths of the symbols past its last
+  /// whole group (none when per_way is a multiple of 8): a way of 16
+  /// symbols is two reads.
+  static void way_bits(const uint16_t* lens, const uint16_t* sums8, size_t per_way,
+                       unsigned num_ways, size_t* out) {
+    size_t before = 0;  // code bits of the ways so far
+    size_t groups = 0;  // code bits of the first k groups
+    size_t k = 0;
+    for (unsigned w = 0; w < num_ways; ++w) {
+      const size_t end = (w + 1) * per_way;
+      for (; k < end / 8; ++k) groups += sums8[k];
+      size_t upto = groups;
+      for (size_t i = 8 * k; i < end; ++i) upto += lens[i];
+      out[w] = upto - before;
+      before = upto;
+    }
+  }
 
   /// Layout (way bit/byte sizes, header, total) for a block, optionally with
   /// symbols [skip_start, skip_start+skip_count) removed from their way —

@@ -268,9 +268,9 @@ size_t fpc_classify_avx2(const uint8_t* p, size_t n_words, uint8_t* cls) {
 }
 
 void e2mc_code_lengths_avx2(const uint8_t* p, size_t n_sym, const uint32_t* bits_table,
-                            uint16_t* lens) {
-  size_t i = 0;
-  for (; i + 8 <= n_sym; i += 8) {
+                            uint16_t* lens, uint16_t* sums8) {
+  // Eight lengths per gather, packed to 16-bit lanes and stored.
+  const auto gather8 = [&](size_t i) {
     const __m128i syms = _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + 2 * i));
     const __m256i idx = _mm256_cvtepu16_epi32(syms);
     const __m256i bits =
@@ -278,6 +278,26 @@ void e2mc_code_lengths_avx2(const uint8_t* p, size_t n_sym, const uint32_t* bits
     const __m128i packed = _mm_packus_epi32(_mm256_castsi256_si128(bits),
                                             _mm256_extracti128_si256(bits, 1));
     _mm_storeu_si128(reinterpret_cast<__m128i*>(lens + i), packed);
+    return packed;
+  };
+  // 64 symbols per step: three rounds of pairwise horizontal adds fold the
+  // eight gathers into one vector of their eight group sums, in order. No
+  // lane wraps: a group sums at most 8 lengths below 2^11.
+  size_t i = 0;
+  for (; i + 64 <= n_sym; i += 64) {
+    __m128i g[8];
+    for (size_t k = 0; k < 8; ++k) g[k] = gather8(i + 8 * k);
+    const __m128i q0 = _mm_hadd_epi16(_mm_hadd_epi16(g[0], g[1]), _mm_hadd_epi16(g[2], g[3]));
+    const __m128i q1 = _mm_hadd_epi16(_mm_hadd_epi16(g[4], g[5]), _mm_hadd_epi16(g[6], g[7]));
+    _mm_storeu_si128(reinterpret_cast<__m128i*>(sums8 + i / 8), _mm_hadd_epi16(q0, q1));
+  }
+  // Whole groups past the last 64: one fold each.
+  for (; i + 8 <= n_sym; i += 8) {
+    __m128i s = gather8(i);
+    s = _mm_hadd_epi16(s, s);
+    s = _mm_hadd_epi16(s, s);
+    s = _mm_hadd_epi16(s, s);
+    sums8[i / 8] = static_cast<uint16_t>(_mm_cvtsi128_si32(s));
   }
   for (; i < n_sym; ++i) {
     uint16_t s;

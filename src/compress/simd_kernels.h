@@ -48,16 +48,20 @@ size_t fpc_classify_avx2(const uint8_t* p, size_t n_words, uint8_t* cls);
 
 /// E2MC code-length probe: lens[i] = bits_table[symbol i] for `n_sym`
 /// little-endian 16-bit symbols, via 8-lane gathers over the flattened
-/// encoded-bits table (HuffmanCode::encoded_bits_table()).
+/// encoded-bits table (HuffmanCode::encoded_bits_table()), and sums8[k] =
+/// lens[8k] + ... + lens[8k + 7] for each whole group (k < n_sym / 8),
+/// folded from the gather registers by horizontal adds. Each length must be
+/// at most CodeLengthTree::kMaxLengthBits, so a sum fits 16 bits.
 void e2mc_code_lengths_avx2(const uint8_t* p, size_t n_sym, const uint32_t* bits_table,
-                            uint16_t* lens);
+                            uint16_t* lens, uint16_t* sums8);
 
 #if !SLC_HAVE_AVX2_KERNELS
 // Builds without the AVX2 TU: unreachable (active_level() is pinned to
 // kScalar), present only so the call sites compile unchanged.
 inline BdiProbe bdi_probe_avx2(const uint8_t*, size_t) { return {}; }
 inline size_t fpc_classify_avx2(const uint8_t*, size_t, uint8_t*) { return 0; }
-inline void e2mc_code_lengths_avx2(const uint8_t*, size_t, const uint32_t*, uint16_t*) {}
+inline void e2mc_code_lengths_avx2(const uint8_t*, size_t, const uint32_t*, uint16_t*,
+                                   uint16_t*) {}
 #endif
 
 }  // namespace slc::simd

@@ -71,28 +71,24 @@ SlcCodec::Geometry SlcCodec::geometry(size_t block_bytes) const {
   g.block_bytes = block_bytes;
   g.num_symbols = block_bytes * 8 / kSymbolBits;
   g.per_way = lossless_->symbols_per_way(g.num_symbols);
-  g.header_bytes = SlcHeader::padded_bytes(block_bytes, lossless_->config().num_ways,
-                                           g.num_symbols);
+  g.num_ways = lossless_->config().num_ways;
+  g.header_bytes = SlcHeader::padded_bytes(block_bytes, g.num_ways, g.num_symbols);
+  g.raw_bursts = bursts_for_bits(block_bytes * 8, cfg_.mag_bytes, block_bytes);
   return g;
 }
 
-void SlcCodec::decide(std::span<const uint16_t> lens, const Geometry& g, size_t threshold_bytes,
-                      Decision& d) const {
-  const CodeLengthTree tree(lens, extra_nodes_);
+void SlcCodec::decide(std::span<const uint16_t> lens, const uint16_t* sums8, const Geometry& g,
+                      size_t threshold_bytes, Decision& d) const {
   const size_t raw_bits = g.block_bytes * 8;
   const size_t mag_bits = cfg_.mag_bytes * 8;
-  const size_t raw_bursts = bursts_for_bits(raw_bits, cfg_.mag_bytes, g.block_bytes);
   const auto way_bytes = [](size_t bits) { return (bits + 7) >> 3; };
 
-  // The lossless layout: each way's sum off the tree, byte-aligned, after
-  // the byte-padded header.
-  const unsigned num_ways = lossless_->config().num_ways;
+  // The lossless layout: each way's sum off the probe's group sums,
+  // byte-aligned, after the byte-padded header.
   std::array<size_t, 8> way_bits{};
+  E2mcCompressor::way_bits(lens.data(), sums8, g.per_way, g.num_ways, way_bits.data());
   size_t comp_bytes = g.header_bytes;
-  for (unsigned w = 0; w < num_ways; ++w) {
-    way_bits[w] = tree.range_bits(w * g.per_way, (w + 1) * g.per_way);
-    comp_bytes += way_bytes(way_bits[w]);
-  }
+  for (unsigned w = 0; w < g.num_ways; ++w) comp_bytes += way_bytes(way_bits[w]);
   const size_t comp_bits = comp_bytes * 8;
 
   d = Decision{};
@@ -101,7 +97,7 @@ void SlcCodec::decide(std::span<const uint16_t> lens, const Geometry& g, size_t 
   auto store_raw = [&] {
     d.info.stored_uncompressed = true;
     d.info.final_bits = raw_bits;
-    d.info.bursts = raw_bursts;
+    d.info.bursts = g.raw_bursts;
   };
 
   // Fig. 4, top branch: when the compressed size reaches the uncompressed
@@ -118,12 +114,14 @@ void SlcCodec::decide(std::span<const uint16_t> lens, const Geometry& g, size_t 
   d.info.extra_bits = extra_bits;
 
   if (extra_bits != 0 && extra_bits <= threshold_bytes * 8) {
-    // Lossy path: find the sub-block to truncate. The tree works on raw code
-    // bits while way byte-alignment can re-add up to (ways-1)*7 padding bits,
-    // so size the cut block and escalate to a larger window, another walk of
-    // the same tree, if padding pushed it back over budget. A cut re-rounds
-    // only the ways its window overlaps; a window inside one way removes its
-    // whole sum from that way.
+    // Lossy path, the only one that reads the Fig. 5 tree: find the
+    // sub-block to truncate. The tree works on raw code bits while way
+    // byte-alignment can re-add up to (ways-1)*7 padding bits, so size the
+    // cut block and escalate to a larger window, another walk of the same
+    // tree, if padding pushed it back over budget. A cut re-rounds only the
+    // ways its window overlaps; a window inside one way removes its whole
+    // sum from that way.
+    const CodeLengthTree tree(lens, extra_nodes_);
     std::optional<TreeCandidate> cand = tree.select(extra_bits);
     size_t cut_bits = 0;
     while (cand) {
@@ -162,29 +160,33 @@ void SlcCodec::decide(std::span<const uint16_t> lens, const Geometry& g, size_t 
   // same traffic, no decompression latency, and the MDC's max burst count
   // marks it (no header needed, Sec. III-G).
   const size_t lossless_bursts = bursts_for_bits(comp_bits, cfg_.mag_bytes, g.block_bytes);
-  if (lossless_bursts >= raw_bursts) return store_raw();
+  if (lossless_bursts >= g.raw_bursts) return store_raw();
   d.info.final_bits = comp_bits;
   d.info.bursts = lossless_bursts;
 }
 
 void SlcCodec::probe_batch(std::span<const BlockView> blocks, size_t threshold_bytes,
                            Decision* out) const {
-  // Each block's code lengths are staged once, then the decision reads
-  // them through one tree. The geometry is derived once per run of
-  // equal-sized blocks.
+  // Each block's code lengths and their group sums are staged once, in one
+  // pass, then the decision reads them. The geometry is derived once per
+  // run of equal-sized blocks.
   uint16_t stack_lens[CodeLengthTree::kStackSymbols];
-  std::vector<uint16_t> heap_lens;
+  uint16_t stack_sums[CodeLengthTree::kStackSymbols / 8];
+  std::vector<uint16_t> heap_lens, heap_sums;
   Geometry g;
   const simd::Level level = simd::active_level();
   for (size_t i = 0; i < blocks.size(); ++i) {
     if (blocks[i].size() != g.block_bytes) g = geometry(blocks[i].size());
     uint16_t* lens = stack_lens;
+    uint16_t* sums8 = stack_sums;
     if (g.num_symbols > CodeLengthTree::kStackSymbols) {
       heap_lens.resize(g.num_symbols);
+      heap_sums.resize(g.num_symbols / 8);
       lens = heap_lens.data();
+      sums8 = heap_sums.data();
     }
-    lossless_->code_lengths(blocks[i], lens, level);
-    decide(std::span<const uint16_t>(lens, g.num_symbols), g, threshold_bytes, out[i]);
+    lossless_->code_lengths(blocks[i], lens, sums8, level);
+    decide(std::span<const uint16_t>(lens, g.num_symbols), sums8, g, threshold_bytes, out[i]);
   }
 }
 
@@ -259,13 +261,19 @@ void SlcCodec::decide_batch(std::span<const BlockView> blocks, size_t threshold_
       std::fill_n(oc + base, n, CacheOutcome{.bypassed = true});
       continue;
     }
-    const uint32_t hits =
+    const ChunkHits h =
         decide_chunk_cached(*c, key, threshold_bytes, chunk, out + base, oc + base);
-    governor_.report(stage, static_cast<uint32_t>(n), hits);
+    // The memo is on: every block served without a decision counts. It is
+    // off: only the contents the table held, each once.
+    if (stage == MemoGovernor::Stage::kMemo) {
+      governor_.report(stage, static_cast<uint32_t>(n), h.hits);
+    } else {
+      governor_.report(stage, h.contents, h.content_hits);
+    }
   }
 }
 
-uint32_t SlcCodec::decide_chunk_cached(FingerprintCache& c, uint64_t key, size_t threshold_bytes,
+SlcCodec::ChunkHits SlcCodec::decide_chunk_cached(FingerprintCache& c, uint64_t key, size_t threshold_bytes,
                                        std::span<const BlockView> blocks, Decision* out,
                                        CacheOutcome* oc) const {
   const size_t n = blocks.size();
@@ -290,30 +298,41 @@ uint32_t SlcCodec::decide_chunk_cached(FingerprintCache& c, uint64_t key, size_t
   // pays one decision per distinct content even on a cold memo.
   // `first_miss` is an open-addressed set of the chunk's distinct missing
   // fingerprints (slot value: 1 + the index of the block that will compute
-  // it; 0 = empty); later twins copy that block's decision.
+  // it; 0 = empty); later twins copy that block's decision. `first_hit`
+  // holds the distinct fingerprints the table served the same way, so each
+  // such content counts once.
   constexpr size_t kSlots = 2 * kProbeChunk;
-  std::array<uint8_t, kSlots> first_miss{};
+  std::array<uint8_t, kSlots> first_miss{}, first_hit{};
+  const auto slot_of = [&](const std::array<uint8_t, kSlots>& set, uint64_t fp) {
+    size_t slot = fp & (kSlots - 1);
+    while (set[slot] != 0 && keys[set[slot] - 1].fp != fp) slot = (slot + 1) & (kSlots - 1);
+    return slot;
+  };
   std::array<uint8_t, kProbeChunk> miss{};         // blocks that need the decision
   std::array<uint8_t, kProbeChunk> twin{}, rep{};  // twin[k] copies rep[k]'s decision
   size_t n_miss = 0, n_twin = 0;
-  uint32_t n_hit = 0;
+  ChunkHits hits;
   for (size_t i = 0; i < n; ++i) {
     oc[i] = CacheOutcome{.probed = true};
+    const uint64_t fp = keys[i].fp;
     switch (probed[i]) {
-      case FingerprintCache::Lookup::kHit:
+      case FingerprintCache::Lookup::kHit: {
         oc[i].hit = true;
-        ++n_hit;
+        ++hits.hits;
+        const size_t slot = slot_of(first_hit, fp);
+        if (first_hit[slot] == 0) {
+          first_hit[slot] = static_cast<uint8_t>(i + 1);
+          ++hits.content_hits;
+        }
         continue;
+      }
       case FingerprintCache::Lookup::kCollision:
         oc[i].collision = true;
         break;
       case FingerprintCache::Lookup::kMiss:
         break;
     }
-    const uint64_t fp = keys[i].fp;
-    size_t slot = fp & (kSlots - 1);
-    while (first_miss[slot] != 0 && keys[first_miss[slot] - 1].fp != fp)
-      slot = (slot + 1) & (kSlots - 1);
+    const size_t slot = slot_of(first_miss, fp);
     if (first_miss[slot] != 0) {
       // Same fingerprint as an earlier miss of this chunk. In verify-on-hit
       // mode trust it only on equal size and bytes (an in-chunk collision
@@ -324,7 +343,7 @@ uint32_t SlcCodec::decide_chunk_cached(FingerprintCache& c, uint64_t key, size_t
       if (!c.verify_on_hit() ||
           (a.size() == b.size() && std::equal(a.begin(), a.end(), b.begin()))) {
         oc[i].hit = true;
-        ++n_hit;
+        ++hits.hits;
         twin[n_twin] = static_cast<uint8_t>(i);
         rep[n_twin++] = static_cast<uint8_t>(j);
         continue;
@@ -356,7 +375,8 @@ uint32_t SlcCodec::decide_chunk_cached(FingerprintCache& c, uint64_t key, size_t
     }
   }
   for (size_t k = 0; k < n_twin; ++k) out[twin[k]] = out[rep[k]];
-  return n_hit;
+  hits.contents = hits.content_hits + static_cast<uint32_t>(n_miss);
+  return hits;
 }
 
 void SlcCodec::analyze_batch(std::span<const BlockView> blocks, BlockAnalysis* out) const {
@@ -399,10 +419,22 @@ void SlcCodec::compress_batch(std::span<const BlockView> blocks, CompressedBlock
   const auto block_lens = [&](size_t b) {
     return std::span<const uint16_t>(lens).subspan(offsets[b], offsets[b + 1] - offsets[b]);
   };
+  // The group sums are read only by the decision, so one block's at a time.
+  uint16_t stack_sums[CodeLengthTree::kStackSymbols / 8];
+  std::vector<uint16_t> heap_sums;
+  uint16_t* sums8 = stack_sums;
   for (size_t b = 0; b < blocks.size(); ++b) {
-    if (blocks[b].size() != g.block_bytes) g = geometry(blocks[b].size());
-    lossless_->code_lengths(blocks[b], lens.data() + offsets[b], level);
-    decide(block_lens(b), g, cfg_.threshold_bytes, ds[b]);
+    if (blocks[b].size() != g.block_bytes) {
+      g = geometry(blocks[b].size());
+      if (g.num_symbols > CodeLengthTree::kStackSymbols) {
+        heap_sums.resize(std::max(heap_sums.size(), g.num_symbols / 8));
+        sums8 = heap_sums.data();
+      } else {
+        sums8 = stack_sums;
+      }
+    }
+    lossless_->code_lengths(blocks[b], lens.data() + offsets[b], sums8, level);
+    decide(block_lens(b), sums8, g, cfg_.threshold_bytes, ds[b]);
     out[b].bit_size = ds[b].info.final_bits;
     out[b].is_compressed = !ds[b].info.stored_uncompressed;
   }

@@ -97,17 +97,18 @@ class SlcCodec : public Compressor {
   /// The Fig. 4 mode decision at `threshold_bytes` for every block of the
   /// span: out[i] is block i's Decision, oc[i] its memo outcome. Without an
   /// active memo (cfg.cache null, or SLC_FINGERPRINT_CACHE force-disabling
-  /// it) each block's E2MC code lengths are staged on the stack, summed once
-  /// into a CodeLengthTree, and the budget/threshold/window decision reads
-  /// that tree. With a memo, it is a stage in front of that probe, run per chunk
-  /// of kProbeChunk blocks: fingerprint every block and prefetch its memo
-  /// set, probe (one lock per memo stripe), dedup the misses within the
-  /// chunk (twins copy the first one's decision; under verify-on-hit only on
-  /// equal size and bytes), then probe and decide the distinct misses and
-  /// insert them. A hit returns exactly the Decision the probe computes for
-  /// that content (modulo undetected 64-bit fingerprint collisions, which
-  /// verify-on-hit eliminates), including decisions too wide for the memo to
-  /// store. The codec's memo governor (MemoGovernor) may run a chunk through
+  /// it) each block's E2MC code lengths and their sums of 8 are staged on
+  /// the stack in one pass; the way sums off the group sums settle the
+  /// block, and only a lossy candidate sums its lengths into a
+  /// CodeLengthTree for the window. With a memo, it is a stage in front of
+  /// that probe, run per chunk of kProbeChunk blocks: fingerprint every
+  /// block and prefetch its memo set, probe (one lock per memo stripe),
+  /// dedup the misses within the chunk (twins copy the first one's
+  /// decision; under verify-on-hit only on equal size and bytes), then
+  /// probe and decide the distinct misses and insert them. A hit returns
+  /// exactly the Decision the probe computes for that content (modulo
+  /// undetected 64-bit fingerprint collisions, which verify-on-hit
+  /// eliminates), including decisions too wide for the memo to store. The codec's memo governor (MemoGovernor) may run a chunk through
   /// the probe alone instead; its blocks are then `bypassed`, neither hits
   /// nor misses. Allocates nothing for blocks of up to
   /// CodeLengthTree::kStackSymbols symbols.
@@ -167,8 +168,12 @@ class SlcCodec : public Compressor {
   /// (in-chunk twins included) is below 1/2 switches the memo off. With it
   /// off, chunks skip the memo stage — no fingerprint, lookup, dedup or
   /// insert — except 1 in kSampleEvery, which runs it; once the last
-  /// kSamples of those sampled chunks reach a hit rate of 1/2 the memo is
-  /// back on, with an empty window. A new memo
+  /// kSamples of those sampled chunks reach a hit rate of 1/2 over their
+  /// distinct contents the memo is back on, with an empty window. A sample
+  /// counts each content the memo table held once, however often the chunk
+  /// repeats it, and in-chunk twins not at all: a sample of 64 blocks is
+  /// two or so requests, and one that lands in a run of zero blocks would
+  /// otherwise read as a hit rate the traffic does not have. A new memo
   /// epoch (FingerprintCache::clear()) restarts it: memo on, empty window.
   /// The state is relaxed atomics: concurrent shards of one codec race on
   /// it, which moves only which chunks bypass, never a decision.
@@ -182,8 +187,10 @@ class SlcCodec : public Compressor {
 
     /// The stage of the next chunk under memo epoch `epoch`.
     Stage next(uint64_t epoch);
-    /// Reports a chunk that ran the memo stage as `stage` (kMemo or
-    /// kSample): `probed` blocks, `hits` of them served without a decision.
+    /// Reports a chunk that ran the memo stage as `stage`: for kMemo its
+    /// `probed` blocks, `hits` of them served without a decision; for
+    /// kSample its `probed` distinct contents, `hits` of them held by the
+    /// memo table.
     void report(Stage stage, uint32_t probed, uint32_t hits);
 
    private:
@@ -204,8 +211,10 @@ class SlcCodec : public Compressor {
   struct Geometry {
     size_t block_bytes = 0;  ///< 0: none yet
     size_t num_symbols = 0;
+    unsigned num_ways = 0;
     size_t per_way = 0;
     size_t header_bytes = 0;  ///< the byte-padded Fig. 6 header
+    size_t raw_bursts = 0;    ///< the bursts of the raw block
   };
 
   std::shared_ptr<const E2mcCompressor> lossless_;
@@ -222,28 +231,39 @@ class SlcCodec : public Compressor {
   /// Throws std::invalid_argument like E2mcCompressor::symbols_per_way.
   Geometry geometry(size_t block_bytes) const;
 
-  /// The memo-free probe: each block's code lengths staged on the stack
-  /// (on the heap above CodeLengthTree::kStackSymbols symbols), then
-  /// decide(). decide_batch() without a memo and the memo's miss path run
-  /// it.
+  /// The memo-free probe: each block's code lengths and group sums staged
+  /// on the stack (on the heap above CodeLengthTree::kStackSymbols
+  /// symbols), then decide(). decide_batch() without a memo and the memo's
+  /// miss path run it.
   void probe_batch(std::span<const BlockView> blocks, size_t threshold_bytes,
                    Decision* out) const;
 
-  /// One chunk of the memo stage (blocks.size() <= kProbeChunk) under `key`,
-  /// cache_key(threshold_bytes); returns how many of its blocks were served
-  /// without a decision.
-  uint32_t decide_chunk_cached(FingerprintCache& c, uint64_t key, size_t threshold_bytes,
-                               std::span<const BlockView> blocks, Decision* out,
-                               CacheOutcome* oc) const;
+  /// What one chunk of the memo stage found: `hits` of its blocks were
+  /// served without a decision (memo hits and in-chunk twins); of its
+  /// `contents` distinct contents, the memo table held `content_hits`.
+  struct ChunkHits {
+    uint32_t hits = 0;
+    uint32_t contents = 0;
+    uint32_t content_hits = 0;
+  };
 
-  /// The Fig. 4 mode decision at `threshold_bytes` over one block's code
-  /// lengths into `d`, all of it read off one CodeLengthTree: the way sums
-  /// and lossless size, the budget and overshoot, the first-fit window and
-  /// each candidate's cut size. It writes `d` in place (the caller's slot): a returned Decision
+  /// One chunk of the memo stage (blocks.size() <= kProbeChunk) under `key`,
+  /// cache_key(threshold_bytes).
+  ChunkHits decide_chunk_cached(FingerprintCache& c, uint64_t key, size_t threshold_bytes,
+                                std::span<const BlockView> blocks, Decision* out,
+                                CacheOutcome* oc) const;
+
+  /// The Fig. 4 mode decision at `threshold_bytes` over one block's
+  /// code_lengths() probe (its lengths and their sums of 8) into `d`. The
+  /// way sums, and from them the lossless size, budget and overshoot, come
+  /// off the group sums, which settle every block but a lossy candidate
+  /// (an overshoot in (0, threshold]): only that one builds a
+  /// CodeLengthTree, for the first-fit window and each candidate's cut
+  /// size. It writes `d` in place (the caller's slot): a returned Decision
   /// would be copied out with loads wider than the stores that built it,
   /// which cannot be forwarded.
-  void decide(std::span<const uint16_t> lens, const Geometry& g, size_t threshold_bytes,
-              Decision& d) const;
+  void decide(std::span<const uint16_t> lens, const uint16_t* sums8, const Geometry& g,
+              size_t threshold_bytes, Decision& d) const;
 
   /// Re-fills the truncated window of `out` per the configured variant. All
   /// symbols outside [skip_start, skip_start + skip_count) must already hold

@@ -1,12 +1,43 @@
 #include "engine/codec_engine.h"
 
 #include <algorithm>
+#include <new>
 #include <stdexcept>
 
 #include "core/fingerprint_cache.h"
 
 namespace slc {
 namespace detail {
+
+JobPool::~JobPool() {
+  MutexLock lk(m_);
+  while (Free* f = free_) {
+    free_ = f->next;
+    ::operator delete(f);
+  }
+}
+
+void* JobPool::take(size_t bytes) {
+  {
+    MutexLock lk(m_);
+    if (bytes_ == 0) bytes_ = bytes;
+    if (bytes == bytes_ && free_ != nullptr) {
+      Free* f = free_;
+      free_ = f->next;
+      return f;
+    }
+  }
+  return ::operator new(bytes);
+}
+
+void JobPool::give(void* p, size_t bytes) {
+  MutexLock lk(m_);
+  if (bytes != bytes_) {
+    ::operator delete(p);
+    return;
+  }
+  free_ = ::new (p) Free{free_};
+}
 
 void EngineJob::finish_shard(size_t items, std::exception_ptr thrown) {
   if (thrown) {
@@ -124,8 +155,9 @@ std::shared_ptr<FingerprintCache> CodecEngine::fingerprint_cache() {
 CodecFuture CodecEngine::submit(size_t count, Body body, int priority,
                                 std::chrono::steady_clock::time_point deadline,
                                 OnDone on_done) {
-  auto job = std::make_shared<detail::EngineJob>(count, std::move(body), std::move(on_done),
-                                                 priority, deadline);
+  auto job = std::allocate_shared<detail::EngineJob>(
+      detail::JobAllocator<detail::EngineJob>(job_pool_), count, std::move(body),
+      std::move(on_done), priority, deadline);
   // Dynamic work queue: ~8 shards per worker balances load without paying a
   // queue round-trip per block. Shard size never affects results, only how
   // the stream is cut across workers. The size is clamped to
@@ -167,7 +199,7 @@ void CodecEngine::worker_loop(unsigned id) {
           ((*it)->priority == (*best)->priority && (*it)->deadline < (*best)->deadline))
         best = it;
     }
-    const std::shared_ptr<detail::EngineJob> job = *best;
+    std::shared_ptr<detail::EngineJob> job = *best;
     const size_t begin = job->next;
     const size_t end = std::min(job->count, begin + job->shard);
     job->next = end;
@@ -184,6 +216,9 @@ void CodecEngine::worker_loop(unsigned id) {
       }
     }
     job->finish_shard(end - begin, thrown);
+    // Drop the reference before re-locking: a last one frees the job (into
+    // the pool, under its own lock) outside mutex_.
+    job.reset();
     lk.lock();
   }
 }

@@ -114,6 +114,59 @@ struct EngineJob {
   OnDone on_done_ SLC_GUARDED_BY(m_);  ///< moved out and run by finish()
 };
 
+/// Retired jobs' storage, reused by CodecEngine::submit: a job's shared
+/// state (control block and EngineJob, one allocation) goes back to its
+/// engine's free list when the last reference drops, on whichever thread
+/// that is, and the next submit takes it from there. The list holds only
+/// blocks once live at the same time, so the engine's peak of jobs in
+/// flight bounds it. Every job holds the pool through its allocator, so a
+/// job that outlives its engine still has somewhere to go. `m_` is a leaf
+/// lock.
+class JobPool {
+ public:
+  JobPool() = default;
+  JobPool(const JobPool&) = delete;
+  JobPool& operator=(const JobPool&) = delete;
+  ~JobPool();
+
+  /// A block of `bytes` (the pool serves one size: a block of another size
+  /// comes from operator new).
+  void* take(size_t bytes);
+  /// Returns a block take(bytes) gave out.
+  void give(void* p, size_t bytes);
+
+ private:
+  struct Free {
+    Free* next;
+  };
+  Mutex m_;
+  Free* free_ SLC_GUARDED_BY(m_) = nullptr;
+  size_t bytes_ SLC_GUARDED_BY(m_) = 0;  ///< the size served; 0 until first use
+};
+
+/// The allocator std::allocate_shared builds each job with (rebound to its
+/// control block): storage from a JobPool.
+template <class T>
+struct JobAllocator {
+  using value_type = T;
+
+  explicit JobAllocator(std::shared_ptr<JobPool> p) : pool(std::move(p)) {}
+  template <class U>
+  JobAllocator(const JobAllocator<U>& o) : pool(o.pool) {}  // NOLINT: rebinding converts
+
+  T* allocate(size_t n) {
+    static_assert(alignof(T) <= __STDCPP_DEFAULT_NEW_ALIGNMENT__, "the pool's blocks come from operator new");
+    return static_cast<T*>(pool->take(n * sizeof(T)));
+  }
+  void deallocate(T* p, size_t n) { pool->give(p, n * sizeof(T)); }
+  template <class U>
+  bool operator==(const JobAllocator<U>& o) const {
+    return pool == o.pool;
+  }
+
+  std::shared_ptr<JobPool> pool;
+};
+
 }  // namespace detail
 
 /// Handle to a job submitted to a CodecEngine. Move-only; wait() is
@@ -244,6 +297,9 @@ class CodecEngine {
 
   unsigned n_threads_ = 1;           // fixed at construction
   std::vector<std::thread> workers_;  // touched only by the ctor + first shutdown()
+
+  /// Storage of retired jobs, reused by submit().
+  const std::shared_ptr<detail::JobPool> job_pool_ = std::make_shared<detail::JobPool>();
 
   mutable Mutex cache_mutex_;  // guards lazy fingerprint_cache_ creation; leaf lock
   std::shared_ptr<FingerprintCache> fingerprint_cache_ SLC_GUARDED_BY(cache_mutex_);

@@ -65,13 +65,28 @@ static_assert(CodecEngine::kMinShard == SlcCodec::kProbeChunk,
               "a shard stages one kernel chunk of views at a time");
 
 /// One dispatched batch: the requests' blocks back to back in one arena
-/// with an end offset per block, and index-aligned result slots (analyses,
-/// or the payload arena, by kind). It is one engine job, completed through
-/// that job's on_done: a shard exception cancels the rest of the batch and
-/// reaches every request as kError. Its stream owns it and reuses it once
-/// it retired, buffers cleared but their capacity kept.
+/// with an end offset per block, index-aligned result slots (analyses, or
+/// the payload arena, by kind), and each request's fold of those results.
+/// It is one engine job, completed through that job's on_done: a shard
+/// exception cancels the rest of the batch and reaches every request as
+/// kError. Its stream owns it and reuses it once it retired, buffers
+/// cleared but their capacity kept.
 struct CodecServer::Batch {
   static constexpr size_t kChunk = CodecEngine::kMinShard;
+
+  /// What a run of one request's blocks adds to its response's aggregates
+  /// and its stream's commit counters.
+  struct Fold {
+    explicit Fold(size_t mag_bytes) : ratios(mag_bytes) {}
+
+    CommitStats commit;
+    RatioAccumulator ratios;
+
+    void merge(const Fold& o) {
+      commit.merge(o.commit);
+      ratios.merge(o.ratios);
+    }
+  };
 
   StreamId stream = 0;
   RequestKind kind = RequestKind::kAnalyze;
@@ -84,6 +99,13 @@ struct CodecServer::Batch {
   std::vector<BlockAnalysis> analyses;             ///< kAnalyze / kDecide
   std::shared_ptr<detail::PayloadArena> payloads;  ///< kCompress
   std::vector<std::shared_ptr<detail::ServerRequest>> requests;
+  /// Index-aligned with `requests`: folds[k] holds request k's blocks in
+  /// the shard its first block is in, which alone writes it; the blocks
+  /// any later shard reaches are merged into spills[k] under spill_lock.
+  /// Completion reads both after the job finished.
+  std::vector<Fold> folds;
+  Mutex spill_lock;
+  std::vector<Fold> spills SLC_GUARDED_BY(spill_lock);
 
   /// What completion adds to the stream's stats: gathered by deliver_batch
   /// outside lock_, folded in by retire_batch_locked.
@@ -97,12 +119,29 @@ struct CodecServer::Batch {
   size_t block_begin(size_t i) const { return i == 0 ? 0 : ends[i - 1]; }
   size_t block_bytes(size_t i) const { return ends[i] - block_begin(i); }
 
+  /// Sizes the result slots and the folds for a run over the batch's blocks.
+  void prepare() {
+    if (kind == RequestKind::kCompress) {
+      payloads = std::make_shared<detail::PayloadArena>();
+      payloads->bytes.resize(bytes.size());
+      payloads->entries.resize(blocks);
+    } else {
+      analyses.resize(blocks);
+    }
+    const Fold empty(mag_bytes);
+    folds.assign(requests.size(), empty);
+    MutexLock lk(spill_lock);
+    spills.assign(requests.size(), empty);
+  }
+
   /// One engine shard, one kernel chunk at a time over views staged on the
   /// stack. Analyses land in the batch's slots directly; payloads go
   /// through the worker's reused `slots`, then into the payload arena at
-  /// their blocks' input offsets.
+  /// their blocks' input offsets. Each chunk's results are folded into
+  /// their requests while they are still in this worker's cache.
   void run_shard(size_t begin, size_t end, std::span<CompressedBlock, kChunk> slots) {
     std::array<BlockView, kChunk> views;
+    ShardFold fold(*this, begin);
     for (size_t base = begin; base < end; base += kChunk) {
       const size_t n = std::min(kChunk, end - base);
       for (size_t j = 0; j < n; ++j)
@@ -111,6 +150,7 @@ struct CodecServer::Batch {
       const std::span<const BlockView> chunk(views.data(), n);
       if (kind != RequestKind::kCompress) {
         codec->analyze_batch(chunk, analyses.data() + base);
+        fold.to(base + n);
         continue;
       }
       for (size_t j = 0; j < n; ++j) {
@@ -130,8 +170,111 @@ struct CodecServer::Batch {
                                 .bit_size = slots[j].bit_size,
                                 .is_compressed = slots[j].is_compressed};
       }
+      fold.to(base + n);
     }
+    fold.finish();
   }
+
+  /// Folds the results of blocks [first, last), all of one request, into
+  /// `f`: a pass over the sizes, then one over the decision bookkeeping
+  /// (lossy, truncated, lossless, cache), which only analyses carry. Each
+  /// pass sums into locals, so its running sums stay in registers. Payload
+  /// batches fold the size and burst counters only.
+  void fold_run(size_t first, size_t last, Fold& f) const {
+    const size_t mag = mag_bytes;
+    const size_t run_begin = block_begin(first);
+    RatioAccumulator ratios(mag);
+    uint64_t uncompressed = 0, bursts = 0, final_bits = 0;
+    size_t begin = run_begin;
+    const auto fold_size = [&](size_t i, size_t size, bool compressed) {
+      const size_t block = ends[i] - begin, bits = block * 8;
+      begin = ends[i];
+      ratios.add(bits, size);
+      uncompressed += compressed ? 0 : 1;
+      bursts += bursts_for_bits(size, mag, block);
+      final_bits += size;
+    };
+    CommitStats& cs = f.commit;
+    if (kind == RequestKind::kCompress) {
+      for (size_t i = first; i < last; ++i)
+        fold_size(i, payloads->entries[i].bit_size, payloads->entries[i].is_compressed);
+    } else {
+      for (size_t i = first; i < last; ++i)
+        fold_size(i, analyses[i].bit_size, analyses[i].is_compressed);
+      uint64_t lossy = 0, truncated = 0, lossless = 0;
+      CacheCounters cache;
+      for (size_t i = first; i < last; ++i) {
+        const BlockAnalysis& a = analyses[i];
+        lossy += a.lossy ? 1 : 0;
+        truncated += a.truncated_symbols;
+        lossless += a.lossless_bits;
+        cache.record(a.cache);
+      }
+      cs.lossy_blocks += lossy;
+      cs.truncated_symbols += truncated;
+      cs.lossless_bits += lossless;
+      cs.cache.merge(cache);
+    }
+    cs.blocks += last - first;
+    cs.uncompressed_blocks += uncompressed;
+    cs.bursts += bursts;
+    cs.original_bits += (begin - run_begin) * 8;
+    cs.final_bits += final_bits;
+    f.ratios.merge(ratios);
+  }
+
+  /// One shard's walk over its blocks in order, request by request: a
+  /// request's run ends at its last block or at the shard's end, and goes
+  /// to folds[k] when the request starts in this shard, to spills[k]
+  /// otherwise.
+  class ShardFold {
+   public:
+    ShardFold(Batch& b, size_t begin)
+        : b_(b),
+          begin_(begin),
+          next_(begin),
+          // The request holding block `begin`: the last one starting at or before it.
+          k_(static_cast<size_t>(std::upper_bound(b.requests.begin(), b.requests.end(), begin,
+                                                  [](size_t i, const auto& r) {
+                                                    return i < r->offset;
+                                                  }) -
+                                 b.requests.begin()) -
+             1),
+          run_(b.mag_bytes) {}
+
+    /// Folds the blocks up to `end`, whose results are in their slots.
+    void to(size_t end) {
+      while (next_ < end) {
+        const detail::ServerRequest& r = *b_.requests[k_];
+        const size_t stop = std::min(end, r.offset + r.n_blocks);
+        b_.fold_run(next_, stop, run_);
+        next_ = stop;
+        if (next_ == r.offset + r.n_blocks) flush();
+      }
+    }
+    /// Hands over the run of a request that continues past the shard.
+    void finish() {
+      if (run_.commit.blocks != 0) flush();
+    }
+
+   private:
+    void flush() {
+      if (b_.requests[k_]->offset >= begin_) {
+        b_.folds[k_] = run_;
+      } else {
+        MutexLock lk(b_.spill_lock);
+        b_.spills[k_].merge(run_);
+      }
+      run_ = Fold(b_.mag_bytes);
+      k_ += 1;
+    }
+
+    Batch& b_;
+    const size_t begin_;
+    size_t next_;
+    size_t k_;  ///< the request of block next_
+    Fold run_;
+  };
 };
 
 struct CodecServer::ReadyBatches {
@@ -157,31 +300,6 @@ struct CodecServer::ReadyBatches {
   }
   bool empty() const { return head == nullptr; }
 };
-
-// --- ServerRequest ----------------------------------------------------------
-
-namespace detail {
-
-void ServerRequest::publish() {
-  if (state.exchange(State::kDone, std::memory_order_acq_rel) != State::kParked) return;
-  // The waiter set kParked under m and holds m until cv.wait releases it,
-  // so once we hold m it is asleep or about to re-check: the notify cannot
-  // be lost.
-  MutexLock lk(m);
-  cv.notify_all();
-}
-
-void ServerRequest::await() {
-  MutexLock lk(m);
-  State seen = State::kPending;
-  if (!state.compare_exchange_strong(seen, State::kParked, std::memory_order_acq_rel,
-                                     std::memory_order_acquire) &&
-      seen == State::kDone)
-    return;
-  while (!ready()) cv.wait(m);
-}
-
-}  // namespace detail
 
 // --- ServerTicket -----------------------------------------------------------
 
@@ -485,13 +603,7 @@ void CodecServer::hand_off(ReadyBatches& ready) {
     // debt. Both callbacks capture two pointers, which std::function keeps
     // inline.
     try {
-      if (batch->kind == RequestKind::kCompress) {
-        batch->payloads = std::make_shared<detail::PayloadArena>();
-        batch->payloads->bytes.resize(batch->bytes.size());
-        batch->payloads->entries.resize(batch->blocks);
-      } else {
-        batch->analyses.resize(batch->blocks);
-      }
+      batch->prepare();
       engine_->submit(
           batch->blocks,
           [this, batch](size_t begin, size_t end, unsigned worker) {
@@ -517,12 +629,20 @@ void CodecServer::complete_batch(Batch& batch, std::exception_ptr err) {
   batch.ends.clear();
   batch.analyses.clear();
   batch.requests.clear();
+  batch.folds.clear();
+  {
+    MutexLock lk(batch.spill_lock);
+    batch.spills.clear();
+  }
   const size_t keep_blocks = 2 * reserve_blocks(cfg_.batch_blocks);
   if (batch.ends.capacity() > keep_blocks || batch.bytes.capacity() > keep_blocks * kBlockBytes) {
     batch.bytes.shrink_to_fit();
     batch.ends.shrink_to_fit();
     batch.analyses.shrink_to_fit();
     batch.requests.shrink_to_fit();
+    batch.folds.shrink_to_fit();
+    MutexLock lk(batch.spill_lock);
+    batch.spills.shrink_to_fit();
   }
   MutexLock lk(lock_);
   retire_batch_locked(batch);
@@ -530,62 +650,40 @@ void CodecServer::complete_batch(Batch& batch, std::exception_ptr err) {
 
 void CodecServer::deliver_batch(Batch& batch, std::exception_ptr err,
                                 std::chrono::steady_clock::time_point now) {
-  // Scatter per-request responses sequentially — same bytes no matter which
-  // thread completes the batch. Each response is published after it is
-  // fully built. The same pass tallies the batch's commit counters, request
-  // latencies and deadline misses, so retiring it under lock_ is one fold.
+  // Build per-request responses sequentially from the shards' folds — same
+  // bytes no matter which thread completes the batch. Each response is
+  // published after it is fully built. The same pass tallies the batch's
+  // commit counters, request latencies and deadline misses, so retiring it
+  // under lock_ is one fold.
   CommitStats& cs = batch.commit;
   cs = CommitStats{};
   batch.deadline_misses = 0;
   batch.latencies.clear();
-  for (std::shared_ptr<detail::ServerRequest>& req : batch.requests) {
+  MutexLock spill(batch.spill_lock);
+  for (size_t k = 0; k < batch.requests.size(); ++k) {
+    std::shared_ptr<detail::ServerRequest>& req = batch.requests[k];
     Response& resp = req->resp;
     resp.tag = req->tag;
     resp.deadline_missed = req->deadline.count() > 0 && now - req->submitted > req->deadline;
     batch.deadline_misses += resp.deadline_missed ? 1 : 0;
     batch.latencies.push_back(now - req->submitted);
-    resp.analysis.ratios = RatioAccumulator(batch.mag_bytes);
     if (err) {
       resp.status = ResponseStatus::kError;
       resp.error = err;
-    } else if (batch.kind == RequestKind::kCompress) {
-      // The payload vectors are built by the waiter (ServerTicket::wait).
-      // Payload batches fold the size/burst counters only; the decision
-      // bookkeeping (lossy/truncated/lossless/cache) is an analyze-path
-      // concept the compress kernels do not report.
-      for (size_t j = 0; j < req->n_blocks; ++j) {
-        const size_t i = req->offset + j;
-        const detail::PayloadArena::Entry& p = batch.payloads->entries[i];
-        const size_t bits = batch.block_bytes(i) * 8;
-        resp.analysis.ratios.add(bits, p.bit_size);
-        cs.uncompressed_blocks += p.is_compressed ? 0 : 1;
-        cs.bursts += bursts_for_bits(p.bit_size, batch.mag_bytes, batch.block_bytes(i));
-        cs.original_bits += bits;
-        cs.final_bits += p.bit_size;
-      }
-      cs.blocks += req->n_blocks;
-      req->payloads = batch.payloads;
+      resp.analysis.ratios = RatioAccumulator(batch.mag_bytes);
     } else {
+      Batch::Fold& f = batch.folds[k];
+      f.merge(batch.spills[k]);
       StreamAnalysis& sa = resp.analysis;
-      for (size_t j = 0; j < req->n_blocks; ++j) {
-        const size_t i = req->offset + j;
-        const BlockAnalysis& a = batch.analyses[i];
-        const size_t bits = batch.block_bytes(i) * 8;
-        sa.ratios.add(bits, a.bit_size);
-        sa.lossy_blocks += a.lossy ? 1 : 0;
-        sa.truncated_symbols += a.truncated_symbols;
-        sa.cache.record(a.cache);
-        cs.uncompressed_blocks += a.is_compressed ? 0 : 1;
-        cs.bursts += bursts_for_bits(a.bit_size, batch.mag_bytes, batch.block_bytes(i));
-        cs.original_bits += bits;
-        cs.lossless_bits += a.lossless_bits;
-        cs.final_bits += a.bit_size;
-      }
-      cs.blocks += req->n_blocks;
-      cs.lossy_blocks += sa.lossy_blocks;
-      cs.truncated_symbols += sa.truncated_symbols;
-      cs.cache.merge(sa.cache);
-      if (batch.kind == RequestKind::kAnalyze) {
+      sa.ratios = f.ratios;
+      sa.lossy_blocks = f.commit.lossy_blocks;
+      sa.truncated_symbols = f.commit.truncated_symbols;
+      sa.cache = f.commit.cache;
+      cs.merge(f.commit);
+      if (batch.kind == RequestKind::kCompress) {
+        // The payload vectors are built by the waiter (ServerTicket::wait).
+        req->payloads = batch.payloads;
+      } else if (batch.kind == RequestKind::kAnalyze) {
         // kDecide keeps the per-block vector empty — aggregates only.
         sa.blocks.assign(
             batch.analyses.begin() + static_cast<ptrdiff_t>(req->offset),

@@ -256,14 +256,16 @@ struct PayloadArena {
 /// One queued request: its slice of the batch it rides in, and its own
 /// completion state (the batch's completion delivers into it).
 ///
-/// Completion is one atomic `state`: the batch's completion writes `resp`
-/// and `payloads`, then publish() stores kDone with release order, so a
-/// waiter that reads kDone (acquire) sees them without a lock. A waiter that finds the request
-/// pending parks: under `m` it moves `state` to kParked and sleeps on `cv`;
-/// publish() takes `m` to wake it only when it finds kParked. `m` is a leaf
-/// lock, never held with CodecServer::lock_.
+/// Completion is one atomic `state` and no lock: the batch's completion
+/// writes `resp` and `payloads`, then publish() swaps in kDone with release
+/// order, so a waiter that reads kDone (acquire) sees them. A waiter that
+/// finds the request pending moves `state` to kParked and sleeps on the
+/// atomic itself (std::atomic::wait); publish() wakes it (notify_all) only
+/// when the swap returns kParked. The completing thread holds a reference
+/// to the request across publish(), so the notify never touches a freed
+/// request.
 struct ServerRequest {
-  enum class State : uint8_t { kPending, kParked, kDone };
+  enum class State : uint32_t { kPending, kParked, kDone };
 
   size_t offset = 0;    ///< first block inside the dispatched batch
   size_t n_blocks = 0;
@@ -277,7 +279,7 @@ struct ServerRequest {
   std::chrono::steady_clock::time_point submitted{};
 
   /// Written once, by publish()'s caller before it, and read only after
-  /// ready() (not under `m`: `state`'s release store publishes them).
+  /// ready() (`state`'s release store publishes them).
   Response resp;
   /// A served kCompress request's batch output; wait() builds resp.payloads
   /// from this request's entries. The request holds the arena, never the
@@ -285,16 +287,23 @@ struct ServerRequest {
   std::shared_ptr<const PayloadArena> payloads;
 
   /// Marks `resp` and `payloads` complete and wakes a parked waiter.
-  void publish();
+  void publish() {
+    if (state.exchange(State::kDone, std::memory_order_acq_rel) == State::kParked)
+      state.notify_all();
+  }
   /// True once publish() ran; `resp` and `payloads` are then readable.
   bool ready() const { return state.load(std::memory_order_acquire) == State::kDone; }
   /// Blocks until publish() ran.
-  void await();
+  void await() {
+    // Park, unless publish() already ran (the exchange then finds kDone);
+    // a parked request only ever moves on to kDone.
+    State seen = State::kPending;
+    state.compare_exchange_strong(seen, State::kParked, std::memory_order_acquire);
+    while (!ready()) state.wait(State::kParked, std::memory_order_acquire);
+  }
 
  private:
   std::atomic<State> state{State::kPending};
-  Mutex m;
-  CondVar cv;  ///< signals kDone to a parked waiter
 };
 
 }  // namespace detail

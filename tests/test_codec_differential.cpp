@@ -399,6 +399,93 @@ TEST(CodecDifferential, DecideMatchesReference) {
   EXPECT_GT(decided - lossy - raw, 0u);
 }
 
+// The decision reads the Fig. 5 tree only for a lossy candidate, an
+// overshoot in (0, threshold]; every other block is settled by its way
+// sums. Blocks at each edge of that branch against ref_decide: an overshoot
+// of 0 (lossless at the budget), exactly threshold·8 (a candidate, which
+// the tree truncates) and the next overshoot above it, threshold·8 + 8
+// (lossless past the threshold: the comparison that skips the tree;
+// overshoots are whole bytes, since both the lossless size and the budget
+// are). The blocks come from a seeded code-mix stream whose shares of
+// escapes and of the shortest codes vary per block, so their sizes spread
+// over every overshoot, picked by
+// the overshoot of their reference lossless size at a 32 B and a 64 B MAG,
+// and decided at every variant and thresholds of 8, 16 and 24 B.
+TEST(CodecDifferential, ThresholdEdgesMatchReference) {
+  constexpr size_t kBlocks = 16384;
+  constexpr size_t kPerEdge = 16;
+  constexpr unsigned kWays = 4;
+  const auto e2mc = E2mcCompressor::train(test::quantized_walk(0xED6E, 64));
+  std::vector<uint16_t> coded;  // every symbol with a codeword, shortest first
+  for (uint32_t sym = 0; sym <= UINT16_MAX; ++sym)
+    if (e2mc->code().in_table(static_cast<uint16_t>(sym))) coded.push_back(static_cast<uint16_t>(sym));
+  std::stable_sort(coded.begin(), coded.end(), [&](uint16_t a, uint16_t b) {
+    return e2mc->code().codeword_len(a) < e2mc->code().codeword_len(b);
+  });
+  const size_t n_short = std::min<size_t>(coded.size(), 32);
+  Rng rng(0xED6E);
+  std::vector<Block> blocks;
+  std::vector<size_t> lossless_bits;  // each block's reference lossless size
+  const size_t header = SlcHeader::bits(kBlockBytes, kWays, kSymbolsPerBlock);
+  for (size_t b = 0; b < kBlocks; ++b) {
+    // Escapes, the shortest codes and any code, in per-block shares.
+    Block block(kBlockBytes);
+    const double escapes = rng.uniform(0.0, 0.5);
+    const double shortest = rng.uniform(0.0, 1.0);
+    for (size_t i = 0; i < kSymbolsPerBlock; ++i)
+      block.set_symbol(i, rng.chance(escapes)    ? static_cast<uint16_t>(rng.next())
+                          : rng.chance(shortest) ? coded[rng.next_below(n_short)]
+                                                 : coded[rng.next_below(coded.size())]);
+    lossless_bits.push_back(
+        test::ref_layout(test::ref_code_lengths(*e2mc, block.view()), kWays, header).total_bits);
+    blocks.push_back(std::move(block));
+  }
+
+  for (const size_t mag : {size_t{32}, size_t{64}}) {
+    const size_t mag_bits = mag * 8;
+    for (const size_t threshold : {size_t{8}, size_t{16}, size_t{24}}) {
+      // Up to kPerEdge blocks at each overshoot: 0, threshold·8, threshold·8 + 8.
+      const size_t edges[] = {0, threshold * 8, threshold * 8 + 8};
+      std::vector<BlockView> picked[3];
+      for (size_t b = 0; b < kBlocks; ++b) {
+        // A block at or above the raw size has no overshoot, nor one below
+        // a MAG (its budget is the one MAG).
+        const size_t comp = lossless_bits[b];
+        if (comp >= kBlockBytes * 8 || comp < mag_bits) continue;
+        const size_t overshoot = comp % mag_bits;
+        for (size_t e = 0; e < 3; ++e)
+          if (overshoot == edges[e] && picked[e].size() < kPerEdge)
+            picked[e].push_back(blocks[b].view());
+      }
+      for (const SlcVariant variant : {SlcVariant::kSimp, SlcVariant::kPred, SlcVariant::kOpt}) {
+        SlcConfig cfg;
+        cfg.mag_bytes = mag;
+        cfg.threshold_bytes = threshold;
+        cfg.variant = variant;
+        const SlcCodec codec(e2mc, cfg);
+        const std::string tag = std::string(to_string(variant)) + " MAG " + std::to_string(mag) +
+                                " thr " + std::to_string(threshold);
+        size_t lossy[3] = {};
+        for (size_t e = 0; e < 3; ++e) {
+          const std::string at = tag + " overshoot " + std::to_string(edges[e]);
+          ASSERT_EQ(picked[e].size(), kPerEdge) << at << ": the stream has too few such blocks";
+          const auto got = test::decide_all(codec, picked[e]);
+          for (size_t i = 0; i < kPerEdge; ++i) {
+            const SlcCodec::Decision want = test::ref_decide(*e2mc, cfg, picked[e][i]);
+            const std::string what = at + " block " + std::to_string(i);
+            EXPECT_EQ(want.info.extra_bits, edges[e]) << what;
+            expect_decision_eq(want, got[i], what);
+            lossy[e] += got[i].info.lossy ? 1 : 0;
+          }
+        }
+        EXPECT_EQ(lossy[0], 0u) << tag;
+        EXPECT_GT(lossy[1], 0u) << tag << ": no candidate at the threshold was truncated";
+        EXPECT_EQ(lossy[2], 0u) << tag;
+      }
+    }
+  }
+}
+
 // A region's threshold (the extended cudaMalloc of Sec. IV-C) against
 // ref_decide: regions allocated with thresholds 0, 4, 8, 16 and 24 B and
 // without one, safe and unsafe, under a 16 B and a 32 B codec of every

@@ -1,9 +1,14 @@
 // E2MC: training, layout (ways + pdp header), compressed sizes, round trip.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "codec_reference.h"
 #include "common/rng.h"
 #include "compress/e2mc.h"
+#include "compress/simd_dispatch.h"
+#include "test_util.h"
 
 namespace slc {
 namespace {
@@ -56,10 +61,70 @@ TEST_F(E2mcTest, HeaderIsThreePdps) {
 
 TEST_F(E2mcTest, CodeLengthsMatchCode) {
   const Block b = block_from(data_, 3);
-  std::vector<uint16_t> lens(kSymbolsPerBlock);
-  comp_->code_lengths(b.view(), lens.data());
+  std::vector<uint16_t> lens(kSymbolsPerBlock), sums8(kSymbolsPerBlock / 8);
+  comp_->code_lengths(b.view(), lens.data(), sums8.data());
   for (size_t s = 0; s < kSymbolsPerBlock; ++s)
     EXPECT_EQ(lens[s], comp_->code().encoded_bits(b.symbol(s)));
+}
+
+// code_lengths() stages each symbol's code length and, in the same pass,
+// the sum of each whole group of 8 (the AVX2 kernel folds them from its
+// gather registers, the scalar twin adds them up), and way_bits() sums the
+// ways off them. All of it must equal per-symbol sums of the reference
+// lengths with the AVX2 kernel active and with the scalar one pinned
+// (SLC_FORCE_SCALAR's switch), over symbols that are escapes, the
+// longest codes or any other code, at 8 B (no whole group), 96 B (groups
+// past the last 64-symbol tile, straddling 12-symbol ways), 128 B, 520 B
+// (65-symbol ways) and 1024 B blocks (which the SLC decision stages on the
+// heap).
+TEST_F(E2mcTest, GroupAndWaySumsMatchScalarSums) {
+  std::vector<uint16_t> escapes, longest, coded;
+  unsigned max_len = 0;
+  for (uint32_t sym = 0; sym <= UINT16_MAX; ++sym)
+    max_len = std::max(max_len, comp_->code().codeword_len(static_cast<uint16_t>(sym)));
+  for (uint32_t sym = 0; sym <= UINT16_MAX; ++sym) {
+    const auto s = static_cast<uint16_t>(sym);
+    const unsigned len = comp_->code().codeword_len(s);
+    (len == 0 ? escapes : len == max_len ? longest : coded).push_back(s);
+  }
+  ASSERT_FALSE(escapes.empty());
+  ASSERT_FALSE(longest.empty());
+  ASSERT_FALSE(coded.empty());
+
+  const test::ForceScalarGuard restore;
+  for (const bool scalar : {false, true}) {
+    simd::force_scalar(scalar);
+    for (const size_t bytes : {size_t{8}, size_t{96}, size_t{128}, size_t{520}, size_t{1024}}) {
+      const std::string at = (scalar ? "scalar " : "active ") + std::to_string(bytes) + " B";
+      Rng rng(bytes);
+      for (int rep = 0; rep < 8; ++rep) {
+        Block b(bytes);
+        const size_t n = b.view().num_symbols();
+        for (size_t i = 0; i < n; ++i) {
+          const double pick = rng.uniform(0.0, 1.0);
+          const auto& from = pick < 0.25 ? escapes : pick < 0.5 ? longest : coded;
+          b.set_symbol(i, from[rng.next_below(from.size())]);
+        }
+        std::vector<uint16_t> lens(n), sums8(n / 8);
+        comp_->code_lengths(b.view(), lens.data(), sums8.data());
+        const std::vector<uint16_t> ref = test::ref_code_lengths(*comp_, b.view());
+        EXPECT_EQ(lens, ref) << at;
+        for (size_t k = 0; k < n / 8; ++k) {
+          unsigned sum = 0;
+          for (size_t i = 8 * k; i < 8 * k + 8; ++i) sum += ref[i];
+          EXPECT_EQ(sums8[k], sum) << at << " group " << k;
+        }
+        const size_t per_way = comp_->symbols_per_way(n);
+        size_t ways[4] = {};
+        E2mcCompressor::way_bits(lens.data(), sums8.data(), per_way, 4, ways);
+        for (size_t w = 0; w < 4; ++w) {
+          size_t sum = 0;
+          for (size_t i = w * per_way; i < (w + 1) * per_way; ++i) sum += ref[i];
+          EXPECT_EQ(ways[w], sum) << at << " way " << w;
+        }
+      }
+    }
+  }
 }
 
 TEST_F(E2mcTest, LayoutSumsWays) {

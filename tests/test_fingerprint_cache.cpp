@@ -13,6 +13,7 @@
 // SLC_FINGERPRINT_CACHE force-disables the memo — the differential checks
 // still run and must pass trivially in that configuration.
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
@@ -25,6 +26,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "compress/block_codec.h"
 #include "compress/codec_registry.h"
 #include "core/fingerprint_cache.h"
@@ -1210,6 +1212,100 @@ TEST(MemoGovernor, ClearRestartsTheGovernor) {
   govern(cached, views_of(traffic.take(kWindow + kChunk)), after);
   EXPECT_EQ(after.counters.probes(), kWindow);
   EXPECT_EQ(after.counters.bypassed, kChunk);
+}
+
+// Seeded single-thread replays of the serving benchmark's traffic shape
+// (bench/e2e/serve.cpp): requests of 32 blocks, two to a kProbeChunk chunk.
+// A quarter of the requests are runs of zero blocks, as a quarter of the
+// workload images the benchmark draws from are (24.7%), so a chunk the
+// governor samples while the memo is off often holds one: its zero blocks
+// then hit the one zero content the memo table holds.
+
+constexpr size_t kRequestBlocks = 32;
+
+/// Writes `blocks` fresh random blocks to `dst`.
+void fresh_blocks(Rng& rng, std::span<uint8_t> dst) {
+  for (size_t w = 0; w < dst.size(); w += 8) {
+    const uint64_t v = rng.next();
+    std::memcpy(dst.data() + w, &v, 8);
+  }
+}
+
+/// One fresh request: with probability 1/4 a run of zero blocks, else
+/// blocks never seen before.
+void fresh_request(Rng& rng, std::span<uint8_t> dst) {
+  if (rng.chance(0.25)) {
+    std::fill(dst.begin(), dst.end(), uint8_t{0});
+  } else {
+    fresh_blocks(rng, dst);
+  }
+}
+
+/// Feeds `chunks` chunks of two requests to `codec`'s decide_batch on this
+/// thread and folds the memo outcomes; `request(rng, dst)` writes one
+/// request's kRequestBlocks blocks.
+template <class Request>
+CacheCounters replay(const SlcCodec& codec, Rng& rng, size_t chunks, const Request& request) {
+  std::vector<uint8_t> bytes(kChunk * kBlockBytes);
+  const std::vector<BlockView> views = views_of(bytes);
+  std::array<SlcCodec::Decision, kChunk> ds;
+  std::array<SlcCodec::CacheOutcome, kChunk> ocs;
+  CacheCounters c;
+  for (size_t k = 0; k < chunks; ++k) {
+    for (size_t r = 0; r < kChunk / kRequestBlocks; ++r)
+      request(rng, std::span(bytes).subspan(r * kRequestBlocks * kBlockBytes,
+                                            kRequestBlocks * kBlockBytes));
+    codec.decide_batch(views, codec.config().threshold_bytes, ds.data(), ocs.data());
+    for (const SlcCodec::CacheOutcome& o : ocs) c.record(o);
+  }
+  return c;
+}
+
+// Fresh traffic: the memo goes off after its first window and stays off. A
+// sampled chunk counts each content the table held once, so one holding a
+// zero run reads as one hit among its contents, not as 32 or 64 hits, and
+// cannot vote the memo back on: the replay probes at most twice the
+// sampling floor of 1 chunk in kSampleEvery. (Counting every block served
+// without a decision, a governor probed 6.6% of the benchmark's own fresh
+// traffic, and 7.3% of this replay.)
+TEST(MemoGovernor, FreshTrafficWithZeroRunsStaysNearTheSamplingFloor) {
+  if (!FingerprintCache::runtime_enabled()) GTEST_SKIP() << "cache force-disabled";
+  const SlcCodec cached = make_slc(std::make_shared<FingerprintCache>());
+  Rng rng(602);
+  constexpr size_t kChunks = 16384;  // 1 Mi blocks
+  const CacheCounters c = replay(cached, rng, kChunks, fresh_request);
+  const double probed = static_cast<double>(c.probes()) / static_cast<double>(kChunks * kChunk);
+  RecordProperty("probed_share", std::to_string(probed));
+  EXPECT_LE(probed, 2.0 / kSampleEvery);
+}
+
+// Duplicate traffic: each block with probability 0.9 one of a 4096-block
+// working set, else a block of a fresh request, as in the benchmark's
+// duplicate workload. After a warm-up the memo stays on throughout — no
+// chunk bypasses it — and serves at least 90% of the blocks.
+TEST(MemoGovernor, DuplicateTrafficKeepsTheMemoOn) {
+  if (!FingerprintCache::runtime_enabled()) GTEST_SKIP() << "cache force-disabled";
+  const SlcCodec cached = make_slc(std::make_shared<FingerprintCache>());
+  Rng rng(603);
+  std::vector<uint8_t> working_set(4096 * kBlockBytes);
+  fresh_blocks(rng, working_set);
+  std::vector<uint8_t> other(kRequestBlocks * kBlockBytes);
+  const auto request = [&](Rng& g, std::span<uint8_t> dst) {
+    fresh_request(g, other);
+    for (size_t j = 0; j < kRequestBlocks; ++j) {
+      const size_t from = g.chance(0.9) ? g.next_below(4096) : SIZE_MAX;
+      const auto src = from != SIZE_MAX
+                           ? std::span<const uint8_t>(working_set).subspan(from * kBlockBytes,
+                                                                           kBlockBytes)
+                           : std::span<const uint8_t>(other).subspan(j * kBlockBytes, kBlockBytes);
+      std::copy(src.begin(), src.end(), dst.begin() + static_cast<ptrdiff_t>(j * kBlockBytes));
+    }
+  };
+  replay(cached, rng, 4096, request);  // warm-up: 256 Ki blocks
+  const CacheCounters c = replay(cached, rng, 8192, request);
+  RecordProperty("hit_rate", std::to_string(c.hit_rate()));
+  EXPECT_EQ(c.bypassed, 0u);
+  EXPECT_GE(c.hit_rate(), 0.9);
 }
 
 TEST(MemoGovernor, DecisionsMatchUncachedAtOneAndFourThreads) {

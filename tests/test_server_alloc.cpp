@@ -9,15 +9,15 @@
 //     Response must own, plus what is not per block.
 //
 // What is not per block: each request's state and Response::payloads
-// vector, each batch's engine job (and a kCompress batch's payload arena),
-// and each compress kernel call's own scratch — TSLC-OPT's compress_batch
-// allocates 5 times per 64-block chunk (0.08 per block); its analyze_batch
-// allocates nothing. A batch, its buffers and its engine callbacks are
-// recycled. Requests of 512 blocks keep the first two small next to that
-// fixed kernel share. The serve benchmark's shape — 64 outstanding requests
-// of 32 blocks — is pinned per request for kDecide (about 1.19: the
-// request, plus an eighth of a batch's engine job); kCompress reads about
-// 1.16 per block there.
+// vector, a kCompress batch's payload arena, and each compress kernel
+// call's own scratch — TSLC-OPT's compress_batch allocates 5 times per
+// 64-block chunk (0.08 per block); its analyze_batch allocates nothing. A
+// batch, its buffers, its engine callbacks and its engine job are recycled.
+// Requests of 512 blocks keep the first two small next to that fixed kernel
+// share. The serve benchmark's shape — 64 outstanding requests of 32 blocks
+// — is pinned per request for kDecide (about 1.004: the request itself,
+// plus the engine queue's deque growing a node every 32 jobs); kCompress
+// reads about 1.16 per block there.
 //
 // The replacement operators are process-wide, so this suite is its own
 // binary.
@@ -27,7 +27,6 @@
 
 #include <atomic>
 #include <cstdlib>
-#include <deque>
 #include <new>
 #include <vector>
 
@@ -137,10 +136,11 @@ class SaturatedServer {
   uint64_t run(size_t requests) {
     uint64_t blocks = 0;
     size_t submitted = 0;
-    while (outstanding_.size() < shape_.window && submitted < requests) submit(submitted++);
-    while (!outstanding_.empty()) {
-      const Response resp = outstanding_.front().wait();
-      outstanding_.pop_front();
+    while (outstanding_ < shape_.window && submitted < requests) submit(submitted++);
+    while (outstanding_ != 0) {
+      const Response resp = window_[oldest_].wait();
+      oldest_ = (oldest_ + 1) % shape_.window;
+      outstanding_ -= 1;
       EXPECT_TRUE(resp.ok());
       blocks += shape_.blocks_per_request;
       if (submitted < requests) submit(submitted++);
@@ -158,11 +158,12 @@ class SaturatedServer {
 
  private:
   void submit(size_t i) {
-    outstanding_.push_back(server_->submit(
+    window_[(oldest_ + outstanding_) % shape_.window] = server_->submit(
         stream_, Request{.kind = kind_,
                          .bytes = inputs_[i % kInputs],
                          .deadline = shape_.timed ? std::chrono::milliseconds(5)
-                                                  : std::chrono::milliseconds(0)}));
+                                                  : std::chrono::milliseconds(0)});
+    outstanding_ += 1;
   }
 
   std::vector<uint8_t> training_ = test::quantized_walk(31, 256);
@@ -171,7 +172,12 @@ class SaturatedServer {
   std::unique_ptr<CodecServer> server_;
   StreamId stream_ = 0;
   std::vector<std::vector<uint8_t>> inputs_;
-  std::deque<ServerTicket> outstanding_;
+  /// The outstanding tickets, oldest first, in a ring of shape.window
+  /// slots: the loop itself allocates nothing, so every allocation counted
+  /// is the server's.
+  std::vector<ServerTicket> window_ = std::vector<ServerTicket>(shape_.window);
+  size_t oldest_ = 0;
+  size_t outstanding_ = 0;
 };
 
 /// Allocations per served block over `requests` requests, after a warm-up
@@ -199,16 +205,15 @@ TEST(ServerAllocations, CompressAllocatesOnlyTheResponsePayloads) {
   EXPECT_LE(per_block, 1.0 + 1.0 / 8);
 }
 
-// At the serve benchmark's shape a request's own state and its batch's
-// engine job are what is left: 1 + 1/8 per request, since eight requests
-// fill a batch. The batch itself, its buffers and its callbacks are
-// recycled, and neither a CondVar nor a queued request allocates.
+// At the serve benchmark's shape a request's own state is what is left: 1
+// per request. The batch itself, its buffers, its callbacks and its engine
+// job are recycled, and neither a waiter nor a queued request allocates.
 TEST(ServerAllocations, DecideAllocatesAboutOnePerRequestAtServeShape) {
   const double per_request =
       allocations_per_block(RequestKind::kDecide, CacheMode::kShared, 20000, kServeRequests) *
       static_cast<double>(kServeRequests.blocks_per_request);
   RecordProperty("allocations_per_request", std::to_string(per_request));
-  EXPECT_LE(per_request, 1.25);
+  EXPECT_LE(per_request, 1.05);
 }
 
 // A stream keeps its retired batches' buffers for reuse, but not those of a

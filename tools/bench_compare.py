@@ -37,9 +37,17 @@ Host stamp: bench drivers stamp each file's "meta" with the host and build
 that produced it (hardware_concurrency, compiler, build_type, plus git_sha).
 When the baseline's hardware_concurrency, compiler or build_type differs
 from the current file's, or only one side carries them, the tool prints a
-warning naming each differing field. The warning never changes the verdict:
-gating is the same either way. git_sha is printed but not compared, since a
-baseline is meant to come from another commit.
+warning naming each differing field. git_sha is printed but not compared,
+since a baseline is meant to come from another commit.
+
+Scaling rows across host classes: a row whose path is `threads=N` measures
+N workers on the host's cores, so it means something else on a host with
+another core count. When the two files' hardware_concurrency differ (or
+only one side carries it), every such row whose baseline value of the
+gated metric is non-zero is refused: the tool names each one and exits 2,
+whatever the other rows read. A zeroed baseline is skipped as usual, so a
+report-only scaling row never trips it. Otherwise the stamp warning never
+changes the verdict.
 
 Notes for CI: absolute rates are machine-dependent, so gating a committed
 baseline from a different machine on blocks_per_sec is noise — gate on
@@ -50,12 +58,15 @@ artifact, not a laptop, when kernels legitimately change.
 
 import argparse
 import json
+import re
 import sys
 
 LATENCY_METRICS = {"p50_ms", "p99_ms"}
 # meta fields that name the host class; git_sha is deliberately not one.
 HOST_STAMP_KEYS = ("hardware_concurrency", "compiler", "build_type")
 METRICS = ("blocks_per_sec", "gbps", "speedup", "p50_ms", "p99_ms")
+# A (scheme, kernel, path) row measuring N engine workers.
+SCALING_PATH = re.compile(r"threads=\d+")
 
 
 def load(path):
@@ -128,6 +139,13 @@ def self_test():
     def stamped(meta):
         return json.dumps({"bench": "t", "meta": meta, "measurements": [row()]})
 
+    def scaling_row(bps):
+        return dict(row(bps=bps), path="threads=2")
+
+    def scaling(meta, bps, extra=()):
+        return json.dumps({"bench": "t", "meta": meta,
+                           "measurements": [scaling_row(bps)] + list(extra)})
+
     host = {"hardware_concurrency": "4", "compiler": "gcc 12.2.0",
             "build_type": "Release", "git_sha": "aaaaaaaaaaaa"}
 
@@ -184,6 +202,28 @@ def self_test():
             ("unstamped baseline warns but still passes",
              [good, write("host_d.json", stamped(host))],
              0, "compiler: unstamped vs 'gcc 12.2.0'"),
+            ("scaling row across core counts is refused with exit 2",
+             [write("scale_4.json", scaling(host, bps=100.0)),
+              write("scale_8.json", scaling(dict(host, hardware_concurrency="8"), bps=100.0))],
+             2, "S/k/threads=2"),
+            ("scaling row against an unstamped baseline is refused",
+             [write("scale_u.json", json.dumps({"bench": "t",
+                                                "measurements": [scaling_row(bps=100.0)]})),
+              write("scale_4b.json", scaling(host, bps=100.0))],
+             2, "REFUSED"),
+            ("refusal wins over a regression on another row",
+             [write("scale_4c.json", scaling(host, bps=100.0, extra=[row()])),
+              write("scale_8c.json", scaling(dict(host, hardware_concurrency="8"), bps=100.0,
+                                             extra=[row(bps=10.0)]))],
+             2, "REFUSED"),
+            ("zeroed scaling baseline across core counts is skipped",
+             [write("scale_4z.json", scaling(host, bps=0.0)),
+              write("scale_8z.json", scaling(dict(host, hardware_concurrency="8"), bps=100.0))],
+             0, "OK: no", "REFUSED"),
+            ("scaling row on the same core count is gated",
+             [write("scale_4d.json", scaling(host, bps=100.0)),
+              write("scale_4e.json", scaling(dict(host, compiler="clang 16"), bps=40.0))],
+             1, "REGRESSION", "REFUSED"),
         ]
         for desc, argv, want_code, want_text, *absent in cases:
             code, out = run(argv)
@@ -226,7 +266,7 @@ def main():
     if base_name != cur_name:
         print(f"warning: comparing different benches: {base_name!r} vs {cur_name!r}")
 
-    regressions, missing, one_sided, skipped = [], [], [], 0
+    regressions, missing, one_sided, refused, skipped = [], [], [], [], 0
     width = max((len("/".join(k)) for k in base), default=10)
     print(f"bench: {cur_name}   metric: {args.metric}   "
           f"threshold: {args.threshold:.0%}")
@@ -239,9 +279,11 @@ def main():
     if cur_meta:
         print(f"current  meta: {fmt_meta(cur_meta)}")
     stamp_diff = stamp_differences(base_meta, cur_meta)
+    other_cores = base_meta.get("hardware_concurrency") != cur_meta.get("hardware_concurrency")
     if stamp_diff:
         print(f"warning: host stamp differs ({'; '.join(stamp_diff)}): the baseline "
-              f"may come from another host class; gating is unchanged")
+              f"may come from another host class"
+              + ("; threads=N rows are not gated" if other_cores else "; gating is unchanged"))
     print(f"{'measurement':<{width}}  {'baseline':>12}  {'current':>12}  {'delta':>8}")
     for key in sorted(base):
         name = "/".join(key)
@@ -262,6 +304,10 @@ def main():
         if b == 0.0:
             skipped += 1
             continue
+        if other_cores and SCALING_PATH.fullmatch(key[2]):
+            refused.append(name)
+            print(f"{name:<{width}}  {b:>12.3f}  {c:>12.3f}  {'-':>8}  << REFUSED")
+            continue
         if args.metric in LATENCY_METRICS:
             delta = (c - b) / b          # higher latency = worse
         else:
@@ -281,6 +327,12 @@ def main():
         print(f"note: {len(one_sided)} row(s) carry {args.metric!r} on only one side: "
               f"{', '.join(one_sided)}")
 
+    if refused:
+        print(f"\nREFUSED: {len(refused)} threads=N row(s) with a non-zero {args.metric} "
+              f"baseline cannot be gated across hardware_concurrency "
+              f"{base_meta.get('hardware_concurrency', 'unstamped')!r} vs "
+              f"{cur_meta.get('hardware_concurrency', 'unstamped')!r}: {', '.join(refused)}")
+        return 2
     if missing:
         verdict = "FAIL" if args.require_all else "note"
         print(f"\n{verdict}: {len(missing)} baseline measurement(s) missing from current: "
