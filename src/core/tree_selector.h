@@ -46,11 +46,14 @@ inline size_t overshoot_bits(const TreeCandidate& c, size_t extra_bits) {
 /// node pairs, and a running sum over the 16-symbol nodes (the root, the
 /// compressed size before headers, is range_bits(0, n)). Any block size
 /// works: a level holds only its whole nodes, so a partial top level simply
-/// ends early. Everything the Fig. 4 decision needs reads the tree:
+/// ends early. Only a lossy candidate builds one (SlcCodec::decide settles
+/// every other block from the way sums of its code-length probe); the
+/// window search reads the tree:
 ///  * select() walks the levels in first-fit order;
 ///  * range_bits() sums any symbol range in at most five node reads (the
 ///    running sum up to the range's 16-aligned part, then at most one node
-///    of 8, 4, 2 and 1) — way sums and straddling cut shares.
+///    of 8, 4, 2 and 1) — the share of a cut window in each way it
+///    straddles.
 /// Blocks of up to kStackSymbols symbols keep the tree on the stack; larger
 /// ones stage it on the heap. `lens` must outlive the tree, which refers to
 /// it and to its own storage (so it neither copies nor moves).
