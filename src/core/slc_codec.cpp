@@ -261,8 +261,8 @@ void SlcCodec::decide_batch(std::span<const BlockView> blocks, size_t threshold_
       std::fill_n(oc + base, n, CacheOutcome{.bypassed = true});
       continue;
     }
-    const ChunkHits h =
-        decide_chunk_cached(*c, key, threshold_bytes, chunk, out + base, oc + base);
+    const ChunkHits h = decide_chunk_cached(*c, key, threshold_bytes, chunk, out + base, oc + base,
+                                            stage == MemoGovernor::Stage::kSample);
     // The memo is on: every block served without a decision counts. It is
     // off: only the contents the table held, each once.
     if (stage == MemoGovernor::Stage::kMemo) {
@@ -273,9 +273,11 @@ void SlcCodec::decide_batch(std::span<const BlockView> blocks, size_t threshold_
   }
 }
 
-SlcCodec::ChunkHits SlcCodec::decide_chunk_cached(FingerprintCache& c, uint64_t key, size_t threshold_bytes,
-                                       std::span<const BlockView> blocks, Decision* out,
-                                       CacheOutcome* oc) const {
+SlcCodec::ChunkHits SlcCodec::decide_chunk_cached(FingerprintCache& c, uint64_t key,
+                                                  size_t threshold_bytes,
+                                                  std::span<const BlockView> blocks,
+                                                  Decision* out, CacheOutcome* oc,
+                                                  bool count_contents) const {
   const size_t n = blocks.size();
   assert(n <= kProbeChunk);
 
@@ -319,6 +321,7 @@ SlcCodec::ChunkHits SlcCodec::decide_chunk_cached(FingerprintCache& c, uint64_t 
       case FingerprintCache::Lookup::kHit: {
         oc[i].hit = true;
         ++hits.hits;
+        if (!count_contents) continue;
         const size_t slot = slot_of(first_hit, fp);
         if (first_hit[slot] == 0) {
           first_hit[slot] = static_cast<uint8_t>(i + 1);

@@ -240,7 +240,8 @@ class SlcCodec : public Compressor {
 
   /// What one chunk of the memo stage found: `hits` of its blocks were
   /// served without a decision (memo hits and in-chunk twins); of its
-  /// `contents` distinct contents, the memo table held `content_hits`.
+  /// `contents` distinct contents, the memo table held `content_hits`
+  /// (counted only when asked: the governor reads them for samples).
   struct ChunkHits {
     uint32_t hits = 0;
     uint32_t contents = 0;
@@ -251,7 +252,7 @@ class SlcCodec : public Compressor {
   /// cache_key(threshold_bytes).
   ChunkHits decide_chunk_cached(FingerprintCache& c, uint64_t key, size_t threshold_bytes,
                                 std::span<const BlockView> blocks, Decision* out,
-                                CacheOutcome* oc) const;
+                                CacheOutcome* oc, bool count_contents) const;
 
   /// The Fig. 4 mode decision at `threshold_bytes` over one block's
   /// code_lengths() probe (its lengths and their sums of 8) into `d`. The
