@@ -65,27 +65,21 @@ static_assert(CodecEngine::kMinShard == SlcCodec::kProbeChunk,
               "a shard stages one kernel chunk of views at a time");
 
 /// One dispatched batch: the requests' blocks back to back in one arena
-/// with an end offset per block, index-aligned result slots (analyses, or
-/// the payload arena, by kind), and each request's fold of those results.
-/// It is one engine job, completed through that job's on_done: a shard
-/// exception cancels the rest of the batch and reaches every request as
-/// kError. Its stream owns it and reuses it once it retired, buffers
-/// cleared but their capacity kept.
+/// with an end offset per block, and index-aligned result slots (analyses,
+/// or the payload arena, by kind). It is one engine job, completed through
+/// that job's on_done: a shard exception cancels the rest of the batch and
+/// reaches every request as kError. Its stream owns it and reuses it once
+/// it retired, buffers cleared but their capacity kept.
 struct CodecServer::Batch {
   static constexpr size_t kChunk = CodecEngine::kMinShard;
 
-  /// What a run of one request's blocks adds to its response's aggregates
-  /// and its stream's commit counters.
+  /// What one request's blocks add to its response's aggregates and its
+  /// stream's commit counters.
   struct Fold {
     explicit Fold(size_t mag_bytes) : ratios(mag_bytes) {}
 
     CommitStats commit;
     RatioAccumulator ratios;
-
-    void merge(const Fold& o) {
-      commit.merge(o.commit);
-      ratios.merge(o.ratios);
-    }
   };
 
   StreamId stream = 0;
@@ -99,13 +93,6 @@ struct CodecServer::Batch {
   std::vector<BlockAnalysis> analyses;             ///< kAnalyze / kDecide
   std::shared_ptr<detail::PayloadArena> payloads;  ///< kCompress
   std::vector<std::shared_ptr<detail::ServerRequest>> requests;
-  /// Index-aligned with `requests`: folds[k] holds request k's blocks in
-  /// the shard its first block is in, which alone writes it; the blocks
-  /// any later shard reaches are merged into spills[k] under spill_lock.
-  /// Completion reads both after the job finished.
-  std::vector<Fold> folds;
-  Mutex spill_lock;
-  std::vector<Fold> spills SLC_GUARDED_BY(spill_lock);
 
   /// What completion adds to the stream's stats: gathered by deliver_batch
   /// outside lock_, folded in by retire_batch_locked.
@@ -119,7 +106,7 @@ struct CodecServer::Batch {
   size_t block_begin(size_t i) const { return i == 0 ? 0 : ends[i - 1]; }
   size_t block_bytes(size_t i) const { return ends[i] - block_begin(i); }
 
-  /// Sizes the result slots and the folds for a run over the batch's blocks.
+  /// Sizes the result slots for a run over the batch's blocks.
   void prepare() {
     if (kind == RequestKind::kCompress) {
       payloads = std::make_shared<detail::PayloadArena>();
@@ -128,20 +115,14 @@ struct CodecServer::Batch {
     } else {
       analyses.resize(blocks);
     }
-    const Fold empty(mag_bytes);
-    folds.assign(requests.size(), empty);
-    MutexLock lk(spill_lock);
-    spills.assign(requests.size(), empty);
   }
 
   /// One engine shard, one kernel chunk at a time over views staged on the
   /// stack. Analyses land in the batch's slots directly; payloads go
   /// through the worker's reused `slots`, then into the payload arena at
-  /// their blocks' input offsets. Each chunk's results are folded into
-  /// their requests while they are still in this worker's cache.
+  /// their blocks' input offsets.
   void run_shard(size_t begin, size_t end, std::span<CompressedBlock, kChunk> slots) {
     std::array<BlockView, kChunk> views;
-    ShardFold fold(*this, begin);
     for (size_t base = begin; base < end; base += kChunk) {
       const size_t n = std::min(kChunk, end - base);
       for (size_t j = 0; j < n; ++j)
@@ -150,7 +131,6 @@ struct CodecServer::Batch {
       const std::span<const BlockView> chunk(views.data(), n);
       if (kind != RequestKind::kCompress) {
         codec->analyze_batch(chunk, analyses.data() + base);
-        fold.to(base + n);
         continue;
       }
       for (size_t j = 0; j < n; ++j) {
@@ -170,9 +150,7 @@ struct CodecServer::Batch {
                                 .bit_size = slots[j].bit_size,
                                 .is_compressed = slots[j].is_compressed};
       }
-      fold.to(base + n);
     }
-    fold.finish();
   }
 
   /// Folds the results of blocks [first, last), all of one request, into
@@ -222,59 +200,6 @@ struct CodecServer::Batch {
     cs.final_bits += final_bits;
     f.ratios.merge(ratios);
   }
-
-  /// One shard's walk over its blocks in order, request by request: a
-  /// request's run ends at its last block or at the shard's end, and goes
-  /// to folds[k] when the request starts in this shard, to spills[k]
-  /// otherwise.
-  class ShardFold {
-   public:
-    ShardFold(Batch& b, size_t begin)
-        : b_(b),
-          begin_(begin),
-          next_(begin),
-          // The request holding block `begin`: the last one starting at or before it.
-          k_(static_cast<size_t>(std::upper_bound(b.requests.begin(), b.requests.end(), begin,
-                                                  [](size_t i, const auto& r) {
-                                                    return i < r->offset;
-                                                  }) -
-                                 b.requests.begin()) -
-             1),
-          run_(b.mag_bytes) {}
-
-    /// Folds the blocks up to `end`, whose results are in their slots.
-    void to(size_t end) {
-      while (next_ < end) {
-        const detail::ServerRequest& r = *b_.requests[k_];
-        const size_t stop = std::min(end, r.offset + r.n_blocks);
-        b_.fold_run(next_, stop, run_);
-        next_ = stop;
-        if (next_ == r.offset + r.n_blocks) flush();
-      }
-    }
-    /// Hands over the run of a request that continues past the shard.
-    void finish() {
-      if (run_.commit.blocks != 0) flush();
-    }
-
-   private:
-    void flush() {
-      if (b_.requests[k_]->offset >= begin_) {
-        b_.folds[k_] = run_;
-      } else {
-        MutexLock lk(b_.spill_lock);
-        b_.spills[k_].merge(run_);
-      }
-      run_ = Fold(b_.mag_bytes);
-      k_ += 1;
-    }
-
-    Batch& b_;
-    const size_t begin_;
-    size_t next_;
-    size_t k_;  ///< the request of block next_
-    Fold run_;
-  };
 };
 
 struct CodecServer::ReadyBatches {
@@ -629,20 +554,12 @@ void CodecServer::complete_batch(Batch& batch, std::exception_ptr err) {
   batch.ends.clear();
   batch.analyses.clear();
   batch.requests.clear();
-  batch.folds.clear();
-  {
-    MutexLock lk(batch.spill_lock);
-    batch.spills.clear();
-  }
   const size_t keep_blocks = 2 * reserve_blocks(cfg_.batch_blocks);
   if (batch.ends.capacity() > keep_blocks || batch.bytes.capacity() > keep_blocks * kBlockBytes) {
     batch.bytes.shrink_to_fit();
     batch.ends.shrink_to_fit();
     batch.analyses.shrink_to_fit();
     batch.requests.shrink_to_fit();
-    batch.folds.shrink_to_fit();
-    MutexLock lk(batch.spill_lock);
-    batch.spills.shrink_to_fit();
   }
   MutexLock lk(lock_);
   retire_batch_locked(batch);
@@ -650,18 +567,16 @@ void CodecServer::complete_batch(Batch& batch, std::exception_ptr err) {
 
 void CodecServer::deliver_batch(Batch& batch, std::exception_ptr err,
                                 std::chrono::steady_clock::time_point now) {
-  // Build per-request responses sequentially from the shards' folds — same
-  // bytes no matter which thread completes the batch. Each response is
-  // published after it is fully built. The same pass tallies the batch's
-  // commit counters, request latencies and deadline misses, so retiring it
-  // under lock_ is one fold.
+  // Fold each request's slots into its response sequentially, in block
+  // order — same bytes no matter which thread completes the batch. Each
+  // response is published after it is fully built. The same pass tallies
+  // the batch's commit counters, request latencies and deadline misses, so
+  // retiring it under lock_ is one fold.
   CommitStats& cs = batch.commit;
   cs = CommitStats{};
   batch.deadline_misses = 0;
   batch.latencies.clear();
-  MutexLock spill(batch.spill_lock);
-  for (size_t k = 0; k < batch.requests.size(); ++k) {
-    std::shared_ptr<detail::ServerRequest>& req = batch.requests[k];
+  for (std::shared_ptr<detail::ServerRequest>& req : batch.requests) {
     Response& resp = req->resp;
     resp.tag = req->tag;
     resp.deadline_missed = req->deadline.count() > 0 && now - req->submitted > req->deadline;
@@ -672,8 +587,8 @@ void CodecServer::deliver_batch(Batch& batch, std::exception_ptr err,
       resp.error = err;
       resp.analysis.ratios = RatioAccumulator(batch.mag_bytes);
     } else {
-      Batch::Fold& f = batch.folds[k];
-      f.merge(batch.spills[k]);
+      Batch::Fold f(batch.mag_bytes);
+      batch.fold_run(req->offset, req->offset + req->n_blocks, f);
       StreamAnalysis& sa = resp.analysis;
       sa.ratios = f.ratios;
       sa.lossy_blocks = f.commit.lossy_blocks;
