@@ -106,21 +106,21 @@ void E2mcCompressor::code_lengths(BlockView block, uint16_t* lens, uint16_t* sum
   check_block_bytes(block.size(), kSymbolBits / 8, "E2MC");
   const uint8_t* p = block.bytes().data();
   const size_t n = block.num_symbols();
+  const uint32_t* enc = code_.encoded_bits_table();
   if (level == simd::Level::kAvx2) {
-    simd::e2mc_code_lengths_avx2(p, n, code_.encoded_bits_table(), lens, sums8);
+    simd::e2mc_code_lengths_avx2(p, n, enc, lens, sums8);
     return;
   }
   size_t i = 0;
   for (; i + 8 <= n; i += 8) {
     unsigned sum = 0;
     for (size_t k = i; k < i + 8; ++k) {
-      lens[k] = static_cast<uint16_t>(code_.encoded_bits(detail::load_le16(p + 2 * k)));
+      lens[k] = static_cast<uint16_t>(enc[detail::load_le16(p + 2 * k)]);
       sum += lens[k];
     }
     sums8[i / 8] = static_cast<uint16_t>(sum);
   }
-  for (; i < n; ++i)
-    lens[i] = static_cast<uint16_t>(code_.encoded_bits(detail::load_le16(p + 2 * i)));
+  for (; i < n; ++i) lens[i] = static_cast<uint16_t>(enc[detail::load_le16(p + 2 * i)]);
 }
 
 size_t E2mcCompressor::symbols_per_way(size_t num_symbols) const {
