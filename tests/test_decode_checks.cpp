@@ -6,7 +6,9 @@
 // past the 48 symbols), bits that start no codeword, a BDI tag that names no
 // compressed encoding, a C-PACK code no encoder writes, an FPC zero run past
 // the block, and every proper prefix of a compressed payload (Huffman, E2MC
-// at every way count, TSLC-* at 4 and 8 ways, BDI, FPC and C-PACK).
+// at every way count, TSLC-* at 4 and 8 ways, BDI, FPC and C-PACK). A
+// corrupted payload of every registry scheme decodes to a whole block or is
+// rejected the same way.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -15,6 +17,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/rng.h"
 #include "compress/batch_writer.h"
 #include "compress/bdi.h"
 #include "compress/codec_registry.h"
@@ -211,6 +214,94 @@ TEST(DecodeChecks, TruncatedLosslessPayloadIsRejected) {
     }
     EXPECT_GT(compressed, 20u) << comp->name();
   }
+}
+
+/// Decodes a corrupted payload, which must give a whole block or throw
+/// std::invalid_argument; `rejected` counts the throws. `what` names the
+/// case and is built only on a failure.
+template <typename What>
+void expect_block_or_rejected(const Compressor& comp, const CompressedBlock& cb, size_t& rejected,
+                              What what) {
+  try {
+    const Block out = comp.decompress(cb, kBlockBytes);
+    if (out.size() != kBlockBytes) ADD_FAILURE() << what() << ": a " << out.size() << " B block";
+  } catch (const std::invalid_argument&) {
+    ++rejected;
+  } catch (const std::exception& e) {
+    ADD_FAILURE() << what() << ": " << e.what();
+  }
+}
+
+// Corrupted, rather than truncated or crafted, payloads of every registry
+// scheme, over blocks of quantized floats, zeros, small integers and random
+// bytes: every single-bit flip, 64 seeded multi-bit flips, and every byte
+// stuck at 0x00 and at 0xFF (the permanent faults RRCD models). Each decode
+// gives a whole block or a clean std::invalid_argument; the sanitizer builds
+// run it for reads and writes past a buffer. Trailing bytes are not covered:
+// no decoder checks them.
+TEST(DecodeChecks, CorruptedPayloadDecodesOrIsRejected) {
+  const auto training = test::quantized_walk(0xC0DE, 64);
+  const CodecOptions opts = test::test_options(training);
+  Rng rng(0xF1A9);
+  std::vector<uint8_t> bytes = test::quantized_walk(0xB10C, 8);
+  bytes.resize(bytes.size() + kBlockBytes, 0);
+  for (size_t w = 0; w < 4 * (kBlockBytes / 4); ++w) {  // four blocks of words 0-99
+    const uint64_t word = rng.next_below(100);
+    for (int k = 0; k < 4; ++k) bytes.push_back(static_cast<uint8_t>(word >> (8 * k)));
+  }
+  const std::vector<uint8_t> random = test::data_stream("random", 4 * kBlockBytes, 0xB17E);
+  bytes.insert(bytes.end(), random.begin(), random.end());
+  const std::vector<Block> blocks = to_blocks(bytes, kBlockBytes);
+  const std::vector<BlockView> views = to_views(blocks);
+
+  size_t schemes = 0, lossy = 0;
+  for (const CodecInfo* info : CodecRegistry::instance().entries()) {
+    if (!info->make) continue;  // RAW has no Compressor form
+    const auto comp = CodecRegistry::instance().create(info->name, opts);
+    std::vector<BlockAnalysis> analyses(blocks.size());
+    std::vector<CompressedBlock> cbs(blocks.size());
+    comp->analyze_batch(views, analyses.data());
+    comp->compress_batch(views, cbs.data());
+    size_t cases = 0, rejected = 0;
+    for (size_t i = 0; i < cbs.size(); ++i) {
+      lossy += analyses[i].lossy ? 1 : 0;
+      const std::vector<uint8_t>& genuine = cbs[i].payload;
+      ASSERT_FALSE(genuine.empty()) << info->name << " block " << i;
+      CompressedBlock bad = cbs[i];
+      const auto check = [&](const char* kind, size_t at) {
+        ++cases;
+        expect_block_or_rejected(*comp, bad, rejected, [&] {
+          return info->name + " block " + std::to_string(i) + ", " + kind + " " +
+                 std::to_string(at);
+        });
+        bad.payload = genuine;
+      };
+      const size_t bits = genuine.size() * 8;
+      for (size_t bit = 0; bit < bits; ++bit) {
+        bad.payload[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+        check("bit flip", bit);
+      }
+      for (size_t k = 0; k < 64; ++k) {
+        for (uint64_t f = 2 + rng.next_below(15); f > 0; --f) {
+          const uint64_t bit = rng.next_below(bits);
+          bad.payload[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+        }
+        check("multi-bit flip", k);
+      }
+      for (size_t at = 0; at < genuine.size(); ++at) {
+        bad.payload[at] = 0x00;
+        check("byte stuck at 0x00", at);
+        bad.payload[at] = 0xFF;
+        check("byte stuck at 0xFF", at);
+      }
+    }
+    // Every scheme's checks catch some corruptions, and some still decode.
+    EXPECT_GT(rejected, 0u) << info->name;
+    EXPECT_LT(rejected, cases) << info->name;
+    ++schemes;
+  }
+  EXPECT_GE(schemes, 8u);  // BDI, FPC, C-PACK, E2MC, Huffman and the three TSLC
+  EXPECT_GT(lossy, 0u);    // TSLC payloads with a lossy window are corrupted too
 }
 
 /// A compressed payload of `bytes` zero bytes that starts with the codes
