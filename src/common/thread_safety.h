@@ -1,10 +1,10 @@
 // Compile-time lock discipline: Clang thread-safety annotations plus
 // annotated wrappers over the std synchronization primitives.
 //
-// Every lock-protected member in the concurrent stack (engine job queue,
-// server coalescing state, fingerprint-cache lock stripes, per-threshold codec
-// cache) is declared SLC_GUARDED_BY its mutex, and every *_locked() helper
-// SLC_REQUIRES it, so a clang build with -Wthread-safety (CMake:
+// Every lock-protected member in the concurrent stack (the locks are listed
+// in the lock hierarchy of docs/ARCHITECTURE.md "Concurrency & locking
+// discipline") is declared SLC_GUARDED_BY its mutex, and every *_locked()
+// helper SLC_REQUIRES it, so a clang build with -Wthread-safety (CMake:
 // -DSLC_THREAD_SAFETY_ANALYSIS=ON, CI job `thread-safety`) proves at compile
 // time that no guarded field is touched without its lock and no helper is
 // called without the capability it names. On GCC (or clang without the
@@ -13,8 +13,7 @@
 // Mutex's own std::mutex. Mutex::lock() spins briefly before it sleeps (see
 // Mutex).
 //
-// How to annotate new code (see docs/ARCHITECTURE.md "Concurrency & locking
-// discipline" for the lock hierarchy):
+// How to annotate new code (the same section holds the acquisition order):
 //
 //   * declare the lock as `Mutex m_;` and each field it protects as
 //     `T field_ SLC_GUARDED_BY(m_);`
