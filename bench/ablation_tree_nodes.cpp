@@ -7,7 +7,6 @@
 // bits beyond the required extra_bits it removes (the "unneeded
 // approximation"), and at which window size selections land.
 #include <cstdio>
-#include <span>
 #include <vector>
 
 #include "bench_util.h"
@@ -36,18 +35,15 @@ int main() {
     const E2mcCompressor& e2mc = codec->lossless();
     const auto blocks = to_blocks(workload_image_cached(name));
 
-    std::vector<uint16_t> lens, sums8;  // one block's probe, reused
+    uint16_t lens[kSymbolsPerBlock], sums8[kSymbolsPerBlock / 8];  // one block's probe
     uint64_t lossy = 0, total = 0;
     uint64_t sym_base = 0, sym_opt = 0, waste_base = 0, waste_opt = 0, selections = 0;
     for (size_t i = 0; i < blocks.size(); ++i) {
       const Block& b = blocks[i];
       ++total;
-      lens.resize(b.view().num_symbols());
-      sums8.resize(lens.size() / 8);
-      e2mc.code_lengths(b.view(), lens.data(), sums8.data());
-      const auto lo = e2mc.layout(lens, codec->header_bits(b.size()));
-      const size_t comp = lo.total_bits;
-      if (comp >= b.size() * 8) continue;
+      e2mc.code_lengths(b.view(), lens, sums8);
+      const size_t comp = E2mcCompressor::layout(lens, SlcHeader::kBits).total_bits;
+      if (comp >= kBlockBytes * 8) continue;
       const size_t budget = std::max(comp / (mag * 8) * (mag * 8), mag * 8);
       const size_t extra = comp > budget ? comp - budget : 0;
       if (extra == 0 || extra > threshold * 8) continue;

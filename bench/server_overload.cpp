@@ -55,11 +55,12 @@ constexpr double kOfferedFractions[] = {0.25, 0.5, 1.0, 2.0};
 // reported but not gated.
 constexpr double kSaturationFraction = 1.0;
 
-std::vector<Block> pool_blocks(const std::string& benchmark, size_t blocks) {
+/// `blocks` blocks of the benchmark's memory image, repeated as needed.
+std::vector<uint8_t> pool_bytes(const std::string& benchmark, size_t blocks) {
   const std::vector<uint8_t>& image = workload_image_cached(benchmark);
   std::vector<uint8_t> bytes(blocks * kBlockBytes);
   for (size_t i = 0; i < bytes.size(); ++i) bytes[i] = image[i % image.size()];
-  return to_blocks(bytes);
+  return bytes;
 }
 
 /// Direct-path capacity in blocks/s: the same compress_batch kernel the
@@ -79,7 +80,7 @@ double calibrate_capacity(const Compressor& comp, const std::vector<Block>& pool
 /// Byte-identity of the served payload path vs the direct codec path; the
 /// contract the round-trip tests pin, re-checked here on the bench host.
 bool payloads_match_direct(const Compressor& comp, const CodecOptions& opts,
-                           const std::string& scheme, const std::vector<Block>& pool) {
+                           const std::string& scheme, const std::vector<uint8_t>& pool) {
   CodecServer::Config cfg;
   cfg.engine = std::make_shared<CodecEngine>(2);
   cfg.batch_blocks = 64;
@@ -89,10 +90,10 @@ bool payloads_match_direct(const Compressor& comp, const CodecOptions& opts,
   sc.codec = scheme;
   sc.options = opts;
   const StreamId s = server.open_stream(sc);
-  auto ticket = server.submit(s, Request{.kind = RequestKind::kCompress, .blocks = pool});
+  auto ticket = server.submit(s, Request{.kind = RequestKind::kCompress, .bytes = pool});
   const Response res = ticket.wait();
-  if (!res.ok() || res.payloads.size() != pool.size()) return false;
-  const std::vector<CompressedBlock> want = comp.compress_batch(pool);
+  const std::vector<CompressedBlock> want = comp.compress_batch(to_blocks(pool));
+  if (!res.ok() || res.payloads.size() != want.size()) return false;
   for (size_t i = 0; i < want.size(); ++i) {
     if (res.payloads[i].payload != want[i].payload ||
         res.payloads[i].bit_size != want[i].bit_size ||
@@ -112,7 +113,8 @@ struct PointResult {
 };
 
 PointResult run_point(double fraction, double capacity, const std::string& scheme,
-                      const CodecOptions& opts, const std::vector<Block>& pool, uint64_t seed) {
+                      const CodecOptions& opts, const std::vector<uint8_t>& pool,
+                      uint64_t seed) {
   CodecServer::Config cfg;
   cfg.engine = std::make_shared<CodecEngine>(2);
   cfg.batch_blocks = 64;
@@ -147,10 +149,12 @@ PointResult run_point(double fraction, double capacity, const std::string& schem
       else
         std::this_thread::yield();
     }
-    const size_t off = (i * kBlocksPerRequest) % (pool.size() - kBlocksPerRequest + 1);
+    const size_t pool_blocks = pool.size() / kBlockBytes;
+    const size_t off = (i * kBlocksPerRequest) % (pool_blocks - kBlocksPerRequest + 1);
     tickets.push_back(server.submit(
         s, Request{.kind = RequestKind::kCompress,
-                   .blocks = std::span<const Block>(pool).subspan(off, kBlocksPerRequest),
+                   .bytes = std::span<const uint8_t>(pool).subspan(
+                       off * kBlockBytes, kBlocksPerRequest * kBlockBytes),
                    .deadline = kDeadline}));
   }
   for (auto& t : tickets) {
@@ -182,7 +186,7 @@ int main(int argc, char** argv) try {
 
   const CodecOptions opts = codec_options_for(benchmark, kDefaultMagBytes, 16);
   const auto comp = CodecRegistry::instance().create(scheme, opts);
-  const std::vector<Block> pool = pool_blocks(benchmark, 2048);
+  const std::vector<uint8_t> pool = pool_bytes(benchmark, 2048);
 
   if (!payloads_match_direct(*comp, opts, scheme, pool)) {
     std::printf("FATAL: served payloads differ from the direct codec path\n");
@@ -190,7 +194,7 @@ int main(int argc, char** argv) try {
   }
   std::printf("served payloads byte-identical to direct %s compress_batch: yes\n", scheme.c_str());
 
-  const double capacity = calibrate_capacity(*comp, pool);
+  const double capacity = calibrate_capacity(*comp, to_blocks(pool));
   std::printf("calibrated direct-path capacity: %.3f Mblk/s; %zu requests x %zu blocks per "
               "point, %lld ms deadline, kReject admission\n\n",
               capacity / 1e6, kRequestsPerPoint, kBlocksPerRequest,

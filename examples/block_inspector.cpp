@@ -58,12 +58,11 @@ int main(int argc, char** argv) {
   Histogram size_hist;
   uint64_t lossy = 0, raw = 0, bursts_e2mc = 0, bursts_slc = 0, truncated = 0;
   for (size_t i = 0; i < blocks.size(); ++i) {
-    const Block& b = blocks[i];
     const SlcEncodeInfo& info = decisions[i].info;
     size_hist.add(static_cast<int64_t>((info.lossless_bits / 8) / 8 * 8));
     lossy += info.lossy ? 1 : 0;
     raw += info.stored_uncompressed ? 1 : 0;
-    bursts_e2mc += bursts_for_bits(info.lossless_bits, mag, b.size());
+    bursts_e2mc += bursts_for_bits(info.lossless_bits, mag);
     bursts_slc += info.bursts;
     truncated += info.truncated_symbols;
   }

@@ -14,10 +14,9 @@ void check_mag_bytes(size_t mag_bytes, const char* who) {
                                 std::to_string(kBlockBytes) + " B");
 }
 
-void throw_bad_block_bytes(size_t block_bytes, size_t word_bytes, const char* who) {
+void throw_bad_block_bytes(size_t block_bytes, const char* who) {
   throw std::invalid_argument(std::string(who) + ": a " + std::to_string(block_bytes) +
-                              " B block is not a positive multiple of its " +
-                              std::to_string(word_bytes) + " B word");
+                              " B block is not " + std::to_string(kBlockBytes) + " B");
 }
 
 size_t bytes_above_mag(size_t size_bytes, size_t mag_bytes) {

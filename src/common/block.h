@@ -29,7 +29,8 @@ inline constexpr size_t kDefaultMagBytes = 32;
 /// approximation (the paper's 16 B, half the default MAG).
 inline constexpr size_t kDefaultThresholdBytes = 16;
 
-/// A fixed 128-byte block view with symbol accessors.
+/// A view of a block's bytes with symbol accessors. The codecs take only
+/// kBlockBytes views; the type itself holds any size.
 class BlockView {
  public:
   BlockView() = default;  ///< empty; lets batch kernels stage views in fixed arrays
@@ -53,11 +54,6 @@ class BlockView {
     const size_t off = i * 4;
     return static_cast<uint32_t>(bytes_[off]) | (uint32_t{bytes_[off + 1]} << 8) |
            (uint32_t{bytes_[off + 2]} << 16) | (uint32_t{bytes_[off + 3]} << 24);
-  }
-
-  /// Returns the i-th 64-bit word (little-endian).
-  uint64_t word64(size_t i) const {
-    return static_cast<uint64_t>(word32(2 * i)) | (uint64_t{word32(2 * i + 1)} << 32);
   }
 
  private:
@@ -111,28 +107,25 @@ inline size_t round_up_to_mag_bits(size_t bits, size_t mag_bytes) {
 }
 
 /// Number of MAG-sized bursts needed for `bits` of compressed payload
-/// (minimum one burst; capped at block_bytes / mag). `mag_bytes` is a power
-/// of two, as for round_up_to_mag_bits.
-inline size_t bursts_for_bits(size_t bits, size_t mag_bytes, size_t block_bytes = kBlockBytes) {
+/// (minimum one burst; capped at the kBlockBytes / mag of a raw block).
+/// `mag_bytes` is a power of two, as for round_up_to_mag_bits.
+inline size_t bursts_for_bits(size_t bits, size_t mag_bytes) {
   assert(std::has_single_bit(mag_bytes));
   const unsigned shift = static_cast<unsigned>(std::countr_zero(mag_bytes));
   const size_t bursts = (bits + (size_t{8} << shift) - 1) >> (shift + 3);
-  return std::min(std::max<size_t>(bursts, 1), block_bytes >> shift);
+  return std::min(std::max<size_t>(bursts, 1), kBlockBytes >> shift);
 }
 
 /// Throw std::invalid_argument, the message prefixed with `who`, unless
 /// `mag_bytes` is positive and divides kBlockBytes (codec constructors,
-/// CodecServer::open_stream), or unless `block_bytes` is a positive multiple
-/// of the scheme's `word_bytes` (every entry point that sizes, encodes or
-/// decodes a block: a partial word cannot be encoded). The block check runs
-/// once per block in the batch kernels, so it is inline — with the word
-/// size a constant the test is a mask, not a 64-bit division — and only
-/// its throw is out of line.
+/// CodecServer::open_stream), or unless `block_bytes` is kBlockBytes (every
+/// entry point that sizes, encodes or decodes a block: the codecs know one
+/// geometry). The block check runs once per block in the batch kernels, so
+/// it is inline and only its throw is out of line.
 void check_mag_bytes(size_t mag_bytes, const char* who);
-[[noreturn]] void throw_bad_block_bytes(size_t block_bytes, size_t word_bytes, const char* who);
-inline void check_block_bytes(size_t block_bytes, size_t word_bytes, const char* who) {
-  if (block_bytes == 0 || block_bytes % word_bytes != 0)
-    throw_bad_block_bytes(block_bytes, word_bytes, who);
+[[noreturn]] void throw_bad_block_bytes(size_t block_bytes, const char* who);
+inline void check_block_bytes(size_t block_bytes, const char* who) {
+  if (block_bytes != kBlockBytes) throw_bad_block_bytes(block_bytes, who);
 }
 
 /// Bytes above the highest multiple of MAG <= size (the paper's Fig. 2

@@ -1,7 +1,7 @@
 // Internal helpers for the schemes' batched kernels (bdi/fpc/cpack/e2mc/
 // huffman and the SLC codec): little-endian word loads, the span bit writer,
-// both halves of the stored-raw rule and the one payload layout every
-// compress kernel uses.
+// both halves of the stored-raw rule, the end check of every decode and the
+// one payload layout every compress kernel uses.
 //
 // SpanBitWriter writes MSB-first with the final partial byte zero-padded,
 // accumulating into a 64-bit register and emitting whole bytes. Its streams
@@ -17,8 +17,10 @@
 #include <cstring>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "common/bitstream.h"
 #include "compress/compressor.h"
 
 namespace slc::detail {
@@ -101,25 +103,37 @@ class SpanBitWriter {
 /// encoding only when that is smaller than the raw block, and is otherwise
 /// stored raw at the raw size. Each scheme's analyze and compress kernels
 /// size blocks through it, so the two cannot disagree.
-inline BlockAnalysis lossless_size(size_t bits, size_t block_bytes) {
+inline BlockAnalysis lossless_size(size_t bits) {
   BlockAnalysis a;
-  a.is_compressed = bits < block_bytes * 8;
-  a.bit_size = a.is_compressed ? bits : block_bytes * 8;
+  a.is_compressed = bits < kBlockBytes * 8;
+  a.bit_size = a.is_compressed ? bits : kBlockBytes * 8;
   a.lossless_bits = a.bit_size;
   return a;
 }
 
 /// The decode half of the stored-raw rule, for every decompress: the payload
-/// is the block's bytes, and a shorter one throws std::invalid_argument.
-inline Block stored_raw_block(const CompressedBlock& cb, size_t block_bytes) {
-  if (cb.payload.size() < block_bytes)
-    throw std::invalid_argument("stored-raw payload is shorter than its block");
-  return Block(std::span<const uint8_t>(cb.payload.data(), block_bytes));
+/// is the block's bytes, and one of any other length throws
+/// std::invalid_argument.
+inline Block stored_raw_block(const CompressedBlock& cb) {
+  if (cb.payload.size() != kBlockBytes)
+    throw std::invalid_argument("stored-raw payload is not one block long");
+  return Block(std::span<const uint8_t>(cb.payload));
+}
+
+/// The end check of every compressed decode: the reader at `end_bits`, the
+/// end of the encoding, must have stayed inside the payload, and the payload
+/// must end at the byte that holds the last bit, so a truncated payload and
+/// one with trailing bytes both throw std::invalid_argument.
+inline void check_payload_end(const BitReader& r, const char* who) {
+  if (r.overrun())
+    throw std::invalid_argument(std::string(who) + " payload: the block ends past the payload");
+  if ((r.position() + 7) / 8 != r.bit_size() / 8)
+    throw std::invalid_argument(std::string(who) + " payload: bytes follow the encoding");
 }
 
 /// lossless_size() into a compress kernel's slot, ahead of scatter_payloads().
-inline void set_lossless_size(CompressedBlock& cb, size_t bits, size_t block_bytes) {
-  const BlockAnalysis a = lossless_size(bits, block_bytes);
+inline void set_lossless_size(CompressedBlock& cb, size_t bits) {
+  const BlockAnalysis a = lossless_size(bits);
   cb.bit_size = a.bit_size;
   cb.is_compressed = a.is_compressed;
 }
@@ -141,8 +155,8 @@ void scatter_payloads(std::span<const BlockView> blocks, CompressedBlock* out, E
   for (size_t b = 0; b < n; ++b) {
     uint8_t* dst = arena.data() + offsets[b];
     if (!out[b].is_compressed) {
-      assert(out[b].bit_size == blocks[b].size() * 8);
-      std::memcpy(dst, blocks[b].bytes().data(), blocks[b].size());
+      assert(out[b].bit_size == kBlockBytes * 8);
+      std::memcpy(dst, blocks[b].bytes().data(), kBlockBytes);
       continue;
     }
     SpanBitWriter w(dst);

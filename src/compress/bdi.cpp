@@ -44,8 +44,7 @@ const std::array<BdiEncoding, 6>& kOrder = BdiCompressor::candidate_order();
 // The kernels read words straight off the block bytes with single
 // little-endian loads, run the zero scan on 64-bit lanes, and probe each
 // candidate once — the winning base is kept so compress never walks the
-// block a second time. Every entry point first checks the block is whole
-// 8 B words: the repeat and base-8 probes cannot encode a partial word.
+// block a second time.
 
 // Word `i` of width `base_bytes`, little-endian.
 uint64_t word_at(const uint8_t* p, size_t i, size_t base_bytes) {
@@ -56,10 +55,9 @@ uint64_t word_at(const uint8_t* p, size_t i, size_t base_bytes) {
   }
 }
 
-bool encodable_direct(const uint8_t* p, size_t block_bytes, BdiEncoding enc,
-                      uint64_t* base_out) {
+bool encodable_direct(const uint8_t* p, BdiEncoding enc, uint64_t* base_out) {
   const Geometry g = geometry(enc);
-  const size_t n = block_bytes / g.base_bytes;
+  const size_t n = kBlockBytes / g.base_bytes;
   bool have_base = false;
   uint64_t base = 0;
   for (size_t i = 0; i < n; ++i) {
@@ -78,9 +76,9 @@ bool encodable_direct(const uint8_t* p, size_t block_bytes, BdiEncoding enc,
 
 // The scalar probe: the all-zero and repeated-64-bit special cases, then the
 // smallest encodable base+delta candidate. Also returns the winning base.
-BdiEncoding probe_direct(const uint8_t* p, size_t block_bytes, uint64_t* base_out) {
+BdiEncoding probe_direct(const uint8_t* p, uint64_t* base_out) {
   *base_out = 0;
-  const size_t n64 = block_bytes / 8;
+  constexpr size_t n64 = kBlockBytes / 8;
   uint64_t acc = 0;
   for (size_t i = 0; i < n64; ++i) acc |= detail::load_le64(p + i * 8);
   if (acc == 0) return BdiEncoding::kZeros;
@@ -92,12 +90,12 @@ BdiEncoding probe_direct(const uint8_t* p, size_t block_bytes, uint64_t* base_ou
   if (repeated) return BdiEncoding::kRepeat64;
 
   BdiEncoding best = BdiEncoding::kUncompressed;
-  size_t best_bits = block_bytes * 8;
+  size_t best_bits = kBlockBytes * 8;
   for (BdiEncoding enc : kOrder) {
-    const size_t bits = BdiCompressor::encoding_bits(enc, block_bytes);
+    const size_t bits = BdiCompressor::encoding_bits(enc);
     if (bits >= best_bits) continue;
     uint64_t base = 0;
-    if (encodable_direct(p, block_bytes, enc, &base)) {
+    if (encodable_direct(p, enc, &base)) {
       best = enc;
       best_bits = bits;
       *base_out = base;
@@ -130,32 +128,31 @@ const std::array<BdiEncoding, 6>& BdiCompressor::candidate_order() {
   return kCandidates;
 }
 
-size_t BdiCompressor::encoding_bits(BdiEncoding enc, size_t block_bytes) {
-  const size_t block_bits = block_bytes * 8;
+size_t BdiCompressor::encoding_bits(BdiEncoding enc) {
   switch (enc) {
-    case BdiEncoding::kUncompressed: return block_bits;
+    case BdiEncoding::kUncompressed: return kBlockBytes * 8;
     case BdiEncoding::kZeros: return kTagBits;
     case BdiEncoding::kRepeat64: return kTagBits + 64;
     default: break;
   }
   const Geometry g = geometry(enc);
-  const size_t n = block_bytes / g.base_bytes;
+  const size_t n = kBlockBytes / g.base_bytes;
   // tag + explicit base + per-word base-select mask + per-word delta
   return kTagBits + g.base_bytes * 8 + n + n * g.delta_bytes * 8;
 }
 
 Block BdiCompressor::decompress(const CompressedBlock& cb, size_t block_bytes) const {
-  check_block_bytes(block_bytes, 8, "BDI");
-  if (!cb.is_compressed) return detail::stored_raw_block(cb, block_bytes);
+  check_block_bytes(block_bytes, "BDI");
+  if (!cb.is_compressed) return detail::stored_raw_block(cb);
   BitReader r(cb.payload);
   const auto enc = static_cast<BdiEncoding>(r.get(kTagBits));
-  Block out(block_bytes);
+  Block out;
   switch (enc) {
     case BdiEncoding::kZeros:
       break;
     case BdiEncoding::kRepeat64: {
       const uint64_t v = r.get(64);
-      for (size_t i = 0; i < block_bytes / 8; ++i) out.set_word64(i, v);
+      for (size_t i = 0; i < kBlockBytes / 8; ++i) out.set_word64(i, v);
       break;
     }
     default: {
@@ -165,7 +162,7 @@ Block BdiCompressor::decompress(const CompressedBlock& cb, size_t block_bytes) c
       if (g.base_bytes == 0)
         throw std::invalid_argument("BDI payload: tag " + std::to_string(static_cast<int>(enc)) +
                                     " is no compressed encoding");
-      const size_t n = block_bytes / g.base_bytes;
+      const size_t n = kBlockBytes / g.base_bytes;
       const uint64_t base = r.get(static_cast<unsigned>(g.base_bytes * 8));
       std::vector<bool> use_base(n);
       for (size_t i = 0; i < n; ++i) use_base[i] = r.get_bit();
@@ -183,7 +180,7 @@ Block BdiCompressor::decompress(const CompressedBlock& cb, size_t block_bytes) c
       }
     }
   }
-  if (r.overrun()) throw std::invalid_argument("BDI payload: the block ends past the payload");
+  detail::check_payload_end(r, "BDI");
   return out;
 }
 
@@ -191,15 +188,15 @@ void BdiCompressor::analyze_batch(std::span<const BlockView> blocks, BlockAnalys
   const bool use_avx2 = simd::active_level() == simd::Level::kAvx2;
   for (size_t b = 0; b < blocks.size(); ++b) {
     const BlockView blk = blocks[b];
-    check_block_bytes(blk.size(), 8, "BDI");
+    check_block_bytes(blk.size(), "BDI");
     BdiEncoding enc;
-    if (use_avx2 && simd::bdi_avx2_applicable(blk.size())) {
-      enc = simd::bdi_probe_avx2(blk.bytes().data(), blk.size()).enc;
+    if (use_avx2) {
+      enc = simd::bdi_probe_avx2(blk.bytes().data()).enc;
     } else {
       uint64_t base = 0;
-      enc = probe_direct(blk.bytes().data(), blk.size(), &base);
+      enc = probe_direct(blk.bytes().data(), &base);
     }
-    out[b] = detail::lossless_size(encoding_bits(enc, blk.size()), blk.size());
+    out[b] = detail::lossless_size(encoding_bits(enc));
   }
 }
 
@@ -217,18 +214,18 @@ void BdiCompressor::compress_batch(std::span<const BlockView> blocks, Compressed
   for (size_t b = 0; b < blocks.size(); ++b) {
     const BlockView blk = blocks[b];
     Probe& pr = probes[b];
-    check_block_bytes(blk.size(), 8, "BDI");
+    check_block_bytes(blk.size(), "BDI");
     const uint8_t* p = blk.bytes().data();
-    if (use_avx2 && simd::bdi_avx2_applicable(blk.size())) {
-      const simd::BdiProbe sp = simd::bdi_probe_avx2(p, blk.size());
+    if (use_avx2) {
+      const simd::BdiProbe sp = simd::bdi_probe_avx2(p);
       pr.enc = sp.enc;
       pr.base = sp.base;
       pr.mask = sp.use_base_mask;
       pr.have_mask = true;
     } else {
-      pr.enc = probe_direct(p, blk.size(), &pr.base);
+      pr.enc = probe_direct(p, &pr.base);
     }
-    detail::set_lossless_size(out[b], encoding_bits(pr.enc, blk.size()), blk.size());
+    detail::set_lossless_size(out[b], encoding_bits(pr.enc));
   }
 
   detail::scatter_payloads(blocks, out, [&](size_t b, detail::SpanBitWriter& w) {
@@ -243,7 +240,7 @@ void BdiCompressor::compress_batch(std::span<const BlockView> blocks, Compressed
         break;
       default: {
         const Geometry g = geometry(pr.enc);
-        const size_t nw = blocks[b].size() / g.base_bytes;
+        const size_t nw = kBlockBytes / g.base_bytes;
         w.put(pr.base, static_cast<unsigned>(g.base_bytes * 8));
         if (pr.have_mask) {
           // The probe already decided zero-base vs explicit-base per word.

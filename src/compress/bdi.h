@@ -32,16 +32,15 @@ class BdiCompressor : public Compressor {
   std::string name() const override { return "BDI"; }
   Block decompress(const CompressedBlock& cb, size_t block_bytes) const override;
 
-  /// Probe every encoding off direct 64-bit loads (AVX2 for blocks up to
-  /// 128 B) and keep the winner's base, so compress emits without a second
-  /// probe. Blocks must be whole 8 B words.
+  /// Probe every encoding off direct 64-bit loads (AVX2 when active) and
+  /// keep the winner's base, so compress emits without a second probe.
   using Compressor::compress_batch;
   void analyze_batch(std::span<const BlockView> blocks, BlockAnalysis* out) const override;
   void compress_batch(std::span<const BlockView> blocks, CompressedBlock* out) const override;
 
-  /// Compressed size in bits of a given encoding for `block_bytes` blocks
-  /// (independent of contents; kUncompressed returns block bits).
-  static size_t encoding_bits(BdiEncoding enc, size_t block_bytes);
+  /// Compressed size in bits of a given encoding (independent of contents;
+  /// kUncompressed returns block bits).
+  static size_t encoding_bits(BdiEncoding enc);
 
   /// Base/delta widths of a base+delta encoding (0/0 for the special cases).
   struct Geometry {
@@ -51,7 +50,7 @@ class BdiCompressor : public Compressor {
   static Geometry geometry(BdiEncoding enc);
 
   /// Candidate base+delta encodings in probe order (ascending compressed
-  /// size for a 128 B block). Shared by the scalar probe and the AVX2
+  /// size). Shared by the scalar probe and the AVX2
   /// kernel so the two cannot rank candidates differently.
   static const std::array<BdiEncoding, 6>& candidate_order();
 };

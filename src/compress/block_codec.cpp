@@ -22,9 +22,10 @@ void RawBlockCodec::process_batch(std::span<const BlockView> blocks, bool, size_
                                   BlockCodecResult* out) const {
   // No per-block decision to make: every block costs all its bursts.
   for (size_t i = 0; i < blocks.size(); ++i) {
+    check_block_bytes(blocks[i].size(), "RawBlockCodec");
     out[i] = BlockCodecResult{};
-    out[i].bursts = blocks[i].size() / mag_;
-    out[i].lossless_bits = out[i].final_bits = blocks[i].size() * 8;
+    out[i].bursts = kBlockBytes / mag_;
+    out[i].lossless_bits = out[i].final_bits = kBlockBytes * 8;
     out[i].stored_uncompressed = true;
   }
 }
@@ -37,12 +38,12 @@ LosslessBlockCodec::LosslessBlockCodec(std::shared_ptr<const Compressor> comp, s
 namespace {
 
 /// Maps one lossless size analysis onto the policy result.
-BlockCodecResult lossless_result(const BlockAnalysis& a, BlockView block, size_t mag) {
+BlockCodecResult lossless_result(const BlockAnalysis& a, size_t mag) {
   BlockCodecResult r;
   r.lossless_bits = a.bit_size;
   r.final_bits = a.bit_size;
-  r.stored_uncompressed = !a.is_compressed || a.bit_size >= block.size() * 8;
-  r.bursts = bursts_for_bits(a.bit_size, mag, block.size());
+  r.stored_uncompressed = !a.is_compressed || a.bit_size >= kBlockBytes * 8;
+  r.bursts = bursts_for_bits(a.bit_size, mag);
   return r;
 }
 
@@ -57,8 +58,7 @@ void LosslessBlockCodec::process_batch(std::span<const BlockView> blocks, bool, 
   for (size_t base = 0; base < blocks.size(); base += kChunk) {
     const size_t n = std::min(kChunk, blocks.size() - base);
     comp_->analyze_batch(blocks.subspan(base, n), analyses.data());
-    for (size_t i = 0; i < n; ++i)
-      out[base + i] = lossless_result(analyses[i], blocks[base + i], mag_);
+    for (size_t i = 0; i < n; ++i) out[base + i] = lossless_result(analyses[i], mag_);
   }
 }
 

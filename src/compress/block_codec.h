@@ -65,7 +65,8 @@ class BlockCodec {
 
 /// Uncompressed baseline: every block costs max bursts, contents unchanged.
 /// Both policies throw std::invalid_argument unless `mag_bytes` is positive
-/// and divides kBlockBytes.
+/// and divides kBlockBytes, and process_batch() throws it for a block that
+/// is not kBlockBytes.
 class RawBlockCodec final : public BlockCodec {
  public:
   explicit RawBlockCodec(size_t mag_bytes = kDefaultMagBytes);

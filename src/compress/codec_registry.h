@@ -31,14 +31,17 @@ class FingerprintCache;
 /// Everything a factory may need to construct a codec. Schemes ignore the
 /// fields that do not apply to them (BDI/FPC/C-PACK need nothing; the entropy
 /// coders need `training_data`; SLC additionally reads `mag_bytes` and
-/// `threshold_bytes`).
+/// `threshold_bytes`). The block geometry is no option: every codec takes
+/// 128 B blocks, coded by E2MC in kNumWays ways.
 struct CodecOptions {
-  size_t mag_bytes = kDefaultMagBytes;
+  size_t mag_bytes = kDefaultMagBytes;  ///< a divisor of kBlockBytes
   size_t threshold_bytes = kDefaultThresholdBytes;  ///< SLC lossy threshold
   /// Sample the entropy coders train their symbol tables on (E2MC's online
   /// sampling window). Schemes with needs_training require this unless
   /// `trained_e2mc` is supplied.
   std::span<const uint8_t> training_data{};
+  /// The entropy coders' table knobs (table size, code length limit,
+  /// sampling share); their way geometry is fixed.
   E2mcConfig e2mc{};
   /// Already-trained E2MC model to reuse (skips training). Honored by the
   /// E2MC and TSLC-* factories — the benches' per-benchmark training cache.

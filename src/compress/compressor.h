@@ -52,6 +52,8 @@ struct BlockAnalysis {
 /// Abstract block compressor. A scheme implements the two batch kernels and
 /// decompress(); analyze() and compress() are a span of 1 through the
 /// kernels, so each scheme has exactly one encode path and one size path.
+/// Every entry point takes kBlockBytes blocks and throws
+/// std::invalid_argument for any other size.
 class Compressor {
  public:
   virtual ~Compressor() = default;
@@ -64,7 +66,8 @@ class Compressor {
   /// bit_size = block bits, payload = the block's bytes).
   virtual CompressedBlock compress(BlockView block) const;
 
-  /// Exact inverse of compress(). `block_bytes` is the original block size.
+  /// Exact inverse of compress(). `block_bytes` is the original block size,
+  /// which is kBlockBytes; any other size throws std::invalid_argument.
   virtual Block decompress(const CompressedBlock& cb, size_t block_bytes) const = 0;
 
   /// One block: analyze_batch() over a span of 1 — exactly the sizes

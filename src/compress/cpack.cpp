@@ -1,6 +1,5 @@
 #include "compress/cpack.h"
 
-#include <algorithm>
 #include <array>
 #include <stdexcept>
 #include <string>
@@ -13,6 +12,8 @@
 namespace slc {
 
 namespace {
+
+constexpr size_t kWords = kBlockBytes / 4;
 
 // FIFO dictionary of fixed power-of-two capacity (at most 64 entries) in a
 // ring buffer on the stack. Logical index 0 is the oldest entry, matching the
@@ -78,11 +79,10 @@ struct WordCode {
 // the FIFO exactly as the decompressor will, records each word's code in
 // `codes` and returns the block's exact encoded bits. The one place C-PACK's
 // decision tree is written; analyze sums it, compress emits from its codes.
-size_t walk_dictionary(const CpackCompressor& c, const uint8_t* p, size_t n_words,
-                       WordCode* codes) {
+size_t walk_dictionary(const CpackCompressor& c, const uint8_t* p, WordCode* codes) {
   RingDict dict(c.dict_entries());
   size_t bits = 0;
-  for (size_t i = 0; i < n_words; ++i) {
+  for (size_t i = 0; i < kWords; ++i) {
     const uint32_t word = detail::load_le32(p + 4 * i);
     int idx = -1;
     CpackCode code;
@@ -131,9 +131,9 @@ unsigned CpackCompressor::code_bits(CpackCode c) const {
 }
 
 Block CpackCompressor::decompress(const CompressedBlock& cb, size_t block_bytes) const {
-  check_block_bytes(block_bytes, 4, "C-PACK");
-  if (!cb.is_compressed) return detail::stored_raw_block(cb, block_bytes);
-  Block out(block_bytes);
+  check_block_bytes(block_bytes, "C-PACK");
+  if (!cb.is_compressed) return detail::stored_raw_block(cb);
+  Block out;
   BitReader r(cb.payload);
   RingDict dict(dict_entries_);
   // A dictionary code names an entry the words before it pushed.
@@ -143,8 +143,7 @@ Block CpackCompressor::decompress(const CompressedBlock& cb, size_t block_bytes)
                                   std::to_string(dict.size()) + " dictionary entries");
     return dict.at(idx);
   };
-  const size_t n_words = block_bytes / 4;
-  for (size_t i = 0; i < n_words; ++i) {
+  for (size_t i = 0; i < kWords; ++i) {
     uint32_t word = 0;
     if (r.get_bit() == 0) {
       if (r.get_bit() == 0) {
@@ -178,22 +177,15 @@ Block CpackCompressor::decompress(const CompressedBlock& cb, size_t block_bytes)
     }
     out.set_word32(i, word);
   }
-  if (r.overrun()) throw std::invalid_argument("C-PACK payload: the block ends past the payload");
+  detail::check_payload_end(r, "C-PACK");
   return out;
 }
 
 void CpackCompressor::analyze_batch(std::span<const BlockView> blocks, BlockAnalysis* out) const {
-  // One code buffer, sized for the span's largest block.
-  size_t max_words = 0;
-  for (const BlockView& blk : blocks) {
-    check_block_bytes(blk.size(), 4, "C-PACK");
-    max_words = std::max(max_words, blk.size() / 4);
-  }
-  std::vector<WordCode> codes(max_words);
+  WordCode codes[kWords];
   for (size_t b = 0; b < blocks.size(); ++b) {
-    const BlockView blk = blocks[b];
-    const size_t bits = walk_dictionary(*this, blk.bytes().data(), blk.size() / 4, codes.data());
-    out[b] = detail::lossless_size(bits, blk.size());
+    check_block_bytes(blocks[b].size(), "C-PACK");
+    out[b] = detail::lossless_size(walk_dictionary(*this, blocks[b].bytes().data(), codes));
   }
 }
 
@@ -201,24 +193,17 @@ void CpackCompressor::compress_batch(std::span<const BlockView> blocks,
                                      CompressedBlock* out) const {
   // Sizing pass: walk every block's dictionary once into one span-wide code
   // buffer; the emitter then writes each word from its recorded code.
-  const size_t n = blocks.size();
-  std::vector<size_t> code_off(n + 1, 0);
-  for (size_t b = 0; b < n; ++b) {
-    check_block_bytes(blocks[b].size(), 4, "C-PACK");
-    code_off[b + 1] = code_off[b] + blocks[b].size() / 4;
-  }
-  std::vector<WordCode> codes(code_off[n]);
-  for (size_t b = 0; b < n; ++b) {
-    const BlockView blk = blocks[b];
-    const size_t bits =
-        walk_dictionary(*this, blk.bytes().data(), blk.size() / 4, codes.data() + code_off[b]);
-    detail::set_lossless_size(out[b], bits, blk.size());
+  std::vector<WordCode> codes(blocks.size() * kWords);
+  for (size_t b = 0; b < blocks.size(); ++b) {
+    check_block_bytes(blocks[b].size(), "C-PACK");
+    detail::set_lossless_size(
+        out[b], walk_dictionary(*this, blocks[b].bytes().data(), codes.data() + b * kWords));
   }
 
   detail::scatter_payloads(blocks, out, [&](size_t b, detail::SpanBitWriter& w) {
     const uint8_t* p = blocks[b].bytes().data();
-    const WordCode* wc = codes.data() + code_off[b];
-    for (size_t i = 0; i < blocks[b].size() / 4; ++i) {
+    const WordCode* wc = codes.data() + b * kWords;
+    for (size_t i = 0; i < kWords; ++i) {
       // The word's prefix, index and literal bytes as one code_bits()-wide
       // field (at most 34 bits), so each word is a single put.
       const uint64_t word = detail::load_le32(p + 4 * i);

@@ -30,8 +30,7 @@ class CpackCompressor : public Compressor {
 
   /// One dictionary walk per block, words read straight off the block and
   /// the FIFO dictionary in a fixed ring buffer on the stack; compress
-  /// records each word's code in the walk and emits from the codes. Blocks
-  /// must be whole 4 B words.
+  /// records each word's code in the walk and emits from the codes.
   using Compressor::compress_batch;
   void analyze_batch(std::span<const BlockView> blocks, BlockAnalysis* out) const override;
   void compress_batch(std::span<const BlockView> blocks, CompressedBlock* out) const override;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <stdexcept>
-#include <string>
 
 #include "common/bitstream.h"
 #include "compress/batch_writer.h"
@@ -14,9 +13,6 @@
 namespace slc {
 
 namespace {
-// Stack staging bound for the AVX2 analyze path's code lengths (256 symbols
-// = 512 B blocks); larger blocks sum straight off the table instead.
-constexpr size_t kMaxStagedSymbols = 256;
 
 std::atomic<uint64_t> g_next_model_id{1};
 
@@ -30,10 +26,7 @@ void pad_to_byte(detail::SpanBitWriter& w) {
 E2mcCompressor::E2mcCompressor(HuffmanCode code, E2mcConfig cfg)
     : code_(std::move(code)),
       cfg_(cfg),
-      model_id_(g_next_model_id.fetch_add(1, std::memory_order_relaxed)) {
-  if (cfg_.num_ways < 1 || cfg_.num_ways > 8)
-    throw std::invalid_argument("E2MC: num_ways must be in [1, 8]");
-}
+      model_id_(g_next_model_id.fetch_add(1, std::memory_order_relaxed)) {}
 
 std::shared_ptr<E2mcCompressor> E2mcCompressor::train(std::span<const uint8_t> sample,
                                                       E2mcConfig cfg) {
@@ -43,40 +36,29 @@ std::shared_ptr<E2mcCompressor> E2mcCompressor::train(std::span<const uint8_t> s
       HuffmanCode::build(freqs, cfg.table_entries, cfg.max_code_len), cfg);
 }
 
-unsigned E2mcCompressor::pdp_bits(size_t block_bytes) {
-  unsigned n = 0;
-  while ((size_t{1} << n) < block_bytes) ++n;
-  return n;
-}
-
-void WayLayout::way_offsets(unsigned num_ways, uint32_t* out) const {
+void WayLayout::way_offsets(uint32_t* out) const {
   size_t off = (header_bits + 7) / 8;
-  for (unsigned i = 1; i < num_ways; ++i) {
+  for (unsigned i = 1; i < kNumWays; ++i) {
     off += way_bytes[i - 1];
     out[i] = static_cast<uint32_t>(off);
   }
 }
 
-void E2mcCompressor::write_pdps(detail::SpanBitWriter& w, size_t block_bytes, unsigned num_ways,
-                                const uint32_t* way_offsets) {
-  const unsigned pdp = pdp_bits(block_bytes);
-  for (unsigned i = 1; i < num_ways; ++i) w.put(way_offsets[i], pdp);
+void E2mcCompressor::write_pdps(detail::SpanBitWriter& w, const uint32_t* way_offsets) {
+  for (unsigned i = 1; i < kNumWays; ++i) w.put(way_offsets[i], kPdpBits);
   pad_to_byte(w);
 }
 
-void E2mcCompressor::read_pdps(BitReader& r, size_t block_bytes, unsigned num_ways,
-                               uint32_t* way_offsets) {
-  const unsigned pdp = pdp_bits(block_bytes);
-  for (unsigned i = 1; i < num_ways; ++i) way_offsets[i] = static_cast<uint32_t>(r.get(pdp));
+void E2mcCompressor::read_pdps(BitReader& r, uint32_t* way_offsets) {
+  for (unsigned i = 1; i < kNumWays; ++i) way_offsets[i] = static_cast<uint32_t>(r.get(kPdpBits));
   r.seek((r.position() + 7) / 8 * 8);
 }
 
 void E2mcCompressor::emit_ways(BlockView block, detail::SpanBitWriter& w, size_t skip_start,
                                size_t skip_count) const {
-  const size_t per_way = symbols_per_way(block.num_symbols());
   const size_t skip_end = skip_start + skip_count;
-  for (unsigned way = 0; way < cfg_.num_ways; ++way) {
-    const size_t begin = way * per_way, end = begin + per_way;
+  for (unsigned way = 0; way < kNumWays; ++way) {
+    const size_t begin = way * kSymbolsPerWay, end = begin + kSymbolsPerWay;
     code_.encode_run(block, begin, std::clamp(skip_start, begin, end), w);
     code_.encode_run(block, std::clamp(skip_end, begin, end), end, w);
     pad_to_byte(w);
@@ -85,34 +67,32 @@ void E2mcCompressor::emit_ways(BlockView block, detail::SpanBitWriter& w, size_t
 
 void E2mcCompressor::decode_ways(BitReader& r, const uint32_t* way_offsets, Block& out,
                                  size_t skip_start, size_t skip_count) const {
-  const size_t per_way = symbols_per_way(out.size() * 8 / kSymbolBits);
   const size_t skip_end = skip_start + skip_count;
   size_t start = r.position();  // way 0's: the end of the header
-  for (unsigned way = 0; way < cfg_.num_ways; ++way) {
-    // Way i starts at pdp i: in order, and none past the payload.
-    const size_t next = way + 1 < cfg_.num_ways ? size_t{way_offsets[way + 1]} * 8 : r.bit_size();
-    if (next < start)
-      throw std::invalid_argument("E2MC: way offsets out of order or past the payload");
-    const size_t begin = way * per_way, end = begin + per_way;
+  for (unsigned way = 0; way < kNumWays; ++way) {
+    const size_t begin = way * kSymbolsPerWay, end = begin + kSymbolsPerWay;
     r.seek(start);
     code_.decode_run(r, out, begin, std::clamp(skip_start, begin, end));
     code_.decode_run(r, out, std::clamp(skip_end, begin, end), end);
-    start = next;
+    // Byte-padded, the way ends where pdp way + 1 (the payload, for the
+    // last way) says the next begins.
+    start = way + 1 < kNumWays ? size_t{way_offsets[way + 1]} * 8 : r.bit_size();
+    if ((r.position() + 7) / 8 * 8 != start)
+      throw std::invalid_argument("E2MC: a way does not end where the next one or the payload "
+                                  "does");
   }
 }
 
 void E2mcCompressor::code_lengths(BlockView block, uint16_t* lens, uint16_t* sums8,
                                   simd::Level level) const {
-  check_block_bytes(block.size(), kSymbolBits / 8, "E2MC");
+  check_block_bytes(block.size(), "E2MC");
   const uint8_t* p = block.bytes().data();
-  const size_t n = block.num_symbols();
   const uint32_t* enc = code_.encoded_bits_table();
   if (level == simd::Level::kAvx2) {
-    simd::e2mc_code_lengths_avx2(p, n, enc, lens, sums8);
+    simd::e2mc_code_lengths_avx2(p, enc, lens, sums8);
     return;
   }
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
+  for (size_t i = 0; i < kSymbolsPerBlock; i += 8) {
     unsigned sum = 0;
     for (size_t k = i; k < i + 8; ++k) {
       lens[k] = static_cast<uint16_t>(enc[detail::load_le16(p + 2 * k)]);
@@ -120,31 +100,21 @@ void E2mcCompressor::code_lengths(BlockView block, uint16_t* lens, uint16_t* sum
     }
     sums8[i / 8] = static_cast<uint16_t>(sum);
   }
-  for (; i < n; ++i) lens[i] = static_cast<uint16_t>(enc[detail::load_le16(p + 2 * i)]);
 }
 
-size_t E2mcCompressor::symbols_per_way(size_t num_symbols) const {
-  if (num_symbols == 0 || num_symbols % cfg_.num_ways != 0)
-    throw std::invalid_argument("E2MC: " + std::to_string(num_symbols) +
-                                " symbols do not split into " +
-                                std::to_string(cfg_.num_ways) + " ways");
-  return num_symbols / cfg_.num_ways;
-}
-
-WayLayout E2mcCompressor::layout(std::span<const uint16_t> code_lens, size_t header_bits,
-                                 size_t skip_start, size_t skip_count) const {
+WayLayout E2mcCompressor::layout(const uint16_t* lens, size_t header_bits, size_t skip_start,
+                                 size_t skip_count) {
   WayLayout lo;
   lo.header_bits = header_bits;
-  const size_t per_way = symbols_per_way(code_lens.size());
   const size_t skip_end = skip_start + skip_count;
   size_t total = (header_bits + 7) / 8;  // header byte-padded
-  for (unsigned w = 0; w < cfg_.num_ways; ++w) {
+  for (unsigned w = 0; w < kNumWays; ++w) {
     // The way's sum, minus the part of the skip window that falls inside it.
-    const size_t begin = w * per_way, end = begin + per_way;
+    const size_t begin = w * kSymbolsPerWay, end = begin + kSymbolsPerWay;
     size_t bits = 0;
-    for (size_t i = begin; i < end; ++i) bits += code_lens[i];
+    for (size_t i = begin; i < end; ++i) bits += lens[i];
     for (size_t i = std::max(begin, skip_start); i < std::min(end, skip_end); ++i)
-      bits -= code_lens[i];
+      bits -= lens[i];
     lo.way_bits[w] = bits;
     lo.way_bytes[w] = (bits + 7) / 8;
     total += lo.way_bytes[w];
@@ -154,34 +124,20 @@ WayLayout E2mcCompressor::layout(std::span<const uint16_t> code_lens, size_t hea
 }
 
 void E2mcCompressor::analyze_batch(std::span<const BlockView> blocks, BlockAnalysis* out) const {
-  const bool use_avx2 = simd::active_level() == simd::Level::kAvx2;
+  // layout() without staging the lengths: sum encoded bits per way directly
+  // off the flattened code-length table, escape cost folded in.
   const uint32_t* enc = code_.encoded_bits_table();
   for (size_t b = 0; b < blocks.size(); ++b) {
-    const BlockView blk = blocks[b];
-    check_block_bytes(blk.size(), kSymbolBits / 8, "E2MC");
-    const size_t n = blk.num_symbols();
-    const size_t per_way = symbols_per_way(n);
-    // layout() without the per-block lengths vector: sum encoded bits per
-    // way directly off the flattened code-length table, escape cost folded
-    // in (when AVX2 is active, 8-lane gathers whose group sums give the way
-    // sums; identical values either way).
-    const uint8_t* p = blk.bytes().data();
-    size_t total = (header_bits(blk.size()) + 7) / 8;
-    if (use_avx2 && n <= kMaxStagedSymbols) {
-      uint16_t lens[kMaxStagedSymbols], sums8[kMaxStagedSymbols / 8];
-      size_t bits[8];
-      simd::e2mc_code_lengths_avx2(p, n, enc, lens, sums8);
-      way_bits(lens, sums8, per_way, cfg_.num_ways, bits);
-      for (unsigned way = 0; way < cfg_.num_ways; ++way) total += (bits[way] + 7) / 8;
-    } else {
-      size_t s = 0;
-      for (unsigned way = 0; way < cfg_.num_ways; ++way) {
-        size_t way_bits = 0;
-        for (size_t e = s + per_way; s < e; ++s) way_bits += enc[detail::load_le16(p + 2 * s)];
-        total += (way_bits + 7) / 8;
-      }
+    check_block_bytes(blocks[b].size(), "E2MC");
+    const uint8_t* p = blocks[b].bytes().data();
+    size_t total = (kHeaderBits + 7) / 8;
+    for (size_t s = 0; s < kSymbolsPerBlock;) {
+      size_t way_bits = 0;
+      for (const size_t e = s + kSymbolsPerWay; s < e; ++s)
+        way_bits += enc[detail::load_le16(p + 2 * s)];
+      total += (way_bits + 7) / 8;
     }
-    out[b] = detail::lossless_size(total * 8, blk.size());
+    out[b] = detail::lossless_size(total * 8);
   }
 }
 
@@ -190,33 +146,30 @@ void E2mcCompressor::compress_batch(std::span<const BlockView> blocks,
   // Sizing pass: the code-length probe (8-lane gathers when AVX2 is active)
   // and the way layout per block; the emitter writes the header and ways
   // from each block's layout.
-  std::vector<uint16_t> lens, sums8;  // scratch, reused across the batch
   std::vector<WayLayout> layouts(blocks.size());
   const simd::Level level = simd::active_level();
   for (size_t b = 0; b < blocks.size(); ++b) {
-    const BlockView blk = blocks[b];
-    lens.resize(blk.num_symbols());
-    sums8.resize(blk.num_symbols() / 8);
-    code_lengths(blk, lens.data(), sums8.data(), level);
-    layouts[b] = layout(lens, header_bits(blk.size()));
-    detail::set_lossless_size(out[b], layouts[b].total_bits, blk.size());
+    uint16_t lens[kSymbolsPerBlock], sums8[kSymbolsPerBlock / 8];
+    code_lengths(blocks[b], lens, sums8, level);
+    layouts[b] = layout(lens, kHeaderBits);
+    detail::set_lossless_size(out[b], layouts[b].total_bits);
   }
 
   detail::scatter_payloads(blocks, out, [&](size_t b, detail::SpanBitWriter& w) {
-    uint32_t way_offsets[8] = {};
-    layouts[b].way_offsets(cfg_.num_ways, way_offsets);
-    write_pdps(w, blocks[b].size(), cfg_.num_ways, way_offsets);
+    uint32_t way_offsets[kNumWays] = {};
+    layouts[b].way_offsets(way_offsets);
+    write_pdps(w, way_offsets);
     emit_ways(blocks[b], w);
   });
 }
 
 Block E2mcCompressor::decompress(const CompressedBlock& cb, size_t block_bytes) const {
-  check_block_bytes(block_bytes, kSymbolBits / 8, "E2MC");
-  if (!cb.is_compressed) return detail::stored_raw_block(cb, block_bytes);
+  check_block_bytes(block_bytes, "E2MC");
+  if (!cb.is_compressed) return detail::stored_raw_block(cb);
   BitReader r(cb.payload);
-  uint32_t way_offsets[8] = {};
-  read_pdps(r, block_bytes, cfg_.num_ways, way_offsets);
-  Block out(block_bytes);
+  uint32_t way_offsets[kNumWays] = {};
+  read_pdps(r, way_offsets);
+  Block out;
   decode_ways(r, way_offsets, out);
   return out;
 }

@@ -1,6 +1,5 @@
 #include "compress/fpc.h"
 
-#include <algorithm>
 #include <cassert>
 #include <stdexcept>
 #include <vector>
@@ -16,6 +15,7 @@ namespace slc {
 namespace {
 constexpr unsigned kPrefixBits = 3;
 constexpr size_t kMaxZeroRun = 8;
+constexpr size_t kWords = kBlockBytes / 4;
 
 bool fits_se(uint32_t w, unsigned bits) {
   const int32_t v = static_cast<int32_t>(w);
@@ -64,9 +64,12 @@ unsigned payload_bits(FpcPattern p) {
 // word), vectorized when the dispatcher allows. Classification is the hot
 // half of FPC; the run coalescing and bit emission below consume these ids
 // instead of re-deriving them.
-void classify_words(const uint8_t* p, size_t n_words, uint8_t* cls, bool use_avx2) {
-  const size_t done = use_avx2 ? simd::fpc_classify_avx2(p, n_words, cls) : 0;
-  for (size_t i = done; i < n_words; ++i) {
+void classify_words(const uint8_t* p, uint8_t* cls, bool use_avx2) {
+  if (use_avx2) {
+    simd::fpc_classify_avx2(p, cls);
+    return;
+  }
+  for (size_t i = 0; i < kWords; ++i) {
     const uint32_t w = detail::load_le32(p + 4 * i);
     cls[i] = w == 0 ? static_cast<uint8_t>(FpcPattern::kZeroRun)
                     : static_cast<uint8_t>(classify(w));
@@ -75,13 +78,13 @@ void classify_words(const uint8_t* p, size_t n_words, uint8_t* cls, bool use_avx
 
 // Exact compressed size implied by a classification — the walk
 // emit_from_classes() does, summing instead of emitting.
-size_t bits_from_classes(const uint8_t* cls, size_t n_words) {
+size_t bits_from_classes(const uint8_t* cls) {
   size_t bits = 0;
   size_t i = 0;
-  while (i < n_words) {
+  while (i < kWords) {
     if (cls[i] == static_cast<uint8_t>(FpcPattern::kZeroRun)) {
       size_t run = 1;
-      while (i + run < n_words && run < kMaxZeroRun &&
+      while (i + run < kWords && run < kMaxZeroRun &&
              cls[i + run] == static_cast<uint8_t>(FpcPattern::kZeroRun))
         ++run;
       bits += kPrefixBits + payload_bits(FpcPattern::kZeroRun);
@@ -96,13 +99,12 @@ size_t bits_from_classes(const uint8_t* cls, size_t n_words) {
 
 // The emission loop driven by precomputed classes; words are read straight
 // off the block bytes.
-void emit_from_classes(const uint8_t* p, size_t n_words, const uint8_t* cls,
-                       detail::SpanBitWriter& w) {
+void emit_from_classes(const uint8_t* p, const uint8_t* cls, detail::SpanBitWriter& w) {
   size_t i = 0;
-  while (i < n_words) {
+  while (i < kWords) {
     if (cls[i] == static_cast<uint8_t>(FpcPattern::kZeroRun)) {
       size_t run = 1;
-      while (i + run < n_words && run < kMaxZeroRun &&
+      while (i + run < kWords && run < kMaxZeroRun &&
              cls[i + run] == static_cast<uint8_t>(FpcPattern::kZeroRun))
         ++run;
       w.put(static_cast<uint64_t>(FpcPattern::kZeroRun), kPrefixBits);
@@ -133,18 +135,17 @@ void emit_from_classes(const uint8_t* p, size_t n_words, const uint8_t* cls,
 }  // namespace
 
 Block FpcCompressor::decompress(const CompressedBlock& cb, size_t block_bytes) const {
-  check_block_bytes(block_bytes, 4, "FPC");
-  if (!cb.is_compressed) return detail::stored_raw_block(cb, block_bytes);
-  Block out(block_bytes);
+  check_block_bytes(block_bytes, "FPC");
+  if (!cb.is_compressed) return detail::stored_raw_block(cb);
+  Block out;
   BitReader r(cb.payload);
-  const size_t n_words = block_bytes / 4;
   size_t i = 0;
-  while (i < n_words) {
+  while (i < kWords) {
     const auto p = static_cast<FpcPattern>(r.get(kPrefixBits));
     switch (p) {
       case FpcPattern::kZeroRun: {
         const size_t run = r.get(3) + 1;
-        if (run > n_words - i)
+        if (run > kWords - i)
           throw std::invalid_argument("FPC payload: a zero run passes the block's last word");
         i += run;  // words already zero-initialized
         break;
@@ -187,24 +188,17 @@ Block FpcCompressor::decompress(const CompressedBlock& cb, size_t block_bytes) c
         break;
     }
   }
-  if (r.overrun()) throw std::invalid_argument("FPC payload: the block ends past the payload");
+  detail::check_payload_end(r, "FPC");
   return out;
 }
 
 void FpcCompressor::analyze_batch(std::span<const BlockView> blocks, BlockAnalysis* out) const {
-  // One class buffer, sized for the span's largest block.
-  size_t max_words = 0;
-  for (const BlockView& blk : blocks) {
-    check_block_bytes(blk.size(), 4, "FPC");
-    max_words = std::max(max_words, blk.size() / 4);
-  }
-  std::vector<uint8_t> cls(max_words);
   const bool use_avx2 = simd::active_level() == simd::Level::kAvx2;
+  uint8_t cls[kWords];
   for (size_t b = 0; b < blocks.size(); ++b) {
-    const BlockView blk = blocks[b];
-    const size_t n_words = blk.size() / 4;
-    classify_words(blk.bytes().data(), n_words, cls.data(), use_avx2);
-    out[b] = detail::lossless_size(bits_from_classes(cls.data(), n_words), blk.size());
+    check_block_bytes(blocks[b].size(), "FPC");
+    classify_words(blocks[b].bytes().data(), cls, use_avx2);
+    out[b] = detail::lossless_size(bits_from_classes(cls));
   }
 }
 
@@ -212,25 +206,16 @@ void FpcCompressor::compress_batch(std::span<const BlockView> blocks, Compressed
   // Sizing pass: classify every block once (the vectorizable half) into one
   // span-wide class buffer, and size it from its classes; the emitter then
   // reads the classes back.
-  const size_t n = blocks.size();
-  std::vector<size_t> cls_off(n + 1, 0);
-  for (size_t b = 0; b < n; ++b) {
-    check_block_bytes(blocks[b].size(), 4, "FPC");
-    cls_off[b + 1] = cls_off[b] + blocks[b].size() / 4;
-  }
-  std::vector<uint8_t> cls(cls_off[n]);
+  std::vector<uint8_t> cls(blocks.size() * kWords);
   const bool use_avx2 = simd::active_level() == simd::Level::kAvx2;
-  for (size_t b = 0; b < n; ++b) {
-    const BlockView blk = blocks[b];
-    const size_t n_words = blk.size() / 4;
-    classify_words(blk.bytes().data(), n_words, cls.data() + cls_off[b], use_avx2);
-    detail::set_lossless_size(out[b], bits_from_classes(cls.data() + cls_off[b], n_words),
-                              blk.size());
+  for (size_t b = 0; b < blocks.size(); ++b) {
+    check_block_bytes(blocks[b].size(), "FPC");
+    classify_words(blocks[b].bytes().data(), cls.data() + b * kWords, use_avx2);
+    detail::set_lossless_size(out[b], bits_from_classes(cls.data() + b * kWords));
   }
 
   detail::scatter_payloads(blocks, out, [&](size_t b, detail::SpanBitWriter& w) {
-    emit_from_classes(blocks[b].bytes().data(), blocks[b].size() / 4, cls.data() + cls_off[b],
-                      w);
+    emit_from_classes(blocks[b].bytes().data(), cls.data() + b * kWords, w);
   });
 }
 

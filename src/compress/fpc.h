@@ -28,7 +28,7 @@ class FpcCompressor : public Compressor {
   Block decompress(const CompressedBlock& cb, size_t block_bytes) const override;
 
   /// Classify every word once (AVX2 when available), size the block from the
-  /// classes, then emit from them. Blocks must be whole 4 B words.
+  /// classes, then emit from them.
   using Compressor::analyze_batch;
   using Compressor::compress_batch;
   void analyze_batch(std::span<const BlockView> blocks, BlockAnalysis* out) const override;

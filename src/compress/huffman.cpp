@@ -211,9 +211,9 @@ std::shared_ptr<HuffmanCompressor> HuffmanCompressor::train(std::span<const uint
 namespace {
 
 // Exact code bits of one block: the sum of its symbols' encoded lengths.
-size_t code_bits_of(const uint8_t* p, size_t n_sym, const uint32_t* enc_bits) {
+size_t code_bits_of(const uint8_t* p, const uint32_t* enc_bits) {
   size_t bits = 0;
-  for (size_t i = 0; i < n_sym; ++i) bits += enc_bits[detail::load_le16(p + 2 * i)];
+  for (size_t i = 0; i < kSymbolsPerBlock; ++i) bits += enc_bits[detail::load_le16(p + 2 * i)];
   return bits;
 }
 
@@ -223,10 +223,8 @@ void HuffmanCompressor::analyze_batch(std::span<const BlockView> blocks,
                                       BlockAnalysis* out) const {
   const uint32_t* enc_bits = code_.encoded_bits_table();
   for (size_t b = 0; b < blocks.size(); ++b) {
-    const BlockView blk = blocks[b];
-    check_block_bytes(blk.size(), kSymbolBits / 8, "Huffman");
-    out[b] = detail::lossless_size(code_bits_of(blk.bytes().data(), blk.num_symbols(), enc_bits),
-                                   blk.size());
+    check_block_bytes(blocks[b].size(), "Huffman");
+    out[b] = detail::lossless_size(code_bits_of(blocks[b].bytes().data(), enc_bits));
   }
 }
 
@@ -236,23 +234,22 @@ void HuffmanCompressor::compress_batch(std::span<const BlockView> blocks,
   // writes each block's codewords.
   const uint32_t* enc_bits = code_.encoded_bits_table();
   for (size_t b = 0; b < blocks.size(); ++b) {
-    const BlockView blk = blocks[b];
-    check_block_bytes(blk.size(), kSymbolBits / 8, "Huffman");
-    detail::set_lossless_size(
-        out[b], code_bits_of(blk.bytes().data(), blk.num_symbols(), enc_bits), blk.size());
+    check_block_bytes(blocks[b].size(), "Huffman");
+    detail::set_lossless_size(out[b], code_bits_of(blocks[b].bytes().data(), enc_bits));
   }
 
   detail::scatter_payloads(blocks, out, [&](size_t b, detail::SpanBitWriter& w) {
-    code_.encode_run(blocks[b], 0, blocks[b].num_symbols(), w);
+    code_.encode_run(blocks[b], 0, kSymbolsPerBlock, w);
   });
 }
 
 Block HuffmanCompressor::decompress(const CompressedBlock& cb, size_t block_bytes) const {
-  check_block_bytes(block_bytes, kSymbolBits / 8, "Huffman");
-  if (!cb.is_compressed) return detail::stored_raw_block(cb, block_bytes);
-  Block out(block_bytes);
+  check_block_bytes(block_bytes, "Huffman");
+  if (!cb.is_compressed) return detail::stored_raw_block(cb);
+  Block out;
   BitReader r(cb.payload);
-  code_.decode_run(r, out, 0, block_bytes * 8 / kSymbolBits);
+  code_.decode_run(r, out, 0, kSymbolsPerBlock);
+  detail::check_payload_end(r, "Huffman");
   return out;
 }
 

@@ -25,7 +25,6 @@
 
 #include <immintrin.h>
 
-#include <cassert>
 #include <cstring>
 
 #include "compress/fpc.h"
@@ -34,19 +33,17 @@ namespace slc::simd {
 
 namespace {
 
-// Up to four 256-bit tiles: one 32..128 B block staged in registers, loaded
-// once (unaligned loads — BlockViews carry no alignment guarantee) and
-// reused by the zero/repeat scan and every candidate probe.
+// The four 256-bit tiles of a block staged in registers, loaded once
+// (unaligned loads — BlockViews carry no alignment guarantee) and reused by
+// the zero/repeat scan and every candidate probe.
+constexpr size_t kTiles = kBlockBytes / 32;
 struct Tiles {
-  __m256i v[4];
-  size_t n;
+  __m256i v[kTiles];
 };
 
-Tiles load_tiles(const uint8_t* p, size_t nbytes) {
+Tiles load_tiles(const uint8_t* p) {
   Tiles t;
-  t.n = nbytes / 32;
-  assert(t.n >= 1 && t.n <= 4);
-  for (size_t i = 0; i < t.n; ++i)
+  for (size_t i = 0; i < kTiles; ++i)
     t.v[i] = _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p + 32 * i));
   return t;
 }
@@ -131,7 +128,7 @@ bool encodable_avx2(const Tiles& t, const uint8_t* p, int64_t lim, uint64_t* bas
   bool have_base = false;
   uint64_t base = 0;
   __m256i vbase = _mm256_setzero_si256();
-  for (size_t ti = 0; ti < t.n; ++ti) {
+  for (size_t ti = 0; ti < kTiles; ++ti) {
     const uint32_t imm = Ops::fit(t.v[ti], lim) & all;
     const uint32_t non_imm = ~imm & all;
     if (non_imm != 0) {
@@ -162,13 +159,12 @@ bool encodable_avx2(const Tiles& t, const uint8_t* p, BdiCompressor::Geometry g,
 
 }  // namespace
 
-BdiProbe bdi_probe_avx2(const uint8_t* p, size_t nbytes) {
-  assert(bdi_avx2_applicable(nbytes));
-  const Tiles t = load_tiles(p, nbytes);
+BdiProbe bdi_probe_avx2(const uint8_t* p) {
+  const Tiles t = load_tiles(p);
 
   BdiProbe out;
   __m256i acc = t.v[0];
-  for (size_t i = 1; i < t.n; ++i) acc = _mm256_or_si256(acc, t.v[i]);
+  for (size_t i = 1; i < kTiles; ++i) acc = _mm256_or_si256(acc, t.v[i]);
   if (_mm256_testz_si256(acc, acc)) {
     out.enc = BdiEncoding::kZeros;
     return out;
@@ -178,7 +174,7 @@ BdiProbe bdi_probe_avx2(const uint8_t* p, size_t nbytes) {
   std::memcpy(&first, p, 8);
   const __m256i bcast = _mm256_set1_epi64x(static_cast<int64_t>(first));
   bool repeated = true;
-  for (size_t i = 0; i < t.n && repeated; ++i) {
+  for (size_t i = 0; i < kTiles && repeated; ++i) {
     const __m256i eq = _mm256_cmpeq_epi64(t.v[i], bcast);
     repeated = _mm256_movemask_pd(_mm256_castsi256_pd(eq)) == 0xF;
   }
@@ -187,9 +183,9 @@ BdiProbe bdi_probe_avx2(const uint8_t* p, size_t nbytes) {
     return out;
   }
 
-  size_t best_bits = nbytes * 8;
+  size_t best_bits = kBlockBytes * 8;
   for (const BdiEncoding enc : BdiCompressor::candidate_order()) {
-    const size_t bits = BdiCompressor::encoding_bits(enc, nbytes);
+    const size_t bits = BdiCompressor::encoding_bits(enc);
     if (bits >= best_bits) continue;
     uint64_t base = 0, mask = 0;
     if (encodable_avx2(t, p, BdiCompressor::geometry(enc), &base, &mask)) {
@@ -249,26 +245,22 @@ __m256i fpc_classify_vec(__m256i v) {
 
 }  // namespace
 
-size_t fpc_classify_avx2(const uint8_t* p, size_t n_words, uint8_t* cls) {
-  size_t i = 0;
-  for (; i + 32 <= n_words; i += 32) {
-    __m256i id[4];
-    for (int k = 0; k < 4; ++k)
-      id[k] = fpc_classify_vec(
-          _mm256_loadu_si256(reinterpret_cast<const __m256i*>(p + 4 * (i + 8 * k))));
-    // 4x8 dword ids -> 32 bytes in word order (packs interleave 128-bit
-    // lanes; the final dword permute restores it).
-    const __m256i ab = _mm256_packus_epi32(id[0], id[1]);
-    const __m256i cd = _mm256_packus_epi32(id[2], id[3]);
-    __m256i bytes = _mm256_packus_epi16(ab, cd);
-    bytes = _mm256_permutevar8x32_epi32(bytes, _mm256_setr_epi32(0, 4, 1, 5, 2, 6, 3, 7));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(cls + i), bytes);
-  }
-  return i;
+void fpc_classify_avx2(const uint8_t* p, uint8_t* cls) {
+  static_assert(kBlockBytes / 4 == 32, "one block is four tiles of 8 words");
+  __m256i id[4];
+  for (int k = 0; k < 4; ++k)
+    id[k] = fpc_classify_vec(_mm256_loadu_si256(reinterpret_cast<const __m256i*>(p + 32 * k)));
+  // 4x8 dword ids -> 32 bytes in word order (packs interleave 128-bit
+  // lanes; the final dword permute restores it).
+  const __m256i ab = _mm256_packus_epi32(id[0], id[1]);
+  const __m256i cd = _mm256_packus_epi32(id[2], id[3]);
+  __m256i bytes = _mm256_packus_epi16(ab, cd);
+  bytes = _mm256_permutevar8x32_epi32(bytes, _mm256_setr_epi32(0, 4, 1, 5, 2, 6, 3, 7));
+  _mm256_storeu_si256(reinterpret_cast<__m256i*>(cls), bytes);
 }
 
-void e2mc_code_lengths_avx2(const uint8_t* p, size_t n_sym, const uint32_t* bits_table,
-                            uint16_t* lens, uint16_t* sums8) {
+void e2mc_code_lengths_avx2(const uint8_t* p, const uint32_t* bits_table, uint16_t* lens,
+                            uint16_t* sums8) {
   // Eight lengths per gather, packed to 16-bit lanes and stored.
   const auto gather8 = [&](size_t i) {
     const __m128i syms = _mm_loadu_si128(reinterpret_cast<const __m128i*>(p + 2 * i));
@@ -280,30 +272,15 @@ void e2mc_code_lengths_avx2(const uint8_t* p, size_t n_sym, const uint32_t* bits
     _mm_storeu_si128(reinterpret_cast<__m128i*>(lens + i), packed);
     return packed;
   };
-  // 64 symbols per step: three rounds of pairwise horizontal adds fold the
-  // eight gathers into one vector of their eight group sums, in order. No
-  // lane wraps: a group sums at most 8 lengths below 2^11.
-  size_t i = 0;
-  for (; i + 64 <= n_sym; i += 64) {
-    __m128i g[8];
-    for (size_t k = 0; k < 8; ++k) g[k] = gather8(i + 8 * k);
-    const __m128i q0 = _mm_hadd_epi16(_mm_hadd_epi16(g[0], g[1]), _mm_hadd_epi16(g[2], g[3]));
-    const __m128i q1 = _mm_hadd_epi16(_mm_hadd_epi16(g[4], g[5]), _mm_hadd_epi16(g[6], g[7]));
-    _mm_storeu_si128(reinterpret_cast<__m128i*>(sums8 + i / 8), _mm_hadd_epi16(q0, q1));
-  }
-  // Whole groups past the last 64: one fold each.
-  for (; i + 8 <= n_sym; i += 8) {
-    __m128i s = gather8(i);
-    s = _mm_hadd_epi16(s, s);
-    s = _mm_hadd_epi16(s, s);
-    s = _mm_hadd_epi16(s, s);
-    sums8[i / 8] = static_cast<uint16_t>(_mm_cvtsi128_si32(s));
-  }
-  for (; i < n_sym; ++i) {
-    uint16_t s;
-    std::memcpy(&s, p + 2 * i, 2);
-    lens[i] = static_cast<uint16_t>(bits_table[s]);
-  }
+  // Three rounds of pairwise horizontal adds fold the block's eight gathers
+  // into one vector of their eight group sums, in order. No lane wraps: a
+  // group sums at most 8 lengths below 2^11.
+  static_assert(kSymbolsPerBlock == 64, "one block is eight gathers");
+  __m128i g[8];
+  for (size_t k = 0; k < 8; ++k) g[k] = gather8(8 * k);
+  const __m128i q0 = _mm_hadd_epi16(_mm_hadd_epi16(g[0], g[1]), _mm_hadd_epi16(g[2], g[3]));
+  const __m128i q1 = _mm_hadd_epi16(_mm_hadd_epi16(g[4], g[5]), _mm_hadd_epi16(g[6], g[7]));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(sums8), _mm_hadd_epi16(q0, q1));
 }
 
 }  // namespace slc::simd

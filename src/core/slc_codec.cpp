@@ -42,6 +42,7 @@ SlcCodec::SlcCodec(std::shared_ptr<const E2mcCompressor> lossless, SlcConfig cfg
       extra_nodes_(cfg_.variant == SlcVariant::kOpt) {
   assert(lossless_ != nullptr);
   check_mag_bytes(cfg_.mag_bytes, "SlcCodec");
+  raw_bursts_ = bursts_for_bits(kBlockBytes * 8, cfg_.mag_bytes);
 }
 
 uint64_t SlcCodec::cache_key(size_t threshold_bytes) const {
@@ -60,35 +61,18 @@ FingerprintCache* SlcCodec::active_cache() const {
   return cfg_.cache.get();
 }
 
-size_t SlcCodec::header_bits(size_t block_bytes) const {
-  const size_t n_sym = block_bytes * 8 / kSymbolBits;
-  return SlcHeader::bits(block_bytes, lossless_->config().num_ways, n_sym);
-}
-
-SlcCodec::Geometry SlcCodec::geometry(size_t block_bytes) const {
-  check_block_bytes(block_bytes, kSymbolBits / 8, "SlcCodec");
-  Geometry g;
-  g.block_bytes = block_bytes;
-  g.num_symbols = block_bytes * 8 / kSymbolBits;
-  g.per_way = lossless_->symbols_per_way(g.num_symbols);
-  g.num_ways = lossless_->config().num_ways;
-  g.header_bytes = SlcHeader::padded_bytes(block_bytes, g.num_ways, g.num_symbols);
-  g.raw_bursts = bursts_for_bits(block_bytes * 8, cfg_.mag_bytes, block_bytes);
-  return g;
-}
-
-void SlcCodec::decide(std::span<const uint16_t> lens, const uint16_t* sums8, const Geometry& g,
-                      size_t threshold_bytes, Decision& d) const {
-  const size_t raw_bits = g.block_bytes * 8;
+void SlcCodec::decide(const uint16_t* lens, const uint16_t* sums8, size_t threshold_bytes,
+                      Decision& d) const {
+  constexpr size_t raw_bits = kBlockBytes * 8;
   const size_t mag_bits = cfg_.mag_bytes * 8;
   const auto way_bytes = [](size_t bits) { return (bits + 7) >> 3; };
 
   // The lossless layout: each way's sum off the probe's group sums,
-  // byte-aligned, after the byte-padded header.
-  std::array<size_t, 8> way_bits{};
-  E2mcCompressor::way_bits(lens.data(), sums8, g.per_way, g.num_ways, way_bits.data());
-  size_t comp_bytes = g.header_bytes;
-  for (unsigned w = 0; w < g.num_ways; ++w) comp_bytes += way_bytes(way_bits[w]);
+  // byte-aligned, after the header.
+  std::array<size_t, kNumWays> way_bits;
+  E2mcCompressor::way_bits(sums8, way_bits.data());
+  size_t comp_bytes = SlcHeader::kBits / 8;
+  for (unsigned w = 0; w < kNumWays; ++w) comp_bytes += way_bytes(way_bits[w]);
   const size_t comp_bits = comp_bytes * 8;
 
   d = Decision{};
@@ -97,7 +81,7 @@ void SlcCodec::decide(std::span<const uint16_t> lens, const uint16_t* sums8, con
   auto store_raw = [&] {
     d.info.stored_uncompressed = true;
     d.info.final_bits = raw_bits;
-    d.info.bursts = g.raw_bursts;
+    d.info.bursts = raw_bursts_;
   };
 
   // Fig. 4, top branch: when the compressed size reaches the uncompressed
@@ -114,40 +98,27 @@ void SlcCodec::decide(std::span<const uint16_t> lens, const uint16_t* sums8, con
   d.info.extra_bits = extra_bits;
 
   if (extra_bits != 0 && extra_bits <= threshold_bytes * 8) {
-    // Lossy path, the only one that reads the Fig. 5 tree: find the
-    // sub-block to truncate. The tree works on raw code bits while way
-    // byte-alignment can re-add up to (ways-1)*7 padding bits, so size the
-    // cut block and escalate to a larger window, another walk of the same
-    // tree, if padding pushed it back over budget. A cut re-rounds only the
-    // ways its window overlaps; a window inside one way removes its whole
-    // sum from that way.
+    // Lossy path, the only one that reads the Fig. 5 tree: the first
+    // window covering the overshoot. Every window lies inside one 16-symbol
+    // way (it starts at a multiple of its size, or of 8 and 16 for the 6-
+    // and 12-symbol ones), so the cut re-rounds that way alone. It always
+    // fits the budget, with no larger window to escalate to: the overshoot
+    // is whole bytes, and cutting s bits from a way saves at least
+    // floor(s / 8) of its bytes.
     const CodeLengthTree tree(lens, extra_nodes_);
-    std::optional<TreeCandidate> cand = tree.select(extra_bits);
-    size_t cut_bits = 0;
-    while (cand) {
-      const size_t begin = cand->start, end = cand->start + cand->count;
-      size_t cut_bytes = comp_bytes;
-      size_t w = begin / g.per_way;
-      for (size_t way_begin = w * g.per_way; way_begin < end; ++w, way_begin += g.per_way) {
-        const size_t lo = std::max(way_begin, begin);
-        const size_t hi = std::min(way_begin + g.per_way, end);
-        const size_t share = lo == begin && hi == end ? cand->sum_bits : tree.range_bits(lo, hi);
-        cut_bytes -= way_bytes(way_bits[w]) - way_bytes(way_bits[w] - share);
-      }
-      cut_bits = cut_bytes * 8;
-      if (cut_bits <= budget_bits) break;
-      cand = tree.select(cand->sum_bits + (cut_bits - budget_bits));
-      // A repeated selection with a larger target always returns a strictly
-      // larger sum or nullopt, so this loop terminates.
-    }
-    if (cand) {
+    if (const std::optional<TreeCandidate> cand = tree.select(extra_bits)) {
+      const size_t w = cand->start / kSymbolsPerWay;
+      assert(cand->start + cand->count <= (w + 1) * kSymbolsPerWay);
+      const size_t cut_bits =
+          (comp_bytes - way_bytes(way_bits[w]) + way_bytes(way_bits[w] - cand->sum_bits)) * 8;
+      assert(cut_bits <= budget_bits);
       d.info.lossy = true;
       d.info.truncated_symbols = cand->count;
       d.info.truncated_bits = cand->sum_bits;
       d.info.final_bits = cut_bits;
       // Usually the budget's burst count; one fewer when the selected window
       // overshoots past another burst boundary.
-      d.info.bursts = bursts_for_bits(cut_bits, cfg_.mag_bytes, g.block_bytes);
+      d.info.bursts = bursts_for_bits(cut_bits, cfg_.mag_bytes);
       d.skip_start = cand->start;
       d.skip_count = cand->count;
       return;
@@ -159,8 +130,8 @@ void SlcCodec::decide(std::span<const uint16_t> lens, const uint16_t* sums8, con
   // A lossless block needing as many bursts as the raw block is stored raw:
   // same traffic, no decompression latency, and the MDC's max burst count
   // marks it (no header needed, Sec. III-G).
-  const size_t lossless_bursts = bursts_for_bits(comp_bits, cfg_.mag_bytes, g.block_bytes);
-  if (lossless_bursts >= g.raw_bursts) return store_raw();
+  const size_t lossless_bursts = bursts_for_bits(comp_bits, cfg_.mag_bytes);
+  if (lossless_bursts >= raw_bursts_) return store_raw();
   d.info.final_bits = comp_bits;
   d.info.bursts = lossless_bursts;
 }
@@ -168,25 +139,12 @@ void SlcCodec::decide(std::span<const uint16_t> lens, const uint16_t* sums8, con
 void SlcCodec::probe_batch(std::span<const BlockView> blocks, size_t threshold_bytes,
                            Decision* out) const {
   // Each block's code lengths and their group sums are staged once, in one
-  // pass, then the decision reads them. The geometry is derived once per
-  // run of equal-sized blocks.
-  uint16_t stack_lens[CodeLengthTree::kStackSymbols];
-  uint16_t stack_sums[CodeLengthTree::kStackSymbols / 8];
-  std::vector<uint16_t> heap_lens, heap_sums;
-  Geometry g;
+  // pass, then the decision reads them.
+  uint16_t lens[kSymbolsPerBlock], sums8[kSymbolsPerBlock / 8];
   const simd::Level level = simd::active_level();
   for (size_t i = 0; i < blocks.size(); ++i) {
-    if (blocks[i].size() != g.block_bytes) g = geometry(blocks[i].size());
-    uint16_t* lens = stack_lens;
-    uint16_t* sums8 = stack_sums;
-    if (g.num_symbols > CodeLengthTree::kStackSymbols) {
-      heap_lens.resize(g.num_symbols);
-      heap_sums.resize(g.num_symbols / 8);
-      lens = heap_lens.data();
-      sums8 = heap_sums.data();
-    }
     lossless_->code_lengths(blocks[i], lens, sums8, level);
-    decide(std::span<const uint16_t>(lens, g.num_symbols), sums8, g, threshold_bytes, out[i]);
+    decide(lens, sums8, threshold_bytes, out[i]);
   }
 }
 
@@ -244,6 +202,7 @@ void SlcCodec::MemoGovernor::report(Stage stage, uint32_t probed, uint32_t hits)
 
 void SlcCodec::decide_batch(std::span<const BlockView> blocks, size_t threshold_bytes,
                             Decision* out, CacheOutcome* oc) const {
+  for (const BlockView& b : blocks) check_block_bytes(b.size(), "SlcCodec");
   FingerprintCache* c = active_cache();
   if (c == nullptr) {
     probe_batch(blocks, threshold_bytes, out);
@@ -338,13 +297,12 @@ SlcCodec::ChunkHits SlcCodec::decide_chunk_cached(FingerprintCache& c, uint64_t 
     const size_t slot = slot_of(first_miss, fp);
     if (first_miss[slot] != 0) {
       // Same fingerprint as an earlier miss of this chunk. In verify-on-hit
-      // mode trust it only on equal size and bytes (an in-chunk collision
-      // gets its own decision); otherwise the fingerprint is the identity,
-      // exactly like a memo hit.
+      // mode trust it only on equal bytes (an in-chunk collision gets its
+      // own decision); otherwise the fingerprint is the identity, exactly
+      // like a memo hit.
       const size_t j = first_miss[slot] - 1u;
       const auto a = blocks[j].bytes(), b = blocks[i].bytes();
-      if (!c.verify_on_hit() ||
-          (a.size() == b.size() && std::equal(a.begin(), a.end(), b.begin()))) {
+      if (!c.verify_on_hit() || std::equal(a.begin(), a.end(), b.begin())) {
         oc[i].hit = true;
         ++hits.hits;
         twin[n_twin] = static_cast<uint8_t>(i);
@@ -411,71 +369,50 @@ void SlcCodec::compress_batch(std::span<const BlockView> blocks, CompressedBlock
   // byte-aligned and raw blocks are byte-sized); the emitter re-encodes each
   // compressed block from its decision and staged lengths, so the lengths
   // stay staged for the whole span.
-  std::vector<uint16_t> lens;
-  std::vector<size_t> offsets(blocks.size() + 1);
-  for (size_t b = 0; b < blocks.size(); ++b)
-    offsets[b + 1] = offsets[b] + blocks[b].num_symbols();
-  lens.resize(offsets.back());
+  std::vector<uint16_t> lens(blocks.size() * kSymbolsPerBlock);
   std::vector<Decision> ds(blocks.size());
-  Geometry g;
   const simd::Level level = simd::active_level();
-  const auto block_lens = [&](size_t b) {
-    return std::span<const uint16_t>(lens).subspan(offsets[b], offsets[b + 1] - offsets[b]);
-  };
   // The group sums are read only by the decision, so one block's at a time.
-  uint16_t stack_sums[CodeLengthTree::kStackSymbols / 8];
-  std::vector<uint16_t> heap_sums;
-  uint16_t* sums8 = stack_sums;
+  uint16_t sums8[kSymbolsPerBlock / 8];
   for (size_t b = 0; b < blocks.size(); ++b) {
-    if (blocks[b].size() != g.block_bytes) {
-      g = geometry(blocks[b].size());
-      if (g.num_symbols > CodeLengthTree::kStackSymbols) {
-        heap_sums.resize(std::max(heap_sums.size(), g.num_symbols / 8));
-        sums8 = heap_sums.data();
-      } else {
-        sums8 = stack_sums;
-      }
-    }
-    lossless_->code_lengths(blocks[b], lens.data() + offsets[b], sums8, level);
-    decide(block_lens(b), sums8, g, cfg_.threshold_bytes, ds[b]);
+    uint16_t* block_lens = lens.data() + b * kSymbolsPerBlock;
+    lossless_->code_lengths(blocks[b], block_lens, sums8, level);
+    decide(block_lens, sums8, cfg_.threshold_bytes, ds[b]);
     out[b].bit_size = ds[b].info.final_bits;
     out[b].is_compressed = !ds[b].info.stored_uncompressed;
   }
 
   // Each payload: the Fig. 6 header (m, ss, len, then the pdps of the cut
   // layout), then the E2MC ways with the truncation window left out.
-  const unsigned num_ways = lossless_->config().num_ways;
   detail::scatter_payloads(blocks, out, [&](size_t b, detail::SpanBitWriter& w) {
-    const BlockView block = blocks[b];
     const Decision& d = ds[b];
-    const WayLayout lo =
-        lossless_->layout(block_lens(b), header_bits(block.size()), d.skip_start, d.skip_count);
+    const WayLayout lo = E2mcCompressor::layout(lens.data() + b * kSymbolsPerBlock,
+                                                SlcHeader::kBits, d.skip_start, d.skip_count);
     SlcHeader h;
     h.lossy = d.info.lossy;
     h.start_symbol = static_cast<uint32_t>(d.skip_start);
     h.approx_count = static_cast<uint8_t>(d.info.lossy ? d.skip_count : 0);
-    lo.way_offsets(num_ways, h.way_offsets);
-    h.write(w, block.size(), num_ways, block.num_symbols());
-    lossless_->emit_ways(block, w, d.skip_start, d.skip_count);
+    lo.way_offsets(h.way_offsets);
+    h.write(w);
+    lossless_->emit_ways(blocks[b], w, d.skip_start, d.skip_count);
     assert(!d.info.lossy || w.bit_size() <= d.info.bursts * cfg_.mag_bytes * 8);
   });
 }
 
 Block SlcCodec::decompress(const CompressedBlock& cb, size_t block_bytes) const {
-  check_block_bytes(block_bytes, kSymbolBits / 8, "SlcCodec");
-  if (!cb.is_compressed) return detail::stored_raw_block(cb, block_bytes);
+  check_block_bytes(block_bytes, "SlcCodec");
+  if (!cb.is_compressed) return detail::stored_raw_block(cb);
   BitReader r(cb.payload);
-  const SlcHeader h = SlcHeader::read(r, block_bytes, lossless_->config().num_ways,
-                                      block_bytes * 8 / kSymbolBits);
+  const SlcHeader h = SlcHeader::read(r);
   // A lossless header's len reads as 0: its window is empty.
-  Block out(block_bytes);
+  Block out;
   lossless_->decode_ways(r, h.way_offsets, out, h.start_symbol, h.approx_count);
   if (h.approx_count > 0) fill_approximated(out, h.start_symbol, h.approx_count);
   return out;
 }
 
 void SlcCodec::fill_approximated(Block& out, size_t skip_start, size_t skip_count) const {
-  const size_t n_sym = out.size() * 8 / kSymbolBits;
+  constexpr size_t n_sym = kSymbolsPerBlock;
   if (cfg_.variant == SlcVariant::kSimp) {
     for (size_t s = skip_start; s < skip_start + skip_count; ++s) out.set_symbol(s, 0);
     return;

@@ -68,8 +68,7 @@ class SlcCodec : public Compressor {
  public:
   /// Throws std::invalid_argument unless cfg.mag_bytes is positive and
   /// divides kBlockBytes. Every entry point that sizes, encodes or decodes a
-  /// block throws std::invalid_argument when the block's symbols do not
-  /// split into the E2MC ways (E2mcCompressor::symbols_per_way).
+  /// block throws std::invalid_argument unless the block is kBlockBytes.
   SlcCodec(std::shared_ptr<const E2mcCompressor> lossless, SlcConfig cfg);
 
   // --- block operations ------------------------------------------------------
@@ -95,7 +94,9 @@ class SlcCodec : public Compressor {
   static constexpr size_t kProbeChunk = 64;
 
   /// The Fig. 4 mode decision at `threshold_bytes` for every block of the
-  /// span: out[i] is block i's Decision, oc[i] its memo outcome. Without an
+  /// span: out[i] is block i's Decision, oc[i] its memo outcome. It first
+  /// checks every block's size, so a block of another size throws before
+  /// the memo sees any. Without an
   /// active memo (cfg.cache null, or SLC_FINGERPRINT_CACHE force-disabling
   /// it) each block's E2MC code lengths and their sums of 8 are staged on
   /// the stack in one pass; the way sums off the group sums settle the
@@ -108,10 +109,10 @@ class SlcCodec : public Compressor {
   /// probe and decide the distinct misses and insert them. A hit returns
   /// exactly the Decision the probe computes for that content (modulo
   /// undetected 64-bit fingerprint collisions, which verify-on-hit
-  /// eliminates), including decisions too wide for the memo to store. The codec's memo governor (MemoGovernor) may run a chunk through
-  /// the probe alone instead; its blocks are then `bypassed`, neither hits
-  /// nor misses. Allocates nothing for blocks of up to
-  /// CodeLengthTree::kStackSymbols symbols.
+  /// eliminates), including decisions too wide for the memo to store. The
+  /// codec's memo governor (MemoGovernor) may run a chunk through the probe
+  /// alone instead; its blocks are then `bypassed`, neither hits nor misses.
+  /// Allocates nothing.
   void decide_batch(std::span<const BlockView> blocks, size_t threshold_bytes, Decision* out,
                     CacheOutcome* oc) const;
 
@@ -150,10 +151,6 @@ class SlcCodec : public Compressor {
   std::string name() const override { return to_string(cfg_.variant); }
   const SlcConfig& config() const { return cfg_; }
   const E2mcCompressor& lossless() const { return *lossless_; }
-
-  /// SLC header size in bits for this geometry (Fig. 6: 32 bits for the
-  /// default 128 B / 4-way configuration).
-  size_t header_bits(size_t block_bytes) const;
 
   /// Compression latency in memory-controller cycles: E2MC's 46 plus 12 to
   /// stream the code lengths and 2 to add/select (paper Sec. IV-A: 60).
@@ -206,20 +203,10 @@ class SlcCodec : public Compressor {
     std::atomic<uint64_t> samples_{0};
   };
 
-  /// Everything the decision needs to know about a block size, derived once
-  /// per run of equal-sized blocks.
-  struct Geometry {
-    size_t block_bytes = 0;  ///< 0: none yet
-    size_t num_symbols = 0;
-    unsigned num_ways = 0;
-    size_t per_way = 0;
-    size_t header_bytes = 0;  ///< the byte-padded Fig. 6 header
-    size_t raw_bursts = 0;    ///< the bursts of the raw block
-  };
-
   std::shared_ptr<const E2mcCompressor> lossless_;
   SlcConfig cfg_;
   bool extra_nodes_;  ///< TSLC-OPT's 6- and 12-symbol windows
+  size_t raw_bursts_;  ///< the bursts of a raw block at the codec's MAG
   /// On a cache line of its own: engine workers write it once per chunk,
   /// and read everything above on every decision.
   alignas(64) mutable MemoGovernor governor_;
@@ -228,13 +215,9 @@ class SlcCodec : public Compressor {
   /// SLC_FINGERPRINT_CACHE env knob force-disables caching process-wide.
   FingerprintCache* active_cache() const;
 
-  /// Throws std::invalid_argument like E2mcCompressor::symbols_per_way.
-  Geometry geometry(size_t block_bytes) const;
-
   /// The memo-free probe: each block's code lengths and group sums staged
-  /// on the stack (on the heap above CodeLengthTree::kStackSymbols
-  /// symbols), then decide(). decide_batch() without a memo and the memo's
-  /// miss path run it.
+  /// on the stack, then decide(). decide_batch() without a memo and the
+  /// memo's miss path run it.
   void probe_batch(std::span<const BlockView> blocks, size_t threshold_bytes,
                    Decision* out) const;
 
@@ -255,16 +238,16 @@ class SlcCodec : public Compressor {
                                 CacheOutcome* oc, bool count_contents) const;
 
   /// The Fig. 4 mode decision at `threshold_bytes` over one block's
-  /// code_lengths() probe (its lengths and their sums of 8) into `d`. The
+  /// code_lengths() probe (its 64 lengths and their sums of 8) into `d`. The
   /// way sums, and from them the lossless size, budget and overshoot, come
   /// off the group sums, which settle every block but a lossy candidate
   /// (an overshoot in (0, threshold]): only that one builds a
-  /// CodeLengthTree, for the first-fit window and each candidate's cut
-  /// size. It writes `d` in place (the caller's slot): a returned Decision
+  /// CodeLengthTree, for the first-fit window, whose cut always fits the
+  /// budget. It writes `d` in place (the caller's slot): a returned Decision
   /// would be copied out with loads wider than the stores that built it,
   /// which cannot be forwarded.
-  void decide(std::span<const uint16_t> lens, const uint16_t* sums8, const Geometry& g,
-              size_t threshold_bytes, Decision& d) const;
+  void decide(const uint16_t* lens, const uint16_t* sums8, size_t threshold_bytes,
+              Decision& d) const;
 
   /// Re-fills the truncated window of `out` per the configured variant. All
   /// symbols outside [skip_start, skip_start + skip_count) must already hold

@@ -34,36 +34,25 @@ size_t first_at_least(const uint16_t* sums, size_t count, size_t need) {
 
 }  // namespace
 
-CodeLengthTree::CodeLengthTree(std::span<const uint16_t> lens, bool extra_nodes)
-    : n_(lens.size()), extra_nodes_(extra_nodes) {
-  assert(std::all_of(lens.begin(), lens.end(), [](uint16_t l) { return l <= kMaxLengthBits; }));
-  const size_t c2 = n_ / 2, c4 = n_ / 4, c8 = n_ / 8, c16 = n_ / 16;
-  uint16_t* nodes = stack_nodes_;
-  uint32_t* top_prefix = stack_prefix_;
-  if (n_ > kStackSymbols) {
-    heap_nodes_.resize(c2 + c4 + c8 + c16);
-    heap_prefix_.resize(c16 + 1);
-    nodes = heap_nodes_.data();
-    top_prefix = heap_prefix_.data();
-  }
-  // One bottom-up pass: each level sums adjacent pairs of the one below and
-  // holds only whole nodes.
-  uint16_t* l2 = nodes;
+CodeLengthTree::CodeLengthTree(const uint16_t* lens, bool extra_nodes)
+    : extra_nodes_(extra_nodes) {
+  assert(std::all_of(lens, lens + kSymbolsPerBlock,
+                     [](uint16_t l) { return l <= kMaxLengthBits; }));
+  constexpr size_t c2 = kSymbolsPerBlock / 2, c4 = c2 / 2, c8 = c4 / 2, c16 = c8 / 2;
+  // One bottom-up pass: each level sums adjacent pairs of the one below.
+  uint16_t* l2 = nodes_;
   uint16_t* l4 = l2 + c2;
   uint16_t* l8 = l4 + c4;
   uint16_t* l16 = l8 + c8;
-  sum_pairs(lens.data(), c2, l2);
+  sum_pairs(lens, c2, l2);
   sum_pairs(l2, c4, l4);
   sum_pairs(l4, c8, l8);
   sum_pairs(l8, c16, l16);
-  top_prefix[0] = 0;
-  for (size_t k = 0; k < c16; ++k) top_prefix[k + 1] = top_prefix[k] + l16[k];
-  level_[0] = lens.data();
+  level_[0] = lens;
   level_[1] = l2;
   level_[2] = l4;
   level_[3] = l8;
   level_[4] = l16;
-  top_prefix_ = top_prefix;
 }
 
 std::optional<TreeCandidate> CodeLengthTree::select(size_t need) const {
@@ -79,12 +68,12 @@ std::optional<TreeCandidate> CodeLengthTree::select(size_t need) const {
   for (unsigned l = 0; l < 5; ++l) {
     if (extra_nodes_ && l >= 3) {
       const size_t size = size_t{3} << (l - 2);
-      for (size_t start = 0; start + size <= n_; start += size_t{1} << l) {
+      for (size_t start = 0; start + size <= kSymbolsPerBlock; start += size_t{1} << l) {
         const size_t sum = pair_window_bits(l, start);
         if (sum >= need) return TreeCandidate{start, size, sum};
       }
     }
-    const size_t count = n_ >> l;
+    const size_t count = kSymbolsPerBlock >> l;
     const size_t k = first_at_least(level_[l], count, need);
     if (k < count) return TreeCandidate{k << l, size_t{1} << l, level_[l][k]};
   }

@@ -52,11 +52,10 @@ std::chrono::steady_clock::time_point flush_deadline(
 /// A payload longer than its block would overrun the block's slot in the
 /// payload arena; the open Compressor interface allows one, so the batch
 /// fails instead.
-[[noreturn]] void throw_payload_overflow(const Compressor& codec, size_t payload_bytes,
-                                         size_t block_bytes) {
+[[noreturn]] void throw_payload_overflow(const Compressor& codec, size_t payload_bytes) {
   throw std::length_error("CodecServer: a " + codec.name() + " payload of " +
                           std::to_string(payload_bytes) + " B exceeds its " +
-                          std::to_string(block_bytes) + " B block");
+                          std::to_string(kBlockBytes) + " B block");
 }
 
 }  // namespace
@@ -64,9 +63,9 @@ std::chrono::steady_clock::time_point flush_deadline(
 static_assert(CodecEngine::kMinShard == SlcCodec::kProbeChunk,
               "a shard stages one kernel chunk of views at a time");
 
-/// One dispatched batch: the requests' blocks back to back in one arena
-/// with an end offset per block, and index-aligned result slots (analyses,
-/// or the payload arena, by kind). It is one engine job, completed through
+/// One dispatched batch: the requests' 128 B blocks back to back in one
+/// arena, and index-aligned result slots (analyses, or the payload arena,
+/// by kind). It is one engine job, completed through
 /// that job's on_done: a shard exception cancels the rest of the batch and
 /// reaches every request as kError. Its stream owns it and reuses it once
 /// it retired, buffers cleared but their capacity kept.
@@ -88,8 +87,7 @@ struct CodecServer::Batch {
   size_t mag_bytes = kDefaultMagBytes;
   int priority = 0;  ///< the engine job's priority and EDF deadline
   std::chrono::steady_clock::time_point deadline = CodecEngine::kNoDeadline;
-  std::vector<uint8_t> bytes;
-  std::vector<size_t> ends;  ///< block i is bytes[block_begin(i), ends[i])
+  std::vector<uint8_t> bytes;  ///< block i is bytes[i * kBlockBytes, (i + 1) * kBlockBytes)
   std::vector<BlockAnalysis> analyses;             ///< kAnalyze / kDecide
   std::shared_ptr<detail::PayloadArena> payloads;  ///< kCompress
   std::vector<std::shared_ptr<detail::ServerRequest>> requests;
@@ -102,9 +100,6 @@ struct CodecServer::Batch {
   std::vector<std::chrono::nanoseconds> latencies;  ///< one per request
 
   Batch* next = nullptr;  ///< link in a ReadyBatches list or the spare list
-
-  size_t block_begin(size_t i) const { return i == 0 ? 0 : ends[i - 1]; }
-  size_t block_bytes(size_t i) const { return ends[i] - block_begin(i); }
 
   /// Sizes the result slots for a run over the batch's blocks.
   void prepare() {
@@ -127,7 +122,7 @@ struct CodecServer::Batch {
       const size_t n = std::min(kChunk, end - base);
       for (size_t j = 0; j < n; ++j)
         views[j] = BlockView(
-            std::span<const uint8_t>(bytes).subspan(block_begin(base + j), block_bytes(base + j)));
+            std::span<const uint8_t>(bytes).subspan((base + j) * kBlockBytes, kBlockBytes));
       const std::span<const BlockView> chunk(views.data(), n);
       if (kind != RequestKind::kCompress) {
         codec->analyze_batch(chunk, analyses.data() + base);
@@ -142,11 +137,10 @@ struct CodecServer::Batch {
       for (size_t j = 0; j < n; ++j) {
         const size_t i = base + j;
         const std::vector<uint8_t>& p = slots[j].payload;
-        if (p.size() > block_bytes(i)) throw_payload_overflow(*codec, p.size(), block_bytes(i));
+        if (p.size() > kBlockBytes) throw_payload_overflow(*codec, p.size());
         std::copy(p.begin(), p.end(),
-                  payloads->bytes.begin() + static_cast<ptrdiff_t>(block_begin(i)));
-        payloads->entries[i] = {.offset = block_begin(i),
-                                .length = p.size(),
+                  payloads->bytes.begin() + static_cast<ptrdiff_t>(i * kBlockBytes));
+        payloads->entries[i] = {.length = p.size(),
                                 .bit_size = slots[j].bit_size,
                                 .is_compressed = slots[j].is_compressed};
       }
@@ -160,25 +154,21 @@ struct CodecServer::Batch {
   /// batches fold the size and burst counters only.
   void fold_run(size_t first, size_t last, Fold& f) const {
     const size_t mag = mag_bytes;
-    const size_t run_begin = block_begin(first);
     RatioAccumulator ratios(mag);
     uint64_t uncompressed = 0, bursts = 0, final_bits = 0;
-    size_t begin = run_begin;
-    const auto fold_size = [&](size_t i, size_t size, bool compressed) {
-      const size_t block = ends[i] - begin, bits = block * 8;
-      begin = ends[i];
-      ratios.add(bits, size);
+    const auto fold_size = [&](size_t size, bool compressed) {
+      ratios.add(kBlockBytes * 8, size);
       uncompressed += compressed ? 0 : 1;
-      bursts += bursts_for_bits(size, mag, block);
+      bursts += bursts_for_bits(size, mag);
       final_bits += size;
     };
     CommitStats& cs = f.commit;
     if (kind == RequestKind::kCompress) {
       for (size_t i = first; i < last; ++i)
-        fold_size(i, payloads->entries[i].bit_size, payloads->entries[i].is_compressed);
+        fold_size(payloads->entries[i].bit_size, payloads->entries[i].is_compressed);
     } else {
       for (size_t i = first; i < last; ++i)
-        fold_size(i, analyses[i].bit_size, analyses[i].is_compressed);
+        fold_size(analyses[i].bit_size, analyses[i].is_compressed);
       uint64_t lossy = 0, truncated = 0, lossless = 0;
       CacheCounters cache;
       for (size_t i = first; i < last; ++i) {
@@ -196,7 +186,7 @@ struct CodecServer::Batch {
     cs.blocks += last - first;
     cs.uncompressed_blocks += uncompressed;
     cs.bursts += bursts;
-    cs.original_bits += (begin - run_begin) * 8;
+    cs.original_bits += (last - first) * kBlockBytes * 8;
     cs.final_bits += final_bits;
     f.ratios.merge(ratios);
   }
@@ -251,7 +241,8 @@ Response ServerTicket::wait() {
     resp.payloads.resize(req->n_blocks);
     for (size_t j = 0; j < req->n_blocks; ++j) {
       const detail::PayloadArena::Entry& e = arena->entries[req->offset + j];
-      const auto first = arena->bytes.begin() + static_cast<ptrdiff_t>(e.offset);
+      const auto first =
+          arena->bytes.begin() + static_cast<ptrdiff_t>((req->offset + j) * kBlockBytes);
       resp.payloads[j].payload.assign(first, first + static_cast<ptrdiff_t>(e.length));
       resp.payloads[j].bit_size = e.bit_size;
       resp.payloads[j].is_compressed = e.is_compressed;
@@ -316,8 +307,7 @@ ServerTicket CodecServer::submit(StreamId s, const Request& r) {
   // Latency is measured from here — before any admission wait or coalescing
   // delay — so percentiles reflect what the client experienced.
   req->submitted = std::chrono::steady_clock::now();
-  const size_t n = !r.blocks.empty() ? r.blocks.size()
-                                     : (r.bytes.size() + kBlockBytes - 1) / kBlockBytes;
+  const size_t n = (r.bytes.size() + kBlockBytes - 1) / kBlockBytes;
   req->n_blocks = n;
   req->kind = r.kind;
   req->tag = r.tag;
@@ -388,31 +378,21 @@ ServerTicket CodecServer::submit(StreamId s, const Request& r) {
     // Batches are kind-homogeneous: a kind switch flushes the pending batch.
     if (!st.pending.empty() && st.pending_kind != r.kind) dispatch_locked(s, ready);
 
-    req->offset = st.pending_ends.size();
+    req->offset = st.pending_bytes.size() / kBlockBytes;
     req->batch = st.stats.batches;  // the number dispatch will give this batch
     if (st.pending.empty()) {
       st.pending_kind = r.kind;
       st.flush_by = kNoFlush;
       st.pending_has_deadline = false;
       st.pending_deadline = CodecEngine::kNoDeadline;
-      // Size the buffers for a full batch once instead of regrowing them
-      // request by request (a no-op when a recycled batch left them this
+      // Size the buffer for a full batch once instead of regrowing it
+      // request by request (a no-op when a recycled batch left it this
       // large).
-      const size_t expect = reserve_blocks(cfg_.batch_blocks);
-      st.pending_ends.reserve(expect);
-      st.pending_bytes.reserve(expect * kBlockBytes);
+      st.pending_bytes.reserve(reserve_blocks(cfg_.batch_blocks) * kBlockBytes);
     }
-    if (!r.blocks.empty()) {
-      for (const Block& b : r.blocks) {
-        st.pending_bytes.insert(st.pending_bytes.end(), b.bytes().begin(), b.bytes().end());
-        st.pending_ends.push_back(st.pending_bytes.size());
-      }
-    } else {
-      const size_t start = st.pending_bytes.size();
-      st.pending_bytes.insert(st.pending_bytes.end(), r.bytes.begin(), r.bytes.end());
-      st.pending_bytes.resize(start + n * kBlockBytes);  // zero-pads the ragged tail
-      for (size_t j = 1; j <= n; ++j) st.pending_ends.push_back(start + j * kBlockBytes);
-    }
+    const size_t start = st.pending_bytes.size();
+    st.pending_bytes.insert(st.pending_bytes.end(), r.bytes.begin(), r.bytes.end());
+    st.pending_bytes.resize(start + n * kBlockBytes);  // zero-pads the ragged tail
     st.pending.push_back(req);
     pending_blocks_total_ += n;
     if (r.deadline.count() > 0) {
@@ -424,7 +404,7 @@ ServerTicket CodecServer::submit(StreamId s, const Request& r) {
     // as the batch retires.
     const bool over_budget = cfg_.max_inflight_blocks != 0 &&
                              inflight_blocks_ + pending_blocks_total_ > cfg_.max_inflight_blocks;
-    if (st.pending_ends.size() >= cfg_.batch_blocks || over_budget) {
+    if (st.pending_bytes.size() >= cfg_.batch_blocks * kBlockBytes || over_budget) {
       dispatch_locked(s, ready);
     } else {
       // Parked: arm the flush timer so a submit lull cannot strand the batch.
@@ -498,9 +478,8 @@ void CodecServer::dispatch_locked(StreamId s, ReadyBatches& ready) {
   // Swap, not move: the pending side takes the recycled batch's cleared
   // buffers and keeps their capacity for the next batch.
   batch->bytes.swap(st.pending_bytes);
-  batch->ends.swap(st.pending_ends);
   batch->requests.swap(st.pending);
-  const size_t n = batch->ends.size();
+  const size_t n = batch->bytes.size() / kBlockBytes;
   batch->blocks = n;
   // A batch carrying any explicit deadline claims shards ahead of everything
   // priority-scheduled between the bulk/latency ends; its earliest absolute
@@ -551,13 +530,10 @@ void CodecServer::complete_batch(Batch& batch, std::exception_ptr err) {
   // next use, unless they outgrew twice a full batch.
   batch.payloads.reset();
   batch.bytes.clear();
-  batch.ends.clear();
   batch.analyses.clear();
   batch.requests.clear();
-  const size_t keep_blocks = 2 * reserve_blocks(cfg_.batch_blocks);
-  if (batch.ends.capacity() > keep_blocks || batch.bytes.capacity() > keep_blocks * kBlockBytes) {
+  if (batch.bytes.capacity() > 2 * reserve_blocks(cfg_.batch_blocks) * kBlockBytes) {
     batch.bytes.shrink_to_fit();
-    batch.ends.shrink_to_fit();
     batch.analyses.shrink_to_fit();
     batch.requests.shrink_to_fit();
   }

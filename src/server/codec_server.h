@@ -28,10 +28,10 @@
 //     percentiles (a fixed-size LatencyHistogram, p50/p99), rejections and
 //     deadline misses.
 //
-// Memory: a stream's pending batch is one byte arena plus an end offset per
-// block, appended to by submit(); shards view it on the stack, one 64-block
-// kernel chunk at a time. A kCompress batch writes each payload into a
-// per-batch payload arena at its block's input offset, and the waiting
+// Memory: a stream's pending batch is one byte arena of 128 B blocks,
+// appended to by submit(); shards view it on the stack, one 64-block kernel
+// chunk at a time. A kCompress batch writes each payload into a per-batch
+// payload arena at its block's input offset, and the waiting
 // thread builds its Response::payloads from that slice in wait(). So the
 // path from submit() to wait() allocates nothing per block except the
 // payload vectors a Response must own. Batches are recycled: dispatch takes
@@ -144,17 +144,13 @@ struct StreamConfig {
 
 using StreamId = uint32_t;
 
-/// One typed request. Exactly one of `blocks` / `bytes` should be set;
-/// `blocks` wins when both are non-empty. The spans are copied at submit()
-/// and need not outlive the call.
+/// One typed request. `bytes` is copied at submit() and need not outlive
+/// the call.
 struct Request {
   RequestKind kind = RequestKind::kAnalyze;
   /// Flat byte buffer, sliced into 128 B blocks (ragged tail zero-padded
   /// like to_blocks).
   std::span<const uint8_t> bytes{};
-  /// Pre-blocked input (takes precedence over `bytes`); each block keeps its
-  /// own size.
-  std::span<const Block> blocks{};
   /// Completion deadline relative to submit(); 0 = none. A deadline arms the
   /// flush timer with a budget of deadline/2 (capped by
   /// Config::max_coalesce_delay) and boosts the carrying batch to
@@ -237,14 +233,12 @@ struct StreamStats {
 
 namespace detail {
 
-/// A kCompress batch's output. Block i's payload is `bytes[offset, offset +
-/// length)`, where `offset` is the block's offset in the batch's input arena
-/// — so each payload has a slot as long as its block — and its size and flag
-/// travel alongside. Written by the batch's shards (disjoint entries and
-/// slots), read only after the batch completed.
+/// A kCompress batch's output. Block i's payload is `bytes[i * kBlockBytes,
+/// i * kBlockBytes + length)` — so each payload has a slot as long as its
+/// block — and its size and flag travel alongside. Written by the batch's
+/// shards (disjoint entries and slots), read only after the batch completed.
 struct PayloadArena {
   struct Entry {
-    size_t offset = 0;
     size_t length = 0;  ///< payload bytes actually written (not derived from bit_size)
     size_t bit_size = 0;
     bool is_compressed = false;
@@ -412,10 +406,8 @@ class CodecServer {
     std::shared_ptr<const Compressor> codec;
     int engine_priority = 0;
     /// The pending requests' blocks back to back, owned until dispatch;
-    /// block i is pending_bytes[pending_ends[i - 1] (0 for i = 0),
-    /// pending_ends[i]).
+    /// block i is pending_bytes[i * kBlockBytes, (i + 1) * kBlockBytes).
     std::vector<uint8_t> pending_bytes;
-    std::vector<size_t> pending_ends;
     std::vector<std::shared_ptr<detail::ServerRequest>> pending;
     /// Kind of the pending batch (a submit with a different kind dispatches
     /// the pending batch first — batches are kind-homogeneous).

@@ -45,7 +45,6 @@ class DramChannel {
   /// requests appear in completions() with the cycle their data phase ends.
   void tick(uint64_t cycle);
 
-  bool busy() const { return reads_.size() != 0 || writes_.size() != 0 || !completions_.empty(); }
   size_t read_queue_depth() const { return reads_.size(); }
   size_t write_queue_depth() const { return writes_.size(); }
 

@@ -35,6 +35,7 @@
 #include <deque>
 #include <optional>
 #include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "bit_writer.h"
@@ -48,6 +49,26 @@
 #include "core/tree_selector.h"
 
 namespace slc::test {
+
+// The one geometry every codec takes, written out here rather than read off
+// the codecs: 128 B blocks of 64 symbols, 4 E2MC ways of 16 symbols found by
+// 7-bit pdps, and the 6-bit ss and 4-bit len of the Fig. 6 header.
+constexpr size_t kRefBlockBytes = 128;
+constexpr size_t kRefSymbols = kRefBlockBytes / 2;
+constexpr unsigned kRefWays = 4;
+constexpr size_t kRefPerWay = kRefSymbols / kRefWays;
+constexpr unsigned kRefPdpBits = 7;
+constexpr unsigned kRefSsBits = 6;
+constexpr unsigned kRefLenBits = 4;
+constexpr size_t kRefE2mcHeaderBits = (kRefWays - 1) * kRefPdpBits;
+constexpr size_t kRefSlcHeaderBits = 1 + kRefSsBits + kRefLenBits + kRefE2mcHeaderBits;
+
+/// Throws std::invalid_argument, as every codec entry point does, unless
+/// `block` is kRefBlockBytes.
+inline void ref_check_block(BlockView block) {
+  if (block.size() != kRefBlockBytes)
+    throw std::invalid_argument("reference codec: a block is 128 B");
+}
 
 // --- lossless encoders --------------------------------------------------------
 
@@ -72,11 +93,15 @@ inline bool fits_signed(int64_t v, size_t bytes) {
   return v >= -lim && v < lim;
 }
 
+inline uint64_t word64(BlockView b, size_t i) {
+  return b.word32(2 * i) | uint64_t{b.word32(2 * i + 1)} << 32;
+}
+
 inline uint64_t load_word(BlockView b, size_t i, size_t base_bytes) {
   switch (base_bytes) {
     case 2: return b.symbol(i);
     case 4: return b.word32(i);
-    case 8: return b.word64(i);
+    case 8: return word64(b, i);
     default: assert(false); return 0;
   }
 }
@@ -109,7 +134,7 @@ inline bool encodable(BlockView block, BdiEncoding enc, uint64_t* base_out) {
 
 /// The smallest valid BDI encoding of `block`.
 inline BdiEncoding ref_bdi_best_encoding(BlockView block) {
-  check_block_bytes(block.size(), 8, "BDI");
+  ref_check_block(block);
   // All-zero?
   bool all_zero = true;
   for (uint8_t b : block.bytes())
@@ -118,15 +143,15 @@ inline BdiEncoding ref_bdi_best_encoding(BlockView block) {
 
   // Repeated 64-bit value?
   bool repeated = true;
-  const uint64_t first = block.word64(0);
+  const uint64_t first = ref_bdi::word64(block, 0);
   for (size_t i = 1; i < block.size() / 8; ++i)
-    if (block.word64(i) != first) { repeated = false; break; }
+    if (ref_bdi::word64(block, i) != first) { repeated = false; break; }
   if (repeated) return BdiEncoding::kRepeat64;
 
   BdiEncoding best = BdiEncoding::kUncompressed;
   size_t best_bits = block.size() * 8;
   for (BdiEncoding enc : BdiCompressor::candidate_order()) {
-    const size_t bits = BdiCompressor::encoding_bits(enc, block.size());
+    const size_t bits = BdiCompressor::encoding_bits(enc);
     if (bits >= best_bits) continue;
     if (ref_bdi::encodable(block, enc, nullptr)) {
       best = enc;
@@ -140,9 +165,8 @@ inline CompressedBlock ref_bdi_compress(BlockView block) {
   using namespace ref_bdi;
   const BdiEncoding enc = ref_bdi_best_encoding(block);
   CompressedBlock out;
-  // Stored raw unless the encoding is smaller than the block: kUncompressed,
-  // and kRepeat64 (68 bits) on an 8 B block.
-  if (BdiCompressor::encoding_bits(enc, block.size()) >= block.size() * 8) {
+  // Stored raw unless the encoding is smaller than the block: kUncompressed.
+  if (BdiCompressor::encoding_bits(enc) >= block.size() * 8) {
     out.is_compressed = false;
     out.bit_size = block.size() * 8;
     out.payload.assign(block.bytes().begin(), block.bytes().end());
@@ -155,7 +179,7 @@ inline CompressedBlock ref_bdi_compress(BlockView block) {
     case BdiEncoding::kZeros:
       break;  // tag only
     case BdiEncoding::kRepeat64:
-      w.put(block.word64(0), 64);
+      w.put(word64(block, 0), 64);
       break;
     default: {
       const BdiCompressor::Geometry g = BdiCompressor::geometry(enc);
@@ -183,12 +207,12 @@ inline CompressedBlock ref_bdi_compress(BlockView block) {
   out.is_compressed = true;
   out.bit_size = w.bit_size();
   out.payload = w.bytes();
-  assert(out.bit_size == BdiCompressor::encoding_bits(enc, block.size()));
+  assert(out.bit_size == BdiCompressor::encoding_bits(enc));
   return out;
 }
 
 inline BlockAnalysis ref_bdi_analyze(BlockView block) {
-  const size_t bits = BdiCompressor::encoding_bits(ref_bdi_best_encoding(block), block.size());
+  const size_t bits = BdiCompressor::encoding_bits(ref_bdi_best_encoding(block));
   const size_t raw_bits = block.size() * 8;
   BlockAnalysis a;
   a.is_compressed = bits < raw_bits;
@@ -239,7 +263,7 @@ inline unsigned payload_bits(FpcPattern p) {
 
 inline CompressedBlock ref_fpc_compress(BlockView block) {
   using namespace ref_fpc;
-  check_block_bytes(block.size(), 4, "FPC");
+  ref_check_block(block);
   const size_t n_words = block.size() / 4;
   BitWriter w;
   size_t i = 0;
@@ -287,7 +311,7 @@ inline BlockAnalysis ref_fpc_analyze(BlockView block) {
   // Mirror of ref_fpc_compress(): the same word walk, summing sizes instead
   // of emitting bits.
   using namespace ref_fpc;
-  check_block_bytes(block.size(), 4, "FPC");
+  ref_check_block(block);
   const size_t n_words = block.size() / 4;
   size_t bits = 0;
   size_t i = 0;
@@ -385,7 +409,7 @@ inline unsigned code_bits(CpackCode c, unsigned index_bits) {
 
 inline CompressedBlock ref_cpack_compress(BlockView block, size_t dict_entries) {
   using namespace ref_cpack;
-  check_block_bytes(block.size(), 4, "C-PACK");
+  ref_check_block(block);
   const unsigned index_bits = index_width(dict_entries);
   const size_t n_words = block.size() / 4;
   FifoDict dict(dict_entries);
@@ -444,7 +468,7 @@ inline BlockAnalysis ref_cpack_analyze(BlockView block, size_t dict_entries) {
   // Mirror of ref_cpack_compress(): same dictionary walk (the FIFO must see
   // the same push sequence), summing code sizes instead of emitting bits.
   using namespace ref_cpack;
-  check_block_bytes(block.size(), 4, "C-PACK");
+  ref_check_block(block);
   const unsigned index_bits = index_width(dict_entries);
   const size_t n_words = block.size() / 4;
   FifoDict dict(dict_entries);
@@ -479,17 +503,36 @@ inline BlockAnalysis ref_cpack_analyze(BlockView block, size_t dict_entries) {
 /// Per-symbol encoded lengths of one block — the values the TSLC tree adder
 /// reads from the compressor's code-length table.
 inline std::vector<uint16_t> ref_code_lengths(const E2mcCompressor& e2mc, BlockView block) {
-  check_block_bytes(block.size(), kSymbolBits / 8, "E2MC");
-  const size_t n = block.num_symbols();
-  std::vector<uint16_t> lens(n);
-  for (size_t i = 0; i < n; ++i)
+  ref_check_block(block);
+  std::vector<uint16_t> lens(kRefSymbols);
+  for (size_t i = 0; i < kRefSymbols; ++i)
     lens[i] = static_cast<uint16_t>(e2mc.code().encoded_bits(block.symbol(i)));
   return lens;
 }
 
+/// E2MC way layout of a block's code lengths behind a `header_bits` header,
+/// with symbols [skip_start, skip_start + skip_count) removed: each symbol
+/// outside the window adds to way i / kRefPerWay.
+inline WayLayout ref_layout(std::span<const uint16_t> code_lens, size_t header_bits,
+                            size_t skip_start = 0, size_t skip_count = 0) {
+  assert(code_lens.size() == kRefSymbols);
+  WayLayout lo;
+  lo.header_bits = header_bits;
+  for (size_t i = 0; i < kRefSymbols; ++i) {
+    if (i >= skip_start && i < skip_start + skip_count) continue;
+    lo.way_bits[i / kRefPerWay] += code_lens[i];
+  }
+  size_t total = (header_bits + 7) / 8;  // header byte-padded
+  for (unsigned w = 0; w < kRefWays; ++w) {
+    lo.way_bytes[w] = (lo.way_bits[w] + 7) / 8;
+    total += lo.way_bytes[w];
+  }
+  lo.total_bits = total * 8;
+  return lo;
+}
+
 inline BlockAnalysis ref_e2mc_analyze(const E2mcCompressor& e2mc, BlockView block) {
-  const auto lens = ref_code_lengths(e2mc, block);
-  const WayLayout lo = e2mc.layout(lens, e2mc.header_bits(block.size()));
+  const WayLayout lo = ref_layout(ref_code_lengths(e2mc, block), kRefE2mcHeaderBits);
   const size_t raw_bits = block.size() * 8;
   BlockAnalysis a;
   a.is_compressed = lo.total_bits < raw_bits;
@@ -502,24 +545,21 @@ inline BlockAnalysis ref_e2mc_analyze(const E2mcCompressor& e2mc, BlockView bloc
 /// (which must be empty) according to `lo`.
 inline void ref_e2mc_emit_ways(const E2mcCompressor& e2mc, BlockView block, const WayLayout& lo,
                                BitWriter& w) {
-  const unsigned ways = e2mc.config().num_ways;
   const HuffmanCode& code = e2mc.code();
-  const unsigned pdp = E2mcCompressor::pdp_bits(block.size());
-  const size_t per_way = e2mc.symbols_per_way(block.num_symbols());
-  // Header: pdp_i = byte offset of way i (i = 1..num_ways-1) within payload.
-  const size_t header_bytes = (e2mc.header_bits(block.size()) + 7) / 8;
+  // Header: pdp_i = byte offset of way i (i = 1..3) within payload.
+  const size_t header_bytes = (kRefE2mcHeaderBits + 7) / 8;
   size_t off = header_bytes;
-  for (unsigned i = 1; i < ways; ++i) {
+  for (unsigned i = 1; i < kRefWays; ++i) {
     off += lo.way_bytes[i - 1];
-    w.put(off, pdp);
+    w.put(off, kRefPdpBits);
   }
   // Pad header to a byte boundary.
   const size_t pad = header_bytes * 8 - w.bit_size();
   if (pad) w.put(0, static_cast<unsigned>(pad));
 
-  for (unsigned way = 0; way < ways; ++way) {
+  for (unsigned way = 0; way < kRefWays; ++way) {
     const size_t start_bit = w.bit_size();
-    for (size_t s = way * per_way; s < (way + 1) * per_way; ++s) {
+    for (size_t s = way * kRefPerWay; s < (way + 1) * kRefPerWay; ++s) {
       const uint16_t sym = block.symbol(s);
       if (code.in_table(sym)) {
         w.put(code.codeword(sym), code.codeword_len(sym));
@@ -538,8 +578,7 @@ inline void ref_e2mc_emit_ways(const E2mcCompressor& e2mc, BlockView block, cons
 }
 
 inline CompressedBlock ref_e2mc_compress(const E2mcCompressor& e2mc, BlockView block) {
-  const auto lens = ref_code_lengths(e2mc, block);
-  const WayLayout lo = e2mc.layout(lens, e2mc.header_bits(block.size()));
+  const WayLayout lo = ref_layout(ref_code_lengths(e2mc, block), kRefE2mcHeaderBits);
   const size_t raw_bits = block.size() * 8;
 
   CompressedBlock out;
@@ -560,7 +599,7 @@ inline CompressedBlock ref_e2mc_compress(const E2mcCompressor& e2mc, BlockView b
 }
 
 inline BlockAnalysis ref_huffman_analyze(const HuffmanCompressor& huff, BlockView block) {
-  check_block_bytes(block.size(), kSymbolBits / 8, "Huffman");
+  ref_check_block(block);
   const size_t n = block.num_symbols();
   size_t bits = 0;
   for (size_t i = 0; i < n; ++i) bits += huff.code().encoded_bits(block.symbol(i));
@@ -642,27 +681,6 @@ inline RefCodec ref_codec(const Compressor& comp) {
 
 // --- SLC decision ---------------------------------------------------------------
 
-/// E2MC way layout with symbols [skip_start, skip_start + skip_count)
-/// removed. `code_lens.size()` must be a positive multiple of `num_ways`.
-inline WayLayout ref_layout(std::span<const uint16_t> code_lens, unsigned num_ways,
-                            size_t header_bits, size_t skip_start = 0, size_t skip_count = 0) {
-  WayLayout lo;
-  lo.header_bits = header_bits;
-  const size_t n = code_lens.size();
-  const size_t per_way = n / num_ways;
-  for (size_t i = 0; i < n; ++i) {
-    if (i >= skip_start && i < skip_start + skip_count) continue;
-    lo.way_bits[i / per_way] += code_lens[i];
-  }
-  size_t total = (header_bits + 7) / 8;  // header byte-padded
-  for (unsigned w = 0; w < num_ways; ++w) {
-    lo.way_bytes[w] = (lo.way_bits[w] + 7) / 8;
-    total += lo.way_bytes[w];
-  }
-  lo.total_bits = total * 8;
-  return lo;
-}
-
 /// Every TSLC window in the Fig. 5 first-fit order (sizes 1, 2, 4, [6], 8,
 /// [12], 16; symbol order within a size), each with its code-length sum.
 /// The 6- and 12-symbol classes need `extra_nodes`.
@@ -714,9 +732,7 @@ inline std::optional<TreeCandidate> ref_select(std::span<const uint16_t> code_le
 /// when that needs as many bursts as the raw block.
 inline SlcCodec::Decision ref_decide(const E2mcCompressor& e2mc, const SlcConfig& cfg,
                                      BlockView block) {
-  const unsigned ways = e2mc.config().num_ways;
   const std::vector<uint16_t> lens = ref_code_lengths(e2mc, block);
-  const size_t header = SlcHeader::bits(block.size(), ways, lens.size());
   const size_t raw_bits = block.size() * 8;
   const size_t mag_bits = cfg.mag_bytes * 8;
   const size_t max_bursts = block.size() / cfg.mag_bytes;
@@ -725,7 +741,7 @@ inline SlcCodec::Decision ref_decide(const E2mcCompressor& e2mc, const SlcConfig
   };
 
   SlcCodec::Decision d;
-  const size_t comp_bits = ref_layout(lens, ways, header).total_bits;
+  const size_t comp_bits = ref_layout(lens, kRefSlcHeaderBits).total_bits;
   d.info.lossless_bits = comp_bits;
   const auto raw = [&] {
     d.info.stored_uncompressed = true;
@@ -741,7 +757,8 @@ inline SlcCodec::Decision ref_decide(const E2mcCompressor& e2mc, const SlcConfig
   if (extra != 0 && extra <= cfg.threshold_bytes * 8) {
     size_t need = extra;
     while (const auto cand = ref_select(lens, need, cfg.variant == SlcVariant::kOpt)) {
-      const size_t cut = ref_layout(lens, ways, header, cand->start, cand->count).total_bits;
+      const size_t cut =
+          ref_layout(lens, kRefSlcHeaderBits, cand->start, cand->count).total_bits;
       if (cut <= budget) {
         d.info.lossy = true;
         d.info.truncated_symbols = cand->count;
@@ -764,11 +781,10 @@ inline SlcCodec::Decision ref_decide(const E2mcCompressor& e2mc, const SlcConfig
 /// The TSLC payload of one block under its reference decision (ref_decide):
 /// the block's bytes when stored raw, otherwise the Fig. 6 header and the
 /// ways, field by field through the reference BitWriter. The header is m
-/// (1 bit), ss (S bits, 2^S >= symbols), len (4 bits, count-1; 0 when
-/// lossless) and one N-bit pdp per way after the first (2^N >= block
-/// bytes), each the byte offset of its way, then zero-padded to a byte;
-/// each way codes its symbols outside the truncation window and pads to a
-/// byte.
+/// (1 bit), ss (6 bits), len (4 bits, count-1; 0 when lossless) and one
+/// 7-bit pdp per way after the first, each the byte offset of its way: 32
+/// bits. Each way codes its symbols outside the truncation window and pads
+/// to a byte.
 inline CompressedBlock ref_slc_compress(const E2mcCompressor& e2mc, const SlcConfig& cfg,
                                         BlockView block) {
   const SlcCodec::Decision d = ref_decide(e2mc, cfg, block);
@@ -779,37 +795,28 @@ inline CompressedBlock ref_slc_compress(const E2mcCompressor& e2mc, const SlcCon
     out.payload.assign(block.bytes().begin(), block.bytes().end());
     return out;
   }
-  const auto bits_for = [](size_t values) {
-    unsigned n = 0;
-    while ((size_t{1} << n) < values) ++n;
-    return n;
-  };
-  const unsigned ways = e2mc.config().num_ways;
-  const size_t n = block.num_symbols();
-  const size_t per_way = n / ways;
-  const unsigned ss_bits = bits_for(n), pdp_bits = bits_for(block.size());
-  const size_t header_bytes = (1 + ss_bits + 4 + (ways - 1) * pdp_bits + 7) / 8;
+  const size_t header_bytes = kRefSlcHeaderBits / 8;
   const size_t skip_end = d.skip_start + d.skip_count;
   const auto truncated = [&](size_t s) { return s >= d.skip_start && s < skip_end; };
 
-  std::vector<size_t> way_bits(ways, 0);
-  for (size_t s = 0; s < n; ++s)
-    if (!truncated(s)) way_bits[s / per_way] += e2mc.code().encoded_bits(block.symbol(s));
+  std::array<size_t, kRefWays> way_bits{};
+  for (size_t s = 0; s < kRefSymbols; ++s)
+    if (!truncated(s)) way_bits[s / kRefPerWay] += e2mc.code().encoded_bits(block.symbol(s));
 
   BitWriter w;
   w.put_bit(d.info.lossy);
-  w.put(d.skip_start, ss_bits);
-  w.put(d.info.lossy ? d.skip_count - 1 : 0, 4);
+  w.put(d.skip_start, kRefSsBits);
+  w.put(d.info.lossy ? d.skip_count - 1 : 0, kRefLenBits);
   size_t offset = header_bytes;
-  for (unsigned i = 1; i < ways; ++i) {
+  for (unsigned i = 1; i < kRefWays; ++i) {
     offset += (way_bits[i - 1] + 7) / 8;
-    w.put(offset, pdp_bits);
+    w.put(offset, kRefPdpBits);
   }
-  w.put(0, static_cast<unsigned>(header_bytes * 8 - w.bit_size()));
+  assert(w.bit_size() == header_bytes * 8);
 
   const HuffmanCode& code = e2mc.code();
-  for (unsigned way = 0; way < ways; ++way) {
-    for (size_t s = way * per_way; s < (way + 1) * per_way; ++s) {
+  for (unsigned way = 0; way < kRefWays; ++way) {
+    for (size_t s = way * kRefPerWay; s < (way + 1) * kRefPerWay; ++s) {
       if (truncated(s)) continue;
       const uint16_t sym = block.symbol(s);
       if (code.in_table(sym)) {

@@ -41,7 +41,7 @@ TEST(Bdi, Base8Delta1) {
   const BdiCompressor c;
   EXPECT_EQ(encoding_of(c, b), BdiEncoding::kBase8Delta1);
   const auto cb = c.compress(b.view());
-  EXPECT_EQ(cb.bit_size, BdiCompressor::encoding_bits(BdiEncoding::kBase8Delta1, kBlockBytes));
+  EXPECT_EQ(cb.bit_size, BdiCompressor::encoding_bits(BdiEncoding::kBase8Delta1));
   EXPECT_EQ(c.decompress(cb, kBlockBytes), b);
 }
 
@@ -88,13 +88,13 @@ TEST(Bdi, IncompressibleFallsBack) {
 }
 
 TEST(Bdi, EncodingBitsTable) {
-  EXPECT_EQ(BdiCompressor::encoding_bits(BdiEncoding::kZeros, 128), 4u);
-  EXPECT_EQ(BdiCompressor::encoding_bits(BdiEncoding::kRepeat64, 128), 68u);
+  EXPECT_EQ(BdiCompressor::encoding_bits(BdiEncoding::kZeros), 4u);
+  EXPECT_EQ(BdiCompressor::encoding_bits(BdiEncoding::kRepeat64), 68u);
   // B8D1: 4 + 64 + 16 mask + 16*8 deltas = 212.
-  EXPECT_EQ(BdiCompressor::encoding_bits(BdiEncoding::kBase8Delta1, 128), 212u);
+  EXPECT_EQ(BdiCompressor::encoding_bits(BdiEncoding::kBase8Delta1), 212u);
   // B4D1: 4 + 32 + 32 + 32*8 = 324.
-  EXPECT_EQ(BdiCompressor::encoding_bits(BdiEncoding::kBase4Delta1, 128), 324u);
-  EXPECT_EQ(BdiCompressor::encoding_bits(BdiEncoding::kUncompressed, 128), 1024u);
+  EXPECT_EQ(BdiCompressor::encoding_bits(BdiEncoding::kBase4Delta1), 324u);
+  EXPECT_EQ(BdiCompressor::encoding_bits(BdiEncoding::kUncompressed), 1024u);
 }
 
 TEST(Bdi, PicksSmallestValidEncoding) {

@@ -40,7 +40,8 @@ TEST(Block, Word32AndSymbolsAgree) {
 TEST(Block, Word64RoundTrip) {
   Block b;
   b.set_word64(3, 0x0123456789ABCDEFull);
-  EXPECT_EQ(b.view().word64(3), 0x0123456789ABCDEFull);
+  EXPECT_EQ(b.view().word32(6), 0x89ABCDEFu);  // low word first (little endian)
+  EXPECT_EQ(b.view().word32(7), 0x01234567u);
 }
 
 TEST(Geometry, SymbolsPerBlock) {

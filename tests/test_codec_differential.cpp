@@ -29,40 +29,29 @@ namespace {
 // --- lossless encoders ----------------------------------------------------------
 
 // Every lossless scheme's analyze_batch/compress_batch against its reference
-// encoder: C-PACK at every dictionary size and E2MC at every way count, on
-// blocks from one word to 8 KiB (every size over 512 B is one the kernels
-// once handed to a per-block scalar member), random, all-zero, denormal,
+// encoder: C-PACK at every dictionary size, on random, all-zero, denormal,
 // value-similar, repeat-delta and zero-run data, at batch splits of 1, 5 and
 // the whole span with the SIMD sub-kernels pinned off and on. Two more spans
 // per scheme check the payload layout's edges: an empty span, which must
-// write no slot, and one span mixing one-word, 96 B, 128 B, 520 B and 8 KiB
-// blocks of random and all-zero data, so stored-raw and compressed payloads
-// of every size sit side by side. analyze_batch must also size every block
-// exactly as compress_batch does, a compressed block must be smaller than
-// the raw block, and decompress must return every block.
+// write no slot, and one span alternating random and all-zero blocks, so
+// stored-raw and compressed payloads sit side by side. analyze_batch must
+// also size every block exactly as compress_batch does, a compressed block
+// must be smaller than the raw block, and decompress must return every
+// block.
 TEST(CodecDifferential, LosslessMatchesReference) {
   test::ForceScalarGuard guard;
   const auto training = test::quantized_walk(0x1055, 64);
   struct Scheme {
     std::string label;
     std::shared_ptr<const Compressor> comp;
-    size_t word_bytes;  // the scheme's coding unit
-    size_t ways;        // symbols must split evenly into this many ways
   };
-  std::vector<Scheme> schemes = {{"BDI", std::make_shared<BdiCompressor>(), 8, 1},
-                                 {"FPC", std::make_shared<FpcCompressor>(), 4, 1}};
+  std::vector<Scheme> schemes = {{"BDI", std::make_shared<BdiCompressor>()},
+                                 {"FPC", std::make_shared<FpcCompressor>()}};
   for (const size_t dict : {2, 4, 8, 16, 32, 64})
-    schemes.push_back({"C-PACK/" + std::to_string(dict),
-                       std::make_shared<CpackCompressor>(dict), 4, 1});
-  for (const unsigned ways : {1u, 2u, 4u, 8u}) {
-    E2mcConfig cfg;
-    cfg.num_ways = ways;
-    schemes.push_back({"E2MC/" + std::to_string(ways) + "way",
-                       E2mcCompressor::train(training, cfg), 2, ways});
-  }
-  schemes.push_back({"Huffman", HuffmanCompressor::train(training), 2, 1});
+    schemes.push_back({"C-PACK/" + std::to_string(dict), std::make_shared<CpackCompressor>(dict)});
+  schemes.push_back({"E2MC", E2mcCompressor::train(training)});
+  schemes.push_back({"Huffman", HuffmanCompressor::train(training)});
 
-  size_t large_compressed = 0;  // compressed blocks over 512 B
   const auto check_span = [&](const Scheme& sc, const test::RefCodec& ref,
                               const std::vector<Block>& blocks, const std::string& tag) {
     const size_t n_blocks = blocks.size();
@@ -100,11 +89,9 @@ TEST(CodecDifferential, LosslessMatchesReference) {
         }
       }
     }
-    for (size_t i = 0; i < n_blocks; ++i) {
-      EXPECT_EQ(sc.comp->decompress(got_c[i], blocks[i].size()), blocks[i])
+    for (size_t i = 0; i < n_blocks; ++i)
+      EXPECT_EQ(sc.comp->decompress(got_c[i], kBlockBytes), blocks[i])
           << tag << " block " << i << " decompress";
-      if (blocks[i].size() > 512 && got_c[i].is_compressed) ++large_compressed;
-    }
   };
 
   const char* const kinds[] = {"random",        "all-zero",     "denormal",
@@ -112,19 +99,9 @@ TEST(CodecDifferential, LosslessMatchesReference) {
   for (const Scheme& sc : schemes) {
     const test::RefCodec ref = test::ref_codec(*sc.comp);
     ASSERT_NE(ref.analyze, nullptr) << sc.label;
-    const auto fits = [&](size_t block_bytes) {
-      return (block_bytes / 2) % sc.ways == 0;  // an even way split
-    };
-    for (const size_t block_bytes : {sc.word_bytes, 3 * sc.word_bytes, size_t{64}, size_t{96},
-                                     size_t{128}, size_t{256}, size_t{512}, size_t{520},
-                                     size_t{1024}, size_t{8192}}) {
-      if (!fits(block_bytes)) continue;
-      const size_t n_blocks = std::max<size_t>(6, std::min<size_t>(24, 16384 / block_bytes));
-      for (const char* kind : kinds) {
-        const auto bytes = test::data_stream(kind, n_blocks * block_bytes, block_bytes);
-        check_span(sc, ref, to_blocks(bytes, block_bytes),
-                   sc.label + " " + kind + " " + std::to_string(block_bytes) + " B");
-      }
+    for (const char* kind : kinds) {
+      const auto bytes = test::data_stream(kind, 48 * kBlockBytes, kBlockBytes);
+      check_span(sc, ref, to_blocks(bytes), sc.label + " " + kind);
     }
 
     // An empty span writes no slot.
@@ -139,23 +116,18 @@ TEST(CodecDifferential, LosslessMatchesReference) {
     EXPECT_EQ(c_slot.bit_size, 7u) << sc.label << " empty span";
     EXPECT_EQ(c_slot.payload, (std::vector<uint8_t>{1, 2, 3})) << sc.label << " empty span";
 
-    // Mixed block sizes in one span, random beside all-zero.
+    // Random beside all-zero blocks in one span.
     std::vector<Block> mixed;
-    for (const size_t block_bytes :
-         {sc.word_bytes, size_t{96}, size_t{128}, size_t{520}, size_t{8192}}) {
-      if (!fits(block_bytes)) continue;
-      for (const char* kind : {"random", "all-zero"})
-        mixed.emplace_back(test::data_stream(kind, block_bytes, mixed.size()));
-    }
-    check_span(sc, ref, mixed, sc.label + " mixed sizes");
+    for (size_t i = 0; i < 10; ++i)
+      mixed.emplace_back(test::data_stream(i % 2 ? "all-zero" : "random", kBlockBytes, i));
+    check_span(sc, ref, mixed, sc.label + " mixed");
   }
-  EXPECT_GT(large_compressed, 0u);
 }
 
 // --- SLC decision -----------------------------------------------------------------
 
-std::vector<uint16_t> random_lens(Rng& rng, size_t n) {
-  std::vector<uint16_t> lens(n);
+std::vector<uint16_t> random_lens(Rng& rng) {
+  std::vector<uint16_t> lens(kSymbolsPerBlock);
   for (uint16_t& l : lens) l = static_cast<uint16_t>(1 + rng.next_below(32));
   return lens;
 }
@@ -176,38 +148,26 @@ void expect_candidate_eq(const std::optional<TreeCandidate>& ref,
   EXPECT_EQ(ref->sum_bits, got->sum_bits) << what;
 }
 
-constexpr size_t kSymbolCounts[] = {32, 64, 128};
-constexpr unsigned kWayCounts[] = {1, 2, 4, 8};
-constexpr int kTrials = 6;
+constexpr int kTrials = 24;
 
-// Every way count that divides the block, every skip window of 0-16 symbols
-// at every start (so windows straddling one or more way boundaries), and a
-// few header sizes.
+// Every skip window of 0-16 symbols at every start (so windows straddling a
+// way boundary), and a few header sizes.
 TEST(CodecDifferential, LayoutMatchesPerSymbolReference) {
   Rng rng(0x1A70);
   size_t straddling = 0;
-  for (const size_t n : kSymbolCounts) {
-    for (const unsigned ways : kWayCounts) {
-      ASSERT_EQ(n % ways, 0u);
-      E2mcConfig cfg;
-      cfg.num_ways = ways;
-      const E2mcCompressor comp(HuffmanCode{}, cfg);
-      const size_t per_way = n / ways;
-      for (int t = 0; t < kTrials; ++t) {
-        const auto lens = random_lens(rng, n);
-        const size_t header = rng.next_below(64);
-        const std::string tag = "n=" + std::to_string(n) + " ways=" + std::to_string(ways) +
-                                " trial=" + std::to_string(t);
-        expect_layout_eq(test::ref_layout(lens, ways, header), comp.layout(lens, header), tag);
-        for (size_t count = 1; count <= kMaxApproxSymbols; ++count) {
-          for (size_t start = 0; start + count <= n; ++start) {
-            if (start / per_way != (start + count - 1) / per_way) ++straddling;
-            expect_layout_eq(test::ref_layout(lens, ways, header, start, count),
-                             comp.layout(lens, header, start, count),
-                             tag + " skip=[" + std::to_string(start) + "," +
-                                 std::to_string(start + count) + ")");
-          }
-        }
+  for (int t = 0; t < kTrials; ++t) {
+    const auto lens = random_lens(rng);
+    const size_t header = rng.next_below(64);
+    const std::string tag = "trial=" + std::to_string(t);
+    expect_layout_eq(test::ref_layout(lens, header), E2mcCompressor::layout(lens.data(), header),
+                     tag);
+    for (size_t count = 1; count <= kMaxApproxSymbols; ++count) {
+      for (size_t start = 0; start + count <= kSymbolsPerBlock; ++start) {
+        if (start / kSymbolsPerWay != (start + count - 1) / kSymbolsPerWay) ++straddling;
+        expect_layout_eq(test::ref_layout(lens, header, start, count),
+                         E2mcCompressor::layout(lens.data(), header, start, count),
+                         tag + " skip=[" + std::to_string(start) + "," +
+                             std::to_string(start + count) + ")");
       }
     }
   }
@@ -215,37 +175,24 @@ TEST(CodecDifferential, LayoutMatchesPerSymbolReference) {
 }
 
 // Every extra_bits from 0 to one past the largest window sum, with and
-// without the TSLC-OPT extra nodes. At 4 and 260 symbols the tree's top
-// levels are partial; the 260- and 320-symbol spans are longer than the
-// tree's stack storage. Every symbol range of the tree sums like the
-// lengths themselves.
+// without the TSLC-OPT extra nodes.
 TEST(CodecDifferential, SelectMatchesWindowSumReference) {
   Rng rng(0x5E1EC7);
-  for (const size_t n :
-       {size_t{4}, size_t{32}, size_t{64}, size_t{128}, size_t{260}, size_t{320}}) {
-    for (int t = 0; t < kTrials; ++t) {
-      const auto lens = random_lens(rng, n);
-      std::vector<size_t> prefix(n + 1);
-      for (size_t i = 0; i < n; ++i) prefix[i + 1] = prefix[i] + lens[i];
-      for (const bool extra_nodes : {false, true}) {
-        const CodeLengthTree tree(lens, extra_nodes);
-        const std::string tag = "n=" + std::to_string(n) + " trial=" + std::to_string(t) +
-                                " extra_nodes=" + std::to_string(extra_nodes);
-        // The largest window sum bounds the extra_bits sweep.
-        size_t max_sum = 0;
-        for (const TreeCandidate& c : test::ref_windows(lens, extra_nodes))
-          max_sum = std::max(max_sum, c.sum_bits);
-        for (size_t extra = 0; extra <= max_sum + 1; ++extra) {
-          expect_candidate_eq(test::ref_select(lens, extra, extra_nodes), tree.select(extra),
-                              tag + " extra=" + std::to_string(extra));
-        }
-        EXPECT_FALSE(tree.select(max_sum + 1).has_value()) << tag;
+  for (int t = 0; t < kTrials; ++t) {
+    const auto lens = random_lens(rng);
+    for (const bool extra_nodes : {false, true}) {
+      const CodeLengthTree tree(lens.data(), extra_nodes);
+      const std::string tag =
+          "trial=" + std::to_string(t) + " extra_nodes=" + std::to_string(extra_nodes);
+      // The largest window sum bounds the extra_bits sweep.
+      size_t max_sum = 0;
+      for (const TreeCandidate& c : test::ref_windows(lens, extra_nodes))
+        max_sum = std::max(max_sum, c.sum_bits);
+      for (size_t extra = 0; extra <= max_sum + 1; ++extra) {
+        expect_candidate_eq(test::ref_select(lens, extra, extra_nodes), tree.select(extra),
+                            tag + " extra=" + std::to_string(extra));
       }
-      const CodeLengthTree tree(lens, /*extra_nodes=*/true);
-      for (size_t begin = 0; begin <= n; ++begin)
-        for (size_t end = begin; end <= n; ++end)
-          ASSERT_EQ(tree.range_bits(begin, end), prefix[end] - prefix[begin])
-              << "n=" << n << " trial=" << t << " range [" << begin << "," << end << ")";
+      EXPECT_FALSE(tree.select(max_sum + 1).has_value()) << tag;
     }
   }
 }
@@ -269,125 +216,107 @@ void expect_decision_eq(const SlcCodec::Decision& ref, const SlcCodec::Decision&
 // every byte against ref_slc_compress, pad bits included), against
 // ref_decide:
 // every variant and MAG, thresholds up to 64 B (an overshoot up to a whole
-// 16-symbol window), 64 B to 1 KiB blocks at 4 and 8 ways (the way counts
-// that split the block), and random, value-similar, duplicate-heavy (the
-// memo serves the repeats) and code-mix streams (symbols drawn across the
-// model's whole code table and escapes). Way padding can push a cut block
-// back over budget, so that the decision escalates to a larger window, only
-// when the window starts inside one way and ends in another: 96 B blocks
-// (12 or 6 symbols per way) and 520 B blocks (65 per way) are the
-// geometries here where that happens. Blocks over 256 B carry way offsets
-// and, at 520 B (260 symbols), window starts wider than 8 bits.
+// 16-symbol window), and random, value-similar, duplicate-heavy (the memo
+// serves the repeats) and code-mix streams (symbols drawn across the model's
+// whole code table and escapes), each of 96 blocks.
 TEST(CodecDifferential, DecideMatchesReference) {
-  constexpr size_t kBlocks = 48;
+  constexpr size_t kBlocks = 96;
   const auto training = test::quantized_walk(0xDEC1DE, 64);
   size_t lossy = 0, raw = 0, decided = 0;
-  for (const unsigned ways : {4u, 8u}) {
-    E2mcConfig ecfg;
-    ecfg.num_ways = ways;
-    const auto e2mc = E2mcCompressor::train(training, ecfg);
-    std::vector<uint16_t> coded;  // every symbol with a codeword
-    for (uint32_t sym = 0; sym <= UINT16_MAX; ++sym)
-      if (e2mc->code().in_table(static_cast<uint16_t>(sym)))
-        coded.push_back(static_cast<uint16_t>(sym));
+  const auto e2mc = E2mcCompressor::train(training);
+  std::vector<uint16_t> coded;  // every symbol with a codeword
+  for (uint32_t sym = 0; sym <= UINT16_MAX; ++sym)
+    if (e2mc->code().in_table(static_cast<uint16_t>(sym)))
+      coded.push_back(static_cast<uint16_t>(sym));
 
-    for (const size_t block_bytes :
-         {size_t{64}, size_t{96}, size_t{128}, size_t{256}, size_t{520}, size_t{1024}}) {
-      if (block_bytes / 2 % ways != 0) continue;  // the ways must split the symbols
-      // The streams as flat buffers: uniform random bytes; a value-similar
-      // walk like the training data; blocks drawn from 6 of that walk's; and
-      // symbols drawn from the code table (every code length) or, one in 8,
-      // uniformly (mostly escapes).
-      Rng rng(block_bytes);
-      std::vector<uint8_t> random(kBlocks * block_bytes);
-      for (uint8_t& b : random) b = static_cast<uint8_t>(rng.next());
-      const std::vector<uint8_t> similar =
-          test::quantized_walk(block_bytes + 1, kBlocks * block_bytes / kBlockBytes);
-      std::vector<uint8_t> dups;
-      for (size_t i = 0; i < kBlocks; ++i) {
-        const auto src = similar.begin() + static_cast<ptrdiff_t>(rng.next_below(6) * block_bytes);
-        dups.insert(dups.end(), src, src + static_cast<ptrdiff_t>(block_bytes));
-      }
-      std::vector<uint8_t> code_mix(kBlocks * block_bytes);
-      for (size_t i = 0; i < code_mix.size(); i += 2) {
-        const uint16_t sym = rng.chance(0.125) ? static_cast<uint16_t>(rng.next())
-                                               : coded[rng.next_below(coded.size())];
-        code_mix[i] = static_cast<uint8_t>(sym);
-        code_mix[i + 1] = static_cast<uint8_t>(sym >> 8);
-      }
-      const struct {
-        const char* name;
-        const std::vector<uint8_t>& bytes;
-      } streams[] = {{"random", random},
-                     {"value-similar", similar},
-                     {"dup-heavy", dups},
-                     {"code-mix", code_mix}};
+  // The streams as flat buffers: uniform random bytes; a value-similar
+  // walk like the training data; blocks drawn from 6 of that walk's; and
+  // symbols drawn from the code table (every code length) or, one in 8,
+  // uniformly (mostly escapes).
+  Rng rng(kBlockBytes);
+  std::vector<uint8_t> random(kBlocks * kBlockBytes);
+  for (uint8_t& b : random) b = static_cast<uint8_t>(rng.next());
+  const std::vector<uint8_t> similar = test::quantized_walk(kBlockBytes + 1, kBlocks);
+  std::vector<uint8_t> dups;
+  for (size_t i = 0; i < kBlocks; ++i) {
+    const auto src = similar.begin() + static_cast<ptrdiff_t>(rng.next_below(6) * kBlockBytes);
+    dups.insert(dups.end(), src, src + static_cast<ptrdiff_t>(kBlockBytes));
+  }
+  std::vector<uint8_t> code_mix(kBlocks * kBlockBytes);
+  for (size_t i = 0; i < code_mix.size(); i += 2) {
+    const uint16_t sym = rng.chance(0.125) ? static_cast<uint16_t>(rng.next())
+                                           : coded[rng.next_below(coded.size())];
+    code_mix[i] = static_cast<uint8_t>(sym);
+    code_mix[i + 1] = static_cast<uint8_t>(sym >> 8);
+  }
+  const struct {
+    const char* name;
+    const std::vector<uint8_t>& bytes;
+  } streams[] = {{"random", random},
+                 {"value-similar", similar},
+                 {"dup-heavy", dups},
+                 {"code-mix", code_mix}};
 
-      for (const auto& [sname, bytes] : streams) {
-        const std::vector<Block> blocks = to_blocks(bytes, block_bytes);
-        const std::vector<BlockView> views = to_views(blocks);
-        for (const SlcVariant variant : {SlcVariant::kSimp, SlcVariant::kPred, SlcVariant::kOpt}) {
-          for (const size_t mag : {size_t{16}, size_t{32}, size_t{64}}) {
-            for (const size_t threshold :
-                 {size_t{0}, size_t{8}, size_t{16}, size_t{32}, size_t{64}}) {
-              SlcConfig cfg;
-              cfg.mag_bytes = mag;
-              cfg.threshold_bytes = threshold;
-              cfg.variant = variant;
-              std::vector<SlcCodec::Decision> want;
-              for (const BlockView& v : views) want.push_back(test::ref_decide(*e2mc, cfg, v));
-              const std::string tag = std::string(sname) + " " + std::to_string(block_bytes) +
-                                      " B " + std::to_string(ways) + " ways " +
-                                      to_string(variant) + " MAG " + std::to_string(mag) +
-                                      " thr " + std::to_string(threshold);
+  for (const auto& [sname, bytes] : streams) {
+    const std::vector<Block> blocks = to_blocks(bytes);
+    const std::vector<BlockView> views = to_views(blocks);
+    for (const SlcVariant variant : {SlcVariant::kSimp, SlcVariant::kPred, SlcVariant::kOpt}) {
+      for (const size_t mag : {size_t{16}, size_t{32}, size_t{64}}) {
+        for (const size_t threshold :
+             {size_t{0}, size_t{8}, size_t{16}, size_t{32}, size_t{64}}) {
+          SlcConfig cfg;
+          cfg.mag_bytes = mag;
+          cfg.threshold_bytes = threshold;
+          cfg.variant = variant;
+          std::vector<SlcCodec::Decision> want;
+          for (const BlockView& v : views) want.push_back(test::ref_decide(*e2mc, cfg, v));
+          const std::string tag = std::string(sname) + " " + to_string(variant) + " MAG " +
+                                  std::to_string(mag) + " thr " + std::to_string(threshold);
 
-              for (const int memo : {0, 1, 2}) {  // off, on, verify-on-hit
-                cfg.cache = memo == 0 ? nullptr
-                                      : std::make_shared<FingerprintCache>(FingerprintCache::Config{
-                                            .verify_on_hit = memo == 2});
-                const SlcCodec codec(e2mc, cfg);
-                // Twice, so the second pass is served from the memo.
-                for (int pass = 0; pass < 2; ++pass) {
-                  const auto got = test::decide_all(codec, views);
-                  for (size_t i = 0; i < views.size(); ++i)
-                    expect_decision_eq(want[i], got[i],
-                                       tag + " memo " + std::to_string(memo) + " pass " +
-                                           std::to_string(pass) + " block " + std::to_string(i));
-                }
-              }
-
-              // The payload carries the decision: it is the reference payload
-              // byte for byte, its Fig. 6 header holds the mode and window,
-              // its size is the final size, and it decodes to the
-              // payload-free approximation of the block.
-              cfg.cache = nullptr;
-              const SlcCodec codec(e2mc, cfg);
-              std::vector<CompressedBlock> cbs(views.size());
-              codec.compress_batch(views, cbs.data());
-              for (size_t i = 0; i < views.size(); ++i) {
-                const std::string what = tag + " compress block " + std::to_string(i);
-                test::expect_payload_eq(test::ref_slc_compress(*e2mc, cfg, views[i]), cbs[i],
-                                        what);
-                const SlcEncodeInfo& info = want[i].info;
-                EXPECT_EQ(cbs[i].is_compressed, !info.stored_uncompressed) << what;
-                EXPECT_EQ(cbs[i].bit_size, info.final_bits) << what;
-                EXPECT_EQ(cbs[i].payload.size(), info.final_bits / 8) << what;
-                if (cbs[i].is_compressed) {
-                  BitReader r(cbs[i].payload);
-                  const SlcHeader h =
-                      SlcHeader::read(r, block_bytes, ways, views[i].num_symbols());
-                  EXPECT_EQ(h.lossy, info.lossy) << what;
-                  EXPECT_EQ(h.start_symbol, want[i].skip_start) << what;
-                  EXPECT_EQ(h.approx_count, info.lossy ? want[i].skip_count : 0) << what;
-                }
-                EXPECT_EQ(codec.decompress(cbs[i], block_bytes),
-                          codec.approx_decode(views[i], want[i]))
-                    << what;
-                lossy += info.lossy ? 1 : 0;
-                raw += want[i].info.stored_uncompressed ? 1 : 0;
-                ++decided;
-              }
+          for (const int memo : {0, 1, 2}) {  // off, on, verify-on-hit
+            cfg.cache = memo == 0 ? nullptr
+                                  : std::make_shared<FingerprintCache>(FingerprintCache::Config{
+                                        .verify_on_hit = memo == 2});
+            const SlcCodec codec(e2mc, cfg);
+            // Twice, so the second pass is served from the memo.
+            for (int pass = 0; pass < 2; ++pass) {
+              const auto got = test::decide_all(codec, views);
+              for (size_t i = 0; i < views.size(); ++i)
+                expect_decision_eq(want[i], got[i],
+                                   tag + " memo " + std::to_string(memo) + " pass " +
+                                       std::to_string(pass) + " block " + std::to_string(i));
             }
+          }
+
+          // The payload carries the decision: it is the reference payload
+          // byte for byte, its Fig. 6 header holds the mode and window,
+          // its size is the final size, and it decodes to the
+          // payload-free approximation of the block.
+          cfg.cache = nullptr;
+          const SlcCodec codec(e2mc, cfg);
+          std::vector<CompressedBlock> cbs(views.size());
+          codec.compress_batch(views, cbs.data());
+          for (size_t i = 0; i < views.size(); ++i) {
+            const std::string what = tag + " compress block " + std::to_string(i);
+            test::expect_payload_eq(test::ref_slc_compress(*e2mc, cfg, views[i]), cbs[i],
+                                    what);
+            const SlcEncodeInfo& info = want[i].info;
+            EXPECT_EQ(cbs[i].is_compressed, !info.stored_uncompressed) << what;
+            EXPECT_EQ(cbs[i].bit_size, info.final_bits) << what;
+            EXPECT_EQ(cbs[i].payload.size(), info.final_bits / 8) << what;
+            if (cbs[i].is_compressed) {
+              BitReader r(cbs[i].payload);
+              const SlcHeader h = SlcHeader::read(r);
+              EXPECT_EQ(h.lossy, info.lossy) << what;
+              EXPECT_EQ(h.start_symbol, want[i].skip_start) << what;
+              EXPECT_EQ(h.approx_count, info.lossy ? want[i].skip_count : 0) << what;
+            }
+            EXPECT_EQ(codec.decompress(cbs[i], kBlockBytes),
+                      codec.approx_decode(views[i], want[i]))
+                << what;
+            lossy += info.lossy ? 1 : 0;
+            raw += want[i].info.stored_uncompressed ? 1 : 0;
+            ++decided;
           }
         }
       }
@@ -414,7 +343,6 @@ TEST(CodecDifferential, DecideMatchesReference) {
 TEST(CodecDifferential, ThresholdEdgesMatchReference) {
   constexpr size_t kBlocks = 16384;
   constexpr size_t kPerEdge = 16;
-  constexpr unsigned kWays = 4;
   const auto e2mc = E2mcCompressor::train(test::quantized_walk(0xED6E, 64));
   std::vector<uint16_t> coded;  // every symbol with a codeword, shortest first
   for (uint32_t sym = 0; sym <= UINT16_MAX; ++sym)
@@ -426,7 +354,6 @@ TEST(CodecDifferential, ThresholdEdgesMatchReference) {
   Rng rng(0xED6E);
   std::vector<Block> blocks;
   std::vector<size_t> lossless_bits;  // each block's reference lossless size
-  const size_t header = SlcHeader::bits(kBlockBytes, kWays, kSymbolsPerBlock);
   for (size_t b = 0; b < kBlocks; ++b) {
     // Escapes, the shortest codes and any code, in per-block shares.
     Block block(kBlockBytes);
@@ -437,7 +364,8 @@ TEST(CodecDifferential, ThresholdEdgesMatchReference) {
                           : rng.chance(shortest) ? coded[rng.next_below(n_short)]
                                                  : coded[rng.next_below(coded.size())]);
     lossless_bits.push_back(
-        test::ref_layout(test::ref_code_lengths(*e2mc, block.view()), kWays, header).total_bits);
+        test::ref_layout(test::ref_code_lengths(*e2mc, block.view()), SlcHeader::kBits)
+            .total_bits);
     blocks.push_back(std::move(block));
   }
 

@@ -612,7 +612,8 @@ TEST(CodecServer, RejectPolicyShedsWhereBlockPolicyWaits) {
 // lossless schemes, scalar-path-identical bytes for the lossy ones).
 TEST(CodecServer, CompressPayloadsMatchDirectCodecPathAllSchemes) {
   const auto training = quantized_walk(31, 256);
-  const std::vector<Block> blocks = to_blocks(quantized_walk(53, 8));
+  const std::vector<uint8_t> data = quantized_walk(53, 8);
+  const std::vector<Block> blocks = to_blocks(data);
 
   for (const unsigned threads : {1u, 4u}) {
     CodecServer::Config cfg;
@@ -631,10 +632,11 @@ TEST(CodecServer, CompressPayloadsMatchDirectCodecPathAllSchemes) {
       const StreamId s = server.open_stream(sc);
 
       // Two requests that coalesce into shared batches.
-      auto t1 = server.submit(s, Request{.kind = RequestKind::kCompress,
-                                         .blocks = std::span<const Block>(blocks).subspan(0, 5)});
-      auto t2 = server.submit(s, Request{.kind = RequestKind::kCompress,
-                                         .blocks = std::span<const Block>(blocks).subspan(5)});
+      const std::span<const uint8_t> bytes(data);
+      auto t1 = server.submit(
+          s, Request{.kind = RequestKind::kCompress, .bytes = bytes.first(5 * kBlockBytes)});
+      auto t2 = server.submit(
+          s, Request{.kind = RequestKind::kCompress, .bytes = bytes.subspan(5 * kBlockBytes)});
       Response r1 = t1.wait();
       Response r2 = t2.wait();
       ASSERT_TRUE(r1.ok()) << name;
@@ -808,13 +810,13 @@ TEST(CodecServer, OpenStreamRejectsBadMag) {
 
 // --- arena layout, payload safety, timer wakes ---------------------------------
 
-/// The five requests of the layout tests, coalesced into one batch: blocks
-/// of 64, 128 and 256 B, a byte buffer with a ragged tail, and an empty
-/// request. 190 blocks span several engine shards at 1 and at 4 workers.
+/// The five requests of the layout tests, coalesced into one batch: 40, 50
+/// and 30 blocks, a byte buffer with a ragged tail, and an empty request.
+/// 190 blocks span several engine shards at 1 and at 4 workers.
 struct LayoutInput {
-  std::vector<Block> small = to_blocks(quantized_walk(120, 20), 64);   // 40 x 64 B
-  std::vector<Block> mid = to_blocks(quantized_walk(121, 50));         // 50 x 128 B
-  std::vector<Block> large = to_blocks(quantized_walk(122, 60), 256);  // 30 x 256 B
+  std::vector<uint8_t> small = quantized_walk(120, 40);
+  std::vector<uint8_t> mid = quantized_walk(121, 50);
+  std::vector<uint8_t> large = quantized_walk(122, 30);
   std::vector<uint8_t> ragged = [] {
     auto d = quantized_walk(123, 70);
     d.resize(d.size() - 77);
@@ -823,19 +825,20 @@ struct LayoutInput {
 
   /// Each request's blocks as the direct codec sees them (empty last).
   std::vector<std::vector<Block>> per_request() const {
-    return {small, mid, large, to_blocks(ragged), {}};
+    return {to_blocks(small), to_blocks(mid), to_blocks(large), to_blocks(ragged), {}};
   }
   std::vector<Request> requests(RequestKind kind) const {
-    return {Request{.kind = kind, .blocks = small}, Request{.kind = kind, .blocks = mid},
-            Request{.kind = kind, .blocks = large}, Request{.kind = kind, .bytes = ragged},
+    return {Request{.kind = kind, .bytes = small}, Request{.kind = kind, .bytes = mid},
+            Request{.kind = kind, .bytes = large}, Request{.kind = kind, .bytes = ragged},
             Request{.kind = kind}};
   }
 };
 
-// Every kind over a batch of mixed block sizes, a ragged tail and an empty
-// request equals the direct codec over the same blocks: per-block analyses,
-// payload bytes, bit sizes and flags, each response's ratios and decision
-// aggregates, and the stream's CommitStats — at 1 and 4 engine workers.
+// Every kind over a batch of requests of mixed sizes, a ragged tail and an
+// empty request equals the direct codec over the same blocks: per-block
+// analyses, payload bytes, bit sizes and flags, each response's ratios and
+// decision aggregates, and the stream's CommitStats — at 1 and 4 engine
+// workers.
 TEST(CodecServer, CoalescedMixedBlockSizesMatchDirectCodecAllKinds) {
   const auto training = quantized_walk(31, 256);
   const LayoutInput in;
@@ -881,14 +884,13 @@ TEST(CodecServer, CoalescedMixedBlockSizesMatchDirectCodecAllKinds) {
           RatioAccumulator ratios(kDefaultMagBytes);
           uint64_t lossy = 0, truncated = 0;
           for (size_t j = 0; j < per_request[r].size(); ++j, ++i) {
-            const size_t bytes = all[i].size();
             const BlockAnalysis& a = want_a[i];
             const CompressedBlock& c = want_c[i];
             const size_t bits = kind == RequestKind::kCompress ? c.bit_size : a.bit_size;
-            ratios.add(bytes * 8, bits);
+            ratios.add(kBlockBytes * 8, bits);
             want_stats.blocks += 1;
-            want_stats.bursts += bursts_for_bits(bits, kDefaultMagBytes, bytes);
-            want_stats.original_bits += bytes * 8;
+            want_stats.bursts += bursts_for_bits(bits, kDefaultMagBytes);
+            want_stats.original_bits += kBlockBytes * 8;
             want_stats.final_bits += bits;
             if (kind == RequestKind::kCompress) {
               want_stats.uncompressed_blocks += c.is_compressed ? 0 : 1;

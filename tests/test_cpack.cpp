@@ -95,12 +95,12 @@ TEST(CpackCompressor, RejectsDictionarySizesItCannotIndex) {
   for (const size_t bad : {0, 1, 3, 6, 128})
     EXPECT_THROW(CpackCompressor{bad}, std::invalid_argument) << bad;
 
-  // 512 B blocks: 128 distinct words (every slot of every ring is reused),
-  // and words drawn from four values.
+  // Blocks of 32 distinct words (every slot of every ring of up to 32
+  // entries is reused), and of words drawn from four values.
   Rng rng(0xD1C7);
-  Block distinct(512), four(512);
+  Block distinct, four;
   const uint32_t values[] = {0x11223344u, 0x55667788u, 0x99AABBCCu, 0xDDEEFF01u};
-  for (size_t i = 0; i < 128; ++i) {
+  for (size_t i = 0; i < kBlockBytes / 4; ++i) {
     distinct.set_word32(i, 0x01000000u + static_cast<uint32_t>(i) * 0x01010101u);
     four.set_word32(i, values[rng.next_below(4)]);
   }

@@ -50,13 +50,12 @@ class E2mcTest : public ::testing::Test {
 };
 
 TEST_F(E2mcTest, PdpBits) {
-  EXPECT_EQ(E2mcCompressor::pdp_bits(128), 7u);  // 2^7 = 128 (Fig. 6)
-  EXPECT_EQ(E2mcCompressor::pdp_bits(64), 6u);
-  EXPECT_EQ(E2mcCompressor::pdp_bits(256), 8u);
+  EXPECT_EQ(kPdpBits, 7u);  // 2^7 = 128 (Fig. 6)
+  EXPECT_EQ(kNumWays * kSymbolsPerWay, kSymbolsPerBlock);
 }
 
 TEST_F(E2mcTest, HeaderIsThreePdps) {
-  EXPECT_EQ(comp_->header_bits(kBlockBytes), 3u * 7u);  // baseline E2MC header
+  EXPECT_EQ(E2mcCompressor::kHeaderBits, 3u * 7u);  // baseline E2MC header
 }
 
 TEST_F(E2mcTest, CodeLengthsMatchCode) {
@@ -68,15 +67,12 @@ TEST_F(E2mcTest, CodeLengthsMatchCode) {
 }
 
 // code_lengths() stages each symbol's code length and, in the same pass,
-// the sum of each whole group of 8 (the AVX2 kernel folds them from its
-// gather registers, the scalar twin adds them up), and way_bits() sums the
-// ways off them. All of it must equal per-symbol sums of the reference
-// lengths with the AVX2 kernel active and with the scalar one pinned
-// (SLC_FORCE_SCALAR's switch), over symbols that are escapes, the
-// longest codes or any other code, at 8 B (no whole group), 96 B (groups
-// past the last 64-symbol tile, straddling 12-symbol ways), 128 B, 520 B
-// (65-symbol ways) and 1024 B blocks (which the SLC decision stages on the
-// heap).
+// the sum of each group of 8 (the AVX2 kernel folds them from its gather
+// registers, the scalar twin adds them up), and way_bits() sums the ways
+// off them. All of it must equal per-symbol sums of the reference lengths
+// with the AVX2 kernel active and with the scalar one pinned
+// (SLC_FORCE_SCALAR's switch), over symbols that are escapes, the longest
+// codes or any other code.
 TEST_F(E2mcTest, GroupAndWaySumsMatchScalarSums) {
   std::vector<uint16_t> escapes, longest, coded;
   unsigned max_len = 0;
@@ -94,34 +90,30 @@ TEST_F(E2mcTest, GroupAndWaySumsMatchScalarSums) {
   const test::ForceScalarGuard restore;
   for (const bool scalar : {false, true}) {
     simd::force_scalar(scalar);
-    for (const size_t bytes : {size_t{8}, size_t{96}, size_t{128}, size_t{520}, size_t{1024}}) {
-      const std::string at = (scalar ? "scalar " : "active ") + std::to_string(bytes) + " B";
-      Rng rng(bytes);
-      for (int rep = 0; rep < 8; ++rep) {
-        Block b(bytes);
-        const size_t n = b.view().num_symbols();
-        for (size_t i = 0; i < n; ++i) {
-          const double pick = rng.uniform(0.0, 1.0);
-          const auto& from = pick < 0.25 ? escapes : pick < 0.5 ? longest : coded;
-          b.set_symbol(i, from[rng.next_below(from.size())]);
-        }
-        std::vector<uint16_t> lens(n), sums8(n / 8);
-        comp_->code_lengths(b.view(), lens.data(), sums8.data());
-        const std::vector<uint16_t> ref = test::ref_code_lengths(*comp_, b.view());
-        EXPECT_EQ(lens, ref) << at;
-        for (size_t k = 0; k < n / 8; ++k) {
-          unsigned sum = 0;
-          for (size_t i = 8 * k; i < 8 * k + 8; ++i) sum += ref[i];
-          EXPECT_EQ(sums8[k], sum) << at << " group " << k;
-        }
-        const size_t per_way = comp_->symbols_per_way(n);
-        size_t ways[4] = {};
-        E2mcCompressor::way_bits(lens.data(), sums8.data(), per_way, 4, ways);
-        for (size_t w = 0; w < 4; ++w) {
-          size_t sum = 0;
-          for (size_t i = w * per_way; i < (w + 1) * per_way; ++i) sum += ref[i];
-          EXPECT_EQ(ways[w], sum) << at << " way " << w;
-        }
+    const std::string at = scalar ? "scalar" : "active";
+    Rng rng(128);
+    for (int rep = 0; rep < 40; ++rep) {
+      Block b;
+      for (size_t i = 0; i < kSymbolsPerBlock; ++i) {
+        const double pick = rng.uniform(0.0, 1.0);
+        const auto& from = pick < 0.25 ? escapes : pick < 0.5 ? longest : coded;
+        b.set_symbol(i, from[rng.next_below(from.size())]);
+      }
+      std::vector<uint16_t> lens(kSymbolsPerBlock), sums8(kSymbolsPerBlock / 8);
+      comp_->code_lengths(b.view(), lens.data(), sums8.data());
+      const std::vector<uint16_t> ref = test::ref_code_lengths(*comp_, b.view());
+      EXPECT_EQ(lens, ref) << at;
+      for (size_t k = 0; k < kSymbolsPerBlock / 8; ++k) {
+        unsigned sum = 0;
+        for (size_t i = 8 * k; i < 8 * k + 8; ++i) sum += ref[i];
+        EXPECT_EQ(sums8[k], sum) << at << " group " << k;
+      }
+      size_t ways[kNumWays] = {};
+      E2mcCompressor::way_bits(sums8.data(), ways);
+      for (size_t w = 0; w < kNumWays; ++w) {
+        size_t sum = 0;
+        for (size_t i = w * kSymbolsPerWay; i < (w + 1) * kSymbolsPerWay; ++i) sum += ref[i];
+        EXPECT_EQ(ways[w], sum) << at << " way " << w;
       }
     }
   }
@@ -130,7 +122,7 @@ TEST_F(E2mcTest, GroupAndWaySumsMatchScalarSums) {
 TEST_F(E2mcTest, LayoutSumsWays) {
   const Block b = block_from(data_, 5);
   const auto lens = test::ref_code_lengths(*comp_, b.view());
-  const WayLayout lo = comp_->layout(lens, comp_->header_bits(kBlockBytes));
+  const WayLayout lo = E2mcCompressor::layout(lens.data(), E2mcCompressor::kHeaderBits);
   size_t total_bits = 0;
   for (unsigned w = 0; w < 4; ++w) {
     size_t expect = 0;
@@ -139,14 +131,14 @@ TEST_F(E2mcTest, LayoutSumsWays) {
     EXPECT_EQ(lo.way_bytes[w], (expect + 7) / 8);
     total_bits += lo.way_bytes[w] * 8;
   }
-  EXPECT_EQ(lo.total_bits, total_bits + 8 * ((comp_->header_bits(kBlockBytes) + 7) / 8));
+  EXPECT_EQ(lo.total_bits, total_bits + 8 * ((E2mcCompressor::kHeaderBits + 7) / 8));
 }
 
 TEST_F(E2mcTest, LayoutWithSkipRemovesSymbolBits) {
   const Block b = block_from(data_, 7);
   const auto lens = test::ref_code_lengths(*comp_, b.view());
-  const WayLayout full = comp_->layout(lens, 21);
-  const WayLayout cut = comp_->layout(lens, 21, 4, 8);  // skip symbols 4..11
+  const WayLayout full = E2mcCompressor::layout(lens.data(), 21);
+  const WayLayout cut = E2mcCompressor::layout(lens.data(), 21, 4, 8);  // skip symbols 4..11
   size_t removed = 0;
   for (size_t s = 4; s < 12; ++s) removed += lens[s];
   EXPECT_EQ(cut.way_bits[0] + removed, full.way_bits[0]);

@@ -593,82 +593,42 @@ TEST(CachedDecision, CodecKeysIsolateConfigurationsAndModels) {
   EXPECT_FALSE(oc.hit);  // different trained model: separate entry
 }
 
-/// `blocks` re-cut to `block_bytes` per block: each 128 B block is truncated
-/// or tiled, so duplicates, near-duplicates and zero pages keep their shape
-/// at every geometry.
-std::vector<Block> reshaped(const std::vector<Block>& blocks, size_t block_bytes) {
-  std::vector<Block> out;
-  out.reserve(blocks.size());
-  for (const Block& b : blocks) {
-    std::vector<uint8_t> dst(block_bytes);
-    for (size_t i = 0; i < block_bytes; ++i) dst[i] = b.bytes()[i % b.size()];
-    out.emplace_back(std::move(dst));
-  }
-  return out;
-}
-
-std::shared_ptr<const E2mcCompressor> model_with_ways(unsigned ways) {
-  if (ways == E2mcConfig{}.num_ways) return shared_model();
-  E2mcConfig cfg;
-  cfg.num_ways = ways;
-  return E2mcCompressor::train(shared_training(), cfg);
-}
-
 TEST(CachedDecision, AnalyzeMatchesUncachedForEveryVariantAndStream) {
-  // The default 128 B / 4-way geometry plus the non-default ones of
-  // test_geometry_sweep.cpp, and 8 KiB blocks whose raw decisions (65536
-  // final bits, 256 bursts at MAG 32) do not fit a packed way. Verify-on-hit
-  // arena slots are kSlotBytes long, so in that mode nothing past 128 B is
-  // stored either. Every block must still decide exactly as uncached.
-  struct Geometry {
-    size_t block_bytes;
-    unsigned ways;
-  };
-  const Geometry geometries[] = {{128, 4}, {64, 2}, {64, 4}, {256, 4}, {8192, 4}};
-  for (const auto& [block_bytes, ways] : geometries) {
-    const auto model = model_with_ways(ways);
-    for (const auto& [cname, corpus] : fuzz_corpora()) {
-      // The 8 KiB geometry replays a slice of each corpus to stay quick.
-      const size_t keep = block_bytes > 256 ? 48 : corpus.size();
-      const auto blocks = reshaped({corpus.begin(), corpus.begin() + keep}, block_bytes);
-      const auto views = views_of(blocks);
-      for (const SlcVariant variant : {SlcVariant::kSimp, SlcVariant::kPred, SlcVariant::kOpt}) {
-        for (const size_t threshold : {size_t{16}, size_t{4}}) {
-          SlcConfig cfg;
-          cfg.mag_bytes = 32;
-          cfg.threshold_bytes = threshold;
-          cfg.variant = variant;
-          const SlcCodec uncached(model, cfg);
-          const auto expected = test::decide_all(uncached, views);
-          for (const bool verify : {false, true}) {
-            cfg.cache = std::make_shared<FingerprintCache>(
-                FingerprintCache::Config{.verify_on_hit = verify});
-            const SlcCodec cached(model, cfg);
-            const std::string what = std::string(cname) + " " + std::to_string(block_bytes) +
-                                     " B/" + std::to_string(ways) + " ways variant " +
-                                     to_string(variant) + " thr " + std::to_string(threshold) +
-                                     (verify ? " verify" : "");
-            // Two passes: pass 0 populates (misses + in-chunk twins), pass 1
-            // is served from the memo; both must reproduce the oracle.
-            uint64_t hits_before_pass1 = 0;
-            for (int pass = 0; pass < 2; ++pass) {
-              if (pass == 1) hits_before_pass1 = cfg.cache->counters().hits;
-              const auto got = test::decide_all(cached, views);
-              for (size_t i = 0; i < views.size(); ++i)
-                expect_info_eq(got[i].info, expected[i].info,
-                               what + " pass " + std::to_string(pass) + " block " +
-                                   std::to_string(i));
-            }
-            if (!FingerprintCache::runtime_enabled()) continue;
-            const uint64_t pass1_hits = cfg.cache->counters().hits - hits_before_pass1;
-            const bool all_fit = verify ? block_bytes <= FingerprintCache::kSlotBytes
-                                        : block_bytes <= 256;
-            if (all_fit) {
-              EXPECT_EQ(pass1_hits, views.size()) << what << ": second pass should be all hits";
-            } else {
-              EXPECT_LT(pass1_hits, views.size()) << what << ": some decisions must not be stored";
-            }
+  // Every fuzz corpus, variant and threshold, with and without
+  // verify-on-hit. Every block must decide exactly as uncached, and every
+  // decision fits the memo, so the second pass is all hits.
+  const auto model = shared_model();
+  for (const auto& [cname, corpus] : fuzz_corpora()) {
+    const auto views = views_of(corpus);
+    for (const SlcVariant variant : {SlcVariant::kSimp, SlcVariant::kPred, SlcVariant::kOpt}) {
+      for (const size_t threshold : {size_t{16}, size_t{4}}) {
+        SlcConfig cfg;
+        cfg.mag_bytes = 32;
+        cfg.threshold_bytes = threshold;
+        cfg.variant = variant;
+        const SlcCodec uncached(model, cfg);
+        const auto expected = test::decide_all(uncached, views);
+        for (const bool verify : {false, true}) {
+          cfg.cache = std::make_shared<FingerprintCache>(
+              FingerprintCache::Config{.verify_on_hit = verify});
+          const SlcCodec cached(model, cfg);
+          const std::string what = std::string(cname) + " variant " + to_string(variant) +
+                                   " thr " + std::to_string(threshold) +
+                                   (verify ? " verify" : "");
+          // Two passes: pass 0 populates (misses + in-chunk twins), pass 1
+          // is served from the memo; both must reproduce the oracle.
+          uint64_t hits_before_pass1 = 0;
+          for (int pass = 0; pass < 2; ++pass) {
+            if (pass == 1) hits_before_pass1 = cfg.cache->counters().hits;
+            const auto got = test::decide_all(cached, views);
+            for (size_t i = 0; i < views.size(); ++i)
+              expect_info_eq(got[i].info, expected[i].info,
+                             what + " pass " + std::to_string(pass) + " block " +
+                                 std::to_string(i));
           }
+          if (!FingerprintCache::runtime_enabled()) continue;
+          const uint64_t pass1_hits = cfg.cache->counters().hits - hits_before_pass1;
+          EXPECT_EQ(pass1_hits, views.size()) << what << ": second pass should be all hits";
         }
       }
     }
@@ -676,26 +636,19 @@ TEST(CachedDecision, AnalyzeMatchesUncachedForEveryVariantAndStream) {
 }
 
 TEST(CachedDecision, OversizeDecisionIsReturnedButNotStored) {
-  // An incompressible 8 KiB block is stored raw: 65536 final bits and 256
-  // bursts at MAG 32, one past what a packed way holds. The memo must hand
-  // back the exact decision and keep nothing, so a repeat misses again.
+  // An 8 KiB block, whose raw decision (65536 final bits, 256 bursts at MAG
+  // 32) no packed way holds, is no block the codec takes: decide_batch
+  // rejects it before the memo fingerprints it, so the memo keeps nothing.
   std::vector<uint8_t> bytes(8192);
   Rng rng(90);
   for (uint8_t& byte : bytes) byte = static_cast<uint8_t>(rng.next());
   const Block block(std::move(bytes));
-  const std::vector<BlockView> views{block.view()};
   auto cache = std::make_shared<FingerprintCache>();
-  const SlcCodec uncached = make_slc(nullptr);
   const SlcCodec cached = make_slc(cache);
-  const SlcCodec::Decision expected = test::decide_all(uncached, views)[0];
-  ASSERT_TRUE(expected.info.stored_uncompressed);
-  ASSERT_EQ(expected.info.bursts, 256u);
   for (int pass = 0; pass < 2; ++pass) {
     SlcCodec::CacheOutcome oc;
-    const SlcCodec::Decision got = test::decide_one(cached, block.view(), &oc);
-    expect_info_eq(got.info, expected.info, "pass " + std::to_string(pass));
-    EXPECT_FALSE(oc.hit);
-    EXPECT_FALSE(oc.evicted);
+    EXPECT_THROW(test::decide_one(cached, block.view(), &oc), std::invalid_argument)
+        << "pass " << pass;
   }
   EXPECT_EQ(cache->size(), 0u);
 }

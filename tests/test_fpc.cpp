@@ -10,11 +10,11 @@
 namespace slc {
 namespace {
 
-// Word `w` followed by a zero word through the compressor: the pattern in
-// w's 3-bit prefix, and the block's bits. The zero word costs one 6-bit run,
-// and at most 3 + 32 + 6 bits the 8 B block is never stored raw.
+// Word `w` followed by 31 zero words through the compressor: the pattern in
+// w's 3-bit prefix, and the block's bits. The zero words cost four 6-bit
+// runs, and at most 3 + 32 + 24 bits the block is never stored raw.
 std::pair<FpcPattern, size_t> encode_word(uint32_t w) {
-  Block b(8);
+  Block b;
   b.set_word32(0, w);
   const CompressedBlock cb = FpcCompressor().compress(b.view());
   EXPECT_TRUE(cb.is_compressed);
@@ -35,10 +35,10 @@ TEST(Fpc, ClassifyPatterns) {
 }
 
 TEST(Fpc, PayloadBits) {
-  // Prefix + payload, then the zero word's run (prefix + 3-bit length).
-  EXPECT_EQ(encode_word(0x00000003).second, 3u + 4u + 6u);   // kSignExt4
-  EXPECT_EQ(encode_word(0x12345678).second, 3u + 32u + 6u);  // kUncompressed
-  EXPECT_EQ(FpcCompressor().compress(Block(8).view()).bit_size, 3u + 3u);  // kZeroRun
+  // Prefix + payload, then the zero words' runs (prefix + 3-bit length).
+  EXPECT_EQ(encode_word(0x00000003).second, 3u + 4u + 4u * 6u);   // kSignExt4
+  EXPECT_EQ(encode_word(0x12345678).second, 3u + 32u + 4u * 6u);  // kUncompressed
+  EXPECT_EQ(FpcCompressor().compress(Block().view()).bit_size, 4u * (3u + 3u));  // kZeroRun
 }
 
 TEST(Fpc, AllZerosUsesRuns) {

@@ -1,11 +1,11 @@
-// Cross-geometry property sweeps: the codec stack must hold its invariants
-// for non-default block sizes, way counts, MAGs and table sizes — the
-// configuration space a downstream user can reach through the public API.
+// Geometry properties: the codec stack takes the paper's one block geometry
+// (128 B blocks, 4 E2MC ways) and rejects every other block size, and holds
+// its invariants across MAGs and table sizes — the configuration space a
+// downstream user can reach through the public API.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
-#include <map>
 #include <stdexcept>
 #include <string>
 
@@ -13,6 +13,7 @@
 #include "compress/block_codec.h"
 #include "compress/codec_registry.h"
 #include "compress/fpc.h"
+#include "core/fingerprint_cache.h"
 #include "core/slc_codec.h"
 #include "test_util.h"
 
@@ -34,16 +35,16 @@ std::vector<uint8_t> quantized_floats(uint64_t seed, size_t bytes) {
   return data;
 }
 
-// (block_bytes, num_ways)
+// (block_bytes, num_ways): the paper's geometry, the one every codec takes.
 using Geometry = std::tuple<size_t, unsigned>;
 
 class E2mcGeometryTest : public ::testing::TestWithParam<Geometry> {};
 
 TEST_P(E2mcGeometryTest, RoundTripAndSizeAccounting) {
   const auto [block_bytes, ways] = GetParam();
+  ASSERT_EQ(ways, kNumWays);
   const auto data = quantized_floats(7 + block_bytes + ways, 512 * block_bytes);
   E2mcConfig cfg;
-  cfg.num_ways = ways;
   cfg.sample_fraction = 0.2;
   auto comp = E2mcCompressor::train(data, cfg);
   for (size_t i = 0; i < 256; ++i) {
@@ -56,18 +57,15 @@ TEST_P(E2mcGeometryTest, RoundTripAndSizeAccounting) {
 }
 
 INSTANTIATE_TEST_SUITE_P(BlocksAndWays, E2mcGeometryTest,
-                         ::testing::Values(Geometry{64, 2}, Geometry{64, 4},
-                                           Geometry{128, 2}, Geometry{128, 4},
-                                           Geometry{128, 8}, Geometry{256, 4}));
+                         ::testing::Values(Geometry{kBlockBytes, kNumWays}));
 
 class SlcGeometryTest : public ::testing::TestWithParam<Geometry> {};
 
 TEST_P(SlcGeometryTest, InvariantsAcrossBlockGeometry) {
   const auto [block_bytes, ways] = GetParam();
-  const size_t n_sym = block_bytes * 8 / kSymbolBits;
+  ASSERT_EQ(ways, kNumWays);
   const auto data = quantized_floats(99 + block_bytes + ways, 512 * block_bytes);
   E2mcConfig ecfg;
-  ecfg.num_ways = ways;
   ecfg.sample_fraction = 0.2;
   auto e2mc = E2mcCompressor::train(data, ecfg);
   SlcConfig cfg;
@@ -86,138 +84,126 @@ TEST_P(SlcGeometryTest, InvariantsAcrossBlockGeometry) {
     }
     // Lossy: at most kMaxApproxSymbols symbols may differ.
     size_t diff = 0;
-    for (size_t s = 0; s < n_sym; ++s)
+    for (size_t s = 0; s < kSymbolsPerBlock; ++s)
       if (out.symbol(s) != b.symbol(s)) ++diff;
     EXPECT_LE(diff, kMaxApproxSymbols);
-    EXPECT_LE(cb.info.bursts, bursts_for_bits(cb.info.lossless_bits, 32, block_bytes));
+    EXPECT_LE(cb.info.bursts, bursts_for_bits(cb.info.lossless_bits, 32));
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(BlocksAndWays, SlcGeometryTest,
-                         ::testing::Values(Geometry{128, 2}, Geometry{128, 4},
-                                           Geometry{256, 4}));
+                         ::testing::Values(Geometry{kBlockBytes, kNumWays}));
 
-// Blocks whose symbol count is zero or not a multiple of num_ways are
-// rejected with std::invalid_argument on every path that sizes, emits or
-// decodes ways. Under 3 ways, symbol 63 of a 128 B block used to land in no
-// way: compress() reported the block compressed and decompress() returned
-// that symbol as 0. A 4-byte block under 4 ways has zero symbols per way,
-// and analyze() used to die with SIGFPE.
+// Every Compressor and BlockCodec entry point of `scheme` must throw
+// std::invalid_argument for `block`; decompress() is fed a payload claiming
+// that size.
+void expect_rejected(const std::string& scheme, const CodecOptions& opts, BlockView block) {
+  const auto& reg = CodecRegistry::instance();
+  const std::string what = scheme + " " + std::to_string(block.size()) + " B";
+  const std::vector<BlockView> views{block};
+  std::vector<BlockCodecResult> results(1);
+  const auto policy = reg.create_block_codec(scheme, opts);
+  EXPECT_THROW(policy->process(block, true, 16), std::invalid_argument) << what;
+  EXPECT_THROW(policy->process_batch(views, true, 16, results.data()), std::invalid_argument)
+      << what;
+  if (!reg.at(scheme).make) return;  // RAW has no Compressor form
+  const auto comp = reg.create(scheme, opts);
+  std::vector<BlockAnalysis> analyses(1);
+  std::vector<CompressedBlock> payloads(1);
+  EXPECT_THROW(comp->compress(block), std::invalid_argument) << what;
+  EXPECT_THROW(comp->analyze(block), std::invalid_argument) << what;
+  EXPECT_THROW(comp->analyze_batch(views, analyses.data()), std::invalid_argument) << what;
+  EXPECT_THROW(comp->compress_batch(views, payloads.data()), std::invalid_argument) << what;
+  for (const bool compressed : {true, false}) {
+    CompressedBlock forged;
+    forged.is_compressed = compressed;
+    forged.bit_size = block.size() * 8;
+    forged.payload.assign(block.bytes().begin(), block.bytes().end());
+    EXPECT_THROW(comp->decompress(forged, block.size()), std::invalid_argument)
+        << what << (compressed ? " compressed" : " stored raw");
+  }
+}
+
+// E2MC's 4 ways of 16 symbols are a 128 B block's: a block of 2 symbols
+// (4 B) or 63 (126 B) does not split into them. Under 3 ways, symbol 63 of
+// a 128 B block used to land in no way, and a 4-byte block under 4 ways has
+// zero symbols per way, on which analyze() used to die with SIGFPE.
 class WayGeometryTest : public ::testing::Test {
  protected:
   void SetUp() override {
     data_ = quantized_floats(5, 64 * kBlockBytes);
-    four_.training_data = data_;
-    four_.e2mc.sample_fraction = 0.5;
-    three_ = four_;
-    three_.e2mc.num_ways = 3;
+    opts_.training_data = data_;
+    opts_.e2mc.sample_fraction = 0.5;
   }
 
-  // Every Compressor and BlockCodec entry point of `scheme` must throw for
-  // `block`; decompress() is fed a payload claiming that geometry.
-  static void expect_rejected(const std::string& scheme, const CodecOptions& opts,
-                              BlockView block) {
-    const auto& reg = CodecRegistry::instance();
-    const auto comp = reg.create(scheme, opts);
-    const auto policy = reg.create_block_codec(scheme, opts);
-    const std::vector<BlockView> views{block};
-    std::vector<BlockAnalysis> analyses(1);
-    std::vector<CompressedBlock> payloads(1);
-    std::vector<BlockCodecResult> results(1);
-    EXPECT_THROW(comp->compress(block), std::invalid_argument) << scheme;
-    EXPECT_THROW(comp->analyze(block), std::invalid_argument) << scheme;
-    EXPECT_THROW(comp->analyze_batch(views, analyses.data()), std::invalid_argument) << scheme;
-    EXPECT_THROW(comp->compress_batch(views, payloads.data()), std::invalid_argument) << scheme;
-    CompressedBlock forged;
-    forged.is_compressed = true;
-    forged.bit_size = block.size() * 8;
-    forged.payload.assign(block.bytes().begin(), block.bytes().end());
-    EXPECT_THROW(comp->decompress(forged, block.size()), std::invalid_argument) << scheme;
-    EXPECT_THROW(policy->process(block, true, 16), std::invalid_argument) << scheme;
-    EXPECT_THROW(policy->process_batch(views, true, 16, results.data()), std::invalid_argument)
-        << scheme;
-  }
-
-  BlockView full() const { return BlockView(std::span<const uint8_t>(data_).first(kBlockBytes)); }
   BlockView tiny() const { return BlockView(std::span<const uint8_t>(data_).first(4)); }
+  BlockView short_of_a_way() const {
+    return BlockView(std::span<const uint8_t>(data_).first(kBlockBytes - 2));
+  }
 
   std::vector<uint8_t> data_;
-  CodecOptions four_;   // default 4 ways
-  CodecOptions three_;  // 3 ways: 64 symbols do not split
+  CodecOptions opts_;
 };
 
 TEST_F(WayGeometryTest, E2mcRejectsBlocksThatDoNotSplitIntoWays) {
-  expect_rejected("E2MC", three_, full());
-  expect_rejected("E2MC", four_, tiny());
+  expect_rejected("E2MC", opts_, tiny());
+  expect_rejected("E2MC", opts_, short_of_a_way());
 }
 
 TEST_F(WayGeometryTest, TslcOptRejectsBlocksThatDoNotSplitIntoWays) {
-  expect_rejected("TSLC-OPT", three_, full());
-  expect_rejected("TSLC-OPT", four_, tiny());
+  expect_rejected("TSLC-OPT", opts_, tiny());
+  expect_rejected("TSLC-OPT", opts_, short_of_a_way());
 }
 
-TEST(WayGeometry, E2mcRejectsWayCountsOutsideOneToEight) {
-  E2mcConfig cfg;
-  cfg.num_ways = 0;
-  EXPECT_THROW(E2mcCompressor(HuffmanCode{}, cfg), std::invalid_argument);
-  cfg.num_ways = 9;
-  EXPECT_THROW(E2mcCompressor(HuffmanCode{}, cfg), std::invalid_argument);
-}
-
-// The word-oriented schemes cannot encode a partial word: BDI reads 8 B
-// words (its repeat and base-8 probes), FPC and C-PACK 4 B words, E2MC,
-// Huffman and the SLC codec over E2MC 2 B symbols. They used to drop the
-// bytes after the last whole word and still report the block compressed
-// (a 130 B block of zeros ending in AB CD came back as 130 zeros). Every
-// entry point that sizes, encodes or decodes a block now rejects a size
-// that is not a positive multiple of the word; 64 B and 256 B blocks still
-// round-trip.
+// Every codec takes 128 B blocks and nothing else. Blocks of 0, 2, 64, 126,
+// 130, 256 and 520 B are rejected with std::invalid_argument by every
+// registry scheme's analyze, compress, analyze_batch, compress_batch and
+// decompress, by every scheme's BlockCodec (RAW included) and by
+// SlcCodec::decide_batch with the memo off and on, before the memo sees the
+// block. The word-oriented schemes used to drop the bytes after a block's
+// last whole word and still report it compressed (a 130 B block of zeros
+// ending in AB CD came back as 130 zeros), and SLC blocks over 256 B
+// decoded to the wrong block. 128 B blocks still round-trip.
 TEST(LosslessSchemes, RejectBlockSizesTheyCannotEncode) {
-  const std::map<std::string, size_t> word_bytes = {
-      {"BDI", 8},     {"FPC", 4},       {"C-PACK", 4},    {"E2MC", 2},
-      {"Huffman", 2}, {"TSLC-SIMP", 2}, {"TSLC-PRED", 2}, {"TSLC-OPT", 2}};
   const auto training = quantized_floats(11, 64 * kBlockBytes);
   CodecOptions opts;
   opts.training_data = training;
   opts.threshold_bytes = 0;  // the TSLC variants stay lossless, so round trips are exact
-  opts.e2mc.num_ways = 2;    // 101 B = 50 symbols splits into 2 ways: only the tail check bites
   const auto& reg = CodecRegistry::instance();
+  const auto model = E2mcCompressor::train(training);
   size_t schemes = 0;
-  for (const CodecInfo* info : reg.entries()) {
-    if (!info->make) continue;  // RAW has no Compressor form
-    ASSERT_EQ(word_bytes.count(info->name), 1u) << info->name << ": word size unknown";
-    const size_t word = word_bytes.at(info->name);
-    const auto comp = reg.create(info->name, opts);
-    ++schemes;
-    for (const size_t bytes : {size_t{0}, size_t{100}, size_t{101}, size_t{130}}) {
-      if (bytes != 0 && bytes % word == 0) continue;
-      std::vector<uint8_t> data(bytes);
-      if (bytes >= 2) {
-        data[bytes - 2] = 0xAB;
-        data[bytes - 1] = 0xCD;
-      }
-      const Block block(std::move(data));
-      const std::vector<BlockView> views{block.view()};
-      std::vector<BlockAnalysis> analyses(1);
-      std::vector<CompressedBlock> payloads(1);
-      const std::string what = info->name + " " + std::to_string(bytes) + " B";
-      EXPECT_THROW(comp->analyze(block.view()), std::invalid_argument) << what;
-      EXPECT_THROW(comp->analyze_batch(views, analyses.data()), std::invalid_argument) << what;
-      EXPECT_THROW(comp->compress(block.view()), std::invalid_argument) << what;
-      EXPECT_THROW(comp->compress_batch(views, payloads.data()), std::invalid_argument) << what;
-      CompressedBlock forged;
-      forged.is_compressed = true;
-      forged.bit_size = 8;
-      forged.payload.assign(std::max<size_t>(bytes, 1), 0);
-      EXPECT_THROW(comp->decompress(forged, bytes), std::invalid_argument) << what;
+  for (const size_t bytes : {size_t{0}, size_t{2}, size_t{64}, size_t{126}, size_t{130},
+                             size_t{256}, size_t{520}}) {
+    std::vector<uint8_t> data(bytes);
+    if (bytes >= 2) {
+      data[bytes - 2] = 0xAB;
+      data[bytes - 1] = 0xCD;
     }
-    for (const size_t bytes : {size_t{64}, size_t{256}}) {
-      const Block block(std::span<const uint8_t>(training).first(bytes));
-      const CompressedBlock cb = comp->compress(block.view());
-      EXPECT_EQ(comp->decompress(cb, bytes), block) << info->name << " " << bytes << " B";
+    const Block block(std::move(data));
+    for (const CodecInfo* info : reg.entries()) expect_rejected(info->name, opts, block.view());
+    for (const bool memo : {false, true}) {
+      SlcConfig cfg;
+      if (memo) cfg.cache = std::make_shared<FingerprintCache>();
+      const SlcCodec codec(model, cfg);
+      const std::vector<BlockView> views{block.view()};
+      SlcCodec::Decision d;
+      SlcCodec::CacheOutcome oc;
+      EXPECT_THROW(codec.decide_batch(views, 16, &d, &oc), std::invalid_argument)
+          << bytes << " B, memo " << memo;
+      if (memo) {
+        EXPECT_EQ(cfg.cache->size(), 0u) << bytes << " B";
+      }
     }
   }
-  EXPECT_EQ(schemes, word_bytes.size());
+  for (const CodecInfo* info : reg.entries()) {
+    if (!info->make) continue;  // RAW has no Compressor form
+    const auto comp = reg.create(info->name, opts);
+    const Block block(std::span<const uint8_t>(training).first(kBlockBytes));
+    const CompressedBlock cb = comp->compress(block.view());
+    EXPECT_EQ(comp->decompress(cb, kBlockBytes), block) << info->name;
+    ++schemes;
+  }
+  EXPECT_GE(schemes, 8u);  // BDI, FPC, C-PACK, E2MC, Huffman and the three TSLC
 }
 
 // A MAG of 0, or one that does not divide the block, is rejected when the

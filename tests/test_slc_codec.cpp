@@ -59,8 +59,7 @@ class SlcCodecTest : public ::testing::Test {
 };
 
 TEST_F(SlcCodecTest, HeaderIs32Bits) {
-  const SlcCodec codec = make(SlcVariant::kOpt);
-  EXPECT_EQ(codec.header_bits(kBlockBytes), 32u);  // Fig. 6
+  EXPECT_EQ(SlcHeader::kBits, 32u);  // Fig. 6
 }
 
 TEST_F(SlcCodecTest, LatencyConstants) {
@@ -116,7 +115,7 @@ TEST_F(SlcCodecTest, LossyOnlyChangesTruncatedSymbols) {
     const Block out = codec.decompress(cb.data, kBlockBytes);
     // Decode the header to learn the truncated range.
     BitReader r(cb.data.payload);
-    const SlcHeader h = SlcHeader::read(r, kBlockBytes, 4, 64);
+    const SlcHeader h = SlcHeader::read(r);
     ASSERT_TRUE(h.lossy);
     for (size_t s = 0; s < kSymbolsPerBlock; ++s) {
       const bool truncated =
@@ -136,7 +135,7 @@ TEST_F(SlcCodecTest, SimpFillsZeros) {
     if (!cb.info.lossy) continue;
     const Block out = codec.decompress(cb.data, kBlockBytes);
     BitReader r(cb.data.payload);
-    const SlcHeader h = SlcHeader::read(r, kBlockBytes, 4, 64);
+    const SlcHeader h = SlcHeader::read(r);
     for (size_t s = h.start_symbol; s < size_t{h.start_symbol} + h.approx_count; ++s)
       EXPECT_EQ(out.symbol(s), 0u);
     return;  // one lossy block suffices
@@ -157,7 +156,7 @@ TEST_F(SlcCodecTest, PredFillsParityMatchedNeighbour) {
     ++checked;
     const Block out = codec.decompress(cb.data, kBlockBytes);
     BitReader r(cb.data.payload);
-    const SlcHeader h = SlcHeader::read(r, kBlockBytes, 4, 64);
+    const SlcHeader h = SlcHeader::read(r);
     uint16_t expected[2];
     for (size_t parity = 0; parity < 2; ++parity) {
       size_t idx = kSymbolsPerBlock;

@@ -15,12 +15,12 @@
 namespace slc {
 namespace {
 
-// `h` through SlcHeader::write for a 128 B / 4-way / 64-symbol block,
-// followed by `tail` (the start of the way data).
+// `h` through SlcHeader::write, followed by `tail` (the start of the way
+// data).
 std::vector<uint8_t> write_header(const SlcHeader& h, std::vector<uint8_t> tail = {}) {
-  std::vector<uint8_t> buf(SlcHeader::padded_bytes(128, 4, 64) + tail.size());
+  std::vector<uint8_t> buf(SlcHeader::kBits / 8 + tail.size());
   detail::SpanBitWriter w(buf.data());
-  h.write(w, 128, 4, 64);
+  h.write(w);
   EXPECT_EQ(w.bit_size(), 32u);
   for (const uint8_t b : tail) w.put(b, 8);
   EXPECT_EQ(w.finish(), buf.size());
@@ -39,14 +39,8 @@ std::vector<uint8_t> fig6_reference(const SlcHeader& h) {
 }
 
 TEST(SlcHeader, BitsMatchFig6) {
-  // 1 (m) + 6 (ss) + 4 (len) + 3*7 (pdp) = 32 bits for 128 B / 4 ways.
-  EXPECT_EQ(SlcHeader::bits(128, 4, 64), 32u);
-  EXPECT_EQ(SlcHeader::padded_bytes(128, 4, 64), 4u);
-}
-
-TEST(SlcHeader, BitsForOtherGeometries) {
-  // 64 B block, 2 ways: 1 + 5 (32 symbols) + 4 + 1*6 = 16 bits.
-  EXPECT_EQ(SlcHeader::bits(64, 2, 32), 16u);
+  // 1 (m) + 6 (ss) + 4 (len) + 3*7 (pdp) = 32 bits.
+  EXPECT_EQ(SlcHeader::kBits, 32u);
 }
 
 TEST(SlcHeader, RoundTripLossless) {
@@ -59,7 +53,7 @@ TEST(SlcHeader, RoundTripLossless) {
   EXPECT_EQ(bytes, fig6_reference(h));
 
   BitReader r(bytes);
-  const SlcHeader back = SlcHeader::read(r, 128, 4, 64);
+  const SlcHeader back = SlcHeader::read(r);
   EXPECT_FALSE(back.lossy);
   EXPECT_EQ(back.approx_count, 0);
   EXPECT_EQ(back.way_offsets[1], 17);
@@ -75,7 +69,7 @@ TEST(SlcHeader, RoundTripLossy) {
   const auto bytes = write_header(h);
   EXPECT_EQ(bytes, fig6_reference(h));
   BitReader r(bytes);
-  const SlcHeader back = SlcHeader::read(r, 128, 4, 64);
+  const SlcHeader back = SlcHeader::read(r);
   EXPECT_TRUE(back.lossy);
   EXPECT_EQ(back.start_symbol, 48);
   EXPECT_EQ(back.approx_count, 16);
@@ -90,36 +84,29 @@ TEST(SlcHeader, AllLenValues) {
     const auto bytes = write_header(h);
     EXPECT_EQ(bytes, fig6_reference(h)) << int{count};
     BitReader r(bytes);
-    const SlcHeader back = SlcHeader::read(r, 128, 4, 64);
+    const SlcHeader back = SlcHeader::read(r);
     EXPECT_EQ(back.approx_count, count);
     EXPECT_EQ(back.start_symbol, count % 64);
   }
 }
 
 // A lossy window ending at the last symbol is read, one symbol further is
-// not (at 96 B and 128 B). ss is 6 bits at both sizes, so it holds 0..63.
+// not. ss is 6 bits, so it holds 0..63.
 TEST(SlcHeader, ReadRejectsWindowLeavingTheBlock) {
-  for (const size_t block_bytes : {size_t{96}, size_t{128}}) {
-    const size_t n_sym = block_bytes / 2;
-    for (const size_t count : {size_t{1}, size_t{9}, size_t{16}}) {
-      for (const size_t start : {n_sym - count, n_sym - count + 1, size_t{63}}) {
-        if (start > 63) continue;
-        SlcHeader h;
-        h.lossy = true;
-        h.start_symbol = static_cast<uint32_t>(start);
-        h.approx_count = static_cast<uint8_t>(count);
-        std::vector<uint8_t> bytes(SlcHeader::padded_bytes(block_bytes, 4, n_sym));
-        detail::SpanBitWriter w(bytes.data());
-        h.write(w, block_bytes, 4, n_sym);
-        w.finish();
-        BitReader r(bytes);
-        const std::string what = std::to_string(block_bytes) + " B, ss " +
-                                 std::to_string(start) + " len " + std::to_string(count);
-        if (start + count <= n_sym) {
-          EXPECT_EQ(SlcHeader::read(r, block_bytes, 4, n_sym).start_symbol, start) << what;
-        } else {
-          EXPECT_THROW(SlcHeader::read(r, block_bytes, 4, n_sym), std::invalid_argument) << what;
-        }
+  for (const size_t count : {size_t{1}, size_t{9}, size_t{16}}) {
+    for (const size_t start : {64 - count, 64 - count + 1, size_t{63}}) {
+      if (start > 63) continue;
+      SlcHeader h;
+      h.lossy = true;
+      h.start_symbol = static_cast<uint32_t>(start);
+      h.approx_count = static_cast<uint8_t>(count);
+      const std::vector<uint8_t> bytes = write_header(h);
+      BitReader r(bytes);
+      const std::string what = "ss " + std::to_string(start) + " len " + std::to_string(count);
+      if (start + count <= 64) {
+        EXPECT_EQ(SlcHeader::read(r).start_symbol, start) << what;
+      } else {
+        EXPECT_THROW(SlcHeader::read(r), std::invalid_argument) << what;
       }
     }
   }
@@ -128,7 +115,7 @@ TEST(SlcHeader, ReadRejectsWindowLeavingTheBlock) {
 TEST(SlcHeader, ReaderLeavesPositionByteAligned) {
   const auto bytes = write_header(SlcHeader{}, {0xAB});  // payload byte after the header
   BitReader r(bytes);
-  SlcHeader::read(r, 128, 4, 64);
+  SlcHeader::read(r);
   EXPECT_EQ(r.position() % 8, 0u);
   EXPECT_EQ(r.get(8), 0xABu);
 }

@@ -8,9 +8,7 @@
 namespace slc {
 namespace {
 
-std::vector<uint16_t> uniform_lens(uint16_t len, size_t n = 64) {
-  return std::vector<uint16_t>(n, len);
-}
+std::vector<uint16_t> uniform_lens(uint16_t len) { return std::vector<uint16_t>(64, len); }
 
 std::vector<uint16_t> random_lens(Rng& rng) {
   std::vector<uint16_t> lens(64);
@@ -20,18 +18,23 @@ std::vector<uint16_t> random_lens(Rng& rng) {
 
 TEST(TreeSelector, CompSizeIsSum) {
   const auto lens = uniform_lens(7);
-  EXPECT_EQ(CodeLengthTree(lens, false).range_bits(0, lens.size()), 7u * 64u);
+  // The widest window is a 16-symbol node, the sum of its lengths.
+  const auto c = CodeLengthTree(lens.data(), false).select(7 * 16);
+  ASSERT_TRUE(c.has_value());
+  EXPECT_EQ(c->start, 0u);
+  EXPECT_EQ(c->count, 16u);
+  EXPECT_EQ(c->sum_bits, 7u * 16u);
 }
 
 TEST(TreeSelector, ZeroExtraBitsSelectsNothing) {
   const auto lens = uniform_lens(8);
-  EXPECT_FALSE(CodeLengthTree(lens, false).select(0).has_value());
+  EXPECT_FALSE(CodeLengthTree(lens.data(), false).select(0).has_value());
 }
 
 TEST(TreeSelector, SingleSymbolWindowWhenEnough) {
   auto lens = uniform_lens(4);
   lens[10] = 15;  // one long symbol
-  const auto c = CodeLengthTree(lens, false).select(12);
+  const auto c = CodeLengthTree(lens.data(), false).select(12);
   ASSERT_TRUE(c.has_value());
   EXPECT_EQ(c->count, 1u);
   EXPECT_EQ(c->start, 10u);
@@ -42,14 +45,14 @@ TEST(TreeSelector, PriorityEncoderPicksFirstWindow) {
   auto lens = uniform_lens(4);
   lens[20] = 14;
   lens[40] = 15;  // later window also qualifies but must not win
-  const auto c = CodeLengthTree(lens, false).select(13);
+  const auto c = CodeLengthTree(lens.data(), false).select(13);
   ASSERT_TRUE(c.has_value());
   EXPECT_EQ(c->start, 20u);
 }
 
 TEST(TreeSelector, EscalatesToLargerWindows) {
   const auto lens = uniform_lens(4);  // windows: 1->4, 2->8, 4->16, 8->32, 16->64
-  const auto c = CodeLengthTree(lens, false).select(20);
+  const auto c = CodeLengthTree(lens.data(), false).select(20);
   ASSERT_TRUE(c.has_value());
   EXPECT_EQ(c->count, 8u);      // smallest power-of-two window with sum >= 20
   EXPECT_EQ(c->sum_bits, 32u);
@@ -60,7 +63,7 @@ TEST(TreeSelector, AlignedStarts) {
   for (int trial = 0; trial < 200; ++trial) {
     const auto lens = random_lens(rng);
     const size_t extra = 1 + rng.next_below(128);
-    const auto c = CodeLengthTree(lens, false).select(extra);
+    const auto c = CodeLengthTree(lens.data(), false).select(extra);
     if (!c) continue;
     EXPECT_EQ(c->start % c->count, 0u) << "power-of-two windows are self-aligned";
     EXPECT_GE(c->sum_bits, extra);
@@ -70,7 +73,7 @@ TEST(TreeSelector, AlignedStarts) {
 
 TEST(TreeSelector, NoWindowMeansLossless) {
   const auto lens = uniform_lens(1);  // 16-symbol window sums to only 16
-  EXPECT_FALSE(CodeLengthTree(lens, false).select(64).has_value());
+  EXPECT_FALSE(CodeLengthTree(lens.data(), false).select(64).has_value());
 }
 
 TEST(TreeSelector, OptUsesIntermediateWindows) {
@@ -78,8 +81,8 @@ TEST(TreeSelector, OptUsesIntermediateWindows) {
   // (sum 24) must beat the base selector's 8-symbol window (sum 32).
   const auto lens = uniform_lens(4);
   const size_t extra = 20;
-  const auto cb = CodeLengthTree(lens, false).select(extra);
-  const auto co = CodeLengthTree(lens, true).select(extra);
+  const auto cb = CodeLengthTree(lens.data(), false).select(extra);
+  const auto co = CodeLengthTree(lens.data(), true).select(extra);
   ASSERT_TRUE(cb && co);
   EXPECT_EQ(cb->count, 8u);
   EXPECT_EQ(co->count, 6u);
@@ -89,8 +92,8 @@ TEST(TreeSelector, OptUsesIntermediateWindows) {
 TEST(TreeSelector, OptTwelveSymbolWindow) {
   const auto lens = uniform_lens(4);
   const size_t extra = 36;  // 8-window sum 32 < 36 <= 12-window sum 48
-  const auto cb = CodeLengthTree(lens, false).select(extra);
-  const auto co = CodeLengthTree(lens, true).select(extra);
+  const auto cb = CodeLengthTree(lens.data(), false).select(extra);
+  const auto co = CodeLengthTree(lens.data(), true).select(extra);
   ASSERT_TRUE(cb && co);
   EXPECT_EQ(cb->count, 16u);
   EXPECT_EQ(co->count, 12u);
@@ -104,8 +107,8 @@ TEST(TreeSelector, OptNeverTruncatesMoreSymbols) {
   for (int trial = 0; trial < 500; ++trial) {
     const auto lens = random_lens(rng);
     const size_t extra = 1 + rng.next_below(128);
-    const auto cb = CodeLengthTree(lens, false).select(extra);
-    const auto co = CodeLengthTree(lens, true).select(extra);
+    const auto cb = CodeLengthTree(lens.data(), false).select(extra);
+    const auto co = CodeLengthTree(lens.data(), true).select(extra);
     if (cb) {
       ASSERT_TRUE(co.has_value()) << "OPT has a superset of windows";
       EXPECT_LE(co->count, cb->count);
@@ -149,7 +152,7 @@ TEST(TreeSelectorProperty, SmallestQualifyingSize) {
   for (int trial = 0; trial < 300; ++trial) {
     const auto lens = random_lens(rng);
     const size_t extra = 1 + rng.next_below(160);
-    const auto c = CodeLengthTree(lens, true).select(extra);
+    const auto c = CodeLengthTree(lens.data(), true).select(extra);
     if (!c) continue;
     // No window of a strictly smaller size may qualify.
     for (const TreeCandidate& w : test::ref_windows(lens, true)) {

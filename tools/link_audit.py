@@ -19,6 +19,13 @@ suites under tests/. Their text symbols are compared with nm in two passes:
             src/ (nm -l line info) and that no production binary contains
             (this catches header-inline functions, which pass 1 misses).
 
+A third pass reads the source instead: an inline function nothing calls
+emits no symbol, so neither nm pass can see it. It flags each function a
+src/ header defines whose name appears in no file under src/, bench/ or
+examples/ except at its definitions (comments and string literals aside),
+by qualified name. The allocator hooks the standard library calls
+(allocate, deallocate) are not audited.
+
 Only objects whose source still exists are audited: a reused build tree
 keeps the object of a deleted source (CMakeFiles/<target>.dir/<path>.o for
 src/<path>), and no binary links its functions any more.
@@ -27,7 +34,8 @@ Symbols are compared by demangled signature, so each overload is audited on
 its own, and a lambda counts as part of the function that defines it.
 Constructors, destructors, assignment and comparison operators are not
 audited. A flagged function stays only when link_audit_allowlist.txt
-names it, one `signature | kind: reason` a line, with a kind from REASONS.
+names it, one `signature | kind: reason` a line, with a kind from REASONS;
+the third pass matches an entry by the qualified name before its `(`.
 The audit under-reports virtual functions, which vtables keep.
 
 Exit status: 0 when every flagged function is allowlisted and every
@@ -39,6 +47,7 @@ from __future__ import annotations
 
 import argparse
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -55,6 +64,10 @@ TEXT_TYPES = {"T", "t", "W"}
 REASONS = ("observer", "memo", "input-check")
 EXEMPT_OPERATORS = {"operator=", "operator==", "operator!=", "operator<", "operator>",
                     "operator<=", "operator>=", "operator<=>"}
+# Where the third pass looks for a header function's name.
+SOURCE_DIRS = ("src", "bench", "examples")
+# Hooks the standard library calls by name (an allocator's), never src/.
+STD_HOOKS = {"allocate", "deallocate"}
 
 
 def parse_nm(listing: str) -> list[tuple[str, str, str]]:
@@ -171,13 +184,88 @@ def parse_allowlist(text: str) -> tuple[dict[str, str], list[str]]:
     return entries, findings
 
 
-def check(flagged_names: set[str], allowlist_text: str) -> list[str]:
+def strip_code(text: str) -> str:
+    """`text` with comments, preprocessor lines (continued ones too), and
+    string and character literals blanked out."""
+    return re.sub(r'//[^\n]*|/\*.*?\*/|^[ \t]*#(?:[^\n]*\\\n)*[^\n]*|"(?:\\.|[^"\\\n])*"|'
+                  r"(?<!\w)'(?:\\.|[^'\\\n])*'",
+                  lambda m: '""' if m.group(0)[0] in "\"'" else "", text, flags=re.S | re.M)
+
+
+def header_functions(text: str) -> list[str]:
+    """Qualified names of the functions a header defines (with a body) at
+    namespace or class scope; constructors, destructors and operators are
+    left out. A scope is read off the text before each `{` since the last
+    `;`, `{` or `}`."""
+    code = strip_code(text)
+    scopes: list[str | None] = []  # a namespace or class name; None for any other brace
+    out, start = [], 0
+    for m in re.finditer(r"[;{}]", code):
+        head = " ".join(code[start:m.end() - 1].split())
+        start = m.end()
+        if m.group(0) == ";":
+            continue
+        if m.group(0) == "}":
+            if scopes:
+                scopes.pop()
+            continue
+        if scopes and scopes[-1] is None:  # inside a function body or an initializer
+            scopes.append(None)
+            continue
+        if ns := re.fullmatch(r"(?:inline )?namespace ?([\w:]*)", head):
+            scopes.append(ns.group(1))
+            continue
+        if cls := re.match(r"(?:template ?<.*> ?)?(?:class|struct|union) (.*)", head):
+            if "enum" not in head:
+                rest = re.sub(r"\w+ ?\([^)]*\) ?", "", cls.group(1))  # alignas(), macros
+                scopes.append(re.match(r"\w*", rest).group(0))
+                continue
+        fn = re.match(r"(?:template ?<.*?> )?[^(]*?(~?[\w:]+) ?\(", head)
+        scopes.append(None)
+        if fn is None or "=" in head[:fn.start(1)] or head.startswith(("enum", "return")):
+            continue
+        name = fn.group(1).split("::")[-1]
+        owners = [s for s in scopes[:-1] if s]
+        if name.startswith(("~", "operator")) or (owners and name == owners[-1]) \
+                or name in STD_HOOKS:
+            continue
+        out.append("::".join(owners + fn.group(1).split("::")))
+    return out
+
+
+def uncalled_header_functions(root: Path) -> set[str]:
+    """Qualified names of the functions src/ headers define whose name
+    appears nowhere under SOURCE_DIRS except at such a definition."""
+    uses: dict[str, int] = {}
+    defined: list[str] = []
+    for sub in SOURCE_DIRS:
+        for path in sorted((root / sub).rglob("*")):
+            if path.suffix not in (".h", ".cpp"):
+                continue
+            text = path.read_text(encoding="utf-8")
+            for word in re.findall(r"\w+", strip_code(text)):
+                uses[word] = uses.get(word, 0) + 1
+            if sub == "src" and path.suffix == ".h":
+                defined += header_functions(text)
+    definitions: dict[str, int] = {}
+    for q in defined:
+        definitions[q.split("::")[-1]] = definitions.get(q.split("::")[-1], 0) + 1
+    return {q for q in defined if uses.get(q.split("::")[-1], 0) <= definitions[q.split("::")[-1]]}
+
+
+def check(flagged_names: set[str], allowlist_text: str,
+          uncalled: frozenset[str] | set[str] = frozenset()) -> list[str]:
     allowed, findings = parse_allowlist(allowlist_text)
+    allowed_names = {s.partition("(")[0] for s in allowed}
     for name in sorted(flagged_names - allowed.keys()):
         findings.append(f"{name}: no production binary links it; delete it, move it to "
                         f"tests/, or allowlist it with a reason")
+    for name in sorted(uncalled - allowed_names):
+        findings.append(f"{name}: a src/ header defines it and nothing under src/, bench/ or "
+                        f"examples/ names it; delete it or allowlist it with a reason")
     for name in sorted(allowed.keys() - flagged_names):
-        findings.append(f"{name}: allowlisted but no longer flagged; drop the entry")
+        if name.partition("(")[0] not in uncalled:
+            findings.append(f"{name}: allowlisted but no longer flagged; drop the entry")
     return findings
 
 
@@ -216,11 +304,13 @@ def audit(build_dir: Path) -> int:
         return 2
     names = flagged([nm(p) for p in objects], [nm(p) for p in production],
                     [nm(p, lines=True) for p in tests], str(REPO / "src") + os.sep)
-    findings = check(names, ALLOWLIST.read_text(encoding="utf-8"))
+    uncalled = uncalled_header_functions(REPO)
+    findings = check(names, ALLOWLIST.read_text(encoding="utf-8"), uncalled)
     for line in findings:
         print(line)
     print(f"link_audit.py: {len(objects)} src/ objects, {len(production)} production and "
-          f"{len(tests)} test binaries; {len(names)} flagged, {len(findings)} findings")
+          f"{len(tests)} test binaries; {len(names)} flagged, {len(uncalled)} uncalled in "
+          f"headers, {len(findings)} findings")
     return 1 if findings else 0
 
 
@@ -274,6 +364,51 @@ def self_test() -> int:
         other = obj_root / "elsewhere.o"
         assert live_objects([kept, deleted, other], obj_root, Path(tmp) / "src") == [kept, other], \
             "the object of a deleted source is not audited"
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        for sub in SOURCE_DIRS:
+            (root / sub).mkdir()
+        (root / "src" / "a.h").write_text(
+            "#pragma once\n"
+            "#include <cstdint>\n"
+            "#define SLC_CAPABILITY(x) \\\n"
+            "  SLC_ANNOTATION(capability(x))\n"
+            "namespace slc {\n"
+            "// word64() in a comment is no use of it\n"
+            "class SLC_CAPABILITY(\"m\") View : public Base<int> {\n"
+            " public:\n"
+            "  explicit View(int n) : n_(n + 0x1'0000) {}\n"
+            "  ~View() { n_ = 0; }\n"
+            "  uint32_t word32(size_t i) const { return i ? 1 : helper(i); }\n"
+            "  uint64_t word64(size_t i) const {\n"
+            "    if (i) { return 2; }\n"
+            "    return word32(i);\n"
+            "  }\n"
+            "  size_t depth() const { return n_; }\n"
+            "  bool operator==(const View& o) const { return n_ == o.n_; }\n"
+            "  static size_t helper(size_t i) { return i; }\n"
+            " private:\n"
+            "  int n_{0};\n"
+            "};\n"
+            "template <class T> struct Alloc {\n"
+            "  void deallocate(T* p, size_t n) { (void)p, (void)n; }\n"
+            "};\n"
+            "namespace detail {\n"
+            "inline int unused_free(int x) { return x; }\n"
+            "}  // namespace detail\n"
+            "}  // namespace slc\n", encoding="utf-8")
+        (root / "bench" / "b.cpp").write_text(
+            'int main() { slc::View v(1); puts("depth() word64"); return v.word32(0); }\n',
+            encoding="utf-8")
+        found = uncalled_header_functions(root)
+        assert found == {"slc::View::word64", "slc::View::depth", "slc::detail::unused_free"}, \
+            f"an uncalled header function is reported by qualified name, {sorted(found)}"
+        allow = "slc::View::depth() const | observer: queue depth\n"
+        findings = check(set(), allow, found)
+        assert len(findings) == 2 and findings[0].startswith("slc::View::word64: a src/ header"), \
+            "a header function is allowlisted by qualified name"
+        assert check(set(), allow, set())[0].startswith("slc::View::depth() const: allowlisted"), \
+            "an allowlist entry neither pass flags is stale"
     print("link_audit.py self-test: ok")
     return 0
 
